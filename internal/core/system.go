@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"covidkg/internal/bias"
@@ -133,7 +134,9 @@ type System struct {
 	Fuser *kg.Fuser
 
 	// processed tracks publications whose tables already went through
-	// KG enrichment, so Refresh only touches new arrivals.
+	// KG enrichment, so Refresh only touches new arrivals. Concurrent
+	// ingest handlers enrich at once, so procMu guards it.
+	procMu    sync.Mutex
 	processed map[string]bool
 }
 
@@ -437,7 +440,7 @@ type BuildStats struct {
 // provenance attached. Publications are marked processed, so a later
 // Refresh only enriches from new arrivals.
 func (s *System) BuildKG() BuildStats {
-	return s.enrichFrom(func(string) bool { return true })
+	return s.enrich(s.claim(true))
 }
 
 // Refresh is the paper's "scalable mechanism to keep the KG up to date":
@@ -447,7 +450,7 @@ func (s *System) Refresh(pubs []*cord19.Publication) (BuildStats, error) {
 	if err := s.IngestPublications(pubs); err != nil {
 		return BuildStats{}, err
 	}
-	return s.enrichFrom(func(pubID string) bool { return !s.processed[pubID] }), nil
+	return s.EnrichNew(), nil
 }
 
 // RefreshDocs ingests raw publication documents (№12 in Figure 1: new
@@ -466,18 +469,45 @@ func (s *System) RefreshDocs(docs []jsondoc.Doc) (BuildStats, error) {
 
 // EnrichNew incrementally enriches the KG from every stored publication
 // not yet processed — the tail step of a streaming bulk ingest, run
-// once after all batches landed instead of per batch.
+// once after all batches landed instead of per batch. Safe to call from
+// concurrent ingest handlers: each call enriches only the publications
+// it claimed.
 func (s *System) EnrichNew() BuildStats {
-	return s.enrichFrom(func(pubID string) bool { return !s.processed[pubID] })
+	return s.enrich(s.claim(false))
 }
 
-// enrichFrom runs classification + extraction + fusion over stored
-// tables whose publication passes the filter.
-func (s *System) enrichFrom(include func(pubID string) bool) BuildStats {
+// claim marks stored publications processed and returns the ones this
+// call marked — every one with all set, else only those not yet
+// processed. Marking before enriching (under procMu) is what keeps two
+// racing EnrichNew calls from fusing the same publication twice: the
+// loser of the race finds it already claimed. Table-less publications
+// are claimed too; they need no re-visit either. An id-only listing:
+// cloning every stored document just to read its _id is the kind of
+// whole-collection materialization the search path also dropped.
+func (s *System) claim(all bool) map[string]bool {
+	ids := s.Pubs.IDs()
+	claimed := map[string]bool{}
+	s.procMu.Lock()
+	defer s.procMu.Unlock()
+	for _, id := range ids {
+		if all || !s.processed[id] {
+			s.processed[id] = true
+			claimed[id] = true
+		}
+	}
+	return claimed
+}
+
+// enrich runs classification + extraction + fusion over the stored
+// tables of the claimed publications.
+func (s *System) enrich(claimed map[string]bool) BuildStats {
 	var st BuildStats
+	if len(claimed) == 0 {
+		return st
+	}
 	before := s.Graph.Size()
 	s.storedTables(func(pubID string, t *tableparse.Table) {
-		if !include(pubID) {
+		if !claimed[pubID] {
 			return
 		}
 		st.Tables++
@@ -499,15 +529,6 @@ func (s *System) enrichFrom(include func(pubID string) bool) BuildStats {
 			}
 		}
 	})
-	// mark every included publication processed (including table-less
-	// ones, which need no re-visit either) — an id-only scan: cloning
-	// every stored document just to read its _id is the kind of
-	// whole-collection materialization the search path also dropped
-	for _, id := range s.Pubs.IDs() {
-		if include(id) {
-			s.processed[id] = true
-		}
-	}
 	st.NodesAdded = s.Graph.Size() - before
 	return st
 }

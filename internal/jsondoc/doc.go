@@ -180,6 +180,10 @@ func cloneValue(v any) any {
 // parses as a non-negative integer indexes into arrays. The second return
 // reports whether the full path resolved.
 func (d Doc) Get(path string) (any, bool) {
+	if path != "" && strings.IndexByte(path, '.') < 0 {
+		v, ok := d[path] // top-level key: no path slice to allocate
+		return v, ok
+	}
 	return getPath(map[string]any(d), splitPath(path))
 }
 

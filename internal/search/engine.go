@@ -246,80 +246,53 @@ func (e *Engine) indexDoc(d jsondoc.Doc) {
 	e.idx.SetStatic(id, recencyOf(d))
 }
 
-// fieldTexts extracts the raw text of each logical field of a stored
-// publication, used for matching and snippets. Table captions and cells
-// are concatenated per table.
-func fieldTexts(d jsondoc.Doc) map[string][]string {
-	out := map[string][]string{
-		FieldTitle:    {d.GetString("title")},
-		FieldAbstract: {d.GetString("abstract")},
-		FieldBody:     {d.GetString("body_text")},
-	}
-	for _, tv := range d.GetArray("tables") {
-		tm, _ := tv.(map[string]any)
-		if tm == nil {
-			continue
-		}
-		td := jsondoc.Doc(tm)
-		out[FieldTableCaption] = append(out[FieldTableCaption], td.GetString("caption"))
-		var cells []string
-		for _, rv := range td.GetArray("rows") {
-			ra, _ := rv.([]any)
-			for _, cv := range ra {
-				if s, ok := cv.(string); ok && s != "" {
-					cells = append(cells, s)
-				}
+// allFields lists every logical field of a stored publication.
+var allFields = []string{FieldTitle, FieldAbstract, FieldBody,
+	FieldTableCaption, FieldTableCell, FieldFigureCaption}
+
+// anyFieldText calls fn with each raw text of one logical field of a
+// stored publication, used for matching and snippets, until fn returns
+// true, and reports whether it did. Only the requested field is built:
+// a table's cells are joined (one text per table) only when
+// FieldTableCell is asked for.
+func anyFieldText(d jsondoc.Doc, field string, fn func(string) bool) bool {
+	switch field {
+	case FieldTitle:
+		return fn(d.GetString("title"))
+	case FieldAbstract:
+		return fn(d.GetString("abstract"))
+	case FieldBody:
+		return fn(d.GetString("body_text"))
+	case FieldFigureCaption:
+		for _, fv := range d.GetArray("figure_captions") {
+			if s, ok := fv.(string); ok && fn(s) {
+				return true
 			}
 		}
-		out[FieldTableCell] = append(out[FieldTableCell], strings.Join(cells, " | "))
-	}
-	for _, fv := range d.GetArray("figure_captions") {
-		if s, ok := fv.(string); ok {
-			out[FieldFigureCaption] = append(out[FieldFigureCaption], s)
-		}
-	}
-	return out
-}
-
-// termMatches reports whether a query term occurs in text: quoted terms
-// match as case-insensitive substrings ("exact match of the query if
-// wrapped in quotes"), bare terms match any token whose stem equals, or
-// which extends, the stemmed query term ("stemming match capability on a
-// tokenized query").
-func termMatches(term textproc.QueryTerm, text string) bool {
-	if term.Exact {
-		return strings.Contains(strings.ToLower(text), term.Text)
-	}
-	for _, tok := range textproc.Tokenize(text) {
-		if tokenMatchesStem(tok.Text, term.Text) {
-			return true
-		}
-	}
-	return false
-}
-
-// tokenMatchesStem implements the stemmed-regex matching rule.
-func tokenMatchesStem(token, stem string) bool {
-	return textproc.Stem(token) == stem || strings.HasPrefix(token, stem)
-}
-
-// termMatchesSyn is termMatches extended through the synonym table for
-// bare terms (quoted phrases stay literal): a document matching
-// "immunization" is a verified hit for the term "vaccine" unless
-// NoSynonyms is set. Candidate generation admits synonym-only documents
-// (expandSynonyms), so the verify predicate must recognize them too or
-// phrase+term queries silently lose synonym recall.
-func (e *Engine) termMatchesSyn(term textproc.QueryTerm, text string) bool {
-	if term.Exact {
-		return strings.Contains(strings.ToLower(text), term.Text)
-	}
-	stems := []string{term.Text}
-	if !e.RankOptions().NoSynonyms {
-		stems = append(stems, textproc.SynonymStems(term.Text)...)
-	}
-	for _, tok := range textproc.Tokenize(text) {
-		for _, s := range stems {
-			if tokenMatchesStem(tok.Text, s) {
+	case FieldTableCaption, FieldTableCell:
+		for _, tv := range d.GetArray("tables") {
+			tm, _ := tv.(map[string]any)
+			if tm == nil {
+				continue
+			}
+			td := jsondoc.Doc(tm)
+			if field == FieldTableCaption {
+				if fn(td.GetString("caption")) {
+					return true
+				}
+				continue
+			}
+			var buf [32]string // most tables' cells fit the stack
+			cells := buf[:0]
+			for _, rv := range td.GetArray("rows") {
+				ra, _ := rv.([]any)
+				for _, cv := range ra {
+					if s, ok := cv.(string); ok && s != "" {
+						cells = append(cells, s)
+					}
+				}
+			}
+			if fn(strings.Join(cells, " | ")) {
 				return true
 			}
 		}

@@ -276,22 +276,16 @@ func (e *Engine) runSearch(
 		page.Partial = true
 		page.MissingShards = missing
 	}
-	// snippets are expensive (tokenization over full texts); compute them
-	// only for the page actually returned
+	// snippets scan each snippet field's text once; only the page
+	// actually returned pays for them
 	start = time.Now()
+	hl := textproc.CompileTerms(terms, false)
 	for i := range page.Results {
 		if ctx.Err() != nil {
 			return Page{}, fmt.Errorf("search: snippets: %w", ctx.Err())
 		}
-		d := byID[page.Results[i].DocID]
-		texts := fieldTexts(d)
-		for _, f := range snippetFields {
-			for _, txt := range texts[f] {
-				if sn, ok := makeSnippet(f, txt, terms); ok {
-					page.Results[i].Snippets = append(page.Results[i].Snippets, sn)
-				}
-			}
-		}
+		r := &page.Results[i]
+		r.Snippets = appendSnippets(r.Snippets, byID[r.DocID], snippetFields, hl)
 	}
 	e.observeStage("snippet", time.Since(start))
 	return page, nil
@@ -485,22 +479,37 @@ func intersectSorted(a, b []string) []string {
 }
 
 // anyTermInFields reports whether at least one query term matches any of
-// the named fields of the document. Bare terms match through the synonym
-// table (termMatchesSyn), keeping this predicate consistent with
-// candidate generation: a document admitted for "vaccine" via
-// "immunization" stays a hit when a quoted phrase forces re-verification.
-func (e *Engine) anyTermInFields(d jsondoc.Doc, terms []textproc.QueryTerm, fields ...string) bool {
-	texts := fieldTexts(d)
+// the named fields of the document — the fallback's $match. Its matcher
+// is compiled through the synonym table unless NoSynonyms is set
+// (verifyMatcher; quoted phrases stay literal), keeping it consistent
+// with candidate generation: a document admitted for "vaccine" via
+// "immunization" (expandSynonyms) stays a hit when a quoted phrase
+// forces re-verification.
+func anyTermInFields(d jsondoc.Doc, m *textproc.TermMatcher, fields ...string) bool {
 	for _, f := range fields {
-		for _, txt := range texts[f] {
-			for _, t := range terms {
-				if e.termMatchesSyn(t, txt) {
-					return true
-				}
-			}
+		if anyFieldText(d, f, m.MatchText) {
+			return true
 		}
 	}
 	return false
+}
+
+func (e *Engine) verifyMatcher(terms []textproc.QueryTerm) *textproc.TermMatcher {
+	return textproc.CompileTerms(terms, !e.RankOptions().NoSynonyms)
+}
+
+// appendSnippets excerpts every text of the snippet fields of d, in
+// field order, around the query's matches.
+func appendSnippets(dst []Snippet, d jsondoc.Doc, fields []string, hl *textproc.TermMatcher) []Snippet {
+	for _, f := range fields {
+		anyFieldText(d, f, func(txt string) bool {
+			if sn, ok := makeSnippet(f, txt, hl); ok {
+				dst = append(dst, sn)
+			}
+			return false // every text of the field
+		})
+	}
+	return dst
 }
 
 // FieldQuery is the input of the title/abstract/caption engine: any
@@ -563,9 +572,13 @@ func (e *Engine) SearchFieldsContext(ctx context.Context, q FieldQuery, pageNum 
 	}
 	return e.cachedSearch(ctx, "fields", canon.String(), pageNum, allTerms, func(ctx context.Context) (Page, error) {
 		rankFields := map[string]bool{FieldTitle: true, FieldAbstract: true, FieldTableCaption: true}
+		matchers := make([]*textproc.TermMatcher, len(conds))
+		for i, c := range conds {
+			matchers[i] = e.verifyMatcher(c.terms)
+		}
 		match := func(d jsondoc.Doc) bool {
-			for _, c := range conds {
-				if !e.anyTermInFields(d, c.terms, c.field) {
+			for i, c := range conds {
+				if !anyTermInFields(d, matchers[i], c.field) {
 					return false
 				}
 			}
@@ -624,10 +637,9 @@ func (e *Engine) SearchAllContext(ctx context.Context, query string, pageNum int
 	}
 	pageNum = clampPage(pageNum)
 	return e.cachedSearch(ctx, "all", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
-		allFields := []string{FieldTitle, FieldAbstract, FieldBody,
-			FieldTableCaption, FieldTableCell, FieldFigureCaption}
+		vm := e.verifyMatcher(terms)
 		match := func(d jsondoc.Doc) bool {
-			return e.anyTermInFields(d, terms, allFields...)
+			return anyTermInFields(d, vm, allFields...)
 		}
 		start := time.Now()
 		candidates, verify, ok := e.queryCandidates(terms, nil)
@@ -659,8 +671,9 @@ func (e *Engine) SearchTablesContext(ctx context.Context, query string, pageNum 
 	pageNum = clampPage(pageNum)
 	return e.cachedSearch(ctx, "tables", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
 		tableFields := map[string]bool{FieldTableCaption: true, FieldTableCell: true}
+		vm := e.verifyMatcher(terms)
 		match := func(d jsondoc.Doc) bool {
-			return e.anyTermInFields(d, terms, FieldTableCaption, FieldTableCell)
+			return anyTermInFields(d, vm, FieldTableCaption, FieldTableCell)
 		}
 		start := time.Now()
 		candidates, verify, ok := e.queryCandidates(terms, tableFields)
@@ -703,6 +716,7 @@ func (e *Engine) TableCellMatchesContext(ctx context.Context, docID, query strin
 	if err != nil {
 		return nil, err
 	}
+	m := textproc.CompileTerms(terms, false)
 	var out []CellMatch
 	for ti, tv := range d.GetArray("tables") {
 		if ctx.Err() != nil {
@@ -714,24 +728,12 @@ func (e *Engine) TableCellMatchesContext(ctx context.Context, docID, query strin
 		}
 		td := jsondoc.Doc(tm)
 		cm := CellMatch{TableIndex: ti, Caption: td.GetString("caption")}
-		for _, t := range terms {
-			if termMatches(t, cm.Caption) {
-				cm.CaptionMatched = true
-				break
-			}
-		}
+		cm.CaptionMatched = m.MatchText(cm.Caption)
 		for ri, rv := range td.GetArray("rows") {
 			ra, _ := rv.([]any)
 			for ci, cv := range ra {
-				s, ok := cv.(string)
-				if !ok || s == "" {
-					continue
-				}
-				for _, t := range terms {
-					if termMatches(t, s) {
-						cm.Cells = append(cm.Cells, [2]int{ri, ci})
-						break
-					}
+				if s, ok := cv.(string); ok && m.MatchText(s) {
+					cm.Cells = append(cm.Cells, [2]int{ri, ci})
 				}
 			}
 		}
@@ -753,6 +755,7 @@ func (e *Engine) MatchingTables(docID, query string) ([]jsondoc.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
+	m := textproc.CompileTerms(terms, false)
 	var out []jsondoc.Doc
 	for _, tv := range d.GetArray("tables") {
 		tm, _ := tv.(map[string]any)
@@ -769,11 +772,8 @@ func (e *Engine) MatchingTables(docID, query string) ([]jsondoc.Doc, error) {
 				}
 			}
 		}
-		for _, t := range terms {
-			if termMatches(t, text) {
-				out = append(out, td)
-				break
-			}
+		if m.MatchText(text) {
+			out = append(out, td)
 		}
 	}
 	return out, nil

@@ -118,7 +118,8 @@ func (e *Engine) score(docID string, d jsondoc.Doc, terms []textproc.QueryTerm, 
 
 	// Stemmed terms participate in TF-IDF and proximity; exact phrases
 	// contribute through match counting on the raw text.
-	var stemmed []string
+	var stemBuf [4]string
+	stemmed := stemBuf[:0]
 	for _, t := range terms {
 		if !t.Exact {
 			stemmed = append(stemmed, t.Text)
@@ -133,17 +134,18 @@ func (e *Engine) score(docID string, d jsondoc.Doc, terms []textproc.QueryTerm, 
 			if d == nil {
 				continue // index path never sees exact terms
 			}
-			for f, texts := range fieldTexts(d) {
+			for _, f := range allFields {
 				if fields != nil && !fields[f] {
 					continue
 				}
-				for _, txt := range texts {
-					if termMatches(t, txt) {
+				anyFieldText(d, f, func(txt string) bool {
+					if at, _ := textproc.IndexFold(txt, t.Text, 0); at >= 0 {
 						termHit = true
 						totalMatches++
 						ex.TFIDF += fieldWeight(f) // exact phrases score by field weight alone
 					}
-				}
+					return false // count every matching text
+				})
 			}
 		} else {
 			for _, f := range e.idx.FieldsOf(docID, t.Text) {

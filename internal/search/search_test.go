@@ -515,7 +515,7 @@ func TestPhraseTermSynonymRecall(t *testing.T) {
 func TestSnippetUTF8(t *testing.T) {
 	terms := textproc.ParseQuery("masks")
 	text := strings.Repeat("α", 100) + " masks " + strings.Repeat("汉", 50)
-	sn, ok := makeSnippet(FieldAbstract, text, terms)
+	sn, ok := makeSnippet(FieldAbstract, text, textproc.CompileTerms(terms, false))
 	if !ok {
 		t.Fatal("no snippet")
 	}
@@ -538,7 +538,7 @@ func TestSnippetUTF8(t *testing.T) {
 
 	// match at the very start of CJK-only text: both edges must align
 	text2 := "masks " + strings.Repeat("病", 80)
-	sn2, ok := makeSnippet(FieldAbstract, text2, terms)
+	sn2, ok := makeSnippet(FieldAbstract, text2, textproc.CompileTerms(terms, false))
 	if !ok {
 		t.Fatal("no snippet for cjk text")
 	}

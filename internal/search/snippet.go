@@ -14,8 +14,9 @@ const snippetRadius = 80
 // makeSnippet excerpts text around the first query-term match and
 // records every highlight span inside the excerpt. Returns ok=false when
 // no term matches.
-func makeSnippet(field, text string, terms []textproc.QueryTerm) (Snippet, bool) {
-	spans := matchSpans(text, terms)
+func makeSnippet(field, text string, hl *textproc.TermMatcher) (Snippet, bool) {
+	var buf [64][2]int // spans rarely outgrow the stack
+	spans := matchSpans(buf[:0], text, hl)
 	if len(spans) == 0 {
 		return Snippet{}, false
 	}
@@ -39,56 +40,48 @@ func makeSnippet(field, text string, terms []textproc.QueryTerm) (Snippet, bool)
 		end++
 	}
 
-	excerpt := text[start:end]
-	var hl [][2]int
-	for _, sp := range spans {
-		if sp[0] >= start && sp[1] <= end {
-			hl = append(hl, [2]int{sp[0] - start, sp[1] - start})
-		}
-	}
+	lead, tail := "", ""
 	if start > 0 {
-		excerpt = "…" + excerpt
-		off := len("…")
-		for i := range hl {
-			hl[i][0] += off
-			hl[i][1] += off
-		}
+		lead = "…"
 	}
 	if end < len(text) {
-		excerpt += "…"
+		tail = "…"
 	}
-	return Snippet{Field: field, Text: excerpt, Highlights: hl}, true
+	// spans are sorted and disjoint, so those inside the window are a prefix
+	n := 0
+	for n < len(spans) && spans[n][1] <= end {
+		n++
+	}
+	hls := make([][2]int, n)
+	off := len(lead) - start
+	for i := range hls {
+		hls[i] = [2]int{spans[i][0] + off, spans[i][1] + off}
+	}
+	return Snippet{Field: field, Text: lead + text[start:end] + tail, Highlights: hls}, true
 }
 
-// matchSpans returns sorted, de-overlapped byte spans of every query-term
-// match in text.
-func matchSpans(text string, terms []textproc.QueryTerm) [][2]int {
-	var spans [][2]int
-	lower := strings.ToLower(text)
-	for _, t := range terms {
-		if t.Exact {
-			for from := 0; ; {
-				i := strings.Index(lower[from:], t.Text)
-				if i < 0 {
-					break
-				}
-				s := from + i
-				spans = append(spans, [2]int{s, s + len(t.Text)})
-				from = s + len(t.Text)
-			}
-		} else {
-			for _, tok := range textproc.Tokenize(text) {
-				if tokenMatchesStem(tok.Text, t.Text) {
-					spans = append(spans, [2]int{tok.Start, tok.End})
-				}
-			}
+// matchSpans appends to dst the sorted, de-overlapped byte spans of
+// every query-term match in text: one pass over the tokens for all bare
+// terms, one case-insensitive scan per quoted phrase, both reporting
+// offsets in text's own bytes.
+func matchSpans(dst [][2]int, text string, m *textproc.TermMatcher) [][2]int {
+	var sc textproc.Scanner
+	sc.Reset(text)
+	for tok := sc.Next(); tok != nil; tok = sc.Next() {
+		if m.MatchToken(tok) {
+			dst = append(dst, [2]int{sc.Start, sc.End})
 		}
 	}
-	if len(spans) == 0 {
+	for _, p := range m.Phrases() {
+		for s, e := textproc.IndexFold(text, p, 0); s >= 0; s, e = textproc.IndexFold(text, p, e) {
+			dst = append(dst, [2]int{s, e})
+		}
+	}
+	if len(dst) == 0 {
 		return nil
 	}
-	sortSpans(spans)
-	return dedupeSpans(spans)
+	sortSpans(dst)
+	return dedupeSpans(dst)
 }
 
 func sortSpans(spans [][2]int) {

@@ -17,7 +17,8 @@ import (
 // but one page (the pipeline path), this path walks the per-term
 // posting lists document-at-a-time, scores candidates straight from the
 // index, keeps only the best k = pageNum·PerPage (+overfetch) in a
-// bounded heap, and materializes just the ≤ PerPage winners for
+// bounded heap, and materializes just the ≤ PerPage winners — one
+// batched GetMany, then one matching pass per snippet text — for
 // snippets. Per-term max-score upper bounds (classic max-score early
 // termination) let fully-scored work be skipped for candidates that
 // provably cannot enter the heap.
@@ -167,9 +168,9 @@ type termSlot struct {
 // runTopK executes the index-native scoring path over a sorted
 // candidate id list. It returns served=false (without error) when the
 // page cannot be produced from the index alone — currently only when a
-// winner's document fetch fails mid-materialization (e.g. its shard
-// went dark after the shape gate passed) — in which case the caller
-// falls back to the pipeline path.
+// winner's document is missing from the batched fetch (its shard went
+// dark after the shape gate passed, or it was deleted) — in which case
+// the caller falls back to the pipeline path.
 func (e *Engine) runTopK(
 	ctx context.Context,
 	candidates []string,
@@ -323,28 +324,28 @@ func (e *Engine) runTopK(
 		pend = len(ranked)
 	}
 
-	// Materialize only the winners. Any fetch failure (a shard darkened
-	// after the shape gate, a concurrent delete) abandons the index path
-	// so the pipeline path can degrade properly.
+	// Materialize only the winners, in one batched fetch. Any dark shard
+	// or missing document (a shard darkened after the shape gate, a
+	// concurrent delete) abandons the index path so the pipeline path
+	// can degrade properly.
 	start = time.Now()
-	if ctx.Err() != nil {
-		return Page{}, false, fmt.Errorf("search: topk: %w", ctx.Err())
+	winners := ranked[pstart:pend]
+	ids := make([]string, len(winners))
+	for i, en := range winners {
+		ids[i] = en.docID
 	}
-	results := make([]Result, 0, pend-pstart)
-	for _, en := range ranked[pstart:pend] {
-		d, err := e.coll.Get(en.docID)
-		if err != nil {
+	docs, _, err := e.coll.GetMany(ctx, ids) // a dark shard's documents come back nil
+	if err != nil {
+		return Page{}, false, fmt.Errorf("search: topk: %w", err)
+	}
+	hl := textproc.CompileTerms(terms, false)
+	results := make([]Result, 0, len(winners))
+	for i, d := range docs {
+		if d == nil {
 			return Page{}, false, nil
 		}
-		r := resultFromDoc(d, en.score)
-		texts := fieldTexts(d)
-		for _, f := range snippetFields {
-			for _, txt := range texts[f] {
-				if sn, ok := makeSnippet(f, txt, terms); ok {
-					r.Snippets = append(r.Snippets, sn)
-				}
-			}
-		}
+		r := resultFromDoc(d, winners[i].score)
+		r.Snippets = appendSnippets(nil, d, snippetFields, hl)
 		results = append(results, r)
 	}
 	e.observeStage("materialize", time.Since(start))

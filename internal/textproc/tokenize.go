@@ -5,10 +5,7 @@
 // matches; bare terms are stemmed).
 package textproc
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // Token is a single token with its byte offsets in the source text, so
 // snippet generators can highlight the original spans.
@@ -23,31 +20,16 @@ type Token struct {
 // and "don't" stay single tokens). Offsets refer to the original string.
 func Tokenize(text string) []Token {
 	var out []Token
-	start := -1
-	flush := func(end int) {
-		if start < 0 {
-			return
+	var sc Scanner
+	sc.Reset(text)
+	for tok := sc.Next(); tok != nil; tok = sc.Next() {
+		// an already-lowercase token is a substring of text: no copy
+		word := text[sc.Start:min(sc.Start+len(tok), len(text))]
+		if word != string(tok) {
+			word = string(tok)
 		}
-		raw := text[start:end]
-		raw = strings.Trim(raw, "-'")
-		if raw != "" {
-			out = append(out, Token{Text: strings.ToLower(raw), Start: start, End: end})
-		}
-		start = -1
+		out = append(out, Token{Text: word, Start: sc.Start, End: sc.End})
 	}
-	for i, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			if start < 0 {
-				start = i
-			}
-		case (r == '-' || r == '\'') && start >= 0:
-			// keep internal connectors; trailing ones are trimmed at flush
-		default:
-			flush(i)
-		}
-	}
-	flush(len(text))
 	return out
 }
 
