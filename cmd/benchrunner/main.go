@@ -25,12 +25,6 @@
 //	                          # KG path-query engine: planned vs naive
 //	                          # latency, divergence audit, cancellation
 //	                          # responsiveness; exits non-zero on breach
-//	benchrunner -wirebench BENCH_wire.json
-//	                          # shard-tier wire fast path: binary codec vs
-//	                          # JSON micro-bench plus end-to-end latency
-//	                          # and allocs/op over live shard servers;
-//	                          # exits non-zero if the binary path loses
-//	                          # its codec or allocation advantage
 package main
 
 import (
@@ -56,59 +50,7 @@ func main() {
 	chaosBench := flag.String("chaosbench", "", "run the shard kill/recover chaos benchmark and write JSON to this file")
 	soakBench := flag.String("soakbench", "", "run the multi-tenant soak benchmark and write JSON to this file; exits non-zero on SLO breach")
 	kgBench := flag.String("kgbench", "", "run the KG path-query benchmark and write JSON to this file; exits non-zero on divergence or cancellation-budget breach")
-	wireBench := flag.String("wirebench", "", "run the wire codec/transport benchmark and write JSON to this file; exits non-zero when the binary fast path loses its advantage")
 	flag.Parse()
-
-	if *wireBench != "" {
-		res := experiments.RunWireBench(*quick)
-		writeJSONFile(*wireBench, res)
-		fmt.Printf("wire bench over %d docs on %d shards (batch %d):\n", res.Docs, res.Shards, res.BatchSize)
-		for _, c := range res.Codec {
-			fmt.Printf("  codec %-8s %-4s enc p50 %.1fµs  dec p50 %.1fµs  round p50 %.1fµs  (%dB req, %dB resp)\n",
-				c.Op, c.Codec, c.P50EncodeUs, c.P50DecodeUs, c.P50RoundUs, c.ReqBytes, c.RespBytes)
-		}
-		fmt.Printf("  codec round-trip speedup: get %.1fx, get_many %.1fx\n",
-			res.CodecSpeedupGet, res.CodecSpeedupGetMany)
-		fmt.Printf("  transport alloc reduction (encode+frame): get %.0fx, get_many %.0fx\n",
-			res.TransportAllocReductionGet, res.TransportAllocReductionGetMany)
-		for _, p := range []experiments.WirePathStats{res.JSON, res.Binary} {
-			fmt.Printf("  path %-4s get p50 %.0fµs (%.0f allocs)  get_many p50 %.0fµs (%.0f allocs)\n",
-				p.Codec, p.GetP50Us, p.GetAllocsPerOp, p.GetManyP50Us, p.GetManyAllocsPerOp)
-		}
-		fmt.Printf("  end-to-end: get %.2fx faster / %.1fx fewer allocs, get_many %.2fx faster / %.1fx fewer allocs\n",
-			res.PathSpeedupGet, res.AllocReductionGet, res.PathSpeedupGetMany, res.AllocReductionGetMany)
-		// Self-failing gates. The codec must beat JSON by ≥2x on the
-		// round-trip p50 of both fast-path envelope shapes, and the
-		// pooled encode+frame machinery must cut its per-op allocations
-		// ≥5x (payload materialization — building the decoded documents —
-		// costs the same under any codec, so it is reported in the path
-		// numbers but gated only as a must-not-lose canary). End-to-end
-		// latency is also gated as must-not-lose: localhost RTT, not
-		// codec work, can dominate a single get on a quiet machine.
-		if res.CodecSpeedupGet < 2 {
-			log.Fatalf("wire bench: binary codec only %.2fx faster than JSON on get round-trip (need ≥2x)", res.CodecSpeedupGet)
-		}
-		if res.CodecSpeedupGetMany < 2 {
-			log.Fatalf("wire bench: binary codec only %.2fx faster than JSON on get_many round-trip (need ≥2x)", res.CodecSpeedupGetMany)
-		}
-		if res.TransportAllocReductionGet < 5 {
-			log.Fatalf("wire bench: get transport allocs only reduced %.1fx (need ≥5x)", res.TransportAllocReductionGet)
-		}
-		if res.TransportAllocReductionGetMany < 5 {
-			log.Fatalf("wire bench: get_many transport allocs only reduced %.1fx (need ≥5x)", res.TransportAllocReductionGetMany)
-		}
-		if res.AllocReductionGetMany < 1.1 {
-			log.Fatalf("wire bench: whole-path get_many allocs not reduced (%.2fx)", res.AllocReductionGetMany)
-		}
-		if res.PathSpeedupGetMany < 1.0 {
-			log.Fatalf("wire bench: binary get_many p50 slower than JSON (%.2fx)", res.PathSpeedupGetMany)
-		}
-		if !res.NegotiatedBinaryGetMany {
-			log.Fatal("wire bench: binary path returned no documents (negotiation broken?)")
-		}
-		fmt.Printf("written to %s\n", *wireBench)
-		return
-	}
 
 	if *kgBench != "" {
 		res := experiments.RunKGBench(*quick)

@@ -3,11 +3,10 @@
 // (№9/10 in Figure 1) and the programmatic API releasing search,
 // publications, and pre-trained models to downstream users (№11/13).
 //
-// The versioned surface lives under /api/v1/; the original unversioned
-// /api/ paths remain as deprecated aliases (Deprecation: true). Every
-// route runs inside a request lifecycle — per-route-class deadline,
-// bounded in-flight admission control, and a request id that flows
-// through the context into error envelopes and metrics.
+// The surface lives under /api/v1/ and nowhere else. Every route runs
+// inside a request lifecycle — per-route-class deadline, bounded
+// in-flight admission control, and a request id that flows through the
+// context into error envelopes and metrics.
 package api
 
 import (
@@ -85,12 +84,6 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	s.route("GET", "/kg/nodes/{id}", classLight, cfg.LightTimeout, s.handleKGNodes)
 	s.route("POST", "/kg/query", classSearch, cfg.SearchTimeout, s.handleKGQuery)
 	s.route("POST", "/kg/hypotheses", classSearch, cfg.SearchTimeout, s.handleKGHypotheses)
-	// the pre-v1-redesign node resource: same data, now answered with
-	// Deprecation + successor Link pointing at /kg/nodes/{id}
-	s.routeDeprecated("GET", "/kg/node/{id}", "/kg/nodes/{id}",
-		classLight, cfg.LightTimeout, s.handleNodeLegacy)
-	s.routeDeprecated("GET", "/kg/node/{id}/children", "/kg/nodes/{id}?expand=children",
-		classLight, cfg.LightTimeout, s.handleChildrenLegacy)
 	s.route("GET", "/reviews", classLight, cfg.LightTimeout, s.handleReviews)
 	s.route("POST", "/reviews/{id}/approve", classLight, cfg.LightTimeout, s.handleApprove)
 	s.route("POST", "/reviews/{id}/reject", classLight, cfg.LightTimeout, s.handleReject)
@@ -109,34 +102,9 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	return s
 }
 
-// route mounts a lifecycle-wrapped handler at its canonical
-// /api/v1<path> and at the deprecated legacy /api<path> alias, which
-// answers identically but with a Deprecation header pointing clients at
-// the successor.
+// route mounts a lifecycle-wrapped handler at /api/v1<path>.
 func (s *Server) route(method, path string, class routeClass, timeout time.Duration, h http.HandlerFunc) {
-	wrapped := s.lifecycle(class, timeout, h)
-	s.mux.HandleFunc(method+" /api/v1"+path, wrapped)
-	s.mux.HandleFunc(method+" /api"+path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</api/v1"+path+">; rel=\"successor-version\"")
-		wrapped(w, r)
-	})
-}
-
-// routeDeprecated mounts a lifecycle-wrapped handler at a path that is
-// deprecated in v1 itself: both the /api/v1 and legacy /api mounts
-// answer with Deprecation: true and a Link to the successor v1
-// resource, so clients migrating off the old KG node routes learn the
-// new address from either prefix.
-func (s *Server) routeDeprecated(method, path, successor string, class routeClass, timeout time.Duration, h http.HandlerFunc) {
-	wrapped := s.lifecycle(class, timeout, h)
-	dep := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</api/v1"+successor+">; rel=\"successor-version\"")
-		wrapped(w, r)
-	}
-	s.mux.HandleFunc(method+" /api/v1"+path, dep)
-	s.mux.HandleFunc(method+" /api"+path, dep)
+	s.mux.HandleFunc(method+" /api/v1"+path, s.lifecycle(class, timeout, h))
 }
 
 // ServeHTTP implements http.Handler.

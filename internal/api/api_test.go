@@ -54,7 +54,7 @@ func TestHealthz(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := get(t, s, "/api/stats")
+	rec, body := get(t, s, "/api/v1/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rec.Code)
 	}
@@ -69,10 +69,10 @@ func TestStats(t *testing.T) {
 func TestSearchEndpoints(t *testing.T) {
 	s, _ := testServer(t)
 	for _, path := range []string{
-		"/api/search?q=vaccine",
-		"/api/search?engine=all&q=vaccine",
-		"/api/search?engine=tables&q=vaccine&page=1",
-		"/api/search?engine=fields&title=vaccine",
+		"/api/v1/search?q=vaccine",
+		"/api/v1/search?engine=all&q=vaccine",
+		"/api/v1/search?engine=tables&q=vaccine&page=1",
+		"/api/v1/search?engine=fields&title=vaccine",
 	} {
 		rec, body := get(t, s, path)
 		if rec.Code != http.StatusOK {
@@ -83,11 +83,11 @@ func TestSearchEndpoints(t *testing.T) {
 		}
 	}
 	// errors
-	rec, _ := get(t, s, "/api/search?engine=warp&q=x")
+	rec, _ := get(t, s, "/api/v1/search?engine=warp&q=x")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown engine = %d", rec.Code)
 	}
-	rec, _ = get(t, s, "/api/search?q=")
+	rec, _ = get(t, s, "/api/v1/search?q=")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty query = %d", rec.Code)
 	}
@@ -96,11 +96,11 @@ func TestSearchEndpoints(t *testing.T) {
 func TestPublicationEndpoint(t *testing.T) {
 	s, sys := testServer(t)
 	id := sys.Pubs.IDs()[0]
-	rec, body := get(t, s, "/api/publications/"+id)
+	rec, body := get(t, s, "/api/v1/publications/"+id)
 	if rec.Code != http.StatusOK || body["title"] == "" {
 		t.Fatalf("pub = %d %v", rec.Code, body)
 	}
-	rec, _ = get(t, s, "/api/publications/nope")
+	rec, _ = get(t, s, "/api/v1/publications/nope")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("missing pub = %d", rec.Code)
 	}
@@ -108,28 +108,28 @@ func TestPublicationEndpoint(t *testing.T) {
 
 func TestGraphEndpoints(t *testing.T) {
 	s, sys := testServer(t)
-	rec, body := get(t, s, "/api/kg")
+	rec, body := get(t, s, "/api/v1/kg")
 	if rec.Code != http.StatusOK || body["root"] == nil {
 		t.Fatalf("kg = %d %v", rec.Code, body)
 	}
-	rec, _ = get(t, s, "/api/kg/search?q=vaccines")
+	rec, _ = get(t, s, "/api/v1/kg/search?q=vaccines")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("kg search = %d", rec.Code)
 	}
-	rec, _ = get(t, s, "/api/kg/search?q=")
+	rec, _ = get(t, s, "/api/v1/kg/search?q=")
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty kg search = %d", rec.Code)
 	}
 	root := sys.Graph.RootID()
-	rec, body = get(t, s, "/api/kg/node/"+root)
+	rec, body = get(t, s, "/api/v1/kg/nodes/"+root)
 	if rec.Code != http.StatusOK || body["node"] == nil || body["path"] == nil {
 		t.Fatalf("node = %d %v", rec.Code, body)
 	}
-	rec, _ = get(t, s, "/api/kg/node/"+root+"/children")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("children = %d", rec.Code)
+	rec, body = get(t, s, "/api/v1/kg/nodes/"+root+"?expand=children")
+	if rec.Code != http.StatusOK || body["children"] == nil {
+		t.Fatalf("children = %d %v", rec.Code, body)
 	}
-	rec, _ = get(t, s, "/api/kg/node/bogus")
+	rec, _ = get(t, s, "/api/v1/kg/nodes/bogus")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("bogus node = %d", rec.Code)
 	}
@@ -143,7 +143,7 @@ func TestReviewEndpoints(t *testing.T) {
 			{Label: "Mid", Children: []*kg.Subtree{{Label: "Leaf"}}},
 		},
 	})
-	rec, _ := get(t, s, "/api/reviews")
+	rec, _ := get(t, s, "/api/v1/reviews")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reviews = %d", rec.Code)
 	}
@@ -158,15 +158,15 @@ func TestReviewEndpoints(t *testing.T) {
 		return w
 	}
 	// missing target
-	if w := post("/api/reviews/" + itoa(res.ReviewID) + "/approve"); w.Code != http.StatusBadRequest {
+	if w := post("/api/v1/reviews/" + itoa(res.ReviewID) + "/approve"); w.Code != http.StatusBadRequest {
 		t.Fatalf("no target = %d", w.Code)
 	}
 	// bad target
-	if w := post("/api/reviews/" + itoa(res.ReviewID) + "/approve?target=zzz"); w.Code != http.StatusNotFound {
+	if w := post("/api/v1/reviews/" + itoa(res.ReviewID) + "/approve?target=zzz"); w.Code != http.StatusNotFound {
 		t.Fatalf("bad target = %d", w.Code)
 	}
 	// good approve
-	if w := post("/api/reviews/" + itoa(res.ReviewID) + "/approve?target=" + sys.Graph.RootID()); w.Code != http.StatusOK {
+	if w := post("/api/v1/reviews/" + itoa(res.ReviewID) + "/approve?target=" + sys.Graph.RootID()); w.Code != http.StatusOK {
 		t.Fatalf("approve = %d %s", w.Code, w.Body.String())
 	}
 	if len(sys.Graph.Search("leaf")) == 0 {
@@ -176,17 +176,17 @@ func TestReviewEndpoints(t *testing.T) {
 	res2 := sys.Fuser.Fuse(&kg.Subtree{Label: "Another", Children: []*kg.Subtree{
 		{Label: "m", Children: []*kg.Subtree{{Label: "l"}}},
 	}})
-	if w := post("/api/reviews/" + itoa(res2.ReviewID) + "/reject"); w.Code != http.StatusOK {
+	if w := post("/api/v1/reviews/" + itoa(res2.ReviewID) + "/reject"); w.Code != http.StatusOK {
 		t.Fatalf("reject = %d", w.Code)
 	}
-	if w := post("/api/reviews/abc/reject"); w.Code != http.StatusBadRequest {
+	if w := post("/api/v1/reviews/abc/reject"); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad id = %d", w.Code)
 	}
 }
 
 func TestModelEndpoints(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := get(t, s, "/api/models")
+	rec, body := get(t, s, "/api/v1/models")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("models = %d", rec.Code)
 	}
@@ -195,11 +195,11 @@ func TestModelEndpoints(t *testing.T) {
 		t.Fatal("no models listed")
 	}
 	first := names[0].(string)
-	rec, _ = get(t, s, "/api/models/"+first)
+	rec, _ = get(t, s, "/api/v1/models/"+first)
 	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
 		t.Fatalf("model download = %d", rec.Code)
 	}
-	rec, _ = get(t, s, "/api/models/none")
+	rec, _ = get(t, s, "/api/v1/models/none")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("missing model = %d", rec.Code)
 	}
@@ -236,7 +236,7 @@ func postJSON(t *testing.T, s *Server, path, body string) (*httptest.ResponseRec
 
 func TestAggregateEndpoint(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := postJSON(t, s, "/api/aggregate", `{
+	rec, body := postJSON(t, s, "/api/v1/aggregate", `{
 		"pipeline": [
 			{"$match": {"title": {"$regex": "(?i)covid"}}},
 			{"$project": {"title": 1}},
@@ -259,7 +259,7 @@ func TestAggregateEndpoint(t *testing.T) {
 
 func TestAggregateGroupBy(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := postJSON(t, s, "/api/aggregate", `{
+	rec, body := postJSON(t, s, "/api/v1/aggregate", `{
 		"pipeline": [{"$group": {"_id": "$topic", "n": {"$sum": 1}}}]
 	}`)
 	if rec.Code != http.StatusOK {
@@ -277,20 +277,20 @@ func TestAggregateGroupBy(t *testing.T) {
 
 func TestAggregateErrors(t *testing.T) {
 	s, _ := testServer(t)
-	if rec, _ := postJSON(t, s, "/api/aggregate", `{"pipeline": [{"$warp": 1}]}`); rec.Code != http.StatusBadRequest {
+	if rec, _ := postJSON(t, s, "/api/v1/aggregate", `{"pipeline": [{"$warp": 1}]}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad stage = %d", rec.Code)
 	}
-	if rec, _ := postJSON(t, s, "/api/aggregate", `not json`); rec.Code != http.StatusBadRequest {
+	if rec, _ := postJSON(t, s, "/api/v1/aggregate", `not json`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad body = %d", rec.Code)
 	}
-	if rec, _ := postJSON(t, s, "/api/aggregate", `{"collection": "nope", "pipeline": []}`); rec.Code != http.StatusNotFound {
+	if rec, _ := postJSON(t, s, "/api/v1/aggregate", `{"collection": "nope", "pipeline": []}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("missing collection = %d", rec.Code)
 	}
 }
 
 func TestAggregateDefaultLimit(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := postJSON(t, s, "/api/aggregate", `{"pipeline": []}`)
+	rec, body := postJSON(t, s, "/api/v1/aggregate", `{"pipeline": []}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("empty pipeline = %d", rec.Code)
 	}
@@ -314,7 +314,7 @@ func TestIngestEndpoint(t *testing.T) {
 			"rows": [["Drug", "Outcome measure"], ["Remdesivir", "Recovery time"]],
 			"header_rows": [0], "n_rows": 2, "n_cols": 2}]
 	}]`
-	rec, resp := postJSON(t, s, "/api/publications", body)
+	rec, resp := postJSON(t, s, "/api/v1/publications", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %v", rec.Code, resp)
 	}
@@ -325,19 +325,19 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("count = %d", sys.Pubs.Count())
 	}
 	// immediately searchable
-	rec, page := get(t, s, "/api/search?q=remdesivir")
+	rec, page := get(t, s, "/api/v1/search?q=remdesivir")
 	if rec.Code != http.StatusOK || page["Total"].(float64) < 1 {
 		t.Fatalf("new doc not searchable: %v", page)
 	}
 	// errors
-	if rec, _ := postJSON(t, s, "/api/publications", `[]`); rec.Code != http.StatusBadRequest {
+	if rec, _ := postJSON(t, s, "/api/v1/publications", `[]`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty ingest = %d", rec.Code)
 	}
-	if rec, _ := postJSON(t, s, "/api/publications", `{"not": "an array"}`); rec.Code != http.StatusBadRequest {
+	if rec, _ := postJSON(t, s, "/api/v1/publications", `{"not": "an array"}`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("non-array ingest = %d", rec.Code)
 	}
 	// duplicate id rejected
-	if rec, _ := postJSON(t, s, "/api/publications", body); rec.Code != http.StatusBadRequest {
+	if rec, _ := postJSON(t, s, "/api/v1/publications", body); rec.Code != http.StatusBadRequest {
 		t.Fatalf("duplicate ingest = %d", rec.Code)
 	}
 }
@@ -371,7 +371,7 @@ func TestTableMatchesEndpoint(t *testing.T) {
 	if id == "" {
 		t.Skip("no suitable table in corpus")
 	}
-	rec, body := get(t, s, "/api/publications/"+id+"/tables?q="+term)
+	rec, body := get(t, s, "/api/v1/publications/"+id+"/tables?q="+term)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("table matches = %d: %v", rec.Code, body)
 	}
@@ -379,10 +379,10 @@ func TestTableMatchesEndpoint(t *testing.T) {
 	if len(tables) == 0 {
 		t.Fatalf("no table matches for %q in %s", term, id)
 	}
-	if rec, _ := get(t, s, "/api/publications/nope/tables?q=x"); rec.Code != http.StatusNotFound {
+	if rec, _ := get(t, s, "/api/v1/publications/nope/tables?q=x"); rec.Code != http.StatusNotFound {
 		t.Fatalf("missing pub = %d", rec.Code)
 	}
-	if rec, _ := get(t, s, "/api/publications/"+id+"/tables?q="); rec.Code != http.StatusBadRequest {
+	if rec, _ := get(t, s, "/api/v1/publications/"+id+"/tables?q="); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty query = %d", rec.Code)
 	}
 }
@@ -400,7 +400,7 @@ func TestPubNodesEndpoint(t *testing.T) {
 	if pid == "" {
 		t.Skip("no publication contributed to the KG in this corpus")
 	}
-	rec, body := get(t, s, "/api/publications/"+pid+"/nodes")
+	rec, body := get(t, s, "/api/v1/publications/"+pid+"/nodes")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("pub nodes = %d", rec.Code)
 	}
@@ -408,7 +408,7 @@ func TestPubNodesEndpoint(t *testing.T) {
 	if len(nodes) == 0 {
 		t.Fatal("no nodes returned")
 	}
-	if rec, _ := get(t, s, "/api/publications/nope/nodes"); rec.Code != http.StatusNotFound {
+	if rec, _ := get(t, s, "/api/v1/publications/nope/nodes"); rec.Code != http.StatusNotFound {
 		t.Fatalf("missing pub = %d", rec.Code)
 	}
 }
@@ -417,7 +417,7 @@ func TestPubNodesEndpoint(t *testing.T) {
 // 200 with one empty page, never NumPages = 0 (UIs divide by it).
 func TestSearchZeroHitsStillOnePage(t *testing.T) {
 	s, _ := testServer(t)
-	rec, body := get(t, s, "/api/search?q=xylophone")
+	rec, body := get(t, s, "/api/v1/search?q=xylophone")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("zero-hit search = %d: %v", rec.Code, body)
 	}
@@ -434,10 +434,10 @@ func TestSearchZeroHitsStillOnePage(t *testing.T) {
 func TestSearchErrorStatusClasses(t *testing.T) {
 	s, _ := testServer(t)
 	for _, path := range []string{
-		"/api/search?q=",              // empty query
-		"/api/search?q=the+of+and",    // stopwords only
-		"/api/search?engine=fields",   // all fields empty
-		"/api/search?engine=warp&q=x", // unknown engine
+		"/api/v1/search?q=",              // empty query
+		"/api/v1/search?q=the+of+and",    // stopwords only
+		"/api/v1/search?engine=fields",   // all fields empty
+		"/api/v1/search?engine=warp&q=x", // unknown engine
 	} {
 		rec, body := get(t, s, path)
 		if rec.Code != http.StatusBadRequest {
@@ -445,7 +445,7 @@ func TestSearchErrorStatusClasses(t *testing.T) {
 		}
 	}
 	// good input never maps to 4xx
-	if rec, body := get(t, s, "/api/search?q=vaccine"); rec.Code != http.StatusOK {
+	if rec, body := get(t, s, "/api/v1/search?q=vaccine"); rec.Code != http.StatusOK {
 		t.Fatalf("valid query = %d: %v", rec.Code, body)
 	}
 }
@@ -453,9 +453,9 @@ func TestSearchErrorStatusClasses(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	s, _ := testServer(t)
 	// generate some traffic so counters and histograms are populated
-	get(t, s, "/api/search?q=vaccine")
-	get(t, s, "/api/search?q=vaccine")
-	rec, body := get(t, s, "/api/metrics")
+	get(t, s, "/api/v1/search?q=vaccine")
+	get(t, s, "/api/v1/search?q=vaccine")
+	rec, body := get(t, s, "/api/v1/metrics")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics = %d", rec.Code)
 	}

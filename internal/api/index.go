@@ -20,11 +20,11 @@ code{background:#eee;padding:0 .3em}
 <p>{{.Pubs}} publications stored · {{.Nodes}} knowledge-graph nodes</p>
 <h2>Search API</h2>
 <ul>
-<li><code>GET /api/search?engine=all&amp;q=masks</code> — all publication fields</li>
-<li><code>GET /api/search?engine=tables&amp;q=ventilators</code> — table data</li>
-<li><code>GET /api/search?engine=fields&amp;title=...&amp;abstract=...&amp;caption=...</code></li>
-<li><code>GET /api/kg/search?q=vaccines</code> — KG nodes with paths</li>
-<li><code>GET /api/models</code> — released pre-trained models</li>
+<li><code>GET /api/v1/search?engine=all&amp;q=masks</code> — all publication fields</li>
+<li><code>GET /api/v1/search?engine=tables&amp;q=ventilators</code> — table data</li>
+<li><code>GET /api/v1/search?engine=fields&amp;title=...&amp;abstract=...&amp;caption=...</code></li>
+<li><code>GET /api/v1/kg/search?q=vaccines</code> — KG nodes with paths</li>
+<li><code>GET /api/v1/models</code> — released pre-trained models</li>
 </ul>
 <h2>Knowledge Graph</h2>
 {{.Tree}}

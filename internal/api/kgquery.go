@@ -90,14 +90,12 @@ func writeKGErr(w http.ResponseWriter, r *http.Request, err error, fallback int)
 	}
 }
 
-// handleKGNodes is the redesigned node resource:
+// handleKGNodes is the node resource:
 //
 //	GET /api/v1/kg/nodes/{id}?expand=children&page=&page_size=
 //
-// Without expand it answers the node plus its root path (what the
-// deprecated /kg/node/{id} returned); expand=children embeds one page
-// of children in the standard envelope, replacing the old unbounded
-// /kg/node/{id}/children listing.
+// Without expand it answers the node plus its root path;
+// expand=children embeds one page of children in the standard envelope.
 func (s *Server) handleKGNodes(w http.ResponseWriter, r *http.Request) {
 	n, err := s.sys.Graph.Node(r.PathValue("id"))
 	if err != nil {
@@ -107,49 +105,15 @@ func (s *Server) handleKGNodes(w http.ResponseWriter, r *http.Request) {
 	path, _ := s.sys.Graph.PathToRoot(n.ID)
 	payload := map[string]any{"node": n, "path": path}
 	if r.URL.Query().Get("expand") == "children" {
-		env, err := s.childrenPage(r)
+		kids, err := s.sys.Graph.Children(n.ID)
 		if err != nil {
 			writeKGErr(w, r, err, http.StatusInternalServerError)
 			return
 		}
-		payload["children"] = env
+		page, size := pageParams(r.URL.Query())
+		payload["children"] = paginateSlice(kids, page, size)
 	}
 	writeJSON(w, http.StatusOK, payload)
-}
-
-// childrenPage loads one page of a node's children.
-func (s *Server) childrenPage(r *http.Request) (pageEnv[kg.Node], error) {
-	kids, err := s.sys.Graph.Children(r.PathValue("id"))
-	if err != nil {
-		return pageEnv[kg.Node]{}, err
-	}
-	page, size := pageParams(r.URL.Query())
-	return paginateSlice(kids, page, size), nil
-}
-
-// handleNodeLegacy serves the deprecated GET /kg/node/{id}: the node
-// resource without expansion.
-func (s *Server) handleNodeLegacy(w http.ResponseWriter, r *http.Request) {
-	n, err := s.sys.Graph.Node(r.PathValue("id"))
-	if err != nil {
-		writeKGErr(w, r, err, http.StatusInternalServerError)
-		return
-	}
-	path, _ := s.sys.Graph.PathToRoot(n.ID)
-	writeJSON(w, http.StatusOK, map[string]any{"node": n, "path": path})
-}
-
-// handleChildrenLegacy serves the deprecated GET /kg/node/{id}/children.
-// It answers the same paginated envelope as the successor's
-// expand=children (bounded responses are a behavior fix, not a v2): an
-// un-parameterized request gets page 1 rather than every child.
-func (s *Server) handleChildrenLegacy(w http.ResponseWriter, r *http.Request) {
-	env, err := s.childrenPage(r)
-	if err != nil {
-		writeKGErr(w, r, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, env)
 }
 
 // kgQueryRequest is the POST /api/v1/kg/query body.

@@ -150,9 +150,6 @@ func TestKGNodesResource(t *testing.T) {
 	if rec.Code != http.StatusOK || body["node"] == nil || body["path"] == nil {
 		t.Fatalf("nodes/{id} = %d %v", rec.Code, body)
 	}
-	if rec.Header().Get("Deprecation") != "" {
-		t.Fatalf("canonical route must not be deprecated")
-	}
 	if _, ok := body["children"]; ok {
 		t.Fatalf("children embedded without expand")
 	}
@@ -175,41 +172,6 @@ func TestKGNodesResource(t *testing.T) {
 	rec, body = get(t, s, "/api/v1/kg/nodes/bogus")
 	if rec.Code != http.StatusNotFound || body["code"] != "not_found" {
 		t.Fatalf("bogus node = %d %v", rec.Code, body)
-	}
-}
-
-func TestKGNodeDeprecatedAliases(t *testing.T) {
-	s, sys := testServer(t)
-	root := sys.Graph.RootID()
-	for _, path := range []string{
-		"/api/v1/kg/node/" + root,
-		"/api/kg/node/" + root,
-		"/api/v1/kg/node/" + root + "/children",
-		"/api/kg/node/" + root + "/children",
-	} {
-		rec, _ := get(t, s, path)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s = %d", path, rec.Code)
-		}
-		if rec.Header().Get("Deprecation") != "true" {
-			t.Fatalf("%s missing Deprecation header", path)
-		}
-		if link := rec.Header().Get("Link"); !strings.Contains(link, "/api/v1/kg/nodes/") {
-			t.Fatalf("%s Link = %q, want successor /api/v1/kg/nodes/", path, link)
-		}
-	}
-	// the alias answers the same node payload as the successor
-	rec, body := get(t, s, "/api/v1/kg/node/"+root)
-	if rec.Code != http.StatusOK || body["node"] == nil || body["path"] == nil {
-		t.Fatalf("legacy node = %d %v", rec.Code, body)
-	}
-	// and the children alias answers the bounded envelope
-	rec, body = get(t, s, "/api/v1/kg/node/"+root+"/children?page_size=1")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy children = %d", rec.Code)
-	}
-	if got := len(body["Results"].([]any)); got != 1 {
-		t.Fatalf("legacy children page = %d results, want 1", got)
 	}
 }
 

@@ -28,45 +28,36 @@ func liteServer(t *testing.T, cfg Config) (*Server, *metrics.Registry) {
 	return NewServerWith(sys, cfg), reg
 }
 
-func TestV1RoutesAndDeprecatedAliases(t *testing.T) {
+func TestV1Routes(t *testing.T) {
 	s, _ := testServer(t)
-	pairs := [][2]string{
-		{"/api/v1/stats", "/api/stats"},
-		{"/api/v1/search?q=vaccine", "/api/search?q=vaccine"},
-		{"/api/v1/kg", "/api/kg"},
-		{"/api/v1/kg/search?q=vaccines", "/api/kg/search?q=vaccines"},
-		{"/api/v1/metrics", "/api/metrics"},
-		{"/api/v1/bias", "/api/bias"},
-		{"/api/v1/models", "/api/models"},
-		{"/api/v1/reviews", "/api/reviews"},
+	for _, path := range []string{
+		"/api/v1/stats",
+		"/api/v1/search?q=vaccine",
+		"/api/v1/kg",
+		"/api/v1/kg/search?q=vaccines",
+		"/api/v1/metrics",
+		"/api/v1/bias",
+		"/api/v1/models",
+		"/api/v1/reviews",
+	} {
+		if rec, _ := get(t, s, path); rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d", path, rec.Code)
+		}
 	}
-	for _, p := range pairs {
-		v1, legacy := p[0], p[1]
-		rec, _ := get(t, s, v1)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s = %d", v1, rec.Code)
-		}
-		if rec.Header().Get("Deprecation") != "" {
-			t.Fatalf("%s marked deprecated", v1)
-		}
-		lrec, _ := get(t, s, legacy)
-		if lrec.Code != http.StatusOK {
-			t.Fatalf("%s = %d", legacy, lrec.Code)
-		}
-		if lrec.Header().Get("Deprecation") != "true" {
-			t.Fatalf("%s missing Deprecation header", legacy)
-		}
-		if link := lrec.Header().Get("Link"); !strings.Contains(link, "/api/v1/") ||
-			!strings.Contains(link, "successor-version") {
-			t.Fatalf("%s Link = %q", legacy, link)
-		}
-		// both surfaces serve the same payload (skip routes whose body
-		// legitimately varies between calls: metrics mutate with each
-		// request, bias-report maps serialize in nondeterministic order)
-		deterministic := !strings.HasPrefix(v1, "/api/v1/metrics") &&
-			!strings.HasPrefix(v1, "/api/v1/bias")
-		if deterministic && rec.Body.String() != lrec.Body.String() {
-			t.Fatalf("%s and %s diverge", v1, legacy)
+}
+
+// TestOnePrefix pins that /api/v1 is the only mount: the unversioned
+// prefix and the pre-redesign KG node routes are gone, not aliased.
+func TestOnePrefix(t *testing.T) {
+	s, _ := testServer(t)
+	for _, path := range []string{
+		"/api/search?q=vaccine",
+		"/api/stats",
+		"/api/v1/kg/node/x",
+		"/api/v1/kg/node/x/children",
+	} {
+		if rec, _ := get(t, s, path); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s = %d, want 404", path, rec.Code)
 		}
 	}
 }
@@ -81,15 +72,12 @@ func TestErrorEnvelope(t *testing.T) {
 		{"GET", "/api/v1/search?q=", "", http.StatusBadRequest, "bad_query"},
 		{"GET", "/api/v1/search?engine=warp&q=x", "", http.StatusBadRequest, "bad_query"},
 		{"GET", "/api/v1/publications/nope", "", http.StatusNotFound, "not_found"},
-		{"GET", "/api/v1/kg/node/bogus", "", http.StatusNotFound, "not_found"},
+		{"GET", "/api/v1/kg/nodes/bogus", "", http.StatusNotFound, "not_found"},
 		{"GET", "/api/v1/models/none", "", http.StatusNotFound, "not_found"},
 		{"POST", "/api/v1/aggregate", `{"pipeline": [{"$warp": 1}]}`, http.StatusBadRequest, "bad_query"},
 		{"POST", "/api/v1/aggregate", `{"collection": "nope", "pipeline": []}`, http.StatusNotFound, "not_found"},
 		{"POST", "/api/v1/publications", `[]`, http.StatusBadRequest, "bad_query"},
 		{"POST", "/api/v1/reviews/abc/reject", "", http.StatusBadRequest, "bad_query"},
-		// legacy aliases speak the same envelope
-		{"GET", "/api/search?q=", "", http.StatusBadRequest, "bad_query"},
-		{"GET", "/api/publications/nope", "", http.StatusNotFound, "not_found"},
 	}
 	for _, c := range cases {
 		var rec *httptest.ResponseRecorder

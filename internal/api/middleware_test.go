@@ -19,7 +19,7 @@ func TestRecoverMiddleware(t *testing.T) {
 	// a server over a nil system: any data handler dereferences sys and
 	// panics — exactly the class of bug the middleware must contain
 	s := NewServer(nil)
-	rec, body := get(t, s, "/api/stats")
+	rec, body := get(t, s, "/api/v1/stats")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

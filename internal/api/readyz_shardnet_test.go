@@ -86,7 +86,7 @@ func TestReadyzShardnetMode(t *testing.T) {
 	}
 
 	// Stats in remote mode reports per-shard doc counts from the tier.
-	rec, body = get(t, s, "/api/stats")
+	rec, body = get(t, s, "/api/v1/stats")
 	if rec.Code != http.StatusOK || body["mode"] != "shardnet" {
 		t.Fatalf("remote stats = %d %v", rec.Code, body)
 	}

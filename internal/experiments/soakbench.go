@@ -319,7 +319,7 @@ func RunSoakBench(quick bool) SoakBenchResult {
 			get(tenant, "light", "/api/v1/publications/"+url.PathEscape(pg.Results[0].DocID))
 		}
 		get(tenant, "search", "/api/v1/kg/search?q="+esc)
-		get(tenant, "light", "/api/v1/kg/node/"+url.PathEscape(rootID)+"/children")
+		get(tenant, "light", "/api/v1/kg/nodes/"+url.PathEscape(rootID)+"?expand=children")
 		get(tenant, "light", "/api/v1/models")
 		if len(modelNames) > 0 && rng.next()%3 == 0 {
 			get(tenant, "heavy", "/api/v1/models/"+url.PathEscape(modelNames[rng.next()%len(modelNames)]))

@@ -1,7 +1,7 @@
 // Package metrics provides the lightweight, allocation-free observability
 // primitives the COVIDKG server uses to prove its performance claims:
 // atomic counters and exponential-bucket latency histograms, grouped in a
-// registry that snapshots to JSON for the GET /api/metrics endpoint.
+// registry that snapshots to JSON for the GET /api/v1/metrics endpoint.
 //
 // All operations are safe for concurrent use and never block the hot
 // path: counters are single atomic adds, histogram observations are two

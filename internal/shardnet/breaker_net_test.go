@@ -1,10 +1,12 @@
 package shardnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,50 +40,76 @@ func scriptedServer(t *testing.T, handlers ...func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
-func readOneRequest(conn net.Conn) request {
-	var req request
-	readFrame(conn, &req)
-	return req
+// readRequest reads one b1 request frame off a scripted connection.
+func readRequest(br *bufio.Reader) (uint64, *request, error) {
+	var buf []byte
+	payload, err := readRawFrame(br, &buf)
+	if err != nil {
+		return 0, nil, err
+	}
+	return decodeBinaryRequest(payload)
+}
+
+// writeResponse writes one b1 response frame answering corr.
+func writeResponse(conn net.Conn, corr uint64, resp *response) error {
+	frame, err := appendResponseFrame(nil, corr, resp)
+	if err != nil {
+		return err
+	}
+	_, err = conn.Write(frame)
+	return err
 }
 
 // midStreamEOF reads the request then slams the connection shut before
 // any reply — the reply-lost case.
 func midStreamEOF(conn net.Conn) {
-	readOneRequest(conn)
+	readRequest(bufio.NewReader(conn))
 }
 
 // neverReply reads the request and then sits on the connection until
 // the peer gives up — the slow-but-alive (hung) case.
 func neverReply(conn net.Conn) {
-	readOneRequest(conn)
-	io.Copy(io.Discard, conn) // block until the client abandons us
+	br := bufio.NewReader(conn)
+	readRequest(br)
+	io.Copy(io.Discard, br) // block until the client abandons us
 }
 
 // healthyReply answers every request on the connection like a minimal
 // shard server.
 func healthyReply(conn net.Conn) {
+	br := bufio.NewReader(conn)
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
+		corr, _, err := readRequest(br)
+		if err != nil {
 			return
 		}
-		if err := writeFrame(conn, &response{N: 1}); err != nil {
+		if err := writeResponse(conn, corr, &response{N: 1}); err != nil {
 			return
 		}
 	}
 }
 
-// slowThenHealthy answers after a delay — alive, just slow.
-func slowThenHealthy(d time.Duration) func(net.Conn) {
+// slowFirstReply answers the connection's first request with N=99 after
+// d and every later one with N=1 at once, out of order like a real
+// server's per-request dispatch — alive, just slow on one request.
+func slowFirstReply(d time.Duration) func(net.Conn) {
 	return func(conn net.Conn) {
-		for {
-			var req request
-			if err := readFrame(conn, &req); err != nil {
+		br := bufio.NewReader(conn)
+		var wmu sync.Mutex
+		reply := func(corr uint64, n int) {
+			wmu.Lock()
+			defer wmu.Unlock()
+			writeResponse(conn, corr, &response{N: n})
+		}
+		for first := true; ; first = false {
+			corr, _, err := readRequest(br)
+			if err != nil {
 				return
 			}
-			time.Sleep(d)
-			if err := writeFrame(conn, &response{N: 99}); err != nil {
-				return
+			if first {
+				time.AfterFunc(d, func() { reply(corr, 99) })
+			} else {
+				reply(corr, 1)
 			}
 		}
 	}
@@ -190,15 +218,16 @@ func TestSlowButAliveTimesOutAsIndeterminate(t *testing.T) {
 	}
 }
 
-// TestHedgedReadBeatsSlowConnection pins the hedging behavior: when
-// the first connection is slow but alive, a second connection is
-// raced after the hedge budget and its fast reply wins.
-func TestHedgedReadBeatsSlowConnection(t *testing.T) {
-	// Connection 1 replies after 400ms; connection 2 replies instantly.
-	addr := scriptedServer(t, slowThenHealthy(400*time.Millisecond), healthyReply)
+// TestHedgedReadBeatsSlowRequest pins the hedging behavior: when the
+// first attempt is slow but the server alive, a second request is
+// pipelined after the hedge budget and its fast reply wins.
+func TestHedgedReadBeatsSlowRequest(t *testing.T) {
+	// The first request is answered after 400ms; the hedge instantly.
+	addr := scriptedServer(t, slowFirstReply(400*time.Millisecond))
 	cl := newShardClient(0, "shard0", addr, clientOpts{
 		hedgeDelay: 20 * time.Millisecond,
 	})
+	t.Cleanup(cl.close)
 	start := time.Now()
 	resp, err := cl.hedgedCall(context.Background(), &request{Op: opPing})
 	if err != nil {
@@ -206,10 +235,10 @@ func TestHedgedReadBeatsSlowConnection(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	if resp.N != 1 {
-		t.Fatalf("hedged winner N = %d, want 1 (the fast connection)", resp.N)
+		t.Fatalf("hedged winner N = %d, want 1 (the hedge)", resp.N)
 	}
 	if elapsed >= 300*time.Millisecond {
-		t.Fatalf("hedged read took %v — the slow connection was not hedged", elapsed)
+		t.Fatalf("hedged read took %v — the slow request was not hedged", elapsed)
 	}
 	if got := cl.met.Counter("shardnet.client.hedges").Value(); got != 1 {
 		t.Fatalf("hedges counter = %d, want 1", got)

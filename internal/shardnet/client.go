@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"covidkg/internal/breaker"
@@ -36,9 +35,7 @@ type clientOpts struct {
 	dialTimeout time.Duration // per-dial cap
 	callTimeout time.Duration // per-call cap when the caller's ctx has no deadline
 	hedgeDelay  time.Duration // fixed hedge budget; 0 = adaptive 2×p95
-	maxIdle     int           // pooled legacy (JSON) connections kept warm
-	muxConns    int           // multiplexed binary connections per shard
-	forceJSON   bool          // never offer the binary codec (tests, benches)
+	muxConns    int           // multiplexed connections per shard
 	brk         breaker.Config
 	met         *metrics.Registry
 }
@@ -50,9 +47,6 @@ func (o *clientOpts) fillDefaults() {
 	if o.callTimeout <= 0 {
 		o.callTimeout = 10 * time.Second
 	}
-	if o.maxIdle <= 0 {
-		o.maxIdle = 4
-	}
 	if o.muxConns <= 0 {
 		o.muxConns = 2
 	}
@@ -62,13 +56,10 @@ func (o *clientOpts) fillDefaults() {
 }
 
 // shardClient is the coordinator's handle to one shard server, guarded
-// by a circuit breaker. Against a binary-capable peer it runs a small
-// fixed set of multiplexed connections with many requests pipelined on
-// each; against a legacy JSON peer it falls back to the pooled
-// one-request-per-connection protocol. Which mode applies is
-// negotiated on the first exchange of each fresh connection: the
-// request advertises Features, a binary-capable server echoes
-// response.Codec, and the connection is promoted in place.
+// by a circuit breaker. It runs a small set of multiplexed connections
+// with many requests pipelined on each: calls take the live ones
+// round-robin, and a call that finds none live dials the slot under the
+// cursor.
 type shardClient struct {
 	shard int
 	name  string
@@ -78,108 +69,86 @@ type shardClient struct {
 	met   *metrics.Registry
 
 	mu     sync.Mutex
-	idle   []net.Conn // pooled legacy connections
-	slots  []*muxConn // fixed mux connection set (nil/dead slots redial)
+	slots  []muxSlot
+	rr     uint // round-robin cursor over slots
 	closed bool
+}
 
-	rr atomic.Uint64 // round-robin cursor over mux slots
+// muxSlot is one position in the connection set.
+type muxSlot struct {
+	mc   *muxConn
+	dial *slotDial // non-nil while a redial of this slot is in flight
+}
 
-	// legacy latches after a peer declines the binary codec; it is
-	// cleared on connection failure so a restarted (upgraded) peer is
-	// re-probed by the next fresh connection.
-	legacy atomic.Bool
+// slotDial is one in-flight dial; callers that land on the slot while
+// it runs wait on done and share its outcome, so a cold or reconnecting
+// client makes one dial per dead slot however many calls arrive. The
+// dial runs under its first caller's context: if that caller gives up,
+// the waiters fail ErrNotSent with it and their retry schedule redials.
+type slotDial struct {
+	done chan struct{}
+	mc   *muxConn
+	err  error
 }
 
 func newShardClient(shard int, name, addr string, opts clientOpts) *shardClient {
 	opts.fillDefaults()
 	c := &shardClient{shard: shard, name: name, addr: addr, opts: opts, met: opts.met}
 	c.brk = breaker.New(opts.brk)
-	c.slots = make([]*muxConn, opts.muxConns)
+	c.slots = make([]muxSlot, opts.muxConns)
 	return c
 }
 
-// dial opens a fresh connection. A dial failure is the one transport
-// error with a definitive meaning: the request was never sent.
-func (c *shardClient) dial(ctx context.Context) (net.Conn, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("%w: client for %s closed", ErrNotSent, c.name)
-	}
-	d := net.Dialer{Timeout: c.opts.dialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s (%s): %v", ErrNotSent, c.name, c.addr, err)
-	}
-	return conn, nil
-}
-
-// acquire pops a pooled legacy connection or dials a fresh one.
-func (c *shardClient) acquire(ctx context.Context) (net.Conn, error) {
+// conn returns the next live connection round-robin, or, when no slot
+// holds one, dials the slot under the cursor. A dial failure is the one
+// transport error with a definitive meaning: the request was never
+// sent.
+func (c *shardClient) conn(ctx context.Context) (*muxConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: client for %s closed", ErrNotSent, c.name)
 	}
-	if n := len(c.idle); n > 0 {
-		conn := c.idle[n-1]
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-	return c.dial(ctx)
-}
-
-// release returns a healthy legacy connection to the pool (or closes
-// it when the pool is full / the client is closed).
-func (c *shardClient) release(conn net.Conn) {
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.opts.maxIdle {
-		c.idle = append(c.idle, conn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// liveSlot returns a live mux connection round-robin, or nil when none
-// exists yet (the caller then dials + negotiates one).
-func (c *shardClient) liveSlot() *muxConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.slots)
-	if n == 0 {
-		return nil
-	}
-	start := int(c.rr.Add(1))
-	for i := 0; i < n; i++ {
-		if mc := c.slots[(start+i)%n]; mc != nil && mc.live() {
-			return mc
+	c.rr++
+	n := uint(len(c.slots))
+	for i := uint(0); i < n; i++ {
+		if mc := c.slots[(c.rr+i)%n].mc; mc != nil && mc.live() {
+			c.mu.Unlock()
+			return mc, nil
 		}
 	}
-	return nil
-}
-
-// adoptMux installs a freshly negotiated binary connection into a free
-// slot; when every slot is already live (a negotiation race), the
-// surplus connection is torn down after having served its exchange.
-func (c *shardClient) adoptMux(conn net.Conn) {
-	mc := newMuxConn(c.name, conn, c.met)
-	c.mu.Lock()
-	if !c.closed {
-		for i, s := range c.slots {
-			if s == nil || !s.live() {
-				c.slots[i] = mc
-				c.mu.Unlock()
-				return
-			}
+	s := &c.slots[c.rr%n]
+	if d := s.dial; d != nil {
+		c.mu.Unlock()
+		select {
+		case <-d.done:
+			return d.mc, d.err
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: dial %s (%s): %v", ErrNotSent, c.name, c.addr, ctx.Err())
 		}
 	}
+	d := &slotDial{done: make(chan struct{})}
+	s.dial = d
 	c.mu.Unlock()
-	mc.kill(errors.New("surplus negotiated connection"))
+
+	dialer := net.Dialer{Timeout: c.opts.dialTimeout}
+	conn, err := dialer.DialContext(ctx, "tcp", c.addr)
+
+	c.mu.Lock()
+	switch {
+	case err != nil:
+		d.err = fmt.Errorf("%w: dial %s (%s): %v", ErrNotSent, c.name, c.addr, err)
+	case c.closed:
+		conn.Close()
+		d.err = fmt.Errorf("%w: client for %s closed", ErrNotSent, c.name)
+	default:
+		d.mc = newMuxConn(c.name, conn, c.met)
+		s.mc = d.mc
+	}
+	s.dial = nil
+	c.mu.Unlock()
+	close(d.done)
+	return d.mc, d.err
 }
 
 // call performs one request/response exchange. Error classification:
@@ -191,9 +160,9 @@ func (c *shardClient) adoptMux(conn net.Conn) {
 //	                                     the LINK is healthy; not-found is
 //	                                     not a reason to stop dialing)
 //
-// The caller's context deadline is both enforced locally (socket or
-// per-call deadlines) and propagated in the frame (DeadlineUnixMicro)
-// so the server stops working for callers that have given up.
+// The caller's context deadline is both enforced locally (per-call
+// timers in the mux) and propagated in the frame (DeadlineUnixMicro) so
+// the server stops working for callers that have given up.
 func (c *shardClient) call(ctx context.Context, req *request) (*response, error) {
 	if !c.brk.Allow() {
 		c.met.Counter("shardnet.client.breaker_rejected").Inc()
@@ -206,109 +175,34 @@ func (c *shardClient) call(ctx context.Context, req *request) (*response, error)
 	}
 	req.DeadlineUnixMicro = deadline.UnixMicro()
 
-	if !c.opts.forceJSON && !c.legacy.Load() {
-		if mc := c.liveSlot(); mc != nil {
-			resp, err := mc.do(req, deadline)
-			if err == nil {
-				c.brk.Success()
-				c.met.Histogram("shardnet.call").Observe(time.Since(start))
-				if werr := decodeWireErr(c.shard, resp.ErrCode, resp.ErrMsg); werr != nil {
-					return nil, werr
-				}
-				return resp, nil
-			}
-			if !errors.Is(err, errConnDead) {
-				c.brk.Failure()
-				c.met.Counter("shardnet.client.io_errors").Inc()
-				return nil, err
-			}
-			// The slot died before accepting the call: fall through and
-			// negotiate a fresh connection for this attempt.
+	// A connection can die between conn returning it and do accepting
+	// the call; nothing was written, so the attempt takes another
+	// connection once before it is reported.
+	var resp *response
+	err := errConnDead
+	for attempt := 0; attempt < 2 && errors.Is(err, errConnDead); attempt++ {
+		mc, cerr := c.conn(ctx)
+		if cerr != nil {
+			c.brk.Failure()
+			c.met.Counter("shardnet.client.dial_errors").Inc()
+			return nil, cerr
 		}
-		return c.negotiateCall(ctx, req, deadline, start)
+		resp, err = mc.do(req, deadline)
 	}
-	return c.jsonCall(ctx, req, deadline, start)
-}
-
-// negotiateCall runs req over a fresh connection as the negotiation
-// exchange: the request goes out as a JSON frame advertising Features,
-// and the response's Codec field decides whether the connection is
-// promoted to binary multiplexing or pooled as a legacy connection.
-// Either way the request itself has been served — negotiation costs
-// zero extra round trips.
-func (c *shardClient) negotiateCall(ctx context.Context, req *request, deadline, start time.Time) (*response, error) {
-	conn, err := c.dial(ctx)
 	if err != nil {
 		c.brk.Failure()
-		c.met.Counter("shardnet.client.dial_errors").Inc()
+		c.met.Counter("shardnet.client.io_errors").Inc()
+		if errors.Is(err, errConnDead) {
+			err = fmt.Errorf("%w: %s: %v", ErrNotSent, c.name, err)
+		}
 		return nil, err
-	}
-	// A hair of grace past the propagated deadline lets the server's own
-	// deadline_exceeded response arrive instead of racing it.
-	conn.SetDeadline(deadline.Add(100 * time.Millisecond))
-
-	hello := *req
-	hello.Features = wireFeatures
-	if err := writeFrame(conn, &hello); err != nil {
-		conn.Close()
-		c.brk.Failure()
-		c.met.Counter("shardnet.client.io_errors").Inc()
-		return nil, fmt.Errorf("%w: send to %s: %v", ErrIndeterminate, c.name, err)
-	}
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		conn.Close()
-		c.brk.Failure()
-		c.met.Counter("shardnet.client.io_errors").Inc()
-		return nil, fmt.Errorf("%w: awaiting reply from %s: %v", ErrIndeterminate, c.name, err)
-	}
-	if resp.Codec == codecB1 {
-		c.adoptMux(conn)
-	} else {
-		c.legacy.Store(true)
-		c.release(conn)
 	}
 	c.brk.Success()
 	c.met.Histogram("shardnet.call").Observe(time.Since(start))
 	if werr := decodeWireErr(c.shard, resp.ErrCode, resp.ErrMsg); werr != nil {
 		return nil, werr
 	}
-	return &resp, nil
-}
-
-// jsonCall is the legacy protocol: one request in flight per pooled
-// connection, JSON envelopes both ways.
-func (c *shardClient) jsonCall(ctx context.Context, req *request, deadline, start time.Time) (*response, error) {
-	conn, err := c.acquire(ctx)
-	if err != nil {
-		c.brk.Failure()
-		c.met.Counter("shardnet.client.dial_errors").Inc()
-		return nil, err
-	}
-	conn.SetDeadline(deadline.Add(100 * time.Millisecond))
-
-	if err := writeFrame(conn, req); err != nil {
-		conn.Close()
-		c.brk.Failure()
-		c.met.Counter("shardnet.client.io_errors").Inc()
-		c.legacy.Store(false) // the peer may have restarted upgraded; re-probe
-		return nil, fmt.Errorf("%w: send to %s: %v", ErrIndeterminate, c.name, err)
-	}
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		conn.Close()
-		c.brk.Failure()
-		c.met.Counter("shardnet.client.io_errors").Inc()
-		c.legacy.Store(false)
-		return nil, fmt.Errorf("%w: awaiting reply from %s: %v", ErrIndeterminate, c.name, err)
-	}
-	c.release(conn)
-	c.brk.Success()
-	c.met.Histogram("shardnet.call").Observe(time.Since(start))
-	if werr := decodeWireErr(c.shard, resp.ErrCode, resp.ErrMsg); werr != nil {
-		return nil, werr
-	}
-	return &resp, nil
+	return resp, nil
 }
 
 // currentHedgeDelay mirrors the replica layer's adaptive budget: twice
@@ -335,10 +229,9 @@ func (c *shardClient) currentHedgeDelay() time.Duration {
 
 // hedgedCall races a duplicate request against a slow first attempt:
 // if no reply lands within the adaptive budget, a second request is
-// launched and the first success wins. Over the multiplexed transport
-// the hedge pipelines independently (round-robin steers it to another
-// connection when one is live); over the legacy protocol it uses a
-// second pooled connection. Only for idempotent reads — the
+// launched and the first success wins. The hedge is pipelined like any
+// call (round-robin steers it to another connection when more than one
+// is live). Only for idempotent reads — the
 // coordinator's write path never hedges (retries with idempotency keys
 // cover writes instead). A fast failure is returned immediately and
 // left to the caller's retry policy; hedging exists for the
@@ -395,17 +288,14 @@ func (c *shardClient) state() string { return c.brk.State().String() }
 func (c *shardClient) close() {
 	c.mu.Lock()
 	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	slots := c.slots
-	c.slots = nil
-	c.mu.Unlock()
-	for _, conn := range idle {
-		conn.Close()
-	}
-	for _, mc := range slots {
-		if mc != nil {
-			mc.kill(errors.New("client closed"))
+	var conns []*muxConn
+	for i := range c.slots {
+		if mc := c.slots[i].mc; mc != nil {
+			conns = append(conns, mc)
 		}
+	}
+	c.mu.Unlock()
+	for _, mc := range conns {
+		mc.kill(errors.New("client closed"))
 	}
 }

@@ -1,19 +1,21 @@
 package shardnet
 
-// codec.go is the negotiated binary wire codec ("b1"). The outer
-// framing is unchanged from the JSON protocol — a 4-byte big-endian
-// length prefix per frame — but the payload is a compact tag/value
-// encoding instead of a JSON envelope:
+// codec.go is the wire codec ("b1"), the only thing a shardnet
+// connection speaks. Each frame is a 4-byte big-endian length prefix
+// and a compact tag/value payload:
 //
 //	payload = version(0x01) kind(0=request 1=response) uvarint(corr) field*
 //	field   = uvarint(tag) value        tag = fieldNum<<1 | wiretype
 //	wiretype 0 = uvarint value; wiretype 1 = uvarint(len) + len bytes
 //
 // Unknown field numbers are skippable by wiretype, so either side can
-// add fields without breaking the other — the same evolution property
-// the JSON envelope had. The correlation id (corr) lets many requests
-// share one connection: responses carry back the corr of the request
-// they answer, in whatever order the server finishes them.
+// add fields without breaking the other; a change that is not
+// skippable takes a new version byte, and a receiver closes the
+// connection on a version it does not know (readRawFrame checks it
+// before sizing anything from the frame). The correlation id (corr)
+// lets many requests share one connection: responses carry back the
+// corr of the request they answer, in whatever order the server
+// finishes them.
 //
 // Document payloads are encoded directly from the jsondoc value domain
 // (null, bool, float64, string, []any, map[string]any) with a
@@ -28,6 +30,7 @@ package shardnet
 // keeping them out of the binary schema keeps it small.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -38,15 +41,6 @@ import (
 	"covidkg/internal/docstore"
 	"covidkg/internal/jsondoc"
 )
-
-// codecB1 is the wire-codec name exchanged at negotiation: a client
-// offers it in request.Features, a server that accepts echoes it in
-// response.Codec, and both sides switch the connection to binary
-// multiplexed frames after that first JSON exchange.
-const codecB1 = "b1"
-
-// wireFeatures is what a fresh connection's first request advertises.
-var wireFeatures = []string{codecB1}
 
 const (
 	binVersion      = 0x01
@@ -114,8 +108,7 @@ func appendTag(b []byte, num int, wt byte) []byte {
 	return appendUvarint(b, uint64(num)<<1|uint64(wt))
 }
 
-// Zero/empty fields are omitted, mirroring the JSON envelope's
-// omitempty: absent means zero on both codecs.
+// Zero/empty fields are omitted: absent means zero.
 
 func appendVarintField(b []byte, num int, v uint64) []byte {
 	if v == 0 {
@@ -566,7 +559,8 @@ func decodeManifest(p []byte) (map[string]uint32, error) {
 // --------------------------------------------------- request envelope
 
 // Binary field numbers for the request envelope. Numbers are permanent
-// once shipped — new fields take new numbers.
+// once shipped — new fields take new numbers (request 11 and response
+// 14, 15 are retired).
 const (
 	rfOp       = 1
 	rfShard    = 2
@@ -578,7 +572,6 @@ const (
 	rfDoc      = 8
 	rfDocs     = 9
 	rfVersion  = 10
-	rfFeatures = 11
 )
 
 func appendBinaryRequest(b []byte, corr uint64, req *request) ([]byte, error) {
@@ -599,7 +592,6 @@ func appendBinaryRequest(b []byte, corr uint64, req *request) ([]byte, error) {
 		return b, err
 	}
 	b = appendVarintField(b, rfVersion, req.Version)
-	b = appendStringsField(b, rfFeatures, req.Features)
 	return b, nil
 }
 
@@ -651,10 +643,6 @@ func decodeBinaryRequest(p []byte) (uint64, *request, error) {
 			if req.Docs, err = decodeDocs(fp); err != nil {
 				return 0, nil, err
 			}
-		case rfFeatures:
-			if req.Features, err = decodeStrings(fp); err != nil {
-				return 0, nil, err
-			}
 		}
 	}
 	return corr, req, nil
@@ -676,8 +664,6 @@ const (
 	pfStale    = 11
 	pfResync   = 12 // embedded JSON (cold path)
 	pfWALBytes = 13
-	pfCodec    = 14
-	pfMux      = 15
 )
 
 func appendBinaryResponse(b []byte, corr uint64, resp *response) ([]byte, error) {
@@ -713,10 +699,6 @@ func appendBinaryResponse(b []byte, corr uint64, resp *response) ([]byte, error)
 		b = appendBytesField(b, pfResync, rb)
 	}
 	b = appendVarintField(b, pfWALBytes, uint64(resp.WALBytes))
-	b = appendStringField(b, pfCodec, resp.Codec)
-	if resp.Mux {
-		b = appendVarintField(b, pfMux, 1)
-	}
 	return b, nil
 }
 
@@ -746,8 +728,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 				resp.Stale = int(v)
 			case pfWALBytes:
 				resp.WALBytes = int64(v)
-			case pfMux:
-				resp.Mux = v != 0
 			}
 			continue
 		}
@@ -783,8 +763,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 			if err := json.Unmarshal(fp, resp.Resync); err != nil {
 				return 0, nil, codecErr("decode resync: %v", err)
 			}
-		case pfCodec:
-			resp.Codec = string(fp)
 		}
 	}
 	return corr, resp, nil
@@ -867,17 +845,27 @@ func finishFrame(b []byte, start int) ([]byte, error) {
 }
 
 // readRawFrame reads one length-prefixed frame payload into *buf
-// (grown as needed) and returns the payload slice. The returned slice
-// is only valid until the next call reusing the same buffer — decoders
-// copy out everything they keep.
-func readRawFrame(r io.Reader, buf *[]byte) ([]byte, error) {
+// (grown as needed) and returns the payload slice. The version byte is
+// checked before the buffer is sized from the length prefix, so a peer
+// that speaks anything else costs the receiver five bytes read and no
+// allocation, whatever length it claimed. The returned slice is only
+// valid until the next call reusing the same buffer — decoders copy out
+// everything they keep.
+func readRawFrame(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, codecErr("frame of %d bytes exceeds %d limit", n, maxFrame)
+	if n < 2 || n > maxFrame {
+		return nil, codecErr("frame of %d bytes outside [2, %d]", n, maxFrame)
+	}
+	v, err := r.Peek(1)
+	if err != nil {
+		return nil, err
+	}
+	if v[0] != binVersion {
+		return nil, codecErr("unknown codec version 0x%02x", v[0])
 	}
 	if uint32(cap(*buf)) < n {
 		*buf = make([]byte, n)

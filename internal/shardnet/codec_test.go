@@ -1,15 +1,12 @@
 package shardnet
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
+	"covidkg/internal/docstore"
 	"covidkg/internal/jsondoc"
 )
 
@@ -73,39 +70,10 @@ func randDocs(rng *rand.Rand, n int) []jsondoc.Doc {
 	return out
 }
 
-// jsonRoundTripReq/Resp push an envelope through the JSON codec exactly
-// as the legacy wire path does, returning what the far side decodes.
-func jsonRoundTripReq(t *testing.T, v *request) *request {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	out := new(request)
-	if err := json.Unmarshal(b, out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	return out
-}
-
-func jsonRoundTripResp(t *testing.T, v *response) *response {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	out := new(response)
-	if err := json.Unmarshal(b, out); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	return out
-}
-
-// TestBinaryJSONRequestEquivalence is the codec property test on the
-// request side: for a large set of randomized envelopes, decoding the
-// binary encoding yields exactly the envelope the JSON codec would
-// have delivered to the server.
-func TestBinaryJSONRequestEquivalence(t *testing.T) {
+// TestBinaryRequestRoundTrip is the codec property test on the request
+// side: for a large set of randomized envelopes, decoding the encoding
+// yields exactly the envelope that was encoded.
+func TestBinaryRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		req := &request{
@@ -117,14 +85,10 @@ func TestBinaryJSONRequestEquivalence(t *testing.T) {
 			IDs:               randIDs(rng, rng.Intn(4)),
 			Docs:              randDocs(rng, rng.Intn(3)),
 			Version:           uint64(rng.Intn(3)),
-			Features:          nil,
 		}
 		if rng.Intn(2) == 0 {
 			req.IdemKey = fmt.Sprintf("idem-%d", i)
 			req.Doc = randDoc(rng, 2)
-		}
-		if rng.Intn(4) == 0 {
-			req.Features = wireFeatures
 		}
 
 		wantCorr := uint64(rng.Int63())
@@ -139,17 +103,15 @@ func TestBinaryJSONRequestEquivalence(t *testing.T) {
 		if corr != wantCorr {
 			t.Fatalf("corr = %d, want %d", corr, wantCorr)
 		}
-		want := jsonRoundTripReq(t, req)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("envelope %d diverged:\nbinary: %#v\njson:   %#v", i, got, want)
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("envelope %d diverged:\ndecoded: %#v\nencoded: %#v", i, got, req)
 		}
 	}
 }
 
-// TestBinaryJSONResponseEquivalence is the same property on the
-// response side, including the JSON-carried subfields (health, resync)
-// and the negotiation answer fields.
-func TestBinaryJSONResponseEquivalence(t *testing.T) {
+// TestBinaryResponseRoundTrip is the same property on the response
+// side, including the JSON-carried cold-path fields (health, resync).
+func TestBinaryResponseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 500; i++ {
 		resp := &response{
@@ -168,7 +130,11 @@ func TestBinaryJSONResponseEquivalence(t *testing.T) {
 			resp.Doc = randDoc(rng, 2)
 			resp.Manifest = map[string]uint32{"a": 1, "b": uint32(rng.Intn(100))}
 		case 2:
-			resp.Codec, resp.Mux = codecB1, true
+			resp.Health = []docstore.ShardHealth{{Shard: rng.Intn(4), Ready: true, Replicas: []docstore.ReplicaHealth{
+				{Replica: 0, State: "closed", UpToDate: true},
+				{Replica: 1, State: "open", BehindIn: 1 + rng.Intn(3)},
+			}}}
+			resp.Resync = &docstore.ResyncReport{Collections: 1, Resynced: rng.Intn(3), Identical: rng.Intn(2) == 0}
 		}
 
 		bin, err := appendBinaryResponse(nil, 42, resp)
@@ -182,9 +148,8 @@ func TestBinaryJSONResponseEquivalence(t *testing.T) {
 		if corr != 42 {
 			t.Fatalf("corr = %d, want 42", corr)
 		}
-		want := jsonRoundTripResp(t, resp)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("envelope %d diverged:\nbinary: %#v\njson:   %#v", i, got, want)
+		if !reflect.DeepEqual(got, resp) {
+			t.Fatalf("envelope %d diverged:\ndecoded: %#v\nencoded: %#v", i, got, resp)
 		}
 	}
 }
@@ -242,7 +207,7 @@ func TestBinaryDecodeDepthLimit(t *testing.T) {
 func FuzzDecodeBinaryRequest(f *testing.F) {
 	seed, err := appendBinaryRequest(nil, 9, &request{
 		Op: opGet, Shard: 3, DeadlineUnixMicro: 1234567, ID: "doc-1",
-		IDs: []string{"a", "b"}, Features: wireFeatures,
+		IDs: []string{"a", "b"},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -272,7 +237,7 @@ func FuzzDecodeBinaryRequest(f *testing.F) {
 func FuzzDecodeBinaryResponse(f *testing.F) {
 	seed, err := appendBinaryResponse(nil, 9, &response{
 		Doc: jsondoc.Doc{"_id": "x", "title": "t"},
-		IDs: []string{"a"}, N: 7, Codec: codecB1, Mux: true,
+		IDs: []string{"a"}, N: 7,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -290,92 +255,6 @@ func FuzzDecodeBinaryResponse(f *testing.F) {
 			t.Fatalf("nil response with nil error (corr %d)", corr)
 		}
 	})
-}
-
-// TestWALMixedFormatReplay pins WAL compatibility across the codec
-// upgrade: a log holding legacy JSON records followed by binary
-// records (exactly what an upgraded shard server leaves behind)
-// replays every record, in order, through one open.
-func TestWALMixedFormatReplay(t *testing.T) {
-	path := t.TempDir() + "/mixed.wal"
-
-	// Seed the file with two legacy JSON records, framed byte-for-byte
-	// the way the previous build framed them.
-	legacy := []walRecord{
-		{Op: "insert", ID: "j1", Doc: jsondoc.Doc{"_id": "j1", "v": 1.0}, Idem: "k1"},
-		{Op: "delete", ID: "j2"},
-	}
-	var raw []byte
-	for _, rec := range legacy {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hdr [8]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		raw = append(raw, hdr[:]...)
-		raw = append(raw, payload...)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Open (replaying the JSON tail), then append binary records.
-	var replayed []walRecord
-	w, err := openWAL(path, func(rec walRecord) { replayed = append(replayed, rec) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != 2 {
-		t.Fatalf("replayed %d legacy records, want 2", len(replayed))
-	}
-	newRecs := []walRecord{
-		{Op: "put", ID: "b1", Doc: jsondoc.Doc{"_id": "b1", "nested": map[string]any{"x": []any{1.0, "two"}}}, Idem: "k2"},
-		{Op: "insert", ID: "b2", Doc: jsondoc.Doc{"_id": "b2"}},
-		{Op: "delete", ID: "b3"},
-	}
-	for _, rec := range newRecs {
-		if err := w.append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: all five records, original order, both formats.
-	replayed = nil
-	w2, err := openWAL(path, func(rec walRecord) { replayed = append(replayed, rec) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.close()
-	want := append(append([]walRecord{}, legacy...), newRecs...)
-	if len(replayed) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(replayed), len(want))
-	}
-	for i := range want {
-		wantRec := jsonRoundTripWAL(t, want[i])
-		if !reflect.DeepEqual(replayed[i], wantRec) {
-			t.Fatalf("record %d: got %#v, want %#v", i, replayed[i], wantRec)
-		}
-	}
-}
-
-// jsonRoundTripWAL normalizes a walRecord's Doc the way any wire/WAL
-// trip does (ints become float64s) so expectations compare cleanly.
-func jsonRoundTripWAL(t *testing.T, rec walRecord) walRecord {
-	t.Helper()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out walRecord
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // ------------------------------------------------------------ benchmarks
@@ -420,17 +299,6 @@ func BenchmarkEncodeGetManyBinary(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeGetManyJSON(b *testing.B) {
-	resp := &response{Docs: benchDocs(64)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRoundTripGetBinary(b *testing.B) {
 	req := &request{Op: opGet, Shard: 1, DeadlineUnixMicro: 123456789, ID: "doc-bench-1"}
 	resp := &response{Doc: benchDoc()}
@@ -454,31 +322,6 @@ func BenchmarkRoundTripGetBinary(b *testing.B) {
 		}
 		*respBuf = pb
 		if _, _, err := decodeBinaryResponse(pb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundTripGetJSON(b *testing.B) {
-	req := &request{Op: opGet, Shard: 1, DeadlineUnixMicro: 123456789, ID: "doc-bench-1"}
-	resp := &response{Doc: benchDoc()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rb, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rq request
-		if err := json.Unmarshal(rb, &rq); err != nil {
-			b.Fatal(err)
-		}
-		pb, err := json.Marshal(resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rs response
-		if err := json.Unmarshal(pb, &rs); err != nil {
 			b.Fatal(err)
 		}
 	}

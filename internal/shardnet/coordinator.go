@@ -38,17 +38,9 @@ type Config struct {
 	// double-apply; zero values take the defaults below.
 	ReadRetry  retry.Config
 	WriteRetry retry.Config
-	// MaxIdle is the per-shard pooled connection count used when a peer
-	// only speaks the legacy JSON protocol (default 4).
-	MaxIdle int
-	// MuxConns is the fixed number of multiplexed binary connections
-	// per shard against a binary-capable peer (default 2) — pipelining
-	// carries the concurrency, not connection count.
+	// MuxConns bounds the multiplexed connections per shard (default 2)
+	// — pipelining carries the concurrency, not connection count.
 	MuxConns int
-	// ForceJSONWire pins every connection to the legacy JSON protocol,
-	// never offering the binary codec — the mixed-version interop tests
-	// and the wire benchmark's JSON baseline use it.
-	ForceJSONWire bool
 	// Metrics receives coordinator counters; nil allocates privately.
 	Metrics *metrics.Registry
 }
@@ -140,9 +132,7 @@ func (co *Coordinator) newClient(si int, name, addr string) *shardClient {
 		dialTimeout: co.cfg.DialTimeout,
 		callTimeout: co.cfg.CallTimeout,
 		hedgeDelay:  co.cfg.HedgeDelay,
-		maxIdle:     co.cfg.MaxIdle,
 		muxConns:    co.cfg.MuxConns,
-		forceJSON:   co.cfg.ForceJSONWire,
 		brk:         co.cfg.Breaker,
 		met:         co.met,
 	})

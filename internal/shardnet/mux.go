@@ -1,7 +1,7 @@
 package shardnet
 
-// mux.go is the client side of a negotiated binary connection: many
-// calls in flight over one TCP stream, each tagged with a correlation
+// mux.go is the client side of a shardnet connection: many calls in
+// flight over one TCP stream, each tagged with a correlation
 // id. A writer goroutine serializes frames onto the socket (batching
 // queued frames into one flush) and a reader goroutine demultiplexes
 // responses back to their waiters by correlation id.
@@ -19,8 +19,7 @@ package shardnet
 //	            connection teardown) has settled the outcome.
 //
 // Every transition is a CompareAndSwap, so a timeout racing the writer
-// racing a dying connection still classifies each call exactly once,
-// and never less conservatively than the sequential protocol did.
+// racing a dying connection still classifies each call exactly once.
 
 import (
 	"bufio"
@@ -81,9 +80,6 @@ type muxConn struct {
 }
 
 func newMuxConn(name string, conn net.Conn, met *metrics.Registry) *muxConn {
-	// The negotiation exchange ran under a per-call socket deadline;
-	// clear it — the mux enforces deadlines per call, not per socket.
-	conn.SetDeadline(time.Time{})
 	m := &muxConn{
 		name:    name,
 		conn:    conn,
@@ -113,7 +109,7 @@ func (m *muxConn) drop(corr uint64) {
 
 // do runs one pipelined exchange. The error, when non-nil, is either
 // errConnDead (never accepted — redial) or wraps ErrNotSent /
-// ErrIndeterminate with the same meaning as the sequential client.
+// ErrIndeterminate.
 func (m *muxConn) do(req *request, deadline time.Time) (*response, error) {
 	buf := getBuf()
 	m.mu.Lock()
@@ -143,9 +139,8 @@ func (m *muxConn) do(req *request, deadline time.Time) (*response, error) {
 	m.pending[corr] = pc
 	m.mu.Unlock()
 
-	// The same grace past the propagated deadline the sequential client
-	// used, so the server's own deadline_exceeded response can arrive
-	// instead of racing it.
+	// A hair of grace past the propagated deadline lets the server's own
+	// deadline_exceeded response arrive instead of racing it.
 	timer := time.NewTimer(time.Until(deadline) + 100*time.Millisecond)
 	defer timer.Stop()
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -38,11 +39,6 @@ type ServerConfig struct {
 	Metrics *metrics.Registry
 	// Logf sinks server logs; nil means log.Printf.
 	Logf func(format string, args ...any)
-	// LegacyJSONOnly declines every binary-codec offer, pinning the
-	// server to the sequential JSON protocol — it emulates a
-	// previous-version peer for mixed-version interop tests and the
-	// JSON-vs-binary wire benchmark.
-	LegacyJSONOnly bool
 }
 
 // idemOutcome is the recorded result of a keyed write, returned
@@ -173,10 +169,8 @@ func (s *Server) upsert(d jsondoc.Doc) error {
 	return err
 }
 
-// Serve accepts connections on ln until Close. Each connection starts
-// in the sequential JSON protocol; a request advertising the binary
-// codec switches the connection to the concurrent binary loop after
-// its response (see handleConn).
+// Serve accepts connections on ln until Close and runs handleConn on
+// each.
 func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
 	s.ln = ln
@@ -239,60 +233,24 @@ func (s *Server) Close() error {
 // path (the chaos bench inspects a restarted shard directly).
 func (s *Server) Collection() *docstore.Collection { return s.coll }
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
-	for {
-		// An idle-read ceiling keeps leaked connections from pinning the
-		// handler forever; clients reconnect transparently.
-		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
-		var req request
-		if err := readFrame(conn, &req); err != nil {
-			return // peer closed or garbage frame: drop the conn
-		}
-		resp := s.dispatch(&req)
-		upgrade := !s.cfg.LegacyJSONOnly && hasFeature(req.Features, codecB1)
-		if upgrade {
-			resp.Codec = codecB1
-			resp.Mux = true
-		}
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := writeFrame(conn, resp); err != nil {
-			return
-		}
-		if upgrade {
-			s.serveBinary(conn)
-			return
-		}
-	}
-}
-
-func hasFeature(features []string, want string) bool {
-	for _, f := range features {
-		if f == want {
-			return true
-		}
-	}
-	return false
-}
-
 // binaryConnConcurrency bounds how many requests one multiplexed
 // connection may have in dispatch at once — backpressure so a client
 // pipelining faster than the store drains cannot queue goroutines
 // unboundedly.
 const binaryConnConcurrency = 64
 
-// serveBinary runs one negotiated connection's binary loop: a reader
-// decodes correlation-tagged request frames and dispatches each on its
-// own goroutine (bounded by a semaphore), and a writer goroutine
-// serializes completed responses back, batching queued frames per
-// flush. Responses return in completion order — the correlation id,
-// not arrival order, pairs them with requests.
-func (s *Server) serveBinary(conn net.Conn) {
+// handleConn runs one connection: a reader decodes correlation-tagged
+// request frames and dispatches each on its own goroutine (bounded by a
+// semaphore), and a writer goroutine serializes completed responses
+// back, batching queued frames per flush. Responses return in
+// completion order — the correlation id, not arrival order, pairs them
+// with requests.
+func (s *Server) handleConn(conn net.Conn) {
+	defer func() {
+		s.connMu.Lock()
+		delete(s.conns, conn)
+		s.connMu.Unlock()
+	}()
 	respCh := make(chan *[]byte, 128)
 	go s.binaryWriteLoop(conn, respCh)
 
@@ -301,17 +259,23 @@ func (s *Server) serveBinary(conn net.Conn) {
 	var rbuf []byte
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
+		// An idle-read ceiling keeps leaked connections from pinning the
+		// handler forever; clients reconnect transparently.
 		conn.SetReadDeadline(time.Now().Add(5 * time.Minute))
 		payload, err := readRawFrame(br, &rbuf)
-		if err != nil {
-			break
+		var corr uint64
+		var req *request
+		if err == nil {
+			corr, req, err = decodeBinaryRequest(payload)
 		}
-		corr, req, derr := decodeBinaryRequest(payload)
-		if derr != nil {
-			// Protocol desync: the stream cannot be re-synchronized, and
-			// answering with a made-up correlation id would mis-pair a
-			// caller. Drop the connection; the client redials.
-			s.logf("shardnet %s: binary decode: %v", s.cfg.Name, derr)
+		if err != nil {
+			// A frame that is not b1 (unknown version byte, undecodable
+			// payload) cannot be answered — a made-up correlation id would
+			// mis-pair a caller — and the stream cannot be re-synchronized.
+			// Drop the connection; a real client redials.
+			if !errors.Is(err, io.EOF) && !s.closed.Load() {
+				s.logf("shardnet %s: closing connection from %s: %v", s.cfg.Name, conn.RemoteAddr(), err)
+			}
 			break
 		}
 		sem <- struct{}{}

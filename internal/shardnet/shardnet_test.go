@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -270,30 +271,37 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	br := bufio.NewReader(conn)
+	exchange := func(corr uint64, req *request) *response {
+		t.Helper()
+		frame, err := appendRequestFrame(nil, corr, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		payload, err := readRawFrame(br, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotCorr, resp, err := decodeBinaryResponse(payload)
+		if err != nil || gotCorr != corr {
+			t.Fatalf("response corr %d, err %v; want corr %d", gotCorr, err, corr)
+		}
+		return resp
+	}
 
 	// A request whose propagated deadline already passed must be refused
 	// by the server without touching the store.
-	req := &request{Op: opCount, DeadlineUnixMicro: time.Now().Add(-time.Second).UnixMicro()}
-	if err := writeFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := exchange(1, &request{Op: opCount, DeadlineUnixMicro: time.Now().Add(-time.Second).UnixMicro()})
 	if resp.ErrCode != codeDeadline {
 		t.Fatalf("ErrCode = %q, want %q", resp.ErrCode, codeDeadline)
 	}
 
 	// A live deadline is honored.
-	req = &request{Op: opCount, DeadlineUnixMicro: time.Now().Add(time.Second).UnixMicro()}
-	if err := writeFrame(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	resp = response{}
-	if err := readFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp = exchange(2, &request{Op: opCount, DeadlineUnixMicro: time.Now().Add(time.Second).UnixMicro()})
 	if resp.ErrCode != "" {
 		t.Fatalf("live-deadline request failed: %s %s", resp.ErrCode, resp.ErrMsg)
 	}

@@ -2,7 +2,6 @@ package shardnet
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -23,10 +22,10 @@ import (
 // client retrying a write across a server restart still gets
 // exactly-once semantics.
 type walRecord struct {
-	Op   string      `json:"op"` // "insert" | "delete" | "put"
-	ID   string      `json:"id,omitempty"`
-	Doc  jsondoc.Doc `json:"doc,omitempty"`
-	Idem string      `json:"idem,omitempty"`
+	Op   string // "insert" | "delete" | "put"
+	ID   string
+	Doc  jsondoc.Doc
+	Idem string
 }
 
 // wal is an append-only log of committed writes with per-record
@@ -36,12 +35,12 @@ type walRecord struct {
 // discarded rather than poisoning recovery, and everything before it
 // is intact by construction (each append is fsynced before ack).
 //
-// The payload's first byte versions its encoding: '{' is a legacy
-// JSON record, walBinV1 is the compact binary record written by this
-// build (reusing the wire codec's value encoding and pooled buffers,
-// so the fsync path of every acked write no longer pays a
-// json.Marshal). A log can mix both — replay dispatches per record —
-// so upgrading a shard server never orphans its existing WAL.
+// The payload's first byte versions its encoding; walBinV1, the one
+// format there is, reuses the wire codec's value encoding and pooled
+// buffers. A record whose length and checksum hold but whose payload
+// does not decode — a version byte this build does not know — is not a
+// torn tail: it and everything behind it were acked, so openWAL fails
+// and leaves the file untouched rather than truncate them away.
 type wal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -84,19 +83,13 @@ func appendWALRecord(b []byte, rec walRecord) ([]byte, error) {
 	return appendObject(b, rec.Doc)
 }
 
-// decodeWALRecord parses one record payload, dispatching on the
-// version byte: legacy JSON records ('{') and binary records (walBinV1)
-// coexist in one log across an upgrade.
+// decodeWALRecord parses one record payload. Like the wire decoder it
+// checks every claimed length against the bytes remaining before
+// anything is sized from it.
 func decodeWALRecord(p []byte) (walRecord, error) {
 	var rec walRecord
 	if len(p) == 0 {
 		return rec, fmt.Errorf("shardnet: wal: empty record")
-	}
-	if p[0] == '{' {
-		if err := json.Unmarshal(p, &rec); err != nil {
-			return rec, fmt.Errorf("shardnet: wal: decode json record: %w", err)
-		}
-		return rec, nil
 	}
 	if p[0] != walBinV1 {
 		return rec, fmt.Errorf("shardnet: wal: unknown record version 0x%02x", p[0])
@@ -128,15 +121,9 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	if p[pos] == 0 {
 		return rec, nil
 	}
-	v, _, err := decodeValue(p, pos+1, 0)
-	if err != nil {
-		return rec, fmt.Errorf("shardnet: wal: decode doc: %w", err)
+	if rec.Doc, err = decodeDoc(p[pos+1:]); err != nil {
+		return rec, fmt.Errorf("shardnet: wal: %w", err)
 	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return rec, fmt.Errorf("shardnet: wal: doc holds %T, want object", v)
-	}
-	rec.Doc = jsondoc.Doc(m)
 	return rec, nil
 }
 
@@ -163,7 +150,7 @@ func openWAL(path string, apply func(walRecord)) (*wal, error) {
 	valid, err := replayWAL(f, apply)
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("shardnet: replay wal %s: %w", path, err)
 	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
@@ -178,8 +165,10 @@ func openWAL(path string, apply func(walRecord)) (*wal, error) {
 
 // replayWAL scans records from the start of f, calling apply for each
 // intact one, and returns the byte offset of the end of the last intact
-// record. Corruption is a stop condition, not an error: anything past
-// the first bad length or checksum is a torn tail.
+// record. A short header, a length out of range, a short payload or a
+// checksum mismatch is a stop condition, not an error: what follows is
+// a torn tail. A record that passes all four and still does not decode
+// is an error.
 func replayWAL(f *os.File, apply func(walRecord)) (valid int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
@@ -203,7 +192,7 @@ func replayWAL(f *os.File, apply func(walRecord)) (valid int64, err error) {
 		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
-			return valid, nil
+			return valid, fmt.Errorf("record at byte offset %d (version byte 0x%02x) has a valid length and checksum but does not decode: %w", valid, payload[0], err)
 		}
 		valid += int64(8 + len(payload))
 		apply(rec)

@@ -24,26 +24,18 @@
 // extends to live migration: a shard streams to a new process, the map
 // version cuts over, and the old owner drains.
 //
-// Framing is a 4-byte big-endian length prefix per frame in both
-// directions. What rides inside a frame is negotiated per connection:
-// every connection opens with one JSON envelope exchange (the first
-// real request, carrying Features), and a binary-capable peer answers
-// with response.Codec set, switching the connection to the compact
-// binary codec (codec.go) with correlation-id multiplexing — many
-// pipelined requests in flight per connection, demultiplexed by a
-// reader goroutine (mux.go). A peer that does not answer the offer
-// stays on the legacy protocol unchanged: JSON envelopes, one request
-// in flight per connection, concurrency from pooled connections. Old
-// and new builds interoperate in every direction because the offer is
-// itself a legal legacy request and ignoring it is a valid answer.
+// The wire contract is one codec, b1 (codec.go): every frame in either
+// direction, from a connection's first byte, is a 4-byte big-endian
+// length prefix followed by a payload of version byte, kind byte,
+// correlation id and tagged fields. Many requests are pipelined per
+// connection and demultiplexed by correlation id (mux.go). The version
+// byte of each frame is the only version gate: a receiver that does not
+// recognise it closes the connection without decoding further.
 package shardnet
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 
 	"covidkg/internal/docstore"
 	"covidkg/internal/jsondoc"
@@ -79,48 +71,37 @@ const (
 // is the coordinator's shard-map version, letting a drained owner
 // reject writes routed with a stale map; DeadlineUnixMicro propagates
 // the caller's context deadline into the server's handler context.
-// Features, set only on the first request of a fresh connection,
-// advertises the wire codecs the client can speak; servers that
-// predate it ignore the field.
 type request struct {
-	Op                string        `json:"op"`
-	Shard             int           `json:"shard"`
-	MapVersion        uint64        `json:"map_version,omitempty"`
-	DeadlineUnixMicro int64         `json:"deadline_us,omitempty"`
-	IdemKey           string        `json:"idem,omitempty"`
-	ID                string        `json:"id,omitempty"`
-	IDs               []string      `json:"ids,omitempty"`
-	Doc               jsondoc.Doc   `json:"doc,omitempty"`
-	Docs              []jsondoc.Doc `json:"docs,omitempty"`
-	Version           uint64        `json:"version,omitempty"`
-	Features          []string      `json:"features,omitempty"`
+	Op                string
+	Shard             int
+	MapVersion        uint64
+	DeadlineUnixMicro int64
+	IdemKey           string
+	ID                string
+	IDs               []string
+	Doc               jsondoc.Doc
+	Docs              []jsondoc.Doc
+	Version           uint64
 }
 
 // response is one framed response envelope. ErrCode is one of the wire
 // error codes below ("" means success); the other fields are the
 // op-specific payload.
 type response struct {
-	ErrCode string `json:"err_code,omitempty"`
-	ErrMsg  string `json:"err_msg,omitempty"`
+	ErrCode string
+	ErrMsg  string
 
-	ID       string                 `json:"id,omitempty"`
-	IDs      []string               `json:"ids,omitempty"`
-	Doc      jsondoc.Doc            `json:"doc,omitempty"`
-	Docs     []jsondoc.Doc          `json:"docs,omitempty"`
-	N        int                    `json:"n,omitempty"`
-	CRC      uint32                 `json:"crc,omitempty"`
-	Manifest map[string]uint32      `json:"manifest,omitempty"`
-	Health   []docstore.ShardHealth `json:"health,omitempty"`
-	Stale    int                    `json:"stale,omitempty"`
-	Resync   *docstore.ResyncReport `json:"resync,omitempty"`
-	WALBytes int64                  `json:"wal_bytes,omitempty"`
-
-	// Codec and Mux answer a request's Features offer: a server that
-	// sets Codec to codecB1 has switched the connection to binary
-	// multiplexed frames starting with the next frame; clients that
-	// predate them ignore both fields and keep speaking JSON.
-	Codec string `json:"codec,omitempty"`
-	Mux   bool   `json:"mux,omitempty"`
+	ID       string
+	IDs      []string
+	Doc      jsondoc.Doc
+	Docs     []jsondoc.Doc
+	N        int
+	CRC      uint32
+	Manifest map[string]uint32
+	Health   []docstore.ShardHealth
+	Stale    int
+	Resync   *docstore.ResyncReport
+	WALBytes int64
 }
 
 // Wire error codes. Each maps to exactly one sentinel so the client can
@@ -214,42 +195,4 @@ func decodeWireErr(shard int, code, msg string) error {
 		return &docstore.ShardError{Shard: shard, Err: err}
 	}
 	return err
-}
-
-// writeFrame marshals v and writes it as one length-prefixed frame.
-func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("shardnet: encode frame: %w", err)
-	}
-	if len(payload) > maxFrame {
-		return fmt.Errorf("shardnet: frame of %d bytes exceeds %d limit", len(payload), maxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// readFrame reads one length-prefixed frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("shardnet: frame of %d bytes exceeds %d limit", n, maxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("shardnet: decode frame: %w", err)
-	}
-	return nil
 }

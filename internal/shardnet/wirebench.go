@@ -1,12 +1,11 @@
 package shardnet
 
-// Codec micro-benchmark backing cmd/benchrunner's -wirebench mode. It
+// Codec micro-benchmark for the repo benchmark's per-layer probes. It
 // lives in this package because the codec entry points are deliberately
 // unexported: the benchmark times exactly the functions the client and
 // server call, not a re-implementation that could drift.
 
 import (
-	"encoding/json"
 	"runtime"
 	"sort"
 	"time"
@@ -14,41 +13,23 @@ import (
 	"covidkg/internal/jsondoc"
 )
 
-// CodecOpStats is one (operation, codec) cell of the wire-codec
-// comparison: the p50 cost of encoding, decoding, and a full
-// encode+decode round trip of the request and response envelopes that
-// operation puts on the wire, plus the encoded sizes.
+// CodecOpStats is one operation's row of the wire-codec benchmark: the
+// p50 cost of encoding and of decoding the request and response
+// envelopes that operation puts on the wire, plus the encoded response
+// size.
 type CodecOpStats struct {
-	Op      string `json:"op"`
-	Codec   string `json:"codec"` // "json" | codecB1
-	Samples int    `json:"samples"`
-
-	P50EncodeUs float64 `json:"p50_encode_us"`
-	P50DecodeUs float64 `json:"p50_decode_us"`
-	P50RoundUs  float64 `json:"p50_round_us"`
-
-	// EncodeAllocsPerOp is the transport-side allocation cost of putting
-	// this envelope pair on the wire — the part the pooled buffers
-	// eliminate. (Decode-side allocations are dominated by materializing
-	// the payload documents, which every codec must pay.)
-	EncodeAllocsPerOp float64 `json:"encode_allocs_per_op"`
-
-	ReqBytes  int `json:"req_bytes"`
-	RespBytes int `json:"resp_bytes"`
+	Op          string
+	Codec       string // always "b1"; the benchmark's probes select on it
+	P50EncodeUs float64
+	P50DecodeUs float64
+	RespBytes   int
 }
 
-// codecPercentile is percentile-over-sorted for the micro-bench's
-// sample slices (experiments has its own copy; the codec bench cannot
-// import it without a cycle).
-func codecPercentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-func timedSamples(reps int, fn func()) []float64 {
+// p50Micros is the median wall time of reps calls of fn, in µs. It
+// collects first, so a GC cycle owed to whatever ran before does not
+// land in so few samples.
+func p50Micros(reps int, fn func()) float64 {
+	runtime.GC()
 	out := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
@@ -56,75 +37,13 @@ func timedSamples(reps int, fn func()) []float64 {
 		out = append(out, float64(time.Since(t0).Nanoseconds())/1e3)
 	}
 	sort.Float64s(out)
-	return out
+	return out[(len(out)-1)/2]
 }
 
-// allocsPerOp is the whole-process Mallocs delta per call of fn.
-func allocsPerOp(reps int, fn func()) float64 {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < reps; i++ {
-		fn()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(reps)
-}
-
-// benchEnvelopePair measures one (request, response) envelope pair
-// under both codecs. The binary side reuses pooled buffers across
-// iterations exactly as the mux write path does; the JSON side is
-// json.Marshal/Unmarshal exactly as writeFrame/readFrame do.
-func benchEnvelopePair(op string, req *request, resp *response, reps int) []CodecOpStats {
-	// --- JSON ---------------------------------------------------------
-	jsonReq, err := json.Marshal(req)
-	if err != nil {
-		panic(err)
-	}
-	jsonResp, err := json.Marshal(resp)
-	if err != nil {
-		panic(err)
-	}
-	jsonEncode := func() {
-		if _, err := json.Marshal(req); err != nil {
-			panic(err)
-		}
-		if _, err := json.Marshal(resp); err != nil {
-			panic(err)
-		}
-	}
-	jEnc := timedSamples(reps, jsonEncode)
-	jEncAllocs := allocsPerOp(reps, jsonEncode)
-	jDec := timedSamples(reps, func() {
-		var rq request
-		var rs response
-		if err := json.Unmarshal(jsonReq, &rq); err != nil {
-			panic(err)
-		}
-		if err := json.Unmarshal(jsonResp, &rs); err != nil {
-			panic(err)
-		}
-	})
-	jRound := timedSamples(reps, func() {
-		bq, err := json.Marshal(req)
-		if err != nil {
-			panic(err)
-		}
-		bs, err := json.Marshal(resp)
-		if err != nil {
-			panic(err)
-		}
-		var rq request
-		var rs response
-		if err := json.Unmarshal(bq, &rq); err != nil {
-			panic(err)
-		}
-		if err := json.Unmarshal(bs, &rs); err != nil {
-			panic(err)
-		}
-	})
-
-	// --- binary -------------------------------------------------------
+// benchEnvelopePair measures one (request, response) envelope pair,
+// reusing pooled buffers across iterations exactly as the mux write
+// path does.
+func benchEnvelopePair(op string, req *request, resp *response, reps int) CodecOpStats {
 	reqBuf, respBuf := getBuf(), getBuf()
 	defer putBuf(reqBuf)
 	defer putBuf(respBuf)
@@ -141,54 +60,26 @@ func benchEnvelopePair(op string, req *request, resp *response, reps int) []Code
 		*respBuf = b
 	}
 	encodeBoth()
-	binReqBytes, binRespBytes := len(*reqBuf), len(*respBuf)
-	bEnc := timedSamples(reps, encodeBoth)
-	bEncAllocs := allocsPerOp(reps, encodeBoth)
-	bDec := timedSamples(reps, func() {
-		if _, _, err := decodeBinaryRequest(*reqBuf); err != nil {
-			panic(err)
-		}
-		if _, _, err := decodeBinaryResponse(*respBuf); err != nil {
-			panic(err)
-		}
-	})
-	bRound := timedSamples(reps, func() {
-		encodeBoth()
-		if _, _, err := decodeBinaryRequest(*reqBuf); err != nil {
-			panic(err)
-		}
-		if _, _, err := decodeBinaryResponse(*respBuf); err != nil {
-			panic(err)
-		}
-	})
-
-	return []CodecOpStats{
-		{
-			Op: op, Codec: "json", Samples: reps,
-			P50EncodeUs: codecPercentile(jEnc, 0.50),
-			P50DecodeUs: codecPercentile(jDec, 0.50),
-			P50RoundUs:  codecPercentile(jRound, 0.50),
-			EncodeAllocsPerOp: jEncAllocs,
-			ReqBytes:          len(jsonReq), RespBytes: len(jsonResp),
-		},
-		{
-			Op: op, Codec: codecB1, Samples: reps,
-			P50EncodeUs: codecPercentile(bEnc, 0.50),
-			P50DecodeUs: codecPercentile(bDec, 0.50),
-			P50RoundUs:  codecPercentile(bRound, 0.50),
-			EncodeAllocsPerOp: bEncAllocs,
-			ReqBytes:          binReqBytes, RespBytes: binRespBytes,
-		},
+	return CodecOpStats{
+		Op: op, Codec: "b1",
+		RespBytes:   len(*respBuf),
+		P50EncodeUs: p50Micros(reps, encodeBoth),
+		P50DecodeUs: p50Micros(reps, func() {
+			if _, _, err := decodeBinaryRequest(*reqBuf); err != nil {
+				panic(err)
+			}
+			if _, _, err := decodeBinaryResponse(*respBuf); err != nil {
+				panic(err)
+			}
+		}),
 	}
 }
 
-// BenchWireCodecs times both wire codecs over the two envelope shapes
-// the read fast path lives on: a single get (request with an id,
-// response with one document) and a batched get_many (request with
-// len(ids) ids, response with the matching documents). Each measurement
-// covers request+response together — one logical round trip's codec
-// work — and the binary side runs with the same pooled buffers the mux
-// uses in production.
+// BenchWireCodecs times the wire codec over the two envelope shapes the
+// read fast path lives on: a single get (request with an id, response
+// with one document) and a batched get_many (request with len(ids) ids,
+// response with the matching documents). Each measurement covers
+// request+response together — one logical round trip's codec work.
 func BenchWireCodecs(doc jsondoc.Doc, docs []jsondoc.Doc, ids []string, reps int) []CodecOpStats {
 	deadline := time.Now().Add(5 * time.Second).UnixMicro()
 	getReq := &request{Op: opGet, Shard: 2, DeadlineUnixMicro: deadline, ID: ids[0]}
@@ -196,11 +87,12 @@ func BenchWireCodecs(doc jsondoc.Doc, docs []jsondoc.Doc, ids []string, reps int
 	manyReq := &request{Op: opGetMany, Shard: 2, DeadlineUnixMicro: deadline, IDs: ids}
 	manyResp := &response{Docs: docs}
 
-	out := benchEnvelopePair(opGet, getReq, getResp, reps)
 	manyReps := reps / 10
 	if manyReps < 20 {
 		manyReps = 20
 	}
-	out = append(out, benchEnvelopePair(opGetMany, manyReq, manyResp, manyReps)...)
-	return out
+	return []CodecOpStats{
+		benchEnvelopePair(opGet, getReq, getResp, reps),
+		benchEnvelopePair(opGetMany, manyReq, manyResp, manyReps),
+	}
 }
