@@ -428,12 +428,6 @@ func (s *Server) handleReject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "rejected"})
 }
 
-// ingestBatchSize is how many documents are decoded and handed to the
-// system at a time during bulk ingest: the request body streams through
-// a fixed-size window instead of materializing in memory, so a very
-// large upload is bounded by one batch, not the body size.
-const ingestBatchSize = 256
-
 // handleIngest accepts new publication documents (№12 in Figure 1: new
 // information arriving from the Web), stores and indexes them, and
 // incrementally refreshes the knowledge graph from their tables.
@@ -461,7 +455,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		total     int
 		decodeErr error
 		batch     []jsondoc.Doc
+		st        core.BuildStats
 	)
+	// flush ingests and enriches one batch: the body streams through a
+	// window of core.IngestBatchSize documents instead of materializing,
+	// so a very large upload is bounded by one batch, not the body size.
 	flush := func() {
 		if len(batch) == 0 {
 			return
@@ -475,6 +473,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		inserted += rep.Inserted
 		failed += rep.Failed
 		batch = batch[:0]
+		if rep.Inserted > 0 {
+			st.Add(s.sys.EnrichNew())
+		}
 	}
 
 	if !ndjson {
@@ -508,7 +509,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		total++
 		batch = append(batch, d)
-		if len(batch) >= ingestBatchSize {
+		if len(batch) >= core.IngestBatchSize {
 			flush()
 		}
 	}
@@ -530,7 +531,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	st := s.sys.EnrichNew()
 	payload := map[string]any{
 		"ingested":    inserted,
 		"failed":      failed,

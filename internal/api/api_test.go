@@ -302,7 +302,7 @@ func TestAggregateDefaultLimit(t *testing.T) {
 func TestIngestEndpoint(t *testing.T) {
 	s, sys := testServer(t)
 	before := sys.Pubs.Count()
-	sys.BuildKG() // mark existing pubs processed
+	sys.BuildKG() // enrich what is stored, so the ingest below enriches only itself
 	body := `[{
 		"_id": "web-new-1",
 		"title": "Remdesivir outcomes in ICU cohorts",
@@ -540,8 +540,14 @@ func TestBulkIngestNDJSONStreaming(t *testing.T) {
 	s, sys := testServer(t)
 	before := sys.Pubs.Count()
 	var b strings.Builder
-	for i := 0; i < 600; i++ { // > 2 ingest batches
-		fmt.Fprintf(&b, "{\"_id\": \"nd-%03d\", \"title\": \"Streamed niclosamide doc %d\"}\n", i, i)
+	sys.BuildKG()
+	const table = `, "tables": [{"caption": "Table 1: Drugs", "rows": [["Drug", "Outcome measure"], ["Niclosamide", "Viral load"]], "header_rows": [0], "n_rows": 2, "n_cols": 2}]`
+	for i := 0; i < 600; i++ { // > 2 ingest batches, one table in each
+		tables := ""
+		if i%256 == 7 {
+			tables = table
+		}
+		fmt.Fprintf(&b, "{\"_id\": \"nd-%03d\", \"title\": \"Streamed niclosamide doc %d\"%s}\n", i, i, tables)
 	}
 	rec, resp := postNDJSON(t, s, "/api/v1/publications", b.String())
 	if rec.Code != http.StatusOK {
@@ -549,6 +555,10 @@ func TestBulkIngestNDJSONStreaming(t *testing.T) {
 	}
 	if resp["ingested"].(float64) != 600 || resp["failed"].(float64) != 0 {
 		t.Fatalf("counts: %v", resp)
+	}
+	// enrichment runs per batch; the response sums the batches
+	if resp["tables"].(float64) != 3 {
+		t.Fatalf("tables = %v, want the 3 this request carried", resp["tables"])
 	}
 	// per-doc indexes must be global across batches, not per-batch
 	results := resp["results"].([]any)

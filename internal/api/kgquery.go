@@ -189,11 +189,11 @@ func (s *Server) handleKGQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	env := paginateSlice(res.Paths, page, size)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"paths":     env.Results,
-		"total":     env.Total,
-		"page_num":  env.PageNum,
-		"per_page":  env.PerPage,
-		"num_pages": env.NumPages,
+		"paths":      env.Results,
+		"total":      env.Total,
+		"page_num":   env.PageNum,
+		"per_page":   env.PerPage,
+		"num_pages":  env.NumPages,
 		"expansions": res.Expansions,
 		"truncated":  res.Truncated,
 		"plan": map[string]any{

@@ -154,3 +154,38 @@ func TestRestoreLegacyDir(t *testing.T) {
 		t.Fatalf("legacy restore mismatch: pubs=%d graph=%d", s2.Pubs.Count(), s2.Graph.Size())
 	}
 }
+
+// TestFirstIngestAfterRestoreEnrichesOnlyItself is the regression test
+// for the restart stall: the set of already-enriched publications was
+// never persisted or rebuilt by Restore, and a server that restored its
+// graph skips BuildKG, so the first ingest after a restart re-enriched
+// every stored publication into the already-built graph. Enrichment now
+// works from the documents the ingest just stored.
+func TestFirstIngestAfterRestoreEnrichesOnlyItself(t *testing.T) {
+	dir := t.TempDir()
+	if err := untrainedSystem(t, 20, 7, nil).Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSystem(DefaultConfig())
+	if _, err := s.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	doc := cord19.NewGenerator(99).Publication().Doc()
+	doc["_id"] = "after-restart"
+	wantTables := len(doc.GetArray("tables"))
+	if wantTables == 0 {
+		t.Fatal("generated publication has no tables")
+	}
+	before := s.Graph.Size()
+	if rep := s.IngestDocs([]jsondoc.Doc{doc}); rep.Failed > 0 {
+		t.Fatal(rep.Err())
+	}
+	st := s.EnrichNew()
+	if st.Tables != wantTables {
+		t.Fatalf("first EnrichNew after a restore enriched %d tables, want the new document's %d", st.Tables, wantTables)
+	}
+	if grew := s.Graph.Size() - before; grew > st.Subtrees {
+		t.Fatalf("graph grew by %d nodes from %d subtrees", grew, st.Subtrees)
+	}
+}

@@ -9,14 +9,15 @@ import (
 	"covidkg/internal/jsondoc"
 )
 
-// TestConcurrentIngestEnrich is the regression test for the unlocked
-// System.processed map: concurrent POST /api/v1/publications handlers
-// each run IngestDocs then EnrichNew, which used to read and write the
-// map from every handler goroutine (a -race report within 4 batches, at
+// TestConcurrentIngestEnrich: concurrent POST /api/v1/publications
+// handlers each run IngestDocs then EnrichNew, appending to and draining
+// the shared pending queue from every handler goroutine (the unguarded
+// map this queue replaced drew a -race report within 4 batches, at
 // worst "fatal error: concurrent map read and map write"). Twelve
 // batches race here; under -race any unguarded access fails the run.
-// Claim-then-enrich also means no publication's tables are enriched
-// twice: the per-call table counts must add up to the tables ingested.
+// Each queued publication is taken by exactly one drain, so no
+// publication's tables are enriched twice: the per-call table counts
+// must add up to the tables ingested.
 func TestConcurrentIngestEnrich(t *testing.T) {
 	s := smallSystem(t, 20)
 	s.BuildKG()
@@ -52,7 +53,7 @@ func TestConcurrentIngestEnrich(t *testing.T) {
 	for _, st := range stats {
 		gotTables += st.Tables
 	}
-	// a batch's documents may be claimed by another batch's EnrichNew,
+	// a batch's documents may be drained by another batch's EnrichNew,
 	// but every table is enriched exactly once overall
 	if gotTables != wantTables {
 		t.Fatalf("concurrent EnrichNew calls enriched %d tables in total, want each of the %d ingested tables once", gotTables, wantTables)

@@ -133,11 +133,23 @@ type System struct {
 	Graph *kg.Graph
 	Fuser *kg.Fuser
 
-	// processed tracks publications whose tables already went through
-	// KG enrichment, so Refresh only touches new arrivals. Concurrent
-	// ingest handlers enrich at once, so procMu guards it.
-	procMu    sync.Mutex
-	processed map[string]bool
+	// pending holds the publications stored since the last enrichment:
+	// ingest appends each stored document's id and tables, EnrichNew takes
+	// the lot. Enrichment therefore costs what the batch in hand costs,
+	// never a listing or scan of the store, and a document is enriched by
+	// exactly one EnrichNew — whichever call took it off the queue.
+	// Concurrent ingest handlers append and drain at once, so procMu
+	// guards it.
+	procMu  sync.Mutex
+	pending []pendingPub
+}
+
+// pendingPub is one stored publication awaiting KG enrichment: its id
+// and its raw "tables" array, shared with the stored document and only
+// read.
+type pendingPub struct {
+	id     string
+	tables []any
 }
 
 // NewSystem creates an empty system with the expert-seeded KG.
@@ -158,11 +170,7 @@ func NewSystem(cfg Config) *System {
 		storeOpts = append(storeOpts, docstore.WithMetrics(cfg.Metrics))
 	}
 	store := docstore.Open(storeOpts...)
-	s := &System{
-		cfg:       cfg,
-		Store:     store,
-		processed: map[string]bool{},
-	}
+	s := &System{cfg: cfg, Store: store}
 	if len(cfg.ShardAddrs) > 0 {
 		ncfg := cfg.ShardNet
 		ncfg.Collection = PubsCollection
@@ -224,15 +232,31 @@ func (s *System) Resync() docstore.ResyncReport {
 	return s.Store.Resync()
 }
 
-// IngestPublications parses and stores generated publications.
+// IngestPublications stores generated publications through the same
+// path as IngestDocs, IngestBatchSize at a time. It stops after the
+// first batch in which a publication fails (the rest of that batch is
+// still attempted) and reports the first failure.
 func (s *System) IngestPublications(pubs []*cord19.Publication) error {
-	for _, p := range pubs {
-		if _, err := s.Search.AddDocument(p.Doc()); err != nil {
-			return fmt.Errorf("core: ingest %s: %w", p.ID, err)
+	for len(pubs) > 0 {
+		batch := pubs[:min(IngestBatchSize, len(pubs))]
+		pubs = pubs[len(batch):]
+		docs := make([]jsondoc.Doc, len(batch))
+		for i, p := range batch {
+			docs[i] = p.Doc()
+		}
+		for i, a := range s.ingest(docs) {
+			if a.Err != nil {
+				return fmt.Errorf("core: ingest %s: %w", batch[i].ID, a.Err)
+			}
 		}
 	}
 	return nil
 }
+
+// IngestBatchSize is how many documents a bulk load hands IngestDocs at
+// once — IngestPublications here, the upload handler in the API tier —
+// which bounds what one batch holds in flight however large the load.
+const IngestBatchSize = 256
 
 // DocResult is the outcome of one document in a bulk ingest: its
 // position in the batch and either the assigned id or the failure.
@@ -267,35 +291,57 @@ func (r IngestReport) Err() error {
 	return fmt.Errorf("core: ingest: %d documents failed", r.Failed)
 }
 
-// IngestDocs stores raw publication documents (the non-generated path).
-// Every document is attempted; failures do not abort the batch.
+// IngestDocs stores raw publication documents. Every document is
+// attempted; failures do not abort the batch, and Results is aligned
+// with docs.
 func (s *System) IngestDocs(docs []jsondoc.Doc) IngestReport {
-	rep := IngestReport{Results: make([]DocResult, 0, len(docs))}
-	for i, d := range docs {
-		id, err := s.Search.AddDocument(d)
-		res := DocResult{Index: i, ID: id}
-		if err != nil {
-			res.Error = err.Error()
+	rep := IngestReport{Results: make([]DocResult, len(docs))}
+	for i, a := range s.ingest(docs) {
+		rep.Results[i] = DocResult{Index: i, ID: a.ID}
+		if a.Err != nil {
+			rep.Results[i].Error = a.Err.Error()
 			rep.Failed++
 		} else {
 			rep.Inserted++
 		}
-		rep.Results = append(rep.Results, res)
 	}
 	return rep
 }
 
-// storedTables iterates every stored table with its owning publication.
-func (s *System) storedTables(fn func(pubID string, t *tableparse.Table)) {
-	s.Pubs.Scan(func(d jsondoc.Doc) bool {
-		id := d.GetString("_id")
-		for _, tv := range d.GetArray("tables") {
-			tm, _ := tv.(map[string]any)
-			if tm == nil {
-				continue
-			}
-			fn(id, tableparse.TableFromDoc(jsondoc.Doc(tm)))
+// ingest is the one ingest path: store and index a batch, then queue
+// each stored document's tables for the next EnrichNew.
+func (s *System) ingest(docs []jsondoc.Doc) []search.Added {
+	added := s.Search.AddDocuments(docs)
+	stored := make([]pendingPub, 0, len(added))
+	for _, a := range added {
+		if a.Err == nil {
+			stored = append(stored, pendingPub{a.ID, a.Doc.GetArray("tables")})
 		}
+	}
+	s.procMu.Lock()
+	s.pending = append(s.pending, stored...)
+	s.procMu.Unlock()
+	return added
+}
+
+// tableFunc receives one parsed table and the id of the publication it
+// came from.
+type tableFunc func(pubID string, t *tableparse.Table)
+
+// eachTable calls fn with every table of one publication's raw "tables"
+// array.
+func eachTable(pubID string, tables []any, fn tableFunc) {
+	for _, tv := range tables {
+		if tm, _ := tv.(map[string]any); tm != nil {
+			fn(pubID, tableparse.TableFromDoc(jsondoc.Doc(tm)))
+		}
+	}
+}
+
+// storedTables iterates every stored table with its owning publication.
+func (s *System) storedTables(fn tableFunc) {
+	s.Pubs.Scan(func(d jsondoc.Doc) bool {
+		eachTable(d.GetString("_id"), d.GetArray("tables"), fn)
 		return true
 	})
 }
@@ -434,13 +480,44 @@ type BuildStats struct {
 	NodesAdded     int
 }
 
+// Add accumulates another run's counts into st — a multi-batch ingest
+// reports the sum of its per-batch enrichments.
+func (st *BuildStats) Add(o BuildStats) {
+	st.Tables += o.Tables
+	st.RowsClassified += o.RowsClassified
+	st.MetaRows += o.MetaRows
+	st.Subtrees += o.Subtrees
+	st.Fused += o.Fused
+	st.Queued += o.Queued
+	st.NodesAdded += o.NodesAdded
+}
+
 // BuildKG runs the enrichment pipeline of §4.2 over every stored table:
 // classify rows, extract one subtree per column (header label → distinct
 // text values), and fuse each subtree into the graph with the paper's
-// provenance attached. Publications are marked processed, so a later
-// Refresh only enriches from new arrivals.
+// provenance attached. It is the one full scan of the store, run at
+// boot; everything it covered leaves the pending queue, so a later
+// EnrichNew only enriches from arrivals since.
 func (s *System) BuildKG() BuildStats {
-	return s.enrich(s.claim(true))
+	scanned := map[string]bool{}
+	st := s.enrich(func(fn tableFunc) {
+		s.Pubs.Scan(func(d jsondoc.Doc) bool {
+			id := d.GetString("_id")
+			scanned[id] = true
+			eachTable(id, d.GetArray("tables"), fn)
+			return true
+		})
+	})
+	s.procMu.Lock()
+	var kept []pendingPub
+	for _, p := range s.pending {
+		if !scanned[p.id] {
+			kept = append(kept, p) // stored after the scan passed its shard
+		}
+	}
+	s.pending = kept
+	s.procMu.Unlock()
+	return st
 }
 
 // Refresh is the paper's "scalable mechanism to keep the KG up to date":
@@ -467,49 +544,31 @@ func (s *System) RefreshDocs(docs []jsondoc.Doc) (BuildStats, error) {
 	return s.EnrichNew(), rep.Err()
 }
 
-// EnrichNew incrementally enriches the KG from every stored publication
-// not yet processed — the tail step of a streaming bulk ingest, run
-// once after all batches landed instead of per batch. Safe to call from
-// concurrent ingest handlers: each call enriches only the publications
-// it claimed.
+// EnrichNew incrementally enriches the KG from the publications stored
+// since the last enrichment: it takes the pending queue and classifies,
+// extracts and fuses those documents' tables, touching neither the
+// store nor anything already fused. The bulk ingest handler calls it
+// after every flushed batch. Safe to call from concurrent ingest
+// handlers: each queued publication is taken by exactly one call (not
+// necessarily the one that stored it).
 func (s *System) EnrichNew() BuildStats {
-	return s.enrich(s.claim(false))
-}
-
-// claim marks stored publications processed and returns the ones this
-// call marked — every one with all set, else only those not yet
-// processed. Marking before enriching (under procMu) is what keeps two
-// racing EnrichNew calls from fusing the same publication twice: the
-// loser of the race finds it already claimed. Table-less publications
-// are claimed too; they need no re-visit either. An id-only listing:
-// cloning every stored document just to read its _id is the kind of
-// whole-collection materialization the search path also dropped.
-func (s *System) claim(all bool) map[string]bool {
-	ids := s.Pubs.IDs()
-	claimed := map[string]bool{}
 	s.procMu.Lock()
-	defer s.procMu.Unlock()
-	for _, id := range ids {
-		if all || !s.processed[id] {
-			s.processed[id] = true
-			claimed[id] = true
+	taken := s.pending
+	s.pending = nil
+	s.procMu.Unlock()
+	return s.enrich(func(fn tableFunc) {
+		for _, p := range taken {
+			eachTable(p.id, p.tables, fn)
 		}
-	}
-	return claimed
+	})
 }
 
-// enrich runs classification + extraction + fusion over the stored
-// tables of the claimed publications.
-func (s *System) enrich(claimed map[string]bool) BuildStats {
+// enrich runs classification + extraction + fusion over every table the
+// given iterator yields.
+func (s *System) enrich(tables func(tableFunc)) BuildStats {
 	var st BuildStats
-	if len(claimed) == 0 {
-		return st
-	}
 	before := s.Graph.Size()
-	s.storedTables(func(pubID string, t *tableparse.Table) {
-		if !claimed[pubID] {
-			return
-		}
+	tables(func(pubID string, t *tableparse.Table) {
 		st.Tables++
 		meta := s.classifyRows(t)
 		st.RowsClassified += len(meta)

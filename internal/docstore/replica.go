@@ -576,9 +576,9 @@ func (s *Store) ReplicasIdentical() bool {
 // ReplicaHealth is one replica's serving state.
 type ReplicaHealth struct {
 	Replica  int    `json:"replica"`
-	State    string `json:"state"`       // breaker state: closed, open, half-open
-	UpToDate bool   `json:"up_to_date"`  // current in every collection
-	BehindIn int    `json:"behind_in"`   // collections where it is stale
+	State    string `json:"state"`      // breaker state: closed, open, half-open
+	UpToDate bool   `json:"up_to_date"` // current in every collection
+	BehindIn int    `json:"behind_in"`  // collections where it is stale
 }
 
 // ShardHealth is one shard's aggregated serving state.

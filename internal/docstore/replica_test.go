@@ -205,7 +205,7 @@ func TestStaleReplicaServesNoReads(t *testing.T) {
 	// replica 2 comes back but has NOT been resynced: it must be
 	// excluded from reads — the missed write stays visible always
 	fp.Clear(ReplicaTarget(si, 2))
-	for i := 0; i < 3 * s.NumReplicas() * 2; i++ {
+	for i := 0; i < 3*s.NumReplicas()*2; i++ {
 		if _, err := c.Get(missedID); err != nil {
 			t.Fatalf("stale replica served a read missing an acked write: %v", err)
 		}

@@ -28,11 +28,11 @@ type LoadBenchResult struct {
 	Requests    int `json:"requests"`     // total requests issued across phases
 
 	// Client-observed statuses.
-	OK              int `json:"ok"`
-	Shed            int `json:"shed"`              // 429s
-	DeadlineClient  int `json:"deadline_504"`      // 504s
-	CancelledClient int `json:"cancelled_aborts"`  // requests the client gave up on
-	OtherStatus     int `json:"other_status"`      // anything unexpected
+	OK              int  `json:"ok"`
+	Shed            int  `json:"shed"`             // 429s
+	DeadlineClient  int  `json:"deadline_504"`     // 504s
+	CancelledClient int  `json:"cancelled_aborts"` // requests the client gave up on
+	OtherStatus     int  `json:"other_status"`     // anything unexpected
 	RetryAfterSeen  bool `json:"retry_after_seen"` // every 429 carried Retry-After
 
 	// Server lifecycle counters (from the injected metrics registry).

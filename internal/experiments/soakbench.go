@@ -89,13 +89,13 @@ type SoakBenchResult struct {
 	DurationMs float64 `json:"duration_ms"`
 
 	// Aggregate client-observed traffic.
-	Requests    int     `json:"requests"`
-	OK          int     `json:"ok"`
-	RateLimited int     `json:"rate_limited_429"`
-	QuotaDenied int     `json:"quota_denied_429"`
-	Shed        int     `json:"shed_429"`
-	Failed      int     `json:"failed"` // 5xx + transport errors
-	Sessions    int     `json:"sessions"`
+	Requests    int `json:"requests"`
+	OK          int `json:"ok"`
+	RateLimited int `json:"rate_limited_429"`
+	QuotaDenied int `json:"quota_denied_429"`
+	Shed        int `json:"shed_429"`
+	Failed      int `json:"failed"` // 5xx + transport errors
+	Sessions    int `json:"sessions"`
 	// Availability over requests the server was obliged to serve: 429s
 	// are correct back-pressure, not unavailability.
 	AvailabilityPct float64 `json:"availability_pct"`

@@ -347,7 +347,7 @@ func (ix *Index) TermFreq(term, docID, field string) int {
 	defer ix.mu.RUnlock()
 	n := 0
 	for _, m := range ix.memsLocked() {
-		n += len(m.postings[term][docID][field])
+		n += len(m.postings[term][docID].positions(field))
 	}
 	for _, s := range ix.segs {
 		ord, ok := s.ordOf(docID)
@@ -435,8 +435,8 @@ func (ix *Index) fieldPositionsLocked(term, docID string) map[string][]int {
 		}
 	}
 	for _, m := range ix.memsLocked() {
-		for field, pos := range m.postings[term][docID] {
-			addRun(field, pos)
+		for _, r := range m.postings[term][docID] {
+			addRun(r.field, r.pos)
 		}
 	}
 	if multi {
@@ -477,8 +477,8 @@ func (ix *Index) Lookup(term string) []Posting {
 	}
 	for _, m := range ix.memsLocked() {
 		for doc, fp := range m.postings[term] {
-			for field, pos := range fp {
-				add(doc, field, pos)
+			for _, r := range fp {
+				add(doc, r.field, r.pos)
 			}
 		}
 	}
@@ -590,8 +590,8 @@ func (ix *Index) DocsWithAnyInFields(terms []string, fields map[string]bool) []s
 					set[doc] = struct{}{}
 					continue
 				}
-				for field := range fp {
-					if fields[field] {
+				for _, r := range fp {
+					if fields[r.field] {
 						set[doc] = struct{}{}
 						break
 					}

@@ -8,8 +8,41 @@ type fieldKey struct {
 	field string
 }
 
-// fieldPostings maps field name → positions for one (term, doc) pair.
-type fieldPostings map[string][]int
+// fieldRun holds the positions of one term in one field of one document.
+type fieldRun struct {
+	field string
+	pos   []int
+}
+
+// fieldPostings is the per-field position runs of one (term, doc) pair,
+// in first-seen field order. A term posts in one or two of a document's
+// six fields, so a linear scan over a small slice beats a map — and a
+// map here cost most of the memtable's memory: one hash table per
+// (term, doc) pair, 64 KB of heap per CORD-19-shaped document against
+// 30 KB as runs (search.TestMemtableHeapPerDoc).
+type fieldPostings []fieldRun
+
+// positions returns the term's positions in field, nil when it has none.
+func (fp fieldPostings) positions(field string) []int {
+	for i := range fp {
+		if fp[i].field == field {
+			return fp[i].pos
+		}
+	}
+	return nil
+}
+
+// appendTo returns fp with pos appended to field's run, adding the run
+// when the field is new.
+func (fp fieldPostings) appendTo(field string, pos ...int) fieldPostings {
+	for i := range fp {
+		if fp[i].field == field {
+			fp[i].pos = append(fp[i].pos, pos...)
+			return fp
+		}
+	}
+	return append(fp, fieldRun{field, append([]int(nil), pos...)})
+}
 
 // termList is a per-term, lazily sorted list of the doc ids holding the
 // term. Appends in ascending id order (the common case: generated ids
@@ -22,18 +55,19 @@ type termList struct {
 	dirty bool
 }
 
-// memtable is the mutable in-memory write buffer of the index: the
-// classic term → doc → field → positions map structure, plus the
+// memtable is the mutable in-memory write buffer of the index: a
+// term → doc map of maps whose values are fieldPostings (a short slice
+// of per-field position runs, not a third map level), plus the
 // incrementally-maintained per-term partials (sorted posting list,
 // max weighted/raw TF) the top-k scorer consumes. It carries no lock of
 // its own — every access is guarded by the owning Index's mutex. Once a
 // memtable is frozen for sealing it is never mutated again, so the seal
 // builder can read it without synchronization.
 type memtable struct {
-	// postings: term -> doc -> field -> positions
+	// postings: term -> doc -> per-field position runs
 	postings map[string]map[string]fieldPostings
-	// docTerms: doc -> set of terms, for removal
-	docTerms map[string]map[string]struct{}
+	// docTerms: doc -> the terms it posts for, each once, for removal
+	docTerms map[string][]string
 	// fieldLen: (doc, field) -> token count, for normalization
 	fieldLen map[fieldKey]int
 	docs     map[string]struct{}
@@ -61,7 +95,7 @@ type memtable struct {
 func newMemtable() *memtable {
 	return &memtable{
 		postings: map[string]map[string]fieldPostings{},
-		docTerms: map[string]map[string]struct{}{},
+		docTerms: map[string][]string{},
 		fieldLen: map[fieldKey]int{},
 		docs:     map[string]struct{}{},
 		termDocs: map[string]*termList{},
@@ -87,9 +121,9 @@ func (m *memtable) refreshBounds(term, docID string, weights map[string]float64)
 	fp := m.postings[term][docID]
 	raw := 0
 	wtf := 0.0
-	for f, pos := range fp {
-		raw += len(pos)
-		wtf += float64(len(pos)) * fieldWeight(weights, f)
+	for _, r := range fp {
+		raw += len(r.pos)
+		wtf += float64(len(r.pos)) * fieldWeight(weights, r.field)
 	}
 	if raw > m.maxRaw[term] {
 		m.maxRaw[term] = raw
@@ -117,11 +151,7 @@ func (m *memtable) add(docID, field string, terms []string, base int, weights ma
 	fk := fieldKey{docID, field}
 	m.fieldLen[fk] += len(terms)
 	m.tokens += len(terms)
-	seen := m.docTerms[docID]
-	if seen == nil {
-		seen = map[string]struct{}{}
-		m.docTerms[docID] = seen
-	}
+	docTerms := m.docTerms[docID]
 	touched := map[string]struct{}{}
 	for i, term := range terms {
 		byDoc := m.postings[term]
@@ -129,16 +159,17 @@ func (m *memtable) add(docID, field string, terms []string, base int, weights ma
 			byDoc = map[string]fieldPostings{}
 			m.postings[term] = byDoc
 		}
-		fp := byDoc[docID]
-		if fp == nil {
-			fp = fieldPostings{}
-			byDoc[docID] = fp
+		fp, posted := byDoc[docID]
+		if !posted {
 			m.noteTermDoc(term, docID)
+			docTerms = append(docTerms, term)
 		}
-		fp[field] = append(fp[field], base+i)
-		seen[term] = struct{}{}
+		if grown := fp.appendTo(field, base+i); len(grown) != len(fp) {
+			byDoc[docID] = grown // a new run moved the slice header
+		}
 		touched[term] = struct{}{}
 	}
+	m.docTerms[docID] = docTerms
 	for term := range touched {
 		m.refreshBounds(term, docID, weights)
 	}
@@ -168,9 +199,7 @@ func (m *memtable) remove(docID string) []string {
 	if !ok {
 		return nil
 	}
-	out := make([]string, 0, len(terms))
-	for term := range terms {
-		out = append(out, term)
+	for _, term := range terms {
 		byDoc := m.postings[term]
 		delete(byDoc, docID)
 		if len(byDoc) == 0 {
@@ -190,7 +219,7 @@ func (m *memtable) remove(docID string) []string {
 	}
 	delete(m.docs, docID)
 	delete(m.static, docID)
-	return out
+	return terms
 }
 
 // docList returns the term's sorted live doc ids, rebuilding the lazy

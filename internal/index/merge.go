@@ -173,16 +173,22 @@ func (ix *Index) swapMergedLocked(inputs []*segment, merged *segment) {
 	}
 	ix.segs = out
 
-	// Catch up with concurrent mutations: a doc may live in several
-	// inputs (re-add case), so consult them all.
+	// Catch up with concurrent mutations. Every merged doc was live in
+	// some input when the merge began; a Remove since then tombstoned
+	// all of its live copies, so it is dead now only if no input still
+	// holds it live. A doc may sit in several inputs — a tombstoned old
+	// copy beside its live re-add — and the old copy's tombstone must
+	// not kill the re-add.
 	for ord, docID := range merged.docIDs {
+		live := false
 		for _, in := range inputs {
-			if inOrd, ok := in.ordOf(docID); ok {
-				if in.dead[inOrd] {
-					merged.markDead(ord)
-				}
+			if inOrd, ok := in.ordOf(docID); ok && !in.dead[inOrd] {
+				live = true
 				merged.static[ord] = in.static[inOrd]
 			}
+		}
+		if !live {
+			merged.markDead(ord)
 		}
 	}
 }

@@ -300,9 +300,9 @@ func (s *segment) recomputeBounds(weights map[string]float64) {
 	}
 }
 
-// segSource is the builder input: the raw map-structured postings a
-// segment is sealed from (either a frozen memtable or the decoded union
-// of merge inputs).
+// segSource is the builder input: the raw postings a segment is sealed
+// from, in the memtable's layout (either a frozen memtable or the
+// decoded union of merge inputs).
 type segSource struct {
 	postings map[string]map[string]fieldPostings
 	fieldLen map[fieldKey]int
@@ -396,17 +396,22 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 				pl.blockLast = append(pl.blockLast, uint32(ord))
 			}
 
+			// Runs are encoded in field-id order; the source holds them in
+			// first-seen order. Sort a copy — the source may be shared with
+			// live readers.
 			fp := byDoc[s.docIDs[ord]]
-			fids := make([]int, 0, len(fp))
-			for f := range fp {
-				fids = append(fids, s.fieldN[f])
+			for i := 1; i < len(fp); i++ {
+				if s.fieldN[fp[i-1].field] > s.fieldN[fp[i].field] {
+					fp = append(fieldPostings(nil), fp...)
+					sort.Slice(fp, func(i, j int) bool { return s.fieldN[fp[i].field] < s.fieldN[fp[j].field] })
+					break
+				}
 			}
-			sort.Ints(fids)
-			buf = binary.AppendUvarint(buf, uint64(len(fids)))
+			buf = binary.AppendUvarint(buf, uint64(len(fp)))
 			raw := 0
 			wtf := 0.0
-			for _, fid := range fids {
-				pos := fp[s.fields[fid]]
+			for _, r := range fp {
+				fid, pos := s.fieldN[r.field], r.pos
 				if !sort.IntsAreSorted(pos) {
 					// merged multi-source runs can interleave; delta
 					// encoding needs ascending positions. Sort a copy —
@@ -416,7 +421,7 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 					pos = cp
 				}
 				raw += len(pos)
-				wtf += float64(len(pos)) * fieldWeight(weights, s.fields[fid])
+				wtf += float64(len(pos)) * fieldWeight(weights, r.field)
 				buf = binary.AppendUvarint(buf, uint64(fid))
 				buf = binary.AppendUvarint(buf, uint64(len(pos)))
 				prevP := 0
@@ -442,7 +447,7 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 	return s
 }
 
-// decodeInto expands the segment's live postings back into map form,
+// decodeInto expands the segment's live postings back into source form,
 // accumulating into a segSource (the merge path: inputs are decoded
 // into one source, then re-sealed). deadSnap is the tombstone view to
 // honor; positions for a (doc, field) already present in dst append
@@ -460,14 +465,10 @@ func (s *segment) decodeInto(dst *segSource, deadSnap []bool) {
 			}
 			docID := s.docIDs[e.ord]
 			fp := byDoc[docID]
-			if fp == nil {
-				fp = fieldPostings{}
-				byDoc[docID] = fp
-			}
 			for _, f := range e.fields {
-				field := s.fields[f.fieldID]
-				fp[field] = append(fp[field], f.pos...)
+				fp = fp.appendTo(s.fields[f.fieldID], f.pos...)
 			}
+			byDoc[docID] = fp
 			return true
 		})
 	}

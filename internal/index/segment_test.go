@@ -285,3 +285,34 @@ func TestSealThresholdTriggersInBackground(t *testing.T) {
 		t.Fatalf("doc accounting broken: %+v", st)
 	}
 }
+
+// TestMergeKeepsReaddedDocOverItsTombstone pins the bug the differential
+// test's first seed found: a doc removed and re-added sits in two merge
+// inputs, tombstoned in the older and live in the newer, and the merge's
+// catch-up pass used to apply the old copy's tombstone to the merged doc
+// — the re-added document vanished from the index.
+func TestMergeKeepsReaddedDocOverItsTombstone(t *testing.T) {
+	ix := New()
+	ix.SetSealThreshold(0)
+	ix.Add("a", "title", "mask mandate")
+	ix.Add("b", "title", "vaccine trial")
+	ix.Seal()
+	ix.Remove("a")
+	ix.Add("a", "title", "oxygen therapy")
+	ix.SetStatic("a", 0.5)
+	ix.Seal()
+	ix.Compact()
+
+	if got := ix.DocCount(); got != 2 {
+		t.Fatalf("DocCount = %d after merging a tombstoned copy with its re-add, want 2", got)
+	}
+	if got := ix.DocsWithAny([]string{"oxygen"}); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("re-added content lost in the merge: DocsWithAny(oxygen) = %v", got)
+	}
+	if got := ix.DocsWithAny([]string{"mask"}); len(got) != 0 {
+		t.Fatalf("removed content resurrected by the merge: DocsWithAny(mask) = %v", got)
+	}
+	if got := ix.Static("a"); got != 0.5 {
+		t.Fatalf("Static(a) = %v after the merge, want the re-add's 0.5", got)
+	}
+}

@@ -59,7 +59,7 @@ func TestRunContextCancelsMidScan(t *testing.T) {
 	ctx := newCountdownCtx(3)
 	matched := 0
 	p := New(Match(func(jsondoc.Doc) bool { matched++; return true }))
-	_, err := p.RunContext(ctx, SliceSource(cancelDocs(100 * CancelCheckInterval)))
+	_, err := p.RunContext(ctx, SliceSource(cancelDocs(100*CancelCheckInterval)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -172,30 +172,102 @@ func (e *Engine) Generation() uint64 { return e.gen.Load() }
 // invalidate bumps the generation, atomically staling every cached page.
 func (e *Engine) invalidate() { e.gen.Add(1) }
 
-// AddDocument inserts a publication document into the collection and the
-// index. The document must follow the corpus shape (title, abstract,
-// body_text, tables, figure_captions). A missing or empty _id means the
-// store assigns one; a non-string _id is rejected with ErrBadDoc before
-// anything is stored — previously such documents were inserted but
-// silently never indexed, permanently invisible to search.
+// insertConcurrency bounds the store inserts one AddDocuments batch
+// keeps in flight. Against the networked tier each insert is a round
+// trip ending in a WAL fsync; in flight together they pipeline over the
+// coordinator's multiplexed connections and share group commits on the
+// shard, so a batch pays a few fsyncs per shard instead of one per
+// document.
+const insertConcurrency = 32
+
+// Added is the outcome of one document of an AddDocuments batch: the
+// stored (normalized, id-bearing) document, or the reason it was not
+// stored.
+type Added struct {
+	ID  string
+	Doc jsondoc.Doc
+	Err error
+}
+
+// AddDocument inserts one publication document; see AddDocuments.
 func (e *Engine) AddDocument(d jsondoc.Doc) (string, error) {
-	if v, present := d[docstore.IDField]; present {
-		if _, ok := v.(string); !ok {
-			return "", fmt.Errorf("%w: %s must be a string, got %T(%v)",
-				ErrBadDoc, docstore.IDField, v, v)
+	a := e.AddDocuments([]jsondoc.Doc{d})[0]
+	return a.ID, a.Err
+}
+
+// AddDocuments inserts publication documents into the collection and
+// the index; the result is aligned with docs, and one document's
+// failure does not stop the others. Documents must follow the corpus
+// shape (title, abstract, body_text, tables, figure_captions). A missing
+// or empty _id means the store assigns one; a non-string _id is
+// rejected with ErrBadDoc before anything is stored — such documents
+// were once inserted but silently never indexed, permanently invisible
+// to search.
+//
+// Store inserts run concurrently (insertConcurrency at a time), except
+// that documents sharing an explicit _id are inserted one after another
+// in batch order, so the first wins and the rest are ErrDuplicateID
+// however the batch is scheduled. Indexing happens on the calling
+// goroutine, in batch order, as inserts are acknowledged: one
+// document's Index.Add calls stay contiguous, which the index's seal
+// boundary relies on.
+func (e *Engine) AddDocuments(docs []jsondoc.Doc) []Added {
+	out := make([]Added, len(docs))
+	done := make([]chan struct{}, len(docs))
+	// chains are the units of insert work: the batch positions sharing
+	// one explicit id (in batch order), or a single position.
+	var chains [][]int
+	chainOf := map[string]int{}
+	for i, d := range docs {
+		done[i] = make(chan struct{})
+		if v, present := d[docstore.IDField]; present {
+			if _, ok := v.(string); !ok {
+				out[i].Err = fmt.Errorf("%w: %s must be a string, got %T(%v)",
+					ErrBadDoc, docstore.IDField, v, v)
+				close(done[i])
+				continue
+			}
 		}
+		out[i].Doc = jsondoc.NormalizeDoc(d)
+		if id, _ := out[i].Doc[docstore.IDField].(string); id != "" {
+			if c, dup := chainOf[id]; dup {
+				chains[c] = append(chains[c], i)
+				continue
+			}
+			chainOf[id] = len(chains)
+		}
+		chains = append(chains, []int{i})
 	}
+
+	work := make(chan []int, len(chains)) // filled before the workers start
+	for _, c := range chains {
+		work <- c
+	}
+	close(work)
+	for w := 0; w < min(insertConcurrency, len(chains)); w++ {
+		go func() {
+			for c := range work {
+				for _, i := range c {
+					out[i].ID, out[i].Err = e.coll.Insert(out[i].Doc)
+					close(done[i])
+				}
+			}
+		}()
+	}
+
 	// Index from the insert result rather than re-reading the store: a
 	// post-insert Get can fail (shard breaker opening between the two
 	// calls) which used to leave the document stored but never indexed.
-	nd := jsondoc.NormalizeDoc(d)
-	id, err := e.coll.Insert(nd)
-	if err != nil {
-		return "", err
+	for i := range out {
+		<-done[i]
+		if out[i].Err != nil {
+			out[i].Doc = nil
+			continue
+		}
+		out[i].Doc[docstore.IDField] = out[i].ID
+		e.indexDoc(out[i].Doc)
 	}
-	nd[docstore.IDField] = id
-	e.indexDoc(nd)
-	return id, nil
+	return out
 }
 
 // RemoveDocument deletes a publication from collection and index.

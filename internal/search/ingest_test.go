@@ -5,13 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"covidkg/internal/cord19"
 	"covidkg/internal/docstore"
 	"covidkg/internal/failpoint"
+	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
+	"covidkg/internal/metrics"
 	"covidkg/internal/textproc"
 )
 
@@ -224,5 +228,95 @@ func TestPagesIdenticalUnderLiveWriter(t *testing.T) {
 				t.Fatalf("q=%q page %d diverged after churn:\nsegmented %+v\nflat      %+v", q, page, got, want)
 			}
 		}
+	}
+}
+
+// TestMemtableHeapPerDoc bounds what one CORD-19-shaped document retains
+// in the index memtable. With a hash table per (term, doc) pair it was
+// 64 KB; as per-field position runs it is about 30 KB. Only the index is
+// live between the two measurements — each document is generated,
+// indexed and dropped.
+func TestMemtableHeapPerDoc(t *testing.T) {
+	const docs = 2000 // below index.DefaultSealDocs: all of it stays in the memtable
+	e := &Engine{idx: index.New(), met: metrics.NewRegistry()}
+	e.idx.SetFieldWeights(fieldWeights)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	g := cord19.NewGenerator(7)
+	before := heap()
+	for i := 0; i < docs; i++ {
+		e.indexDoc(g.Publication().Doc())
+	}
+	perDoc := float64(heap()-before) / docs / 1024
+	runtime.KeepAlive(e)
+	if st := e.idx.Stats(); st.MemDocs != docs || st.Segments != 0 {
+		t.Fatalf("index sealed during the measurement: %+v", st)
+	}
+	t.Logf("memtable retains %.1f KB per document", perDoc)
+	if perDoc > 32 {
+		t.Fatalf("memtable retains %.1f KB per document, want <= 32", perDoc)
+	}
+}
+
+// TestAddDocumentsAlignedUnderConcurrency: a batch's inserts run
+// concurrently, yet the result stays aligned with the input, a bad
+// document fails alone, and of two documents sharing an _id inside one
+// batch the first always wins. Run with -count=20: the outcome must not
+// depend on how the inserts are scheduled.
+func TestAddDocumentsAlignedUnderConcurrency(t *testing.T) {
+	e := NewEngine(docstore.Open(docstore.WithShards(4)).Collection("pubs"))
+	if _, err := e.AddDocument(pub("stored", "Already here", "an earlier arrival", "")); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 3 * insertConcurrency
+	batch := make([]jsondoc.Doc, n)
+	want := make([]error, n) // nil: must be stored
+	for i := range batch {
+		batch[i] = pub(fmt.Sprintf("b%03d", i), fmt.Sprintf("Batch document %d", i), fmt.Sprintf("quokka%d habitat", i), "")
+	}
+	batch[5] = jsondoc.Doc{"_id": 42.0, "title": "Numeric id"}
+	want[5] = ErrBadDoc
+	batch[9] = pub("stored", "Duplicate of a stored id", "", "")
+	want[9] = docstore.ErrDuplicateID
+	batch[20] = pub("twin", "First twin", "firsttwin wins", "")
+	batch[70] = pub("twin", "Second twin", "secondtwin loses", "")
+	want[70] = docstore.ErrDuplicateID
+	batch[33] = pub("", "No id at all", "idless wombat", "")
+
+	got := e.AddDocuments(batch)
+	if len(got) != n {
+		t.Fatalf("%d results for %d documents", len(got), n)
+	}
+	for i, a := range got {
+		switch {
+		case want[i] != nil:
+			if !errors.Is(a.Err, want[i]) || a.ID != "" || a.Doc != nil {
+				t.Errorf("document %d: got (%q, %v), want error %v and nothing stored", i, a.ID, a.Err, want[i])
+			}
+		case a.Err != nil:
+			t.Errorf("document %d: %v", i, a.Err)
+		case i == 33:
+			if a.ID == "" || a.Doc.GetString("_id") != a.ID {
+				t.Errorf("id-less document: id %q, stored doc says %q", a.ID, a.Doc.GetString("_id"))
+			}
+		case a.ID != batch[i].GetString("_id") || a.Doc.GetString("title") != batch[i].GetString("title"):
+			t.Errorf("document %d: result (%q, %q) belongs to another document", i, a.ID, a.Doc.GetString("title"))
+		}
+	}
+	for term, wantDF := range map[string]int{"firsttwin": 1, "secondtwin": 0, "wombat": 1, "quokka7": 1, "quokka70": 0} {
+		if df := e.Index().DocFreq(textproc.Stem(term)); df != wantDF {
+			t.Errorf("DocFreq(%s) = %d, want %d", term, df, wantDF)
+		}
+	}
+	if twin, err := e.coll.Get("twin"); err != nil || twin.GetString("title") != "First twin" {
+		t.Errorf("stored twin = %v (err %v), want the first", twin.GetString("title"), err)
+	}
+	if stored, indexed := e.coll.Count(), e.Index().DocCount(); stored != 1+n-3 || indexed != stored {
+		t.Errorf("%d stored, %d indexed, want %d of each", stored, indexed, 1+n-3)
 	}
 }

@@ -88,10 +88,10 @@ func TestTopKPipelineParityRandomized(t *testing.T) {
 			queries = append(queries, q)
 		}
 		queries = append(queries,
-			`"intensive care"`,          // quoted phrase → fallback on both
-			`vaccine "viral load"`,      // mixed term+phrase → fallback
-			"immunization pediatric",    // synonym-bearing multi-term
-			"nosuchword",                // zero-hit
+			`"intensive care"`,       // quoted phrase → fallback on both
+			`vaccine "viral load"`,   // mixed term+phrase → fallback
+			"immunization pediatric", // synonym-bearing multi-term
+			"nosuchword",             // zero-hit
 		)
 
 		for _, q := range queries {

@@ -123,6 +123,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		w.fsyncs = met.Counter("shardnet.server.wal_fsyncs")
 		s.wal = w
 		if replayed > 0 {
 			logf("shardnet %s: replayed %d wal records, %d docs live", cfg.Name, replayed, s.coll.Count())
@@ -471,7 +472,9 @@ func (s *Server) recordIdem(key string, out idemOutcome) {
 //     re-apply;
 //  2. apply to the replica group (quorum commit, unchanged from the
 //     in-process tier);
-//  3. WAL append + fsync of the applied document;
+//  3. WAL append of the applied document — the record joins a group
+//     commit with whatever other writes are in flight and the call
+//     returns once that group is fsynced;
 //  4. record the idempotency outcome;
 //  5. ack.
 //
@@ -581,38 +584,51 @@ func (s *Server) handlePutBulk(req *request) *response {
 	if err := s.checkMapVersion(req); err != nil {
 		return errResponse(err)
 	}
+	// A failed upsert still logs the documents applied before it, as the
+	// per-document loop this replaces did; the batch itself is not acked.
+	var applied []walRecord
+	var failed error
 	for _, d := range req.Docs {
-		if err := s.upsert(d); err != nil {
-			return errResponse(err)
+		if failed = s.upsert(d); failed != nil {
+			break
 		}
-		if s.wal != nil {
-			id, _ := d[docstore.IDField].(string)
-			if werr := s.wal.append(walRecord{Op: "put", ID: id, Doc: d}); werr != nil {
-				return errResponse(fmt.Errorf("shardnet: wal append failed: %w", werr))
-			}
-		}
+		id, _ := d[docstore.IDField].(string)
+		applied = append(applied, walRecord{Op: "put", ID: id, Doc: d})
+	}
+	if err := s.logRun(applied, failed); err != nil {
+		return errResponse(err)
 	}
 	return &response{N: len(req.Docs)}
 }
 
-func (s *Server) handleDeleteMany(req *request) *response {
-	n := 0
-	for _, id := range req.IDs {
-		err := s.coll.Delete(id)
-		if err != nil {
-			if errors.Is(err, docstore.ErrNotFound) {
-				continue
-			}
-			return errResponse(err)
-		}
-		n++
-		if s.wal != nil {
-			if werr := s.wal.append(walRecord{Op: "delete", ID: id}); werr != nil {
-				return errResponse(fmt.Errorf("shardnet: wal append failed: %w", werr))
-			}
+// logRun commits what a multi-document request applied as a single WAL
+// run — one write, one fsync, however many documents — and returns the
+// request's outcome: the WAL failure, else the apply error (if any)
+// that cut the request short.
+func (s *Server) logRun(applied []walRecord, failed error) error {
+	if s.wal != nil && len(applied) > 0 {
+		if err := s.wal.append(applied...); err != nil {
+			return fmt.Errorf("shardnet: wal append failed: %w", err)
 		}
 	}
-	return &response{N: n}
+	return failed
+}
+
+func (s *Server) handleDeleteMany(req *request) *response {
+	var applied []walRecord
+	var failed error
+	for _, id := range req.IDs {
+		if err := s.coll.Delete(id); err == nil {
+			applied = append(applied, walRecord{Op: "delete", ID: id})
+		} else if !errors.Is(err, docstore.ErrNotFound) {
+			failed = err
+			break
+		}
+	}
+	if err := s.logRun(applied, failed); err != nil {
+		return errResponse(err)
+	}
+	return &response{N: len(applied)}
 }
 
 // handleHealth reports the inner replica group's health plus stale

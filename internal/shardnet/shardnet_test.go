@@ -185,6 +185,93 @@ func TestTransportWrappedErrorsMapToMissingShards(t *testing.T) {
 	}
 }
 
+// TestBatchIngestWithDarkShard: a batch ingested through the search
+// engine fans its inserts out over the coordinator; with one shard dark,
+// exactly the documents placed on that shard fail — each with the
+// dark-shard error — none of them is indexed, and the rest of the batch
+// is stored, indexed and acked over WALs that shared fsyncs.
+func TestBatchIngestWithDarkShard(t *testing.T) {
+	dir := t.TempDir()
+	srv0, a0 := startServer(t, "shard0", filepath.Join(dir, "shard0.wal"))
+	srv1, a1 := startServer(t, "shard1", filepath.Join(dir, "shard1.wal"))
+	co := dialCoord(t, fastCfg(), a0, a1)
+	eng := search.NewEngine(co)
+	srv1.Close()
+
+	batch := make([]jsondoc.Doc, 64)
+	for i := range batch {
+		batch[i] = pubDoc(fmt.Sprintf("dark%04d", i), i)
+	}
+	live := 0
+	for i, a := range eng.AddDocuments(batch) {
+		id := batch[i].GetString("_id")
+		if co.ShardOfID(id) == 1 {
+			if si, ok := docstore.UnavailableShard(a.Err); !ok || si != 1 {
+				t.Errorf("document %d on the dark shard: err = %v, want shard 1 unavailable", i, a.Err)
+			}
+			continue
+		}
+		live++
+		if a.Err != nil || a.ID != id {
+			t.Errorf("document %d on the live shard: (%q, %v)", i, a.ID, a.Err)
+		}
+	}
+	if live == 0 || live == len(batch) {
+		t.Fatalf("%d of %d documents on the live shard; the split is not exercised", live, len(batch))
+	}
+	if got := eng.Index().DocCount(); got != live {
+		t.Fatalf("%d documents indexed, want the %d stored on the live shard", got, live)
+	}
+	if got := srv0.Collection().Count(); got != live {
+		t.Fatalf("live shard holds %d documents, want %d", got, live)
+	}
+	inserts := srv0.met.Counter("shardnet.server.inserts").Value()
+	fsyncs := srv0.met.Counter("shardnet.server.wal_fsyncs").Value()
+	if inserts != int64(live) || fsyncs < 1 || fsyncs > inserts {
+		t.Fatalf("live shard: %d inserts, %d wal fsyncs, want %d inserts and between 1 and that many fsyncs", inserts, fsyncs, live)
+	}
+}
+
+// TestBulkOpsCommitOnce: the migration ops log a whole request as one
+// WAL run — one fsync for put_bulk, one for delete_many, where each used
+// to fsync per document — and the run replays record by record.
+func TestBulkOpsCommitOnce(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "shard0.wal")
+	srv, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := srv.met.Counter("shardnet.server.wal_fsyncs")
+	docs := make([]jsondoc.Doc, 10)
+	ids := make([]string, len(docs))
+	for i := range docs {
+		ids[i] = fmt.Sprintf("m%02d", i)
+		docs[i] = pubDoc(ids[i], i)
+	}
+	if resp := srv.handlePutBulk(&request{Op: opPutBulk, Docs: docs}); resp.ErrCode != "" || resp.N != len(docs) {
+		t.Fatalf("put_bulk: %+v", resp)
+	}
+	if got := fsyncs.Value(); got != 1 {
+		t.Fatalf("put_bulk of %d documents cost %d fsyncs, want 1", len(docs), got)
+	}
+	if resp := srv.handleDeleteMany(&request{Op: opDeleteMany, IDs: append([]string{"absent"}, ids[:4]...)}); resp.ErrCode != "" || resp.N != 4 {
+		t.Fatalf("delete_many: %+v", resp)
+	}
+	if got := fsyncs.Value(); got != 2 {
+		t.Fatalf("put_bulk + delete_many cost %d fsyncs, want 2", got)
+	}
+	srv.Close()
+
+	srv2, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := srv2.coll.Count(); got != len(docs)-4 {
+		t.Fatalf("after replay Count = %d, want %d", got, len(docs)-4)
+	}
+}
+
 func TestWALReplayAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "shard0.wal")
@@ -238,6 +325,47 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	defer srv3.Close()
 	if got := srv3.coll.Count(); got != 24 {
 		t.Fatalf("after second replay Count = %d, want 24", got)
+	}
+
+	// A crash inside a multi-record run (one write, one fsync) tears it
+	// like any other tail: the records before the tear replay, the file is
+	// cut where the torn one began.
+	runPath := filepath.Join(dir, "run.wal")
+	w, err := openWAL(runPath, func(walRecord) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := []walRecord{
+		{Op: "put", ID: "r1", Doc: pubDoc("r1", 1)},
+		{Op: "put", ID: "r2", Doc: pubDoc("r2", 2)},
+		{Op: "put", ID: "r3", Doc: pubDoc("r3", 3)},
+	}
+	if err := w.append(run...); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.fsyncs.Value(); got != 1 {
+		t.Fatalf("a three-record run cost %d fsyncs, want 1", got)
+	}
+	w.close()
+	first, err := appendWALRecord(nil, run[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstEnd := int64(8 + len(first))
+	if err := os.Truncate(runPath, firstEnd+8+5); err != nil { // header + 5 payload bytes of r2
+		t.Fatal(err)
+	}
+	var replayed []string
+	w, err = openWAL(runPath, func(rec walRecord) { replayed = append(replayed, rec.ID) })
+	if err != nil {
+		t.Fatalf("replay of a run torn midway: %v", err)
+	}
+	defer w.close()
+	if len(replayed) != 1 || replayed[0] != "r1" {
+		t.Fatalf("replayed %v from a run torn inside its second record, want [r1]", replayed)
+	}
+	if fi, err := os.Stat(runPath); err != nil || fi.Size() != firstEnd || w.bytes() != firstEnd {
+		t.Fatalf("log is %d bytes (wal says %d, stat err %v), want it cut at %d", fi.Size(), w.bytes(), err, firstEnd)
 	}
 }
 

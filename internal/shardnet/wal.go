@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"covidkg/internal/jsondoc"
+	"covidkg/internal/metrics"
 )
 
 // walRecord is one committed write. Records are appended strictly after
@@ -45,6 +46,16 @@ type wal struct {
 	mu   sync.Mutex
 	f    *os.File
 	size int64
+
+	// Group commit (see append): open gathers arrivals while committing
+	// is set; idle wakes the open group's leader when the file is free.
+	open       *walGroup
+	committing bool
+	idle       *sync.Cond
+
+	// fsyncs counts Sync calls; against the records appended it shows
+	// how well concurrent writers share one.
+	fsyncs *metrics.Counter
 }
 
 const maxWALRecord = 16 << 20
@@ -160,7 +171,9 @@ func openWAL(path string, apply func(walRecord)) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &wal{f: f, size: valid}, nil
+	w := &wal{f: f, size: valid, fsyncs: new(metrics.Counter)}
+	w.idle = sync.NewCond(&w.mu)
+	return w, nil
 }
 
 // replayWAL scans records from the start of f, calling apply for each
@@ -199,36 +212,85 @@ func replayWAL(f *os.File, apply func(walRecord)) (valid int64, err error) {
 	}
 }
 
-// append durably commits one record: the write syscall and fsync both
-// complete before append returns, so a caller that acks after append
-// never acks a write a crash can lose. The record is encoded in the
-// binary format into a pooled buffer — header and payload leave in one
-// write syscall with no per-append allocation.
-func (w *wal) append(rec walRecord) error {
+// walGroup is one group commit: the framed records of every appender
+// that arrived while the previous group was being written, and the
+// single outcome they all share.
+type walGroup struct {
+	buf  *[]byte
+	done chan struct{} // closed once err is final
+	err  error
+}
+
+// append durably commits a run of records, in order, and is the only
+// way bytes reach the log. Appenders frame their run into a pooled
+// buffer outside the lock, then join the open group under w.mu. The
+// appender that opened the group leads it: it waits for the group ahead
+// to finish, closes its own to newcomers, and commits it with one write
+// and one fsync, while later arrivals gather in the next group. Every
+// member returns that one outcome, and none returns before the fsync
+// has — so a caller that acks after append never acks a write a crash
+// can lose, whether it arrived alone or with sixty others. Groups reach
+// the file in the order they opened and a run stays contiguous, so a
+// crash leaves an intact prefix of whole records plus at most a torn
+// tail.
+func (w *wal) append(recs ...walRecord) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	buf, err := appendWALRecord(append((*bp)[:0], 0, 0, 0, 0, 0, 0, 0, 0), rec)
-	if err != nil {
-		return fmt.Errorf("shardnet: encode wal record: %w", err)
+	buf := (*bp)[:0]
+	for _, rec := range recs {
+		start := len(buf)
+		var err error
+		if buf, err = appendWALRecord(append(buf, 0, 0, 0, 0, 0, 0, 0, 0), rec); err != nil {
+			return fmt.Errorf("shardnet: encode wal record: %w", err)
+		}
+		payload := buf[start+8:]
+		if len(payload) > maxWALRecord {
+			return fmt.Errorf("shardnet: wal record of %d bytes exceeds %d limit", len(payload), maxWALRecord)
+		}
+		binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+		binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	}
 	*bp = buf
-	payload := buf[8:]
-	if len(payload) > maxWALRecord {
-		return fmt.Errorf("shardnet: wal record of %d bytes exceeds %d limit", len(payload), maxWALRecord)
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("shardnet: append wal: %w", err)
+	g := w.open
+	leader := g == nil
+	if leader {
+		g = &walGroup{buf: getBuf(), done: make(chan struct{})}
+		w.open = g
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("shardnet: fsync wal: %w", err)
+	*g.buf = append(*g.buf, buf...)
+	if !leader {
+		w.mu.Unlock()
+		<-g.done
+		return g.err
 	}
-	w.size += int64(len(buf))
-	return nil
+	for w.committing {
+		w.idle.Wait()
+	}
+	w.open = nil
+	w.committing = true
+	w.mu.Unlock()
+
+	if _, err := w.f.Write(*g.buf); err != nil {
+		g.err = fmt.Errorf("shardnet: append wal: %w", err)
+	} else {
+		w.fsyncs.Inc()
+		if err := w.f.Sync(); err != nil {
+			g.err = fmt.Errorf("shardnet: fsync wal: %w", err)
+		}
+	}
+
+	w.mu.Lock()
+	if g.err == nil {
+		w.size += int64(len(*g.buf))
+	}
+	w.committing = false
+	w.idle.Signal() // at most one leader waits: the open group's
+	w.mu.Unlock()
+	putBuf(g.buf)
+	close(g.done)
+	return g.err
 }
 
 // bytes returns the current log size (exposed via the health op so

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"covidkg/internal/jsondoc"
 )
@@ -185,6 +187,202 @@ func TestWALDecodeRejectsWithoutAllocating(t *testing.T) {
 		})
 		if allocs > 10 {
 			t.Errorf("%s: %v allocs rejecting a hostile record, want ≤10", name, allocs)
+		}
+	}
+}
+
+// holdWAL pretends a commit is in flight, so appenders gather in one
+// open group instead of racing the file; the returned release lets that
+// group's leader commit. The held state is exactly what a slow fsync
+// looks like to an arriving appender.
+func holdWAL(w *wal) (release func()) {
+	w.mu.Lock()
+	w.committing = true
+	w.mu.Unlock()
+	return func() {
+		w.mu.Lock()
+		w.committing = false
+		w.idle.Signal()
+		w.mu.Unlock()
+	}
+}
+
+// gatherAppenders starts one appender per id behind a held WAL, waits
+// until all of them sit in the open group, and returns the channel
+// their outcomes arrive on.
+func gatherAppenders(t *testing.T, w *wal, ids []string) chan error {
+	t.Helper()
+	want := 0
+	for _, id := range ids {
+		payload, err := appendWALRecord(nil, walRecord{Op: "insert", ID: id, Doc: jsondoc.Doc{"_id": id}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += 8 + len(payload)
+	}
+	errs := make(chan error, len(ids)) // one send per appender
+	for _, id := range ids {
+		go func(id string) {
+			errs <- w.append(walRecord{Op: "insert", ID: id, Doc: jsondoc.Doc{"_id": id}})
+		}(id)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w.mu.Lock()
+		got := 0
+		if w.open != nil {
+			got = len(*w.open.buf)
+		}
+		w.mu.Unlock()
+		if got == want {
+			return errs
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("open group holds %d of %d bytes after 10s", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func walIDs(prefix string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s%03d", prefix, i)
+	}
+	return ids
+}
+
+// replayCounts reopens the log and returns how often each id replays and
+// the log's size after any torn-tail truncation.
+func replayCounts(t *testing.T, path string) (map[string]int, int64) {
+	t.Helper()
+	seen := map[string]int{}
+	w, err := openWAL(path, func(rec walRecord) { seen[rec.ID]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	return seen, w.bytes()
+}
+
+// TestWALGroupCommit: concurrent appenders share fsyncs, each is acked
+// only once its record is on disk, and the log replays exactly the acked
+// set — every record once, nothing torn.
+func TestWALGroupCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard0.wal")
+	w, err := openWAL(path, func(walRecord) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Free-running: 64 appenders, 4 records each, no coordination.
+	const appenders, each = 64, 4
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				id := fmt.Sprintf("free-%02d-%d", a, i)
+				if err := w.append(walRecord{Op: "insert", ID: id, Doc: jsondoc.Doc{"_id": id}, Idem: "k-" + id}); err != nil {
+					t.Errorf("append %s: %v", id, err)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	if got := w.fsyncs.Value(); got < 1 || got > appenders*each {
+		t.Fatalf("%d fsyncs for %d appends", got, appenders*each)
+	}
+
+	// Gathered: 64 appenders that arrive during one slow commit cost one
+	// fsync between them.
+	before := w.fsyncs.Value()
+	release := holdWAL(w)
+	ids := walIDs("held-", 64)
+	errs := gatherAppenders(t, w, ids)
+	release()
+	for range ids {
+		if err := <-errs; err != nil {
+			t.Fatalf("gathered append: %v", err)
+		}
+	}
+	if got := w.fsyncs.Value() - before; got != 1 {
+		t.Fatalf("64 gathered appends cost %d fsyncs, want 1", got)
+	}
+
+	size := w.bytes()
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	seen, replayedSize := replayCounts(t, path)
+	if replayedSize != size {
+		t.Fatalf("replay kept %d of %d bytes: the log was not CRC-clean", replayedSize, size)
+	}
+	if len(seen) != appenders*each+len(ids) {
+		t.Fatalf("replayed %d distinct records, want %d", len(seen), appenders*each+len(ids))
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("record %s replayed %d times", id, n)
+		}
+	}
+}
+
+// TestWALGroupFailureFailsEveryWaiter: when the group's write or fsync
+// fails, no member of that group is acked; the next group, on a healthy
+// file, commits normally, and only its records replay.
+func TestWALGroupFailureFailsEveryWaiter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard0.wal")
+	w, err := openWAL(path, func(walRecord) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(walRecord{Op: "insert", ID: "first", Doc: jsondoc.Doc{"_id": "first"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	release := holdWAL(w)
+	doomed := walIDs("doomed-", 16)
+	errs := gatherAppenders(t, w, doomed)
+	healthy := w.f
+	broken, err := os.Open(path) // read-only: the write fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f = broken
+	release()
+	for range doomed {
+		if err := <-errs; err == nil {
+			t.Fatal("an appender was acked out of a group whose write failed")
+		}
+	}
+	broken.Close()
+
+	w.mu.Lock()
+	w.f = healthy
+	w.mu.Unlock()
+	later := walIDs("later-", 8)
+	var wg sync.WaitGroup
+	for _, id := range later {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if err := w.append(walRecord{Op: "insert", ID: id, Doc: jsondoc.Doc{"_id": id}}); err != nil {
+				t.Errorf("append %s after the file recovered: %v", id, err)
+			}
+		}(id)
+	}
+	wg.Wait()
+	w.close()
+
+	seen, _ := replayCounts(t, path)
+	if len(seen) != 1+len(later) {
+		t.Fatalf("replayed %d records (%v), want the %d acked ones", len(seen), seen, 1+len(later))
+	}
+	for _, id := range doomed {
+		if seen[id] != 0 {
+			t.Fatalf("unacked record %s replayed", id)
 		}
 	}
 }
