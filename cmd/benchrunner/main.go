@@ -7,9 +7,6 @@
 //	benchrunner               # run everything at full size
 //	benchrunner -quick        # reduced sizes (~seconds per experiment)
 //	benchrunner -exp e1,e3    # selected experiments
-//	benchrunner -searchbench BENCH_search.json
-//	                          # search throughput/cache benchmark only,
-//	                          # JSON result written to the given file
 //	benchrunner -loadbench BENCH_load.json
 //	                          # request-lifecycle overload benchmark:
 //	                          # shed/cancel/deadline counts under load
@@ -45,7 +42,6 @@ func main() {
 
 	quick := flag.Bool("quick", false, "run reduced-size experiments")
 	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e10) or 'all'")
-	searchBench := flag.String("searchbench", "", "run the search concurrency/cache benchmark and write JSON to this file")
 	loadBench := flag.String("loadbench", "", "run the request-lifecycle overload benchmark and write JSON to this file")
 	chaosBench := flag.String("chaosbench", "", "run the shard kill/recover chaos benchmark and write JSON to this file")
 	soakBench := flag.String("soakbench", "", "run the multi-tenant soak benchmark and write JSON to this file; exits non-zero on SLO breach")
@@ -156,62 +152,6 @@ func main() {
 		fmt.Printf("  server counters: requests_shed=%d requests_cancelled=%d deadline_exceeded=%d\n",
 			res.RequestsShed, res.RequestsCancelled, res.DeadlineExceeded)
 		fmt.Printf("written to %s\n", *loadBench)
-		return
-	}
-
-	if *searchBench != "" {
-		res := experiments.RunSearchBench(*quick)
-		writeJSONFile(*searchBench, res)
-		fmt.Printf("search bench over %d docs (%d cores, %d workers):\n", res.Docs, res.Cores, res.Workers)
-		fmt.Printf("  serial %.1f qps, parallel %.1f qps (%.2fx)\n", res.SerialQPS, res.ParallelQPS, res.Speedup)
-		fmt.Printf("  page-1 cold %.0fµs, warm %.0fµs (%.0fx)\n", res.ColdPage1Us, res.WarmPage1Us, res.CacheGain)
-		for _, sh := range res.ColdByShape {
-			fmt.Printf("  cold %-11s p50 %.0fµs  p95 %.0fµs  (%d queries, %d samples)\n",
-				sh.Shape, sh.P50Us, sh.P95Us, sh.Queries, sh.Samples)
-		}
-		fmt.Printf("  topk %.0fµs vs fullsort %.0fµs (%.1fx), pages identical: %v\n",
-			res.TopK.TopKColdUs, res.TopK.FullSortColdUs, res.TopK.Speedup, res.TopK.PagesIdentical)
-		fmt.Printf("  index_path=%d fallback_path=%d pruned_docs=%d\n",
-			res.TopK.IndexPathQueries, res.TopK.FallbackPathQueries, res.TopK.PrunedDocs)
-		if res.TopK.IndexPathQueries == 0 {
-			log.Fatal("search bench: index-native path served 0 queries (dispatch gate broken?)")
-		}
-		if !res.TopK.PagesIdentical {
-			log.Fatal("search bench: topk and fullsort pages diverged (parity violated)")
-		}
-		// On a multi-core host the parallel mode must not lose to serial:
-		// the fan-out floor guarantees small inputs collapse to the serial
-		// path, so a >10% deficit means the parallel path itself regressed.
-		// Single-core hosts are exempt — both modes run the same serial
-		// code there and the gap is pure measurement noise.
-		if res.Cores > 1 && res.ParallelQPS < 0.9*res.SerialQPS {
-			log.Fatalf("search bench: parallel %.1f qps is >10%% below serial %.1f qps on a %d-core host",
-				res.ParallelQPS, res.SerialQPS, res.Cores)
-		}
-		sc := res.Scale
-		fmt.Printf("  scale %d docs: built in %.0fms, heap +%.0fMB, postings %.1fMB across %d segments (%d seals, %d merges)\n",
-			sc.Docs, sc.BuildMs, sc.HeapAllocMB, sc.PostingMB, sc.Segments, sc.Seals, sc.Merges)
-		fmt.Printf("  scale cold p95 %.0fµs; live writer +%d docs: p95 %.0fµs, warm hits %d, term stalings %d\n",
-			sc.ColdP95Us, sc.LiveWriterDocs, sc.LiveP95Us, sc.LiveWarmHits, sc.LiveStaleTerm)
-		if sc.Segments == 0 {
-			log.Fatal("search bench: scale ingest produced no sealed segments (seal path broken?)")
-		}
-		if sc.LiveWarmHits == 0 {
-			log.Fatal("search bench: cache never warm under the live writer (term-scoped invalidation broken?)")
-		}
-		// Generous ceilings — these catch order-of-magnitude regressions
-		// (accidental full-scan, unbounded heap), not CI-runner jitter.
-		coldBudget, heapBudget := 5_000_000.0, 2048.0 // full mode: 100K docs
-		if *quick {
-			coldBudget, heapBudget = 1_000_000.0, 512.0
-		}
-		if sc.ColdP95Us > coldBudget {
-			log.Fatalf("search bench: scale cold p95 %.0fµs exceeds %.0fµs budget", sc.ColdP95Us, coldBudget)
-		}
-		if sc.HeapAllocMB > heapBudget {
-			log.Fatalf("search bench: scale heap %.0fMB exceeds %.0fMB budget", sc.HeapAllocMB, heapBudget)
-		}
-		fmt.Printf("written to %s\n", *searchBench)
 		return
 	}
 

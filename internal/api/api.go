@@ -302,14 +302,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := s.met.Snapshot()
 	snap["runtime"] = rt
 	snap["search_cache"] = s.sys.Search.CacheStats()
-	snap["search_workers"] = s.sys.Search.Workers()
-	// which scoring path served queries (read from the engine's own
-	// registry, which may differ from the server's)
-	idx, fb, pruned := s.sys.Search.ScoringStats()
+	// read from the engine's own registry, which may differ from the
+	// server's
+	reads, pruned := s.sys.Search.ScoringStats()
 	snap["search_scoring"] = map[string]int64{
-		"index_path_queries":    idx,
-		"fallback_path_queries": fb,
-		"topk_pruned_docs":      pruned,
+		"candidate_read_queries": reads,
+		"topk_pruned_docs":       pruned,
 	}
 	writeJSON(w, http.StatusOK, snap)
 }
@@ -340,9 +338,16 @@ func (s *Server) handleTableMatches(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	ms, err := s.sys.Search.TableCellMatchesContext(r.Context(), r.PathValue("id"), q)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, docstore.ErrNotFound) {
+		// only an unsearchable query is the caller's fault; a dark shard
+		// is 503, as for the publication itself
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, search.ErrBadQuery):
+			status = http.StatusBadRequest
+		case errors.Is(err, docstore.ErrNotFound):
 			status = http.StatusNotFound
+		case errors.Is(err, docstore.ErrShardUnavailable):
+			status = http.StatusServiceUnavailable
 		}
 		writeErr(w, r, failStatus(err, status), err)
 		return

@@ -429,6 +429,31 @@ func TestSearchZeroHitsStillOnePage(t *testing.T) {
 	}
 }
 
+// TestPagePastTheEndHoweverLarge: a page number whose product with the
+// page size overflows int is still just a page past the end — 200, no
+// results, the true Total — on the search handler and on the handlers
+// that page through paginateSlice.
+func TestPagePastTheEndHoweverLarge(t *testing.T) {
+	s, _ := testServer(t)
+	for _, path := range []string{
+		"/api/v1/search?q=vaccine",
+		"/api/v1/search?engine=tables&q=vaccine",
+		"/api/v1/search?engine=fields&abstract=vaccine",
+		"/api/v1/search?q=%22of+the%22+vaccine",
+		"/api/v1/kg/search?q=vaccines",
+	} {
+		for _, page := range []string{"9223372036854775807", "922337203685477580", "4611686018427387904"} {
+			rec, body := get(t, s, path+"&page="+page)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s page=%s = %d: %v", path, page, rec.Code, body)
+			}
+			if res, _ := body["Results"].([]any); len(res) != 0 || body["Total"].(float64) < 1 {
+				t.Fatalf("%s page=%s: Results=%v Total=%v, want none and the true total", path, page, body["Results"], body["Total"])
+			}
+		}
+	}
+}
+
 // TestSearchErrorStatusClasses: bad input is the caller's 400; only
 // internal failures may 500.
 func TestSearchErrorStatusClasses(t *testing.T) {

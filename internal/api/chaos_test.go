@@ -198,3 +198,23 @@ func TestRetryAfterClampedToWholeSecond(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want \"1\" (sub-second config must clamp up)", ra)
 	}
 }
+
+// TestTableMatchesErrorStatuses: only an unsearchable query is the
+// caller's 400; an unknown publication is 404 and a publication on a
+// dark shard 503, as for the publication resource itself.
+func TestTableMatchesErrorStatuses(t *testing.T) {
+	s, sys, fp, _ := chaosServer(t)
+	_, darkID := darkShard(sys, fp)
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/api/v1/publications/c01/tables?q=the+of", http.StatusBadRequest},
+		{"/api/v1/publications/nosuchid/tables?q=covid", http.StatusNotFound},
+		{"/api/v1/publications/" + darkID + "/tables?q=covid", http.StatusServiceUnavailable},
+	} {
+		if rec, body := get(t, s, tc.path); rec.Code != tc.want {
+			t.Fatalf("%s = %d (%v), want %d", tc.path, rec.Code, body, tc.want)
+		}
+	}
+}

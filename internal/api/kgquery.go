@@ -38,20 +38,16 @@ type pageEnv[T any] struct {
 
 // paginateSlice pages an in-memory result set into the envelope. An
 // empty set still has one (empty) page; an out-of-range page returns
-// empty Results with the true Total so clients can re-aim.
+// empty Results with the true Total so clients can re-aim. NumPages
+// comes first so that a page past the end — however large the number —
+// is answered before anything is multiplied by it.
 func paginateSlice[T any](all []T, page, size int) pageEnv[T] {
 	total := len(all)
-	numPages := (total + size - 1) / size
-	if numPages < 1 {
-		numPages = 1
-	}
-	lo := (page - 1) * size
-	hi := lo + size
-	if lo > total {
-		lo = total
-	}
-	if hi > total {
-		hi = total
+	numPages := max((total+size-1)/size, 1)
+	lo, hi := total, total
+	if page <= numPages {
+		lo = (page - 1) * size
+		hi = min(lo+size, total)
 	}
 	out := make([]T, hi-lo)
 	copy(out, all[lo:hi])

@@ -65,7 +65,8 @@ type Docs interface {
 	// ids sorted.
 	SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error)
 	// AllShardsServing reports whether every shard can currently serve
-	// reads — the cheap gate the index-native scoring path checks.
+	// reads — the cheap gate search checks before ranking a query from
+	// the index alone.
 	AllShardsServing() bool
 
 	// AuditWrites verifies write-acknowledgement accounting after a

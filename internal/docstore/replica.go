@@ -350,7 +350,7 @@ func (c *Collection) SnapshotShardContext(ctx context.Context, si int) ([]jsondo
 
 // ShardIDsContext returns one shard's document ids (sorted), served by
 // any healthy up-to-date replica via a hedged read, cloning nothing —
-// callers that only need ids (the search scan fallback, candidate
+// callers that only need ids (the search engine's id scan, candidate
 // feeds) use it instead of materializing the shard. When every replica
 // fails, the error is a ShardError wrapping ErrShardUnavailable.
 func (c *Collection) ShardIDsContext(ctx context.Context, si int) ([]string, error) {

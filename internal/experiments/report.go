@@ -91,7 +91,7 @@ func f1d(v float64) string { return fmt.Sprintf("%.1f", v) }
 
 // ----------------------------------------------------------------------
 // Shared benchmark plumbing. The BENCH_* harnesses (loadbench,
-// chaosbench, searchbench, soakbench) all need the same four things — a
+// chaosbench, soakbench) all need the same four things — a
 // seeded RNG, a generated corpus ingested into a system, an HTTP query
 // mix, and percentile math over latency samples — so they live here
 // once instead of being copied per bench.

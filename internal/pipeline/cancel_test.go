@@ -90,20 +90,6 @@ func TestRunContextStageCancellation(t *testing.T) {
 	}
 }
 
-func TestParallelStagesCancelled(t *testing.T) {
-	docs := cancelDocs(10 * CancelCheckInterval)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, p := range []*Pipeline{
-		New(ParallelMatch(func(jsondoc.Doc) bool { return true })),
-		New(ParallelFunction("pf", func(d jsondoc.Doc) (jsondoc.Doc, error) { return d, nil })),
-	} {
-		if _, err := p.RunContext(ctx, SliceSource(docs)); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s: err = %v, want context.Canceled", p.Explain(), err)
-		}
-	}
-}
-
 func TestRunContextLiveMatchesRun(t *testing.T) {
 	docs := cancelDocs(3 * CancelCheckInterval)
 	build := func() *Pipeline {

@@ -1,17 +1,6 @@
 package pipeline
 
-import (
-	"context"
-	"fmt"
-	"runtime"
-	"sync"
-
-	"covidkg/internal/jsondoc"
-)
-
-// DefaultWorkers is the worker count parallel stages use when none is
-// set: one per schedulable CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+import "sync"
 
 // ParallelChunks partitions [0, n) into at most workers contiguous
 // chunks and runs fn(lo, hi) for each chunk on its own goroutine,
@@ -45,7 +34,7 @@ func ParallelChunks(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MinItemsPerWorker is the fan-out floor CPU-bound stages apply through
+// MinItemsPerWorker is the fan-out floor CPU-bound loops apply through
 // ParallelChunksMin: spawning a goroutine to match or rank fewer
 // documents than this costs more in scheduling than the work itself, so
 // small inputs run on fewer goroutines (degrading to fully serial)
@@ -67,137 +56,4 @@ func ParallelChunksMin(n, workers, minPerWorker int, fn func(lo, hi int)) {
 		}
 	}
 	ParallelChunks(n, workers, fn)
-}
-
-// ---------------------------------------------------------- $match (par)
-
-// ParallelMatchStage evaluates a predicate over the buffered stream in
-// parallel, preserving input order — the scaled-out form of $match for
-// full-corpus scans where candidate generation cannot help. The
-// predicate must be safe for concurrent calls and must not mutate the
-// document.
-type ParallelMatchStage struct {
-	pred    func(jsondoc.Doc) bool
-	workers int
-}
-
-// ParallelMatch builds an order-preserving parallel $match stage using
-// DefaultWorkers.
-func ParallelMatch(pred func(jsondoc.Doc) bool) *ParallelMatchStage {
-	return &ParallelMatchStage{pred: pred, workers: DefaultWorkers()}
-}
-
-// Workers overrides the worker count (≤1 means serial) and returns the
-// stage for chaining.
-func (m *ParallelMatchStage) Workers(n int) *ParallelMatchStage {
-	m.workers = n
-	return m
-}
-
-// Name implements Stage.
-func (m *ParallelMatchStage) Name() string { return "$match(parallel)" }
-
-// Run implements Stage. The output order is identical to a serial
-// MatchStage over the same input: keep-decisions are computed in
-// parallel, the compaction is sequential.
-func (m *ParallelMatchStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	return m.RunContext(context.Background(), in)
-}
-
-// RunContext implements ContextStage: every worker checks the context
-// every CancelCheckInterval documents and stops working on its chunk
-// when the request is gone, so cancellation frees the whole pool within
-// one check interval.
-func (m *ParallelMatchStage) RunContext(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	keep := make([]bool, len(in))
-	ParallelChunksMin(len(in), m.workers, MinItemsPerWorker, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if (i-lo)%CancelCheckInterval == CancelCheckInterval-1 && ctx.Err() != nil {
-				return
-			}
-			keep[i] = m.pred(in[i])
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := in[:0]
-	for i, d := range in {
-		if keep[i] {
-			out = append(out, d)
-		}
-	}
-	return out, nil
-}
-
-// ------------------------------------------------------- $function (par)
-
-// ParallelFunctionStage applies a per-document transformation in
-// parallel, preserving input order — the scaled-out $function used by
-// the ranking stage. fn must be safe for concurrent calls; it may mutate
-// its own document (documents are partitioned across workers) but must
-// not touch shared state without synchronization. Returning a nil
-// document drops it from the stream; the first error (by input position)
-// aborts the stage deterministically.
-type ParallelFunctionStage struct {
-	name    string
-	fn      func(jsondoc.Doc) (jsondoc.Doc, error)
-	workers int
-}
-
-// ParallelFunction builds an order-preserving parallel $function stage
-// using DefaultWorkers.
-func ParallelFunction(name string, fn func(jsondoc.Doc) (jsondoc.Doc, error)) *ParallelFunctionStage {
-	return &ParallelFunctionStage{name: name, fn: fn, workers: DefaultWorkers()}
-}
-
-// Workers overrides the worker count (≤1 means serial) and returns the
-// stage for chaining.
-func (f *ParallelFunctionStage) Workers(n int) *ParallelFunctionStage {
-	f.workers = n
-	return f
-}
-
-// Name implements Stage.
-func (f *ParallelFunctionStage) Name() string { return "$function(" + f.name + ",parallel)" }
-
-// Run implements Stage.
-func (f *ParallelFunctionStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	return f.RunContext(context.Background(), in)
-}
-
-// RunContext implements ContextStage: workers stop dequeuing from their
-// chunk within CancelCheckInterval documents of cancellation, and the
-// stage returns ctx.Err() instead of a partial mapping.
-func (f *ParallelFunctionStage) RunContext(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	mapped := make([]jsondoc.Doc, len(in))
-	errAt := make([]error, len(in))
-	ParallelChunksMin(len(in), f.workers, MinItemsPerWorker, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if (i-lo)%CancelCheckInterval == CancelCheckInterval-1 && ctx.Err() != nil {
-				return // abandon the chunk; the ctx.Err() check below reports it
-			}
-			nd, err := f.fn(in[i])
-			if err != nil {
-				errAt[i] = err
-				return // abandon this chunk; first error wins below
-			}
-			mapped[i] = nd
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errAt {
-		if err != nil {
-			return nil, fmt.Errorf("doc %d: %w", i, err)
-		}
-	}
-	out := in[:0]
-	for _, d := range mapped {
-		if d != nil {
-			out = append(out, d)
-		}
-	}
-	return out, nil
 }

@@ -1,24 +1,9 @@
 package pipeline
 
 import (
-	"errors"
-	"fmt"
-	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"covidkg/internal/jsondoc"
 )
-
-func numberedDocs(n int) []jsondoc.Doc {
-	out := make([]jsondoc.Doc, n)
-	for i := range out {
-		out[i] = jsondoc.Doc{"_id": fmt.Sprintf("d%04d", i), "n": float64(i)}
-	}
-	return out
-}
 
 func TestParallelChunksCoversAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
@@ -36,136 +21,21 @@ func TestParallelChunksCoversAll(t *testing.T) {
 	ParallelChunks(0, 4, func(lo, hi int) { t.Fatal("called for n=0") })
 }
 
-// TestParallelMatchOrderIdenticalToSerial: the parallel $match must
-// produce byte-identical output to the serial stage for any worker
-// count.
-func TestParallelMatchOrderIdenticalToSerial(t *testing.T) {
-	docs := numberedDocs(103)
-	pred := func(d jsondoc.Doc) bool {
-		n, _ := d.GetNumber("n")
-		return int(n)%3 != 0
-	}
-	serial, err := Match(pred).Run(append([]jsondoc.Doc(nil), docs...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 7, 64} {
-		par, err := ParallelMatch(pred).Workers(workers).Run(append([]jsondoc.Doc(nil), docs...))
-		if err != nil {
-			t.Fatal(err)
+// TestParallelChunksMinFloor: below the per-goroutine floor the work runs
+// as one synchronous call; above it every goroutine gets at least the
+// floor, and the chunks still cover [0, n) exactly once.
+func TestParallelChunksMinFloor(t *testing.T) {
+	for _, tc := range []struct{ n, workers, wantChunks int }{
+		{63, 8, 1}, {128, 8, 2}, {1000, 4, 4}, {1000, 1, 1},
+	} {
+		var chunks, hits atomic.Int64
+		ParallelChunksMin(tc.n, tc.workers, MinItemsPerWorker, func(lo, hi int) {
+			chunks.Add(1)
+			hits.Add(int64(hi - lo))
+		})
+		if int(chunks.Load()) != tc.wantChunks || int(hits.Load()) != tc.n {
+			t.Fatalf("n=%d workers=%d: %d chunks covering %d, want %d covering %d",
+				tc.n, tc.workers, chunks.Load(), hits.Load(), tc.wantChunks, tc.n)
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: order diverged", workers)
-		}
-	}
-}
-
-func TestParallelFunctionOrderAndDrop(t *testing.T) {
-	docs := numberedDocs(50)
-	fn := func(d jsondoc.Doc) (jsondoc.Doc, error) {
-		n, _ := d.GetNumber("n")
-		if int(n)%5 == 0 {
-			return nil, nil // drop
-		}
-		if err := d.Set("sq", n*n); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	out, err := ParallelFunction("sq", fn).Workers(4).Run(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 40 {
-		t.Fatalf("len = %d", len(out))
-	}
-	prev := -1.0
-	for _, d := range out {
-		n, _ := d.GetNumber("n")
-		if n <= prev {
-			t.Fatalf("order broken at n=%v", n)
-		}
-		sq, _ := d.GetNumber("sq")
-		if sq != n*n {
-			t.Fatalf("sq(%v) = %v", n, sq)
-		}
-		prev = n
-	}
-}
-
-func TestParallelFunctionFirstErrorWins(t *testing.T) {
-	docs := numberedDocs(40)
-	boom := errors.New("boom")
-	fn := func(d jsondoc.Doc) (jsondoc.Doc, error) {
-		n, _ := d.GetNumber("n")
-		if int(n) == 7 || int(n) == 31 {
-			return nil, boom
-		}
-		return d, nil
-	}
-	for _, workers := range []int{1, 4} {
-		_, err := ParallelFunction("err", fn).Workers(workers).Run(append([]jsondoc.Doc(nil), docs...))
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		// deterministic: the first failing position is always reported
-		if want := "doc 7:"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("workers=%d: err = %v, want position %q", workers, err, want)
-		}
-	}
-}
-
-func TestParallelStagesInsidePipeline(t *testing.T) {
-	docs := numberedDocs(200)
-	p := New(
-		ParallelMatch(func(d jsondoc.Doc) bool {
-			n, _ := d.GetNumber("n")
-			return int(n)%2 == 0
-		}).Workers(4),
-		ParallelFunction("score", func(d jsondoc.Doc) (jsondoc.Doc, error) {
-			n, _ := d.GetNumber("n")
-			if err := d.Set("score", -n); err != nil {
-				return nil, err
-			}
-			return d, nil
-		}).Workers(4),
-		SortByDesc("score"),
-	)
-	out, err := p.Run(SliceSource(docs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 100 {
-		t.Fatalf("len = %d", len(out))
-	}
-	if id := out[0].GetString("_id"); id != "d0000" {
-		t.Fatalf("top = %s", id)
-	}
-}
-
-func TestPipelineObserver(t *testing.T) {
-	docs := numberedDocs(10)
-	var stages []string
-	var totalIn int
-	p := New(
-		Match(func(jsondoc.Doc) bool { return true }),
-		Project("n"),
-		SortBy("n"),
-	).Observe(func(stage string, d time.Duration, in, out int) {
-		stages = append(stages, stage)
-		totalIn += in
-		if d < 0 {
-			t.Errorf("negative duration for %s", stage)
-		}
-	})
-	if _, err := p.Run(SliceSource(docs)); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"$source+$match", "$project", "$sort"}
-	if !reflect.DeepEqual(stages, want) {
-		t.Fatalf("stages = %v", stages)
-	}
-	if totalIn != 30 {
-		t.Fatalf("observed in-counts sum = %d", totalIn)
 	}
 }

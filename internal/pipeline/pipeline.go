@@ -19,7 +19,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 
 	"covidkg/internal/jsondoc"
 )
@@ -63,26 +62,13 @@ type Source interface {
 	Scan(fn func(jsondoc.Doc) bool)
 }
 
-// StageObserver receives per-stage execution telemetry: the stage name,
-// its wall-clock duration, and the stream sizes in and out. The leading
-// streamed $match phase is reported under the name "$source+$match".
-type StageObserver func(stage string, d time.Duration, in, out int)
-
 // Pipeline is an ordered list of stages applied to a source.
 type Pipeline struct {
 	stages []Stage
-	obs    StageObserver
 }
 
 // New builds a pipeline from stages.
 func New(stages ...Stage) *Pipeline { return &Pipeline{stages: stages} }
-
-// Observe installs a per-stage telemetry callback and returns the
-// pipeline for chaining. A nil observer disables telemetry.
-func (p *Pipeline) Observe(obs StageObserver) *Pipeline {
-	p.obs = obs
-	return p
-}
 
 // Append adds stages and returns the pipeline for chaining.
 func (p *Pipeline) Append(stages ...Stage) *Pipeline {
@@ -131,7 +117,6 @@ func (p *Pipeline) RunContext(ctx context.Context, src Source) ([]jsondoc.Doc, e
 	var buf []jsondoc.Doc
 	scanned := 0
 	cancelled := false
-	start := time.Now()
 	src.Scan(func(d jsondoc.Doc) bool {
 		scanned++
 		if scanned%CancelCheckInterval == 0 && ctx.Err() != nil {
@@ -149,23 +134,15 @@ func (p *Pipeline) RunContext(ctx context.Context, src Source) ([]jsondoc.Doc, e
 	if cancelled || ctx.Err() != nil {
 		return nil, fmt.Errorf("pipeline: scan: %w", ctx.Err())
 	}
-	if p.obs != nil {
-		p.obs("$source+$match", time.Since(start), scanned, len(buf))
-	}
 
 	var err error
 	for _, st := range rest {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), ctx.Err())
 		}
-		in := len(buf)
-		start = time.Now()
 		buf, err = runStage(ctx, st, buf)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), err)
-		}
-		if p.obs != nil {
-			p.obs(st.Name(), time.Since(start), in, len(buf))
 		}
 	}
 	return buf, nil

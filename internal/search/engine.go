@@ -1,17 +1,19 @@
 // Package search implements COVIDKG's three advanced search engines
 // (§2.1): search over title/abstract/caption, search over all
 // publication fields, and search over paper tables. All three share one
-// evaluation process — an aggregation pipeline whose first stage is a
-// $match over stemmed-term regexes, followed by $project and custom
-// $function ranking stages — and differ only in which fields they match
-// and how results are formatted, exactly as the paper describes.
+// evaluation process (runQuery) — candidates from the inverted index,
+// a match predicate over stemmed terms and quoted phrases, one weighted-
+// feature scorer, a bounded top-k heap — and differ only in which fields
+// they match and how results are formatted, exactly as the paper
+// describes. The paper runs that process as a MongoDB aggregation
+// pipeline ($match first, then $project and a custom $function); that
+// form, and its $match-first claim, are reproduced by internal/pipeline
+// behind POST /api/v1/aggregate and experiment E3, not here.
 package search
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -19,7 +21,6 @@ import (
 	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
-	"covidkg/internal/pipeline"
 	"covidkg/internal/textproc"
 )
 
@@ -48,10 +49,11 @@ const (
 const PerPage = 10
 
 // Engine ties a publication collection to its inverted index and hosts
-// the three search entry points. Queries run concurrently: candidate
-// scoring fans out over a bounded worker pool, and computed pages are
-// held in a generation-versioned LRU so repeated queries skip the
-// pipeline entirely. All methods are safe for concurrent use.
+// the three search entry points. Queries run concurrently: reading and
+// scoring candidate documents fans out over GOMAXPROCS workers, and
+// computed pages are held in a generation-versioned LRU so repeated
+// queries skip ranking entirely. All methods are safe for concurrent
+// use.
 type Engine struct {
 	coll docstore.Docs
 	idx  *index.Index
@@ -59,8 +61,6 @@ type Engine struct {
 	// rankOpts is copy-on-set so concurrent queries never observe a
 	// torn options struct.
 	rankOpts atomic.Pointer[RankOptions]
-	// workers bounds the scoring/matching fan-out (default GOMAXPROCS).
-	workers atomic.Int32
 	// gen is bumped by global invalidations (removal, option changes);
 	// cache entries carry it plus per-term index write generations, so a
 	// removal or option flip stales every cached page while an ingest
@@ -68,10 +68,6 @@ type Engine struct {
 	gen   atomic.Uint64
 	cache atomic.Pointer[queryCache]
 	met   *metrics.Registry
-	// indexScoring enables the index-native top-k path for eligible
-	// query shapes (on by default; off forces the pipeline path, used
-	// by benchmarks and the parity property test).
-	indexScoring atomic.Bool
 }
 
 // NewEngine builds a search engine over the given publication
@@ -82,9 +78,7 @@ func NewEngine(coll docstore.Docs) *Engine {
 	e := &Engine{coll: coll, idx: index.New(), met: metrics.Default()}
 	e.idx.SetFieldWeights(fieldWeights)
 	e.rankOpts.Store(&RankOptions{})
-	e.workers.Store(int32(pipeline.DefaultWorkers()))
 	e.cache.Store(newQueryCache(defaultCacheEntries, defaultCacheBytes))
-	e.indexScoring.Store(true)
 	coll.Scan(func(d jsondoc.Doc) bool {
 		e.indexDoc(d)
 		return true
@@ -92,25 +86,13 @@ func NewEngine(coll docstore.Docs) *Engine {
 	return e
 }
 
-// SetIndexScoring toggles the index-native top-k scoring path. Both
-// settings produce identical pages (the paths are parity-tested); off
-// forces every query through the full materialize-match-rank pipeline.
-// Toggling bumps the generation so cached pages carry no stale counters
-// semantics across a switch.
-func (e *Engine) SetIndexScoring(on bool) {
-	e.indexScoring.Store(on)
-	e.invalidate()
-}
-
-// IndexScoring reports whether the index-native top-k path is enabled.
-func (e *Engine) IndexScoring() bool { return e.indexScoring.Load() }
-
-// ScoringStats reports how many queries each scoring path served and
-// how many candidate documents the top-k bound pruned, for the metrics
-// endpoint and benchmarks.
-func (e *Engine) ScoringStats() (indexPath, fallback, pruned int64) {
-	return e.met.Counter("index_path_queries").Value(),
-		e.met.Counter("fallback_path_queries").Value(),
+// ScoringStats reports how many queries had to read their candidates'
+// documents before ranking (a quoted phrase, an id scan, a shard not
+// serving, or a winner that vanished after an index-only ranking) and
+// how many candidates the top-k bound pruned unscored, for the metrics
+// endpoint.
+func (e *Engine) ScoringStats() (candidateReads, pruned int64) {
+	return e.met.Counter("candidate_read_queries").Value(),
 		e.met.Counter("topk_pruned_docs").Value()
 }
 
@@ -126,29 +108,6 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 	if reg != nil {
 		e.met = reg
 	}
-}
-
-// Workers returns the current scoring fan-out width, clamped to
-// runtime.GOMAXPROCS(0): spawning more scoring goroutines than
-// schedulable CPUs only adds switch overhead (on a 1-core host the
-// parallel path used to lose to the serial one), and at width 1 the
-// pipeline stages skip pool spawn entirely and run inline.
-func (e *Engine) Workers() int {
-	n := int(e.workers.Load())
-	if max := runtime.GOMAXPROCS(0); n > max {
-		return max
-	}
-	return n
-}
-
-// SetWorkers bounds the per-query worker pool; n ≤ 1 forces fully
-// serial execution (useful for benchmarking the speedup). Values above
-// runtime.GOMAXPROCS(0) are clamped at read time.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers.Store(int32(n))
 }
 
 // SetCacheLimits replaces the query cache with one bounded by maxItems
@@ -313,7 +272,7 @@ func (e *Engine) indexDoc(d jsondoc.Doc) {
 			e.idx.Add(id, FieldFigureCaption, s)
 		}
 	}
-	// Record the static (recency) feature so index-native scoring never
+	// Record the static (recency) feature so scoring from postings never
 	// needs the stored document.
 	e.idx.SetStatic(id, recencyOf(d))
 }
@@ -406,29 +365,6 @@ type Page struct {
 	MissingShards []int `json:"missing_shards,omitempty"`
 }
 
-func paginate(all []Result, pageNum int) Page {
-	if pageNum < 1 {
-		pageNum = 1
-	}
-	total := len(all)
-	// an empty result set still has one (empty) page, so NumPages ≥ 1
-	// and PageNum ≤ NumPages always holds for page 1
-	numPages := (total + PerPage - 1) / PerPage
-	if numPages < 1 {
-		numPages = 1
-	}
-	start := (pageNum - 1) * PerPage
-	var res []Result
-	if start < total {
-		end := start + PerPage
-		if end > total {
-			end = total
-		}
-		res = all[start:end]
-	}
-	return Page{Results: res, Total: total, PageNum: pageNum, PerPage: PerPage, NumPages: numPages}
-}
-
 // resultFromDoc builds the result skeleton (identity fields) from a
 // stored publication.
 func resultFromDoc(d jsondoc.Doc, score float64) Result {
@@ -445,17 +381,6 @@ func resultFromDoc(d jsondoc.Doc, score float64) Result {
 		Authors: authors,
 		Journal: d.GetString("journal"),
 	}
-}
-
-// sortResults orders by descending score with doc id as the
-// deterministic tiebreak.
-func sortResults(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		return rs[i].DocID < rs[j].DocID
-	})
 }
 
 // queryOrError parses the query and rejects empty ones.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -41,30 +43,27 @@ func expandSynonyms(stems []string) []string {
 const candidateFetchBatch = 256
 
 // resolveCandidates fetches candidate documents by id through batched
-// Docs.GetMany calls, the batches partitioned across the worker pool —
-// in process each Get deep-copies the document, over the network each
+// Docs.GetMany calls, the batches partitioned across GOMAXPROCS workers
+// — in process each Get deep-copies the document, over the network each
 // batch collapses to one frame per shard, and both dominate candidate
-// materialization on large result sets. Ids that vanished under a
-// concurrent delete are skipped; input order is preserved. A batch
-// touching a dark shard does not fail the query: the shard lands in
-// the missing list and the query degrades to a partial result over the
-// surviving shards (the shard's breakers make the remaining fetches
-// fail fast). Each batch checks the context before it starts, and a
-// dead context is returned as ctx.Err().
-func (e *Engine) resolveCandidates(ctx context.Context, ids []string, workers int) ([]jsondoc.Doc, []int, error) {
+// materialization on large result sets. docs aligns with ids; an id that
+// vanished under a concurrent delete, or whose shard is dark, is nil. A
+// batch touching a dark shard does not fail the query: the shard lands
+// in the missing list (sorted) and the query degrades to a partial
+// result over the surviving shards (the shard's breakers make the
+// remaining fetches fail fast). Each batch checks the context before it
+// starts, and a dead context is returned as ctx.Err().
+func (e *Engine) resolveCandidates(ctx context.Context, ids []string) ([]jsondoc.Doc, []int, error) {
 	docs := make([]jsondoc.Doc, len(ids))
 	nb := (len(ids) + candidateFetchBatch - 1) / candidateFetchBatch
 	missAt := make([][]int, nb)
-	pipeline.ParallelChunks(nb, workers, func(lo, hi int) {
+	pipeline.ParallelChunks(nb, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			if ctx.Err() != nil {
 				return
 			}
 			start := b * candidateFetchBatch
-			end := start + candidateFetchBatch
-			if end > len(ids) {
-				end = len(ids)
-			}
+			end := min(start+candidateFetchBatch, len(ids))
 			bd, bm, err := e.coll.GetMany(ctx, ids[start:end])
 			if err != nil {
 				return // only a dead context; reported below
@@ -76,39 +75,24 @@ func (e *Engine) resolveCandidates(ctx context.Context, ids []string, workers in
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	seen := map[int]bool{}
 	var missing []int
 	for _, bm := range missAt {
-		for _, si := range bm {
-			if !seen[si] {
-				seen[si] = true
-				missing = append(missing, si)
-			}
-		}
+		missing = mergeMissing(missing, bm)
 	}
-	sort.Ints(missing)
-	out := docs[:0]
-	for _, d := range docs {
-		if d != nil {
-			out = append(out, d)
-		}
-	}
-	return out, missing, nil
+	return docs, missing, nil
 }
 
 // scatterScanIDs lists the whole collection's doc ids shard by shard,
 // the shards raced in parallel through hedged replica id reads. Unlike
-// the old full-document scatter scan this clones nothing — downstream
-// stages fetch only the documents they actually need (resolveCandidates
-// for the pipeline's match stage, page materialization for top-k). A
+// a full-document scatter scan this clones nothing. A
 // shard whose every replica is unavailable is skipped and reported in
 // missing rather than failing the scan. Context errors still abort the
 // whole scan. The returned ids are globally sorted.
-func (e *Engine) scatterScanIDs(ctx context.Context, workers int) ([]string, []int, error) {
+func (e *Engine) scatterScanIDs(ctx context.Context) ([]string, []int, error) {
 	n := e.coll.NumShards()
 	snaps := make([][]string, n)
 	errs := make([]error, n)
-	pipeline.ParallelChunks(n, workers, func(lo, hi int) {
+	pipeline.ParallelChunks(n, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for si := lo; si < hi; si++ {
 			snaps[si], errs[si] = e.coll.ShardIDsContext(ctx, si)
 		}
@@ -188,132 +172,13 @@ func (e *Engine) queryCandidates(terms []textproc.QueryTerm, fields map[string]b
 	return ids, verify, true
 }
 
-// runSearch executes the shared §2.1 evaluation process, scaled out over
-// the engine's worker pool: a parallel $match stage filters candidates
-// (order-preserving, so results match serial execution exactly), a
-// $project keeps only fields later stages need, and a parallel custom
-// $function stage computes the ranking score over partitioned documents.
-// Sorting and pagination conclude the pipeline. Every stage's latency is
-// recorded in the metrics registry.
-//
-// When candidates is non-nil the inverted index already resolved a
-// candidate set and the pipeline starts from those documents (fetched in
-// parallel partitions); verifyCandidates keeps the match predicate
-// active over them (needed when quoted phrases require substring
-// confirmation). A nil candidates list falls back to a full scan, which
-// the parallel $match also partitions across workers.
-func (e *Engine) runSearch(
-	ctx context.Context,
-	matchPred func(jsondoc.Doc) bool,
-	candidates []string,
-	verifyCandidates bool,
-	terms []textproc.QueryTerm,
-	rankFields map[string]bool,
-	snippetFields []string,
-	pageNum int,
-) (Page, error) {
-	workers := e.Workers()
-
-	// materialize the input stream: an id-only scatter scan supplies the
-	// candidate list when the index could not (the match predicate then
-	// stays active over the fetched docs), and candidate partitions
-	// resolve in parallel. Both paths abandon work when the request
-	// context dies.
-	start := time.Now()
-	var scanMissing []int
-	if candidates == nil {
-		var err error
-		candidates, scanMissing, err = e.scatterScanIDs(ctx, workers)
-		if err != nil {
-			return Page{}, fmt.Errorf("search: scan: %w", err)
-		}
-		verifyCandidates = true
-	}
-	buf, missing, err := e.resolveCandidates(ctx, candidates, workers)
-	if err != nil {
-		return Page{}, fmt.Errorf("search: fetch: %w", err)
-	}
-	missing = mergeMissing(scanMissing, missing)
-	if !verifyCandidates {
-		matchPred = func(jsondoc.Doc) bool { return true }
-	}
-	e.observeStage("fetch", time.Since(start))
-
-	p := pipeline.New(
-		pipeline.ParallelMatch(matchPred).Workers(workers),
-		// $project: only the fields needed "for carrying out calculations
-		// and printing to the screen" travel further down the pipeline.
-		pipeline.Project("title", "abstract", "body_text", "authors",
-			"journal", "publish_date", "tables", "figure_captions"),
-		pipeline.ParallelFunction("rank", func(d jsondoc.Doc) (jsondoc.Doc, error) {
-			ex := e.scoreDoc(d, terms, rankFields)
-			if err := d.Set("score", ex.Total); err != nil {
-				return nil, err
-			}
-			return d, nil
-		}).Workers(workers),
-		pipeline.SortByDesc("score"),
-	).Observe(func(stage string, d time.Duration, in, out int) {
-		e.observeStage(stageMetricName(stage), d)
-	})
-	docs, err := p.RunContext(ctx, pipeline.SliceSource(buf))
-	if err != nil {
-		return Page{}, err
-	}
-
-	results := make([]Result, 0, len(docs))
-	byID := make(map[string]jsondoc.Doc, len(docs))
-	for _, d := range docs {
-		score, _ := d.GetNumber("score")
-		r := resultFromDoc(d, score)
-		byID[r.DocID] = d
-		results = append(results, r)
-	}
-	sortResults(results)
-	page := paginate(results, pageNum)
-	if len(missing) > 0 {
-		sort.Ints(missing)
-		page.Partial = true
-		page.MissingShards = missing
-	}
-	// snippets scan each snippet field's text once; only the page
-	// actually returned pays for them
-	start = time.Now()
-	hl := textproc.CompileTerms(terms, false)
-	for i := range page.Results {
-		if ctx.Err() != nil {
-			return Page{}, fmt.Errorf("search: snippets: %w", ctx.Err())
-		}
-		r := &page.Results[i]
-		r.Snippets = appendSnippets(r.Snippets, byID[r.DocID], snippetFields, hl)
-	}
-	e.observeStage("snippet", time.Since(start))
-	return page, nil
-}
-
 // observeStage records one named stage latency.
 func (e *Engine) observeStage(stage string, d time.Duration) {
 	e.met.Histogram("search.stage." + stage).Observe(d)
 }
 
-// stageMetricName maps pipeline stage names to stable metric suffixes.
-func stageMetricName(stage string) string {
-	switch {
-	case strings.HasPrefix(stage, "$match"), stage == "$source+$match":
-		return "match"
-	case strings.HasPrefix(stage, "$function"):
-		return "score"
-	case stage == "$sort":
-		return "sort"
-	case stage == "$project":
-		return "project"
-	default:
-		return strings.TrimPrefix(stage, "$")
-	}
-}
-
 // clampPage normalizes a requested page number before it reaches the
-// cache key or paginate, so page 0 and page 1 share one cache entry.
+// cache key or the page math, so page 0 and page 1 share one cache entry.
 func clampPage(n int) int {
 	if n < 1 {
 		return 1
@@ -440,22 +305,15 @@ func (e *Engine) cachedSearch(ctx context.Context, engine, canon string, pageNum
 	return pg, nil
 }
 
-// mergeMissing unions two dark-shard lists without duplicates (order is
-// normalized later, when the page is marked partial).
+// mergeMissing unions two dark-shard lists into one sorted list without
+// duplicates.
 func mergeMissing(a, b []int) []int {
-	if len(a) == 0 {
-		return b
-	}
-	seen := map[int]bool{}
-	for _, si := range a {
-		seen[si] = true
-	}
 	for _, si := range b {
-		if !seen[si] {
-			seen[si] = true
+		if !slices.Contains(a, si) {
 			a = append(a, si)
 		}
 	}
+	sort.Ints(a)
 	return a
 }
 
@@ -479,7 +337,7 @@ func intersectSorted(a, b []string) []string {
 }
 
 // anyTermInFields reports whether at least one query term matches any of
-// the named fields of the document — the fallback's $match. Its matcher
+// the named fields of the document — the engines' match predicate. Its matcher
 // is compiled through the synonym table unless NoSynonyms is set
 // (verifyMatcher; quoted phrases stay literal), keeping it consistent
 // with candidate generation: a document admitted for "vaccine" via
@@ -525,41 +383,43 @@ func (e *Engine) SearchFields(q FieldQuery, pageNum int) (Page, error) {
 	return e.SearchFieldsContext(context.Background(), q, pageNum)
 }
 
+// fieldTerms is one non-empty field of a FieldQuery, parsed.
+type fieldTerms struct {
+	field string
+	terms []textproc.QueryTerm
+}
+
+// parseFieldQuery parses every non-empty field of q; allTerms is their
+// concatenation in field order.
+func parseFieldQuery(q FieldQuery) (conds []fieldTerms, allTerms []textproc.QueryTerm, _ error) {
+	for _, f := range [][2]string{
+		{FieldTitle, q.Title}, {FieldAbstract, q.Abstract}, {FieldTableCaption, q.Caption},
+	} {
+		if f[1] == "" {
+			continue
+		}
+		terms, err := queryOrError(f[1])
+		if err != nil {
+			return nil, nil, err
+		}
+		conds = append(conds, fieldTerms{f[0], terms})
+		allTerms = append(allTerms, terms...)
+	}
+	if len(conds) == 0 {
+		return nil, nil, fmt.Errorf("search: %w: all query fields empty", ErrBadQuery)
+	}
+	return conds, allTerms, nil
+}
+
 // SearchFieldsContext is engine §2.1.1 — search over paper title,
 // abstract, and table captions. "The search fields are inclusive": every
 // non-empty field must match at least one of its terms in that field, or
 // the document is dropped regardless of other fields. Cancelling ctx
-// abandons the query mid-pipeline; abandoned pages are never cached.
+// abandons the query mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchFieldsContext(ctx context.Context, q FieldQuery, pageNum int) (Page, error) {
-	type fieldTerm struct {
-		field string
-		terms []textproc.QueryTerm
-	}
-	var conds []fieldTerm
-	var allTerms []textproc.QueryTerm
-	add := func(field, query string) error {
-		if query == "" {
-			return nil
-		}
-		terms, err := queryOrError(query)
-		if err != nil {
-			return err
-		}
-		conds = append(conds, fieldTerm{field, terms})
-		allTerms = append(allTerms, terms...)
-		return nil
-	}
-	if err := add(FieldTitle, q.Title); err != nil {
+	conds, allTerms, err := parseFieldQuery(q)
+	if err != nil {
 		return Page{}, err
-	}
-	if err := add(FieldAbstract, q.Abstract); err != nil {
-		return Page{}, err
-	}
-	if err := add(FieldTableCaption, q.Caption); err != nil {
-		return Page{}, err
-	}
-	if len(conds) == 0 {
-		return Page{}, fmt.Errorf("search: %w: all query fields empty", ErrBadQuery)
 	}
 	pageNum = clampPage(pageNum)
 
@@ -571,53 +431,53 @@ func (e *Engine) SearchFieldsContext(ctx context.Context, q FieldQuery, pageNum 
 		canon.WriteString(c.field + "=" + canonicalTerms(c.terms))
 	}
 	return e.cachedSearch(ctx, "fields", canon.String(), pageNum, allTerms, func(ctx context.Context) (Page, error) {
-		rankFields := map[string]bool{FieldTitle: true, FieldAbstract: true, FieldTableCaption: true}
-		matchers := make([]*textproc.TermMatcher, len(conds))
-		for i, c := range conds {
-			matchers[i] = e.verifyMatcher(c.terms)
-		}
-		match := func(d jsondoc.Doc) bool {
+		return e.runQuery(ctx, e.fieldsPlan(conds, allTerms), false, pageNum)
+	})
+}
+
+// fieldsPlan resolves the fields engine's per-field conditions.
+func (e *Engine) fieldsPlan(conds []fieldTerms, allTerms []textproc.QueryTerm) plan {
+	matchers := make([]*textproc.TermMatcher, len(conds))
+	for i, c := range conds {
+		matchers[i] = e.verifyMatcher(c.terms)
+	}
+	q := plan{
+		match: func(d jsondoc.Doc) bool {
 			for i, c := range conds {
 				if !anyTermInFields(d, matchers[i], c.field) {
 					return false
 				}
 			}
 			return true
-		}
-		// Inclusive semantics via the index: intersect per-field candidate
-		// sets; quoted phrases keep the verification predicate active.
-		start := time.Now()
-		var candidates []string
-		verify := false
-		resolvable := true
-		for i, c := range conds {
-			ids, v, ok := e.queryCandidates(c.terms, map[string]bool{c.field: true})
-			if !ok {
-				resolvable = false
-				break
-			}
-			verify = verify || v
-			if i == 0 {
-				candidates = ids
-			} else {
-				candidates = intersectSorted(candidates, ids)
-			}
-			if len(candidates) == 0 {
-				candidates = []string{}
-				break
-			}
-		}
-		if !resolvable {
-			candidates, verify = nil, false
-		} else if verify && candidates == nil {
-			candidates = []string{}
-		}
-		e.observeStage("candidates", time.Since(start))
+		},
+		terms:      allTerms,
+		rankFields: map[string]bool{FieldTitle: true, FieldAbstract: true, FieldTableCaption: true},
 		// Results format: "table captions first, the title and authors and
 		// the full abstract" — snippet order encodes that.
-		return e.runQuery(ctx, match, candidates, verify, allTerms, rankFields,
-			[]string{FieldTableCaption, FieldTitle, FieldAbstract}, pageNum)
-	})
+		snippetFields: []string{FieldTableCaption, FieldTitle, FieldAbstract},
+	}
+	// Inclusive semantics via the index: intersect per-field candidate
+	// sets; quoted phrases keep the verification predicate active.
+	start := time.Now()
+	defer func() { e.observeStage("candidates", time.Since(start)) }()
+	for i, c := range conds {
+		ids, v, ok := e.queryCandidates(c.terms, map[string]bool{c.field: true})
+		if !ok {
+			q.candidates, q.verify = nil, false
+			return q
+		}
+		q.verify = q.verify || v
+		if i == 0 {
+			q.candidates = ids
+		} else {
+			q.candidates = intersectSorted(q.candidates, ids)
+		}
+		if len(q.candidates) == 0 {
+			q.candidates = []string{}
+			break
+		}
+	}
+	return q
 }
 
 // SearchAll is engine §2.1.2 over a background context.
@@ -629,7 +489,7 @@ func (e *Engine) SearchAll(query string, pageNum int) (Page, error) {
 // fields, for when "where the term is referenced is unimportant".
 // Results carry excerpts from every matching field: abstract, body text,
 // table captions, tables, and figure captions. Cancelling ctx abandons
-// the query mid-pipeline; abandoned pages are never cached.
+// the query mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchAllContext(ctx context.Context, query string, pageNum int) (Page, error) {
 	terms, err := queryOrError(query)
 	if err != nil {
@@ -637,20 +497,29 @@ func (e *Engine) SearchAllContext(ctx context.Context, query string, pageNum int
 	}
 	pageNum = clampPage(pageNum)
 	return e.cachedSearch(ctx, "all", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
-		vm := e.verifyMatcher(terms)
-		match := func(d jsondoc.Doc) bool {
-			return anyTermInFields(d, vm, allFields...)
-		}
-		start := time.Now()
-		candidates, verify, ok := e.queryCandidates(terms, nil)
-		e.observeStage("candidates", time.Since(start))
-		if !ok {
-			candidates, verify = nil, false
-		}
-		return e.runQuery(ctx, match, candidates, verify, terms, nil,
-			[]string{FieldAbstract, FieldBody, FieldTableCaption, FieldTableCell, FieldFigureCaption},
-			pageNum)
+		return e.runQuery(ctx, e.allPlan(terms), false, pageNum)
 	})
+}
+
+func (e *Engine) allPlan(terms []textproc.QueryTerm) plan {
+	return e.termsPlan(terms, nil, allFields,
+		[]string{FieldAbstract, FieldBody, FieldTableCaption, FieldTableCell, FieldFigureCaption})
+}
+
+// termsPlan resolves one term list, matched over matchFields and ranked
+// over rankFields (nil = every field).
+func (e *Engine) termsPlan(terms []textproc.QueryTerm, rankFields map[string]bool, matchFields, snippetFields []string) plan {
+	vm := e.verifyMatcher(terms)
+	q := plan{
+		match:         func(d jsondoc.Doc) bool { return anyTermInFields(d, vm, matchFields...) },
+		terms:         terms,
+		rankFields:    rankFields,
+		snippetFields: snippetFields,
+	}
+	start := time.Now()
+	q.candidates, q.verify, _ = e.queryCandidates(terms, rankFields) // unresolvable: nil, a scan
+	e.observeStage("candidates", time.Since(start))
+	return q
 }
 
 // SearchTables is engine §2.1.3 over a background context.
@@ -662,7 +531,7 @@ func (e *Engine) SearchTables(query string, pageNum int) (Page, error) {
 // "a product of regular expression search over table captions and all of
 // the table's data". Ranked with the same weighted-feature function,
 // restricted to table fields. Cancelling ctx abandons the query
-// mid-pipeline; abandoned pages are never cached.
+// mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchTablesContext(ctx context.Context, query string, pageNum int) (Page, error) {
 	terms, err := queryOrError(query)
 	if err != nil {
@@ -670,22 +539,16 @@ func (e *Engine) SearchTablesContext(ctx context.Context, query string, pageNum 
 	}
 	pageNum = clampPage(pageNum)
 	return e.cachedSearch(ctx, "tables", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
-		tableFields := map[string]bool{FieldTableCaption: true, FieldTableCell: true}
-		vm := e.verifyMatcher(terms)
-		match := func(d jsondoc.Doc) bool {
-			return anyTermInFields(d, vm, FieldTableCaption, FieldTableCell)
-		}
-		start := time.Now()
-		candidates, verify, ok := e.queryCandidates(terms, tableFields)
-		e.observeStage("candidates", time.Since(start))
-		if !ok {
-			candidates, verify = nil, false
-		}
-		// The table engine also shows where the terms land in the abstract
-		// for context (Figure 4 shows an abstract match below the table).
-		return e.runQuery(ctx, match, candidates, verify, terms, tableFields,
-			[]string{FieldTableCaption, FieldTableCell, FieldAbstract}, pageNum)
+		return e.runQuery(ctx, e.tablesPlan(terms), false, pageNum)
 	})
+}
+
+func (e *Engine) tablesPlan(terms []textproc.QueryTerm) plan {
+	// The table engine also shows where the terms land in the abstract
+	// for context (Figure 4 shows an abstract match below the table).
+	return e.termsPlan(terms, map[string]bool{FieldTableCaption: true, FieldTableCell: true},
+		[]string{FieldTableCaption, FieldTableCell},
+		[]string{FieldTableCaption, FieldTableCell, FieldAbstract})
 }
 
 // CellMatch pinpoints where a query landed inside one stored table — the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"covidkg/internal/cord19"
@@ -92,9 +93,10 @@ func TestEnginesAgreeOnTableOnlyTerms(t *testing.T) {
 	}
 }
 
-// TestParallelSerialIdentical: for every engine and worker count, the
-// parallel execution path returns byte-identical pages to fully serial
-// execution — ordering, scores, snippets, pagination, everything.
+// TestParallelSerialIdentical: for every engine and fan-out width (the
+// engine reads runtime.GOMAXPROCS), parallel execution returns
+// byte-identical pages to fully serial execution — ordering, scores,
+// snippets, pagination, everything.
 func TestParallelSerialIdentical(t *testing.T) {
 	s := docstore.Open(docstore.WithShards(4))
 	c := s.Collection("pubs")
@@ -104,30 +106,32 @@ func TestParallelSerialIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	serial := NewEngine(c)
-	serial.SetWorkers(1)
-	serial.SetCacheLimits(0, 0) // force recomputation each call
+	e := NewEngine(c)
+	e.SetCacheLimits(0, 0) // force recomputation each call
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// at returns what search answers at the given width
+	at := func(workers int, search func(string, int) (Page, error), q string, page int) Page {
+		runtime.GOMAXPROCS(workers)
+		pg, err := search(q, page)
+		if err != nil {
+			t.Fatalf("q=%q page=%d workers=%d: %v", q, page, workers, err)
+		}
+		return pg
+	}
 
-	queries := []string{"masks", "vaccine treatment", `"viral load"`, `fever "intensive care"`, "ventilators dose"}
+	// the stopword-only phrase scans all 250 ids, so its match-and-score
+	// pass is wide enough to fan out
+	queries := []string{"masks", "vaccine treatment", `"viral load"`, `fever "intensive care"`, "ventilators dose", `"of the"`}
 	for _, workers := range []int{2, 8} {
-		par := NewEngine(c)
-		par.SetWorkers(workers)
-		par.SetCacheLimits(0, 0)
 		for _, q := range queries {
 			for page := 1; page <= 3; page++ {
-				want, err1 := serial.SearchAll(q, page)
-				got, err2 := par.SearchAll(q, page)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("q=%q page=%d: err %v vs %v", q, page, err1, err2)
-				}
+				want, got := at(1, e.SearchAll, q, page), at(workers, e.SearchAll, q, page)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("q=%q page=%d workers=%d: parallel diverged from serial\nserial: %+v\nparallel: %+v",
 						q, page, workers, want, got)
 				}
 			}
-			wt, _ := serial.SearchTables(q, 1)
-			gt, _ := par.SearchTables(q, 1)
-			if !reflect.DeepEqual(wt, gt) {
+			if !reflect.DeepEqual(at(1, e.SearchTables, q, 1), at(workers, e.SearchTables, q, 1)) {
 				t.Fatalf("tables q=%q workers=%d diverged", q, workers)
 			}
 		}

@@ -70,8 +70,7 @@ type RankExplain struct {
 // recencyOf computes the static recency feature from a document's
 // publish date. Dates are ISO "YYYY-MM-DD"; missing dates contribute
 // nothing. The engine records this value in the index at indexing time
-// so the index-native scoring path can apply it without touching the
-// stored document.
+// so scoring can apply it without touching the stored document.
 func recencyOf(d jsondoc.Doc) float64 {
 	if date := d.GetString("publish_date"); len(date) >= 4 {
 		switch {
@@ -86,20 +85,15 @@ func recencyOf(d jsondoc.Doc) float64 {
 	return 0
 }
 
-// scoreDoc computes the ranking score of doc for the parsed query,
-// restricted to the given fields (nil means all fields).
-func (e *Engine) scoreDoc(d jsondoc.Doc, terms []textproc.QueryTerm, fields map[string]bool) RankExplain {
-	return e.score(d.GetString("_id"), d, terms, fields)
-}
-
-// score is the single ranking implementation behind both scoring paths.
-// The pipeline path passes the materialized document; the index-native
-// top-k path passes a nil doc and the score is derived from postings
-// alone (exact-phrase terms never reach the index path — phrase shapes
-// force the pipeline fallback — and the recency feature comes from the
-// static store recorded at indexing time). Both paths therefore
-// accumulate the identical float sequence in the identical order, which
-// is what makes their result pages byte-identical.
+// score is the single ranking implementation: the score of one
+// document for the parsed query, restricted to the given fields (nil
+// means all fields). Bare terms are always scored from postings. d is
+// the stored document when the caller has read it and nil otherwise; it
+// is consulted only for what postings cannot give — a quoted phrase's
+// matches in the raw text (a query with one always reads its candidates)
+// and the publish date, whose recency value the index also records at
+// indexing time. With or without d the same floats accumulate in the
+// same order, so a page does not depend on whether documents were read.
 func (e *Engine) score(docID string, d jsondoc.Doc, terms []textproc.QueryTerm, fields map[string]bool) RankExplain {
 	var ex RankExplain
 	opts := *e.rankOpts.Load()
@@ -132,7 +126,7 @@ func (e *Engine) score(docID string, d jsondoc.Doc, terms []textproc.QueryTerm, 
 		termHit := false
 		if t.Exact {
 			if d == nil {
-				continue // index path never sees exact terms
+				continue // a phrase query always reads its candidates
 			}
 			for _, f := range allFields {
 				if fields != nil && !fields[f] {
@@ -202,9 +196,8 @@ func (e *Engine) score(docID string, d jsondoc.Doc, terms []textproc.QueryTerm, 
 		ex.Coverage = wCoverage * float64(matched) / float64(len(terms))
 	}
 
-	// Static feature: newer publications get a small boost. The index
-	// path reads the value recorded at indexing time; the pipeline path
-	// recomputes it from the document (the two are identical because
+	// Static feature: newer publications get a small boost — read from
+	// the index, or recomputed from the document in hand (identical:
 	// indexDoc stores recencyOf(d)).
 	if d == nil {
 		ex.Recency = e.idx.Static(docID)

@@ -1,12 +1,62 @@
 package search
 
 import (
+	"context"
+	"sort"
 	"strings"
 	"unicode/utf8"
 
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/textproc"
 )
+
+// refRank is the naive ranker runQuery is held to, for every query shape
+// and every store condition: read every candidate (every id the store
+// will list, when the index resolved none), keep what the predicate
+// confirms, score each document with e.score, sort the whole list, slice
+// the page, excerpt. A candidate that cannot be read — deleted, or on a
+// dark shard, which is then reported — is not a hit.
+func (e *Engine) refRank(q plan, pageNum int) Page {
+	ctx := context.Background()
+	ids, verify := q.candidates, q.verify
+	dark := map[int]bool{}
+	if ids == nil {
+		verify = true
+		for si := 0; si < e.coll.NumShards(); si++ {
+			sids, err := e.coll.ShardIDsContext(ctx, si)
+			dark[si] = err != nil
+			ids = append(ids, sids...)
+		}
+		sort.Strings(ids)
+	}
+	docs, miss, _ := e.coll.GetMany(ctx, ids)
+	for _, si := range miss {
+		dark[si] = true
+	}
+	var rs []Result
+	for i, d := range docs {
+		if d != nil && (!verify || q.match(d)) {
+			rs = append(rs, resultFromDoc(d, e.score(ids[i], d, q.terms, q.rankFields).Total))
+			rs[len(rs)-1].Snippets = appendSnippets(nil, d, q.snippetFields, textproc.CompileTerms(q.terms, false))
+		}
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Score != rs[j].Score {
+			return rs[i].Score > rs[j].Score
+		}
+		return rs[i].DocID < rs[j].DocID
+	})
+	pg := Page{Total: len(rs), PageNum: pageNum, PerPage: PerPage, NumPages: max(1, (len(rs)+PerPage-1)/PerPage)}
+	for si := 0; si < e.coll.NumShards(); si++ {
+		if dark[si] {
+			pg.Partial, pg.MissingShards = true, append(pg.MissingShards, si)
+		}
+	}
+	if lo := (pageNum - 1) * PerPage; lo < len(rs) {
+		pg.Results = rs[lo:min(lo+PerPage, len(rs))]
+	}
+	return pg
+}
 
 // The query-time matching code as it stood before the compiled
 // TermMatcher replaced it — tokenise the text once per query term, stem

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -12,31 +13,25 @@ import (
 	"covidkg/internal/textproc"
 )
 
-// The index-native top-k scoring path. Instead of materializing every
-// candidate document and ranking the full set before throwing away all
-// but one page (the pipeline path), this path walks the per-term
-// posting lists document-at-a-time, scores candidates straight from the
-// index, keeps only the best k = pageNum·PerPage (+overfetch) in a
-// bounded heap, and materializes just the ≤ PerPage winners — one
-// batched GetMany, then one matching pass per snippet text — for
-// snippets. Per-term max-score upper bounds (classic max-score early
-// termination) let fully-scored work be skipped for candidates that
-// provably cannot enter the heap.
+// The one scoring path (runQuery). Every query shape of every engine is
+// ranked the same way: a sorted candidate id list, each candidate scored
+// by e.score, the best k = pageNum·PerPage kept in a bounded heap under
+// the total order (score desc, docID asc), and the ≤ PerPage winners
+// turned into results with snippets.
 //
-// The path is only taken for query shapes whose ranking is derivable
-// from postings alone — no quoted phrases (those need substring
-// verification against raw text) and no unresolvable scans — and only
-// while every shard is serving, so a degraded partial response always
-// comes from the pipeline path. Within those shapes the ranking is
-// bit-identical to the pipeline path: survivors are scored by the very
-// same e.score accumulation the pipeline uses, and the precomputed
-// partials serve only as pruning bounds (padded against float drift).
-
-// topkOverfetch extends the heap past pageNum·PerPage. The (score desc,
-// docID asc) order is total, so k entries already determine the page
-// exactly; the overfetch is pure safety margin for the deterministic
-// doc-id tiebreak at the page boundary.
-const topkOverfetch = PerPage
+// What varies is only whether the candidates' documents are read before
+// scoring. A query derivable from postings alone is scored straight from
+// the index — posting lists walked document-at-a-time, per-term
+// max-score upper bounds skipping candidates that provably cannot enter
+// the heap — and only its winners are fetched, in one batched GetMany.
+// A query that needs the stored text (a quoted phrase is confirmed and
+// scored against raw text; an unindexable phrase scans every id), or one
+// issued while a shard is dark (what can be served is known only by
+// reading), fetches every candidate first and scores them all in one
+// parallel pass: a phrase's contribution has no posting-derived bound,
+// so nothing is pruned there. e.score is the single scorer either way —
+// same floats, same order — so a page does not depend on which of the
+// two it was.
 
 // boundPad and boundEps inflate pruning upper bounds so a bound that
 // lands within float-rounding distance of the heap minimum is treated
@@ -48,10 +43,12 @@ const (
 	boundEps = 1e-12
 )
 
-// topkEntry is one heap slot: the fully-scored candidate.
+// topkEntry is one heap slot: the fully-scored candidate, with its
+// document when the candidates were read before scoring.
 type topkEntry struct {
 	docID string
 	score float64
+	doc   jsondoc.Doc
 }
 
 // topkHeap is a bounded min-heap whose root is the weakest kept entry
@@ -165,24 +162,12 @@ type termSlot struct {
 	syns    []int
 }
 
-// runTopK executes the index-native scoring path over a sorted
-// candidate id list. It returns served=false (without error) when the
-// page cannot be produced from the index alone — currently only when a
-// winner's document is missing from the batched fetch (its shard went
-// dark after the shape gate passed, or it was deleted) — in which case
-// the caller falls back to the pipeline path.
-func (e *Engine) runTopK(
-	ctx context.Context,
-	candidates []string,
-	terms []textproc.QueryTerm,
-	rankFields map[string]bool,
-	snippetFields []string,
-	pageNum int,
-) (Page, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Page{}, false, fmt.Errorf("search: topk: %w", err)
-	}
+// selectFromPostings scores the candidates from the index alone and
+// pushes them into sc.heap, skipping those whose max-score upper bound
+// cannot beat the weakest kept entry once the heap is full.
+func (e *Engine) selectFromPostings(ctx context.Context, sc *topkScratch, q plan) error {
 	opts := *e.rankOpts.Load()
+	terms := q.terms
 
 	// Flatten (term, synonyms…) into per-name posting snapshots and
 	// per-name score upper-bound contributions.
@@ -200,16 +185,6 @@ func (e *Engine) runTopK(
 		slots = append(slots, s)
 	}
 	snaps := e.idx.TermSnapshots(names)
-
-	sc := topkPool.Get().(*topkScratch)
-	defer func() {
-		sc.heap.es = sc.heap.es[:0]
-		sc.iters = sc.iters[:0]
-		sc.present = sc.present[:0]
-		sc.tfidfUB = sc.tfidfUB[:0]
-		sc.rawUB = sc.rawUB[:0]
-		topkPool.Put(sc)
-	}()
 	for i := range snaps {
 		sc.iters = append(sc.iters, postingIter{docs: snaps[i].Docs})
 		sc.present = append(sc.present, false)
@@ -244,14 +219,10 @@ func (e *Engine) runTopK(
 		}
 	}
 
-	k := pageNum*PerPage + topkOverfetch
-	sc.heap.k = k
 	var pruned int64
-
-	start := time.Now()
-	for i, doc := range candidates {
+	for i, doc := range q.candidates {
 		if i%pipeline.CancelCheckInterval == 0 && ctx.Err() != nil {
-			return Page{}, false, fmt.Errorf("search: topk: %w", ctx.Err())
+			return ctx.Err()
 		}
 		for j := range sc.iters {
 			sc.present[j] = sc.iters[j].advance(doc)
@@ -293,92 +264,169 @@ func (e *Engine) runTopK(
 				continue
 			}
 		}
-		// Survivor: score with the exact pipeline formula (same floats,
-		// same order) so kept entries are bit-identical to the pipeline
-		// path's scores.
-		sc.heap.push(topkEntry{docID: doc, score: e.score(doc, nil, terms, rankFields).Total})
+		// The bound only decides whether to score; what is kept is the
+		// exact e.score accumulation.
+		sc.heap.push(topkEntry{docID: doc, score: e.score(doc, nil, terms, q.rankFields).Total})
 	}
-	e.observeStage("topk", time.Since(start))
 	if pruned > 0 {
 		e.met.Counter("topk_pruned_docs").Add(pruned)
 	}
-	if err := ctx.Err(); err != nil {
-		return Page{}, false, fmt.Errorf("search: topk: %w", err)
-	}
-
-	// Page math mirrors paginate exactly: Total counts every candidate,
-	// NumPages ≥ 1, and a past-the-end page carries nil Results.
-	total := len(candidates)
-	numPages := (total + PerPage - 1) / PerPage
-	if numPages < 1 {
-		numPages = 1
-	}
-	page := Page{Total: total, PageNum: pageNum, PerPage: PerPage, NumPages: numPages}
-	pstart := (pageNum - 1) * PerPage
-	if pstart >= total {
-		return page, true, nil
-	}
-	ranked := sc.heap.ranked()
-	pend := pstart + PerPage
-	if pend > len(ranked) {
-		pend = len(ranked)
-	}
-
-	// Materialize only the winners, in one batched fetch. Any dark shard
-	// or missing document (a shard darkened after the shape gate, a
-	// concurrent delete) abandons the index path so the pipeline path
-	// can degrade properly.
-	start = time.Now()
-	winners := ranked[pstart:pend]
-	ids := make([]string, len(winners))
-	for i, en := range winners {
-		ids[i] = en.docID
-	}
-	docs, _, err := e.coll.GetMany(ctx, ids) // a dark shard's documents come back nil
-	if err != nil {
-		return Page{}, false, fmt.Errorf("search: topk: %w", err)
-	}
-	hl := textproc.CompileTerms(terms, false)
-	results := make([]Result, 0, len(winners))
-	for i, d := range docs {
-		if d == nil {
-			return Page{}, false, nil
-		}
-		r := resultFromDoc(d, winners[i].score)
-		r.Snippets = appendSnippets(nil, d, snippetFields, hl)
-		results = append(results, r)
-	}
-	e.observeStage("materialize", time.Since(start))
-	page.Results = results
-	return page, true, nil
+	return nil
 }
 
-// runQuery routes one query to the index-native top-k path when the
-// shape allows it — an index-resolved candidate set needing no
-// verification, index scoring enabled, and every shard serving — and
-// otherwise (or when the top-k path bails mid-materialization) to the
-// full pipeline path. Both paths produce identical pages for eligible
-// shapes; the counters expose which path served each query.
-func (e *Engine) runQuery(
-	ctx context.Context,
-	matchPred func(d jsondoc.Doc) bool,
-	candidates []string,
-	verifyCandidates bool,
-	terms []textproc.QueryTerm,
-	rankFields map[string]bool,
-	snippetFields []string,
-	pageNum int,
-) (Page, error) {
-	if candidates != nil && !verifyCandidates && e.IndexScoring() && e.coll.AllShardsServing() {
-		pg, served, err := e.runTopK(ctx, candidates, terms, rankFields, snippetFields, pageNum)
-		if err != nil {
-			return Page{}, err
+// plan is one parsed query with its candidates resolved, ready to rank.
+type plan struct {
+	// candidates is the sorted id list the index resolved; nil means it
+	// could not (a phrase of stopwords only) and every id is scanned.
+	candidates []string
+	// verify says candidates is a superset that match must still confirm
+	// against the stored text (a quoted phrase took part).
+	verify        bool
+	match         func(jsondoc.Doc) bool
+	terms         []textproc.QueryTerm
+	rankFields    map[string]bool // nil = every field
+	snippetFields []string
+}
+
+// readAndScore fetches every candidate's document (the ids come from an
+// id-only scatter scan when the index could not supply them, and the
+// match predicate then decides membership) and, in one parallel pass,
+// applies the predicate and e.score to each. It returns the hits in id
+// order; a candidate that is deleted, on a dark shard (listed in
+// missing) or rejected by the predicate is not one.
+func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, missing []int, err error) {
+	start := time.Now()
+	ids, verify := q.candidates, q.verify
+	var scanMissing []int
+	if ids == nil {
+		if ids, scanMissing, err = e.scatterScanIDs(ctx); err != nil {
+			return nil, nil, fmt.Errorf("search: scan: %w", err)
 		}
-		if served {
-			e.met.Counter("index_path_queries").Inc()
-			return pg, nil
+		verify = true
+	}
+	docs, missing, err := e.resolveCandidates(ctx, ids)
+	if err != nil {
+		return nil, nil, fmt.Errorf("search: fetch: %w", err)
+	}
+	e.observeStage("fetch", time.Since(start))
+
+	start = time.Now()
+	hits = make([]topkEntry, len(ids))
+	pipeline.ParallelChunksMin(len(ids), runtime.GOMAXPROCS(0), pipeline.MinItemsPerWorker, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if (i-lo)%pipeline.CancelCheckInterval == 0 && ctx.Err() != nil {
+				return
+			}
+			if d := docs[i]; d != nil && (!verify || q.match(d)) {
+				hits[i] = topkEntry{docID: ids[i], score: e.score(ids[i], d, q.terms, q.rankFields).Total, doc: d}
+			}
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("search: match: %w", err)
+	}
+	n := 0
+	for _, h := range hits {
+		if h.doc != nil {
+			hits[n] = h
+			n++
 		}
 	}
-	e.met.Counter("fallback_path_queries").Inc()
-	return e.runSearch(ctx, matchPred, candidates, verifyCandidates, terms, rankFields, snippetFields, pageNum)
+	e.observeStage("match", time.Since(start))
+	return hits[:n], mergeMissing(scanMissing, missing), nil
+}
+
+// runQuery ranks one query for all three engines. The candidates'
+// documents are read only when ranking needs them: to verify a phrase,
+// for a scan, or because a shard is not serving and the page must
+// account for what is missing. The engines pass readDocs false; runQuery
+// sets it when it has to run itself a second time.
+func (e *Engine) runQuery(ctx context.Context, q plan, readDocs bool, pageNum int) (Page, error) {
+	if err := ctx.Err(); err != nil {
+		return Page{}, fmt.Errorf("search: %w", err)
+	}
+	readDocs = readDocs || q.verify || q.candidates == nil || !e.coll.AllShardsServing()
+	total := len(q.candidates)
+	var hits []topkEntry
+	var missing []int
+	if readDocs {
+		e.met.Counter("candidate_read_queries").Inc()
+		var err error
+		if hits, missing, err = e.readAndScore(ctx, q); err != nil {
+			return Page{}, err
+		}
+		total = len(hits)
+	}
+	if err := ctx.Err(); err != nil { // a dead request gets an error, never a page
+		return Page{}, fmt.Errorf("search: %w", err)
+	}
+
+	// Total counts every hit and an empty result set is still one (empty)
+	// page. NumPages comes first so that a page past the end — however
+	// large the number — is answered before anything is multiplied by it.
+	numPages := max((total+PerPage-1)/PerPage, 1)
+	page := Page{Total: total, PageNum: pageNum, PerPage: PerPage, NumPages: numPages}
+	if len(missing) > 0 {
+		page.Partial = true
+		page.MissingShards = missing
+	}
+	if pageNum > numPages || total == 0 {
+		return page, nil
+	}
+
+	sc := topkPool.Get().(*topkScratch)
+	defer func() {
+		clear(sc.heap.es) // drop the documents
+		sc.heap.es = sc.heap.es[:0]
+		sc.iters = sc.iters[:0]
+		sc.present = sc.present[:0]
+		sc.tfidfUB = sc.tfidfUB[:0]
+		sc.rawUB = sc.rawUB[:0]
+		topkPool.Put(sc)
+	}()
+	// The (score desc, docID asc) order is total, so k entries determine
+	// the page exactly.
+	sc.heap.k = min(pageNum*PerPage, total)
+	start := time.Now()
+	if readDocs {
+		for _, h := range hits {
+			sc.heap.push(h)
+		}
+	} else if err := e.selectFromPostings(ctx, sc, q); err != nil {
+		return Page{}, fmt.Errorf("search: topk: %w", err)
+	}
+	e.observeStage("topk", time.Since(start))
+
+	// Materialize the winners; ranked from the index alone, their
+	// documents are fetched now, in one batch.
+	start = time.Now()
+	winners := sc.heap.ranked()[(pageNum-1)*PerPage:]
+	if !readDocs {
+		ids := make([]string, len(winners))
+		for i, w := range winners {
+			ids[i] = w.docID
+		}
+		docs, _, err := e.coll.GetMany(ctx, ids) // a dark shard's documents come back nil
+		if err != nil {
+			return Page{}, fmt.Errorf("search: materialize: %w", err)
+		}
+		for i := range winners {
+			winners[i].doc = docs[i]
+		}
+	}
+	hl := textproc.CompileTerms(q.terms, false)
+	page.Results = make([]Result, 0, len(winners))
+	for _, w := range winners {
+		if w.doc == nil {
+			// The winner was deleted, or its shard went dark, after it was
+			// ranked from the index. Rank once more over the documents that
+			// can still be read, which also accounts for a missing shard.
+			return e.runQuery(ctx, q, true, pageNum)
+		}
+		r := resultFromDoc(w.doc, w.score)
+		r.Snippets = appendSnippets(nil, w.doc, q.snippetFields, hl)
+		page.Results = append(page.Results, r)
+	}
+	e.observeStage("materialize", time.Since(start))
+	return page, nil
 }
