@@ -304,11 +304,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap["search_cache"] = s.sys.Search.CacheStats()
 	// read from the engine's own registry, which may differ from the
 	// server's
-	reads, pruned := s.sys.Search.ScoringStats()
-	snap["search_scoring"] = map[string]int64{
-		"candidate_read_queries": reads,
-		"topk_pruned_docs":       pruned,
-	}
+	snap["search_scoring"] = s.sys.Search.ScoringStats()
 	writeJSON(w, http.StatusOK, snap)
 }
 

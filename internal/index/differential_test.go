@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -99,6 +100,16 @@ func (n *naiveIndex) minPairDistance(doc, a, b string) int {
 	return best
 }
 
+// runs is the cursor's view of one (term, doc): a run per field, in
+// field-name order.
+func (n *naiveIndex) runs(term, doc string) []Run {
+	var out []Run
+	for _, f := range n.fieldsOf(doc, term) {
+		out = append(out, Run{f, n.postings[term][doc][f]})
+	}
+	return out
+}
+
 // docsWith returns the sorted docs holding any (all=false) or every
 // (all=true) term.
 func (n *naiveIndex) docsWith(terms []string, all bool) []string {
@@ -127,7 +138,8 @@ func sameList(a, b any) bool {
 // TestDifferentialAgainstNaive drives random add / remove / seal /
 // compact sequences (background merges ride on the seals) through the
 // segmented index and the naive oracle, and compares every read the
-// rankers use after each step that changes the segment structure. Doc
+// rankers use — the posting cursor's whole stream among them — after
+// each step that changes the segment structure. Doc
 // ids are re-added after removal and after sealing, so tombstones and
 // postings that span parts are both exercised.
 func TestDifferentialAgainstNaive(t *testing.T) {
@@ -179,6 +191,64 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 				}
 				if got, want := ix.DocsWithAll(set[:2]), ref.docsWith(set[:2], true); !sameList(got, want) {
 					fail(fmt.Sprintf("DocsWithAll(%v)", set[:2]), got, want)
+				}
+			}
+
+			// The cursor's (doc, runs) stream over every term at once: the
+			// documents Next yields, and what each name holds there, against
+			// the naive gather — then the same by Seek, over absent ids too.
+			// A background merge may restructure a re-added document's parts
+			// at any moment, and with them the summed df and which copy's
+			// static score wins: hold the cursor's statistics to the index's
+			// only when those stood still around the snapshot.
+			stats := func() (idf []float64, static map[string]float64) {
+				static = map[string]float64{}
+				for _, term := range terms {
+					idf = append(idf, ix.IDF(term))
+				}
+				for d := 0; d < docs; d++ {
+					static[docID(d)] = ix.Static(docID(d))
+				}
+				return idf, static
+			}
+			idf0, static0 := stats()
+			cur := ix.Cursor(terms)
+			idf1, static1 := stats()
+			still := reflect.DeepEqual(idf0, idf1) && reflect.DeepEqual(static0, static1)
+			for i, term := range terms {
+				if got := cur.IDF(i); still && got != idf0[i] {
+					fail("cursor IDF("+term+")", got, idf0[i])
+				}
+			}
+			atDoc := func(how, doc string) {
+				t.Helper()
+				for i, term := range terms {
+					want := ref.runs(term, doc)
+					if got := cur.Runs(i); !sameList(got, want) {
+						fail(fmt.Sprintf("cursor %s %s: Runs(%s)", how, doc, term), got, want)
+					}
+					if got := cur.Has(i); got != (len(want) > 0) {
+						fail(fmt.Sprintf("cursor %s %s: Has(%s)", how, doc, term), got, len(want) > 0)
+					}
+				}
+				if got, want := cur.Static(), static0[doc]; still && got != want {
+					fail(fmt.Sprintf("cursor %s %s: Static", how, doc), got, want)
+				}
+			}
+			var stream []string
+			for doc, ok := cur.Next(); ok; doc, ok = cur.Next() {
+				stream = append(stream, doc)
+				atDoc("Next", doc)
+			}
+			if want := ref.docsWith(terms, false); !sameList(stream, want) {
+				fail("cursor Next stream", stream, want)
+			}
+			for d := -1; d <= docs; d++ { // doc--1 and doc-12 sort around the corpus and never exist
+				if hit := cur.Seek(docID(d)); hit != slices.Contains(stream, docID(d)) {
+					fail("cursor Seek("+docID(d)+")", hit, !hit)
+				}
+				if slices.Contains(stream, docID(d)) {
+					atDoc("Seek", docID(d))
 				}
 			}
 		}

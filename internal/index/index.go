@@ -134,7 +134,7 @@ func (ix *Index) SetStatic(docID string, v float64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, ok := ix.mem.docs[docID]; ok {
-		ix.mem.static[docID] = v
+		ix.mem.setStatic(docID, v)
 		return
 	}
 	// A frozen memtable is being read by its seal builder without the
@@ -147,6 +147,9 @@ func (ix *Index) SetStatic(docID string, v float64) {
 	}
 	for _, s := range ix.segs {
 		if ord, ok := s.ordOf(docID); ok && !s.dead[ord] {
+			// copy on write: cursors and a running merge read the old
+			// slice without the lock
+			s.static = append([]float64(nil), s.static...)
 			s.static[ord] = v
 			return
 		}
@@ -159,6 +162,10 @@ func (ix *Index) SetStatic(docID string, v float64) {
 func (ix *Index) Static(docID string) float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	return ix.staticLocked(docID)
+}
+
+func (ix *Index) staticLocked(docID string) float64 {
 	for _, m := range ix.memsLocked() {
 		if v, ok := m.static[docID]; ok {
 			return v
@@ -330,124 +337,9 @@ func (ix *Index) docFreqLocked(term string) int {
 	return n
 }
 
-// IDF returns the inverse document frequency of a stemmed term:
-// log((N+1)/(df+1)) + 1, smoothed so unseen terms still rank.
-func (ix *Index) IDF(term string) float64 {
-	ix.mu.RLock()
-	n := ix.docCountLocked()
-	df := ix.docFreqLocked(term)
-	ix.mu.RUnlock()
-	return math.Log(float64(n+1)/float64(df+1)) + 1
-}
-
-// TermFreq returns the occurrence count of term in the given field of
-// doc, summed across parts.
-func (ix *Index) TermFreq(term, docID, field string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, m := range ix.memsLocked() {
-		n += len(m.postings[term][docID].positions(field))
-	}
-	for _, s := range ix.segs {
-		ord, ok := s.ordOf(docID)
-		if !ok || s.dead[ord] {
-			continue
-		}
-		t, ok := s.tid(term)
-		if !ok {
-			continue
-		}
-		fid, ok := s.fieldN[field]
-		if !ok {
-			continue
-		}
-		if e, ok := s.entry(t, ord); ok {
-			for _, f := range e.fields {
-				if f.fieldID == fid {
-					n += len(f.pos)
-				}
-			}
-		}
-	}
-	return n
-}
-
-// TFIDF returns the tf·idf weight of term in doc, summed across fields
-// and normalized by field length.
-func (ix *Index) TFIDF(term, docID string) float64 {
-	ix.mu.RLock()
-	perField := ix.fieldPositionsLocked(term, docID)
-	// Sum in sorted field order: float addition is order-sensitive at
-	// the last ulp, and map iteration order would make repeated calls
-	// (and flat-vs-segmented comparisons) nondeterministic.
-	fields := make([]string, 0, len(perField))
-	for field := range perField {
-		fields = append(fields, field)
-	}
-	sort.Strings(fields)
-	tf := 0.0
-	for _, field := range fields {
-		if l := ix.fieldLenLocked(docID, field); l > 0 {
-			tf += float64(len(perField[field])) / float64(l)
-		}
-	}
-	ix.mu.RUnlock()
-	if tf == 0 {
-		return 0
-	}
-	return tf * ix.IDF(term)
-}
-
-// fieldPositionsLocked gathers (term, doc) positions per field across
-// every part. Positions from distinct parts occupy distinct ranges
-// (Add continues positions across seals), but are re-sorted when more
-// than one part contributed, since part order need not match position
-// order. Caller holds at least a read lock.
-func (ix *Index) fieldPositionsLocked(term, docID string) map[string][]int {
-	var out map[string][]int
-	multi := false
-	addRun := func(field string, pos []int) {
-		if len(pos) == 0 {
-			return
-		}
-		if out == nil {
-			out = map[string][]int{}
-		}
-		if _, ok := out[field]; ok {
-			multi = true
-		}
-		out[field] = append(out[field], pos...)
-	}
-	for _, s := range ix.segs {
-		ord, ok := s.ordOf(docID)
-		if !ok || s.dead[ord] {
-			continue
-		}
-		t, ok := s.tid(term)
-		if !ok {
-			continue
-		}
-		if e, ok := s.entry(t, ord); ok {
-			for _, f := range e.fields {
-				addRun(s.fields[f.fieldID], f.pos)
-			}
-		}
-	}
-	for _, m := range ix.memsLocked() {
-		for _, r := range m.postings[term][docID] {
-			addRun(r.field, r.pos)
-		}
-	}
-	if multi {
-		for _, pos := range out {
-			if !sort.IntsAreSorted(pos) {
-				sort.Ints(pos)
-			}
-		}
-	}
-	return out
-}
+// idf is the inverse document frequency log((N+1)/(df+1)) + 1, smoothed
+// so unseen terms still rank.
+func idf(n, df int) float64 { return math.Log(float64(n+1)/float64(df+1)) + 1 }
 
 // Lookup returns all postings of a stemmed term, sorted by (doc, field)
 // for determinism, nil when the term posts for no live document.
@@ -497,226 +389,5 @@ func (ix *Index) Lookup(term string) []Posting {
 		}
 		return out[i].Field < out[j].Field
 	})
-	return out
-}
-
-// hasTermDocLocked reports whether doc has a live posting for term in
-// any part.
-func (ix *Index) hasTermDocLocked(term, docID string) bool {
-	for _, m := range ix.memsLocked() {
-		if _, ok := m.postings[term][docID]; ok {
-			return true
-		}
-	}
-	for _, s := range ix.segs {
-		ord, ok := s.ordOf(docID)
-		if !ok || s.dead[ord] {
-			continue
-		}
-		if t, ok := s.tid(term); ok && s.contains(t, ord) {
-			return true
-		}
-	}
-	return false
-}
-
-// DocsWithAll returns the ids of documents containing every given stemmed
-// term (in any field), sorted.
-func (ix *Index) DocsWithAll(terms []string) []string {
-	if len(terms) == 0 {
-		return nil
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	smallest := ""
-	smallestN := math.MaxInt
-	for _, t := range terms {
-		n := ix.docFreqLocked(t)
-		if n < smallestN {
-			smallestN, smallest = n, t
-		}
-	}
-	if smallestN == 0 {
-		return nil
-	}
-	var out []string
-	seen := map[string]struct{}{}
-	check := func(doc string) {
-		if _, dup := seen[doc]; dup {
-			return
-		}
-		seen[doc] = struct{}{}
-		for _, t := range terms {
-			if t == smallest {
-				continue
-			}
-			if !ix.hasTermDocLocked(t, doc) {
-				return
-			}
-		}
-		out = append(out, doc)
-	}
-	for _, m := range ix.memsLocked() {
-		for doc := range m.postings[smallest] {
-			check(doc)
-		}
-	}
-	for _, s := range ix.segs {
-		if t, ok := s.tid(smallest); ok {
-			for _, doc := range s.docList(t) {
-				check(doc)
-			}
-		}
-	}
-	if out == nil {
-		return nil
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DocsWithAnyInFields returns the ids of documents containing at least
-// one of the given stemmed terms inside one of the allowed fields (nil
-// fields means any field), sorted. Search engines use this to restrict
-// a query to candidate documents before ranking.
-func (ix *Index) DocsWithAnyInFields(terms []string, fields map[string]bool) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	set := map[string]struct{}{}
-	for _, t := range terms {
-		for _, m := range ix.memsLocked() {
-			for doc, fp := range m.postings[t] {
-				if fields == nil {
-					set[doc] = struct{}{}
-					continue
-				}
-				for _, r := range fp {
-					if fields[r.field] {
-						set[doc] = struct{}{}
-						break
-					}
-				}
-			}
-		}
-		for _, s := range ix.segs {
-			tid, ok := s.tid(t)
-			if !ok {
-				continue
-			}
-			if fields == nil {
-				for _, doc := range s.docList(tid) {
-					set[doc] = struct{}{}
-				}
-				continue
-			}
-			for _, doc := range s.docListInFields(tid, fields) {
-				set[doc] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DocsWithAny returns the ids of documents containing at least one of the
-// given stemmed terms, sorted.
-func (ix *Index) DocsWithAny(terms []string) []string {
-	return ix.DocsWithAnyInFields(terms, nil)
-}
-
-// MinPairDistance returns the smallest token distance in doc between any
-// occurrence of term a and any occurrence of term b within the same
-// field, or -1 when they never co-occur in a field. Rankers use this as
-// the proximity feature.
-func (ix *Index) MinPairDistance(docID, a, b string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	fpA := ix.fieldPositionsLocked(a, docID)
-	if len(fpA) == 0 {
-		return -1
-	}
-	fpB := ix.fieldPositionsLocked(b, docID)
-	if len(fpB) == 0 {
-		return -1
-	}
-	best := -1
-	for field, posA := range fpA {
-		posB, ok := fpB[field]
-		if !ok {
-			continue
-		}
-		d := minListDistance(posA, posB)
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// minListDistance computes the minimum absolute difference between any
-// element of two sorted int lists in O(n+m).
-func minListDistance(a, b []int) int {
-	i, j := 0, 0
-	best := math.MaxInt
-	for i < len(a) && j < len(b) {
-		d := a[i] - b[j]
-		if d < 0 {
-			d = -d
-		}
-		if d < best {
-			best = d
-		}
-		if a[i] < b[j] {
-			i++
-		} else {
-			j++
-		}
-	}
-	return best
-}
-
-// Terms returns every term with at least one live posting, sorted;
-// used by vocabulary tooling.
-func (ix *Index) Terms() []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	set := map[string]struct{}{}
-	for _, m := range ix.memsLocked() {
-		for t := range m.postings {
-			set[t] = struct{}{}
-		}
-	}
-	for _, s := range ix.segs {
-		for tid, term := range s.terms {
-			if s.liveDF(tid) > 0 {
-				set[term] = struct{}{}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FieldsOf returns the fields of doc that contain term, sorted.
-func (ix *Index) FieldsOf(docID, term string) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	fp := ix.fieldPositionsLocked(term, docID)
-	if len(fp) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(fp))
-	for field := range fp {
-		out = append(out, field)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -1,6 +1,9 @@
 package index
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // fieldKey identifies a (document, field) pair.
 type fieldKey struct {
@@ -21,16 +24,6 @@ type fieldRun struct {
 // (term, doc) pair, 64 KB of heap per CORD-19-shaped document against
 // 30 KB as runs (search.TestMemtableHeapPerDoc).
 type fieldPostings []fieldRun
-
-// positions returns the term's positions in field, nil when it has none.
-func (fp fieldPostings) positions(field string) []int {
-	for i := range fp {
-		if fp[i].field == field {
-			return fp[i].pos
-		}
-	}
-	return nil
-}
 
 // appendTo returns fp with pos appended to field's run, adding the run
 // when the field is new.
@@ -53,6 +46,30 @@ func (fp fieldPostings) appendTo(field string, pos ...int) fieldPostings {
 type termList struct {
 	ids   []string
 	dirty bool
+	// flat memoizes memtable.flat: built by the first reader after a
+	// write to the term, dropped by the next write. Atomic because
+	// readers store it under the shared lock.
+	flat atomic.Pointer[memPostings]
+}
+
+// touch drops the memoized flat postings; every write to the term (or to
+// the static score of a document holding it) calls it.
+func (tl *termList) touch() {
+	if tl.flat.Load() != nil {
+		tl.flat.Store(nil)
+	}
+}
+
+// memPostings is one term's memtable postings flattened for a cursor:
+// ids ascending, runs[off[j]:off[j+1]] the runs of ids[j] in field-name
+// order, static[j] its document's static score. Immutable — the memtable
+// rewrites run headers and static scores in place under the write lock,
+// and a cursor reads without it.
+type memPostings struct {
+	ids    []string
+	off    []int32
+	runs   []Run
+	static []float64
 }
 
 // memtable is the mutable in-memory write buffer of the index: a
@@ -172,6 +189,7 @@ func (m *memtable) add(docID, field string, terms []string, base int, weights ma
 	m.docTerms[docID] = docTerms
 	for term := range touched {
 		m.refreshBounds(term, docID, weights)
+		m.termDocs[term].touch()
 	}
 	m.lastDoc = docID
 }
@@ -209,6 +227,7 @@ func (m *memtable) remove(docID string) []string {
 			delete(m.maxRaw, term)
 		} else if tl := m.termDocs[term]; tl != nil {
 			tl.dirty = true
+			tl.touch()
 		}
 	}
 	delete(m.docTerms, docID)
@@ -222,9 +241,48 @@ func (m *memtable) remove(docID string) []string {
 	return terms
 }
 
+// setStatic records a document's static score.
+func (m *memtable) setStatic(docID string, v float64) {
+	m.static[docID] = v
+	for _, term := range m.docTerms[docID] {
+		m.termDocs[term].touch()
+	}
+}
+
+// flat returns the term's postings flattened for a cursor, memoized
+// until the next write to the term. The term's list must be clean (see
+// docList) and non-empty; the owning Index's read lock suffices.
+func (m *memtable) flat(term string) *memPostings {
+	tl := m.termDocs[term]
+	if mp := tl.flat.Load(); mp != nil {
+		return mp
+	}
+	byDoc := m.postings[term]
+	mp := &memPostings{
+		ids:    tl.ids,
+		off:    make([]int32, 0, len(tl.ids)+1),
+		runs:   make([]Run, 0, len(tl.ids)+len(tl.ids)/2),
+		static: make([]float64, 0, len(tl.ids)),
+	}
+	for _, doc := range mp.ids {
+		first := len(mp.runs)
+		mp.off = append(mp.off, int32(first))
+		for _, r := range byDoc[doc] {
+			mp.runs = append(mp.runs, Run{r.field, r.pos})
+			for k := len(mp.runs) - 1; k > first && mp.runs[k].Field < mp.runs[k-1].Field; k-- {
+				mp.runs[k], mp.runs[k-1] = mp.runs[k-1], mp.runs[k]
+			}
+		}
+		mp.static = append(mp.static, m.static[doc])
+	}
+	mp.off = append(mp.off, int32(len(mp.runs)))
+	tl.flat.Store(mp)
+	return mp
+}
+
 // docList returns the term's sorted live doc ids, rebuilding the lazy
-// list if dirty. Requires the owning Index's write lock (it may swap
-// the backing slice).
+// list if dirty — which requires the owning Index's write lock (it swaps
+// the backing slice); a clean list is read under the read lock.
 func (m *memtable) docList(term string) []string {
 	tl := m.termDocs[term]
 	if tl == nil {

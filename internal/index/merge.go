@@ -121,8 +121,10 @@ func (ix *Index) runMerge(id uint64, inputs []*segment) {
 
 	ix.mu.RLock()
 	deadSnaps := make([][]bool, len(inputs))
+	statics := make([][]float64, len(inputs)) // replaced, never rewritten: no copy
 	for i, s := range inputs {
 		deadSnaps[i] = append([]bool(nil), s.dead...)
+		statics[i] = s.static
 	}
 	weights := ix.weights
 	ix.mu.RUnlock()
@@ -134,7 +136,7 @@ func (ix *Index) runMerge(id uint64, inputs []*segment) {
 		docs:     map[string]struct{}{},
 	}
 	for i, s := range inputs {
-		s.decodeInto(&src, deadSnaps[i])
+		s.decodeInto(&src, deadSnaps[i], statics[i])
 	}
 	merged := buildSegment(id, src, weights)
 

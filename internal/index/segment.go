@@ -44,8 +44,8 @@ type segField struct {
 }
 
 // segment is an immutable sealed run of documents. Everything except
-// the tombstone state (dead/deadN/delDF/static) is frozen at build
-// time; tombstones and static-score updates are applied in place under
+// the tombstone state (dead/deadN/delDF) and static is frozen at build
+// time; tombstones are applied in place, and static is replaced, under
 // the owning Index's write lock. docIDs is sorted, and a document's
 // ordinal (its index in docIDs) is the id used throughout the encoded
 // postings.
@@ -57,7 +57,9 @@ type segment struct {
 
 	// fieldLen[ord*len(fields)+fid] = token count of that (doc, field).
 	fieldLen []uint32
-	// static[ord] = query-independent score (mutable under Index.mu).
+	// static[ord] = query-independent score. Guarded by Index.mu and
+	// copy-on-write: an update replaces the slice, so one captured under
+	// the lock stays readable without it.
 	static []float64
 
 	terms []string // sorted term dictionary
@@ -74,7 +76,7 @@ type segment struct {
 	// delDF[tid] = tombstoned docs per term, so live docFreq stays O(1).
 	delDF []int32
 
-	// decoded memoizes per-term live doc-id lists (tid → []string).
+	// decoded memoizes per-term live postings (tid → *liveList).
 	// sync.Map so read-locked query paths can populate it concurrently;
 	// entries are invalidated when a tombstone lands on the term.
 	decoded sync.Map
@@ -82,9 +84,8 @@ type segment struct {
 	// entMemo memoizes per-term decoded posting entries (tid →
 	// []segEntry, ordinal ascending, tombstones included — callers
 	// filter). Postings are immutable after build, so this memo is
-	// never invalidated; it exists because per-candidate scoring
-	// (TFIDF, proximity) random-accesses entries per (term, doc), and
-	// re-decoding a varint block per access made scoring an order of
+	// never invalidated; a cursor walks these entries as it scores, and
+	// re-decoding a varint block per candidate made scoring an order of
 	// magnitude slower than the flat index. Hot query terms decode
 	// once; cold terms stay compressed.
 	entMemo sync.Map
@@ -216,58 +217,35 @@ func (s *segment) entries(tid int) []segEntry {
 	return out
 }
 
-// entry random-accesses the posting entry for one ordinal: binary
-// search over the term's memoized entries.
-func (s *segment) entry(tid, ord int) (segEntry, bool) {
-	ents := s.entries(tid)
-	i := sort.Search(len(ents), func(i int) bool { return ents[i].ord >= ord })
-	if i < len(ents) && ents[i].ord == ord {
-		return ents[i], true
-	}
-	return segEntry{}, false
+// liveList is one term's live postings: ids ascending, ents[j] the
+// entry of ids[j]. Immutable once built.
+type liveList struct {
+	ids  []string
+	ents []segEntry
 }
 
-// contains reports whether the ordinal posts for the term (tombstones
-// not considered — callers check dead separately).
-func (s *segment) contains(tid, ord int) bool {
-	_, ok := s.entry(tid, ord)
-	return ok
-}
-
-// docList returns the term's live doc ids, ascending. Memoized per
-// term; the memo is dropped when a tombstone lands on the term.
-func (s *segment) docList(tid int) []string {
+// live returns the term's live postings. Memoized per term; the memo is
+// dropped when a tombstone lands on the term. Until one does, ents is
+// the term's entry list itself.
+func (s *segment) live(tid int) *liveList {
 	if v, ok := s.decoded.Load(tid); ok {
-		return v.([]string)
+		return v.(*liveList)
 	}
-	out := make([]string, 0, s.liveDF(tid))
-	for _, e := range s.entries(tid) {
+	all := s.entries(tid)
+	ll := &liveList{ids: make([]string, 0, s.liveDF(tid)), ents: all}
+	if s.delDF[tid] > 0 {
+		ll.ents = make([]segEntry, 0, s.liveDF(tid))
+	}
+	for _, e := range all {
 		if !s.dead[e.ord] {
-			out = append(out, s.docIDs[e.ord])
-		}
-	}
-	s.decoded.Store(tid, out)
-	return out
-}
-
-// docListInFields returns the live doc ids whose postings for the term
-// include at least one of the allowed fields, ascending. Not memoized
-// (field filters vary per query).
-func (s *segment) docListInFields(tid int, fields map[string]bool) []string {
-	var out []string
-	s.forEachEntry(tid, func(e segEntry) bool {
-		if s.dead[e.ord] {
-			return true
-		}
-		for _, f := range e.fields {
-			if fields[s.fields[f.fieldID]] {
-				out = append(out, s.docIDs[e.ord])
-				break
+			ll.ids = append(ll.ids, s.docIDs[e.ord])
+			if s.delDF[tid] > 0 {
+				ll.ents = append(ll.ents, e)
 			}
 		}
-		return true
-	})
-	return out
+	}
+	s.decoded.Store(tid, ll)
+	return ll
 }
 
 // fieldLenOf returns the token count of (ord, fid).
@@ -449,10 +427,10 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 
 // decodeInto expands the segment's live postings back into source form,
 // accumulating into a segSource (the merge path: inputs are decoded
-// into one source, then re-sealed). deadSnap is the tombstone view to
-// honor; positions for a (doc, field) already present in dst append
-// after the existing run.
-func (s *segment) decodeInto(dst *segSource, deadSnap []bool) {
+// into one source, then re-sealed). deadSnap and static are the
+// tombstone and static-score views to honor; positions for a (doc,
+// field) already present in dst append after the existing run.
+func (s *segment) decodeInto(dst *segSource, deadSnap []bool, static []float64) {
 	for tIdx, term := range s.terms {
 		byDoc := dst.postings[term]
 		s.forEachEntry(tIdx, func(e segEntry) bool {
@@ -477,7 +455,7 @@ func (s *segment) decodeInto(dst *segSource, deadSnap []bool) {
 			continue
 		}
 		dst.docs[docID] = struct{}{}
-		dst.static[docID] = s.static[ord]
+		dst.static[docID] = static[ord]
 		for fid, field := range s.fields {
 			if n := s.fieldLenOf(ord, fid); n > 0 {
 				dst.fieldLen[fieldKey{docID, field}] += n

@@ -14,6 +14,7 @@ package search
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -86,14 +87,18 @@ func NewEngine(coll docstore.Docs) *Engine {
 	return e
 }
 
-// ScoringStats reports how many queries had to read their candidates'
-// documents before ranking (a quoted phrase, an id scan, a shard not
-// serving, or a winner that vanished after an index-only ranking) and
-// how many candidates the top-k bound pruned unscored, for the metrics
-// endpoint.
-func (e *Engine) ScoringStats() (candidateReads, pruned int64) {
-	return e.met.Counter("candidate_read_queries").Value(),
-		e.met.Counter("topk_pruned_docs").Value()
+// ScoringStats reports, for the metrics endpoint, how many queries had
+// to read their candidates' documents before ranking — in total and by
+// reason: a quoted phrase, an id scan, a shard not serving, or a winner
+// that vanished after an index-only ranking — and how many candidates
+// the top-k bound pruned unscored.
+func (e *Engine) ScoringStats() map[string]int64 {
+	out := map[string]int64{}
+	for _, name := range []string{"candidate_read_queries", "candidate_read.phrase", "candidate_read.scan",
+		"candidate_read.dark_shard", "candidate_read.retry", "topk_pruned_docs"} {
+		out[name] = e.met.Counter(name).Value()
+	}
+	return out
 }
 
 // Index returns the engine's inverted index (read-mostly; exposed for
@@ -385,9 +390,22 @@ func resultFromDoc(d jsondoc.Doc, score float64) Result {
 
 // queryOrError parses the query and rejects empty ones.
 func queryOrError(q string) ([]textproc.QueryTerm, error) {
-	terms := textproc.ParseQuery(q)
+	terms := dedupeTerms(textproc.ParseQuery(q))
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("search: %w: query %q has no searchable terms", ErrBadQuery, q)
 	}
 	return terms, nil
+}
+
+// dedupeTerms drops repeated stems and repeated phrases in place, keeping
+// first occurrences. A query is a set of terms: said twice, a word would
+// count double in TF-IDF and matches and be its own proximity partner.
+func dedupeTerms(terms []textproc.QueryTerm) []textproc.QueryTerm {
+	out := terms[:0]
+	for _, t := range terms {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }

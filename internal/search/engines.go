@@ -11,30 +11,11 @@ import (
 	"time"
 
 	"covidkg/internal/docstore"
+	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/pipeline"
 	"covidkg/internal/textproc"
 )
-
-// expandSynonyms widens a stemmed term list with the synonym table so a
-// query for "vaccine" also retrieves "immunization" documents (§5: the
-// ranking function recognizes synonymy).
-func expandSynonyms(stems []string) []string {
-	out := append([]string(nil), stems...)
-	seen := map[string]bool{}
-	for _, s := range stems {
-		seen[s] = true
-	}
-	for _, s := range stems {
-		for _, syn := range textproc.SynonymStems(s) {
-			if !seen[syn] {
-				seen[syn] = true
-				out = append(out, syn)
-			}
-		}
-	}
-	return out
-}
 
 // candidateFetchBatch is how many ids resolveCandidates hands to one
 // Docs.GetMany call. Against the networked coordinator each batch is
@@ -116,60 +97,72 @@ func (e *Engine) scatterScanIDs(ctx context.Context) ([]string, []int, error) {
 	return ids, missing, nil
 }
 
-// phraseCandidates resolves a quoted phrase to the documents containing
-// every content word of the phrase (a superset of the true phrase
-// matches, which still need substring verification). ok is false when
-// the phrase has no indexable words and only a full scan can answer it.
-func (e *Engine) phraseCandidates(phrase string, fields map[string]bool) ([]string, bool) {
-	words := textproc.ContentWords(phrase)
-	if len(words) == 0 {
-		return nil, false
-	}
-	// intersect per-word field-restricted doc sets
-	var out []string
-	for i, w := range words {
-		ids := e.idx.DocsWithAnyInFields([]string{w}, fields)
-		if i == 0 {
-			out = ids
-		} else {
-			out = intersectSorted(out, ids)
-		}
-		if len(out) == 0 {
-			return []string{}, true
-		}
-	}
-	return out, true
+// clause is one term list a candidate must satisfy inside fields (nil =
+// any field): some bare term — or a synonym of it — or some phrase has
+// to occur there. A phrase is taken to occur where every content word of
+// it does: a superset of its true matches, which the match predicate
+// then confirms against the stored text.
+type clause struct {
+	fields  map[string]bool
+	any     []int   // cursor names: one of them in fields suffices
+	phrases [][]int // or all the names of one of these
 }
 
-// queryCandidates resolves the full query (bare terms by index lookup,
-// quoted phrases by all-words intersection) into a candidate id list.
-// verify reports whether the candidates still need the match predicate
-// (true when any phrase term participated). ok is false when the index
-// cannot answer and a full scan is required.
-func (e *Engine) queryCandidates(terms []textproc.QueryTerm, fields map[string]bool) (ids []string, verify, ok bool) {
-	set := map[string]struct{}{}
+// clause compiles terms (some of the ranker's own, so every name is
+// already on the cursor) for candidate resolution. Synonyms widen the
+// candidates under every ablation: NoSynonyms only stops them scoring.
+func (r *ranker) clause(terms []textproc.QueryTerm, fields map[string]bool) clause {
+	c := clause{fields: fields}
 	for _, t := range terms {
-		if t.Exact {
-			pc, pok := e.phraseCandidates(t.Text, fields)
-			if !pok {
-				return nil, false, false
-			}
-			verify = true
-			for _, id := range pc {
-				set[id] = struct{}{}
+		if !t.Exact {
+			c.any = append(c.any, r.name(t.Text))
+			for _, syn := range textproc.SynonymStems(t.Text) {
+				c.any = append(c.any, r.name(syn))
 			}
 			continue
 		}
-		for _, id := range e.idx.DocsWithAnyInFields(expandSynonyms([]string{t.Text}), fields) {
-			set[id] = struct{}{}
+		var words []int
+		for _, w := range textproc.ContentWords(t.Text) {
+			words = append(words, r.name(w))
+		}
+		c.phrases = append(c.phrases, words)
+	}
+	return c
+}
+
+// holds reports whether the cursor's document satisfies the clause.
+func (r *ranker) holds(c clause) bool {
+	in := func(i int) bool { // name i occurs inside the clause's fields
+		if c.fields == nil {
+			return r.cur.Has(i)
+		}
+		return slices.ContainsFunc(r.cur.Runs(i), func(run index.Run) bool { return c.fields[run.Field] })
+	}
+	if slices.ContainsFunc(c.any, in) {
+		return true
+	}
+	for _, words := range c.phrases {
+		if !slices.ContainsFunc(words, func(i int) bool { return !in(i) }) {
+			return true
 		}
 	}
-	ids = make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
+	return false
+}
+
+// candidates merges the cursor's sorted posting lists once, document at
+// a time, keeping the ids that satisfy every clause.
+func (r *ranker) candidates(clauses []clause) []string {
+	out := make([]string, 0, r.cur.MaxDocs())
+docs:
+	for doc, ok := r.cur.Next(); ok; doc, ok = r.cur.Next() {
+		for _, c := range clauses {
+			if !r.holds(c) {
+				continue docs
+			}
+		}
+		out = append(out, doc)
 	}
-	sort.Strings(ids)
-	return ids, verify, true
+	return out
 }
 
 // observeStage records one named stage latency.
@@ -317,25 +310,6 @@ func mergeMissing(a, b []int) []int {
 	return a
 }
 
-// intersectSorted intersects two sorted string slices.
-func intersectSorted(a, b []string) []string {
-	var out []string
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // anyTermInFields reports whether at least one query term matches any of
 // the named fields of the document — the engines' match predicate. Its matcher
 // is compiled through the synonym table unless NoSynonyms is set
@@ -390,7 +364,7 @@ type fieldTerms struct {
 }
 
 // parseFieldQuery parses every non-empty field of q; allTerms is their
-// concatenation in field order.
+// concatenation in field order, each distinct term once.
 func parseFieldQuery(q FieldQuery) (conds []fieldTerms, allTerms []textproc.QueryTerm, _ error) {
 	for _, f := range [][2]string{
 		{FieldTitle, q.Title}, {FieldAbstract, q.Abstract}, {FieldTableCaption, q.Caption},
@@ -403,7 +377,7 @@ func parseFieldQuery(q FieldQuery) (conds []fieldTerms, allTerms []textproc.Quer
 			return nil, nil, err
 		}
 		conds = append(conds, fieldTerms{f[0], terms})
-		allTerms = append(allTerms, terms...)
+		allTerms = dedupeTerms(append(allTerms, terms...))
 	}
 	if len(conds) == 0 {
 		return nil, nil, fmt.Errorf("search: %w: all query fields empty", ErrBadQuery)
@@ -450,33 +424,25 @@ func (e *Engine) fieldsPlan(conds []fieldTerms, allTerms []textproc.QueryTerm) p
 			}
 			return true
 		},
-		terms:      allTerms,
-		rankFields: map[string]bool{FieldTitle: true, FieldAbstract: true, FieldTableCaption: true},
 		// Results format: "table captions first, the title and authors and
 		// the full abstract" — snippet order encodes that.
 		snippetFields: []string{FieldTableCaption, FieldTitle, FieldAbstract},
 	}
-	// Inclusive semantics via the index: intersect per-field candidate
-	// sets; quoted phrases keep the verification predicate active.
+	// Inclusive semantics via the index: a candidate satisfies every
+	// field's clause; quoted phrases keep the verification predicate
+	// active.
 	start := time.Now()
 	defer func() { e.observeStage("candidates", time.Since(start)) }()
-	for i, c := range conds {
-		ids, v, ok := e.queryCandidates(c.terms, map[string]bool{c.field: true})
-		if !ok {
-			q.candidates, q.verify = nil, false
-			return q
-		}
-		q.verify = q.verify || v
-		if i == 0 {
-			q.candidates = ids
-		} else {
-			q.candidates = intersectSorted(q.candidates, ids)
-		}
-		if len(q.candidates) == 0 {
-			q.candidates = []string{}
-			break
-		}
+	q.rank = e.newRanker(allTerms, map[string]bool{FieldTitle: true, FieldAbstract: true, FieldTableCaption: true})
+	if q.rank.scan {
+		return q // unresolvable: nil candidates
 	}
+	clauses := make([]clause, len(conds))
+	for i, c := range conds {
+		clauses[i] = q.rank.clause(c.terms, map[string]bool{c.field: true})
+		q.verify = q.verify || len(clauses[i].phrases) > 0
+	}
+	q.candidates = q.rank.candidates(clauses)
 	return q
 }
 
@@ -512,12 +478,15 @@ func (e *Engine) termsPlan(terms []textproc.QueryTerm, rankFields map[string]boo
 	vm := e.verifyMatcher(terms)
 	q := plan{
 		match:         func(d jsondoc.Doc) bool { return anyTermInFields(d, vm, matchFields...) },
-		terms:         terms,
-		rankFields:    rankFields,
 		snippetFields: snippetFields,
 	}
 	start := time.Now()
-	q.candidates, q.verify, _ = e.queryCandidates(terms, rankFields) // unresolvable: nil, a scan
+	q.rank = e.newRanker(terms, rankFields)
+	if !q.rank.scan { // else unresolvable: nil candidates
+		c := q.rank.clause(terms, rankFields)
+		q.verify = len(c.phrases) > 0
+		q.candidates = q.rank.candidates([]clause{c})
+	}
 	e.observeStage("candidates", time.Since(start))
 	return q
 }

@@ -45,7 +45,9 @@ func BenchmarkVerifyPredicate(b *testing.B) {
 // query-time matching kernel: a snippet costs its excerpt and its
 // highlight slice, a text without a match costs nothing, and a cold page
 // stays a fraction of the ~21.6 K allocations it took when every text
-// was tokenized once per term (see CHANGES.md, PR 12).
+// was tokenized once per term (PR 12) and of the 4.5 K it took when each
+// candidate's positions were gathered into maps per feature (PR 16; see
+// CHANGES.md).
 func TestMatchAllocationCeilings(t *testing.T) {
 	text := benchBody()
 	hit := textproc.CompileTerms(textproc.ParseQuery("transmission ventilators exposure"), false)
@@ -72,8 +74,45 @@ func TestMatchAllocationCeilings(t *testing.T) {
 		sinkPage = pg
 		i++
 	})
-	if ceiling := 27220.0 / 4; perPage > ceiling {
+	if ceiling := 2500.0; perPage > ceiling {
 		t.Errorf("cold page allocates %.0f times, ceiling %.0f", perPage, ceiling)
 	}
 	t.Logf("cold page: %.0f allocs", perPage)
+
+	// Ranking from the cursor: positioning it on a candidate, bounding it
+	// and scoring it allocate nothing, and resolving the candidates costs
+	// the same few allocations (the cursor's state and the id list)
+	// whether they are a handful or most of the corpus.
+	terms, err := queryOrError("vaccine fever transmission")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := e.allPlan(terms)
+	if len(q.candidates) < 300 {
+		t.Fatalf("only %d candidates", len(q.candidates))
+	}
+	var sinkScore float64
+	if n := testing.AllocsPerRun(5, func() {
+		for _, id := range q.candidates {
+			q.rank.cur.Seek(id)
+			sinkScore += q.rank.bound() + q.rank.scoreHere(nil).Total
+		}
+	}); n != 0 {
+		t.Errorf("seeking and scoring %d index-only candidates allocates %.0f times, want 0", len(q.candidates), n)
+	}
+	// two one-name queries (neither word has synonyms)
+	var plans [2]plan
+	var allocs [2]float64
+	for i, word := range []string{"seroconversion", "patients"} {
+		ts, err := queryOrError(word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() { plans[i] = e.allPlan(ts) })
+	}
+	if len(plans[0].candidates)*3 > len(plans[1].candidates) || allocs[0] != allocs[1] || allocs[1] > 25 {
+		t.Errorf("resolving %d candidates allocates %.0f times, %d candidates %.0f times: want one small constant",
+			len(plans[0].candidates), allocs[0], len(plans[1].candidates), allocs[1])
+	}
+	t.Logf("plan: %.0f allocs for %d candidates, %.0f for %d", allocs[0], len(plans[0].candidates), allocs[1], len(plans[1].candidates))
 }

@@ -2,10 +2,12 @@ package search
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strings"
 	"unicode/utf8"
 
+	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/textproc"
 )
@@ -13,7 +15,7 @@ import (
 // refRank is the naive ranker runQuery is held to, for every query shape
 // and every store condition: read every candidate (every id the store
 // will list, when the index resolved none), keep what the predicate
-// confirms, score each document with e.score, sort the whole list, slice
+// confirms, score each document with the plan's ranker, sort the whole list, slice
 // the page, excerpt. A candidate that cannot be read — deleted, or on a
 // dark shard, which is then reported — is not a hit.
 func (e *Engine) refRank(q plan, pageNum int) Page {
@@ -36,8 +38,8 @@ func (e *Engine) refRank(q plan, pageNum int) Page {
 	var rs []Result
 	for i, d := range docs {
 		if d != nil && (!verify || q.match(d)) {
-			rs = append(rs, resultFromDoc(d, e.score(ids[i], d, q.terms, q.rankFields).Total))
-			rs[len(rs)-1].Snippets = appendSnippets(nil, d, q.snippetFields, textproc.CompileTerms(q.terms, false))
+			rs = append(rs, resultFromDoc(d, q.rank.score(ids[i], d).Total))
+			rs[len(rs)-1].Snippets = appendSnippets(nil, d, q.snippetFields, textproc.CompileTerms(q.rank.terms, false))
 		}
 	}
 	sort.Slice(rs, func(i, j int) bool {
@@ -216,4 +218,188 @@ func refMatchSpans(text string, terms []textproc.QueryTerm) [][2]int {
 	}
 	sortSpans(spans)
 	return dedupeSpans(spans)
+}
+
+// refGathers are the index reads e.score made before the posting cursor
+// — FieldsOf, TermFreq, MinPairDistance, each a fresh per-(term, doc)
+// gather — rebuilt naively over Index.Lookup, so refScore shares nothing
+// with the cursor. idf is computed from the index's live counts and
+// static read from the index by default; a test that pins a snapshot
+// swaps them.
+type refGathers struct {
+	postings map[string][]index.Posting // term → Lookup(term), memoized
+	ix       *index.Index
+	idf      func(term string) float64
+	static   func(docID string) float64
+}
+
+func newRefGathers(ix *index.Index) *refGathers {
+	return &refGathers{postings: map[string][]index.Posting{}, ix: ix, idf: func(t string) float64 { return refIDF(ix, t) }, static: ix.Static}
+}
+
+// refIDF is the smoothed inverse document frequency log((N+1)/(df+1)) + 1
+// of the index as it stands now.
+func refIDF(ix *index.Index, term string) float64 {
+	return math.Log(float64(ix.DocCount()+1)/float64(ix.DocFreq(term)+1)) + 1
+}
+
+// positions is the (term, doc) gather: field → positions.
+func (g *refGathers) positions(term, docID string) map[string][]int {
+	ps, ok := g.postings[term]
+	if !ok {
+		ps = g.ix.Lookup(term)
+		g.postings[term] = ps
+	}
+	out := map[string][]int{}
+	for _, p := range ps {
+		if p.DocID == docID {
+			out[p.Field] = p.Positions
+		}
+	}
+	return out
+}
+
+func (g *refGathers) FieldsOf(docID, term string) []string {
+	var out []string
+	for f := range g.positions(term, docID) {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (g *refGathers) TermFreq(term, docID, field string) int {
+	return len(g.positions(term, docID)[field])
+}
+
+func (g *refGathers) MinPairDistance(docID, a, b string) int {
+	best := -1
+	for f, posA := range g.positions(a, docID) {
+		for _, pa := range posA {
+			for _, pb := range g.positions(b, docID)[f] {
+				if d := max(pa-pb, pb-pa); best < 0 || d < best {
+					best = d
+				}
+			}
+		}
+	}
+	return best
+}
+
+// refScore is e.score as it stood before the cursor fed it — the body
+// verbatim, only e.idx.X(…) renamed g.X(…) and the options passed in —
+// kept as the oracle for the scorer itself: refRank ranks with the
+// engine's scorer, so it cannot see a change in what a document scores.
+func refScore(g *refGathers, opts RankOptions, docID string, d jsondoc.Doc, terms []textproc.QueryTerm, fields map[string]bool) RankExplain {
+	var ex RankExplain
+	fieldWeight := func(f string) float64 {
+		if opts.FlatFields {
+			return 1
+		}
+		return fieldWeights[f]
+	}
+	idf := func(term string) float64 {
+		if opts.NoIDF {
+			return 1
+		}
+		return g.idf(term)
+	}
+
+	// Stemmed terms participate in TF-IDF and proximity; exact phrases
+	// contribute through match counting on the raw text.
+	var stemBuf [4]string
+	stemmed := stemBuf[:0]
+	for _, t := range terms {
+		if !t.Exact {
+			stemmed = append(stemmed, t.Text)
+		}
+	}
+
+	matched := 0
+	totalMatches := 0
+	for _, t := range terms {
+		termHit := false
+		if t.Exact {
+			if d == nil {
+				continue // a phrase query always reads its candidates
+			}
+			for _, f := range allFields {
+				if fields != nil && !fields[f] {
+					continue
+				}
+				anyFieldText(d, f, func(txt string) bool {
+					if at, _ := textproc.IndexFold(txt, t.Text, 0); at >= 0 {
+						termHit = true
+						totalMatches++
+						ex.TFIDF += fieldWeight(f) // exact phrases score by field weight alone
+					}
+					return false // count every matching text
+				})
+			}
+		} else {
+			for _, f := range g.FieldsOf(docID, t.Text) {
+				if fields != nil && !fields[f] {
+					continue
+				}
+				termHit = true
+				tf := g.TermFreq(t.Text, docID, f)
+				totalMatches += tf
+				ex.TFIDF += float64(tf) * idf(t.Text) * fieldWeight(f) * wTFIDF / 10
+			}
+			// synonym matches score at a discount and can rescue
+			// coverage when the literal term is absent
+			syns := textproc.SynonymStems(t.Text)
+			if opts.NoSynonyms {
+				syns = nil
+			}
+			for _, syn := range syns {
+				for _, f := range g.FieldsOf(docID, syn) {
+					if fields != nil && !fields[f] {
+						continue
+					}
+					termHit = true
+					tf := g.TermFreq(syn, docID, f)
+					ex.TFIDF += float64(tf) * idf(syn) * fieldWeight(f) * wSynonym / 10
+				}
+			}
+		}
+		if termHit {
+			matched++
+		}
+	}
+
+	ex.Matches = wMatches * float64(totalMatches)
+
+	// Proximity: reward query terms that occur near each other. Use the
+	// minimum pairwise distance among stemmed terms.
+	if len(stemmed) >= 2 && !opts.NoProximity {
+		best := -1
+		for i := 0; i < len(stemmed); i++ {
+			for j := i + 1; j < len(stemmed); j++ {
+				if di := g.MinPairDistance(docID, stemmed[i], stemmed[j]); di >= 0 && (best < 0 || di < best) {
+					best = di
+				}
+			}
+		}
+		if best >= 0 {
+			ex.Proximity = wProximity / float64(1+best)
+		}
+	}
+
+	// Coverage: fraction of query terms the document matched at all.
+	if len(terms) > 0 && !opts.NoCoverage {
+		ex.Coverage = wCoverage * float64(matched) / float64(len(terms))
+	}
+
+	// Static feature: newer publications get a small boost — read from
+	// the index, or recomputed from the document in hand (identical:
+	// indexDoc stores recencyOf(d)).
+	if d == nil {
+		ex.Recency = g.static(docID)
+	} else {
+		ex.Recency = recencyOf(d)
+	}
+
+	ex.Total = ex.TFIDF + ex.Matches + ex.Proximity + ex.Coverage + ex.Recency
+	return ex
 }

@@ -410,7 +410,7 @@ func TestScoreDocExplainConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	terms := textproc.ParseQuery("masks transmission")
-	ex := e.score("p1", d, terms, nil)
+	ex := e.newRanker(terms, nil).score("p1", d)
 	sum := ex.TFIDF + ex.Matches + ex.Proximity + ex.Coverage + ex.Recency
 	if diff := ex.Total - sum; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("explain does not sum: %+v", ex)

@@ -60,28 +60,66 @@ func makeSnippet(field, text string, hl *textproc.TermMatcher) (Snippet, bool) {
 	return Snippet{Field: field, Text: lead + text[start:end] + tail, Highlights: hls}, true
 }
 
-// matchSpans appends to dst the sorted, de-overlapped byte spans of
-// every query-term match in text: one pass over the tokens for all bare
-// terms, one case-insensitive scan per quoted phrase, both reporting
-// offsets in text's own bytes.
+// matchSpans returns in dst (empty on entry) the sorted, de-overlapped
+// byte spans of the query-term matches in text that a snippet can show:
+// one pass over the tokens for all bare terms, one case-insensitive scan
+// per quoted phrase, both reporting offsets in text's own bytes and both
+// stopping at the excerpt's far edge — makeSnippet keeps nothing past
+// it, and a field is mostly a whole body_text. The edge is known only
+// once the first span is, and a phrase overlapping that span moves it,
+// so the scans run to a limit that grows until it covers the edge;
+// every span starting before the limit is collected.
 func matchSpans(dst [][2]int, text string, m *textproc.TermMatcher) [][2]int {
+	// past the first span's end; rune alignment adds at most UTFMax-1
+	const reach = snippetRadius + utf8.UTFMax
 	var sc textproc.Scanner
 	sc.Reset(text)
-	for tok := sc.Next(); tok != nil; tok = sc.Next() {
-		if m.MatchToken(tok) {
-			dst = append(dst, [2]int{sc.Start, sc.End})
+	held, heldMatch := false, false // a token read but not yet inside the limit
+	var fromBuf [4]int
+	from := fromBuf[:] // per phrase: where its scan resumes
+	if n := len(m.Phrases()); n > len(from) {
+		from = make([]int, n)
+	}
+	for limit := len(text); ; {
+		for {
+			if !held {
+				tok := sc.Next()
+				if tok == nil {
+					break
+				}
+				held, heldMatch = true, m.MatchToken(tok)
+			}
+			if sc.Start >= limit {
+				break
+			}
+			if held = false; heldMatch {
+				if dst = append(dst, [2]int{sc.Start, sc.End}); len(dst) == 1 {
+					limit = min(limit, sc.End+reach) // the first match: no edge lies further, phrases aside
+				}
+			}
 		}
-	}
-	for _, p := range m.Phrases() {
-		for s, e := textproc.IndexFold(text, p, 0); s >= 0; s, e = textproc.IndexFold(text, p, e) {
-			dst = append(dst, [2]int{s, e})
+		for i, p := range m.Phrases() {
+			// a match is as many runes as p: at most 4 bytes a pattern byte
+			hi := min(len(text), limit+4*len(p))
+			for hi < len(text) && !utf8.RuneStart(text[hi]) {
+				hi++
+			}
+			for s, e := textproc.IndexFold(text[:hi], p, from[i]); s >= 0 && s < limit; s, e = textproc.IndexFold(text[:hi], p, e) {
+				dst = append(dst, [2]int{s, e})
+				from[i] = e
+			}
 		}
+		if len(dst) == 0 {
+			return nil
+		}
+		sortSpans(dst)
+		dst = dedupeSpans(dst)
+		if edge := dst[0][1] + reach; edge > limit && limit < len(text) {
+			limit = edge
+			continue
+		}
+		return dst
 	}
-	if len(dst) == 0 {
-		return nil
-	}
-	sortSpans(dst)
-	return dedupeSpans(dst)
 }
 
 func sortSpans(spans [][2]int) {

@@ -14,8 +14,9 @@ import (
 )
 
 // The one scoring path (runQuery). Every query shape of every engine is
-// ranked the same way: a sorted candidate id list, each candidate scored
-// by e.score, the best k = pageNum·PerPage kept in a bounded heap under
+// ranked the same way: a sorted candidate id list merged off the query's
+// posting cursor, each candidate scored by the query's ranker from the
+// same cursor, the best k = pageNum·PerPage kept in a bounded heap under
 // the total order (score desc, docID asc), and the ≤ PerPage winners
 // turned into results with snippets.
 //
@@ -28,10 +29,10 @@ import (
 // scored against raw text; an unindexable phrase scans every id), or one
 // issued while a shard is dark (what can be served is known only by
 // reading), fetches every candidate first and scores them all in one
-// parallel pass: a phrase's contribution has no posting-derived bound,
-// so nothing is pruned there. e.score is the single scorer either way —
-// same floats, same order — so a page does not depend on which of the
-// two it was.
+// parallel pass (each chunk forks the cursor): a phrase's contribution
+// has no posting-derived bound, so nothing is pruned there. The ranker
+// is the single scorer either way — same floats, same order — so a page
+// does not depend on which of the two it was.
 
 // boundPad and boundEps inflate pruning upper bounds so a bound that
 // lands within float-rounding distance of the heap minimum is treated
@@ -123,150 +124,26 @@ func (h *topkHeap) ranked() []topkEntry {
 	return out
 }
 
-// postingIter walks one term's sorted posting list in step with the
-// ascending candidate stream.
-type postingIter struct {
-	docs []string
-	pos  int
-}
-
-// advance moves the iterator to the first posting ≥ doc and reports
-// whether the term posts for doc. Candidates arrive ascending, so each
-// list is traversed once per query.
-func (it *postingIter) advance(doc string) bool {
-	d := it.docs
-	if it.pos >= len(d) {
-		return false
-	}
-	it.pos += sort.SearchStrings(d[it.pos:], doc)
-	return it.pos < len(d) && d[it.pos] == doc
-}
-
-// topkScratch pools the per-query allocations of the top-k path: the
-// heap backing array, the posting iterators, and the per-term bound
-// tables.
-type topkScratch struct {
-	heap    topkHeap
-	iters   []postingIter
-	present []bool
-	tfidfUB []float64
-	rawUB   []float64
-}
-
-var topkPool = sync.Pool{New: func() any { return &topkScratch{} }}
-
-// termSlot groups one query term with its synonym expansions; indexes
-// point into the flat per-name iterator/bound tables.
-type termSlot struct {
-	primary int
-	syns    []int
-}
+// topkPool pools the per-query heap backing arrays.
+var topkPool = sync.Pool{New: func() any { return &topkHeap{} }}
 
 // selectFromPostings scores the candidates from the index alone and
-// pushes them into sc.heap, skipping those whose max-score upper bound
-// cannot beat the weakest kept entry once the heap is full.
-func (e *Engine) selectFromPostings(ctx context.Context, sc *topkScratch, q plan) error {
-	opts := *e.rankOpts.Load()
-	terms := q.terms
-
-	// Flatten (term, synonyms…) into per-name posting snapshots and
-	// per-name score upper-bound contributions.
-	var names []string
-	slots := make([]termSlot, 0, len(terms))
-	for _, t := range terms {
-		s := termSlot{primary: len(names)}
-		names = append(names, t.Text)
-		if !opts.NoSynonyms {
-			for _, syn := range textproc.SynonymStems(t.Text) {
-				s.syns = append(s.syns, len(names))
-				names = append(names, syn)
-			}
-		}
-		slots = append(slots, s)
-	}
-	snaps := e.idx.TermSnapshots(names)
-	for i := range snaps {
-		sc.iters = append(sc.iters, postingIter{docs: snaps[i].Docs})
-		sc.present = append(sc.present, false)
-		sc.tfidfUB = append(sc.tfidfUB, 0)
-		sc.rawUB = append(sc.rawUB, 0)
-	}
-
-	// Per-name bound pieces mirror the score formula's weights: a name
-	// present in a document contributes at most maxWTF·idf·w/10 to the
-	// TF-IDF feature (weighted-TF maximum over any document holding the
-	// term) and, for primary terms only, at most wMatches·maxRaw to the
-	// match-count feature (synonym hits never increment the match
-	// count). FlatFields swaps the weighted maximum for the raw one,
-	// NoIDF pins idf at 1 — the same ablations e.score applies.
-	idf := func(term string) float64 {
-		if opts.NoIDF {
-			return 1
-		}
-		return e.idx.IDF(term)
-	}
-	maxTF := func(s int) float64 {
-		if opts.FlatFields {
-			return float64(snaps[s].MaxRaw)
-		}
-		return snaps[s].MaxWTF
-	}
-	for _, s := range slots {
-		sc.tfidfUB[s.primary] = maxTF(s.primary) * idf(names[s.primary]) * wTFIDF / 10
-		sc.rawUB[s.primary] = wMatches * float64(snaps[s.primary].MaxRaw)
-		for _, j := range s.syns {
-			sc.tfidfUB[j] = maxTF(j) * idf(names[j]) * wSynonym / 10
-		}
-	}
-
+// pushes them into h, skipping those whose max-score upper bound cannot
+// beat the weakest kept entry once the heap is full.
+func (e *Engine) selectFromPostings(ctx context.Context, h *topkHeap, q plan) error {
 	var pruned int64
 	for i, doc := range q.candidates {
 		if i%pipeline.CancelCheckInterval == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		for j := range sc.iters {
-			sc.present[j] = sc.iters[j].advance(doc)
-		}
-		if sc.heap.full() {
-			// Max-score upper bound: sum the present names' TF-IDF caps,
-			// the present primaries' match-count caps, perfect coverage
-			// over the slots with any present name, the proximity
-			// feature's maximum when ≥2 primaries co-occur, and the
-			// document's static (recency) score.
-			ub := e.idx.Static(doc)
-			matchedSlots := 0
-			primaries := 0
-			for _, s := range slots {
-				hit := false
-				if sc.present[s.primary] {
-					hit = true
-					primaries++
-					ub += sc.tfidfUB[s.primary] + sc.rawUB[s.primary]
-				}
-				for _, j := range s.syns {
-					if sc.present[j] {
-						hit = true
-						ub += sc.tfidfUB[j]
-					}
-				}
-				if hit {
-					matchedSlots++
-				}
-			}
-			if matchedSlots > 0 && !opts.NoCoverage {
-				ub += wCoverage * float64(matchedSlots) / float64(len(terms))
-			}
-			if primaries >= 2 && !opts.NoProximity {
-				ub += wProximity
-			}
-			if !sc.heap.beats(ub*boundPad+boundEps, doc) {
-				pruned++
-				continue
-			}
+		q.rank.cur.Seek(doc)
+		if h.full() && !h.beats(q.rank.bound()*boundPad+boundEps, doc) {
+			pruned++
+			continue
 		}
 		// The bound only decides whether to score; what is kept is the
-		// exact e.score accumulation.
-		sc.heap.push(topkEntry{docID: doc, score: e.score(doc, nil, terms, q.rankFields).Total})
+		// exact score accumulation.
+		h.push(topkEntry{docID: doc, score: q.rank.scoreHere(nil).Total})
 	}
 	if pruned > 0 {
 		e.met.Counter("topk_pruned_docs").Add(pruned)
@@ -283,15 +160,15 @@ type plan struct {
 	// against the stored text (a quoted phrase took part).
 	verify        bool
 	match         func(jsondoc.Doc) bool
-	terms         []textproc.QueryTerm
-	rankFields    map[string]bool // nil = every field
 	snippetFields []string
+	// rank scores the candidates, from the index snapshot they came from.
+	rank *ranker
 }
 
 // readAndScore fetches every candidate's document (the ids come from an
 // id-only scatter scan when the index could not supply them, and the
 // match predicate then decides membership) and, in one parallel pass,
-// applies the predicate and e.score to each. It returns the hits in id
+// applies the predicate and the ranker to each. It returns the hits in id
 // order; a candidate that is deleted, on a dark shard (listed in
 // missing) or rejected by the predicate is not one.
 func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, missing []int, err error) {
@@ -313,12 +190,14 @@ func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, mi
 	start = time.Now()
 	hits = make([]topkEntry, len(ids))
 	pipeline.ParallelChunksMin(len(ids), runtime.GOMAXPROCS(0), pipeline.MinItemsPerWorker, func(lo, hi int) {
+		rank := *q.rank // same snapshot and tables, a cursor of this chunk's own
+		rank.cur = q.rank.cur.Fork()
 		for i := lo; i < hi; i++ {
 			if (i-lo)%pipeline.CancelCheckInterval == 0 && ctx.Err() != nil {
 				return
 			}
 			if d := docs[i]; d != nil && (!verify || q.match(d)) {
-				hits[i] = topkEntry{docID: ids[i], score: e.score(ids[i], d, q.terms, q.rankFields).Total, doc: d}
+				hits[i] = topkEntry{docID: ids[i], score: rank.score(ids[i], d).Total, doc: d}
 			}
 		}
 	})
@@ -337,20 +216,33 @@ func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, mi
 }
 
 // runQuery ranks one query for all three engines. The candidates'
-// documents are read only when ranking needs them: to verify a phrase,
-// for a scan, or because a shard is not serving and the page must
-// account for what is missing. The engines pass readDocs false; runQuery
-// sets it when it has to run itself a second time.
-func (e *Engine) runQuery(ctx context.Context, q plan, readDocs bool, pageNum int) (Page, error) {
+// documents are read only when ranking needs them, and the reason is
+// counted (candidate_read.<reason>): to verify a phrase, for a scan,
+// because a shard is not serving and the page must account for what is
+// missing, or — retry, which only runQuery itself passes — because a
+// winner ranked from the index could not be fetched.
+func (e *Engine) runQuery(ctx context.Context, q plan, retry bool, pageNum int) (Page, error) {
 	if err := ctx.Err(); err != nil {
 		return Page{}, fmt.Errorf("search: %w", err)
 	}
-	readDocs = readDocs || q.verify || q.candidates == nil || !e.coll.AllShardsServing()
+	reason := ""
+	switch {
+	case retry:
+		reason = "retry"
+	case q.candidates == nil:
+		reason = "scan"
+	case q.verify:
+		reason = "phrase"
+	case !e.coll.AllShardsServing():
+		reason = "dark_shard"
+	}
+	readDocs := reason != ""
 	total := len(q.candidates)
 	var hits []topkEntry
 	var missing []int
 	if readDocs {
 		e.met.Counter("candidate_read_queries").Inc()
+		e.met.Counter("candidate_read." + reason).Inc()
 		var err error
 		if hits, missing, err = e.readAndScore(ctx, q); err != nil {
 			return Page{}, err
@@ -374,25 +266,21 @@ func (e *Engine) runQuery(ctx context.Context, q plan, readDocs bool, pageNum in
 		return page, nil
 	}
 
-	sc := topkPool.Get().(*topkScratch)
+	h := topkPool.Get().(*topkHeap)
 	defer func() {
-		clear(sc.heap.es) // drop the documents
-		sc.heap.es = sc.heap.es[:0]
-		sc.iters = sc.iters[:0]
-		sc.present = sc.present[:0]
-		sc.tfidfUB = sc.tfidfUB[:0]
-		sc.rawUB = sc.rawUB[:0]
-		topkPool.Put(sc)
+		clear(h.es) // drop the documents
+		h.es = h.es[:0]
+		topkPool.Put(h)
 	}()
 	// The (score desc, docID asc) order is total, so k entries determine
 	// the page exactly.
-	sc.heap.k = min(pageNum*PerPage, total)
+	h.k = min(pageNum*PerPage, total)
 	start := time.Now()
 	if readDocs {
-		for _, h := range hits {
-			sc.heap.push(h)
+		for _, hit := range hits {
+			h.push(hit)
 		}
-	} else if err := e.selectFromPostings(ctx, sc, q); err != nil {
+	} else if err := e.selectFromPostings(ctx, h, q); err != nil {
 		return Page{}, fmt.Errorf("search: topk: %w", err)
 	}
 	e.observeStage("topk", time.Since(start))
@@ -400,7 +288,7 @@ func (e *Engine) runQuery(ctx context.Context, q plan, readDocs bool, pageNum in
 	// Materialize the winners; ranked from the index alone, their
 	// documents are fetched now, in one batch.
 	start = time.Now()
-	winners := sc.heap.ranked()[(pageNum-1)*PerPage:]
+	winners := h.ranked()[(pageNum-1)*PerPage:]
 	if !readDocs {
 		ids := make([]string, len(winners))
 		for i, w := range winners {
@@ -414,7 +302,7 @@ func (e *Engine) runQuery(ctx context.Context, q plan, readDocs bool, pageNum in
 			winners[i].doc = docs[i]
 		}
 	}
-	hl := textproc.CompileTerms(q.terms, false)
+	hl := textproc.CompileTerms(q.rank.terms, false)
 	page.Results = make([]Result, 0, len(winners))
 	for _, w := range winners {
 		if w.doc == nil {
