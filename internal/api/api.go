@@ -308,20 +308,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
+// pubErrStatus maps a failed publication lookup. A point lookup cannot
+// degrade to a partial result: when the owning shard's every replica is
+// dark the honest answer is 503, distinct from 404 (the document is not
+// gone, just unreachable); only an unsearchable query is the caller's 400.
+func pubErrStatus(err error) int {
+	switch {
+	case errors.Is(err, search.ErrBadQuery):
+		return http.StatusBadRequest
+	case errors.Is(err, docstore.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, docstore.ErrShardUnavailable):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 func (s *Server) handlePublication(w http.ResponseWriter, r *http.Request) {
 	d, err := s.sys.Pubs.Get(r.PathValue("id"))
 	if err != nil {
-		// a point lookup cannot degrade to a partial result: when the
-		// owning shard's every replica is dark the honest answer is 503,
-		// distinct from 404 (the document is not gone, just unreachable)
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, docstore.ErrNotFound):
-			status = http.StatusNotFound
-		case errors.Is(err, docstore.ErrShardUnavailable):
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, r, status, err)
+		writeErr(w, r, pubErrStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, d)
@@ -334,18 +340,7 @@ func (s *Server) handleTableMatches(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	ms, err := s.sys.Search.TableCellMatchesContext(r.Context(), r.PathValue("id"), q)
 	if err != nil {
-		// only an unsearchable query is the caller's fault; a dark shard
-		// is 503, as for the publication itself
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, search.ErrBadQuery):
-			status = http.StatusBadRequest
-		case errors.Is(err, docstore.ErrNotFound):
-			status = http.StatusNotFound
-		case errors.Is(err, docstore.ErrShardUnavailable):
-			status = http.StatusServiceUnavailable
-		}
-		writeErr(w, r, failStatus(err, status), err)
+		writeErr(w, r, failStatus(err, pubErrStatus(err)), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tables": ms})
@@ -356,7 +351,7 @@ func (s *Server) handleTableMatches(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePubNodes(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.sys.Pubs.Get(id); err != nil {
-		writeErr(w, r, http.StatusNotFound, err)
+		writeErr(w, r, pubErrStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"nodes": s.sys.Graph.NodesByPaper(id)})

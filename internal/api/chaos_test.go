@@ -201,7 +201,8 @@ func TestRetryAfterClampedToWholeSecond(t *testing.T) {
 
 // TestTableMatchesErrorStatuses: only an unsearchable query is the
 // caller's 400; an unknown publication is 404 and a publication on a
-// dark shard 503, as for the publication resource itself.
+// dark shard 503, as for the publication resource itself — for its table
+// matches and for its nodes.
 func TestTableMatchesErrorStatuses(t *testing.T) {
 	s, sys, fp, _ := chaosServer(t)
 	_, darkID := darkShard(sys, fp)
@@ -212,6 +213,10 @@ func TestTableMatchesErrorStatuses(t *testing.T) {
 		{"/api/v1/publications/c01/tables?q=the+of", http.StatusBadRequest},
 		{"/api/v1/publications/nosuchid/tables?q=covid", http.StatusNotFound},
 		{"/api/v1/publications/" + darkID + "/tables?q=covid", http.StatusServiceUnavailable},
+		// the nodes listing used to answer every lookup failure with 404
+		{"/api/v1/publications/c01/nodes", http.StatusOK},
+		{"/api/v1/publications/nosuchid/nodes", http.StatusNotFound},
+		{"/api/v1/publications/" + darkID + "/nodes", http.StatusServiceUnavailable},
 	} {
 		if rec, body := get(t, s, tc.path); rec.Code != tc.want {
 			t.Fatalf("%s = %d (%v), want %d", tc.path, rec.Code, body, tc.want)

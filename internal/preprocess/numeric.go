@@ -131,8 +131,18 @@ func isWordByte(b byte) bool {
 
 // Substitute rewrites one cell or phrase of table text per §3.4 and
 // returns the normalized form. Non-numeric text passes through
-// unchanged (aside from whitespace normalization around replacements).
+// unchanged (aside from whitespace normalization around replacements):
+// every substitution needs an ASCII digit, '<' or '>', so text with none
+// — most header and label cells — skips the eight regex passes.
 func Substitute(s string) string {
+	if !strings.ContainsAny(s, "0123456789<>") {
+		return strings.Join(strings.Fields(s), " ")
+	}
+	return substitute(s)
+}
+
+// substitute is the full cascade.
+func substitute(s string) string {
 	// 1. dates with worded months
 	s = reDateDayFirst.ReplaceAllString(s, KwDate)
 	s = reDateMonthFirst.ReplaceAllString(s, KwDate)

@@ -217,3 +217,27 @@ func TestKeywordsListComplete(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSubstituteNoDigit holds the early return of Substitute to the full
+// cascade: on text without an ASCII digit, '<' or '>' (those are dropped
+// from the input, so every input counts) the two agree.
+func FuzzSubstituteNoDigit(f *testing.F) {
+	for _, seed := range []string{
+		"", "vaccine side effects by manufacturer", "  Pfizer/BioNTech \t mRNA\n", "January", "May to June",
+		"dose – interval — mg", "p % of n", "-", "- mg", ".", "٣ days", "５ ml", "x²", "a\u00a0b", "\xff\xfe %",
+		"5-10 mg < 0.5%", "COVID-19", "to", "hours",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		s = strings.Map(func(r rune) rune {
+			if ('0' <= r && r <= '9') || r == '<' || r == '>' {
+				return -1
+			}
+			return r
+		}, s)
+		if got, want := Substitute(s), substitute(s); got != want {
+			t.Fatalf("Substitute(%q) = %q, the full cascade says %q", s, got, want)
+		}
+	})
+}

@@ -87,15 +87,15 @@ func NewEngine(coll docstore.Docs) *Engine {
 	return e
 }
 
-// ScoringStats reports, for the metrics endpoint, how many queries had
-// to read their candidates' documents before ranking — in total and by
-// reason: a quoted phrase, an id scan, a shard not serving, or a winner
-// that vanished after an index-only ranking — and how many candidates
-// the top-k bound pruned unscored.
+// ScoringStats reports, for the metrics endpoint, how many queries read
+// candidates' documents before ranking — in total and by reason: a quoted
+// phrase its words were adjacent for, an id scan, a shard not serving, or
+// a winner that vanished after an index-only ranking — how many documents
+// they read, and how many candidates the top-k bound pruned unscored.
 func (e *Engine) ScoringStats() map[string]int64 {
 	out := map[string]int64{}
 	for _, name := range []string{"candidate_read_queries", "candidate_read.phrase", "candidate_read.scan",
-		"candidate_read.dark_shard", "candidate_read.retry", "topk_pruned_docs"} {
+		"candidate_read.dark_shard", "candidate_read.retry", "candidate_read_docs", "topk_pruned_docs"} {
 		out[name] = e.met.Counter(name).Value()
 	}
 	return out

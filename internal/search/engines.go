@@ -98,14 +98,15 @@ func (e *Engine) scatterScanIDs(ctx context.Context) ([]string, []int, error) {
 }
 
 // clause is one term list a candidate must satisfy inside fields (nil =
-// any field): some bare term — or a synonym of it — or some phrase has
-// to occur there. A phrase is taken to occur where every content word of
-// it does: a superset of its true matches, which the match predicate
-// then confirms against the stored text.
+// any field): some bare term — or a synonym of it — occurs there, or the
+// postings allow some phrase there (ranker.phraseIn). That is a superset
+// of the phrase's true matches; the match predicate confirms exactly
+// those candidates against the stored text (ranker.needsText).
 type clause struct {
 	fields  map[string]bool
-	any     []int   // cursor names: one of them in fields suffices
-	phrases [][]int // or all the names of one of these
+	terms   []int   // cursor names of the bare terms: one of them in fields suffices
+	syns    []int   // or one of their synonyms
+	phrases [][]int // or the content words of one of these, adjacent in one field
 }
 
 // clause compiles terms (some of the ranker's own, so every name is
@@ -114,45 +115,58 @@ type clause struct {
 func (r *ranker) clause(terms []textproc.QueryTerm, fields map[string]bool) clause {
 	c := clause{fields: fields}
 	for _, t := range terms {
-		if !t.Exact {
-			c.any = append(c.any, r.name(t.Text))
-			for _, syn := range textproc.SynonymStems(t.Text) {
-				c.any = append(c.any, r.name(syn))
-			}
+		if t.Exact {
+			c.phrases = append(c.phrases, r.slots[slices.Index(r.terms, t)].words)
 			continue
 		}
-		var words []int
-		for _, w := range textproc.ContentWords(t.Text) {
-			words = append(words, r.name(w))
+		c.terms = append(c.terms, r.name(t.Text))
+		for _, syn := range textproc.SynonymStems(t.Text) {
+			c.syns = append(c.syns, r.name(syn))
 		}
-		c.phrases = append(c.phrases, words)
 	}
 	return c
 }
 
+// in reports whether name i occurs inside fields of the cursor's document.
+func (r *ranker) in(i int, fields map[string]bool) bool {
+	if fields == nil {
+		return r.cur.Has(i)
+	}
+	return slices.ContainsFunc(r.cur.Runs(i), func(run index.Run) bool { return fields[run.Field] })
+}
+
 // holds reports whether the cursor's document satisfies the clause.
 func (r *ranker) holds(c clause) bool {
-	in := func(i int) bool { // name i occurs inside the clause's fields
-		if c.fields == nil {
-			return r.cur.Has(i)
-		}
-		return slices.ContainsFunc(r.cur.Runs(i), func(run index.Run) bool { return c.fields[run.Field] })
-	}
-	if slices.ContainsFunc(c.any, in) {
-		return true
-	}
-	for _, words := range c.phrases {
-		if !slices.ContainsFunc(words, func(i int) bool { return !in(i) }) {
+	in := func(i int) bool { return r.in(i, c.fields) }
+	return slices.ContainsFunc(c.terms, in) || slices.ContainsFunc(c.syns, in) ||
+		slices.ContainsFunc(c.phrases, func(words []int) bool { return r.phraseIn(words, c.fields) })
+}
+
+// needsText reports whether ranking the cursor's document — a candidate
+// of a query with a quoted phrase — takes its stored text. It does when
+// its postings allow a phrase in a ranked field: only the text says
+// whether the phrase is there, to the match predicate and to the score.
+// And when NoSynonyms is set and some clause admitted it through a synonym
+// alone, which the predicate then does not accept. Every other candidate
+// satisfied each clause through a bare term's own posting (or a synonym's,
+// while they count) — a token of that field the predicate accepts as well
+// — and no phrase can credit it: it is a hit and scores the same unread.
+func (r *ranker) needsText(clauses []clause) bool {
+	for _, s := range r.slots {
+		if s.primary < 0 && r.phraseIn(s.words, r.fields) {
 			return true
 		}
 	}
-	return false
+	return r.opts.NoSynonyms && slices.ContainsFunc(clauses, func(c clause) bool {
+		return !slices.ContainsFunc(c.terms, func(i int) bool { return r.in(i, c.fields) })
+	})
 }
 
 // candidates merges the cursor's sorted posting lists once, document at
-// a time, keeping the ids that satisfy every clause.
-func (r *ranker) candidates(clauses []clause) []string {
-	out := make([]string, 0, r.cur.MaxDocs())
+// a time, keeping the ids that satisfy every clause — and, of a query
+// with a quoted phrase, which of them need their text read (needsText).
+func (r *ranker) candidates(clauses []clause, phrase bool) (ids, needText []string) {
+	ids = make([]string, 0, r.cur.MaxDocs())
 docs:
 	for doc, ok := r.cur.Next(); ok; doc, ok = r.cur.Next() {
 		for _, c := range clauses {
@@ -160,9 +174,12 @@ docs:
 				continue docs
 			}
 		}
-		out = append(out, doc)
+		ids = append(ids, doc)
+		if phrase && r.needsText(clauses) {
+			needText = append(needText, doc)
+		}
 	}
-	return out
+	return ids, needText
 }
 
 // observeStage records one named stage latency.
@@ -442,7 +459,7 @@ func (e *Engine) fieldsPlan(conds []fieldTerms, allTerms []textproc.QueryTerm) p
 		clauses[i] = q.rank.clause(c.terms, map[string]bool{c.field: true})
 		q.verify = q.verify || len(clauses[i].phrases) > 0
 	}
-	q.candidates = q.rank.candidates(clauses)
+	q.candidates, q.needText = q.rank.candidates(clauses, q.verify)
 	return q
 }
 
@@ -485,7 +502,7 @@ func (e *Engine) termsPlan(terms []textproc.QueryTerm, rankFields map[string]boo
 	if !q.rank.scan { // else unresolvable: nil candidates
 		c := q.rank.clause(terms, rankFields)
 		q.verify = len(c.phrases) > 0
-		q.candidates = q.rank.candidates([]clause{c})
+		q.candidates, q.needText = q.rank.candidates([]clause{c}, q.verify)
 	}
 	e.observeStage("candidates", time.Since(start))
 	return q

@@ -74,10 +74,11 @@ func TestMatchAllocationCeilings(t *testing.T) {
 		sinkPage = pg
 		i++
 	})
-	if ceiling := 2500.0; perPage > ceiling {
+	const ceiling = 622.0 // measured 541, + 15 %
+	if perPage > ceiling {
 		t.Errorf("cold page allocates %.0f times, ceiling %.0f", perPage, ceiling)
 	}
-	t.Logf("cold page: %.0f allocs", perPage)
+	t.Logf("cold page: %.0f allocs, ceiling %.0f", perPage, ceiling)
 
 	// Ranking from the cursor: positioning it on a candidate, bounding it
 	// and scoring it allocate nothing, and resolving the candidates costs

@@ -90,10 +90,12 @@ func recencyOf(d jsondoc.Doc) float64 {
 }
 
 // termSlot is one query term's cursor names: itself and its synonyms. A
-// quoted phrase has none (primary < 0): it scores from the stored text.
+// quoted phrase has neither (primary < 0) but its content words, in
+// order: it scores from the stored text, where they can be adjacent.
 type termSlot struct {
 	primary int
 	syns    []int
+	words   []int
 }
 
 // ranker is one parsed query compiled against one snapshot of the index
@@ -139,11 +141,10 @@ func (e *Engine) newRanker(terms []textproc.QueryTerm, fields map[string]bool) *
 	for i, t := range terms {
 		if t.Exact {
 			r.slots[i].primary = -1
-			words := textproc.ContentWords(t.Text)
-			r.scan = r.scan || len(words) == 0
-			for _, w := range words {
-				r.name(w)
+			for _, w := range textproc.ContentWords(t.Text) {
+				r.slots[i].words = append(r.slots[i].words, r.name(w))
 			}
+			r.scan = r.scan || len(r.slots[i].words) == 0
 			continue
 		}
 		r.slots[i].primary = r.name(t.Text)
@@ -187,11 +188,13 @@ func (r *ranker) fieldWeight(f string) float64 {
 // field, match count, coverage, proximity — computed from one gather of
 // each name's runs off the cursor. d is the stored document when the
 // caller has read it and nil otherwise; it is consulted only for what
-// postings cannot give — a quoted phrase's matches in the raw text (a
-// query with one always reads its candidates) and the publish date,
-// whose recency value the index also records at indexing time. With or
-// without d the same floats accumulate in the same order, so a page does
-// not depend on whether documents were read.
+// postings cannot give — a quoted phrase's matches in the raw text, and
+// only in a document whose postings allow the phrase (phraseIn over the
+// ranked fields: every such candidate is read) — and the publish date,
+// whose recency value the index also records at indexing time. So for a
+// candidate that is not read, and for every query without a phrase, the
+// same floats accumulate in the same order with or without d: a page does
+// not depend on which documents were read.
 func (r *ranker) score(docID string, d jsondoc.Doc) RankExplain {
 	r.cur.Seek(docID)
 	return r.scoreHere(d)
@@ -209,8 +212,8 @@ func (r *ranker) scoreHere(d jsondoc.Doc) RankExplain {
 	for ti, t := range r.terms {
 		termHit := false
 		if t.Exact {
-			if d == nil {
-				continue // a phrase query always reads its candidates
+			if d == nil || !r.phraseIn(r.slots[ti].words, r.fields) {
+				continue // no credit where the words are not adjacent
 			}
 			for _, f := range allFields {
 				if r.fields != nil && !r.fields[f] {
@@ -276,6 +279,50 @@ func (r *ranker) scoreHere(d jsondoc.Doc) RankExplain {
 
 	ex.Total = ex.TFIDF + ex.Matches + ex.Proximity + ex.Coverage + ex.Recency
 	return ex
+}
+
+// phraseIn reports whether the postings of the cursor's document allow
+// the phrase: its content words sit at consecutive content-word positions
+// inside one of fields (nil = any field) — Index.Add's numbering, so the
+// stopwords inside a phrase drop out on both sides. Necessary for the
+// phrase to occur in that field's text, not sufficient (two table cells,
+// or "risk infection" for "risk of infection", are adjacent too): the
+// stored text decides. A phrase of stopwords only is allowed everywhere.
+func (r *ranker) phraseIn(words []int, fields map[string]bool) bool {
+	if len(words) == 0 {
+		return true
+	}
+	var buf [4][]index.Run
+	runs := buf[:0]
+	for _, w := range words {
+		runs = append(runs, r.cur.Runs(w))
+	}
+	for _, first := range runs[0] {
+		if fields != nil && !fields[first.Field] {
+			continue
+		}
+	starts:
+		for _, p := range first.Pos {
+			for k := 1; k < len(runs); k++ {
+				if !hasPos(runs[k], first.Field, p+k) {
+					continue starts
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// hasPos reports whether runs holds position p of field.
+func hasPos(runs []index.Run, field string, p int) bool {
+	for _, run := range runs {
+		if run.Field == field {
+			_, ok := slices.BinarySearch(run.Pos, p)
+			return ok
+		}
+	}
+	return false
 }
 
 // tfidf adds one name's TF-IDF over the ranked fields of the cursor's

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -286,9 +287,36 @@ func (g *refGathers) MinPairDistance(docID, a, b string) int {
 	return best
 }
 
+// phrasePossible is the positional rule, naively: the phrase's content
+// words at consecutive positions of one of fields (nil = any) of the
+// document, by brute force over Lookup. A phrase of stopwords only is
+// possible everywhere.
+func (g *refGathers) phrasePossible(docID, phrase string, fields map[string]bool) bool {
+	words := textproc.ContentWords(phrase)
+	if len(words) == 0 {
+		return true
+	}
+	for f, starts := range g.positions(words[0], docID) {
+		if fields != nil && !fields[f] {
+			continue
+		}
+		for _, p := range starts {
+			ok := true
+			for k, w := range words[1:] {
+				ok = ok && slices.Contains(g.positions(w, docID)[f], p+k+1)
+			}
+			if ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // refScore is e.score as it stood before the cursor fed it — the body
-// verbatim, only e.idx.X(…) renamed g.X(…) and the options passed in —
-// kept as the oracle for the scorer itself: refRank ranks with the
+// verbatim, only e.idx.X(…) renamed g.X(…) and the options passed in, and
+// since quoted phrases resolve from positions the one-line phrasePossible
+// rule — kept as the oracle for the scorer itself: refRank ranks with the
 // engine's scorer, so it cannot see a change in what a document scores.
 func refScore(g *refGathers, opts RankOptions, docID string, d jsondoc.Doc, terms []textproc.QueryTerm, fields map[string]bool) RankExplain {
 	var ex RankExplain
@@ -320,8 +348,8 @@ func refScore(g *refGathers, opts RankOptions, docID string, d jsondoc.Doc, term
 	for _, t := range terms {
 		termHit := false
 		if t.Exact {
-			if d == nil {
-				continue // a phrase query always reads its candidates
+			if d == nil || !g.phrasePossible(docID, t.Text, fields) {
+				continue // credited only where the words are adjacent (the one post-cursor edit)
 			}
 			for _, f := range allFields {
 				if fields != nil && !fields[f] {

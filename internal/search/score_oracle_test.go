@@ -14,8 +14,8 @@ import (
 
 // oracleDocs is a small corpus with everything the scorer branches on:
 // generated publications (tables, figure captions, every field), docs
-// that hold only synonyms of likely query terms, and docs the phrase
-// queries occur in.
+// that hold only synonyms of likely query terms, docs the phrase queries
+// occur in, and docs that hold only the phrases' words.
 func oracleDocs() []jsondoc.Doc {
 	var out []jsondoc.Doc
 	for _, p := range cord19.NewGenerator(7).Corpus(90) {
@@ -33,6 +33,13 @@ func oracleDocs() []jsondoc.Doc {
 			"Viral load in the intensive care unit of the hospital.",
 			"Body text about masks and the viral load of the patients in intensive care.",
 			table("Table 1: Fever by vaccine dose", []string{"Vaccine", "Dose", "Fever"}, []string{"A", "2", "8.5"})))
+	}
+	// the phrases' words apart, reversed, and as a substring across tokens
+	for i := 0; i < 6; i++ {
+		out = append(out, pub(fmt.Sprintf("sct%02d", i),
+			"Masks and vaccine care in intensive settings",
+			"Viral antigen load among patients; the load of viral assays.",
+			"Antiviral loading doses."))
 	}
 	return out
 }
@@ -320,6 +327,7 @@ func TestCandidateReadReasons(t *testing.T) {
 	}}
 	e, _ := parityEngine(t, h)
 	want := map[string]int64{}
+	var readDocs int64
 	check := func(reason, q string) {
 		t.Helper()
 		if _, err := e.SearchAll(q, 1); err != nil {
@@ -331,6 +339,11 @@ func TestCandidateReadReasons(t *testing.T) {
 		}
 		got := e.ScoringStats()
 		delete(got, "topk_pruned_docs")
+		if docs := got["candidate_read_docs"]; (docs > readDocs) != (reason != "") {
+			t.Fatalf("after %q (%s): candidate_read_docs %d → %d", q, reason, readDocs, docs)
+		}
+		readDocs = got["candidate_read_docs"]
+		delete(got, "candidate_read_docs")
 		for k, v := range got {
 			if v != want[k] {
 				t.Fatalf("after %q: %s = %d, want %d (all: %v)", q, k, v, want[k], got)
@@ -341,6 +354,7 @@ func TestCandidateReadReasons(t *testing.T) {
 	e.Index().Remove("p00") // the hook deleted it behind the engine's back
 	check("", "covid")
 	check("phrase", `"standard covid assay"`)
+	check("", `"covid standard" assay`) // nowhere adjacent: nothing to read, nothing counted
 	check("scan", `"with the"`)
 	dark, _ := darkenShard(c, fp)
 	for i := 0; c.AllShardsServing(); i++ {

@@ -20,19 +20,20 @@ import (
 // the total order (score desc, docID asc), and the ≤ PerPage winners
 // turned into results with snippets.
 //
-// What varies is only whether the candidates' documents are read before
-// scoring. A query derivable from postings alone is scored straight from
-// the index — posting lists walked document-at-a-time, per-term
+// What varies is only which candidates' documents are read before
+// scoring, and that is a fact about each candidate, not a mode of the
+// query. A candidate whose ranking postings decide is scored straight
+// from the index — posting lists walked document-at-a-time, per-term
 // max-score upper bounds skipping candidates that provably cannot enter
-// the heap — and only its winners are fetched, in one batched GetMany.
-// A query that needs the stored text (a quoted phrase is confirmed and
-// scored against raw text; an unindexable phrase scans every id), or one
-// issued while a shard is dark (what can be served is known only by
-// reading), fetches every candidate first and scores them all in one
-// parallel pass (each chunk forks the cursor): a phrase's contribution
-// has no posting-derived bound, so nothing is pruned there. The ranker
-// is the single scorer either way — same floats, same order — so a page
-// does not depend on which of the two it was.
+// the heap — and fetched only if it wins. A candidate whose postings
+// allow a quoted phrase (its words adjacent in a ranked field) is read
+// first — one batched GetMany for all of them — confirmed against its
+// text and scored with it in hand: a phrase's contribution has no
+// posting-derived bound. Everyone is read only when postings cannot say
+// who the candidates are (an unindexable phrase scans every id) or what
+// can be served (a shard is dark). The ranker is the single scorer either
+// way, and credits a phrase only where postings allow it — same floats,
+// same order — so a page does not depend on who was read.
 
 // boundPad and boundEps inflate pruning upper bounds so a bound that
 // lands within float-rounding distance of the heap minimum is treated
@@ -127,23 +128,28 @@ func (h *topkHeap) ranked() []topkEntry {
 // topkPool pools the per-query heap backing arrays.
 var topkPool = sync.Pool{New: func() any { return &topkHeap{} }}
 
-// selectFromPostings scores the candidates from the index alone and
-// pushes them into h, skipping those whose max-score upper bound cannot
-// beat the weakest kept entry once the heap is full.
-func (e *Engine) selectFromPostings(ctx context.Context, h *topkHeap, q plan) error {
+// selectFromPostings scores ids — all but those in skip, a sorted subset
+// — from the index alone and pushes them into h, skipping as well those
+// whose max-score upper bound cannot beat the weakest kept entry once the
+// heap is full.
+func (e *Engine) selectFromPostings(ctx context.Context, h *topkHeap, rank *ranker, ids, skip []string) error {
 	var pruned int64
-	for i, doc := range q.candidates {
+	for i, doc := range ids {
 		if i%pipeline.CancelCheckInterval == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		q.rank.cur.Seek(doc)
-		if h.full() && !h.beats(q.rank.bound()*boundPad+boundEps, doc) {
+		if len(skip) > 0 && skip[0] == doc {
+			skip = skip[1:]
+			continue
+		}
+		rank.cur.Seek(doc)
+		if h.full() && !h.beats(rank.bound()*boundPad+boundEps, doc) {
 			pruned++
 			continue
 		}
 		// The bound only decides whether to score; what is kept is the
 		// exact score accumulation.
-		h.push(topkEntry{docID: doc, score: q.rank.scoreHere(nil).Total})
+		h.push(topkEntry{docID: doc, score: rank.scoreHere(nil).Total})
 	}
 	if pruned > 0 {
 		e.met.Counter("topk_pruned_docs").Add(pruned)
@@ -156,24 +162,26 @@ type plan struct {
 	// candidates is the sorted id list the index resolved; nil means it
 	// could not (a phrase of stopwords only) and every id is scanned.
 	candidates []string
-	// verify says candidates is a superset that match must still confirm
-	// against the stored text (a quoted phrase took part).
+	// verify says a quoted phrase took part: candidates is a superset, and
+	// match must still confirm against the stored text those of them the
+	// ranker could not vouch for — needText, a sorted subset.
 	verify        bool
+	needText      []string
 	match         func(jsondoc.Doc) bool
 	snippetFields []string
 	// rank scores the candidates, from the index snapshot they came from.
 	rank *ranker
 }
 
-// readAndScore fetches every candidate's document (the ids come from an
-// id-only scatter scan when the index could not supply them, and the
+// readAndScore fetches the documents of ids (nil: every id, from an
+// id-only scatter scan — the index could not supply candidates, and the
 // match predicate then decides membership) and, in one parallel pass,
 // applies the predicate and the ranker to each. It returns the hits in id
-// order; a candidate that is deleted, on a dark shard (listed in
-// missing) or rejected by the predicate is not one.
-func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, missing []int, err error) {
+// order; an id that is deleted, on a dark shard (listed in missing) or
+// rejected by the predicate is not one.
+func (e *Engine) readAndScore(ctx context.Context, q plan, ids []string) (hits []topkEntry, missing []int, err error) {
 	start := time.Now()
-	ids, verify := q.candidates, q.verify
+	verify := q.verify
 	var scanMissing []int
 	if ids == nil {
 		if ids, scanMissing, err = e.scatterScanIDs(ctx); err != nil {
@@ -181,6 +189,7 @@ func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, mi
 		}
 		verify = true
 	}
+	e.met.Counter("candidate_read_docs").Add(int64(len(ids)))
 	docs, missing, err := e.resolveCandidates(ctx, ids)
 	if err != nil {
 		return nil, nil, fmt.Errorf("search: fetch: %w", err)
@@ -215,17 +224,19 @@ func (e *Engine) readAndScore(ctx context.Context, q plan) (hits []topkEntry, mi
 	return hits[:n], mergeMissing(scanMissing, missing), nil
 }
 
-// runQuery ranks one query for all three engines. The candidates'
-// documents are read only when ranking needs them, and the reason is
-// counted (candidate_read.<reason>): to verify a phrase, for a scan,
+// runQuery ranks one query for all three engines. A candidate's document
+// is read before ranking only when ranking needs it: the need-text
+// candidates of a query with a quoted phrase, or everyone — for a scan,
 // because a shard is not serving and the page must account for what is
-// missing, or — retry, which only runQuery itself passes — because a
-// winner ranked from the index could not be fetched.
+// missing, or on a retry, which only runQuery itself passes, because a
+// winner ranked from the index could not be fetched. A query that reads
+// at least one says why (candidate_read.<reason>, its own reason first).
 func (e *Engine) runQuery(ctx context.Context, q plan, retry bool, pageNum int) (Page, error) {
 	if err := ctx.Err(); err != nil {
 		return Page{}, fmt.Errorf("search: %w", err)
 	}
-	reason := ""
+	everyone := retry || q.candidates == nil || !e.coll.AllShardsServing()
+	reason := "dark_shard"
 	switch {
 	case retry:
 		reason = "retry"
@@ -233,21 +244,25 @@ func (e *Engine) runQuery(ctx context.Context, q plan, retry bool, pageNum int) 
 		reason = "scan"
 	case q.verify:
 		reason = "phrase"
-	case !e.coll.AllShardsServing():
-		reason = "dark_shard"
 	}
-	readDocs := reason != ""
-	total := len(q.candidates)
+	read, unread := q.needText, len(q.candidates)-len(q.needText) // unread are scored from postings
+	if everyone {
+		read, unread = q.candidates, 0
+	}
 	var hits []topkEntry
 	var missing []int
-	if readDocs {
+	if everyone || len(read) > 0 {
 		e.met.Counter("candidate_read_queries").Inc()
 		e.met.Counter("candidate_read." + reason).Inc()
 		var err error
-		if hits, missing, err = e.readAndScore(ctx, q); err != nil {
+		if hits, missing, err = e.readAndScore(ctx, q, read); err != nil {
 			return Page{}, err
 		}
-		total = len(hits)
+		if !everyone && len(missing) > 0 {
+			// A shard went dark under the read: what can be served is then
+			// known only by reading everyone.
+			return e.runQuery(ctx, q, true, pageNum)
+		}
 	}
 	if err := ctx.Err(); err != nil { // a dead request gets an error, never a page
 		return Page{}, fmt.Errorf("search: %w", err)
@@ -256,6 +271,7 @@ func (e *Engine) runQuery(ctx context.Context, q plan, retry bool, pageNum int) 
 	// Total counts every hit and an empty result set is still one (empty)
 	// page. NumPages comes first so that a page past the end — however
 	// large the number — is answered before anything is multiplied by it.
+	total := len(hits) + unread
 	numPages := max((total+PerPage-1)/PerPage, 1)
 	page := Page{Total: total, PageNum: pageNum, PerPage: PerPage, NumPages: numPages}
 	if len(missing) > 0 {
@@ -273,33 +289,36 @@ func (e *Engine) runQuery(ctx context.Context, q plan, retry bool, pageNum int) 
 		topkPool.Put(h)
 	}()
 	// The (score desc, docID asc) order is total, so k entries determine
-	// the page exactly.
+	// the page exactly: the candidates read, then the rest under pruning.
 	h.k = min(pageNum*PerPage, total)
 	start := time.Now()
-	if readDocs {
-		for _, hit := range hits {
-			h.push(hit)
-		}
-	} else if err := e.selectFromPostings(ctx, h, q); err != nil {
+	for _, hit := range hits {
+		h.push(hit)
+	}
+	if err := e.selectFromPostings(ctx, h, q.rank, q.candidates, read); err != nil {
 		return Page{}, fmt.Errorf("search: topk: %w", err)
 	}
 	e.observeStage("topk", time.Since(start))
 
-	// Materialize the winners; ranked from the index alone, their
-	// documents are fetched now, in one batch.
+	// Materialize the winners; those ranked from the index alone are
+	// fetched now, in one batch.
 	start = time.Now()
 	winners := h.ranked()[(pageNum-1)*PerPage:]
-	if !readDocs {
-		ids := make([]string, len(winners))
-		for i, w := range winners {
-			ids[i] = w.docID
+	ids := make([]string, 0, len(winners))
+	for _, w := range winners {
+		if w.doc == nil {
+			ids = append(ids, w.docID)
 		}
+	}
+	if len(ids) > 0 {
 		docs, _, err := e.coll.GetMany(ctx, ids) // a dark shard's documents come back nil
 		if err != nil {
 			return Page{}, fmt.Errorf("search: materialize: %w", err)
 		}
 		for i := range winners {
-			winners[i].doc = docs[i]
+			if winners[i].doc == nil {
+				winners[i].doc, docs = docs[0], docs[1:]
+			}
 		}
 	}
 	hl := textproc.CompileTerms(q.rank.terms, false)

@@ -135,18 +135,36 @@ func insertPhraseDocs(t *testing.T, c *docstore.Collection) {
 			t.Fatal(err)
 		}
 	}
+	// and 10 in which the phrases' words co-occur without being adjacent —
+	// candidates only through a bare term, which are ranked unread
+	for i := 0; i < 10; i++ {
+		abstract := "Viral antigen load among patients; the load of viral assays."
+		if i%2 == 0 {
+			abstract += " Care was intensive."
+		}
+		if _, err := c.Insert(pub(fmt.Sprintf("sct%02d", i),
+			fmt.Sprintf("Masks, masks: vaccine care in intensive settings, with masks %d", i), abstract,
+			"Immunization outcomes and masks: load, then viral; antiviral loading doses.")); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
-// shapeQueries are the shapes that must read their candidates — a quoted
-// phrase, a phrase beside a bare term, a phrase of stopwords only (no
-// index candidates: an id scan) — plus a synonym-bearing multi-term and
-// a zero-hit query.
+// shapeQueries are the shapes that read candidates — a quoted phrase, a
+// phrase beside a bare term (both read only those in which the words are
+// adjacent), a phrase of stopwords only (no index candidates: an id scan)
+// — plus a synonym-bearing multi-term and a zero-hit query.
 var shapeQueries = []string{
 	`"intensive care"`,
 	`vaccine "viral load"`,
 	`"of the"`,
 	"immunization pediatric",
 	"nosuchword",
+	// beside a term that admits documents holding the phrase's words apart;
+	// under NoSynonyms "immunization" admits some through a synonym alone
+	`"viral load" masks`,
+	`immunization "intensive care"`,
+	`"care intensive" "load viral" outcomes`,
 }
 
 // shapeFieldQueries put a phrase in the fields engine, alone and beside
@@ -155,6 +173,7 @@ var shapeFieldQueries = []FieldQuery{
 	{Abstract: `"viral load"`},
 	{Title: "vaccine", Abstract: `"of the"`},
 	{Title: `"intensive care"`, Abstract: "patients"},
+	{Title: "vaccine", Abstract: `"viral load" patients`},
 }
 
 // TestTopKPipelineParityRandomized: over randomized corpora and query
