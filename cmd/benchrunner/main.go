@@ -18,10 +18,6 @@
 //	benchrunner -soakbench BENCH_soak.json
 //	                          # multi-tenant session replay under chaos +
 //	                          # live ingest; exits non-zero on SLO breach
-//	benchrunner -kgbench BENCH_kg.json
-//	                          # KG path-query engine: planned vs naive
-//	                          # latency, divergence audit, cancellation
-//	                          # responsiveness; exits non-zero on breach
 package main
 
 import (
@@ -45,30 +41,7 @@ func main() {
 	loadBench := flag.String("loadbench", "", "run the request-lifecycle overload benchmark and write JSON to this file")
 	chaosBench := flag.String("chaosbench", "", "run the shard kill/recover chaos benchmark and write JSON to this file")
 	soakBench := flag.String("soakbench", "", "run the multi-tenant soak benchmark and write JSON to this file; exits non-zero on SLO breach")
-	kgBench := flag.String("kgbench", "", "run the KG path-query benchmark and write JSON to this file; exits non-zero on divergence or cancellation-budget breach")
 	flag.Parse()
-
-	if *kgBench != "" {
-		res := experiments.RunKGBench(*quick)
-		writeJSONFile(*kgBench, res)
-		fmt.Printf("kg query bench over %d nodes (seed %d, %d iters/query):\n",
-			res.Nodes, res.Seed, res.Iters)
-		for _, qs := range res.Queries {
-			fmt.Printf("  %-44s entry=%-10s rev=%-5v paths=%-5d planned p50 %.0fµs p99 %.0fµs | naive p50 %.0fµs (%.1fx)\n",
-				qs.Query, qs.Entry, qs.Reversed, qs.Paths,
-				qs.PlannedP50Us, qs.PlannedP99Us, qs.NaiveP50Us, qs.Speedup)
-		}
-		fmt.Printf("  divergent queries: %d (must be 0)\n", res.DivergentQueries)
-		fmt.Printf("  cancellation: p50 %.0fµs p99 %.0fµs over %d samples (budget %.0fµs, yield interval %.0fµs / %d expansions)\n",
-			res.Cancel.P50Us, res.Cancel.P99Us, res.Cancel.Samples,
-			res.Cancel.BudgetUs, res.Cancel.YieldIntervalUs, res.Cancel.YieldEvery)
-		fmt.Printf("written to %s\n", *kgBench)
-		if !res.Pass {
-			log.Fatalf("kg bench gate breach:\n  - %s", strings.Join(res.Breaches, "\n  - "))
-		}
-		fmt.Println("all gates met")
-		return
-	}
 
 	if *soakBench != "" {
 		res := experiments.RunSoakBench(*quick)

@@ -125,6 +125,8 @@ func errCode(status int) string {
 		return "bad_query"
 	case http.StatusNotFound:
 		return "not_found"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case http.StatusTooManyRequests:
 		return "overloaded"
 	case http.StatusServiceUnavailable:

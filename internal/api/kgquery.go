@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -18,11 +19,13 @@ import (
 const (
 	kgDefaultPageSize = 20
 	kgMaxPageSize     = 100
-	// kgQueryResultCap bounds how many paths one query may materialize
-	// server-side; pagination then slices this ranked set.
+	// kgQueryResultCap bounds how many paths one query may match
+	// server-side; pagination then windows this ranked set.
 	kgQueryResultCap = 1000
 	// kgHypothesesCap bounds ranked hypothesis paths per request.
 	kgHypothesesCap = 100
+	// kgMaxBodyBytes bounds a /kg/query or /kg/hypotheses request body.
+	kgMaxBodyBytes = 1 << 20
 )
 
 // pageEnv is the pagination envelope, field-compatible with the
@@ -57,17 +60,19 @@ func paginateSlice[T any](all []T, page, size int) pageEnv[T] {
 // pageParams reads page/page_size query parameters with clamping.
 func pageParams(q url.Values) (page, size int) {
 	page, _ = strconv.Atoi(q.Get("page"))
+	size, _ = strconv.Atoi(q.Get("page_size"))
+	return clampPage(page, size)
+}
+
+// clampPage applies the KG read surface's defaults and page-size cap.
+func clampPage(page, size int) (int, int) {
 	if page < 1 {
 		page = 1
 	}
-	size, _ = strconv.Atoi(q.Get("page_size"))
 	if size < 1 {
 		size = kgDefaultPageSize
 	}
-	if size > kgMaxPageSize {
-		size = kgMaxPageSize
-	}
-	return page, size
+	return page, min(size, kgMaxPageSize)
 }
 
 // writeKGErr maps knowledge-graph errors onto the uniform envelope: an
@@ -93,23 +98,47 @@ func writeKGErr(w http.ResponseWriter, r *http.Request, err error, fallback int)
 // Without expand it answers the node plus its root path;
 // expand=children embeds one page of children in the standard envelope.
 func (s *Server) handleKGNodes(w http.ResponseWriter, r *http.Request) {
-	n, err := s.sys.Graph.Node(r.PathValue("id"))
-	if err != nil {
-		writeKGErr(w, r, err, http.StatusInternalServerError)
+	// one snapshot answers node, path and children: a fuser writing
+	// meanwhile cannot make node.children disagree with the expansion
+	snap := s.sys.Graph.Snapshot()
+	id := r.PathValue("id")
+	i, ok := snap.Index(id)
+	if !ok {
+		writeKGErr(w, r, fmt.Errorf("%w: %s", kg.ErrNodeNotFound, id), http.StatusInternalServerError)
 		return
 	}
-	path, _ := s.sys.Graph.PathToRoot(n.ID)
-	payload := map[string]any{"node": n, "path": path}
+	var path []*kg.Node // root first
+	for at := i; at >= 0; at = snap.Dense(at).Parent {
+		path = append(path, snap.At(at))
+	}
+	slices.Reverse(path)
+	payload := map[string]any{"node": snap.At(i), "path": path}
 	if r.URL.Query().Get("expand") == "children" {
-		kids, err := s.sys.Graph.Children(n.ID)
-		if err != nil {
-			writeKGErr(w, r, err, http.StatusInternalServerError)
-			return
-		}
 		page, size := pageParams(r.URL.Query())
+		var kids []*kg.Node
+		for _, c := range snap.Dense(i).Children {
+			kids = append(kids, snap.At(c))
+		}
 		payload["children"] = paginateSlice(kids, page, size)
 	}
 	writeJSON(w, http.StatusOK, payload)
+}
+
+// decodeKGBody reads a request body of at most kgMaxBodyBytes into v.
+// On failure it answers 413 for an oversized body, 400 for a malformed
+// one, and returns false.
+func decodeKGBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, kgMaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, r, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // kgQueryRequest is the POST /api/v1/kg/query body.
@@ -135,11 +164,11 @@ type kgQueryRequest struct {
 // interval, so a hung client or an expired deadline stops the
 // traversal, not just the response write. Parse errors are 400
 // bad_query with the byte offset of the fault; budget exhaustion is a
-// 200 with "truncated": true, mirroring partial search results.
+// 200 with "truncated": true, mirroring partial search results. Only
+// the requested page of the ranked match set is materialised.
 func (s *Server) handleKGQuery(w http.ResponseWriter, r *http.Request) {
 	var req kgQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeKGBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -156,10 +185,15 @@ func (s *Server) handleKGQuery(w http.ResponseWriter, r *http.Request) {
 	if req.MaxExpansions > 0 && req.MaxExpansions < kgquery.DefaultMaxExpansions {
 		opts.MaxExpansions = req.MaxExpansions
 	}
+	page, size := clampPage(req.Page, req.PageSize)
+	// a page past the cap is past the end whatever its number: clamp
+	// before multiplying
+	from := min(page-1, kgQueryResultCap) * size
+
 	snap := s.sys.Graph.Snapshot()
 	plan := kgquery.Compile(q, snap)
 	start := time.Now()
-	res, err := plan.Execute(r.Context(), snap, opts)
+	res, err := plan.ExecuteWindow(r.Context(), snap, opts, from, size)
 	s.met.Histogram("kgquery.latency").Observe(time.Since(start))
 	s.met.Counter("kgquery.queries").Inc()
 	if err != nil {
@@ -169,27 +203,22 @@ func (s *Server) handleKGQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Counter("kgquery.expansions").Add(int64(res.Expansions))
 	s.met.Counter("kgquery.paths_returned").Add(int64(len(res.Paths)))
+	s.met.Counter("kgquery.paths_matched").Add(int64(res.Total))
+	s.met.Counter("kgquery.paths_materialized").Add(int64(len(res.Paths)))
 	if res.Truncated {
 		s.met.Counter("kgquery.truncated").Inc()
 	}
 
-	page, size := req.Page, req.PageSize
-	if page < 1 {
-		page = 1
+	paths := res.Paths
+	if paths == nil {
+		paths = []kgquery.Path{} // an empty page is [], not null
 	}
-	if size < 1 {
-		size = kgDefaultPageSize
-	}
-	if size > kgMaxPageSize {
-		size = kgMaxPageSize
-	}
-	env := paginateSlice(res.Paths, page, size)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"paths":      env.Results,
-		"total":      env.Total,
-		"page_num":   env.PageNum,
-		"per_page":   env.PerPage,
-		"num_pages":  env.NumPages,
+		"paths":      paths,
+		"total":      res.Total,
+		"page_num":   page,
+		"per_page":   size,
+		"num_pages":  max((res.Total+size-1)/size, 1),
 		"expansions": res.Expansions,
 		"truncated":  res.Truncated,
 		"plan": map[string]any{
@@ -214,8 +243,7 @@ type kgHypothesesRequest struct {
 // 404 not_found.
 func (s *Server) handleKGHypotheses(w http.ResponseWriter, r *http.Request) {
 	var req kgHypothesesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeKGBody(w, r, &req) {
 		return
 	}
 	if req.From == "" || req.To == "" {
@@ -231,7 +259,7 @@ func (s *Server) handleKGHypotheses(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.sys.Graph.Snapshot()
 	start := time.Now()
-	res, err := kgquery.Hypotheses(r.Context(), snap, req.From, req.To, req.MaxHops,
+	res, err := kgquery.Hypotheses(r.Context(), snap, req.From, req.To, req.MaxHops, limit,
 		kgquery.Options{Limit: kgquery.MaxLimit})
 	s.met.Histogram("kgquery.latency").Observe(time.Since(start))
 	s.met.Counter("kgquery.hypotheses").Inc()
@@ -239,16 +267,14 @@ func (s *Server) handleKGHypotheses(w http.ResponseWriter, r *http.Request) {
 		writeKGErr(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	paths := res.Paths
-	if len(paths) > limit {
-		paths = paths[:limit]
-	}
+	s.met.Counter("kgquery.paths_matched").Add(int64(res.Total))
+	s.met.Counter("kgquery.paths_materialized").Add(int64(len(res.Paths)))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"from":       req.From,
 		"to":         req.To,
 		"max_hops":   req.MaxHops,
-		"paths":      paths,
-		"total":      len(res.Paths),
+		"paths":      res.Paths,
+		"total":      res.Total,
 		"expansions": res.Expansions,
 		"truncated":  res.Truncated,
 	})

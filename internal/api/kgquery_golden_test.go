@@ -1,0 +1,142 @@
+package api
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"testing"
+
+	"covidkg/internal/cord19"
+	"covidkg/internal/core"
+)
+
+var updateKGGolden = flag.Bool("update-kg-golden", false,
+	"rewrite testdata/kg_golden.json from the responses this build gives")
+
+const kgGoldenFile = "testdata/kg_golden.json"
+
+// kgGolden is one recorded response: its hash, plus the fields a
+// reader needs to see what moved when the hash does.
+type kgGolden struct {
+	SHA256     string  `json:"sha256"`
+	Bytes      int     `json:"bytes"`
+	Total      float64 `json:"total"`
+	Expansions float64 `json:"expansions"`
+	Truncated  bool    `json:"truncated"`
+}
+
+// benchServer boots the corpus cmd/covidkg-server serves to the repo
+// benchmark: -pubs 500 -seed 42 plus the three side-effect papers.
+func benchServer(t *testing.T) *Server {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Seed = 42
+	sys := core.NewSystem(cfg)
+	g := cord19.NewGenerator(42)
+	corpus := g.Corpus(500)
+	for i := 0; i < 3; i++ {
+		corpus = append(corpus, g.SideEffectPaper([]string{"Pfizer-BioNTech", "Moderna", "AstraZeneca"}))
+	}
+	if err := sys.IngestPublications(corpus); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.TrainModels(); err != nil {
+		t.Fatal(err)
+	}
+	sys.BuildKG()
+	return NewServer(sys)
+}
+
+// TestKGResponsesGolden pins the KG read surface byte for byte: the six
+// kg_browse templates of the repo benchmark at pages 1, 2 and last,
+// /kg/hypotheses and the node resource must answer what the executor
+// that materialised every matched path, and the node handler that read
+// the live graph, answered (testdata recorded at commit 74f82b8).
+func TestKGResponsesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the 500-publication corpus")
+	}
+	s := benchServer(t)
+	got := map[string]kgGolden{}
+	record := func(name, path, body string) map[string]any {
+		call := func() (*httptest.ResponseRecorder, map[string]any) { return get(t, s, path) }
+		if body != "" {
+			call = func() (*httptest.ResponseRecorder, map[string]any) { return postJSON(t, s, path, body) }
+		}
+		rec, out := call()
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+		sum := sha256.Sum256(rec.Body.Bytes())
+		total, _ := out["total"].(float64)
+		exp, _ := out["expansions"].(float64)
+		trunc, _ := out["truncated"].(bool)
+		got[name] = kgGolden{hex.EncodeToString(sum[:]), rec.Body.Len(), total, exp, trunc}
+		return out
+	}
+
+	templates := []struct{ name, text, params string }{
+		{"fwd1", `(norm=$a)->()`, `{"a":"Vaccines"}`},
+		{"fwd2", `(norm=$a)-{1,2}->()`, `{"a":"Vaccines"}`},
+		{"fwd3", `(norm=$a)-{1,3}->()`, `{"a":"COVID-19"}`},
+		{"reversed", `()-{1,2}->(norm=$a)`, `{"a":"mRNA vaccines"}`},
+		{"label_scan", `(label~$a)->()`, `{"a":"vaccine"}`},
+		{"source_source", `(source=$a)-{1,2}->(source=$b)`, `{"a":"seed","b":"fusion"}`},
+	}
+	for _, tc := range templates {
+		body := func(page int) string {
+			return fmt.Sprintf(`{"query":%q,"params":%s,"page":%d,"page_size":20}`, tc.text, tc.params, page)
+		}
+		first := record(tc.name+"/page1", "/api/v1/kg/query", body(1))
+		record(tc.name+"/page2", "/api/v1/kg/query", body(2))
+		record(tc.name+"/last", "/api/v1/kg/query", body(int(first["num_pages"].(float64))))
+	}
+	for name, body := range map[string]string{
+		"hypotheses/siblings": `{"from":"mRNA vaccines","to":"Vector vaccines","max_hops":2}`,
+		"hypotheses/limit3":   `{"from":"Symptoms","to":"fever","max_hops":6,"limit":3}`,
+		"hypotheses/default":  `{"from":"Symptoms","to":"fever","max_hops":6}`,
+		"hypotheses/none":     `{"from":"mRNA vaccines","to":"Vector vaccines","max_hops":1}`,
+	} {
+		record(name, "/api/v1/kg/hypotheses", body)
+	}
+	for name, path := range map[string]string{
+		"nodes/root":          "/api/v1/kg/nodes/n1",
+		"nodes/children":      "/api/v1/kg/nodes/n17?expand=children",
+		"nodes/children_last": "/api/v1/kg/nodes/n17?expand=children&page=3&page_size=20",
+		"nodes/children_past": "/api/v1/kg/nodes/n17?expand=children&page=9",
+		"nodes/leaf":          "/api/v1/kg/nodes/n860?expand=children",
+	} {
+		record(name, path, "")
+	}
+
+	if *updateKGGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(kgGoldenFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(kgGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]kgGolden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden file has %d cases, test made %d", len(want), len(got))
+	}
+	for name, w := range want {
+		if g := got[name]; g != w {
+			t.Errorf("%s: response changed:\n got  %+v\n want %+v", name, g, w)
+		}
+	}
+}

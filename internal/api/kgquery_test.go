@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"covidkg/internal/kg"
 )
 
 func TestKGQueryEndpoint(t *testing.T) {
@@ -99,6 +103,24 @@ func TestKGQueryErrors(t *testing.T) {
 	}
 }
 
+// An oversized body is refused while it is read, not decoded to the end.
+func TestKGBodyTooLarge(t *testing.T) {
+	s, _ := testServer(t)
+	huge := `{"query": "()-->()", "params": {"pad": "` + strings.Repeat("x", kgMaxBodyBytes) + `"}}`
+	for _, path := range []string{"/api/v1/kg/query", "/api/v1/kg/hypotheses"} {
+		rec, body := postJSON(t, s, path, huge)
+		if rec.Code != http.StatusRequestEntityTooLarge || body["code"] != "too_large" {
+			t.Fatalf("%s: %d MiB body = %d %v, want 413 too_large", path, len(huge)>>20, rec.Code, body)
+		}
+	}
+	// the limit is on the body, not on what it says
+	rec, body := postJSON(t, s, "/api/v1/kg/query",
+		`{"query": "()-->()", "params": {"pad": "`+strings.Repeat("x", kgMaxBodyBytes/2)+`"}}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("half-limit body = %d %v", rec.Code, body)
+	}
+}
+
 func TestKGQueryCancelledClient(t *testing.T) {
 	s, _ := testServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -173,6 +195,67 @@ func TestKGNodesResource(t *testing.T) {
 	if rec.Code != http.StatusNotFound || body["code"] != "not_found" {
 		t.Fatalf("bogus node = %d %v", rec.Code, body)
 	}
+}
+
+// TestKGNodesConsistentUnderFusion reads a node with its children
+// expanded while a writer adds and removes children under it: the
+// node's own child list and the expanded page come from one snapshot,
+// so on a page that holds them all the two must always agree.
+func TestKGNodesConsistentUnderFusion(t *testing.T) {
+	s, sys := testServer(t)
+	parent, err := sys.Graph.AddNode(sys.Graph.RootID(), "Churning concept", kg.SourceExpert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var live []string
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if len(live) < 40 {
+				n, err := sys.Graph.AddNode(parent.ID, "Churn "+strconv.Itoa(i+10), kg.SourceFusion, "px")
+				if err != nil {
+					t.Errorf("add: %v", err)
+					return
+				}
+				live = append(live, n.ID)
+			} else {
+				for _, id := range live[:20] {
+					if err := sys.Graph.RemoveLeaf(id); err != nil {
+						t.Errorf("remove: %v", err)
+						return
+					}
+				}
+				live = live[20:]
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		rec, body := get(t, s, "/api/v1/kg/nodes/"+parent.ID+"?expand=children&page_size=100")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("read %d = %d %v", i, rec.Code, body)
+		}
+		own, _ := body["node"].(map[string]any)["children"].([]any)
+		page := body["children"].(map[string]any)
+		expanded := page["Results"].([]any)
+		if len(own) != len(expanded) || int(page["Total"].(float64)) != len(own) {
+			t.Fatalf("read %d: node lists %d children, expansion %d of %v", i, len(own), len(expanded), page["Total"])
+		}
+		for k := range own {
+			if id := expanded[k].(map[string]any)["id"]; id != own[k] {
+				t.Fatalf("read %d: child %d is %v in the node, %v in the expansion", i, k, own[k], id)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestKGSearchPaginated(t *testing.T) {

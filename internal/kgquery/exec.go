@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
 
 	"covidkg/internal/kg"
 )
@@ -24,8 +23,8 @@ const (
 
 // Options tune one execution; zero fields take the defaults above.
 type Options struct {
-	// Limit is the maximum number of paths returned; hitting it marks
-	// the result truncated.
+	// Limit is the maximum number of paths matched; a further match
+	// beyond it marks the result truncated.
 	Limit int
 	// MaxExpansions bounds edge traversals; exhausting it marks the
 	// result truncated rather than failing, so a pathological pattern
@@ -83,12 +82,13 @@ type Path struct {
 	Score float64 `json:"score"`
 }
 
-// key canonicalizes a path for dedup and deterministic ordering.
-func pathKey(ids []string) string { return strings.Join(ids, "\x1f") }
-
 // Result is one execution's output.
 type Result struct {
+	// Paths is the requested window of the ranked match set: all of it
+	// from Execute, [from, from+count) from ExecuteWindow.
 	Paths []Path `json:"paths"`
+	// Total is how many distinct paths matched (at most Limit).
+	Total int `json:"total"`
 	// Expansions is how many edge traversals the query cost.
 	Expansions int `json:"expansions"`
 	// EntryCandidates is how many entry nodes the plan admitted.
@@ -98,28 +98,15 @@ type Result struct {
 	Truncated bool `json:"truncated"`
 }
 
-// Per-source confidence weights (see DESIGN.md): expert-seeded
-// structure is ground truth, expert-approved fusions are close behind,
-// unsupervised fusions carry the embedding threshold's residual risk.
+// Per-source confidence weights, defined beside the sources in
+// internal/kg: the snapshot holds each node's weight, and the
+// reference (naivePath) multiplies these.
 const (
-	confSeed    = 1.0
-	confExpert  = 0.97
-	confFusion  = 0.85
-	confUnknown = 0.75
+	confSeed    = kg.ConfSeed
+	confExpert  = kg.ConfExpert
+	confFusion  = kg.ConfFusion
+	confUnknown = kg.ConfUnknown
 )
-
-func sourceConfidence(source string) float64 {
-	switch source {
-	case kg.SourceSeed:
-		return confSeed
-	case kg.SourceExpert:
-		return confExpert
-	case kg.SourceFusion:
-		return confFusion
-	default:
-		return confUnknown
-	}
-}
 
 // internal unwind sentinels: stop the traversal without failing it
 var (
@@ -127,40 +114,38 @@ var (
 	errBudgetHit = errors.New("kgquery: expansion budget exhausted")
 )
 
-// Execute runs the plan against a snapshot. It returns ctx.Err() when
-// cancelled or past deadline (checked every YieldEvery expansions);
-// exhausted budgets return a truncated result, not an error. Results
-// are ranked by Score (descending), then shorter paths first, then by
-// node-id sequence for full determinism.
+// Execute runs the plan against a snapshot and materialises every
+// matched path. It returns ctx.Err() when cancelled or past deadline
+// (checked every YieldEvery expansions); exhausted budgets return a
+// truncated result, not an error. Results are ranked by Score
+// (descending), then shorter paths first, then by node-id sequence for
+// full determinism.
 func (p *Plan) Execute(ctx context.Context, snap *kg.Snapshot, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
+	return p.ExecuteWindow(ctx, snap, opts, 0, MaxLimit)
+}
+
+// ExecuteWindow is Execute for a caller that shows one page: the walk,
+// Total, Expansions and Truncated are Execute's, but only the paths
+// ranked [from, from+count) are built. A matched path costs a score
+// and its id run in a shared arena; PathNodes and the distinct-paper
+// count exist for the window alone.
+func (p *Plan) ExecuteWindow(ctx context.Context, snap *kg.Snapshot, opts Options, from, count int) (*Result, error) {
 	ex := &executor{
-		plan: p,
-		snap: snap,
-		opts: opts,
-		ctx:  ctx,
-		seen: map[string]struct{}{},
+		plan:   p,
+		snap:   snap,
+		opts:   opts.withDefaults(),
+		ctx:    ctx,
+		onPath: make([]bool, snap.Len()),
+		// room for a typical page's worth of matches before the first regrowth
+		path: make([]int32, 0, 16),
+		recs: make([]pathRec, 0, 64),
+		runs: make([]int32, 0, 256),
+		// one variable-length edge walks each simple path once; two can
+		// reach the same node sequence through different hop splits
+		dedup: len(p.pat.Edges) >= 2,
 	}
-	entries := p.entries(snap)
-	res := &Result{EntryCandidates: len(entries)}
-	err := func() error {
-		for _, id := range entries {
-			n, ok := snap.Node(id)
-			if !ok || !matchNode(n, p.pat.Nodes[0].Preds) {
-				continue
-			}
-			// entry matching costs one expansion too: a scan entry over a
-			// huge graph must stay cancellable even if nothing matches
-			if err := ex.expand(); err != nil {
-				return err
-			}
-			if err := ex.walk([]string{id}, map[string]struct{}{id: {}}, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	res.Expansions = ex.expansions
+	candidates, err := ex.enterAll()
+	res := &Result{EntryCandidates: candidates, Expansions: ex.expansions}
 	switch {
 	case err == nil:
 	case errors.Is(err, errLimitHit), errors.Is(err, errBudgetHit):
@@ -168,28 +153,18 @@ func (p *Plan) Execute(ctx context.Context, snap *kg.Snapshot, opts Options) (*R
 	default:
 		return nil, err // context cancellation / deadline
 	}
-	res.Paths = ex.paths
-	sortPaths(res.Paths)
+	res.Total = len(ex.recs)
+	if res.Paths, err = ex.materialize(ex.rank(from, count)); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// sortPaths ranks: best score first, then shortest, then id sequence.
-func sortPaths(paths []Path) {
-	sort.Slice(paths, func(i, j int) bool {
-		a, b := &paths[i], &paths[j]
-		if a.Score != b.Score {
-			return a.Score > b.Score
-		}
-		if len(a.Nodes) != len(b.Nodes) {
-			return len(a.Nodes) < len(b.Nodes)
-		}
-		for k := range a.Nodes {
-			if a.Nodes[k].ID != b.Nodes[k].ID {
-				return a.Nodes[k].ID < b.Nodes[k].ID
-			}
-		}
-		return false
-	})
+// pathRec is one matched path before anyone asked to see it: its score
+// and where its node positions (query order) sit in executor.runs.
+type pathRec struct {
+	score  float64
+	off, n int32
 }
 
 type executor struct {
@@ -199,13 +174,19 @@ type executor struct {
 	ctx  context.Context
 
 	expansions int
-	paths      []Path
-	seen       map[string]struct{} // emitted path keys (dedup across hop decompositions)
+	path       []int32 // partial path, execution order
+	onPath     []bool  // by node position: is it on path
+	recs       []pathRec
+	runs       []int32 // the records' id runs, back to back
+	dedup      bool
+	seen       []int32 // open-addressed set of record numbers + 1, keyed by run
 }
+
+func (ex *executor) run(r pathRec) []int32 { return ex.runs[r.off : r.off+r.n] }
 
 // expand charges one unit of work and cooperatively yields at the
 // configured interval: check the context, then let the scheduler run
-// someone else. This is the executor's entire cancellation story — no
+// someone else. This is the walk's entire cancellation story — no
 // traversal loop runs more than YieldEvery expansions between checks.
 func (ex *executor) expand() error {
 	ex.expansions++
@@ -221,119 +202,264 @@ func (ex *executor) expand() error {
 	return nil
 }
 
-// walk extends a partial path (pathIDs, ending at a node that satisfied
-// node step ei) across edge ei toward node step ei+1. Paths are simple:
-// a node appears at most once (onPath), which both matches the
-// hypothesis-path reading and makes DirAny traversal terminate.
-func (ex *executor) walk(pathIDs []string, onPath map[string]struct{}, ei int) error {
-	if ei == len(ex.plan.pat.Edges) {
-		ex.emit(pathIDs)
-		if len(ex.paths) >= ex.opts.Limit {
-			return errLimitHit
+// enterAll starts a walk at every entry candidate the plan admits:
+// one node by id, a byNorm posting, or every node in id order.
+// Candidates are a superset; each still meets the first step's full
+// predicate list.
+func (ex *executor) enterAll() (candidates int, err error) {
+	switch ex.plan.Entry {
+	case EntryID:
+		if i, ok := ex.snap.Index(ex.plan.EntryKey); ok {
+			return 1, ex.enter(i)
 		}
+		return 0, nil
+	case EntryNorm:
+		ids := ex.snap.ByNorm(ex.plan.EntryKey)
+		for _, id := range ids {
+			if i, ok := ex.snap.Index(id); ok {
+				if err := ex.enter(i); err != nil {
+					return len(ids), err
+				}
+			}
+		}
+		return len(ids), nil
+	default:
+		for i := int32(0); int(i) < ex.snap.Len(); i++ {
+			if err := ex.enter(i); err != nil {
+				return ex.snap.Len(), err
+			}
+		}
+		return ex.snap.Len(), nil
+	}
+}
+
+func (ex *executor) enter(i int32) error {
+	if !matchNode(ex.snap, i, ex.plan.steps[0]) {
 		return nil
 	}
-	e := ex.plan.pat.Edges[ei]
-	target := ex.plan.pat.Nodes[ei+1].Preds
+	// entry matching costs one expansion too: a scan entry over a huge
+	// graph must stay cancellable even if nothing matches
+	return ex.visit(i, 0, 0)
+}
 
-	var rec func(cur string, depth int) error
-	rec = func(cur string, depth int) error {
-		if depth >= e.Min {
-			n, _ := ex.snap.Node(cur)
-			if matchNode(n, target) {
-				if err := ex.walk(pathIDs, onPath, ei+1); err != nil {
+// visit charges the hop to node i, puts it on the path depth hops into
+// edge ei, walks on from it and takes it off again. Paths are simple: a
+// node appears at most once (onPath), which both matches the
+// hypothesis-path reading and makes DirAny traversal terminate.
+func (ex *executor) visit(i int32, ei, depth int) error {
+	if err := ex.expand(); err != nil {
+		return err
+	}
+	ex.path = append(ex.path, i)
+	ex.onPath[i] = true
+	err := ex.walk(ei, depth)
+	ex.onPath[i] = false
+	ex.path = ex.path[:len(ex.path)-1]
+	return err
+}
+
+// walk extends the partial path, whose last node is depth hops into
+// edge ei, toward node step ei+1: first on across the next edge if the
+// node can close this one, then one hop further along it — children in
+// insertion order, then the parent.
+func (ex *executor) walk(ei, depth int) error {
+	if ei == len(ex.plan.pat.Edges) {
+		return ex.emit()
+	}
+	e := &ex.plan.pat.Edges[ei]
+	cur := ex.path[len(ex.path)-1]
+	if depth >= e.Min && matchNode(ex.snap, cur, ex.plan.steps[ei+1]) {
+		if err := ex.walk(ei+1, 0); err != nil {
+			return err
+		}
+	}
+	if depth == e.Max {
+		return nil
+	}
+	d := ex.snap.Dense(cur)
+	if e.Dir != DirUp {
+		for _, next := range d.Children {
+			if !ex.onPath[next] {
+				if err := ex.visit(next, ei, depth+1); err != nil {
 					return err
 				}
 			}
 		}
-		if depth == e.Max {
-			return nil
-		}
-		for _, next := range ex.neighbors(cur, e.Dir) {
-			if _, dup := onPath[next]; dup {
-				continue
-			}
-			if err := ex.expand(); err != nil {
-				return err
-			}
-			pathIDs = append(pathIDs, next)
-			onPath[next] = struct{}{}
-			err := rec(next, depth+1)
-			delete(onPath, next)
-			pathIDs = pathIDs[:len(pathIDs)-1]
-			if err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return rec(pathIDs[len(pathIDs)-1], 0)
+	if e.Dir != DirDown && d.Parent >= 0 && !ex.onPath[d.Parent] {
+		return ex.visit(d.Parent, ei, depth+1)
+	}
+	return nil
 }
 
-// neighbors lists where one hop from cur may land.
-func (ex *executor) neighbors(cur string, dir Direction) []string {
-	n, ok := ex.snap.Node(cur)
-	if !ok {
-		return nil
-	}
-	switch dir {
-	case DirDown:
-		return n.Children
-	case DirUp:
-		if n.Parent == "" {
-			return nil
-		}
-		return []string{n.Parent}
-	default:
-		out := make([]string, 0, len(n.Children)+1)
-		out = append(out, n.Children...)
-		if n.Parent != "" {
-			out = append(out, n.Parent)
-		}
-		return out
-	}
-}
-
-// emit records a completed path (deduplicating hop-range decompositions
-// that produce the same node sequence) with its aggregates, restoring
-// query order when the planner reversed the pattern.
-func (ex *executor) emit(pathIDs []string) {
-	ids := pathIDs
+// emit records a completed path in query order (the planner may have
+// walked it backwards), unless it is a repeat. The limit cuts on the
+// first distinct path beyond it, so a match set of exactly Limit paths
+// is complete, not truncated.
+func (ex *executor) emit() error {
+	off := len(ex.runs)
+	ex.runs = append(ex.runs, ex.path...)
+	run := ex.runs[off:]
 	if ex.plan.Reversed {
-		ids = make([]string, len(pathIDs))
-		for i, id := range pathIDs {
-			ids[len(pathIDs)-1-i] = id
-		}
+		slices.Reverse(run)
 	}
-	k := pathKey(ids)
-	if _, dup := ex.seen[k]; dup {
-		return
+	switch {
+	case ex.dedup && ex.seenOrAdd(run):
+		ex.runs = ex.runs[:off]
+		return nil
+	case len(ex.recs) == ex.opts.Limit:
+		// seenOrAdd may have filed this run under a record that will
+		// never exist; the walk ends here, nothing looks it up again
+		ex.runs = ex.runs[:off]
+		return errLimitHit
 	}
-	ex.seen[k] = struct{}{}
-	ex.paths = append(ex.paths, buildPath(ex.snap, ids))
+	conf, coverage := ex.aggregates(run)
+	ex.recs = append(ex.recs, pathRec{conf * (0.5 + 0.5*coverage), int32(off), int32(len(run))})
+	return nil
 }
 
-// buildPath materializes transport nodes and the provenance aggregates.
-func buildPath(snap *kg.Snapshot, ids []string) Path {
-	p := Path{Nodes: make([]PathNode, len(ids)), Confidence: 1}
-	papers := map[string]struct{}{}
+// aggregates derives a path's confidence and evidence coverage from
+// the snapshot's per-node constants, multiplying in query order: the
+// product's bits depend on the order, and the reference (naivePath)
+// multiplies first node first.
+func (ex *executor) aggregates(run []int32) (conf, coverage float64) {
+	conf = 1
 	withEvidence := 0
-	for i, id := range ids {
-		n, _ := snap.Node(id)
-		p.Nodes[i] = PathNode{
-			ID: n.ID, Label: n.Label, Norm: n.Norm,
-			Source: n.Source, Papers: len(n.Papers),
-		}
-		p.Confidence *= sourceConfidence(n.Source)
-		if len(n.Papers) > 0 {
+	for _, i := range run {
+		d := ex.snap.Dense(i)
+		conf *= d.Conf
+		if len(d.Papers) > 0 {
 			withEvidence++
 		}
-		for _, pub := range n.Papers {
-			papers[pub] = struct{}{}
+	}
+	return conf, float64(withEvidence) / float64(len(run))
+}
+
+// seenOrAdd reports whether a recorded path has this id run; if none
+// has, it files the run under the next record number.
+func (ex *executor) seenOrAdd(run []int32) bool {
+	if 2*(len(ex.recs)+1) > len(ex.seen) {
+		ex.seen = make([]int32, max(2*len(ex.seen), 64))
+		for i, r := range ex.recs {
+			ex.seen[ex.seenSlot(ex.run(r))] = int32(i) + 1
 		}
 	}
-	p.EvidenceCoverage = float64(withEvidence) / float64(len(ids))
-	p.Papers = len(papers)
-	p.Score = p.Confidence * (0.5 + 0.5*p.EvidenceCoverage)
-	return p
+	slot := ex.seenSlot(run)
+	if ex.seen[slot] != 0 {
+		return true
+	}
+	ex.seen[slot] = int32(len(ex.recs)) + 1
+	return false
+}
+
+// seenSlot probes linearly from the run's hash (FNV-1a over positions)
+// to the slot that holds an equal run, or the empty one where it
+// belongs.
+func (ex *executor) seenSlot(run []int32) uint32 {
+	h := uint32(2166136261)
+	for _, v := range run {
+		h = (h ^ uint32(v)) * 16777619
+	}
+	mask := uint32(len(ex.seen) - 1)
+	slot := (h ^ h>>15) & mask
+	for r := ex.seen[slot]; r != 0 && !slices.Equal(ex.run(ex.recs[r-1]), run); r = ex.seen[slot] {
+		slot = (slot + 1) & mask
+	}
+	return slot
+}
+
+// compare ranks two records: best score first, then shortest, then id
+// sequence — positions are in sorted-id order, so comparing them is
+// comparing the ids.
+func (ex *executor) compare(a, b pathRec) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	case a.n != b.n:
+		return int(a.n - b.n)
+	}
+	return slices.Compare(ex.run(a), ex.run(b))
+}
+
+// rank returns the records ranked [from, from+count), sorting no more
+// than the from+count best: a bounded heap with the worst kept record
+// on top selects them in one pass over the rest.
+func (ex *executor) rank(from, count int) []pathRec {
+	recs := ex.recs
+	if from < 0 || from >= len(recs) || count <= 0 {
+		return nil
+	}
+	top := recs[:from+min(count, len(recs)-from)]
+	for i := len(top)/2 - 1; i >= 0; i-- {
+		ex.siftDown(top, i)
+	}
+	for i := len(top); i < len(recs); i++ {
+		if ex.compare(recs[i], top[0]) < 0 {
+			top[0], recs[i] = recs[i], top[0]
+			ex.siftDown(top, 0)
+		}
+	}
+	slices.SortFunc(top, ex.compare)
+	return top[from:]
+}
+
+func (ex *executor) siftDown(h []pathRec, i int) {
+	for {
+		worse := 2*i + 1
+		if worse >= len(h) {
+			return
+		}
+		if r := worse + 1; r < len(h) && ex.compare(h[r], h[worse]) > 0 {
+			worse = r
+		}
+		if ex.compare(h[worse], h[i]) <= 0 {
+			return
+		}
+		h[i], h[worse] = h[worse], h[i]
+		i = worse
+	}
+}
+
+// materialize builds the transport form of the chosen records: nodes
+// from one backing slice, distinct papers counted by stamping interned
+// ordinals with the path's number. A window can be MaxLimit paths, so
+// it checks the context like the walk does, every YieldEvery paths
+// starting with the first: a caller gone since the walk's last check
+// gets no result.
+func (ex *executor) materialize(win []pathRec) ([]Path, error) {
+	if len(win) == 0 {
+		return nil, nil
+	}
+	total := 0
+	for _, r := range win {
+		total += int(r.n)
+	}
+	nodes := make([]PathNode, total)
+	stamp := make([]int32, ex.snap.NumPapers())
+	paths := make([]Path, len(win))
+	for k, r := range win {
+		if k%ex.opts.YieldEvery == 0 {
+			if err := ex.ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		run := ex.run(r)
+		p := Path{Nodes: nodes[:len(run):len(run)], Score: r.score}
+		nodes = nodes[len(run):]
+		for j, i := range run {
+			n, ords := ex.snap.At(i), ex.snap.Dense(i).Papers
+			p.Nodes[j] = PathNode{ID: n.ID, Label: n.Label, Norm: n.Norm, Source: n.Source, Papers: len(ords)}
+			for _, o := range ords {
+				if stamp[o] != int32(k)+1 {
+					stamp[o] = int32(k) + 1
+					p.Papers++
+				}
+			}
+		}
+		p.Confidence, p.EvidenceCoverage = ex.aggregates(run)
+		paths[k] = p
+	}
+	return paths, nil
 }

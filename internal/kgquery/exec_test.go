@@ -3,6 +3,7 @@ package kgquery
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"covidkg/internal/kg"
@@ -208,6 +209,40 @@ func TestExecuteLimitTruncates(t *testing.T) {
 	}
 }
 
+// A match set of exactly Limit paths lost nothing: only a further
+// distinct path (a repeat of a recorded one does not count) truncates.
+func TestExecuteLimitExactIsNotTruncated(t *testing.T) {
+	g, _ := testGraph(t)
+	snap := g.Snapshot()
+	for _, src := range []string{`(norm="vaccines")-{1,2}->()`, `()-{1,2}-()`, `()-{1,2}->()-{1,2}->()`} {
+		q, err := Parse(src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := Compile(q, snap)
+		all, err := plan.Execute(context.Background(), snap, Options{Limit: MaxLimit})
+		if err != nil || all.Truncated || all.Total < 2 {
+			t.Fatalf("%s: unlimited run: %+v, %v", src, all, err)
+		}
+		exact, err := plan.Execute(context.Background(), snap, Options{Limit: all.Total})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Truncated || exact.Total != all.Total || exact.Expansions != all.Expansions {
+			t.Fatalf("%s: limit %d = match set: total %d truncated %v expansions %d, want %d/false/%d",
+				src, all.Total, exact.Total, exact.Truncated, exact.Expansions, all.Total, all.Expansions)
+		}
+		short, err := plan.Execute(context.Background(), snap, Options{Limit: all.Total - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !short.Truncated || short.Total != all.Total-1 {
+			t.Fatalf("%s: limit %d: total %d truncated %v, want %d/true",
+				src, all.Total-1, short.Total, short.Truncated, all.Total-1)
+		}
+	}
+}
+
 func TestExecuteBudgetTruncates(t *testing.T) {
 	g, _ := testGraph(t)
 	q, _ := Parse(`()-{1,2}-()`, nil)
@@ -250,13 +285,13 @@ func pathKeyOf(p Path) string {
 	for i, n := range p.Nodes {
 		ids[i] = n.ID
 	}
-	return pathKey(ids)
+	return strings.Join(ids, "\x1f")
 }
 
 func TestHypotheses(t *testing.T) {
 	g, _ := testGraph(t)
 	snap := g.Snapshot()
-	res, err := Hypotheses(context.Background(), snap, "BNT162b2", "Rash", 0, Options{})
+	res, err := Hypotheses(context.Background(), snap, "BNT162b2", "Rash", 0, MaxLimit, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +301,7 @@ func TestHypotheses(t *testing.T) {
 	if len(res.Paths) != 0 {
 		t.Fatalf("paths found at default 4-hop budget: %v", res.Paths)
 	}
-	res, err = Hypotheses(context.Background(), snap, "BNT162b2", "Rash", 5, Options{})
+	res, err = Hypotheses(context.Background(), snap, "BNT162b2", "Rash", 5, MaxLimit, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +309,7 @@ func TestHypotheses(t *testing.T) {
 		t.Fatalf("missing hypothesis path, got %v", res.Paths)
 	}
 
-	if _, err := Hypotheses(context.Background(), snap, "nonexistent concept", "Rash", 3, Options{}); err == nil {
+	if _, err := Hypotheses(context.Background(), snap, "nonexistent concept", "Rash", 3, MaxLimit, Options{}); err == nil {
 		t.Fatal("unknown concept did not error")
 	}
 }

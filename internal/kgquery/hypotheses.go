@@ -18,8 +18,8 @@ const DefaultHypothesisHops = 4
 // fusion matches with); a concept with no node in the graph returns an
 // error wrapping kg.ErrNodeNotFound. Paths may run in either direction
 // through the hierarchy (up to a shared ancestor and back down), capped
-// at maxHops hops.
-func Hypotheses(ctx context.Context, snap *kg.Snapshot, from, to string, maxHops int, opts Options) (*Result, error) {
+// at maxHops hops; the best top of them are materialised.
+func Hypotheses(ctx context.Context, snap *kg.Snapshot, from, to string, maxHops, top int, opts Options) (*Result, error) {
 	if maxHops <= 0 {
 		maxHops = DefaultHypothesisHops
 	}
@@ -44,5 +44,5 @@ func Hypotheses(ctx context.Context, snap *kg.Snapshot, from, to string, maxHops
 		},
 		Text: fmt.Sprintf("(norm=%q)-{1,%d}-(norm=%q)", from, maxHops, to),
 	}
-	return Compile(q, snap).Execute(ctx, snap, opts)
+	return Compile(q, snap).ExecuteWindow(ctx, snap, opts, 0, top)
 }

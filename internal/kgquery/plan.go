@@ -40,6 +40,7 @@ func (k EntryKind) String() string {
 // strategy, and its estimated candidate count.
 type Plan struct {
 	pat      Pattern
+	steps    [][]Pred  // pat.Nodes' predicates, values resolved (resolvePred)
 	Reversed bool      // pattern executes right-to-left; paths are un-reversed before return
 	Entry    EntryKind // candidate strategy for the execution-order first step
 	EntryKey string    // id value (EntryID) or normalized term (EntryNorm)
@@ -62,6 +63,12 @@ func Compile(q *Query, snap *kg.Snapshot) *Plan {
 			p.pat = reversePattern(pat)
 			p.Reversed = true
 			p.Entry, p.EntryKey, p.Cost = last.kind, last.key, lastCost
+		}
+	}
+	p.steps = make([][]Pred, len(p.pat.Nodes))
+	for i, n := range p.pat.Nodes {
+		for _, pr := range n.Preds {
+			p.steps[i] = append(p.steps[i], resolvePred(pr))
 		}
 	}
 	return p
@@ -96,23 +103,6 @@ func entryOf(n *NodeStep, snap *kg.Snapshot) (entry, int) {
 	return best, cost
 }
 
-// entries materializes the candidate ids for the execution-order first
-// node step. Candidates are a superset; the executor still applies the
-// full predicate list to each.
-func (p *Plan) entries(snap *kg.Snapshot) []string {
-	switch p.Entry {
-	case EntryID:
-		if _, ok := snap.Node(p.EntryKey); ok {
-			return []string{p.EntryKey}
-		}
-		return nil
-	case EntryNorm:
-		return snap.ByNorm(p.EntryKey)
-	default:
-		return snap.IDs()
-	}
-}
-
 // reversePattern flips a pattern end to end: node order reverses, edge
 // order reverses, and each edge's direction flips (a downward hop
 // walked from the far end is an upward hop).
@@ -132,48 +122,59 @@ func reversePattern(pat Pattern) Pattern {
 	return out
 }
 
-// matchNode reports whether a node satisfies every predicate of a step.
-func matchNode(n *kg.Node, preds []Pred) bool {
-	for i := range preds {
-		if !matchPred(n, &preds[i]) {
-			return false
-		}
+// resolvePred works out, once per query, the form of the value that
+// matchNode compares per node visited: norm= against the normalized
+// value, label~ / norm~ / source~ against the lower-cased one.
+func resolvePred(p Pred) Pred {
+	switch {
+	case p.Op == OpEq && p.Field == FieldNorm:
+		p.Value = textproc.NormalizeTerm(p.Value)
+	case p.Op == OpContains && p.Field != FieldID:
+		p.Value = strings.ToLower(p.Value)
 	}
-	return true
+	return p
 }
 
-// matchPred evaluates one predicate. Semantics:
+// matchNode reports whether the node at position i satisfies every
+// (resolved) predicate of a step. Semantics:
 //
 //	id=     exact id
 //	label=  case-insensitive label equality
 //	norm=   node norm equals the normalized form of the value
 //	source= exact source ("seed" | "fusion" | "expert")
 //	X~      case-insensitive substring of the field's text
-func matchPred(n *kg.Node, p *Pred) bool {
-	switch p.Op {
-	case OpEq:
-		switch p.Field {
-		case FieldID:
-			return n.ID == p.Value
-		case FieldLabel:
-			return strings.EqualFold(n.Label, p.Value)
-		case FieldNorm:
-			return n.Norm == textproc.NormalizeTerm(p.Value)
-		case FieldSource:
-			return n.Source == p.Value
+func matchNode(snap *kg.Snapshot, i int32, preds []Pred) bool {
+	n := snap.At(i)
+	for k := range preds {
+		p := &preds[k]
+		var ok bool
+		switch p.Op {
+		case OpEq:
+			switch p.Field {
+			case FieldID:
+				ok = n.ID == p.Value
+			case FieldLabel:
+				ok = strings.EqualFold(n.Label, p.Value)
+			case FieldNorm:
+				ok = n.Norm == p.Value
+			case FieldSource:
+				ok = n.Source == p.Value
+			}
+		case OpContains:
+			switch p.Field {
+			case FieldID:
+				ok = strings.Contains(n.ID, p.Value)
+			case FieldLabel:
+				ok = strings.Contains(snap.Dense(i).Lower, p.Value)
+			case FieldNorm:
+				ok = strings.Contains(n.Norm, p.Value)
+			case FieldSource:
+				ok = strings.Contains(n.Source, p.Value)
+			}
 		}
-	case OpContains:
-		v := strings.ToLower(p.Value)
-		switch p.Field {
-		case FieldID:
-			return strings.Contains(n.ID, p.Value)
-		case FieldLabel:
-			return strings.Contains(strings.ToLower(n.Label), v)
-		case FieldNorm:
-			return strings.Contains(n.Norm, v)
-		case FieldSource:
-			return strings.Contains(n.Source, v)
+		if !ok {
+			return false
 		}
 	}
-	return false
+	return true
 }

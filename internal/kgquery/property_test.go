@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -97,8 +98,9 @@ func randomQuery(r *rand.Rand, g *kg.Graph) *Query {
 
 // TestPropertyPlannedMatchesNaive is the engine's core guarantee: for
 // randomized graphs and queries, the planned, indexed, budgeted
-// executor returns exactly the same path set — node sequences AND
-// aggregates — as the naive reference traversal.
+// executor returns exactly the naive reference traversal's ranking —
+// the same paths in the same order with bit-identical aggregates — and
+// any window of it on request.
 func TestPropertyPlannedMatchesNaive(t *testing.T) {
 	graphs := 25
 	queriesPer := 4
@@ -111,15 +113,16 @@ func TestPropertyPlannedMatchesNaive(t *testing.T) {
 		snap := g.Snapshot()
 		for qi := 0; qi < queriesPer; qi++ {
 			q := randomQuery(r, g)
-			assertPlannedMatchesNaive(t, snap, q, fmt.Sprintf("graph %d query %d", gi, qi))
+			assertPlannedMatchesNaive(t, r, snap, q, fmt.Sprintf("graph %d query %d", gi, qi))
 		}
 	}
 }
 
-func assertPlannedMatchesNaive(t *testing.T, snap *kg.Snapshot, q *Query, tag string) {
+func assertPlannedMatchesNaive(t *testing.T, r *rand.Rand, snap *kg.Snapshot, q *Query, tag string) {
 	t.Helper()
-	planned, err := Compile(q, snap).Execute(context.Background(), snap,
-		Options{Limit: MaxLimit, MaxExpansions: 50_000_000})
+	plan := Compile(q, snap)
+	opts := Options{Limit: MaxLimit, MaxExpansions: 50_000_000}
+	planned, err := plan.Execute(context.Background(), snap, opts)
 	if err != nil {
 		t.Fatalf("%s: planned: %v (pattern %+v)", tag, err, q.Pattern)
 	}
@@ -130,24 +133,47 @@ func assertPlannedMatchesNaive(t *testing.T, snap *kg.Snapshot, q *Query, tag st
 	if err != nil {
 		t.Fatalf("%s: naive: %v", tag, err)
 	}
-	if len(planned.Paths) != len(naive.Paths) {
-		t.Fatalf("%s: planned %d paths, naive %d (pattern %+v)",
-			tag, len(planned.Paths), len(naive.Paths), q.Pattern)
+	total := len(naive.Paths)
+	if planned.Total != total {
+		t.Fatalf("%s: planned total %d, naive found %d (pattern %+v)", tag, planned.Total, total, q.Pattern)
 	}
-	nset := map[string]Path{}
-	for _, p := range naive.Paths {
-		nset[pathKeyOf(p)] = p
-	}
-	for _, p := range planned.Paths {
-		np, ok := nset[pathKeyOf(p)]
-		if !ok {
-			t.Fatalf("%s: planned path %v absent from naive result (pattern %+v)",
-				tag, pathLabels(p), q.Pattern)
+	assertSameRanking(t, tag, q, planned.Paths, naive.Paths)
+
+	// a page, a random window inside the ranking, and one that may
+	// overrun it
+	windows := [][2]int{{0, 20}, {r.Intn(total + 1), r.Intn(total + 1)}, {r.Intn(total + 3), 1 + r.Intn(total+3)}}
+	for _, w := range windows {
+		from, count := w[0], w[1]
+		win, err := plan.ExecuteWindow(context.Background(), snap, opts, from, count)
+		if err != nil {
+			t.Fatalf("%s: window [%d,+%d): %v", tag, from, count, err)
 		}
-		if math.Abs(p.Confidence-np.Confidence) > 1e-12 ||
-			math.Abs(p.EvidenceCoverage-np.EvidenceCoverage) > 1e-12 ||
-			p.Papers != np.Papers ||
-			math.Abs(p.Score-np.Score) > 1e-12 {
+		if win.Total != total || win.Expansions != planned.Expansions || win.Truncated {
+			t.Fatalf("%s: window [%d,+%d): total %d expansions %d truncated %v, want %d / %d / false",
+				tag, from, count, win.Total, win.Expansions, win.Truncated, total, planned.Expansions)
+		}
+		lo, hi := min(from, total), min(from+count, total)
+		assertSameRanking(t, fmt.Sprintf("%s window [%d,+%d)", tag, from, count), q, win.Paths, naive.Paths[lo:hi])
+	}
+}
+
+// assertSameRanking demands the same sequence, node for node and bit
+// for bit.
+func assertSameRanking(t *testing.T, tag string, q *Query, got, want []Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d paths, naive %d (pattern %+v)", tag, len(got), len(want), q.Pattern)
+	}
+	for i, p := range got {
+		np := want[i]
+		if !slices.Equal(p.Nodes, np.Nodes) {
+			t.Fatalf("%s: rank %d is %v, naive has %v (pattern %+v)",
+				tag, i, pathKeyOf(p), pathKeyOf(np), q.Pattern)
+		}
+		if math.Float64bits(p.Confidence) != math.Float64bits(np.Confidence) ||
+			math.Float64bits(p.EvidenceCoverage) != math.Float64bits(np.EvidenceCoverage) ||
+			math.Float64bits(p.Score) != math.Float64bits(np.Score) ||
+			p.Papers != np.Papers {
 			t.Fatalf("%s: aggregates diverge for %v: planned %+v naive %+v",
 				tag, pathLabels(p), p, np)
 		}
@@ -177,6 +203,35 @@ func TestPropertyReversalOnly(t *testing.T) {
 		if !plan.Reversed {
 			t.Fatalf("seed %d: plan not reversed: %+v", seed, plan)
 		}
-		assertPlannedMatchesNaive(t, snap, q, fmt.Sprintf("reversal seed %d", seed))
+		assertPlannedMatchesNaive(t, r, snap, q, fmt.Sprintf("reversal seed %d", seed))
+	}
+}
+
+// TestPropertyTwoVariableEdges covers the one shape that can reach a
+// node sequence twice: two variable-length edges split the same chain
+// at different middles, so the executor must deduplicate — forwards and
+// (selective last step) reversed.
+func TestPropertyTwoVariableEdges(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(9000 + seed))
+		g := randomGraph(r, 40+r.Intn(30))
+		snap := g.Snapshot()
+		ids := snap.IDs()
+		n, _ := snap.Node(ids[r.Intn(len(ids))])
+		ends := [2][]Pred{nil, {{Field: FieldNorm, Op: OpEq, Value: n.Label}}}
+		if seed%2 == 0 {
+			ends[0] = []Pred{{Field: FieldSource, Op: OpEq, Value: kg.SourceFusion}}
+		}
+		q := &Query{
+			Pattern: Pattern{
+				Nodes: []NodeStep{{Preds: ends[seed%2]}, {}, {Preds: ends[1-seed%2]}},
+				Edges: []EdgeStep{
+					{Dir: Direction(r.Intn(3)), Min: 1, Max: 2 + r.Intn(2)},
+					{Dir: Direction(r.Intn(3)), Min: 1, Max: 2 + r.Intn(2)},
+				},
+			},
+			Text: "two variable edges",
+		}
+		assertPlannedMatchesNaive(t, r, snap, q, fmt.Sprintf("two-edge seed %d", seed))
 	}
 }
