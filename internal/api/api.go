@@ -463,7 +463,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		base := total - len(batch)
+		start := time.Now()
 		rep := s.sys.IngestDocs(batch)
+		s.met.Histogram("ingest.store").Observe(time.Since(start))
 		for _, res := range rep.Results {
 			res.Index += base
 			results = append(results, res)
@@ -472,7 +474,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		failed += rep.Failed
 		batch = batch[:0]
 		if rep.Inserted > 0 {
+			start = time.Now()
 			st.Add(s.sys.EnrichNew())
+			s.met.Histogram("ingest.enrich").Observe(time.Since(start))
 		}
 	}
 

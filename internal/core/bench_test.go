@@ -15,7 +15,10 @@ import (
 // that follows it — against four shard servers with fsynced WALs, at two
 // store sizes. The batch is the same size at both, so the two timings
 // should agree: ingest that lists or scans the store shows up as the
-// larger store costing more.
+// larger store costing more. Its text embeddings are trained on 50
+// documents, which leaves most KG labels unembeddable, so it barely
+// sees the embedding scans of fusion; BenchmarkFuseUnmatched in
+// internal/kg measures those.
 func BenchmarkIngestBatch(b *testing.B) {
 	for _, stored := range []int{500, 4000} {
 		b.Run(fmt.Sprintf("stored=%d", stored), func(b *testing.B) {

@@ -112,6 +112,30 @@ type Fuser struct {
 	// automatic (§4.2: "most of the fusion is expected to become
 	// minimally supervised").
 	learned map[string]string
+
+	// vecs caches node label vectors by node id (labels never change,
+	// ids are never reused) for embedder generation vecGen; scanned is
+	// scan's result, reused by the next scan.
+	vecs    map[string]labelVec
+	vecGen  uint64
+	scanned []labelVec
+}
+
+// labelVec is a node's label embedding (nil when the label does not
+// embed) and its Euclidean norm, with the node's id and parent.
+type labelVec struct {
+	id, parent string
+	v          []float64
+	norm       float64
+}
+
+// cosine is mlcore.CosineSimilarity(a, b.v) with both norms in hand:
+// the same float operations, so the same bits.
+func cosine(a []float64, na float64, b labelVec) float64 {
+	if na == 0 || b.norm == 0 {
+		return 0
+	}
+	return mlcore.Dot(a, b.v) / (na * b.norm)
 }
 
 // NewFuser creates a fuser over g with the default confidence threshold.
@@ -136,12 +160,45 @@ func (f *Fuser) matchRoot(label string) (nodeID, method string, conf float64) {
 	return f.embedMatch(label)
 }
 
+// embedder returns the graph's embedding function, first dropping label
+// vectors computed by a function SetEmbedder has since replaced.
+func (f *Fuser) embedder() EmbedFunc {
+	f.g.mu.RLock()
+	embed, gen := f.g.embed, f.g.embedGen
+	f.g.mu.RUnlock()
+	if f.vecs == nil || gen != f.vecGen {
+		f.vecs, f.vecGen = map[string]labelVec{}, gen
+	}
+	return embed
+}
+
+// scan lists the label vectors of every live node whose label embeds,
+// depth-first from the root with children in insertion order, under one
+// read lock, embedding a label the first time a scan meets its node.
+// The list is valid until the next scan; the caller holds f.mu.
+func (f *Fuser) scan(embed EmbedFunc) []labelVec {
+	f.scanned = f.scanned[:0]
+	f.g.mu.RLock()
+	defer f.g.mu.RUnlock()
+	f.g.walk(f.g.rootID, 0, func(n *Node, _ int) bool {
+		nv, ok := f.vecs[n.ID]
+		if !ok {
+			v := embed(n.Label)
+			nv = labelVec{n.ID, n.Parent, v, mlcore.Norm2(v)}
+			f.vecs[n.ID] = nv
+		}
+		if nv.v != nil {
+			f.scanned = append(f.scanned, nv)
+		}
+		return true
+	})
+	return f.scanned
+}
+
 // embedMatch finds the KG node whose label embedding is nearest to
 // label's embedding.
 func (f *Fuser) embedMatch(label string) (string, string, float64) {
-	f.g.mu.RLock()
-	embed := f.g.embed
-	f.g.mu.RUnlock()
+	embed := f.embedder()
 	if embed == nil {
 		return "", MethodNone, 0
 	}
@@ -149,18 +206,14 @@ func (f *Fuser) embedMatch(label string) (string, string, float64) {
 	if vec == nil {
 		return "", MethodNone, 0
 	}
+	norm := mlcore.Norm2(vec)
 	bestID, bestSim := "", -1.0
-	f.g.Walk(func(n Node, _ int) bool {
-		nv := embed(n.Label)
-		if nv == nil {
-			return true
+	for _, n := range f.scan(embed) {
+		if sim := cosine(vec, norm, n); sim > bestSim ||
+			(sim == bestSim && n.id < bestID) {
+			bestID, bestSim = n.id, sim
 		}
-		if sim := mlcore.CosineSimilarity(vec, nv); sim > bestSim ||
-			(sim == bestSim && n.ID < bestID) {
-			bestID, bestSim = n.ID, sim
-		}
-		return true
-	})
+	}
 	if bestID == "" {
 		return "", MethodNone, 0
 	}
@@ -172,31 +225,29 @@ func (f *Fuser) embedMatch(label string) (string, string, float64) {
 // path of §4.2 (an unseen vaccine matches existing vaccines, so the new
 // category belongs beside them).
 func (f *Fuser) leafEmbedMatch(sub *Subtree) (string, float64) {
-	f.g.mu.RLock()
-	embed := f.g.embed
-	f.g.mu.RUnlock()
+	embed := f.embedder()
 	if embed == nil {
 		return "", 0
 	}
+	var nodes []labelVec
 	bestParent, bestSim := "", -1.0
 	for _, leaf := range sub.Leaves() {
 		lv := embed(leaf)
 		if lv == nil {
 			continue
 		}
-		f.g.Walk(func(n Node, _ int) bool {
-			if n.Parent == "" {
-				return true
+		if nodes == nil { // scan once, and only if some leaf embeds
+			nodes = f.scan(embed)
+		}
+		norm := mlcore.Norm2(lv)
+		for _, n := range nodes {
+			if n.parent == "" {
+				continue
 			}
-			nv := embed(n.Label)
-			if nv == nil {
-				return true
+			if sim := cosine(lv, norm, n); sim > bestSim {
+				bestParent, bestSim = n.parent, sim
 			}
-			if sim := mlcore.CosineSimilarity(lv, nv); sim > bestSim {
-				bestParent, bestSim = n.Parent, sim
-			}
-			return true
-		})
+		}
 	}
 	return bestParent, bestSim
 }
@@ -243,7 +294,7 @@ func (f *Fuser) fuseLeaves(sub *Subtree, targetID, method string, conf float64) 
 	added := 0
 	for _, c := range sub.Children {
 		papers := append(append([]string(nil), sub.Papers...), c.Papers...)
-		_, err := f.g.AddNode(targetID, c.Label, SourceFusion, papers...)
+		_, err := f.g.addNode(targetID, c.Label, SourceFusion, papers)
 		switch {
 		case err == nil:
 			added++
@@ -347,12 +398,12 @@ func (f *Fuser) applySubtree(sub *Subtree, targetID string) error {
 		}
 		return nil
 	}
-	n, err := f.g.AddNode(targetID, sub.Label, SourceExpert, sub.Papers...)
+	id, err := f.g.addNode(targetID, sub.Label, SourceExpert, sub.Papers)
 	if err != nil && !errors.Is(err, ErrDuplicate) {
 		return err
 	}
 	for _, c := range sub.Children {
-		if err := f.applySubtree(c, n.ID); err != nil {
+		if err := f.applySubtree(c, id); err != nil {
 			return err
 		}
 	}

@@ -46,7 +46,10 @@ type Node struct {
 	Source   string   `json:"source"`
 }
 
-// EmbedFunc maps a label to its embedding vector (nil when unknown).
+// EmbedFunc maps a label to its embedding vector (nil when unknown). It
+// must be a pure function of the label until SetEmbedder replaces it,
+// and must not write to a slice it returned: fusion embeds each node
+// label once and keeps the vector.
 type EmbedFunc func(label string) []float64
 
 // Graph is a thread-safe hierarchical knowledge graph.
@@ -57,6 +60,8 @@ type Graph struct {
 	rootID string
 	seq    int
 	embed  EmbedFunc
+	// embedGen counts SetEmbedder calls; see Fuser.vecs.
+	embedGen uint64
 
 	// gen counts mutations; snap caches the last Snapshot built, valid
 	// while snap.gen == gen.
@@ -84,11 +89,13 @@ func New(rootLabel string, embed EmbedFunc) *Graph {
 	return g
 }
 
-// SetEmbedder installs (or replaces) the embedding function.
+// SetEmbedder installs (or replaces) the embedding function; label
+// vectors fusion computed with the previous one are discarded.
 func (g *Graph) SetEmbedder(embed EmbedFunc) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.embed = embed
+	g.embedGen++
 }
 
 func (g *Graph) nextID() string {
@@ -141,21 +148,32 @@ func (g *Graph) Size() int {
 func (g *Graph) AddNode(parentID, label, source string, papers ...string) (Node, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addNodeLocked(parentID, label, source, papers...)
+	n, err := g.addNodeLocked(parentID, label, source, papers)
+	return copyNode(n), err
 }
 
-func (g *Graph) addNodeLocked(parentID, label, source string, papers ...string) (Node, error) {
+// addNode is AddNode returning only the id, copying nothing out.
+func (g *Graph) addNode(parentID, label, source string, papers []string) (string, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n, err := g.addNodeLocked(parentID, label, source, papers)
+	return n.ID, err
+}
+
+// addNodeLocked returns the new node, the existing one with
+// ErrDuplicate, or an empty node with any other error.
+func (g *Graph) addNodeLocked(parentID, label, source string, papers []string) (*Node, error) {
 	parent, ok := g.nodes[parentID]
 	if !ok {
-		return Node{}, fmt.Errorf("%w: parent %s", ErrNodeNotFound, parentID)
+		return &Node{}, fmt.Errorf("%w: parent %s", ErrNodeNotFound, parentID)
 	}
 	norm := textproc.NormalizeTerm(label)
 	for _, cid := range parent.Children {
-		if g.nodes[cid].Norm == norm {
+		if c := g.nodes[cid]; c.Norm == norm {
 			// same concept already present: merge provenance
-			g.addPapersLocked(g.nodes[cid], papers)
+			g.addPapersLocked(c, papers)
 			g.gen++
-			return copyNode(g.nodes[cid]), ErrDuplicate
+			return c, ErrDuplicate
 		}
 	}
 	n := &Node{
@@ -170,7 +188,7 @@ func (g *Graph) addNodeLocked(parentID, label, source string, papers ...string) 
 	parent.Children = append(parent.Children, n.ID)
 	g.byNorm[norm] = append(g.byNorm[norm], n.ID)
 	g.gen++
-	return copyNode(n), nil
+	return n, nil
 }
 
 func (g *Graph) addPapersLocked(n *Node, papers []string) {
@@ -394,20 +412,23 @@ func (g *Graph) NodesByPaper(pubID string) []Node {
 func (g *Graph) Walk(fn func(n Node, depth int) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var rec func(id string, depth int) bool
-	rec = func(id string, depth int) bool {
-		n := g.nodes[id]
-		if !fn(copyNode(n), depth) {
+	g.walk(g.rootID, 0, func(n *Node, depth int) bool { return fn(copyNode(n), depth) })
+}
+
+// walk visits the live nodes of id's subtree depth-first, children in
+// insertion order, until fn returns false; the caller holds g.mu and fn
+// must not modify the nodes.
+func (g *Graph) walk(id string, depth int, fn func(n *Node, depth int) bool) bool {
+	n := g.nodes[id]
+	if !fn(n, depth) {
+		return false
+	}
+	for _, cid := range n.Children {
+		if !g.walk(cid, depth+1, fn) {
 			return false
 		}
-		for _, cid := range n.Children {
-			if !rec(cid, depth+1) {
-				return false
-			}
-		}
-		return true
 	}
-	rec(g.rootID, 0)
+	return true
 }
 
 // graphJSON is the serialized form.

@@ -7,6 +7,7 @@ package tableparse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -80,7 +81,8 @@ func (t *Table) Doc() jsondoc.Doc {
 	}
 }
 
-// TableFromDoc reconstructs a Table from its document form.
+// TableFromDoc reconstructs a Table from its document form, dropping
+// header_rows entries that name no row (documents are outside input).
 func TableFromDoc(d jsondoc.Doc) *Table {
 	t := &Table{Caption: d.GetString("caption")}
 	for _, rv := range d.GetArray("rows") {
@@ -92,7 +94,7 @@ func TableFromDoc(d jsondoc.Doc) *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	for _, hv := range d.GetArray("header_rows") {
-		if f, ok := hv.(float64); ok {
+		if f, ok := hv.(float64); ok && f >= 0 && f < float64(len(t.Rows)) && f == math.Trunc(f) {
 			t.MarkupHeaderRows = append(t.MarkupHeaderRows, int(f))
 		}
 	}
