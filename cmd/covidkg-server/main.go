@@ -28,6 +28,7 @@ import (
 	"covidkg/internal/breaker"
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
+	"covidkg/internal/metrics"
 	"covidkg/internal/pprofserve"
 	"covidkg/internal/retry"
 )
@@ -55,7 +56,11 @@ func main() {
 		log.Fatalf("pprof listener: %v", err)
 	}
 
+	// One registry for the whole process: the search engine, the stores
+	// and the coordinator record into the registry /api/v1/metrics serves.
+	reg := metrics.NewRegistry()
 	cfg := core.DefaultConfig()
+	cfg.Metrics = reg
 	cfg.Shards = *shards
 	cfg.Replicas = *replicas
 	cfg.Seed = *seed
@@ -150,6 +155,7 @@ func main() {
 		AggregateTimeout:  *aggTimeout,
 		MaxInflightSearch: *inflightSearch,
 		MaxInflightHeavy:  *inflightHeavy,
+		Metrics:           reg,
 	}
 	srv := &http.Server{
 		Addr:              *addr,

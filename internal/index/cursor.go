@@ -43,22 +43,7 @@ type snapshot struct {
 	parts []cursorPart
 }
 
-// dirtyLocked reports whether any memtable posting list of the names
-// needs the rebuild only an exclusive lock may do.
-func (ix *Index) dirtyLocked(names []string) bool {
-	for _, m := range ix.memsLocked() {
-		for _, name := range names {
-			if tl := m.termDocs[name]; tl != nil && tl.dirty {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// snapshot captures the names' postings under one lock acquisition: the
-// read lock, unless a memtable posting list went out of order (or lost a
-// document) and has to be re-sorted first.
+// snapshot captures the names' postings under one read-lock acquisition.
 //
 // Per-part score bounds combine by max when every document lives in
 // exactly one part (the normal case — the seal boundary keeps documents
@@ -66,13 +51,7 @@ func (ix *Index) dirtyLocked(names []string) bool {
 // ids), so a name's bound is always a valid upper bound.
 func (ix *Index) snapshot(names []string) *snapshot {
 	ix.mu.RLock()
-	if ix.dirtyLocked(names) {
-		ix.mu.RUnlock()
-		ix.mu.Lock()
-		defer ix.mu.Unlock()
-	} else {
-		defer ix.mu.RUnlock()
-	}
+	defer ix.mu.RUnlock()
 	mems := ix.memsLocked()
 	s := &snapshot{n: ix.docCountLocked(), names: make([]cursorName, len(names)),
 		parts: make([]cursorPart, 0, len(names)*(len(mems)+len(ix.segs)))}
@@ -92,9 +71,9 @@ func (ix *Index) snapshot(names []string) *snapshot {
 			s.parts = append(s.parts, p)
 		}
 		for _, m := range mems {
-			if len(m.docList(name)) > 0 {
-				mp := m.flat(name)
-				add(cursorPart{ids: mp.ids, off: mp.off, runs: mp.runs, static: mp.static}, m.maxWTF[name], m.maxRaw[name])
+			if r := m.terms[name]; r != nil {
+				mp := m.flat(r)
+				add(cursorPart{ids: mp.ids, off: mp.off, runs: mp.runs, static: mp.static}, r.maxWTF, r.maxRaw)
 			}
 		}
 		for _, seg := range ix.segs {

@@ -18,6 +18,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -43,8 +44,8 @@ type Posting struct {
 // The public read API reports the aggregate view across all parts.
 type Index struct {
 	mu sync.RWMutex
-	// cond signals seal/merge completion (waiters: Remove and
-	// SetStatic on frozen docs, Seal, Compact, SetFieldWeights).
+	// cond signals seal/merge completion (waiters: Remove, Seal,
+	// Compact, SetFieldWeights).
 	cond *sync.Cond
 
 	mem *memtable
@@ -128,35 +129,6 @@ func (ix *Index) SetFieldWeights(w map[string]float64) {
 	}
 }
 
-// SetStatic records a document's query-independent score component
-// (the search engine stores the recency feature here at indexing time).
-func (ix *Index) SetStatic(docID string, v float64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.mem.docs[docID]; ok {
-		ix.mem.setStatic(docID, v)
-		return
-	}
-	// A frozen memtable is being read by its seal builder without the
-	// lock; wait the seal out rather than mutate it.
-	for ix.sealing != nil {
-		if _, ok := ix.sealing.docs[docID]; !ok {
-			break
-		}
-		ix.cond.Wait()
-	}
-	for _, s := range ix.segs {
-		if ord, ok := s.ordOf(docID); ok && !s.dead[ord] {
-			// copy on write: cursors and a running merge read the old
-			// slice without the lock
-			s.static = append([]float64(nil), s.static...)
-			s.static[ord] = v
-			return
-		}
-	}
-	ix.mem.static[docID] = v
-}
-
 // Static returns the document's query-independent score component
 // (zero when never set).
 func (ix *Index) Static(docID string) float64 {
@@ -167,8 +139,8 @@ func (ix *Index) Static(docID string) float64 {
 
 func (ix *Index) staticLocked(docID string) float64 {
 	for _, m := range ix.memsLocked() {
-		if v, ok := m.static[docID]; ok {
-			return v
+		if d, ok := m.docs[docID]; ok {
+			return d.static
 		}
 	}
 	for _, s := range ix.segs {
@@ -179,37 +151,137 @@ func (ix *Index) staticLocked(docID string) float64 {
 	return 0
 }
 
-// Add tokenizes, stems, and indexes text as the given field of doc.
-// Calling Add twice for the same (doc, field) appends, with positions
-// continuing after the previous call's tokens. The per-term posting
-// lists and max-score partials are maintained incrementally. Crossing
-// the seal threshold at a document boundary freezes the memtable and
-// seals it into a segment in the background.
-func (ix *Index) Add(docID, field, text string) {
-	terms := textproc.ContentWords(text)
+// FieldText is one text of a document and the field it is indexed as.
+type FieldText struct{ Field, Text string }
+
+// Analyzed is one document tokenized, stemmed and grouped by term: the
+// pure half of indexing, done before the index lock is taken. AddDoc
+// takes ownership of it, so analyse a document once per index.
+type Analyzed struct {
+	terms  []string   // distinct, in first-appearance order
+	off    []int32    // terms[i]'s runs are runs[off[i]:off[i+1]]
+	runs   []fieldRun // each term's runs in first-seen field order
+	fields []fieldLen // token count per field, first-seen order
+}
+
+// Analyze tokenizes and stems texts in order and groups the tokens by
+// term. Positions continue per field from one text to the next, exactly
+// as successive Add calls would number them, and are carved from one
+// exact-size slab. A text without content words still records its field.
+func Analyze(texts []FieldText) *Analyzed {
+	type tok struct{ term, field, pos int32 }
+	a := &Analyzed{}
+	var toks []tok
+	termOf := map[string]int32{}
+	for _, ft := range texts {
+		f := slices.IndexFunc(a.fields, func(g fieldLen) bool { return g.field == ft.Field })
+		if f < 0 {
+			f = len(a.fields)
+			a.fields = append(a.fields, fieldLen{field: ft.Field})
+		}
+		for _, w := range textproc.ContentWords(ft.Text) {
+			t, ok := termOf[w]
+			if !ok {
+				t = int32(len(a.terms))
+				termOf[w] = t
+				a.terms = append(a.terms, w)
+			}
+			toks = append(toks, tok{t, int32(f), int32(a.fields[f].n)})
+			a.fields[f].n++
+		}
+	}
+
+	// Number each term's runs in first-seen field order: runOf holds
+	// 1 + the run's index within its term, per (term, field).
+	nf := len(a.fields)
+	runOf := make([]int32, len(a.terms)*nf)
+	a.off = make([]int32, len(a.terms)+1)
+	for _, k := range toks {
+		if r := &runOf[int(k.term)*nf+int(k.field)]; *r == 0 {
+			a.off[k.term+1]++
+			*r = a.off[k.term+1]
+		}
+	}
+	for i := range a.terms {
+		a.off[i+1] += a.off[i]
+	}
+	run := func(k tok) int { return int(a.off[k.term] + runOf[int(k.term)*nf+int(k.field)] - 1) }
+
+	// Size every run, carve it from the slab with exact capacity, fill.
+	a.runs = make([]fieldRun, a.off[len(a.terms)])
+	size := make([]int, len(a.runs))
+	for _, k := range toks {
+		size[run(k)]++
+	}
+	slab := make([]int, len(toks))
+	for g := range a.runs {
+		a.runs[g].pos, slab = slab[:0:size[g]], slab[size[g]:]
+	}
+	for _, k := range toks {
+		r := &a.runs[run(k)]
+		r.field = a.fields[k.field].field
+		r.pos = append(r.pos, int(k.pos))
+	}
+	return a
+}
+
+// AddDoc indexes an analysed document and its static (query-independent)
+// score in one critical section — one seal check; per distinct term one
+// lookup, append, bound update and write generation — so readers see
+// both or neither. Re-adding an id appends after its earlier positions.
+// Crossing the seal threshold seals the memtable in the background.
+func (ix *Index) AddDoc(docID string, a *Analyzed, static float64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	ix.addLocked(docID, a, &static)
+}
 
-	if _, inMem := ix.mem.docs[docID]; !inMem && docID != ix.mem.lastDoc {
-		// First touch of a new document: the only point a seal may
-		// trigger (so one doc's postings never straddle the boundary),
-		// and the point to detect a re-add of an already-sealed id.
+// Add indexes text as the given field of doc: AddDoc of a one-text
+// analysis that leaves the document's static score as it was.
+func (ix *Index) Add(docID, field, text string) {
+	a := Analyze([]FieldText{{field, text}})
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.addLocked(docID, a, nil)
+}
+
+// addLocked applies a to docID and sets its static score (nil keeps it).
+func (ix *Index) addLocked(docID string, a *Analyzed, static *float64) {
+	prev, inMem := ix.mem.docs[docID]
+	if !inMem {
+		// First touch of the document in this memtable: the only point a
+		// seal may trigger (so one doc's postings never straddle the
+		// boundary), and the point to detect a re-add of a sealed id.
 		if ix.sealDocs > 0 && ix.sealing == nil && len(ix.mem.docs) >= ix.sealDocs {
 			ix.freezeLocked()
 		}
 		if !ix.crossSource && ix.partOtherThanMemHas(docID) {
 			ix.crossSource = true
 		}
+		if static == nil && ix.crossSource {
+			s := ix.staticLocked(docID) // the sealed copy's
+			static = &s
+		}
 	}
-
-	base := ix.mem.fieldLen[fieldKey{docID, field}]
-	if ix.crossSource {
-		base = ix.fieldLenLocked(docID, field)
+	var base func(string) int
+	switch {
+	case ix.crossSource:
+		base = func(field string) int { return ix.fieldLenLocked(docID, field) }
+	case inMem:
+		base = prev.fieldLen
 	}
-	ix.mem.add(docID, field, terms, base, ix.weights)
-
+	d := ix.mem.add(docID, a, base, ix.weights)
 	ix.seq++
-	for _, t := range terms {
+	if static != nil {
+		d.static = *static
+		if inMem { // the score changes on every term the doc holds
+			for _, r := range d.terms {
+				r.touch()
+				ix.termGens[r.term] = ix.seq
+			}
+		}
+	}
+	for _, t := range a.terms {
 		ix.termGens[t] = ix.seq
 	}
 }
@@ -234,7 +306,9 @@ func (ix *Index) partOtherThanMemHas(docID string) bool {
 func (ix *Index) fieldLenLocked(docID, field string) int {
 	n := 0
 	for _, m := range ix.memsLocked() {
-		n += m.fieldLen[fieldKey{docID, field}]
+		if d, ok := m.docs[docID]; ok {
+			n += d.fieldLen(field)
+		}
 	}
 	for _, s := range ix.segs {
 		if ord, ok := s.ordOf(docID); ok && !s.dead[ord] {
@@ -290,7 +364,7 @@ func (ix *Index) TermGens(terms []string) []uint64 {
 }
 
 // WriteSeq returns the index's global write sequence (bumped by every
-// Add/Remove). Cached pages with unbounded term scope revalidate
+// AddDoc/Remove). Cached pages with unbounded term scope revalidate
 // against this.
 func (ix *Index) WriteSeq() uint64 {
 	ix.mu.RLock()
@@ -327,7 +401,9 @@ func (ix *Index) DocFreq(term string) int {
 func (ix *Index) docFreqLocked(term string) int {
 	n := 0
 	for _, m := range ix.memsLocked() {
-		n += len(m.postings[term])
+		if r, ok := m.terms[term]; ok {
+			n += len(r.ids)
+		}
 	}
 	for _, s := range ix.segs {
 		if t, ok := s.tid(term); ok {
@@ -368,9 +444,11 @@ func (ix *Index) Lookup(term string) []Posting {
 		})
 	}
 	for _, m := range ix.memsLocked() {
-		for doc, fp := range m.postings[term] {
-			for _, r := range fp {
-				add(doc, r.field, r.pos)
+		if r, ok := m.terms[term]; ok {
+			for j, doc := range r.ids {
+				for _, run := range r.docs[j] {
+					add(doc, run.field, run.pos)
+				}
 			}
 		}
 	}

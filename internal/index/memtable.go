@@ -1,15 +1,11 @@
 package index
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 )
-
-// fieldKey identifies a (document, field) pair.
-type fieldKey struct {
-	doc   string
-	field string
-}
 
 // fieldRun holds the positions of one term in one field of one document.
 type fieldRun struct {
@@ -19,10 +15,7 @@ type fieldRun struct {
 
 // fieldPostings is the per-field position runs of one (term, doc) pair,
 // in first-seen field order. A term posts in one or two of a document's
-// six fields, so a linear scan over a small slice beats a map — and a
-// map here cost most of the memtable's memory: one hash table per
-// (term, doc) pair, 64 KB of heap per CORD-19-shaped document against
-// 30 KB as runs (search.TestMemtableHeapPerDoc).
+// six fields, so a linear scan over a small slice beats a map.
 type fieldPostings []fieldRun
 
 // appendTo returns fp with pos appended to field's run, adding the run
@@ -37,15 +30,24 @@ func (fp fieldPostings) appendTo(field string, pos ...int) fieldPostings {
 	return append(fp, fieldRun{field, append([]int(nil), pos...)})
 }
 
-// termList is a per-term, lazily sorted list of the doc ids holding the
-// term. Appends in ascending id order (the common case: generated ids
-// are monotone) keep the list clean; out-of-order inserts and removals
-// mark it dirty and it is rebuilt from the postings map on the next
-// snapshot. Rebuilds replace the slice, so snapshot holders reading an
-// older header stay valid.
-type termList struct {
+// termRec is everything the memtable keeps for one term: the documents
+// posting it with their runs, its score bounds and the flattened memo a
+// cursor reads. One record per term, one map lookup per term written.
+type termRec struct {
+	term string
+	// ids are the documents holding the term, docs[j] the runs of ids[j].
+	// An append out of id order marks the record dirty; flat sorts a
+	// copy. ids is appended to or replaced, never rewritten, so snapshot
+	// holders reading an older header stay valid.
 	ids   []string
+	docs  []fieldPostings
 	dirty bool
+	// maxWTF / maxRaw are monotone maxima of Σ_field tf·weight and
+	// Σ_field tf over any single document. Writes raise them; removal
+	// leaves them (a stale-high maximum is still a valid upper bound for
+	// max-score pruning).
+	maxWTF float64
+	maxRaw int
 	// flat memoizes memtable.flat: built by the first reader after a
 	// write to the term, dropped by the next write. Atomic because
 	// readers store it under the shared lock.
@@ -54,9 +56,76 @@ type termList struct {
 
 // touch drops the memoized flat postings; every write to the term (or to
 // the static score of a document holding it) calls it.
-func (tl *termList) touch() {
-	if tl.flat.Load() != nil {
-		tl.flat.Store(nil)
+func (r *termRec) touch() {
+	if r.flat.Load() != nil {
+		r.flat.Store(nil)
+	}
+}
+
+// find returns the slot of docID in the record, -1 when it does not post.
+func (r *termRec) find(docID string) int {
+	if n := len(r.ids); n > 0 && r.ids[n-1] == docID {
+		return n - 1
+	}
+	if r.dirty {
+		return slices.Index(r.ids, docID)
+	}
+	if j := sort.SearchStrings(r.ids, docID); j < len(r.ids) && r.ids[j] == docID {
+		return j
+	}
+	return -1
+}
+
+// push appends a document new to the term.
+func (r *termRec) push(docID string, fp fieldPostings) {
+	if !r.dirty && len(r.ids) > 0 && r.ids[len(r.ids)-1] >= docID {
+		r.dirty = true
+	}
+	r.ids = append(r.ids, docID)
+	r.docs = append(r.docs, fp)
+}
+
+// raise lifts the term's bounds to one document's runs.
+func (r *termRec) raise(fp fieldPostings, weights map[string]float64) {
+	raw := 0
+	wtf := 0.0
+	for _, run := range fp {
+		raw += len(run.pos)
+		wtf += float64(len(run.pos)) * fieldWeight(weights, run.field)
+	}
+	r.maxRaw = max(r.maxRaw, raw)
+	r.maxWTF = max(r.maxWTF, wtf)
+}
+
+// fieldLen is the token count of one field of one document.
+type fieldLen struct {
+	field string
+	n     int
+}
+
+// docRec is what the memtable keeps per document.
+type docRec struct {
+	terms  []*termRec // the terms it posts for, each once, for removal
+	fields []fieldLen // first-seen order; texts without tokens included
+	static float64    // query-independent score component (recency)
+}
+
+// fieldLen returns the document's token count in field.
+func (d *docRec) fieldLen(field string) int {
+	for _, f := range d.fields {
+		if f.field == field {
+			return f.n
+		}
+	}
+	return 0
+}
+
+// growField adds n tokens to the document's length in field.
+func (d *docRec) growField(field string, n int) {
+	if i := slices.IndexFunc(d.fields, func(f fieldLen) bool { return f.field == field }); i >= 0 {
+		d.fields[i].n += n
+	} else {
+		d.fields = append(d.fields, fieldLen{field, n})
 	}
 }
 
@@ -72,54 +141,20 @@ type memPostings struct {
 	static []float64
 }
 
-// memtable is the mutable in-memory write buffer of the index: a
-// term → doc map of maps whose values are fieldPostings (a short slice
-// of per-field position runs, not a third map level), plus the
-// incrementally-maintained per-term partials (sorted posting list,
-// max weighted/raw TF) the top-k scorer consumes. It carries no lock of
-// its own — every access is guarded by the owning Index's mutex. Once a
-// memtable is frozen for sealing it is never mutated again, so the seal
-// builder can read it without synchronization.
+// memtable is the mutable in-memory write buffer of the index: one
+// record per term and one per document. It is also the only form a
+// segment is built from — a frozen memtable when sealing, the decoded
+// union of the inputs when merging. It carries no lock of its own —
+// every access is guarded by the owning Index's mutex. Once a memtable
+// is frozen for sealing it is never mutated again, so the seal builder
+// can read it without synchronization.
 type memtable struct {
-	// postings: term -> doc -> per-field position runs
-	postings map[string]map[string]fieldPostings
-	// docTerms: doc -> the terms it posts for, each once, for removal
-	docTerms map[string][]string
-	// fieldLen: (doc, field) -> token count, for normalization
-	fieldLen map[fieldKey]int
-	docs     map[string]struct{}
-
-	// termDocs: term -> lazily sorted doc ids (the posting list the
-	// top-k merge iterates).
-	termDocs map[string]*termList
-	// maxWTF / maxRaw: term -> monotone maxima of Σ_field tf·weight and
-	// Σ_field tf over any single document. Add raises them; Remove
-	// leaves them untouched (a stale-high maximum is still a valid
-	// upper bound for max-score pruning).
-	maxWTF map[string]float64
-	maxRaw map[string]int
-	// static: doc -> query-independent score component (recency).
-	static map[string]float64
-
-	// lastDoc is the most recently added document id: the seal trigger
-	// only fires at a document boundary so one doc's postings never
-	// straddle the memtable/segment line.
-	lastDoc string
-	// tokens counts indexed content tokens, a cheap size heuristic.
-	tokens int
+	terms map[string]*termRec
+	docs  map[string]*docRec
 }
 
 func newMemtable() *memtable {
-	return &memtable{
-		postings: map[string]map[string]fieldPostings{},
-		docTerms: map[string][]string{},
-		fieldLen: map[fieldKey]int{},
-		docs:     map[string]struct{}{},
-		termDocs: map[string]*termList{},
-		maxWTF:   map[string]float64{},
-		maxRaw:   map[string]int{},
-		static:   map[string]float64{},
-	}
+	return &memtable{terms: map[string]*termRec{}, docs: map[string]*docRec{}}
 }
 
 func fieldWeight(weights map[string]float64, field string) float64 {
@@ -132,170 +167,130 @@ func fieldWeight(weights map[string]float64, field string) float64 {
 	return 1
 }
 
-// refreshBounds recomputes one (term, doc) weighted/raw TF partial and
-// raises the term's maxima if it exceeds them.
-func (m *memtable) refreshBounds(term, docID string, weights map[string]float64) {
-	fp := m.postings[term][docID]
-	raw := 0
-	wtf := 0.0
-	for _, r := range fp {
-		raw += len(r.pos)
-		wtf += float64(len(r.pos)) * fieldWeight(weights, r.field)
-	}
-	if raw > m.maxRaw[term] {
-		m.maxRaw[term] = raw
-	}
-	if wtf > m.maxWTF[term] {
-		m.maxWTF[term] = wtf
-	}
-}
-
 // recomputeBounds rebuilds every per-term maximum under new weights.
 func (m *memtable) recomputeBounds(weights map[string]float64) {
-	m.maxWTF = make(map[string]float64, len(m.postings))
-	m.maxRaw = make(map[string]int, len(m.postings))
-	for term, byDoc := range m.postings {
-		for docID := range byDoc {
-			m.refreshBounds(term, docID, weights)
+	for _, r := range m.terms {
+		r.maxWTF, r.maxRaw = 0, 0
+		for _, fp := range r.docs {
+			r.raise(fp, weights)
 		}
 	}
 }
 
-// add indexes already-stemmed terms as one contiguous run of the given
-// field, with positions starting at base.
-func (m *memtable) add(docID, field string, terms []string, base int, weights map[string]float64) {
-	m.docs[docID] = struct{}{}
-	fk := fieldKey{docID, field}
-	m.fieldLen[fk] += len(terms)
-	m.tokens += len(terms)
-	docTerms := m.docTerms[docID]
-	touched := map[string]struct{}{}
-	for i, term := range terms {
-		byDoc := m.postings[term]
-		if byDoc == nil {
-			byDoc = map[string]fieldPostings{}
-			m.postings[term] = byDoc
+// add applies one document's analysis and returns its record: per
+// distinct term one lookup, one append, one bound update and the memo
+// dropped. base(field) is where the document's positions in field
+// continue from; nil when the document holds no tokens anywhere yet.
+func (m *memtable) add(docID string, a *Analyzed, base func(field string) int, weights map[string]float64) *docRec {
+	d := m.docs[docID]
+	fresh := d == nil
+	if fresh {
+		d = &docRec{terms: make([]*termRec, 0, len(a.terms))}
+		m.docs[docID] = d
+	}
+	for i := 0; base != nil && i < len(a.runs); i++ {
+		b := base(a.runs[i].field)
+		for k := range a.runs[i].pos {
+			a.runs[i].pos[k] += b
 		}
-		fp, posted := byDoc[docID]
-		if !posted {
-			m.noteTermDoc(term, docID)
-			docTerms = append(docTerms, term)
+	}
+	for _, f := range a.fields {
+		d.growField(f.field, f.n)
+	}
+	for i, term := range a.terms {
+		runs := fieldPostings(a.runs[a.off[i]:a.off[i+1]:a.off[i+1]])
+		r := m.terms[term]
+		if r == nil {
+			r = &termRec{term: term}
+			m.terms[term] = r
 		}
-		if grown := fp.appendTo(field, base+i); len(grown) != len(fp) {
-			byDoc[docID] = grown // a new run moved the slice header
+		j := -1
+		if !fresh {
+			j = r.find(docID)
 		}
-		touched[term] = struct{}{}
+		if j < 0 {
+			r.push(docID, runs)
+			d.terms = append(d.terms, r)
+		} else {
+			for _, run := range runs {
+				r.docs[j] = r.docs[j].appendTo(run.field, run.pos...)
+			}
+			runs = r.docs[j]
+		}
+		r.raise(runs, weights)
+		r.touch()
 	}
-	m.docTerms[docID] = docTerms
-	for term := range touched {
-		m.refreshBounds(term, docID, weights)
-		m.termDocs[term].touch()
-	}
-	m.lastDoc = docID
-}
-
-// noteTermDoc appends a newly-posting doc to the term's posting list,
-// keeping the sorted invariant when ids arrive in order and marking the
-// list dirty otherwise.
-func (m *memtable) noteTermDoc(term, docID string) {
-	tl := m.termDocs[term]
-	if tl == nil {
-		tl = &termList{}
-		m.termDocs[term] = tl
-	}
-	if !tl.dirty && len(tl.ids) > 0 && tl.ids[len(tl.ids)-1] >= docID {
-		tl.dirty = true
-	}
-	tl.ids = append(tl.ids, docID)
+	return d
 }
 
 // remove deletes every posting of doc and reports the affected terms
 // (nil when the doc was not present). Per-term maxima are deliberately
 // left as-is: monotone maxima remain valid upper bounds.
 func (m *memtable) remove(docID string) []string {
-	terms, ok := m.docTerms[docID]
+	d, ok := m.docs[docID]
 	if !ok {
 		return nil
 	}
-	for _, term := range terms {
-		byDoc := m.postings[term]
-		delete(byDoc, docID)
-		if len(byDoc) == 0 {
-			delete(m.postings, term)
-			delete(m.termDocs, term)
-			delete(m.maxWTF, term)
-			delete(m.maxRaw, term)
-		} else if tl := m.termDocs[term]; tl != nil {
-			tl.dirty = true
-			tl.touch()
+	terms := make([]string, len(d.terms))
+	for i, r := range d.terms {
+		terms[i] = r.term
+		if len(r.ids) == 1 {
+			delete(m.terms, r.term)
+			continue
 		}
-	}
-	delete(m.docTerms, docID)
-	for fk := range m.fieldLen {
-		if fk.doc == docID {
-			delete(m.fieldLen, fk)
-		}
+		j := r.find(docID)
+		r.ids = slices.Delete(slices.Clone(r.ids), j, j+1) // snapshots hold the old ids
+		r.docs = slices.Delete(r.docs, j, j+1)
+		r.touch()
 	}
 	delete(m.docs, docID)
-	delete(m.static, docID)
 	return terms
 }
 
-// setStatic records a document's static score.
-func (m *memtable) setStatic(docID string, v float64) {
-	m.static[docID] = v
-	for _, term := range m.docTerms[docID] {
-		m.termDocs[term].touch()
-	}
-}
-
-// flat returns the term's postings flattened for a cursor, memoized
-// until the next write to the term. The term's list must be clean (see
-// docList) and non-empty; the owning Index's read lock suffices.
-func (m *memtable) flat(term string) *memPostings {
-	tl := m.termDocs[term]
-	if mp := tl.flat.Load(); mp != nil {
+// flat returns the record's postings flattened for a cursor, ids
+// ascending, memoized until the next write to the term. A dirty record
+// is sorted into the memo, never in place: the owning Index's read lock
+// suffices, and a frozen memtable's records stay as its seal builder
+// reads them.
+func (m *memtable) flat(r *termRec) *memPostings {
+	if mp := r.flat.Load(); mp != nil {
 		return mp
 	}
-	byDoc := m.postings[term]
-	mp := &memPostings{
-		ids:    tl.ids,
-		off:    make([]int32, 0, len(tl.ids)+1),
-		runs:   make([]Run, 0, len(tl.ids)+len(tl.ids)/2),
-		static: make([]float64, 0, len(tl.ids)),
+	var perm []int32
+	ids := r.ids
+	if r.dirty {
+		perm = make([]int32, len(r.ids))
+		for j := range perm {
+			perm[j] = int32(j)
+		}
+		slices.SortFunc(perm, func(a, b int32) int { return strings.Compare(r.ids[a], r.ids[b]) })
+		ids = make([]string, len(perm))
+		for j, p := range perm {
+			ids[j] = r.ids[p]
+		}
 	}
-	for _, doc := range mp.ids {
+	mp := &memPostings{
+		ids:    ids,
+		off:    make([]int32, 0, len(ids)+1),
+		runs:   make([]Run, 0, len(ids)+len(ids)/2),
+		static: make([]float64, 0, len(ids)),
+	}
+	for j, doc := range ids {
+		fp := r.docs[j]
+		if perm != nil {
+			fp = r.docs[perm[j]]
+		}
 		first := len(mp.runs)
 		mp.off = append(mp.off, int32(first))
-		for _, r := range byDoc[doc] {
-			mp.runs = append(mp.runs, Run{r.field, r.pos})
+		for _, run := range fp {
+			mp.runs = append(mp.runs, Run{run.field, run.pos})
 			for k := len(mp.runs) - 1; k > first && mp.runs[k].Field < mp.runs[k-1].Field; k-- {
 				mp.runs[k], mp.runs[k-1] = mp.runs[k-1], mp.runs[k]
 			}
 		}
-		mp.static = append(mp.static, m.static[doc])
+		mp.static = append(mp.static, m.docs[doc].static)
 	}
 	mp.off = append(mp.off, int32(len(mp.runs)))
-	tl.flat.Store(mp)
+	r.flat.Store(mp)
 	return mp
-}
-
-// docList returns the term's sorted live doc ids, rebuilding the lazy
-// list if dirty — which requires the owning Index's write lock (it swaps
-// the backing slice); a clean list is read under the read lock.
-func (m *memtable) docList(term string) []string {
-	tl := m.termDocs[term]
-	if tl == nil {
-		return nil
-	}
-	if tl.dirty {
-		ids := make([]string, 0, len(m.postings[term]))
-		for docID := range m.postings[term] {
-			ids = append(ids, docID)
-		}
-		sort.Strings(ids)
-		tl.ids = ids
-		tl.dirty = false
-	}
-	return tl.ids
 }

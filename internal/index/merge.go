@@ -29,12 +29,7 @@ func (ix *Index) freezeLocked() {
 		defer ix.wg.Done()
 		// The frozen memtable is immutable from here on (mutators that
 		// would touch it wait on ix.cond), so building needs no lock.
-		seg := buildSegment(id, segSource{
-			postings: frozen.postings,
-			fieldLen: frozen.fieldLen,
-			static:   frozen.static,
-			docs:     frozen.docs,
-		}, weights)
+		seg := buildSegment(id, frozen, weights)
 		ix.mu.Lock()
 		ix.segs = append(ix.segs, seg)
 		ix.sealing = nil
@@ -112,31 +107,24 @@ func (ix *Index) pickMergeLocked() []*segment {
 }
 
 // runMerge decodes the input segments (honoring a tombstone snapshot
-// taken at start), seals the union into one segment, then swaps it in.
-// Docs tombstoned while the merge ran are re-tombstoned on the merged
-// segment at swap time, and static scores are re-read, so no update is
-// lost. Runs on its own goroutine; ix.merging serializes merges.
+// taken at start) into one memtable, seals it into one segment, then
+// swaps it in. Docs tombstoned while the merge ran are re-tombstoned on
+// the merged segment at swap time, so no removal is lost. Runs on its
+// own goroutine; ix.merging serializes merges.
 func (ix *Index) runMerge(id uint64, inputs []*segment) {
 	defer ix.wg.Done()
 
 	ix.mu.RLock()
 	deadSnaps := make([][]bool, len(inputs))
-	statics := make([][]float64, len(inputs)) // replaced, never rewritten: no copy
 	for i, s := range inputs {
 		deadSnaps[i] = append([]bool(nil), s.dead...)
-		statics[i] = s.static
 	}
 	weights := ix.weights
 	ix.mu.RUnlock()
 
-	src := segSource{
-		postings: map[string]map[string]fieldPostings{},
-		fieldLen: map[fieldKey]int{},
-		static:   map[string]float64{},
-		docs:     map[string]struct{}{},
-	}
+	src := newMemtable()
 	for i, s := range inputs {
-		s.decodeInto(&src, deadSnaps[i], statics[i])
+		s.decodeInto(src, deadSnaps[i])
 	}
 	merged := buildSegment(id, src, weights)
 
@@ -151,8 +139,8 @@ func (ix *Index) runMerge(id uint64, inputs []*segment) {
 }
 
 // swapMergedLocked replaces the merge inputs with the merged segment
-// and applies every tombstone and static update that landed on an
-// input while the merge ran. Caller holds ix.mu.
+// and applies every tombstone that landed on an input while the merge
+// ran. Caller holds ix.mu.
 func (ix *Index) swapMergedLocked(inputs []*segment, merged *segment) {
 	drop := make(map[*segment]bool, len(inputs))
 	for _, s := range inputs {
@@ -186,7 +174,6 @@ func (ix *Index) swapMergedLocked(inputs []*segment, merged *segment) {
 		for _, in := range inputs {
 			if inOrd, ok := in.ordOf(docID); ok && !in.dead[inOrd] {
 				live = true
-				merged.static[ord] = in.static[inOrd]
 			}
 		}
 		if !live {

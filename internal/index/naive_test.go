@@ -18,7 +18,7 @@ func (ix *Index) TermFreq(term, docID, field string) int {
 	defer ix.mu.RUnlock()
 	n := 0
 	for _, m := range ix.memsLocked() {
-		n += len(m.postings[term][docID].positions(field))
+		n += len(m.terms[term].runsOf(docID).positions(field))
 	}
 	for _, s := range ix.segs {
 		ord, ok := s.ordOf(docID)
@@ -106,7 +106,7 @@ func (ix *Index) fieldPositionsLocked(term, docID string) map[string][]int {
 		}
 	}
 	for _, m := range ix.memsLocked() {
-		for _, r := range m.postings[term][docID] {
+		for _, r := range m.terms[term].runsOf(docID) {
 			addRun(r.field, r.pos)
 		}
 	}
@@ -130,13 +130,17 @@ func (ix *Index) DocsWithAnyInFields(terms []string, fields map[string]bool) []s
 	set := map[string]struct{}{}
 	for _, t := range terms {
 		for _, m := range ix.memsLocked() {
-			for doc, fp := range m.postings[t] {
+			r := m.terms[t]
+			if r == nil {
+				continue
+			}
+			for j, doc := range r.ids {
 				if fields == nil {
 					set[doc] = struct{}{}
 					continue
 				}
-				for _, r := range fp {
-					if fields[r.field] {
+				for _, run := range r.docs[j] {
+					if fields[run.field] {
 						set[doc] = struct{}{}
 						break
 					}
@@ -243,7 +247,7 @@ func (ix *Index) FieldsOf(docID, term string) []string {
 // any part.
 func (ix *Index) hasTermDocLocked(term, docID string) bool {
 	for _, m := range ix.memsLocked() {
-		if _, ok := m.postings[term][docID]; ok {
+		if m.terms[term].runsOf(docID) != nil {
 			return true
 		}
 	}
@@ -296,8 +300,10 @@ func (ix *Index) DocsWithAll(terms []string) []string {
 		out = append(out, doc)
 	}
 	for _, m := range ix.memsLocked() {
-		for doc := range m.postings[smallest] {
-			check(doc)
+		if r := m.terms[smallest]; r != nil {
+			for _, doc := range r.ids {
+				check(doc)
+			}
 		}
 	}
 	for _, s := range ix.segs {
@@ -335,6 +341,17 @@ func (s *segment) contains(tid, ord int) bool {
 // docList returns the term's live doc ids, ascending.
 func (s *segment) docList(tid int) []string { return s.live(tid).ids }
 
+// runsOf returns docID's runs of the record, nil when it does not post.
+func (r *termRec) runsOf(docID string) fieldPostings {
+	if r == nil {
+		return nil
+	}
+	if j := r.find(docID); j >= 0 {
+		return r.docs[j]
+	}
+	return nil
+}
+
 // positions returns the term's positions in field, nil when it has none.
 func (fp fieldPostings) positions(field string) []int {
 	for i := range fp {
@@ -362,7 +379,7 @@ func (ix *Index) Terms() []string {
 	defer ix.mu.RUnlock()
 	set := map[string]struct{}{}
 	for _, m := range ix.memsLocked() {
-		for t := range m.postings {
+		for t := range m.terms {
 			set[t] = struct{}{}
 		}
 	}

@@ -28,7 +28,7 @@ func buildPersistIndex(n int) *Index {
 		for f, text := range d.fields {
 			ix.Add(d.id, f, text)
 		}
-		ix.SetStatic(d.id, 0.5)
+		ix.AddDoc(d.id, Analyze(nil), 0.5)
 	}
 	return ix
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -44,11 +45,10 @@ type segField struct {
 }
 
 // segment is an immutable sealed run of documents. Everything except
-// the tombstone state (dead/deadN/delDF) and static is frozen at build
-// time; tombstones are applied in place, and static is replaced, under
-// the owning Index's write lock. docIDs is sorted, and a document's
-// ordinal (its index in docIDs) is the id used throughout the encoded
-// postings.
+// the tombstone state (dead/deadN/delDF) is frozen at build time;
+// tombstones are applied in place under the owning Index's write lock.
+// docIDs is sorted, and a document's ordinal (its index in docIDs) is
+// the id used throughout the encoded postings.
 type segment struct {
 	id     uint64
 	docIDs []string // sorted; ordinal = position
@@ -57,9 +57,7 @@ type segment struct {
 
 	// fieldLen[ord*len(fields)+fid] = token count of that (doc, field).
 	fieldLen []uint32
-	// static[ord] = query-independent score. Guarded by Index.mu and
-	// copy-on-write: an update replaces the slice, so one captured under
-	// the lock stays readable without it.
+	// static[ord] = query-independent score.
 	static []float64
 
 	terms []string // sorted term dictionary
@@ -278,37 +276,27 @@ func (s *segment) recomputeBounds(weights map[string]float64) {
 	}
 }
 
-// segSource is the builder input: the raw postings a segment is sealed
-// from, in the memtable's layout (either a frozen memtable or the
-// decoded union of merge inputs).
-type segSource struct {
-	postings map[string]map[string]fieldPostings
-	fieldLen map[fieldKey]int
-	static   map[string]float64
-	docs     map[string]struct{}
-}
-
-// buildSegment seals a segSource into an immutable segment: sorts the
-// doc/field/term dictionaries, delta-varint encodes each posting list
-// in blocks, and computes exact per-term max-score bounds under the
-// given field weights (tighter than the memtable's monotone stale-high
-// maxima, so sealed data prunes better).
-func buildSegment(id uint64, src segSource, weights map[string]float64) *segment {
+// buildSegment seals a memtable — a frozen one, or the decoded union of
+// merge inputs — into an immutable segment: sorts the doc/field/term
+// dictionaries, delta-varint encodes each posting list in blocks, and
+// computes exact per-term max-score bounds under the given field weights
+// (tighter than the memtable's monotone stale-high maxima, so sealed
+// data prunes better).
+func buildSegment(id uint64, src *memtable, weights map[string]float64) *segment {
 	s := &segment{id: id}
 
 	s.docIDs = make([]string, 0, len(src.docs))
-	for d := range src.docs {
-		s.docIDs = append(s.docIDs, d)
+	fieldSet := map[string]struct{}{}
+	for docID, d := range src.docs {
+		s.docIDs = append(s.docIDs, docID)
+		for _, f := range d.fields {
+			fieldSet[f.field] = struct{}{}
+		}
 	}
 	sort.Strings(s.docIDs)
 	ords := make(map[string]int, len(s.docIDs))
 	for i, d := range s.docIDs {
 		ords[d] = i
-	}
-
-	fieldSet := map[string]struct{}{}
-	for fk := range src.fieldLen {
-		fieldSet[fk.field] = struct{}{}
 	}
 	s.fields = make([]string, 0, len(fieldSet))
 	for f := range fieldSet {
@@ -321,20 +309,17 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 	}
 
 	s.fieldLen = make([]uint32, len(s.docIDs)*len(s.fields))
-	for fk, n := range src.fieldLen {
-		if ord, ok := ords[fk.doc]; ok {
-			s.fieldLen[ord*len(s.fields)+s.fieldN[fk.field]] = uint32(n)
-		}
-	}
 	s.static = make([]float64, len(s.docIDs))
-	for d, v := range src.static {
-		if ord, ok := ords[d]; ok {
-			s.static[ord] = v
+	for ord, docID := range s.docIDs {
+		d := src.docs[docID]
+		s.static[ord] = d.static
+		for _, f := range d.fields {
+			s.fieldLen[ord*len(s.fields)+s.fieldN[f.field]] = uint32(f.n)
 		}
 	}
 
-	s.terms = make([]string, 0, len(src.postings))
-	for t := range src.postings {
+	s.terms = make([]string, 0, len(src.terms))
+	for t := range src.terms {
 		s.terms = append(s.terms, t)
 	}
 	sort.Strings(s.terms)
@@ -348,20 +333,26 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 	s.dead = make([]bool, len(s.docIDs))
 	s.delDF = make([]int32, len(s.terms))
 
+	type entry struct {
+		ord int
+		fp  fieldPostings
+	}
+	var ents []entry
 	var buf []byte
 	for tIdx, term := range s.terms {
-		byDoc := src.postings[term]
-		entryOrds := make([]int, 0, len(byDoc))
-		for d := range byDoc {
-			entryOrds = append(entryOrds, ords[d])
+		r := src.terms[term]
+		ents = ents[:0]
+		for j, docID := range r.ids {
+			ents = append(ents, entry{ords[docID], r.docs[j]})
 		}
-		sort.Ints(entryOrds)
+		slices.SortFunc(ents, func(a, b entry) int { return a.ord - b.ord })
 
 		pl := &s.posts[tIdx]
-		pl.df = len(entryOrds)
+		pl.df = len(ents)
 		buf = buf[:0]
 		prev := 0
-		for i, ord := range entryOrds {
+		for i, e := range ents {
+			ord := e.ord
 			s.ordTerms[ord] = append(s.ordTerms[ord], int32(tIdx))
 			if i%blockEntries == 0 {
 				pl.blockOff = append(pl.blockOff, uint32(len(buf)))
@@ -370,14 +361,14 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 				buf = binary.AppendUvarint(buf, uint64(ord-prev))
 			}
 			prev = ord
-			if i%blockEntries == blockEntries-1 || i == len(entryOrds)-1 {
+			if i%blockEntries == blockEntries-1 || i == len(ents)-1 {
 				pl.blockLast = append(pl.blockLast, uint32(ord))
 			}
 
 			// Runs are encoded in field-id order; the source holds them in
 			// first-seen order. Sort a copy — the source may be shared with
 			// live readers.
-			fp := byDoc[s.docIDs[ord]]
+			fp := e.fp
 			for i := 1; i < len(fp); i++ {
 				if s.fieldN[fp[i-1].field] > s.fieldN[fp[i].field] {
 					fp = append(fieldPostings(nil), fp...)
@@ -393,7 +384,7 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 				if !sort.IntsAreSorted(pos) {
 					// merged multi-source runs can interleave; delta
 					// encoding needs ascending positions. Sort a copy —
-					// the source maps may be shared with live readers.
+					// the source may be shared with live readers.
 					cp := append([]int(nil), pos...)
 					sort.Ints(cp)
 					pos = cp
@@ -425,41 +416,55 @@ func buildSegment(id uint64, src segSource, weights map[string]float64) *segment
 	return s
 }
 
-// decodeInto expands the segment's live postings back into source form,
-// accumulating into a segSource (the merge path: inputs are decoded
-// into one source, then re-sealed). deadSnap and static are the
-// tombstone and static-score views to honor; positions for a (doc,
-// field) already present in dst append after the existing run.
-func (s *segment) decodeInto(dst *segSource, deadSnap []bool, static []float64) {
-	for tIdx, term := range s.terms {
-		byDoc := dst.postings[term]
-		s.forEachEntry(tIdx, func(e segEntry) bool {
-			if deadSnap[e.ord] {
-				return true
-			}
-			if byDoc == nil {
-				byDoc = map[string]fieldPostings{}
-				dst.postings[term] = byDoc
-			}
-			docID := s.docIDs[e.ord]
-			fp := byDoc[docID]
-			for _, f := range e.fields {
-				fp = fp.appendTo(s.fields[f.fieldID], f.pos...)
-			}
-			byDoc[docID] = fp
-			return true
-		})
-	}
+// decodeInto expands the segment's live postings into dst, the memtable
+// a merge seals (dst's documents keep no term list: it is never live).
+// deadSnap is the tombstone view to honor. A document dst already holds
+// — its postings span inputs — gets its runs appended to its own.
+func (s *segment) decodeInto(dst *memtable, deadSnap []bool) {
+	spans := make([]bool, len(s.docIDs))
 	for ord, docID := range s.docIDs {
 		if deadSnap[ord] {
 			continue
 		}
-		dst.docs[docID] = struct{}{}
-		dst.static[docID] = static[ord]
+		d := dst.docs[docID]
+		if d == nil {
+			d = &docRec{}
+			dst.docs[docID] = d
+		} else {
+			spans[ord] = true
+		}
+		d.static = s.static[ord]
 		for fid, field := range s.fields {
 			if n := s.fieldLenOf(ord, fid); n > 0 {
-				dst.fieldLen[fieldKey{docID, field}] += n
+				d.growField(field, n)
 			}
 		}
+	}
+	for tIdx, term := range s.terms {
+		r := dst.terms[term]
+		s.forEachEntry(tIdx, func(e segEntry) bool {
+			if deadSnap[e.ord] {
+				return true
+			}
+			if r == nil {
+				r = &termRec{term: term}
+				dst.terms[term] = r
+			}
+			docID := s.docIDs[e.ord]
+			if spans[e.ord] {
+				if j := r.find(docID); j >= 0 {
+					for _, f := range e.fields {
+						r.docs[j] = r.docs[j].appendTo(s.fields[f.fieldID], f.pos...)
+					}
+					return true
+				}
+			}
+			fp := make(fieldPostings, len(e.fields))
+			for i, f := range e.fields {
+				fp[i] = fieldRun{s.fields[f.fieldID], f.pos}
+			}
+			r.push(docID, fp)
+			return true
+		})
 	}
 }

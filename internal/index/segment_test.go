@@ -69,8 +69,8 @@ func buildPair(t *testing.T, n, sealEvery, removeEvery int) (flat, segd *Index) 
 			flat.Add(d.id, f, text)
 			segd.Add(d.id, f, text)
 		}
-		flat.SetStatic(d.id, float64(i)/float64(n))
-		segd.SetStatic(d.id, float64(i)/float64(n))
+		flat.AddDoc(d.id, Analyze(nil), float64(i)/float64(n))
+		segd.AddDoc(d.id, Analyze(nil), float64(i)/float64(n))
 		if sealEvery > 0 && (i+1)%sealEvery == 0 {
 			segd.Seal()
 		}
@@ -299,7 +299,7 @@ func TestMergeKeepsReaddedDocOverItsTombstone(t *testing.T) {
 	ix.Seal()
 	ix.Remove("a")
 	ix.Add("a", "title", "oxygen therapy")
-	ix.SetStatic("a", 0.5)
+	ix.AddDoc("a", Analyze(nil), 0.5)
 	ix.Seal()
 	ix.Compact()
 

@@ -130,7 +130,7 @@ func cursorUnderWriter(t *testing.T, reAdd bool) {
 		for f, text := range d.fields {
 			ix.Add(d.id, f, text)
 		}
-		ix.SetStatic(d.id, 0.25)
+		ix.AddDoc(d.id, Analyze(nil), 0.25)
 	}
 	probe := ix.Terms()
 
@@ -155,7 +155,7 @@ func cursorUnderWriter(t *testing.T, reAdd bool) {
 			case 2:
 				ix.Compact()
 			case 3, 4:
-				ix.SetStatic(d.id, float64(i))
+				ix.AddDoc(d.id, Analyze(nil), float64(i))
 			default:
 				id := d.id // the same words again: existing runs grow in place
 				if !reAdd {

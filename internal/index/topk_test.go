@@ -121,7 +121,7 @@ func TestSetFieldWeightsRecomputes(t *testing.T) {
 func TestStaticScores(t *testing.T) {
 	ix := New()
 	ix.Add("p1", "title", "anything")
-	ix.SetStatic("p1", 0.06)
+	ix.AddDoc("p1", Analyze(nil), 0.06)
 	if got := ix.Static("p1"); got != 0.06 {
 		t.Fatalf("Static = %v, want 0.06", got)
 	}

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"covidkg/internal/docstore"
 	"covidkg/internal/index"
@@ -81,7 +82,11 @@ func NewEngine(coll docstore.Docs) *Engine {
 	e.rankOpts.Store(&RankOptions{})
 	e.cache.Store(newQueryCache(defaultCacheEntries, defaultCacheBytes))
 	coll.Scan(func(d jsondoc.Doc) bool {
-		e.indexDoc(d)
+		if id, _ := d[docstore.IDField].(string); id != "" {
+			e.idx.AddDoc(id, index.Analyze(docTexts(d)), recencyOf(d))
+		} else { // a malformed pre-seeded document: unindexed, but counted
+			e.met.Counter("index.skipped_no_id").Inc()
+		}
 		return true
 	})
 	return e
@@ -171,10 +176,12 @@ func (e *Engine) AddDocument(d jsondoc.Doc) (string, error) {
 // Store inserts run concurrently (insertConcurrency at a time), except
 // that documents sharing an explicit _id are inserted one after another
 // in batch order, so the first wins and the rest are ErrDuplicateID
-// however the batch is scheduled. Indexing happens on the calling
-// goroutine, in batch order, as inserts are acknowledged: one
-// document's Index.Add calls stay contiguous, which the index's seal
-// boundary relies on.
+// however the batch is scheduled. The worker that stored a document
+// also analyses it (index.Analyze), overlapping the other inserts' round
+// trips; the calling goroutine then applies the analyses with
+// Index.AddDoc in batch order as inserts are acknowledged, so posting
+// order and the seal boundary do not depend on scheduling. That ordered
+// loop, waits included, is the ingest.index histogram.
 func (e *Engine) AddDocuments(docs []jsondoc.Doc) []Added {
 	out := make([]Added, len(docs))
 	done := make([]chan struct{}, len(docs))
@@ -208,29 +215,37 @@ func (e *Engine) AddDocuments(docs []jsondoc.Doc) []Added {
 		work <- c
 	}
 	close(work)
+	analyzed := make([]*index.Analyzed, len(docs))
 	for w := 0; w < min(insertConcurrency, len(chains)); w++ {
 		go func() {
 			for c := range work {
 				for _, i := range c {
+					// Index from the insert result rather than re-reading
+					// the store: a post-insert Get can fail (shard breaker
+					// opening between the two calls) which used to leave
+					// the document stored but never indexed.
 					out[i].ID, out[i].Err = e.coll.Insert(out[i].Doc)
+					if out[i].Err == nil {
+						out[i].Doc[docstore.IDField] = out[i].ID
+						analyzed[i] = index.Analyze(docTexts(out[i].Doc))
+					}
 					close(done[i])
 				}
 			}
 		}()
 	}
 
-	// Index from the insert result rather than re-reading the store: a
-	// post-insert Get can fail (shard breaker opening between the two
-	// calls) which used to leave the document stored but never indexed.
+	start := time.Now()
 	for i := range out {
 		<-done[i]
 		if out[i].Err != nil {
 			out[i].Doc = nil
 			continue
 		}
-		out[i].Doc[docstore.IDField] = out[i].ID
-		e.indexDoc(out[i].Doc)
+		// the static (recency) score too, so ranking from postings never reads the document
+		e.idx.AddDoc(out[i].ID, analyzed[i], recencyOf(out[i].Doc))
 	}
+	e.met.Histogram("ingest.index").Observe(time.Since(start))
 	return out
 }
 
@@ -244,42 +259,37 @@ func (e *Engine) RemoveDocument(id string) error {
 	return nil
 }
 
-func (e *Engine) indexDoc(d jsondoc.Doc) {
-	id, _ := d[docstore.IDField].(string)
-	if id == "" {
-		// AddDocument validates ids up front, so reaching this means a
-		// pre-seeded collection holds a malformed document; count it so
-		// the divergence is observable instead of silent.
-		e.met.Counter("index.skipped_no_id").Inc()
-		return
+// docTexts lists the texts of a stored publication that the index
+// holds, in indexing order: title, abstract, body, each table's caption
+// and then its cells, the figure captions.
+func docTexts(d jsondoc.Doc) []index.FieldText {
+	texts := []index.FieldText{
+		{Field: FieldTitle, Text: d.GetString("title")},
+		{Field: FieldAbstract, Text: d.GetString("abstract")},
+		{Field: FieldBody, Text: d.GetString("body_text")},
 	}
-	e.idx.Add(id, FieldTitle, d.GetString("title"))
-	e.idx.Add(id, FieldAbstract, d.GetString("abstract"))
-	e.idx.Add(id, FieldBody, d.GetString("body_text"))
 	for _, tv := range d.GetArray("tables") {
 		tm, _ := tv.(map[string]any)
 		if tm == nil {
 			continue
 		}
 		td := jsondoc.Doc(tm)
-		e.idx.Add(id, FieldTableCaption, td.GetString("caption"))
+		texts = append(texts, index.FieldText{Field: FieldTableCaption, Text: td.GetString("caption")})
 		for _, rv := range td.GetArray("rows") {
 			ra, _ := rv.([]any)
 			for _, cv := range ra {
 				if s, ok := cv.(string); ok {
-					e.idx.Add(id, FieldTableCell, s)
+					texts = append(texts, index.FieldText{Field: FieldTableCell, Text: s})
 				}
 			}
 		}
 	}
 	for _, fv := range d.GetArray("figure_captions") {
 		if s, ok := fv.(string); ok {
-			e.idx.Add(id, FieldFigureCaption, s)
+			texts = append(texts, index.FieldText{Field: FieldFigureCaption, Text: s})
 		}
 	}
-	// Record the static (recency) feature so scoring from postings never
-	// needs the stored document.
-	e.idx.SetStatic(id, recencyOf(d))
+	return texts
 }
 
 // allFields lists every logical field of a stored publication.

@@ -233,9 +233,10 @@ func TestPagesIdenticalUnderLiveWriter(t *testing.T) {
 
 // TestMemtableHeapPerDoc bounds what one CORD-19-shaped document retains
 // in the index memtable. With a hash table per (term, doc) pair it was
-// 64 KB; as per-field position runs it is about 30 KB. Only the index is
-// live between the two measurements — each document is generated,
-// indexed and dropped.
+// 64 KB; as per-field position runs in a term → doc map, about 29 KB; in
+// one record per term, with each document's runs and positions carved
+// from its analysis, about 17 KB. Only the index is live between the two
+// measurements — each document is generated, indexed and dropped.
 func TestMemtableHeapPerDoc(t *testing.T) {
 	const docs = 2000 // below index.DefaultSealDocs: all of it stays in the memtable
 	e := &Engine{idx: index.New(), met: metrics.NewRegistry()}
@@ -249,7 +250,8 @@ func TestMemtableHeapPerDoc(t *testing.T) {
 	g := cord19.NewGenerator(7)
 	before := heap()
 	for i := 0; i < docs; i++ {
-		e.indexDoc(g.Publication().Doc())
+		d := g.Publication().Doc()
+		e.idx.AddDoc(d.GetString("_id"), index.Analyze(docTexts(d)), recencyOf(d))
 	}
 	perDoc := float64(heap()-before) / docs / 1024
 	runtime.KeepAlive(e)
@@ -257,8 +259,8 @@ func TestMemtableHeapPerDoc(t *testing.T) {
 		t.Fatalf("index sealed during the measurement: %+v", st)
 	}
 	t.Logf("memtable retains %.1f KB per document", perDoc)
-	if perDoc > 32 {
-		t.Fatalf("memtable retains %.1f KB per document, want <= 32", perDoc)
+	if perDoc > 24 {
+		t.Fatalf("memtable retains %.1f KB per document, want <= 24", perDoc)
 	}
 }
 

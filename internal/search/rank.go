@@ -270,7 +270,7 @@ func (r *ranker) scoreHere(d jsondoc.Doc) RankExplain {
 
 	// Static feature: newer publications get a small boost — read from
 	// the index, or recomputed from the document in hand (identical:
-	// indexDoc stores recencyOf(d)).
+	// indexing stores recencyOf(d)).
 	if d == nil {
 		ex.Recency = cur.Static()
 	} else {

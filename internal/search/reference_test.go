@@ -421,7 +421,7 @@ func refScore(g *refGathers, opts RankOptions, docID string, d jsondoc.Doc, term
 
 	// Static feature: newer publications get a small boost — read from
 	// the index, or recomputed from the document in hand (identical:
-	// indexDoc stores recencyOf(d)).
+	// indexing stores recencyOf(d)).
 	if d == nil {
 		ex.Recency = g.static(docID)
 	} else {
