@@ -52,10 +52,12 @@ func darkShard(sys *core.System, fp *failpoint.Registry) (int, string) {
 	return si, "c00"
 }
 
-// TestChaosInvariant is the issue's acceptance scenario end to end: with
-// one of four shards fully dark, search returns 200 with partial
-// results; after the failpoint clears, the half-open probe restores the
-// shard and resync leaves the replicas CRC-identical.
+// TestChaosInvariant drives one replicated system end to end through a
+// shard outage: with one of four shards fully dark, search returns 200
+// with partial results and writes to the dark shard are rejected whole;
+// after the failpoint clears, the half-open probe restores the shard,
+// resync leaves the replicas CRC-identical, and the write audit finds no
+// acked write lost and no rejected write resurrected.
 func TestChaosInvariant(t *testing.T) {
 	s, sys, fp, reg := chaosServer(t)
 
@@ -115,6 +117,26 @@ func TestChaosInvariant(t *testing.T) {
 		t.Fatalf("dark-shard lookup = %d %v, want 503 unavailable", rec.Code, body["code"])
 	}
 
+	// writes during the outage: those placed on the dark shard are
+	// rejected whole, the rest are acked — the audit after recovery
+	// proves no acked write was lost and no rejected one resurrected
+	var acked, rejected []string
+	var outage []jsondoc.Doc
+	for i := 0; i < 12; i++ {
+		outage = append(outage, jsondoc.Doc{"_id": fmt.Sprintf("outage-%02d", i), "title": "Outage write"})
+	}
+	for i, res := range sys.IngestDocs(outage).Results {
+		id := outage[i].GetString("_id") // a rejected result carries no id
+		if res.Error != "" {
+			rejected = append(rejected, id)
+		} else {
+			acked = append(acked, id)
+		}
+	}
+	if len(rejected) == 0 || len(acked) == 0 {
+		t.Fatalf("outage writes: %d acked, %d rejected; want some of each", len(acked), len(rejected))
+	}
+
 	// recovery: the failpoint clears, the breaker cooldown elapses, and
 	// half-open probes bring the replicas back into service
 	fp.ClearAll()
@@ -136,6 +158,9 @@ func TestChaosInvariant(t *testing.T) {
 	}
 	if !sys.Store.ReplicasIdentical() {
 		t.Fatal("replica checksums differ after resync")
+	}
+	if audit := docstore.AuditWrites(sys.Pubs, acked, rejected); !audit.Clean() {
+		t.Fatalf("write audit after recovery: %+v", audit)
 	}
 
 	// the earlier partial page must not have been cached: the same query

@@ -270,3 +270,59 @@ func TestUnknownTenantFallsBackToAnonymous(t *testing.T) {
 		t.Fatalf("missing header X-Tenant-ID = %q", got)
 	}
 }
+
+// TestAbusiveTenantCannotDegradePriority: a low-priority tenant drives
+// ten times its quota in concurrent searches beside a high-priority
+// tenant. The low tenant is served exactly its quota, and the priority
+// ceilings keep it from ever filling the slots the high tenant needs: 20
+// low workers can hold at most the low ceiling (4 of 8), so 4 high
+// workers always find a slot.
+func TestAbusiveTenantCannotDegradePriority(t *testing.T) {
+	const quota = 20
+	s, reg := liteServer(t, Config{
+		MaxInflightSearch: 8,
+		Tenants: map[string]TenantLimits{
+			"bronze": {Priority: PriorityLow, Quota: quota},
+			"gold":   {Priority: PriorityHigh},
+		},
+	})
+	var (
+		mu       sync.Mutex
+		wg       sync.WaitGroup
+		outcomes = map[string]map[string]int{"bronze": {}, "gold": {}}
+	)
+	drive := func(tenant string, workers, perWorker int) {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					rec, body := getTenant(t, s, tenant, "/api/v1/search?q=vaccine")
+					outcome := "failed"
+					switch rec.Code {
+					case http.StatusOK:
+						outcome = "ok"
+					case http.StatusTooManyRequests:
+						outcome, _ = body["code"].(string)
+					}
+					mu.Lock()
+					outcomes[tenant][outcome]++
+					mu.Unlock()
+				}
+			}()
+		}
+	}
+	drive("bronze", 20, quota/2) // 10 × quota
+	drive("gold", 4, 25)
+	wg.Wait()
+
+	if got := reg.Counter("tenant.bronze.served").Value(); got != quota {
+		t.Fatalf("tenant.bronze.served = %d, want exactly the quota %d (outcomes %v)", got, quota, outcomes["bronze"])
+	}
+	if gold := outcomes["gold"]; gold["ok"] != 4*25 {
+		t.Fatalf("priority tenant outcomes %v, want all %d ok: no shed, failed or quota-denied", gold, 4*25)
+	}
+	if got := reg.Counter("admission_inversions").Value(); got != 0 {
+		t.Fatalf("admission_inversions = %d, want 0", got)
+	}
+}

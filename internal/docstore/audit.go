@@ -4,15 +4,15 @@ package docstore
 // counts acknowledged writes that can no longer be read back (the
 // cardinal durability sin), Ghost counts rejected writes that
 // resurrected anyway (a quorum-atomicity violation). The ID slices
-// carry up to auditIDCap examples each, so a failing bench can name the
-// evidence without serializing thousands of ids.
+// carry up to auditIDCap examples each, so a failing test can name the
+// evidence without printing thousands of ids.
 type WriteAuditReport struct {
-	Acked    int      `json:"acked"`
-	Rejected int      `json:"rejected"`
-	Lost     int      `json:"lost"`
-	Ghost    int      `json:"ghost"`
-	LostIDs  []string `json:"lost_ids,omitempty"`
-	GhostIDs []string `json:"ghost_ids,omitempty"`
+	Acked    int
+	Rejected int
+	Lost     int
+	Ghost    int
+	LostIDs  []string
+	GhostIDs []string
 }
 
 // Clean reports whether the audit found no violations.
@@ -21,16 +21,16 @@ func (r WriteAuditReport) Clean() bool { return r.Lost == 0 && r.Ghost == 0 }
 // auditIDCap bounds the example ids retained per violation class.
 const auditIDCap = 16
 
-// AuditWrites verifies write-acknowledgement accounting after a chaos
-// or soak schedule: every acknowledged id must still resolve, and no
-// rejected id may have resurrected. It is the shared post-run hook
-// behind chaosbench and soakbench's zero-lost-writes SLO gates — run it
-// after failpoints are cleared and replicas resynced, so a miss means
-// real loss rather than a transiently dark shard.
-func (c *Collection) AuditWrites(acked, rejected []string) WriteAuditReport {
+// AuditWrites verifies write-acknowledgement accounting over any
+// collection, local or remote: every acknowledged id must still resolve,
+// and no rejected id may have resurrected. Chaos tests call it after
+// failpoints are cleared, replicas resynced and restarted shards
+// re-admitted, so a miss means real loss rather than a transiently dark
+// shard.
+func AuditWrites(d Docs, acked, rejected []string) WriteAuditReport {
 	rep := WriteAuditReport{Acked: len(acked), Rejected: len(rejected)}
 	for _, id := range acked {
-		if _, err := c.Get(id); err != nil {
+		if _, err := d.Get(id); err != nil {
 			rep.Lost++
 			if len(rep.LostIDs) < auditIDCap {
 				rep.LostIDs = append(rep.LostIDs, id)
@@ -38,7 +38,7 @@ func (c *Collection) AuditWrites(acked, rejected []string) WriteAuditReport {
 		}
 	}
 	for _, id := range rejected {
-		if _, err := c.Get(id); err == nil {
+		if _, err := d.Get(id); err == nil {
 			rep.Ghost++
 			if len(rep.GhostIDs) < auditIDCap {
 				rep.GhostIDs = append(rep.GhostIDs, id)

@@ -16,7 +16,7 @@ func TestAuditWritesCleanRun(t *testing.T) {
 		}
 		acked = append(acked, id)
 	}
-	rep := c.AuditWrites(acked, []string{"never-written-1", "never-written-2"})
+	rep := AuditWrites(c, acked, []string{"never-written-1", "never-written-2"})
 	if !rep.Clean() {
 		t.Fatalf("clean run audit = %+v", rep)
 	}
@@ -31,7 +31,7 @@ func TestAuditWritesFlagsLostAndGhost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := c.AuditWrites(
+	rep := AuditWrites(c,
 		[]string{id, "vanished-a", "vanished-b"}, // two acked ids never stored
 		[]string{id},                             // a "rejected" id that exists → ghost
 	)

@@ -7,11 +7,11 @@ import (
 )
 
 // Docs is the document-collection surface the upper layers (the search
-// engine, core.System, the API handlers, the chaos harnesses) consume.
-// It is implemented both by the in-process *Collection — shards as
-// replica groups inside this process — and by shardnet.Coordinator,
-// which serves the same operations by scatter-gathering over remote
-// shard server processes. The contract is identical either way:
+// engine, core.System, the API handlers) consume. It is implemented
+// both by the in-process *Collection — shards as replica groups inside
+// this process — and by shardnet.Coordinator, which serves the same
+// operations by scatter-gathering over remote shard server processes.
+// The contract is identical either way:
 //
 //   - Writes are atomic per shard: an error means the write was not
 //     applied (ErrNoQuorum locally, a definitive rejection remotely).
@@ -68,10 +68,6 @@ type Docs interface {
 	// reads — the cheap gate search checks before ranking a query from
 	// the index alone.
 	AllShardsServing() bool
-
-	// AuditWrites verifies write-acknowledgement accounting after a
-	// chaos schedule: acked ids must resolve, rejected ids must not.
-	AuditWrites(acked, rejected []string) WriteAuditReport
 }
 
 // The in-process collection is the reference implementation.

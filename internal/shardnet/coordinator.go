@@ -525,32 +525,6 @@ func (co *Coordinator) AllShardsServing() bool {
 	return true
 }
 
-// AuditWrites verifies write-acknowledgement accounting after a chaos
-// schedule, remotely: every acked id must resolve, no rejected id may
-// have resurrected. Run it after shard processes are back and
-// breakers have re-admitted them, so a miss means real loss.
-func (co *Coordinator) AuditWrites(acked, rejected []string) docstore.WriteAuditReport {
-	const auditIDCap = 16
-	rep := docstore.WriteAuditReport{Acked: len(acked), Rejected: len(rejected)}
-	for _, id := range acked {
-		if _, err := co.Get(id); err != nil {
-			rep.Lost++
-			if len(rep.LostIDs) < auditIDCap {
-				rep.LostIDs = append(rep.LostIDs, id)
-			}
-		}
-	}
-	for _, id := range rejected {
-		if _, err := co.Get(id); err == nil {
-			rep.Ghost++
-			if len(rep.GhostIDs) < auditIDCap {
-				rep.GhostIDs = append(rep.GhostIDs, id)
-			}
-		}
-	}
-	return rep
-}
-
 // Docs conformance: the coordinator is a drop-in collection.
 var _ docstore.Docs = (*Coordinator)(nil)
 

@@ -536,7 +536,7 @@ func TestLiveMigrationUnderWrites(t *testing.T) {
 	if len(ackedCopy) == 0 {
 		t.Fatal("no writes were acked during migration — test proves nothing")
 	}
-	audit := co.AuditWrites(ackedCopy, nil)
+	audit := docstore.AuditWrites(co, ackedCopy, nil)
 	if !audit.Clean() {
 		t.Fatalf("post-migration audit: %+v", audit)
 	}
