@@ -107,12 +107,14 @@ func main() {
 	}
 	if !loaded {
 		log.Printf("generating %d publications (seed %d)", *pubs, *seed)
+		start := time.Now()
 		g := cord19.NewGenerator(*seed)
 		corpus := g.Corpus(*pubs)
 		corpus = append(corpus, sideEffectPapers(g)...)
 		if err := sys.IngestPublications(corpus); err != nil {
 			log.Fatalf("ingest: %v", err)
 		}
+		log.Printf("generated and ingested %d publications in %s", len(corpus), time.Since(start).Round(time.Millisecond))
 		if *dataDir != "" {
 			// plain store save: checkpointing here would persist the
 			// still-seed-only graph and make the restore branch below
@@ -125,12 +127,13 @@ func main() {
 	}
 
 	log.Printf("training models")
+	start := time.Now()
 	stats, err := sys.TrainModels()
 	if err != nil {
 		log.Fatalf("train: %v", err)
 	}
-	log.Printf("trained: vocab=%d termW2V=%d cellW2V=%d textW2V=%d svm=%s",
-		stats.VocabSize, stats.TermVocab, stats.CellVocab, stats.TextVocab,
+	log.Printf("trained in %s: vocab=%d termW2V=%d cellW2V=%d textW2V=%d svm=%s",
+		time.Since(start).Round(time.Millisecond), stats.VocabSize, stats.TermVocab, stats.CellVocab, stats.TextVocab,
 		stats.SVMMetrics)
 
 	if restored, err := sys.RestoreGraph(); err != nil {
@@ -139,9 +142,10 @@ func main() {
 		log.Printf("knowledge graph restored from store: %d nodes", sys.Graph.Size())
 	} else {
 		log.Printf("building knowledge graph")
+		start = time.Now()
 		bs := sys.BuildKG()
-		log.Printf("kg built: tables=%d subtrees=%d fused=%d queued=%d nodes+%d",
-			bs.Tables, bs.Subtrees, bs.Fused, bs.Queued, bs.NodesAdded)
+		log.Printf("kg built in %s: tables=%d subtrees=%d fused=%d queued=%d nodes+%d",
+			time.Since(start).Round(time.Millisecond), bs.Tables, bs.Subtrees, bs.Fused, bs.Queued, bs.NodesAdded)
 		if *dataDir != "" {
 			if err := checkpoint(sys, *dataDir); err != nil {
 				log.Fatalf("checkpoint: %v", err)

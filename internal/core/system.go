@@ -360,8 +360,12 @@ type TrainStats struct {
 // TrainModels trains every model the system needs: Word2Vec embeddings
 // (pre-trained on WDC-substitute tables, fine-tuned on the stored
 // corpus, per §3.6), the §3.2 vocabulary, the SVM, and — when
-// UseEnsemble is set — the BiGRU ensemble.
+// UseEnsemble is set — the BiGRU ensemble. One scan of the store
+// gathers the corpus tables and texts; the term, cell and text
+// embeddings and the vocabulary + SVM then train at once, each on its
+// own seeded generator, so the models are the same as trained in turn.
 func (s *System) TrainModels() (TrainStats, error) {
+	defer s.setMillis("core.train_ms", time.Now())
 	var stats TrainStats
 	gen := cord19.NewGenerator(s.cfg.Seed + 1000)
 
@@ -369,58 +373,84 @@ func (s *System) TrainModels() (TrainStats, error) {
 	// training
 	wdc := gen.LabeledTables(s.cfg.TrainTables, 0.5)
 	var grids [][][]string
-	var svmSamples []classifier.SVMSample
-	var tupleSamples []classifier.TupleSample
-	var cellTexts []string
 	for _, lt := range wdc {
 		grids = append(grids, lt.Rows)
-		svmSamples = append(svmSamples, classifier.SVMSamplesFromTable(lt.Rows, lt.Meta)...)
-		tupleSamples = append(tupleSamples, classifier.SamplesFromTable(lt.Rows, lt.Meta)...)
-		for _, row := range lt.Rows {
-			cellTexts = append(cellTexts, row...)
-		}
 	}
-	stats.TrainRows = len(svmSamples)
 
-	// tabular embeddings: pre-train on the WDC substitute
-	termSents, cellSents := embeddings.TableSentences(grids)
-	s.TermW2V = embeddings.Train(termSents, s.cfg.W2V)
-	s.CellW2V = embeddings.Train(cellSents, s.cfg.W2V)
-
-	// fine-tune on the stored corpus's tables (the target corpus)
+	// the stored corpus: its tables are the fine-tuning target, its
+	// titles+abstracts train the free-text embeddings
 	var corpusGrids [][][]string
-	s.storedTables(func(_ string, t *tableparse.Table) {
-		corpusGrids = append(corpusGrids, t.Rows)
-	})
-	if len(corpusGrids) > 0 {
-		ft, cf := embeddings.TableSentences(corpusGrids)
-		s.TermW2V.FineTune(ft, s.cfg.W2V)
-		s.CellW2V.FineTune(cf, s.cfg.W2V)
-	}
-
-	// free-text embeddings over titles+abstracts for clustering and KG
-	// label matching
-	var textSents [][]string
+	var texts []string
 	s.Pubs.Scan(func(d jsondoc.Doc) bool {
-		text := d.GetString("title") + " " + d.GetString("abstract")
-		if sent := contentSentence(text); len(sent) > 1 {
-			textSents = append(textSents, sent)
-		}
+		eachTable("", d.GetArray("tables"), func(_ string, t *tableparse.Table) {
+			corpusGrids = append(corpusGrids, t.Rows)
+		})
+		texts = append(texts, d.GetString("title")+" "+d.GetString("abstract"))
 		return true
 	})
-	if len(textSents) > 0 {
-		s.TextW2V = embeddings.Train(textSents, s.cfg.W2V)
-		s.Graph.SetEmbedder(func(label string) []float64 {
-			return s.TextW2V.EmbedText(label)
-		})
-	}
 
+	var (
+		wg                        sync.WaitGroup
+		termW2V, cellW2V, textW2V *embeddings.Word2Vec
+		vocab                     *features.Vocabulary
+		svmModel                  *classifier.SVMModel
+		svmSamples                []classifier.SVMSample
+		svmErr                    error
+	)
+	wg.Add(4)
+	// free-text embeddings for clustering and KG label matching
+	go func() {
+		defer wg.Done()
+		var textSents [][]string
+		for _, text := range texts {
+			if sent := contentSentence(text); len(sent) > 1 {
+				textSents = append(textSents, sent)
+			}
+		}
+		if len(textSents) > 0 {
+			textW2V = embeddings.Train(textSents, s.cfg.W2V)
+		}
+	}()
 	// §3.2 vocabulary + §3.5 SVM
-	s.Vocab = features.BuildVocabulary(cellTexts, s.cfg.VocabSize)
-	stats.VocabSize = s.Vocab.Size()
-	s.SVM = classifier.NewSVMModel(s.Vocab, s.cfg.SVM)
-	if err := s.SVM.Train(svmSamples); err != nil {
-		return stats, fmt.Errorf("core: svm: %w", err)
+	go func() {
+		defer wg.Done()
+		var cellTexts []string
+		for _, lt := range wdc {
+			svmSamples = append(svmSamples, classifier.SVMSamplesFromTable(lt.Rows, lt.Meta)...)
+			for _, row := range lt.Rows {
+				cellTexts = append(cellTexts, row...)
+			}
+		}
+		vocab = features.BuildVocabulary(cellTexts, s.cfg.VocabSize)
+		svmModel = classifier.NewSVMModel(vocab, s.cfg.SVM)
+		svmErr = svmModel.Train(svmSamples)
+	}()
+	// tabular embeddings: pre-train on the WDC substitute, fine-tune on
+	// the stored corpus's tables (the target corpus)
+	termSents, cellSents := embeddings.TableSentences(grids)
+	ftTerm, ftCell := embeddings.TableSentences(corpusGrids)
+	tabular := func(pre, ft [][]string, out **embeddings.Word2Vec) {
+		defer wg.Done()
+		w := embeddings.Train(pre, s.cfg.W2V)
+		if len(corpusGrids) > 0 {
+			w.FineTune(ft, s.cfg.W2V)
+		}
+		*out = w
+	}
+	go tabular(termSents, ftTerm, &termW2V)
+	go tabular(cellSents, ftCell, &cellW2V)
+	wg.Wait()
+
+	s.TermW2V, s.CellW2V = termW2V, cellW2V
+	if textW2V != nil {
+		s.TextW2V = textW2V
+		s.Graph.SetEmbedder(textW2V.EmbedText)
+	}
+	s.Vocab, s.SVM = vocab, svmModel
+	stats.TrainRows = len(svmSamples)
+	stats.VocabSize = vocab.Size()
+	if svmErr != nil {
+		return stats, fmt.Errorf("core: svm: %w", svmErr)
 	}
 	stats.SVMMetrics = s.SVM.Evaluate(svmSamples)
 
@@ -428,6 +458,10 @@ func (s *System) TrainModels() (TrainStats, error) {
 		ens, err := classifier.NewEnsemble(s.TermW2V, s.CellW2V, s.cfg.Ensemble)
 		if err != nil {
 			return stats, fmt.Errorf("core: ensemble: %w", err)
+		}
+		var tupleSamples []classifier.TupleSample
+		for _, lt := range wdc {
+			tupleSamples = append(tupleSamples, classifier.SamplesFromTable(lt.Rows, lt.Meta)...)
 		}
 		ts := ens.Train(tupleSamples)
 		stats.EnsembleEpochs = len(ts.EpochLoss)
@@ -439,6 +473,14 @@ func (s *System) TrainModels() (TrainStats, error) {
 		stats.TextVocab = len(s.TextW2V.Words)
 	}
 	return stats, nil
+}
+
+// setMillis records the milliseconds since start in the named gauge of
+// the configured registry, if any.
+func (s *System) setMillis(name string, start time.Time) {
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.Gauge(name).Set(time.Since(start).Milliseconds())
+	}
 }
 
 func contentSentence(text string) []string {
@@ -499,6 +541,7 @@ func (st *BuildStats) Add(o BuildStats) {
 // boot; everything it covered leaves the pending queue, so a later
 // EnrichNew only enriches from arrivals since.
 func (s *System) BuildKG() BuildStats {
+	defer s.setMillis("core.build_kg_ms", time.Now())
 	scanned := map[string]bool{}
 	st := s.enrich(func(fn tableFunc) {
 		s.Pubs.Scan(func(d jsondoc.Doc) bool {

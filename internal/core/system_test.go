@@ -8,6 +8,7 @@ import (
 	"covidkg/internal/cord19"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/kg"
+	"covidkg/internal/metrics"
 	"covidkg/internal/tableparse"
 )
 
@@ -84,6 +85,29 @@ func TestTrainModelsStats(t *testing.T) {
 	}
 	if s.SVM == nil {
 		t.Fatal("svm missing")
+	}
+}
+
+// TestBootGauges: a boot leaves its train and KG-build durations in the
+// configured registry, which /api/v1/metrics serves.
+func TestBootGauges(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrainTables = 60
+	cfg.Metrics = metrics.NewRegistry()
+	s := NewSystem(cfg)
+	if err := s.IngestPublications(cord19.NewGenerator(7).Corpus(120)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrainModels(); err != nil {
+		t.Fatal(err)
+	}
+	s.BuildKG()
+	for _, name := range []string{"core.train_ms", "core.build_kg_ms"} {
+		v := cfg.Metrics.Gauge(name).Value()
+		if v <= 0 {
+			t.Errorf("%s = %d after a boot, want > 0", name, v)
+		}
+		t.Logf("%s = %d", name, v)
 	}
 }
 

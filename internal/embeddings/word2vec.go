@@ -341,8 +341,17 @@ func (w *Word2Vec) EmbedTokens(tokens []string) []float64 {
 // cell-level embeddings: §3.4 numeric substitution, lowercasing, and
 // underscore-joining.
 func CellToken(cell string) string {
-	sub := preprocess.Substitute(cell)
-	words := textproc.Words(sub)
+	return cellToken(cellWords(cell))
+}
+
+// cellWords is a cell's term-level tokens: §3.4 substitution, then
+// tokenization.
+func cellWords(cell string) []string {
+	return textproc.Words(preprocess.Substitute(cell))
+}
+
+// cellToken joins a cell's term-level tokens into its cell-level token.
+func cellToken(words []string) string {
 	if len(words) == 0 {
 		return "_empty_"
 	}
@@ -354,7 +363,7 @@ func CellToken(cell string) string {
 func TermSentence(row []string) []string {
 	var out []string
 	for _, cell := range row {
-		out = append(out, textproc.Words(preprocess.Substitute(cell))...)
+		out = append(out, cellWords(cell)...)
 	}
 	return out
 }
@@ -369,14 +378,23 @@ func CellSentence(row []string) []string {
 }
 
 // TableSentences converts tables to both term- and cell-level training
-// sentences, the two parallel corpora the Figure 3 model embeds.
+// sentences, the two parallel corpora the Figure 3 model embeds. Each
+// cell is substituted and tokenized once for both: row by row, the
+// result equals TermSentence (empty sentences dropped) and CellSentence.
 func TableSentences(tables [][][]string) (termSents, cellSents [][]string) {
 	for _, rows := range tables {
 		for _, row := range rows {
-			if ts := TermSentence(row); len(ts) > 0 {
-				termSents = append(termSents, ts)
+			var terms []string
+			cells := make([]string, len(row))
+			for i, cell := range row {
+				words := cellWords(cell)
+				terms = append(terms, words...)
+				cells[i] = cellToken(words)
 			}
-			cellSents = append(cellSents, CellSentence(row))
+			if len(terms) > 0 {
+				termSents = append(termSents, terms)
+			}
+			cellSents = append(cellSents, cells)
 		}
 	}
 	return termSents, cellSents

@@ -2,9 +2,11 @@ package embeddings
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"covidkg/internal/cord19"
 	"covidkg/internal/mlcore"
 )
 
@@ -237,6 +239,44 @@ func TestTableSentences(t *testing.T) {
 	}
 	if len(termS) == 0 {
 		t.Fatal("no term sentences")
+	}
+}
+
+// TestTableSentencesMatchesRowFunctions holds the one-substitution-per-
+// cell TableSentences to the per-row TermSentence and CellSentence it
+// replaces, over the generated corpus's and the WDC substitute's tables
+// plus rows whose every cell is empty.
+func TestTableSentencesMatchesRowFunctions(t *testing.T) {
+	gen := cord19.NewGenerator(42)
+	tables := [][][]string{
+		{{"", " ", "\t"}, {}, {"Age", "45"}, {"", ""}},
+	}
+	for _, p := range gen.Corpus(100) {
+		for _, pt := range p.Tables {
+			tables = append(tables, pt.Rows)
+		}
+	}
+	for _, lt := range gen.LabeledTables(60, 0.5) {
+		tables = append(tables, lt.Rows)
+	}
+	var wantTerms, wantCells [][]string
+	for _, rows := range tables {
+		for _, row := range rows {
+			if ts := TermSentence(row); len(ts) > 0 {
+				wantTerms = append(wantTerms, ts)
+			}
+			wantCells = append(wantCells, CellSentence(row))
+		}
+	}
+	gotTerms, gotCells := TableSentences(tables)
+	if !reflect.DeepEqual(gotTerms, wantTerms) {
+		t.Fatalf("term sentences differ from TermSentence: %d sentences, want %d", len(gotTerms), len(wantTerms))
+	}
+	if !reflect.DeepEqual(gotCells, wantCells) {
+		t.Fatalf("cell sentences differ from CellSentence: %d sentences, want %d", len(gotCells), len(wantCells))
+	}
+	if len(wantCells) < 1000 {
+		t.Fatalf("only %d rows compared", len(wantCells))
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Category keywords emitted by Substitute.
@@ -102,26 +103,15 @@ func classifyNumber(lit string) string {
 	}
 }
 
-// numberAt reports whether the match at [start,end) is a true standalone
-// number: a leading '-' counts as a sign only when not preceded by a
-// letter or digit (so "COVID-19" keeps its 19 attached... it is preceded
-// by a letter, meaning "-19" is not a negative number there), and the
-// match must not be embedded in a word.
+// isStandalone reports whether the match at [start,end) is a true
+// standalone number: it must not be embedded in a word, so neither
+// neighbour may be a letter, digit, '-' or '.' ("COVID-19" keeps its 19
+// attached).
 func isStandalone(s string, start, end int) bool {
-	if start > 0 {
-		prev := s[start-1]
-		if isWordByte(prev) {
-			return false
-		}
-		// "-19" inside "COVID-19": the '-' is preceded by a letter.
-		if s[start] == '-' {
-			// already handled: prev is not a word byte here
-		}
-	}
-	if end < len(s) && isWordByte(s[end]) {
+	if start > 0 && isWordByte(s[start-1]) {
 		return false
 	}
-	return true
+	return end >= len(s) || !isWordByte(s[end])
 }
 
 func isWordByte(b byte) bool {
@@ -133,7 +123,14 @@ func isWordByte(b byte) bool {
 // returns the normalized form. Non-numeric text passes through
 // unchanged (aside from whitespace normalization around replacements):
 // every substitution needs an ASCII digit, '<' or '>', so text with none
-// — most header and label cells — skips the eight regex passes.
+// — most header and label cells — skips the eight regex passes. Of the
+// rest, each regex pass runs only when its input holds a literal that
+// every match of the pass contains: a month trigram for the three date
+// passes, '-' or "to" for RANGE, l, g and k for ML, MG and KG, one of
+// hmsdwy for TIME and '%' for PERCENT, letters in either case. The case
+// folds of (?i) reach past ASCII (ſ matches s, the Kelvin sign k), and
+// RANGE also accepts the – and — dashes, so text holding any non-ASCII
+// byte runs every pass.
 func Substitute(s string) string {
 	if !strings.ContainsAny(s, "0123456789<>") {
 		return strings.Join(strings.Fields(s), " ")
@@ -141,27 +138,45 @@ func Substitute(s string) string {
 	return substitute(s)
 }
 
-// substitute is the full cascade.
+// substitute is the cascade, each pass behind its prefilter; has reads s
+// as the pass about to run receives it.
 func substitute(s string) string {
+	all := strings.ContainsFunc(s, func(r rune) bool { return r >= utf8.RuneSelf })
+	has := func(chars string) bool { return all || strings.ContainsAny(s, chars) }
+
 	// 1. dates with worded months
-	s = reDateDayFirst.ReplaceAllString(s, KwDate)
-	s = reDateMonthFirst.ReplaceAllString(s, KwDate)
-	s = reDateMonthYear.ReplaceAllString(s, KwDate)
+	if all || hasMonth(s) {
+		s = reDateDayFirst.ReplaceAllString(s, KwDate)
+		s = reDateMonthFirst.ReplaceAllString(s, KwDate)
+		s = reDateMonthYear.ReplaceAllString(s, KwDate)
+	}
 
 	// 2. ranges, before single numbers so "5-10" never reads as 5 then -10
-	s = reRange.ReplaceAllString(s, KwRange)
+	if has("-") || strings.Contains(s, "to") {
+		s = reRange.ReplaceAllString(s, KwRange)
+	}
 
 	// 3. numbers followed by the dominant units collapse to unit keywords
-	s = reUnitML.ReplaceAllString(s, KwML)
-	s = reUnitMG.ReplaceAllString(s, KwMG)
-	s = reUnitKG.ReplaceAllString(s, KwKG)
-	s = reUnitTime.ReplaceAllString(s, KwTime)
+	if has("lL") {
+		s = reUnitML.ReplaceAllString(s, KwML)
+	}
+	if has("gG") {
+		s = reUnitMG.ReplaceAllString(s, KwMG)
+	}
+	if has("kK") {
+		s = reUnitKG.ReplaceAllString(s, KwKG)
+	}
+	if has("hmsdwyHMSDWY") {
+		s = reUnitTime.ReplaceAllString(s, KwTime)
+	}
 
 	// 4. percentages keep the magnitude class of their number
-	s = rePercent.ReplaceAllStringFunc(s, func(m string) string {
-		sub := rePercent.FindStringSubmatch(m)
-		return classifyNumber(sub[1]) + " " + KwPercent
-	})
+	if has("%") {
+		s = rePercent.ReplaceAllStringFunc(s, func(m string) string {
+			sub := rePercent.FindStringSubmatch(m)
+			return classifyNumber(sub[1]) + " " + KwPercent
+		})
+	}
 
 	// 5. comparison symbols
 	s = strings.ReplaceAll(s, "<", " "+KwLess+" ")
@@ -171,6 +186,19 @@ func substitute(s string) string {
 	s = replaceStandaloneNumbers(s)
 
 	return strings.Join(strings.Fields(s), " ")
+}
+
+var monthTrigrams = []string{"jan", "feb", "mar", "apr", "may", "jun", "jul", "aug", "sep", "oct", "nov", "dec"}
+
+// hasMonth reports whether ASCII text contains a month trigram in any case.
+func hasMonth(s string) bool {
+	s = strings.ToLower(s)
+	for _, m := range monthTrigrams {
+		if strings.Contains(s, m) {
+			return true
+		}
+	}
+	return false
 }
 
 func replaceStandaloneNumbers(s string) string {

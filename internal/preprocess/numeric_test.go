@@ -218,15 +218,61 @@ func TestKeywordsListComplete(t *testing.T) {
 	}
 }
 
-// FuzzSubstituteNoDigit holds the early return of Substitute to the full
-// cascade: on text without an ASCII digit, '<' or '>' (those are dropped
-// from the input, so every input counts) the two agree.
+// cascade is the reference oracle: the §3.4 cascade with every regex
+// pass run unconditionally, as Substitute's prefilters must agree with.
+func cascade(s string) string {
+	s = reDateDayFirst.ReplaceAllString(s, KwDate)
+	s = reDateMonthFirst.ReplaceAllString(s, KwDate)
+	s = reDateMonthYear.ReplaceAllString(s, KwDate)
+	s = reRange.ReplaceAllString(s, KwRange)
+	s = reUnitML.ReplaceAllString(s, KwML)
+	s = reUnitMG.ReplaceAllString(s, KwMG)
+	s = reUnitKG.ReplaceAllString(s, KwKG)
+	s = reUnitTime.ReplaceAllString(s, KwTime)
+	s = rePercent.ReplaceAllStringFunc(s, func(m string) string {
+		sub := rePercent.FindStringSubmatch(m)
+		return classifyNumber(sub[1]) + " " + KwPercent
+	})
+	s = strings.ReplaceAll(s, "<", " "+KwLess+" ")
+	s = strings.ReplaceAll(s, ">", " "+KwGreater+" ")
+	s = replaceStandaloneNumbers(s)
+	return strings.Join(strings.Fields(s), " ")
+}
+
+// cascadeSeeds are inputs on which a prefilter could plausibly go wrong:
+// case folds past ASCII, non-ASCII dashes, worded ranges and months,
+// units and percents in every case.
+var cascadeSeeds = []string{
+	"", "vaccine side effects by manufacturer", "  Pfizer/BioNTech \t mRNA\n", "January", "May to June",
+	"dose – interval — mg", "p % of n", "-", "- mg", ".", "٣ days", "５ ml", "x²", "a\u00a0b", "\xff\xfe %",
+	"5-10 mg < 0.5%", "COVID-19", "to", "hours",
+	"\u017fep 5, 2020", "5 \u212ag", "5 \u212aG", "5–10", "5—10", "Jan 2021", "10 to 20", "10 TO 20",
+	"5 JANUARY 2021", "3rd dec 2020", "Sept. 4, 2021", "12 MG", "5 Ml", "70 KGS", "24 HRS", "2 Wks",
+	"12.7 %", "-5%", "<5", "p > 0.05", "pp. 10-12", "x-3", "0.5 µg", "5 µl", "n=42 (12.5%)",
+}
+
+// FuzzSubstituteMatchesCascade holds Substitute and its prefiltered
+// cascade to the unfiltered reference on every input.
+func FuzzSubstituteMatchesCascade(f *testing.F) {
+	for _, seed := range cascadeSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := cascade(s)
+		if got := substitute(s); got != want {
+			t.Fatalf("substitute(%q) = %q, the unfiltered cascade says %q", s, got, want)
+		}
+		if got := Substitute(s); got != want {
+			t.Fatalf("Substitute(%q) = %q, the unfiltered cascade says %q", s, got, want)
+		}
+	})
+}
+
+// FuzzSubstituteNoDigit holds the early return of Substitute to the
+// unfiltered cascade: on text without an ASCII digit, '<' or '>' (those
+// are dropped from the input, so every input counts) the two agree.
 func FuzzSubstituteNoDigit(f *testing.F) {
-	for _, seed := range []string{
-		"", "vaccine side effects by manufacturer", "  Pfizer/BioNTech \t mRNA\n", "January", "May to June",
-		"dose – interval — mg", "p % of n", "-", "- mg", ".", "٣ days", "５ ml", "x²", "a\u00a0b", "\xff\xfe %",
-		"5-10 mg < 0.5%", "COVID-19", "to", "hours",
-	} {
+	for _, seed := range cascadeSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -236,8 +282,8 @@ func FuzzSubstituteNoDigit(f *testing.F) {
 			}
 			return r
 		}, s)
-		if got, want := Substitute(s), substitute(s); got != want {
-			t.Fatalf("Substitute(%q) = %q, the full cascade says %q", s, got, want)
+		if got, want := Substitute(s), cascade(s); got != want {
+			t.Fatalf("Substitute(%q) = %q, the unfiltered cascade says %q", s, got, want)
 		}
 	})
 }
