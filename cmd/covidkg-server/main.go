@@ -39,12 +39,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "corpus generator seed")
 	dataDir := flag.String("data", "", "optional directory for store persistence")
 	shards := flag.Int("shards", 4, "document store shards")
-	replicas := flag.Int("replicas", 3, "replicas per shard (quorum = replicas/2+1)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated covidkg-shard addresses; non-empty serves publications from those remote processes via the shardnet coordinator instead of in-process shards")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "latency budget before a shard read is hedged onto another replica (0 = adaptive 2×p95)")
+	hedgeDelay := flag.Duration("hedge-delay", 0, "with -shard-addrs, latency budget before a shard read is hedged with a second request (0 = adaptive 2×p95)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "circuit-breaker open→half-open cooldown (0 = default 1s)")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive replica failures before the breaker opens (0 = default 3)")
-	resyncInterval := flag.Duration("resync-interval", 30*time.Second, "background replica resync period (0 = disabled)")
+	breakerFailures := flag.Int("breaker-failures", 0, "consecutive shard failures before the breaker opens (0 = default 3)")
 	searchTimeout := flag.Duration("search-timeout", 0, "per-request deadline for search routes (0 = default 5s, negative = none)")
 	aggTimeout := flag.Duration("aggregate-timeout", 0, "per-request deadline for aggregate/export routes (0 = default 10s, negative = none)")
 	inflightSearch := flag.Int("inflight-search", 0, "max concurrent search requests before shedding (0 = default 64, negative = unbounded)")
@@ -62,9 +60,8 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Metrics = reg
 	cfg.Shards = *shards
-	cfg.Replicas = *replicas
 	cfg.Seed = *seed
-	cfg.HedgeDelay = *hedgeDelay
+	cfg.ShardNet.HedgeDelay = *hedgeDelay
 	cfg.Breaker = breaker.Config{Threshold: *breakerFailures, Cooldown: *breakerCooldown}
 	if *shardAddrs != "" {
 		cfg.ShardAddrs = splitAddrs(*shardAddrs)
@@ -82,10 +79,6 @@ func main() {
 		}
 		log.Printf("publications served by %d remote shard processes (map v%d)",
 			sys.Coord.NumShards(), sys.Coord.MapVersion())
-	}
-	if *resyncInterval > 0 {
-		stopResync := sys.Store.StartAutoResync(*resyncInterval)
-		defer stopResync()
 	}
 
 	loaded := false

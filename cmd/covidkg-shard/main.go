@@ -1,5 +1,5 @@
 // Command covidkg-shard runs one shard of the networked document tier:
-// a single-shard replicated store behind the length-prefixed shardnet
+// a single-shard store behind the length-prefixed shardnet
 // protocol, with a crash-safe write-ahead log. A covidkg-server started
 // with -shard-addrs scatter-gathers over N of these.
 //
@@ -28,7 +28,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9301", "listen address (port 0 picks an ephemeral port)")
 	name := flag.String("name", "shard0", "logical shard name (stable across restarts and migrations)")
-	replicas := flag.Int("replicas", 3, "replicas inside this shard's group (quorum = replicas/2+1)")
 	wal := flag.String("wal", "", "write-ahead log path; empty disables crash durability")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
@@ -38,10 +37,9 @@ func main() {
 	}
 
 	srv, err := shardnet.NewServer(shardnet.ServerConfig{
-		Name:     *name,
-		Replicas: *replicas,
-		WALPath:  *wal,
-		Logf:     log.Printf,
+		Name:    *name,
+		WALPath: *wal,
+		Logf:    log.Printf,
 	})
 	if err != nil {
 		log.Fatalf("covidkg-shard %s: %v", *name, err)
@@ -50,8 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("covidkg-shard %s: listen: %v", *name, err)
 	}
-	log.Printf("covidkg-shard %s serving on %s (replicas=%d wal=%q)",
-		*name, ln.Addr(), *replicas, *wal)
+	log.Printf("covidkg-shard %s serving on %s (wal=%q)", *name, ln.Addr(), *wal)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()

@@ -171,12 +171,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReady is the readiness probe: 200 when every shard has at least
-// one healthy up-to-date replica, 503 otherwise. Either way the body
-// carries the per-shard states so an operator can see exactly which
-// failure domain is dark. In the in-process tier that is the replica
-// view (breaker state, staleness); in networked mode it is the
-// per-shard connection state — connected, resyncing, breaker-open, or
+// handleReady is the readiness probe: 200 when every shard is serving,
+// 503 otherwise. Either way the body carries the per-shard states so an
+// operator can see exactly which failure domain is dark. In the
+// in-process tier that is each shard's breaker state; in networked mode
+// it is the per-shard connection state — connected, breaker-open, or
 // unreachable — plus the shard-map version, so a migration's cutover
 // is visible from the probe.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -311,9 +310,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // pubErrStatus maps a failed publication lookup. A point lookup cannot
-// degrade to a partial result: when the owning shard's every replica is
-// dark the honest answer is 503, distinct from 404 (the document is not
-// gone, just unreachable); only an unsearchable query is the caller's 400.
+// degrade to a partial result: when the owning shard is dark the honest
+// answer is 503, distinct from 404 (the document is not gone, just
+// unreachable); only an unsearchable query is the caller's 400.
 func pubErrStatus(err error) int {
 	switch {
 	case errors.Is(err, search.ErrBadQuery):

@@ -18,7 +18,7 @@ func remoteTestServer(t *testing.T) (*Server, *core.System, []*shardnet.Server) 
 	backends := make([]*shardnet.Server, 2)
 	addrs := make([]string, 2)
 	for i := range backends {
-		srv, err := shardnet.NewServer(shardnet.ServerConfig{Name: "shard" + string(rune('0'+i)), Replicas: 3})
+		srv, err := shardnet.NewServer(shardnet.ServerConfig{Name: "shard" + string(rune('0'+i))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,5 @@
-// Package breaker implements the per-replica circuit breaker guarding
-// the docstore's read and write paths: a replica that keeps failing is
+// Package breaker implements the circuit breaker guarding each docstore
+// shard and each shardnet connection: a shard that keeps failing is
 // taken out of rotation (closed → open) instead of being retried on
 // every request, and after a cooldown a single probe request is let
 // through (half-open) to discover recovery without a thundering herd.

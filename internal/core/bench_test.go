@@ -27,7 +27,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 			for i := 0; i < 4; i++ {
 				name := fmt.Sprintf("shard%d", i)
 				srv, err := shardnet.NewServer(shardnet.ServerConfig{
-					Name: name, Replicas: 3, WALPath: filepath.Join(dir, name+".wal"),
+					Name: name, WALPath: filepath.Join(dir, name+".wal"),
 					Logf: func(string, ...any) {},
 				})
 				if err != nil {

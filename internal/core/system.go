@@ -44,41 +44,40 @@ const PubsCollection = "publications"
 // Config assembles a System.
 type Config struct {
 	Shards      int // document-store shards
-	Replicas    int // per-shard replica-group size (quorum = R/2+1)
 	VocabSize   int // §3.2 feature-space size (paper: 100,000)
 	TrainTables int // labeled tables generated for classifier training
 	Seed        int64
 
+	// Replicas is ignored: every shard holds one copy.
+	//
+	// Deprecated: kept only for benchmark/trace.go:122, which still sets
+	// it; delete it with that line.
+	Replicas int
+
 	// Failpoints optionally injects runtime faults (latency, errors,
-	// outages) into the store's replicas — the chaos-testing hook. Nil
+	// outages) into the store's shards — the chaos-testing hook. Nil
 	// disables injection entirely.
 	Failpoints *failpoint.Registry
 
-	// Breaker tunes the per-replica circuit breakers (failure threshold,
+	// Breaker tunes the per-shard circuit breakers (failure threshold,
 	// half-open cooldown). The zero value uses the breaker defaults.
 	Breaker breaker.Config
 
-	// HedgeDelay fixes the budget after which a shard snapshot read is
-	// hedged onto another replica; zero adapts to the observed p95.
-	HedgeDelay time.Duration
-
 	// ShardAddrs switches the publication store into networked mode: one
 	// address per shard server process (covidkg-shard), scatter-gathered
-	// by a shardnet.Coordinator instead of in-process replica groups.
-	// Empty keeps the in-process tier. Shards/Replicas then describe the
-	// remote processes (Replicas is enforced by each shard server, not
-	// here); the knowledge-graph collection and model artifacts stay in
-	// the local store either way.
+	// by a shardnet.Coordinator instead of in-process shards. Empty keeps
+	// the in-process tier. The knowledge-graph collection and model
+	// artifacts stay in the local store either way.
 	ShardAddrs []string
 
 	// ShardNet tunes the coordinator (timeouts, retries, hedging) in
-	// networked mode; zero values take the shardnet defaults. Breaker,
-	// HedgeDelay and Metrics above are folded in automatically.
+	// networked mode; zero values take the shardnet defaults. Breaker
+	// and Metrics above are folded in automatically.
 	ShardNet shardnet.Config
 
-	// Metrics directs robustness counters (breaker_open, hedged_requests,
-	// replica_resyncs, partial_responses) to a specific registry; nil
-	// uses the process default.
+	// Metrics directs robustness counters (breaker_open,
+	// partial_responses) to a specific registry; nil uses the process
+	// default.
 	Metrics *metrics.Registry
 
 	// UseEnsemble selects the BiGRU ensemble for row classification in
@@ -101,7 +100,6 @@ func DefaultConfig() Config {
 	w2v.MinCount = 1
 	return Config{
 		Shards:      4,
-		Replicas:    3,
 		VocabSize:   5000,
 		TrainTables: 150,
 		Seed:        1,
@@ -156,9 +154,7 @@ type pendingPub struct {
 func NewSystem(cfg Config) *System {
 	storeOpts := []docstore.Option{
 		docstore.WithShards(cfg.Shards),
-		docstore.WithReplicas(cfg.Replicas),
 		docstore.WithBreaker(cfg.Breaker),
-		docstore.WithHedgeDelay(cfg.HedgeDelay),
 	}
 	if cfg.FS != nil {
 		storeOpts = append(storeOpts, docstore.WithFS(cfg.FS))
@@ -176,9 +172,6 @@ func NewSystem(cfg Config) *System {
 		ncfg.Collection = PubsCollection
 		if ncfg.Breaker.Threshold == 0 && ncfg.Breaker.Cooldown == 0 {
 			ncfg.Breaker = cfg.Breaker
-		}
-		if ncfg.HedgeDelay == 0 {
-			ncfg.HedgeDelay = cfg.HedgeDelay
 		}
 		if ncfg.Metrics == nil {
 			ncfg.Metrics = cfg.Metrics
@@ -201,9 +194,9 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Health reports per-shard readiness: replica breaker states and which
-// replicas are up to date — the payload behind GET /readyz in the
-// in-process tier. In networked mode use ShardConnHealth instead.
+// Health reports per-shard readiness and breaker state — the payload
+// behind GET /readyz in the in-process tier. In networked mode use
+// ShardConnHealth instead.
 func (s *System) Health() []docstore.ShardHealth { return s.Store.Health() }
 
 // Remote reports whether publications are served by remote shard
@@ -211,7 +204,7 @@ func (s *System) Health() []docstore.ShardHealth { return s.Store.Health() }
 func (s *System) Remote() bool { return s.Coord != nil }
 
 // ShardConnHealth probes the remote shard tier: per-connection state
-// (connected / resyncing / breaker-open / unreachable) and the current
+// (connected / breaker-open / unreachable) and the current
 // shard-map version — the payload behind GET /readyz in networked
 // mode. Returns nil, 0 when the system is in-process.
 func (s *System) ShardConnHealth(ctx context.Context) ([]shardnet.ConnHealth, uint64) {
@@ -219,17 +212,6 @@ func (s *System) ShardConnHealth(ctx context.Context) ([]shardnet.ConnHealth, ui
 		return nil, 0
 	}
 	return s.Coord.Health(ctx)
-}
-
-// Resync repairs stale replicas across every collection (see
-// docstore.Store.Resync). In networked mode the pass is delegated to
-// every reachable shard server and aggregated. Exposed so operators
-// and the auto-resync loop share one entry point.
-func (s *System) Resync() docstore.ResyncReport {
-	if s.Coord != nil {
-		return s.Coord.ResyncAll(context.Background())
-	}
-	return s.Store.Resync()
 }
 
 // IngestPublications stores generated publications through the same

@@ -3,7 +3,7 @@ package docstore
 // WriteAuditReport is the outcome of a post-run write audit: Lost
 // counts acknowledged writes that can no longer be read back (the
 // cardinal durability sin), Ghost counts rejected writes that
-// resurrected anyway (a quorum-atomicity violation). The ID slices
+// resurrected anyway (a write-atomicity violation). The ID slices
 // carry up to auditIDCap examples each, so a failing test can name the
 // evidence without printing thousands of ids.
 type WriteAuditReport struct {
@@ -24,9 +24,8 @@ const auditIDCap = 16
 // AuditWrites verifies write-acknowledgement accounting over any
 // collection, local or remote: every acknowledged id must still resolve,
 // and no rejected id may have resurrected. Chaos tests call it after
-// failpoints are cleared, replicas resynced and restarted shards
-// re-admitted, so a miss means real loss rather than a transiently dark
-// shard.
+// failpoints are cleared and dark or restarted shards re-admitted, so a
+// miss means real loss rather than a transiently dark shard.
 func AuditWrites(d Docs, acked, rejected []string) WriteAuditReport {
 	rep := WriteAuditReport{Acked: len(acked), Rejected: len(rejected)}
 	for _, id := range acked {

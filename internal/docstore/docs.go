@@ -8,8 +8,8 @@ import (
 
 // Docs is the document-collection surface the upper layers (the search
 // engine, core.System, the API handlers) consume. It is implemented
-// both by the in-process *Collection — shards as replica groups inside
-// this process — and by shardnet.Coordinator, which serves the same
+// both by the in-process *Collection — every shard inside this
+// process — and by shardnet.Coordinator, which serves the same
 // operations by scatter-gathering over remote shard server processes.
 // The contract is identical either way:
 //

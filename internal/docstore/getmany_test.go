@@ -3,7 +3,6 @@ package docstore
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"covidkg/internal/failpoint"
@@ -52,7 +51,7 @@ func TestCollectionGetManyDarkShard(t *testing.T) {
 	ids := seedDocs(t, c, 60)
 	si, _ := shardWithDocs(c, ids)
 
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 
 	docs, missing, err := c.GetMany(context.Background(), ids)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 )
 
 // chaosStore builds a store with a failpoint registry and fast breakers
-// for replica-failure tests.
+// for shard-failure tests.
 func chaosStore(t *testing.T, opts ...Option) (*Store, *failpoint.Registry, *metrics.Registry) {
 	t.Helper()
 	fp := failpoint.New(1)
@@ -23,11 +23,9 @@ func chaosStore(t *testing.T, opts ...Option) (*Store, *failpoint.Registry, *met
 	reg := metrics.NewRegistry()
 	base := []Option{
 		WithShards(4),
-		WithReplicas(3),
 		WithFailpoints(fp),
 		WithMetrics(reg),
 		WithBreaker(breaker.Config{Threshold: 2, Cooldown: time.Millisecond}),
-		WithHedgeDelay(time.Millisecond),
 	}
 	return Open(append(base, opts...)...), fp, reg
 }
@@ -54,70 +52,13 @@ func shardWithDocs(c *Collection, ids []string) (int, string) {
 	return 0, ""
 }
 
-func TestReplicatedWritesIdentical(t *testing.T) {
-	s, _, _ := chaosStore(t)
-	c := s.Collection("pubs")
-	ids := seedDocs(t, c, 50)
-	if err := c.Delete(ids[7]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Update(ids[3], func(d jsondoc.Doc) error { return d.Set("x", 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if !s.ReplicasIdentical() {
-		t.Fatal("replicas diverged under healthy quorum writes")
-	}
-	if c.Count() != 49 {
-		t.Fatalf("Count = %d, want 49", c.Count())
-	}
-}
-
-func TestWriteSurvivesOneReplicaDown(t *testing.T) {
-	s, fp, reg := chaosStore(t)
-	c := s.Collection("pubs")
-	ids := seedDocs(t, c, 40)
-	si, _ := shardWithDocs(c, ids)
-
-	fp.Set(ReplicaTarget(si, 1), failpoint.Rule{Down: true})
-	var newIDs []string
-	for i := 0; i < 30; i++ {
-		id, err := c.Insert(jsondoc.Doc{"round": 2, "n": i})
-		if err != nil {
-			if errors.Is(err, ErrNoQuorum) {
-				t.Fatalf("quorum lost with only one replica down: %v", err)
-			}
-			t.Fatal(err)
-		}
-		newIDs = append(newIDs, id)
-	}
-	// every acknowledged write must be readable despite the dark replica
-	for _, id := range append(ids, newIDs...) {
-		if _, err := c.Get(id); err != nil {
-			t.Fatalf("acked write lost while replica down: %v", err)
-		}
-	}
-
-	// recover + resync → byte-identical replicas again
-	fp.Clear(ReplicaTarget(si, 1))
-	rep := s.Resync()
-	if !rep.Identical {
-		t.Fatalf("resync left replicas divergent: %+v", rep)
-	}
-	if !s.ReplicasIdentical() {
-		t.Fatal("checksums differ after resync")
-	}
-	if got := reg.Counter("replica_resyncs").Value(); got < 1 {
-		t.Fatalf("replica_resyncs = %d, want ≥ 1", got)
-	}
-}
-
 func TestDarkShardFailsReadsAndWrites(t *testing.T) {
 	s, fp, _ := chaosStore(t)
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 60)
 	si, darkID := shardWithDocs(c, ids)
 
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 
 	if _, err := c.Get(darkID); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Get on dark shard = %v, want ErrShardUnavailable", err)
@@ -125,7 +66,7 @@ func TestDarkShardFailsReadsAndWrites(t *testing.T) {
 		t.Fatalf("ShardOfError = %d,%v, want %d,true", got, ok, si)
 	}
 
-	// writes to the dark shard fail with no quorum and touch nothing
+	// writes to the dark shard are rejected and touch nothing
 	wrote := 0
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("probe-%d", i)
@@ -165,11 +106,8 @@ func TestDarkShardFailsReadsAndWrites(t *testing.T) {
 
 	// after recovery a failed write must NOT have resurrected
 	fp.ClearAll()
-	s.Resync()
 	time.Sleep(5 * time.Millisecond) // let the breaker cooldown elapse
-	for i := 0; i < 2*s.NumReplicas(); i++ {
-		c.Get(darkID) // half-open probes re-close the replica breakers
-	}
+	c.Get(darkID)                    // the half-open probe re-closes the breaker
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("probe-%d", i)
 		if c.ShardOfID(id) != si {
@@ -181,41 +119,6 @@ func TestDarkShardFailsReadsAndWrites(t *testing.T) {
 	}
 }
 
-func TestStaleReplicaServesNoReads(t *testing.T) {
-	s, fp, _ := chaosStore(t)
-	c := s.Collection("pubs")
-	ids := seedDocs(t, c, 40)
-	si, _ := shardWithDocs(c, ids)
-
-	// replica 2 goes dark and misses a write
-	fp.Set(ReplicaTarget(si, 2), failpoint.Rule{Down: true})
-	missedID := ""
-	for i := 0; ; i++ {
-		id := fmt.Sprintf("late-%d", i)
-		if c.ShardOfID(id) != si {
-			continue
-		}
-		if _, err := c.Insert(jsondoc.Doc{"_id": id, "v": "critical"}); err != nil {
-			t.Fatal(err)
-		}
-		missedID = id
-		break
-	}
-
-	// replica 2 comes back but has NOT been resynced: it must be
-	// excluded from reads — the missed write stays visible always
-	fp.Clear(ReplicaTarget(si, 2))
-	for i := 0; i < 3*s.NumReplicas()*2; i++ {
-		if _, err := c.Get(missedID); err != nil {
-			t.Fatalf("stale replica served a read missing an acked write: %v", err)
-		}
-	}
-	rep := s.Resync()
-	if rep.Resynced != 1 || !rep.Identical {
-		t.Fatalf("resync report = %+v, want 1 resynced, identical", rep)
-	}
-}
-
 func TestBreakerTripsAndProbeRestores(t *testing.T) {
 	clk := time.Now()
 	var mu sync.Mutex
@@ -224,28 +127,26 @@ func TestBreakerTripsAndProbeRestores(t *testing.T) {
 
 	fp := failpoint.New(1)
 	fp.SetSleeper(func(time.Duration) {})
-	s := Open(WithShards(2), WithReplicas(2), WithFailpoints(fp),
-		WithMetrics(metrics.NewRegistry()), WithHedgeDelay(time.Millisecond),
+	s := Open(WithShards(2), WithFailpoints(fp), WithMetrics(metrics.NewRegistry()),
 		WithBreaker(breaker.Config{Threshold: 2, Cooldown: time.Second, Now: now}))
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 30)
 	si, id := shardWithDocs(c, ids)
 
-	fp.Set(ReplicaTarget(si, 0), failpoint.Rule{Down: true})
-	fp.Set(ReplicaTarget(si, 1), failpoint.Rule{Down: true})
-	for i := 0; i < 4; i++ {
-		c.Get(id) // feed failures until both breakers trip
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
+	for i := 0; i < 2; i++ {
+		c.Get(id) // feed failures until the breaker trips
 	}
-	if st := s.Breaker(si, 0).State(); st != breaker.Open {
-		t.Fatalf("replica 0 breaker = %v, want open", st)
+	if st := s.Health()[si].State; st != "open" {
+		t.Fatalf("shard %d breaker = %v, want open", si, st)
 	}
 	// while open, reads fail fast without consulting the failpoint
-	before := fp.Checks(ReplicaTarget(si, 0))
+	before := fp.Checks(ShardTarget(si))
 	if _, err := c.Get(id); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Get = %v, want ErrShardUnavailable", err)
 	}
-	if fp.Checks(ReplicaTarget(si, 0)) != before {
-		t.Fatal("open breaker still hit the replica")
+	if fp.Checks(ShardTarget(si)) != before {
+		t.Fatal("open breaker still hit the shard")
 	}
 
 	// recovery: failpoint clears, cooldown elapses, the half-open probe
@@ -255,46 +156,16 @@ func TestBreakerTripsAndProbeRestores(t *testing.T) {
 	if _, err := c.Get(id); err != nil {
 		t.Fatalf("probe read after recovery failed: %v", err)
 	}
-	if st := s.Breaker(si, 0).State(); st == breaker.Open {
-		t.Fatal("breaker still open after successful probe")
+	if st := s.Health()[si].State; st != "closed" {
+		t.Fatalf("breaker %s after successful probe, want closed", st)
 	}
 }
 
-func TestHedgedSnapshotBeatsSlowReplica(t *testing.T) {
-	fp := failpoint.New(1) // real sleeper: latency must actually delay
-	reg := metrics.NewRegistry()
-	s := Open(WithShards(1), WithReplicas(2), WithFailpoints(fp),
-		WithMetrics(reg), WithHedgeDelay(2*time.Millisecond))
-	c := s.Collection("pubs")
-	seedDocs(t, c, 20)
-
-	// replica 0 is slow, replica 1 fast: whenever rotation starts on 0,
-	// the hedge must fire and replica 1 must answer within the budget
-	fp.Set(ReplicaTarget(0, 0), failpoint.Rule{Latency: 300 * time.Millisecond})
-	for i := 0; i < 6; i++ {
-		start := time.Now()
-		docs, err := c.SnapshotShardContext(context.Background(), 0)
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		if len(docs) != 20 {
-			t.Fatalf("snapshot %d returned %d docs, want 20", i, len(docs))
-		}
-		if d := time.Since(start); d > 150*time.Millisecond {
-			t.Fatalf("snapshot %d took %v despite hedging", i, d)
-		}
-	}
-	if got := reg.Counter("hedged_requests").Value(); got < 1 {
-		t.Fatalf("hedged_requests = %d, want ≥ 1", got)
-	}
-}
-
-// TestConcurrentUpdateScan pins the shard-locking invariant the replica
-// work reshaped: concurrent Update, Insert, Get, and ScanContext must
-// be race-free and every scan must observe internally consistent
-// documents (run under -race).
+// TestConcurrentUpdateScan pins the shard-locking invariant: concurrent
+// Update, Insert, Get, and ScanContext must be race-free and every scan
+// must observe internally consistent documents (run under -race).
 func TestConcurrentUpdateScan(t *testing.T) {
-	s := Open(WithShards(4), WithReplicas(3), WithMetrics(metrics.NewRegistry()))
+	s := Open(WithShards(4), WithMetrics(metrics.NewRegistry()))
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 200)
 
@@ -364,9 +235,6 @@ func TestConcurrentUpdateScan(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if !s.ReplicasIdentical() {
-		t.Fatal("replicas diverged under concurrent load")
-	}
 }
 
 func TestSaveFailsOnDarkShard(t *testing.T) {
@@ -374,7 +242,7 @@ func TestSaveFailsOnDarkShard(t *testing.T) {
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 30)
 	si, _ := shardWithDocs(c, ids)
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 	if err := s.Save(t.TempDir()); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Save with dark shard = %v, want ErrShardUnavailable", err)
 	}
@@ -392,18 +260,13 @@ func TestHealthReflectsOutage(t *testing.T) {
 		}
 	}
 
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 	for i := 0; i < 8; i++ {
 		c.Get(id) // trip the breakers
 	}
 	h := s.Health()
-	if h[si].Ready {
-		t.Fatalf("dark shard %d still reports ready: %+v", si, h[si])
-	}
-	for _, rh := range h[si].Replicas {
-		if rh.State != "open" {
-			t.Fatalf("replica %d state = %s, want open", rh.Replica, rh.State)
-		}
+	if h[si].Ready || h[si].State != "open" {
+		t.Fatalf("dark shard %d = %+v, want not ready, open", si, h[si])
 	}
 }
 
@@ -436,7 +299,7 @@ func TestShardIDsContextDarkShard(t *testing.T) {
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 40)
 	si, _ := shardWithDocs(c, ids)
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 	if _, err := c.ShardIDsContext(context.Background(), si); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("dark shard id scan err = %v, want ErrShardUnavailable", err)
 	}
@@ -457,12 +320,12 @@ func TestAllShardsServing(t *testing.T) {
 	}
 	// darken one shard and trip its breakers via failed reads
 	si, id := shardWithDocs(c, ids)
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
 	for i := 0; i < 10; i++ {
 		c.Get(id) //nolint:errcheck // driving the breakers open
 	}
 	if c.AllShardsServing() {
-		t.Fatal("shard with every breaker open should not count as serving")
+		t.Fatal("shard with its breaker open should not count as serving")
 	}
 	// recovery: failpoint cleared, half-open probes close the breakers
 	fp.ClearAll()

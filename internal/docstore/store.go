@@ -1,11 +1,11 @@
 // Package docstore is the COVIDKG back-end storage substrate: a sharded,
-// replicated, concurrency-safe JSON document store standing in for the
-// paper's sharded MongoDB cluster (§2, "Storage"). It offers named
-// collections, hash sharding on the document id, per-shard replica
-// groups that turn each shard into a failure domain (quorum writes,
-// reads from any healthy replica, hedged shard snapshots, CRC-verified
-// resync), CRUD, snapshot scans feeding the aggregation pipeline,
-// secondary equality indexes, and JSON-lines persistence.
+// concurrency-safe JSON document store standing in for the paper's
+// sharded MongoDB cluster (§2, "Storage"). It offers named collections,
+// hash sharding on the document id with one copy per shard, each shard
+// a failure domain (a breaker and a failpoint target; a dark shard
+// rejects writes whole and fails its reads), CRUD, snapshot scans
+// feeding the aggregation pipeline, secondary equality indexes, and
+// JSON-lines persistence.
 package docstore
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"covidkg/internal/breaker"
 	"covidkg/internal/failpoint"
@@ -36,26 +35,22 @@ var (
 	ErrNoCollection = errors.New("docstore: collection does not exist")
 )
 
-// Store is a sharded, replicated multi-collection document store. Each
-// of its numShards shards is a replica group of numReplicas copies;
-// breakers and failpoints are store-level (a replica is a physical
-// failure domain shared by every collection).
+// Store is a sharded multi-collection document store holding one copy
+// of each shard. Breakers and failpoints are store-level: a shard is one
+// failure domain shared by every collection.
 type Store struct {
-	numShards   int
-	numReplicas int
-	quorum      int
-	fs          faultfs.FS          // filesystem for persistence; tests inject faults
-	fp          *failpoint.Registry // runtime fault layer; nil means healthy
-	met         *metrics.Registry
-	brkCfg      breaker.Config
-	brk         [][]*breaker.Breaker // [shard][replica]
-	hedgeDelay  time.Duration        // 0 = adaptive
+	numShards int
+	fs        faultfs.FS          // filesystem for persistence; tests inject faults
+	fp        *failpoint.Registry // runtime fault layer; nil means healthy
+	met       *metrics.Registry
+	brkCfg    breaker.Config
+	brk       []*breaker.Breaker // per shard
+	targets   []string           // ShardTarget per shard
 
 	mu          sync.RWMutex
 	collections map[string]*Collection
 
-	idSeq   atomic.Uint64
-	readSeq atomic.Uint64 // rotates the replica a read starts from
+	idSeq atomic.Uint64
 }
 
 // Option configures a Store.
@@ -70,15 +65,11 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithReplicas sets the per-shard replica count (default 3, min 1).
-// Writes need a majority; reads need one healthy, up-to-date replica.
-func WithReplicas(n int) Option {
-	return func(s *Store) {
-		if n >= 1 {
-			s.numReplicas = n
-		}
-	}
-}
+// WithReplicas is a no-op: every shard holds one copy.
+//
+// Deprecated: kept only for benchmark/probes.go:59, which still passes
+// it; delete it with that call site.
+func WithReplicas(int) Option { return func(*Store) {} }
 
 // WithFS substitutes the filesystem used by Save/Load. Tests pass a
 // faultfs.Faulty to simulate crashes mid-save.
@@ -90,23 +81,22 @@ func WithFS(fs faultfs.FS) Option {
 	}
 }
 
-// WithFailpoints attaches the runtime fault registry; every replica
-// access checks its ReplicaTarget against it. Nil (the default) means
+// WithFailpoints attaches the runtime fault registry; every shard
+// access checks its ShardTarget against it. Nil (the default) means
 // no injection.
 func WithFailpoints(fp *failpoint.Registry) Option {
 	return func(s *Store) { s.fp = fp }
 }
 
-// WithBreaker tunes the per-replica circuit breakers (threshold,
+// WithBreaker tunes the per-shard circuit breakers (threshold,
 // cooldown, clock). The store installs its own OnStateChange hook to
 // count breaker_open transitions.
 func WithBreaker(cfg breaker.Config) Option {
 	return func(s *Store) { s.brkCfg = cfg }
 }
 
-// WithMetrics directs the store's counters (hedged_requests,
-// breaker_open, replica_resyncs) and replica-read histogram to reg
-// (default metrics.Default()).
+// WithMetrics directs the store's breaker_open counter to reg (default
+// metrics.Default()).
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(s *Store) {
 		if reg != nil {
@@ -115,17 +105,10 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithHedgeDelay fixes the hedge budget for shard snapshot reads,
-// overriding the adaptive p95-based budget.
-func WithHedgeDelay(d time.Duration) Option {
-	return func(s *Store) { s.hedgeDelay = d }
-}
-
 // Open creates an empty in-memory store.
 func Open(opts ...Option) *Store {
 	s := &Store{
 		numShards:   4,
-		numReplicas: 3,
 		fs:          faultfs.OS{},
 		met:         metrics.Default(),
 		collections: map[string]*Collection{},
@@ -133,35 +116,27 @@ func Open(opts ...Option) *Store {
 	for _, o := range opts {
 		o(s)
 	}
-	s.quorum = s.numReplicas/2 + 1
-	s.brk = make([][]*breaker.Breaker, s.numShards)
-	for si := range s.brk {
-		s.brk[si] = make([]*breaker.Breaker, s.numReplicas)
-		for ri := range s.brk[si] {
-			cfg := s.brkCfg
-			prev := cfg.OnStateChange
-			cfg.OnStateChange = func(from, to breaker.State) {
-				if to == breaker.Open {
-					s.met.Counter("breaker_open").Inc()
-				}
-				if prev != nil {
-					prev(from, to)
-				}
-			}
-			s.brk[si][ri] = breaker.New(cfg)
+	cfg := s.brkCfg
+	prev := cfg.OnStateChange
+	cfg.OnStateChange = func(from, to breaker.State) {
+		if to == breaker.Open {
+			s.met.Counter("breaker_open").Inc()
 		}
+		if prev != nil {
+			prev(from, to)
+		}
+	}
+	s.brk = make([]*breaker.Breaker, s.numShards)
+	s.targets = make([]string, s.numShards)
+	for si := range s.brk {
+		s.brk[si] = breaker.New(cfg)
+		s.targets[si] = ShardTarget(si)
 	}
 	return s
 }
 
 // NumShards returns the configured shard count.
 func (s *Store) NumShards() int { return s.numShards }
-
-// NumReplicas returns the per-shard replica count.
-func (s *Store) NumReplicas() int { return s.numReplicas }
-
-// Quorum returns the write quorum (majority of replicas).
-func (s *Store) Quorum() int { return s.quorum }
 
 // FS returns the filesystem used for persistence, so higher layers
 // (core.System checkpoints) share the store's fault-injection surface.
@@ -170,9 +145,6 @@ func (s *Store) FS() faultfs.FS { return s.fs }
 // Failpoints returns the runtime fault registry (nil when chaos is
 // off), so chaos harnesses can address the same targets.
 func (s *Store) Failpoints() *failpoint.Registry { return s.fp }
-
-// Breaker exposes one replica's breaker for tests and health probes.
-func (s *Store) Breaker(shard, replica int) *breaker.Breaker { return s.brk[shard][replica] }
 
 // Collection returns the named collection, creating it on first use.
 func (s *Store) Collection(name string) *Collection {
@@ -224,9 +196,8 @@ func (s *Store) nextID() string {
 	return "doc-" + strconv.FormatUint(s.idSeq.Add(1), 36)
 }
 
-// Stats summarizes the store's physical layout. Counts come from each
-// shard's freshest replica (introspective — no breaker or failpoint
-// involvement).
+// Stats summarizes the store's physical layout (introspective — no
+// breaker or failpoint involvement).
 type Stats struct {
 	Collections int
 	Documents   int
@@ -240,13 +211,12 @@ func (s *Store) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := Stats{Collections: len(s.collections), PerShard: make([]int, s.numShards)}
 	for _, c := range s.collections {
-		for i, sg := range c.shards {
-			sg.mu.RLock()
-			r := sg.freshest()
-			st.Documents += len(r.docs)
-			st.PerShard[i] += len(r.docs)
-			st.Bytes += r.bytes
-			sg.mu.RUnlock()
+		for i, sh := range c.shards {
+			sh.mu.RLock()
+			st.Documents += len(sh.docs)
+			st.PerShard[i] += len(sh.docs)
+			st.Bytes += sh.bytes
+			sh.mu.RUnlock()
 		}
 	}
 	return st
@@ -260,11 +230,11 @@ func shardOf(id string, n int) int {
 }
 
 // Collection is a named set of documents partitioned over the store's
-// shards, each shard a replica group.
+// shards.
 type Collection struct {
 	name   string
 	store  *Store
-	shards []*shardGroup
+	shards []*shard
 
 	idxMu   sync.RWMutex
 	indexes map[string]*equalityIndex
@@ -274,11 +244,11 @@ func newCollection(name string, s *Store) *Collection {
 	c := &Collection{
 		name:    name,
 		store:   s,
-		shards:  make([]*shardGroup, s.numShards),
+		shards:  make([]*shard, s.numShards),
 		indexes: map[string]*equalityIndex{},
 	}
 	for i := range c.shards {
-		c.shards[i] = newShardGroup(s.numReplicas)
+		c.shards[i] = &shard{docs: map[string]jsondoc.Doc{}}
 	}
 	return c
 }
@@ -286,11 +256,10 @@ func newCollection(name string, s *Store) *Collection {
 // Name returns the collection name.
 func (c *Collection) Name() string { return c.name }
 
-// Insert stores a document on a quorum of the target shard's replicas.
-// A missing _id is assigned; the stored copy is detached from the
-// caller's document. Returns the document id, or ErrNoQuorum (wrapped
-// in a ShardError) when the shard cannot commit — in which case no
-// replica applied the write.
+// Insert stores a document on its shard. A missing _id is assigned; the
+// stored copy is detached from the caller's document. Returns the
+// document id, or ErrNoQuorum (wrapped in a ShardError) when the shard
+// is dark — in which case the write was applied nowhere.
 func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 	doc := jsondoc.NormalizeDoc(d)
 	id, _ := doc[IDField].(string)
@@ -298,27 +267,18 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 		id = c.store.nextID()
 		doc[IDField] = id
 	}
-	si := shardOf(id, len(c.shards))
-	sg := c.shards[si]
 	size := len(doc.JSON())
-	sg.mu.Lock()
-	live, err := c.store.writableReplicas(sg, si)
+	sh, err := c.lockForWrite(id)
 	if err != nil {
-		sg.mu.Unlock()
 		return "", err
 	}
-	if _, exists := live[0].docs[id]; exists {
-		sg.mu.Unlock()
+	if _, exists := sh.docs[id]; exists {
+		sh.mu.Unlock()
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	commit := sg.version + 1
-	for _, r := range live {
-		r.docs[id] = doc
-		r.bytes += size
-		r.version = commit
-	}
-	sg.version = commit
-	sg.mu.Unlock()
+	sh.docs[id] = doc
+	sh.bytes += size
+	sh.mu.Unlock()
 	c.indexInsert(id, doc)
 	return id, nil
 }
@@ -336,20 +296,17 @@ func (c *Collection) InsertMany(docs []jsondoc.Doc) ([]string, error) {
 	return ids, nil
 }
 
-// Get returns a deep copy of the document with the given id, read from
-// any healthy up-to-date replica of its shard. When the whole shard is
-// dark the error wraps ErrShardUnavailable.
+// Get returns a deep copy of the document with the given id. When its
+// shard is dark the error is a ShardError wrapping ErrShardUnavailable.
 func (c *Collection) Get(id string) (jsondoc.Doc, error) {
 	si := shardOf(id, len(c.shards))
-	sg := c.shards[si]
-	sg.mu.RLock()
-	r, err := c.readReplica(sg, si)
-	if err != nil {
-		sg.mu.RUnlock()
+	if err := c.store.readGate(si); err != nil {
 		return nil, err
 	}
-	doc, ok := r.docs[id]
-	sg.mu.RUnlock()
+	sh := c.shards[si]
+	sh.mu.RLock()
+	doc, ok := sh.docs[id]
+	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -384,109 +341,80 @@ func (c *Collection) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, 
 }
 
 // Replace swaps the document with the given id for a new body (the _id
-// is preserved), committing to a quorum of replicas.
+// is preserved).
 func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 	doc := jsondoc.NormalizeDoc(d)
 	doc[IDField] = id
-	si := shardOf(id, len(c.shards))
-	sg := c.shards[si]
 	size := len(doc.JSON())
-	sg.mu.Lock()
-	live, err := c.store.writableReplicas(sg, si)
+	sh, err := c.lockForWrite(id)
 	if err != nil {
-		sg.mu.Unlock()
 		return err
 	}
-	old, ok := live[0].docs[id]
+	old, ok := sh.docs[id]
 	if !ok {
-		sg.mu.Unlock()
+		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	commit := sg.version + 1
-	for _, r := range live {
-		r.bytes += size - len(old.JSON())
-		r.docs[id] = doc
-		r.version = commit
-	}
-	sg.version = commit
-	sg.mu.Unlock()
+	sh.bytes += size - len(old.JSON())
+	sh.docs[id] = doc
+	sh.mu.Unlock()
 	c.indexRemove(id, old)
 	c.indexInsert(id, doc)
 	return nil
 }
 
-// Update applies fn to a copy of the document and stores the result on
-// a quorum of replicas. fn returning an error aborts the update.
+// Update applies fn to a copy of the document and stores the result.
+// fn returning an error aborts the update.
 func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
-	si := shardOf(id, len(c.shards))
-	sg := c.shards[si]
-	sg.mu.Lock()
-	live, err := c.store.writableReplicas(sg, si)
+	sh, err := c.lockForWrite(id)
 	if err != nil {
-		sg.mu.Unlock()
 		return err
 	}
-	old, ok := live[0].docs[id]
+	old, ok := sh.docs[id]
 	if !ok {
-		sg.mu.Unlock()
+		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	doc := old.Clone()
 	if err := fn(doc); err != nil {
-		sg.mu.Unlock()
+		sh.mu.Unlock()
 		return err
 	}
 	doc[IDField] = id
-	delta := len(doc.JSON()) - len(old.JSON())
-	commit := sg.version + 1
-	for _, r := range live {
-		r.bytes += delta
-		r.docs[id] = doc
-		r.version = commit
-	}
-	sg.version = commit
-	sg.mu.Unlock()
+	sh.bytes += len(doc.JSON()) - len(old.JSON())
+	sh.docs[id] = doc
+	sh.mu.Unlock()
 	c.indexRemove(id, old)
 	c.indexInsert(id, doc)
 	return nil
 }
 
-// Delete removes the document with the given id from a quorum of
-// replicas.
+// Delete removes the document with the given id.
 func (c *Collection) Delete(id string) error {
-	si := shardOf(id, len(c.shards))
-	sg := c.shards[si]
-	sg.mu.Lock()
-	live, err := c.store.writableReplicas(sg, si)
+	sh, err := c.lockForWrite(id)
 	if err != nil {
-		sg.mu.Unlock()
 		return err
 	}
-	old, ok := live[0].docs[id]
+	old, ok := sh.docs[id]
 	if !ok {
-		sg.mu.Unlock()
+		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	commit := sg.version + 1
-	for _, r := range live {
-		r.bytes -= len(old.JSON())
-		delete(r.docs, id)
-		r.version = commit
-	}
-	sg.version = commit
-	sg.mu.Unlock()
+	sh.bytes -= len(old.JSON())
+	delete(sh.docs, id)
+	sh.mu.Unlock()
 	c.indexRemove(id, old)
 	return nil
 }
 
 // Count returns the number of documents in the collection
-// (introspective: counted on each shard's freshest replica).
+// (introspective: no breaker or failpoint involvement).
 func (c *Collection) Count() int {
 	n := 0
-	for _, sg := range c.shards {
-		sg.mu.RLock()
-		n += len(sg.freshest().docs)
-		sg.mu.RUnlock()
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		n += len(sh.docs)
+		sh.mu.RUnlock()
 	}
 	return n
 }
@@ -505,12 +433,11 @@ const ScanCheckInterval = 64
 
 // ScanContext is Scan under a request context: shard snapshots and the
 // callback loop both check ctx every ScanCheckInterval documents, so a
-// client that hung up stops costing CPU within one interval. Each shard
-// is served by any healthy up-to-date replica (with hedging); a fully
-// dark shard fails the scan with a ShardError wrapping
-// ErrShardUnavailable — full scans must fail loudly rather than
-// silently drop a partition. Degraded readers that can tolerate missing
-// shards use SnapshotShardContext per shard instead.
+// client that hung up stops costing CPU within one interval. A dark
+// shard fails the scan with a ShardError wrapping ErrShardUnavailable —
+// full scans must fail loudly rather than silently drop a partition.
+// Degraded readers that can tolerate missing shards use
+// SnapshotShardContext per shard instead.
 func (c *Collection) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
 	n := 0
 	for si := range c.shards {
@@ -547,12 +474,12 @@ func (c *Collection) All() []jsondoc.Doc {
 // IDs returns every document id, sorted (introspective).
 func (c *Collection) IDs() []string {
 	var out []string
-	for _, sg := range c.shards {
-		sg.mu.RLock()
-		for id := range sg.freshest().docs {
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		for id := range sh.docs {
 			out = append(out, id)
 		}
-		sg.mu.RUnlock()
+		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
 	return out

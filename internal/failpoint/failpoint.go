@@ -1,5 +1,5 @@
 // Package failpoint is the runtime fault layer of the storage
-// robustness stack: a registry of named targets (a docstore replica, a
+// robustness stack: a registry of named targets (a docstore shard, a
 // remote backend, any failure domain) onto which tests and chaos
 // harnesses inject latency, probabilistic errors, or full outages while
 // the process keeps running. It complements internal/faultfs, which
@@ -29,7 +29,7 @@ var ErrInjected = errors.New("failpoint: injected failure")
 // healthy target.
 type Rule struct {
 	// Down makes every operation against the target fail — a dead
-	// replica, an unreachable node.
+	// shard, an unreachable node.
 	Down bool
 	// ErrRate in [0,1] fails that fraction of operations, drawn from
 	// the registry's seeded PRNG — a flaky link.
@@ -87,8 +87,8 @@ func (r *Registry) SetSleeper(fn func(time.Duration)) {
 
 // Set installs (or replaces) the rule for a target. A target ending in
 // "*" is a prefix rule matching every target that starts with the part
-// before the star — Set("shard2/*", Rule{Down: true}) darkens a whole
-// shard.
+// before the star — Set("shard2/*", Rule{Down: true}) fails every
+// target named "shard2/…".
 func (r *Registry) Set(target string, rule Rule) {
 	if r == nil {
 		return

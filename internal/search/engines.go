@@ -64,11 +64,10 @@ func (e *Engine) resolveCandidates(ctx context.Context, ids []string) ([]jsondoc
 }
 
 // scatterScanIDs lists the whole collection's doc ids shard by shard,
-// the shards raced in parallel through hedged replica id reads. Unlike
-// a full-document scatter scan this clones nothing. A
-// shard whose every replica is unavailable is skipped and reported in
-// missing rather than failing the scan. Context errors still abort the
-// whole scan. The returned ids are globally sorted.
+// the shards read in parallel. Unlike a full-document scatter scan this
+// clones nothing. A dark shard is skipped and reported in missing
+// rather than failing the scan. Context errors still abort the whole
+// scan. The returned ids are globally sorted.
 func (e *Engine) scatterScanIDs(ctx context.Context) ([]string, []int, error) {
 	n := e.coll.NumShards()
 	snaps := make([][]string, n)

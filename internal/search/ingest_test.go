@@ -21,16 +21,16 @@ import (
 
 // TestAddDocumentIndexesDespiteReadbackFailure pins the store/index
 // divergence fix: AddDocument used to insert, then re-read the stored
-// copy, then index the readback. A replica dying between the two calls
+// copy, then index the readback. A shard dying between the two calls
 // made AddDocument fail AFTER the write landed — document stored,
 // never indexed, permanently invisible to search. The fixed path
 // indexes the insert result and never reads back.
 func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
 	reg := failpoint.New(1)
-	s := docstore.Open(docstore.WithShards(1), docstore.WithReplicas(1), docstore.WithFailpoints(reg))
+	s := docstore.Open(docstore.WithShards(1), docstore.WithFailpoints(reg))
 	c := s.Collection("pubs")
 	e := NewEngine(c)
-	target := docstore.ReplicaTarget(0, 0)
+	target := docstore.ShardTarget(0)
 
 	// Measure how many failpoint checks one insert performs, so the
 	// outage can be scheduled to start exactly after the write lands.
@@ -46,11 +46,11 @@ func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
 	reg.Set(target, failpoint.Rule{Down: true, SkipChecks: insertChecks})
 	id, err := e.AddDocument(pub("", "Zymurgy advances", "A zymurgy survey.", ""))
 	if err != nil {
-		t.Fatalf("AddDocument failed when the replica died after the write: %v", err)
+		t.Fatalf("AddDocument failed when the shard died after the write: %v", err)
 	}
 	// The readback window is real: the store is unreachable right now.
 	if _, err := c.Get(id); err == nil {
-		t.Fatal("expected store reads to fail while the replica is down")
+		t.Fatal("expected store reads to fail while the shard is down")
 	}
 	stem := textproc.Stem("zymurgy")
 	if df := e.Index().DocFreq(stem); df != 1 {

@@ -12,7 +12,7 @@ import (
 	"covidkg/internal/metrics"
 )
 
-// partialFixture builds an engine over a replicated 4-shard store with a
+// partialFixture builds an engine over a 4-shard store with a
 // failpoint registry, seeded so every shard holds several matching docs.
 func partialFixture(t *testing.T) (*Engine, *docstore.Collection, *failpoint.Registry, *metrics.Registry) {
 	t.Helper()
@@ -20,11 +20,9 @@ func partialFixture(t *testing.T) (*Engine, *docstore.Collection, *failpoint.Reg
 	fp.SetSleeper(func(time.Duration) {})
 	s := docstore.Open(
 		docstore.WithShards(4),
-		docstore.WithReplicas(3),
 		docstore.WithFailpoints(fp),
 		docstore.WithMetrics(metrics.NewRegistry()),
 		docstore.WithBreaker(breaker.Config{Threshold: 2, Cooldown: time.Millisecond}),
-		docstore.WithHedgeDelay(time.Millisecond),
 	)
 	c := s.Collection("pubs")
 	for i := 0; i < 40; i++ {
@@ -42,11 +40,11 @@ func partialFixture(t *testing.T) (*Engine, *docstore.Collection, *failpoint.Reg
 	return e, c, fp, reg
 }
 
-// darkenShard downs every replica of one shard and returns its index
+// darkenShard downs one shard and returns its index
 // plus how many seeded docs live there.
 func darkenShard(c *docstore.Collection, fp *failpoint.Registry) (int, int) {
 	si := c.ShardOfID("p00")
-	fp.Set(fmt.Sprintf("shard%d/*", si), failpoint.Rule{Down: true})
+	fp.Set(docstore.ShardTarget(si), failpoint.Rule{Down: true})
 	n := 0
 	for i := 0; i < 40; i++ {
 		if c.ShardOfID(fmt.Sprintf("p%02d", i)) == si {
@@ -115,7 +113,7 @@ func TestPartialPageNeverCached(t *testing.T) {
 	}
 
 	// shard recovers: clear faults, let the breaker cooldown elapse, and
-	// re-close the replica breakers with probe reads
+	// re-close the shard's breaker with a probe read
 	fp.ClearAll()
 	time.Sleep(5 * time.Millisecond)
 	id := ""

@@ -205,8 +205,8 @@ func (c *shardClient) call(ctx context.Context, req *request) (*response, error)
 	return resp, nil
 }
 
-// currentHedgeDelay mirrors the replica layer's adaptive budget: twice
-// the observed p95 call latency, clamped to [1ms, 250ms], defaulting to
+// currentHedgeDelay is the adaptive hedge budget: twice the observed
+// p95 call latency, clamped to [1ms, 250ms], defaulting to
 // 25ms until 16 calls have been observed. A fixed opts.hedgeDelay
 // overrides.
 func (c *shardClient) currentHedgeDelay() time.Duration {

@@ -24,21 +24,15 @@ package shardnet
 // count is checked against the bytes actually remaining in the frame
 // before any allocation is sized from it, so a corrupt or hostile
 // frame costs at most the frame itself (already bounded by maxFrame).
-//
-// Cold-path response fields (replica health, resync reports) ride as
-// embedded JSON — they appear on ops called a few times a minute, and
-// keeping them out of the binary schema keeps it small.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 
-	"covidkg/internal/docstore"
 	"covidkg/internal/jsondoc"
 )
 
@@ -660,9 +654,8 @@ const (
 	pfN        = 7
 	pfCRC      = 8
 	pfManifest = 9
-	pfHealth   = 10 // embedded JSON (cold path)
-	pfStale    = 11
-	pfResync   = 12 // embedded JSON (cold path)
+	// 10–12 (replica health, stale replica count, resync report) are
+	// retired; never reuse them.
 	pfWALBytes = 13
 )
 
@@ -683,21 +676,6 @@ func appendBinaryResponse(b []byte, corr uint64, resp *response) ([]byte, error)
 	b = appendVarintField(b, pfN, uint64(resp.N))
 	b = appendVarintField(b, pfCRC, uint64(resp.CRC))
 	b = appendManifestField(b, pfManifest, resp.Manifest)
-	if len(resp.Health) > 0 {
-		hb, err := json.Marshal(resp.Health)
-		if err != nil {
-			return b, codecErr("encode health: %v", err)
-		}
-		b = appendBytesField(b, pfHealth, hb)
-	}
-	b = appendVarintField(b, pfStale, uint64(resp.Stale))
-	if resp.Resync != nil {
-		rb, err := json.Marshal(resp.Resync)
-		if err != nil {
-			return b, codecErr("encode resync: %v", err)
-		}
-		b = appendBytesField(b, pfResync, rb)
-	}
 	b = appendVarintField(b, pfWALBytes, uint64(resp.WALBytes))
 	return b, nil
 }
@@ -724,8 +702,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 				resp.N = int(v)
 			case pfCRC:
 				resp.CRC = uint32(v)
-			case pfStale:
-				resp.Stale = int(v)
 			case pfWALBytes:
 				resp.WALBytes = int64(v)
 			}
@@ -753,15 +729,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 		case pfManifest:
 			if resp.Manifest, err = decodeManifest(fp); err != nil {
 				return 0, nil, err
-			}
-		case pfHealth:
-			if err := json.Unmarshal(fp, &resp.Health); err != nil {
-				return 0, nil, codecErr("decode health: %v", err)
-			}
-		case pfResync:
-			resp.Resync = new(docstore.ResyncReport)
-			if err := json.Unmarshal(fp, resp.Resync); err != nil {
-				return 0, nil, codecErr("decode resync: %v", err)
 			}
 		}
 	}

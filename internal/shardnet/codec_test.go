@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"covidkg/internal/docstore"
 	"covidkg/internal/jsondoc"
 )
 
@@ -110,7 +109,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 }
 
 // TestBinaryResponseRoundTrip is the same property on the response
-// side, including the JSON-carried cold-path fields (health, resync).
+// side.
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 500; i++ {
@@ -120,21 +119,14 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			Docs:     randDocs(rng, rng.Intn(3)),
 			N:        rng.Intn(1000),
 			CRC:      uint32(rng.Int63()),
-			Stale:    rng.Intn(3),
 			WALBytes: rng.Int63n(1 << 30),
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0:
 			resp.ErrCode, resp.ErrMsg = codeNotFound, "no such doc"
 		case 1:
 			resp.Doc = randDoc(rng, 2)
 			resp.Manifest = map[string]uint32{"a": 1, "b": uint32(rng.Intn(100))}
-		case 2:
-			resp.Health = []docstore.ShardHealth{{Shard: rng.Intn(4), Ready: true, Replicas: []docstore.ReplicaHealth{
-				{Replica: 0, State: "closed", UpToDate: true},
-				{Replica: 1, State: "open", BehindIn: 1 + rng.Intn(3)},
-			}}}
-			resp.Resync = &docstore.ResyncReport{Collections: 1, Resynced: rng.Intn(3), Identical: rng.Intn(2) == 0}
 		}
 
 		bin, err := appendBinaryResponse(nil, 42, resp)

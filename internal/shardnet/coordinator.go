@@ -531,18 +531,16 @@ var _ docstore.Docs = (*Coordinator)(nil)
 // ------------------------------------------------------- health/ops
 
 // ConnHealth is one shard connection's state as reported by /readyz:
-// "connected" (reachable, replicas current), "resyncing" (reachable
-// but the inner replica group still has stale replicas),
-// "breaker-open" (the breaker has the shard out of rotation), or
-// "unreachable" (probe failed without tripping the breaker open yet).
+// "connected" (reachable), "breaker-open" (the breaker has the shard
+// out of rotation), or "unreachable" (probe failed without tripping
+// the breaker open yet).
 type ConnHealth struct {
-	Shard         int    `json:"shard"`
-	Name          string `json:"name"`
-	Addr          string `json:"addr"`
-	State         string `json:"state"`
-	Docs          int    `json:"docs"`
-	StaleReplicas int    `json:"stale_replicas"`
-	WALBytes      int64  `json:"wal_bytes,omitempty"`
+	Shard    int    `json:"shard"`
+	Name     string `json:"name"`
+	Addr     string `json:"addr"`
+	State    string `json:"state"`
+	Docs     int    `json:"docs"`
+	WALBytes int64  `json:"wal_bytes,omitempty"`
 }
 
 // Ready reports whether every shard is "connected".
@@ -583,13 +581,8 @@ func (co *Coordinator) Health(ctx context.Context) ([]ConnHealth, uint64) {
 				return
 			}
 			h.Docs = resp.N
-			h.StaleReplicas = resp.Stale
 			h.WALBytes = resp.WALBytes
-			if resp.Stale > 0 {
-				h.State = "resyncing"
-			} else {
-				h.State = "connected"
-			}
+			h.State = "connected"
 			out[si] = h
 		}(i)
 	}
@@ -611,25 +604,4 @@ func (co *Coordinator) Ping(ctx context.Context) error {
 		return fmt.Errorf("shardnet: %d/%d shards unreachable: %v", len(dark), co.NumShards(), dark)
 	}
 	return nil
-}
-
-// ResyncAll asks every reachable shard server to run a replica resync
-// pass, aggregating the reports (dark shards are skipped — they will
-// replay their WAL when they return).
-func (co *Coordinator) ResyncAll(ctx context.Context) docstore.ResyncReport {
-	var agg docstore.ResyncReport
-	agg.Identical = true
-	for si := 0; si < co.NumShards(); si++ {
-		cl, _ := co.clientFor(si)
-		resp, err := cl.call(ctx, &request{Op: opResync, Shard: si})
-		if err != nil || resp.Resync == nil {
-			agg.Identical = false
-			continue
-		}
-		agg.Collections = max(agg.Collections, resp.Resync.Collections)
-		agg.Resynced += resp.Resync.Resynced
-		agg.Skipped += resp.Resync.Skipped
-		agg.Identical = agg.Identical && resp.Resync.Identical
-	}
-	return agg
 }

@@ -175,7 +175,7 @@ func TestServerClosesForeignFirstFrame(t *testing.T) {
 	for name, frame := range frames {
 		t.Run(name, func(t *testing.T) {
 			met := metrics.NewRegistry()
-			srv, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, Metrics: met, Logf: t.Logf})
+			srv, err := NewServer(ServerConfig{Name: "shard0", Metrics: met, Logf: t.Logf})
 			if err != nil {
 				t.Fatal(err)
 			}

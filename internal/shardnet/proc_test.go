@@ -43,9 +43,8 @@ func MaybeRunChild() {
 	}
 	name := os.Getenv(envChildName)
 	srv, err := NewServer(ServerConfig{
-		Name:     name,
-		Replicas: 3,
-		WALPath:  os.Getenv(envChildWAL),
+		Name:    name,
+		WALPath: os.Getenv(envChildWAL),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

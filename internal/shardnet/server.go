@@ -25,10 +25,6 @@ type ServerConfig struct {
 	Name string
 	// Collection is the collection this shard serves a partition of.
 	Collection string
-	// Replicas is the in-process replica-group width; the full quorum /
-	// resync machinery from the in-process tier runs unchanged inside
-	// the shard server, it just owns exactly one shard.
-	Replicas int
 	// WALPath, when non-empty, makes acked writes crash-durable: applied
 	// writes append to a checksummed, fsynced log that is replayed on
 	// restart (with torn-tail truncation). Empty disables durability
@@ -49,7 +45,7 @@ type idemOutcome struct {
 	errMsg  string
 }
 
-// Server hosts one shard: a single-shard replica-group store behind the
+// Server hosts one shard: a single-shard store behind the
 // length-prefixed wire protocol. It enforces deadline propagation
 // (requests whose propagated deadline already passed are refused
 // without touching the store), idempotent writes (a retried IdemKey
@@ -57,12 +53,11 @@ type idemOutcome struct {
 // fencing (after a cutover op, writes carrying an older map version are
 // rejected with stale_map so a drained owner cannot accept strays).
 type Server struct {
-	cfg   ServerConfig
-	store *docstore.Store
-	coll  *docstore.Collection
-	wal   *wal
-	met   *metrics.Registry
-	logf  func(string, ...any)
+	cfg  ServerConfig
+	coll *docstore.Collection
+	wal  *wal
+	met  *metrics.Registry
+	logf func(string, ...any)
 
 	// minMapVersion fences writes after migration cutover: a request
 	// whose MapVersion is non-zero and below this is stale-routed.
@@ -90,9 +85,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Collection == "" {
 		cfg.Collection = "publications"
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 3
-	}
 	met := cfg.Metrics
 	if met == nil {
 		met = metrics.NewRegistry()
@@ -108,12 +100,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		idem:  make(map[string]idemOutcome),
 		conns: make(map[net.Conn]struct{}),
 	}
-	s.store = docstore.Open(
-		docstore.WithShards(1),
-		docstore.WithReplicas(cfg.Replicas),
-		docstore.WithMetrics(met),
-	)
-	s.coll = s.store.Collection(cfg.Collection)
+	s.coll = docstore.Open(docstore.WithShards(1), docstore.WithMetrics(met)).Collection(cfg.Collection)
 	if cfg.WALPath != "" {
 		replayed := 0
 		w, err := openWAL(cfg.WALPath, func(rec walRecord) {
@@ -408,9 +395,6 @@ func (s *Server) dispatch(req *request) *response {
 		return s.handlePutBulk(req)
 	case opDeleteMany:
 		return s.handleDeleteMany(req)
-	case opResync:
-		rep := s.store.Resync()
-		return &response{Resync: &rep}
 	case opHealth:
 		return s.handleHealth()
 	case opCutover:
@@ -470,8 +454,7 @@ func (s *Server) recordIdem(key string, out idemOutcome) {
 //
 //  1. replayed idempotency key → return the recorded outcome, no
 //     re-apply;
-//  2. apply to the replica group (quorum commit, unchanged from the
-//     in-process tier);
+//  2. apply to the shard's store;
 //  3. WAL append of the applied document — the record joins a group
 //     commit with whatever other writes are in flight and the call
 //     returns once that group is fsynced;
@@ -494,8 +477,8 @@ func (s *Server) handleInsert(req *request) *response {
 	id, err := s.coll.Insert(req.Doc)
 	if err != nil {
 		// Duplicate-id rejections are deterministic: record them so a
-		// retry does not flip outcomes. Quorum failures are transient and
-		// deliberately NOT recorded — a later retry may succeed.
+		// retry does not flip outcomes. Dark-shard rejections are transient
+		// and deliberately NOT recorded — a later retry may succeed.
 		if errors.Is(err, docstore.ErrDuplicateID) {
 			code, msg := encodeWireErr(err)
 			s.recordIdem(req.IdemKey, idemOutcome{errCode: code, errMsg: msg})
@@ -631,20 +614,10 @@ func (s *Server) handleDeleteMany(req *request) *response {
 	return &response{N: len(applied)}
 }
 
-// handleHealth reports the inner replica group's health plus stale
-// replica count and WAL size — surfaced through the coordinator into
-// GET /readyz.
+// handleHealth reports the shard's document count and WAL size —
+// surfaced through the coordinator into GET /readyz.
 func (s *Server) handleHealth() *response {
-	health := s.store.Health()
-	stale := 0
-	for _, sh := range health {
-		for _, r := range sh.Replicas {
-			if !r.UpToDate {
-				stale++
-			}
-		}
-	}
-	resp := &response{Health: health, Stale: stale, N: s.coll.Count()}
+	resp := &response{N: s.coll.Count()}
 	if s.wal != nil {
 		resp.WALBytes = s.wal.bytes()
 	}

@@ -22,7 +22,7 @@ import (
 // startServer runs an in-process shard server on an ephemeral port.
 func startServer(t *testing.T, name, walPath string) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Name: name, Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv, err := NewServer(ServerConfig{Name: name, WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("NewServer(%s): %v", name, err)
 	}
@@ -237,7 +237,7 @@ func TestBatchIngestWithDarkShard(t *testing.T) {
 // to fsync per document — and the run replays record by record.
 func TestBulkOpsCommitOnce(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "shard0.wal")
-	srv, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv, err := NewServer(ServerConfig{Name: "shard0", WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestBulkOpsCommitOnce(t *testing.T) {
 	}
 	srv.Close()
 
-	srv2, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv2, err := NewServer(ServerConfig{Name: "shard0", WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "shard0.wal")
 
-	srv, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv, err := NewServer(ServerConfig{Name: "shard0", WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	f.Write([]byte{0x00, 0x00, 0x01, 0x00, 0xde, 0xad}) // truncated header+crc
 	f.Close()
 
-	srv2, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv2, err := NewServer(ServerConfig{Name: "shard0", WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("replay after crash: %v", err)
 	}
@@ -318,7 +318,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 	}
 
 	// The torn tail was truncated: a third replay sees the same state.
-	srv3, err := NewServer(ServerConfig{Name: "shard0", Replicas: 3, WALPath: walPath, Logf: t.Logf})
+	srv3, err := NewServer(ServerConfig{Name: "shard0", WALPath: walPath, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

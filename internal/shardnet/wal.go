@@ -13,7 +13,7 @@ import (
 )
 
 // walRecord is one committed write. Records are appended strictly after
-// the write has been applied to the in-memory replica group and acked
+// the write has been applied to the in-memory store and acked
 // strictly after the record is fsynced, so on SIGKILL the WAL can lag
 // the unacked tail of memory (fine — those writes were never
 // acknowledged) but an acked write is always recoverable: no lost

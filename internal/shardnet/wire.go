@@ -1,16 +1,14 @@
-// Package shardnet is the networked shard tier: it moves each shard's
-// replica group out of the serving process and into its own
-// covidkg-shard server, with a coordinator that scatter-gathers
-// search/fetch/ingest over N shard connections. The robustness
-// machinery built for in-process shards survives the move to the wire
-// with the same guarantees:
+// Package shardnet is the networked shard tier: it moves each shard out
+// of the serving process and into its own covidkg-shard server, with a
+// coordinator that scatter-gathers search/fetch/ingest over N shard
+// connections. The shard stays the failure domain, with these
+// guarantees on the wire:
 //
 //   - per-connection circuit breakers (internal/breaker) take a dead or
 //     flapping shard process out of rotation and rediscover it with a
 //     single half-open probe;
-//   - reads are hedged with the same adaptive 2×p95 budget the replica
-//     layer uses, so a slow-but-alive shard costs one budget, not its
-//     full stall;
+//   - reads are hedged with an adaptive 2×p95 budget, so a
+//     slow-but-alive shard costs one budget, not its full stall;
 //   - request deadlines propagate from the caller's context into the
 //     transport frame, so a shard server stops working on requests
 //     whose client is already gone;
@@ -20,9 +18,9 @@
 //     path: wire errors are reconstructed into the same *ShardError /
 //     ErrShardUnavailable chain the in-process store produces.
 //
-// Placement is consistent-hash over a versioned shard map, and resync
-// extends to live migration: a shard streams to a new process, the map
-// version cuts over, and the old owner drains.
+// Placement is consistent-hash over a versioned shard map, with live
+// migration: a shard streams to a new process, the map version cuts
+// over, and the old owner drains.
 //
 // The wire contract is one codec, b1 (codec.go): every frame in either
 // direction, from a connection's first byte, is a 4-byte big-endian
@@ -60,7 +58,6 @@ const (
 	opGetMany    = "get_many"
 	opPutBulk    = "put_bulk"
 	opDeleteMany = "delete_many"
-	opResync     = "resync"
 	opHealth     = "health"
 	opCutover    = "cutover"
 )
@@ -98,9 +95,6 @@ type response struct {
 	N        int
 	CRC      uint32
 	Manifest map[string]uint32
-	Health   []docstore.ShardHealth
-	Stale    int
-	Resync   *docstore.ResyncReport
 	WALBytes int64
 }
 
