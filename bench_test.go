@@ -5,6 +5,7 @@
 package covidkg_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -115,10 +116,6 @@ func BenchmarkE2_BiGRUvsBiLSTM(b *testing.B) {
 
 // ------------------------------------------------------------------- E3
 
-type benchSource struct{ c *docstore.Collection }
-
-func (s benchSource) Scan(fn func(jsondoc.Doc) bool) { s.c.Scan(fn) }
-
 // BenchmarkE3_PipelineOrder times the §2.1 $match-first optimization.
 func BenchmarkE3_PipelineOrder(b *testing.B) {
 	store := docstore.Open(docstore.WithShards(4))
@@ -144,7 +141,7 @@ func BenchmarkE3_PipelineOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pipeline.New(pipeline.MatchRegex("title", re), heavy(),
 				pipeline.SortByDesc("score"), pipeline.Limit(10))
-			if _, err := p.Run(benchSource{coll}); err != nil {
+			if _, err := p.RunContext(context.Background(), coll); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -153,7 +150,7 @@ func BenchmarkE3_PipelineOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pipeline.New(heavy(), pipeline.MatchRegex("title", re),
 				pipeline.SortByDesc("score"), pipeline.Limit(10))
-			if _, err := p.Run(benchSource{coll}); err != nil {
+			if _, err := p.RunContext(context.Background(), coll); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -176,28 +173,28 @@ func BenchmarkE4_SearchEngines(b *testing.B) {
 	eng := search.NewEngine(coll)
 	b.Run("all_fields", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SearchAll("masks", 1); err != nil {
+			if _, err := eng.SearchAllContext(context.Background(), "masks", 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("tables", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SearchTables("ventilators", 1); err != nil {
+			if _, err := eng.SearchTablesContext(context.Background(), "ventilators", 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("fields", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SearchFields(search.FieldQuery{Title: "vaccination"}, 1); err != nil {
+			if _, err := eng.SearchFieldsContext(context.Background(), search.FieldQuery{Title: "vaccination"}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("exact_phrase", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.SearchAll(`"viral load"`, 1); err != nil {
+			if _, err := eng.SearchAllContext(context.Background(), `"viral load"`, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

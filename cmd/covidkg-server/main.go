@@ -136,7 +136,10 @@ func main() {
 	} else {
 		log.Printf("building knowledge graph")
 		start = time.Now()
-		bs := sys.BuildKG()
+		bs, err := sys.BuildKG()
+		if err != nil {
+			log.Fatalf("build kg: %v", err)
+		}
 		log.Printf("kg built in %s: tables=%d subtrees=%d fused=%d queued=%d nodes+%d",
 			time.Since(start).Round(time.Millisecond), bs.Tables, bs.Subtrees, bs.Fused, bs.Queued, bs.NodesAdded)
 		if *dataDir != "" {

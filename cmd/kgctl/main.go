@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,7 +25,6 @@ import (
 
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
-	"covidkg/internal/docstore"
 	"covidkg/internal/durable"
 	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
@@ -93,7 +93,7 @@ func cmdAggregate(args []string) {
 		log.Fatalf("load: %v", err)
 	}
 	coll := sys.Store.Collection(*collName)
-	out, err := p.Run(collSource{coll})
+	out, err := p.RunContext(context.Background(), coll)
 	if err != nil {
 		log.Fatalf("aggregate: %v", err)
 	}
@@ -103,17 +103,16 @@ func cmdAggregate(args []string) {
 	fmt.Fprintf(os.Stderr, "(%d results)\n", len(out))
 }
 
-// collSource adapts a docstore collection to pipeline.Source.
-type collSource struct{ c *docstore.Collection }
-
-func (s collSource) Scan(fn func(jsondoc.Doc) bool) { s.c.Scan(fn) }
-
 func cmdBias(args []string) {
 	fs := flag.NewFlagSet("bias", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, false)
-	fmt.Print(sys.AuditBias().Format())
+	rep, err := sys.AuditBias()
+	if err != nil {
+		log.Fatalf("bias: %v", err)
+	}
+	fmt.Print(rep.Format())
 }
 
 func cmdGen(args []string) {
@@ -151,12 +150,14 @@ func loadSystem(dataDir string, train bool) *core.System {
 	}
 	// reindex into a fresh engine
 	fresh := core.NewSystem(cfg)
-	sys.Store.Collection(core.PubsCollection).Scan(func(d jsondoc.Doc) bool {
+	if err := sys.Store.Collection(core.PubsCollection).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		if _, err := fresh.Search.AddDocument(d); err != nil {
 			log.Printf("reindex: %v", err)
 		}
 		return true
-	})
+	}); err != nil {
+		log.Fatalf("reindex: %v", err)
+	}
 	if train {
 		if _, err := fresh.TrainModels(); err != nil {
 			log.Fatalf("train: %v", err)
@@ -177,17 +178,18 @@ func cmdSearch(args []string) {
 	fs.Parse(args)
 
 	sys := loadSystem(*data, false)
+	ctx := context.Background()
 	var (
 		pg  search.Page
 		err error
 	)
 	switch *engine {
 	case "all":
-		pg, err = sys.Search.SearchAll(*q, *page)
+		pg, err = sys.Search.SearchAllContext(ctx, *q, *page)
 	case "tables":
-		pg, err = sys.Search.SearchTables(*q, *page)
+		pg, err = sys.Search.SearchTablesContext(ctx, *q, *page)
 	case "fields":
-		pg, err = sys.Search.SearchFields(search.FieldQuery{
+		pg, err = sys.Search.SearchFieldsContext(ctx, search.FieldQuery{
 			Title: *title, Abstract: *abstract, Caption: *caption,
 		}, *page)
 	default:
@@ -239,7 +241,10 @@ func cmdKG(args []string) {
 		}
 	}
 	sys = loadSystem(*data, true)
-	st := sys.BuildKG()
+	st, err := sys.BuildKG()
+	if err != nil {
+		log.Fatalf("build kg: %v", err)
+	}
 	fmt.Printf("knowledge graph: %d nodes (tables=%d subtrees=%d fused=%d queued=%d)\n\n",
 		sys.Graph.Size(), st.Tables, st.Subtrees, st.Fused, st.Queued)
 	if *graphFile != "" {
@@ -257,7 +262,10 @@ func cmdKG(args []string) {
 
 func queryAndDump(sys *core.System, q string, dump bool) {
 	if q != "" {
-		hits := sys.Graph.Search(q)
+		hits, err := sys.Graph.SearchContext(context.Background(), q)
+		if err != nil {
+			log.Fatalf("kg search: %v", err)
+		}
 		fmt.Printf("%d hits for %q\n", len(hits), q)
 		for _, h := range hits {
 			var labels []string
@@ -284,7 +292,10 @@ func cmdProfile(args []string) {
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, true)
-	p := sys.BuildMetaProfile("COVID-19 Vaccine Side-effects")
+	p, err := sys.BuildMetaProfile("COVID-19 Vaccine Side-effects")
+	if err != nil {
+		log.Fatalf("profile: %v", err)
+	}
 	fmt.Print(p.Render())
 }
 

@@ -15,9 +15,10 @@
 //	pubs := covidkg.GenerateCorpus(500, 42)       // CORD-19 substitute
 //	_ = sys.Ingest(pubs)
 //	_, _ = sys.Train()
-//	_ = sys.BuildGraph()
-//	page, _ := sys.SearchAll("vaccine side effects", 1)
-//	hits := sys.GraphSearch("vaccines")
+//	_, _ = sys.BuildGraph()
+//	ctx := context.Background()
+//	page, _ := sys.SearchAllContext(ctx, "vaccine side effects", 1)
+//	hits, _ := sys.GraphSearchContext(ctx, "vaccines")
 package covidkg
 
 import (
@@ -127,7 +128,7 @@ func (s *System) Train() (TrainStats, error) { return s.inner.TrainModels() }
 
 // BuildGraph classifies stored tables, extracts subtrees, and fuses them
 // into the knowledge graph. Call after Train.
-func (s *System) BuildGraph() BuildStats { return s.inner.BuildKG() }
+func (s *System) BuildGraph() (BuildStats, error) { return s.inner.BuildKG() }
 
 // Refresh ingests newly published papers and incrementally enriches the
 // knowledge graph from them alone — the paper's mechanism for keeping
@@ -136,44 +137,25 @@ func (s *System) Refresh(pubs []*Publication) (BuildStats, error) {
 	return s.inner.Refresh(pubs)
 }
 
-// SearchAll queries every publication field (§2.1.2).
-func (s *System) SearchAll(query string, page int) (Page, error) {
-	return s.inner.Search.SearchAll(query, page)
-}
-
-// SearchAllContext is SearchAll under a request context: cancellation or
-// deadline expiry abandons the query mid-pipeline.
+// SearchAllContext queries every publication field (§2.1.2);
+// cancellation or deadline expiry abandons the query mid-pipeline.
 func (s *System) SearchAllContext(ctx context.Context, query string, page int) (Page, error) {
 	return s.inner.Search.SearchAllContext(ctx, query, page)
 }
 
-// SearchFields queries title/abstract/caption inclusively (§2.1.1).
-func (s *System) SearchFields(q FieldQuery, page int) (Page, error) {
-	return s.inner.Search.SearchFields(q, page)
-}
-
-// SearchFieldsContext is SearchFields under a request context.
+// SearchFieldsContext queries title/abstract/caption inclusively
+// (§2.1.1).
 func (s *System) SearchFieldsContext(ctx context.Context, q FieldQuery, page int) (Page, error) {
 	return s.inner.Search.SearchFieldsContext(ctx, q, page)
 }
 
-// SearchTables queries table captions and data (§2.1.3).
-func (s *System) SearchTables(query string, page int) (Page, error) {
-	return s.inner.Search.SearchTables(query, page)
-}
-
-// SearchTablesContext is SearchTables under a request context.
+// SearchTablesContext queries table captions and data (§2.1.3).
 func (s *System) SearchTablesContext(ctx context.Context, query string, page int) (Page, error) {
 	return s.inner.Search.SearchTablesContext(ctx, query, page)
 }
 
-// GraphSearch finds KG nodes matching the query, each with its full
-// path from the root for highlighting.
-func (s *System) GraphSearch(query string) []GraphHit {
-	return s.inner.Graph.Search(query)
-}
-
-// GraphSearchContext is GraphSearch under a request context.
+// GraphSearchContext finds KG nodes matching the query, each with its
+// full path from the root for highlighting.
 func (s *System) GraphSearchContext(ctx context.Context, query string) ([]GraphHit, error) {
 	return s.inner.Graph.SearchContext(ctx, query)
 }
@@ -216,7 +198,7 @@ func (s *System) TopicClusters(k int) (*ClusterResult, []string, []string, error
 
 // MetaProfile fuses observations from every profile-shaped stored table
 // into one layered profile.
-func (s *System) MetaProfile(name string) *Profile {
+func (s *System) MetaProfile(name string) (*Profile, error) {
 	return s.inner.BuildMetaProfile(name)
 }
 
@@ -229,7 +211,7 @@ type BiasReport = bias.Report
 
 // AuditBias interrogates the stored corpus for topical imbalance,
 // source concentration, temporal skew, and vocabulary dominance.
-func (s *System) AuditBias() *BiasReport { return s.inner.AuditBias() }
+func (s *System) AuditBias() (*BiasReport, error) { return s.inner.AuditBias() }
 
 // ExportedModel is a released model artifact.
 type ExportedModel = core.ExportedModel

@@ -1,6 +1,7 @@
 package covidkg
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -32,26 +33,27 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// search engines
-	page, err := sys.SearchAll("vaccine", 1)
+	ctx := context.Background()
+	page, err := sys.SearchAllContext(ctx, "vaccine", 1)
 	if err != nil || page.Total == 0 {
 		t.Fatalf("SearchAll: %v / %+v", err, page)
 	}
-	if _, err := sys.SearchFields(FieldQuery{Title: "vaccine"}, 1); err != nil {
+	if _, err := sys.SearchFieldsContext(ctx, FieldQuery{Title: "vaccine"}, 1); err != nil {
 		t.Fatal(err)
 	}
-	tp, err := sys.SearchTables("side effect", 1)
+	tp, err := sys.SearchTablesContext(ctx, "side effect", 1)
 	if err != nil || tp.Total == 0 {
 		t.Fatalf("SearchTables: %v / %+v", err, tp)
 	}
 
 	// graph build and search
-	st := sys.BuildGraph()
-	if st.Subtrees == 0 {
-		t.Fatalf("build stats = %+v", st)
+	st, err := sys.BuildGraph()
+	if err != nil || st.Subtrees == 0 {
+		t.Fatalf("build stats = %+v, %v", st, err)
 	}
-	hits := sys.GraphSearch("vaccines")
-	if len(hits) == 0 {
-		t.Fatal("graph search empty")
+	hits, err := sys.GraphSearchContext(ctx, "vaccines")
+	if err != nil || len(hits) == 0 {
+		t.Fatalf("graph search empty: %v", err)
 	}
 	if sys.GraphRoot().Label != "COVID-19" {
 		t.Fatalf("root = %q", sys.GraphRoot().Label)
@@ -69,7 +71,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// meta-profile over the side-effect papers
-	p := sys.MetaProfile("Vaccine side-effects")
+	p, err := sys.MetaProfile("Vaccine side-effects")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(p.Sources()) < 3 {
 		t.Fatalf("profile sources = %v", p.Sources())
 	}
@@ -102,8 +107,8 @@ func TestPublicReviewWorkflow(t *testing.T) {
 	if err := sys.ApproveReview(res.ReviewID, sys.GraphRoot().ID); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.GraphSearch("brain fog")) != 1 {
-		t.Fatal("approved subtree not in graph")
+	if hits, err := sys.GraphSearchContext(context.Background(), "brain fog"); err != nil || len(hits) != 1 {
+		t.Fatalf("approved subtree not in graph: %v", err)
 	}
 	// corrections learned: same root now fuses unsupervised
 	res2 := sys.Fuse(&Subtree{Label: "Long COVID", Children: []*Subtree{{Label: "Fatigue"}}})

@@ -1,6 +1,7 @@
 package covidkg_test
 
 import (
+	"context"
 	"fmt"
 
 	"covidkg"
@@ -20,7 +21,9 @@ func ExampleSystem() {
 	if _, err := sys.Train(); err != nil {
 		panic(err)
 	}
-	sys.BuildGraph()
+	if _, err := sys.BuildGraph(); err != nil {
+		panic(err)
+	}
 
 	fmt.Println("publications:", sys.PublicationCount())
 	fmt.Println("root:", sys.GraphRoot().Label)
@@ -47,11 +50,16 @@ func ExampleSystem_Fuse() {
 	// queued
 }
 
-// ExampleSystem_GraphSearch shows KG search with path highlighting.
-func ExampleSystem_GraphSearch() {
+// ExampleSystem_GraphSearchContext shows KG search with path
+// highlighting.
+func ExampleSystem_GraphSearchContext() {
 	sys := covidkg.New(covidkg.DefaultConfig())
 	sys.Fuse(covidkg.NewSubtree("Vaccines", "DemoVax"))
-	for _, hit := range sys.GraphSearch("DemoVax") {
+	hits, err := sys.GraphSearchContext(context.Background(), "DemoVax")
+	if err != nil {
+		panic(err)
+	}
+	for _, hit := range hits {
 		for i, n := range hit.Path {
 			if i > 0 {
 				fmt.Print(" -> ")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -77,7 +78,11 @@ func main() {
 	// 5. Both additions are reachable with full provenance paths.
 	fmt.Println("\npaths:")
 	for _, q := range []string{"NovoVac", "Rash", "Dizziness"} {
-		for _, h := range sys.GraphSearch(q) {
+		hits, err := sys.GraphSearchContext(context.Background(), q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, h := range hits {
 			var labels []string
 			for _, n := range h.Path {
 				labels = append(labels, n.Label)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,10 @@ func main() {
 	if _, err := sys.Train(); err != nil {
 		log.Fatal(err)
 	}
-	st := sys.BuildGraph()
+	st, err := sys.BuildGraph()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("day 0: %d publications, KG %d nodes (%d tables enriched)\n",
 		sys.PublicationCount(), sys.GraphSize(), st.Tables)
 
@@ -44,7 +48,7 @@ func main() {
 	}
 
 	// The freshest arrivals are immediately searchable.
-	page, err := sys.SearchAll("vaccine", 1)
+	page, err := sys.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +57,11 @@ func main() {
 
 	// Interrogate the accumulated corpus for bias (the title claim).
 	fmt.Println()
-	fmt.Print(sys.AuditBias().Format())
+	rep, err := sys.AuditBias()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(rep.Format())
 
 	// The review queue holds what the expert still needs to see.
 	fmt.Printf("\npending expert reviews: %d\n", len(sys.PendingReviews()))

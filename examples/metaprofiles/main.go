@@ -29,7 +29,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	profile := sys.MetaProfile("COVID-19 Vaccine Side-effects")
+	profile, err := sys.MetaProfile("COVID-19 Vaccine Side-effects")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(profile.Render())
 
 	// drill into one cell across papers — the cross-source comparison a

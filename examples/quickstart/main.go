@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -33,12 +34,15 @@ func main() {
 		stats.VocabSize, stats.SVMMetrics)
 
 	// 3. Build the knowledge graph from classified table metadata.
-	bs := sys.BuildGraph()
+	bs, err := sys.BuildGraph()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("knowledge graph: %d nodes (%d subtrees: %d fused, %d queued for review)\n\n",
 		sys.GraphSize(), bs.Subtrees, bs.Fused, bs.Queued)
 
 	// 4. Search the corpus.
-	page, err := sys.SearchAll("vaccine side effects", 1)
+	page, err := sys.SearchAllContext(context.Background(), "vaccine side effects", 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +56,11 @@ func main() {
 
 	// 5. Browse the knowledge graph with path highlighting.
 	fmt.Println("\nKG search \"vaccines\":")
-	for _, h := range sys.GraphSearch("vaccines") {
+	hits, err := sys.GraphSearchContext(context.Background(), "vaccines")
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, h := range hits {
 		var labels []string
 		for _, n := range h.Path {
 			labels = append(labels, n.Label)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,26 +40,26 @@ func main() {
 	}
 
 	// Figure 2: search over all publication fields for "masks"
-	page, err := sys.SearchAll("masks", 1)
+	page, err := sys.SearchAllContext(context.Background(), "masks", 1)
 	show(`all fields: "masks" (Figure 2)`, page, err)
 
 	// Figure 4: table search for "ventilators" — matches captions and
 	// table data, highlighted
-	page, err = sys.SearchTables("ventilators", 1)
+	page, err = sys.SearchTablesContext(context.Background(), "ventilators", 1)
 	show(`tables: "ventilators" (Figure 4)`, page, err)
 
 	// quoted phrases are exact matches (§2.1)
-	page, err = sys.SearchAll(`"viral load"`, 1)
+	page, err = sys.SearchAllContext(context.Background(), `"viral load"`, 1)
 	show(`exact phrase: "viral load"`, page, err)
 
 	// §2.1.1: inclusive field search — each queried field must match
-	page, err = sys.SearchFields(covidkg.FieldQuery{
+	page, err = sys.SearchFieldsContext(context.Background(), covidkg.FieldQuery{
 		Title:    "vaccination",
 		Abstract: "dose",
 	}, 1)
 	show("fields: title=vaccination AND abstract=dose", page, err)
 
 	// pagination: page 2 of a broad query
-	page, err = sys.SearchAll("patients", 2)
+	page, err = sys.SearchAllContext(context.Background(), "patients", 2)
 	show(`all fields: "patients", page 2`, page, err)
 }

@@ -596,7 +596,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		limit = 100
 	}
 	p.Append(pipeline.Limit(limit))
-	out, err := p.RunContext(r.Context(), collScanner{coll})
+	out, err := p.RunContext(r.Context(), coll)
 	if err != nil {
 		writeErr(w, r, failStatus(err, http.StatusBadRequest), err)
 		return
@@ -604,14 +604,13 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"results": out, "n": len(out)})
 }
 
-// collScanner adapts any docstore.Docs (in-process collection or
-// shardnet coordinator) to pipeline.Source.
-type collScanner struct{ c docstore.Docs }
-
-func (s collScanner) Scan(fn func(jsondoc.Doc) bool) { s.c.Scan(fn) }
-
-func (s *Server) handleBias(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.sys.AuditBias())
+func (s *Server) handleBias(w http.ResponseWriter, r *http.Request) {
+	rep, err := s.sys.AuditBias()
+	if err != nil {
+		writeErr(w, r, failStatus(err, http.StatusInternalServerError), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, rep)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
 	"covidkg/internal/kg"
+	"covidkg/internal/metrics"
 )
 
 func testServer(t *testing.T) (*Server, *core.System) {
@@ -27,7 +29,9 @@ func testServer(t *testing.T) (*Server, *core.System) {
 	if _, err := sys.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	sys.BuildKG()
+	if _, err := sys.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	return NewServer(sys), sys
 }
 
@@ -169,8 +173,8 @@ func TestReviewEndpoints(t *testing.T) {
 	if w := post("/api/v1/reviews/" + itoa(res.ReviewID) + "/approve?target=" + sys.Graph.RootID()); w.Code != http.StatusOK {
 		t.Fatalf("approve = %d %s", w.Code, w.Body.String())
 	}
-	if len(sys.Graph.Search("leaf")) == 0 {
-		t.Fatal("approved subtree missing")
+	if hits, err := sys.Graph.SearchContext(context.Background(), "leaf"); err != nil || len(hits) == 0 {
+		t.Fatalf("approved subtree missing: %v", err)
 	}
 	// reject flow
 	res2 := sys.Fuser.Fuse(&kg.Subtree{Label: "Another", Children: []*kg.Subtree{
@@ -302,7 +306,10 @@ func TestAggregateDefaultLimit(t *testing.T) {
 func TestIngestEndpoint(t *testing.T) {
 	s, sys := testServer(t)
 	before := sys.Pubs.Count()
-	sys.BuildKG() // enrich what is stored, so the ingest below enriches only itself
+	// enrich what is stored, so the ingest below enriches only itself
+	if _, err := sys.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	body := `[{
 		"_id": "web-new-1",
 		"title": "Remdesivir outcomes in ICU cohorts",
@@ -510,6 +517,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestKGSnapshotMetricsServed: the graph records its snapshot builds
+// into the registry the server serves, as the search engine does, not
+// into the process default.
+func TestKGSnapshotMetricsServed(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := core.DefaultConfig()
+	cfg.Metrics = reg
+	sys := core.NewSystem(cfg)
+	s := NewServerWith(sys, Config{Metrics: reg})
+	if rec, body := get(t, s, "/api/v1/kg/nodes/"+sys.Graph.RootID()); rec.Code != http.StatusOK {
+		t.Fatalf("kg node = %d: %v", rec.Code, body)
+	}
+	_, body := get(t, s, "/api/v1/metrics")
+	counters, _ := body["counters"].(map[string]any)
+	if n, _ := counters["kg.snapshot_builds"].(float64); n < 1 {
+		t.Fatalf("served kg.snapshot_builds = %v, want >= 1", counters["kg.snapshot_builds"])
+	}
+}
+
 // postNDJSON posts a newline-delimited JSON body.
 func postNDJSON(t *testing.T, s *Server, path, body string) (*httptest.ResponseRecorder, map[string]any) {
 	t.Helper()
@@ -565,7 +591,9 @@ func TestBulkIngestNDJSONStreaming(t *testing.T) {
 	s, sys := testServer(t)
 	before := sys.Pubs.Count()
 	var b strings.Builder
-	sys.BuildKG()
+	if _, err := sys.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	const table = `, "tables": [{"caption": "Table 1: Drugs", "rows": [["Drug", "Outcome measure"], ["Niclosamide", "Viral load"]], "header_rows": [0], "n_rows": 2, "n_cols": 2}]`
 	for i := 0; i < 600; i++ { // > 2 ingest batches, one table in each
 		tables := ""

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"testing"
@@ -213,5 +214,32 @@ func TestTableMatchesErrorStatuses(t *testing.T) {
 		if rec, body := get(t, s, tc.path); rec.Code != tc.want {
 			t.Fatalf("%s = %d (%v), want %d", tc.path, rec.Code, body, tc.want)
 		}
+	}
+}
+
+// TestDarkShardFailsFullScans: a full scan cannot degrade to a partial
+// answer, so with one of four shards dark the aggregation and the bias
+// audit answer 503 in the error envelope instead of a 200 over the
+// shards before the dark one, and training fails with the shard error
+// instead of fitting models to part of the corpus.
+func TestDarkShardFailsFullScans(t *testing.T) {
+	s, sys, fp, _ := chaosServer(t)
+	darkShard(sys, fp)
+	aggRec, aggBody := postJSON(t, s, "/api/v1/aggregate", `{"pipeline": [{"$count": "n"}]}`)
+	biasRec, biasBody := get(t, s, "/api/v1/bias")
+	for _, tc := range []struct {
+		route string
+		code  int
+		body  map[string]any
+	}{
+		{"aggregate", aggRec.Code, aggBody},
+		{"bias", biasRec.Code, biasBody},
+	} {
+		if tc.code != http.StatusServiceUnavailable || tc.body["code"] != "unavailable" || tc.body["error"] == "" {
+			t.Errorf("%s over a dark shard = %d %v, want 503 unavailable", tc.route, tc.code, tc.body)
+		}
+	}
+	if _, err := sys.TrainModels(); !errors.Is(err, docstore.ErrShardUnavailable) {
+		t.Fatalf("TrainModels over a dark shard = %v, want ErrShardUnavailable", err)
 	}
 }

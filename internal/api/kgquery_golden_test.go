@@ -47,7 +47,9 @@ func benchServer(t *testing.T) *Server {
 	if _, err := sys.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	sys.BuildKG()
+	if _, err := sys.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	return NewServer(sys)
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"covidkg/internal/docstore"
 	"covidkg/internal/metrics"
 )
 
@@ -325,13 +326,17 @@ func ceilSeconds(d time.Duration) int {
 
 // failStatus maps an error from context-aware work onto the right
 // status: deadline expiry is the server's 504, client disconnect the
-// conventional 499, anything else the handler's fallback.
+// conventional 499, a dark shard under a full scan (which cannot
+// degrade to a partial answer) 503, anything else the handler's
+// fallback.
 func failStatus(err error, fallback int) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest
+	case errors.Is(err, docstore.ErrShardUnavailable):
+		return http.StatusServiceUnavailable
 	}
 	return fallback
 }

@@ -61,7 +61,9 @@ func BenchmarkIngestBatch(b *testing.B) {
 			if err := s.IngestPublications(g.Corpus(stored - 50)); err != nil {
 				b.Fatal(err)
 			}
-			s.BuildKG()
+			if _, err := s.BuildKG(); err != nil {
+				b.Fatal(err)
+			}
 
 			fresh := cord19.NewGenerator(12)
 			b.ReportAllocs()

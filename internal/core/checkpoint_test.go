@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,11 +18,13 @@ import (
 func writeLegacyCollection(t *testing.T, dir string, s *System, name string) {
 	t.Helper()
 	var b bytes.Buffer
-	s.Store.Collection(name).Scan(func(d jsondoc.Doc) bool {
+	if err := s.Store.Collection(name).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		b.Write(d.JSON())
 		b.WriteByte('\n')
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), b.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,9 @@ func untrainedSystem(t *testing.T, nPubs int, seed int64, fs faultfs.FS) *System
 	if err := s.IngestPublications(g.Corpus(nPubs)); err != nil {
 		t.Fatal(err)
 	}
-	s.BuildKG()
+	if _, err := s.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 

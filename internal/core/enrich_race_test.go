@@ -20,7 +20,9 @@ import (
 // must add up to the tables ingested.
 func TestConcurrentIngestEnrich(t *testing.T) {
 	s := smallSystem(t, 20)
-	s.BuildKG()
+	if _, err := s.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 
 	const batches, perBatch = 12, 4
 	g := cord19.NewGenerator(99)

@@ -60,7 +60,11 @@ func TestFusionGolden(t *testing.T) {
 		stages = append(stages, fusionStage{name, st, s.Graph.Size(), len(blob),
 			hex.EncodeToString(sum[:]), len(s.Fuser.Pending())})
 	}
-	record("boot", s.BuildKG())
+	boot, err := s.BuildKG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	record("boot", boot)
 	fresh := cord19.NewGenerator(4242)
 	for b := 1; b <= 4; b++ {
 		var docs []jsondoc.Doc

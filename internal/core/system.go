@@ -190,6 +190,7 @@ func NewSystem(cfg Config) *System {
 	s.Search = search.NewEngine(s.Pubs)
 	s.Search.SetMetrics(cfg.Metrics)
 	s.Graph = kg.SeedCOVID(nil)
+	s.Graph.SetMetrics(cfg.Metrics)
 	s.Fuser = kg.NewFuser(s.Graph)
 	return s
 }
@@ -321,8 +322,8 @@ func eachTable(pubID string, tables []any, fn tableFunc) {
 }
 
 // storedTables iterates every stored table with its owning publication.
-func (s *System) storedTables(fn tableFunc) {
-	s.Pubs.Scan(func(d jsondoc.Doc) bool {
+func (s *System) storedTables(fn tableFunc) error {
+	return s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		eachTable(d.GetString("_id"), d.GetArray("tables"), fn)
 		return true
 	})
@@ -346,6 +347,8 @@ type TrainStats struct {
 // gathers the corpus tables and texts; the term, cell and text
 // embeddings and the vocabulary + SVM then train at once, each on its
 // own seeded generator, so the models are the same as trained in turn.
+// A scan that fails (a dark shard) fails training before any model
+// changes.
 func (s *System) TrainModels() (TrainStats, error) {
 	defer s.setMillis("core.train_ms", time.Now())
 	var stats TrainStats
@@ -363,13 +366,15 @@ func (s *System) TrainModels() (TrainStats, error) {
 	// titles+abstracts train the free-text embeddings
 	var corpusGrids [][][]string
 	var texts []string
-	s.Pubs.Scan(func(d jsondoc.Doc) bool {
+	if err := s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		eachTable("", d.GetArray("tables"), func(_ string, t *tableparse.Table) {
 			corpusGrids = append(corpusGrids, t.Rows)
 		})
 		texts = append(texts, d.GetString("title")+" "+d.GetString("abstract"))
 		return true
-	})
+	}); err != nil {
+		return stats, fmt.Errorf("core: train: %w", err)
+	}
 
 	var (
 		wg                        sync.WaitGroup
@@ -521,12 +526,14 @@ func (st *BuildStats) Add(o BuildStats) {
 // text values), and fuse each subtree into the graph with the paper's
 // provenance attached. It is the one full scan of the store, run at
 // boot; everything it covered leaves the pending queue, so a later
-// EnrichNew only enriches from arrivals since.
-func (s *System) BuildKG() BuildStats {
+// EnrichNew only enriches from arrivals since. A scan that fails (a dark
+// shard) returns the error with what was fused before it.
+func (s *System) BuildKG() (BuildStats, error) {
 	defer s.setMillis("core.build_kg_ms", time.Now())
 	scanned := map[string]bool{}
+	var scanErr error
 	st := s.enrich(func(fn tableFunc) {
-		s.Pubs.Scan(func(d jsondoc.Doc) bool {
+		scanErr = s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 			id := d.GetString("_id")
 			scanned[id] = true
 			eachTable(id, d.GetArray("tables"), fn)
@@ -542,7 +549,10 @@ func (s *System) BuildKG() BuildStats {
 	}
 	s.pending = kept
 	s.procMu.Unlock()
-	return st
+	if scanErr != nil {
+		return st, fmt.Errorf("core: build kg: %w", scanErr)
+	}
+	return st, nil
 }
 
 // Refresh is the paper's "scalable mechanism to keep the KG up to date":
@@ -692,7 +702,7 @@ func (s *System) TopicClusters(k int) (*cluster.Result, []string, []string, erro
 	}
 	var points [][]float64
 	var ids, truths []string
-	s.Pubs.Scan(func(d jsondoc.Doc) bool {
+	if err := s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		vec := s.TextW2V.EmbedText(d.GetString("title") + " " + d.GetString("abstract"))
 		if vec == nil {
 			return true
@@ -701,7 +711,9 @@ func (s *System) TopicClusters(k int) (*cluster.Result, []string, []string, erro
 		ids = append(ids, d.GetString("_id"))
 		truths = append(truths, d.GetString("topic"))
 		return true
-	})
+	}); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: topic clusters: %w", err)
+	}
 	if len(points) == 0 {
 		return nil, nil, nil, fmt.Errorf("core: no embeddable publications")
 	}
@@ -714,9 +726,9 @@ func (s *System) TopicClusters(k int) (*cluster.Result, []string, []string, erro
 
 // BuildMetaProfile extracts observations from every profile-shaped
 // stored table and fuses them into one meta-profile (Figure 6).
-func (s *System) BuildMetaProfile(name string) *metaprofile.Profile {
+func (s *System) BuildMetaProfile(name string) (*metaprofile.Profile, error) {
 	var obs []metaprofile.Observation
-	s.storedTables(func(pubID string, t *tableparse.Table) {
+	err := s.storedTables(func(pubID string, t *tableparse.Table) {
 		headerRow := -1
 		if s.SVM != nil || (s.cfg.UseEnsemble && s.Ensemble != nil) {
 			meta := s.classifyRows(t)
@@ -729,7 +741,10 @@ func (s *System) BuildMetaProfile(name string) *metaprofile.Profile {
 		}
 		obs = append(obs, metaprofile.ExtractObservations(t, pubID, headerRow)...)
 	})
-	return metaprofile.Build(name, obs)
+	if err != nil {
+		return nil, fmt.Errorf("core: meta-profile: %w", err)
+	}
+	return metaprofile.Build(name, obs), nil
 }
 
 // GraphCollection is the collection persisting the knowledge graph —
@@ -776,6 +791,7 @@ func (s *System) RestoreGraph() (bool, error) {
 	if s.TextW2V != nil {
 		g.SetEmbedder(func(label string) []float64 { return s.TextW2V.EmbedText(label) })
 	}
+	g.SetMetrics(s.cfg.Metrics)
 	s.Graph = g
 	s.Fuser = kg.NewFuser(g)
 	return true, nil
@@ -869,14 +885,17 @@ func (s *System) Restore(dir string) (*durable.Report, error) {
 // AuditBias interrogates the stored corpus for bias (the title's
 // "interrogated for bias"): topical balance, source concentration,
 // temporal skew, and vocabulary dominance of the publications backing
-// the knowledge graph.
-func (s *System) AuditBias() *bias.Report {
+// the knowledge graph. A dark shard fails the audit rather than
+// auditing part of the corpus.
+func (s *System) AuditBias() (*bias.Report, error) {
 	var docs []jsondoc.Doc
-	s.Pubs.Scan(func(d jsondoc.Doc) bool {
+	if err := s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		docs = append(docs, d)
 		return true
-	})
-	return bias.NewAuditor().AuditCorpus(docs)
+	}); err != nil {
+		return nil, fmt.Errorf("core: audit bias: %w", err)
+	}
+	return bias.NewAuditor().AuditCorpus(docs), nil
 }
 
 // ExportedModel is one released artifact (№11/13 in Figure 1).

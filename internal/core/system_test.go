@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestEndToEndArchitecture(t *testing.T) {
 	}
 
 	// search engines operational (№9/10)
-	page, err := s.Search.SearchAll("vaccine", 1)
+	page, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,10 @@ func TestEndToEndArchitecture(t *testing.T) {
 
 	// №5/6/14: KG enrichment
 	before := s.Graph.Size()
-	st := s.BuildKG()
+	st, err := s.BuildKG()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Tables == 0 {
 		t.Fatal("no tables processed")
 	}
@@ -66,9 +70,9 @@ func TestEndToEndArchitecture(t *testing.T) {
 	}
 
 	// KG search with provenance paths
-	hits := s.Graph.Search("vaccines")
-	if len(hits) == 0 {
-		t.Fatal("KG search found nothing")
+	hits, err := s.Graph.SearchContext(context.Background(), "vaccines")
+	if err != nil || len(hits) == 0 {
+		t.Fatalf("KG search found nothing: %v", err)
 	}
 	if hits[0].Path[0].Label != "COVID-19" {
 		t.Fatalf("path root = %q", hits[0].Path[0].Label)
@@ -101,7 +105,9 @@ func TestBootGauges(t *testing.T) {
 	if _, err := s.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	s.BuildKG()
+	if _, err := s.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"core.train_ms", "core.build_kg_ms"} {
 		v := cfg.Metrics.Gauge(name).Value()
 		if v <= 0 {
@@ -203,7 +209,9 @@ func TestIsTextValue(t *testing.T) {
 
 func TestBuildKGProvenanceReachesGraph(t *testing.T) {
 	s := smallSystem(t, 50)
-	s.BuildKG()
+	if _, err := s.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	// at least one fused node must carry provenance
 	found := false
 	s.Graph.Walk(func(n kg.Node, _ int) bool {
@@ -270,7 +278,10 @@ func TestBuildMetaProfile(t *testing.T) {
 	if _, err := s.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	p := s.BuildMetaProfile("Vaccine side-effects")
+	p, err := s.BuildMetaProfile("Vaccine side-effects")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(p.Sources()) < 3 {
 		t.Fatalf("sources = %v", p.Sources())
 	}
@@ -318,7 +329,10 @@ func TestEnsemblePathInBuildKG(t *testing.T) {
 	if stats.EnsembleEpochs != 3 {
 		t.Fatalf("ensemble epochs = %d", stats.EnsembleEpochs)
 	}
-	st := s.BuildKG()
+	st, err := s.BuildKG()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Tables == 0 {
 		t.Skip("corpus had no tables") // possible but unlikely with 15 pubs
 	}
@@ -329,7 +343,10 @@ func TestEnsemblePathInBuildKG(t *testing.T) {
 
 func TestRefreshProcessesOnlyNewTables(t *testing.T) {
 	s := smallSystem(t, 40)
-	first := s.BuildKG()
+	first, err := s.BuildKG()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if first.Tables == 0 {
 		t.Fatal("no tables in initial build")
 	}
@@ -360,7 +377,7 @@ func TestRefreshProcessesOnlyNewTables(t *testing.T) {
 		t.Fatalf("pubs = %d", s.Pubs.Count())
 	}
 	// new publications are searchable
-	page, err := s.Search.SearchAll("vaccine", 1)
+	page, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,11 +400,11 @@ func TestRefreshProcessesOnlyNewTables(t *testing.T) {
 func TestRefreshDocsInvalidatesSearchCache(t *testing.T) {
 	s := smallSystem(t, 30)
 	// warm the cache with a repeat query
-	before, err := s.Search.SearchAll("vaccine", 1)
+	before, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Search.SearchAll("vaccine", 1); err != nil {
+	if _, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1); err != nil {
 		t.Fatal(err)
 	}
 	if s.Search.CacheStats().Hits < 1 {
@@ -401,7 +418,7 @@ func TestRefreshDocsInvalidatesSearchCache(t *testing.T) {
 	if _, err := s.RefreshDocs([]jsondoc.Doc{doc}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Search.SearchAll("vaccine", 1)
+	after, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +446,9 @@ func TestRefreshMatchesFullBuildForTermFusions(t *testing.T) {
 		if _, err := s.TrainModels(); err != nil {
 			t.Fatal(err)
 		}
-		s.BuildKG()
+		if _, err := s.BuildKG(); err != nil {
+			t.Fatal(err)
+		}
 		if refreshWith != nil {
 			if _, err := s.Refresh(refreshWith); err != nil {
 				t.Fatal(err)
@@ -478,7 +497,9 @@ func max(a, b int) int {
 
 func TestPersistRestoreGraph(t *testing.T) {
 	s := smallSystem(t, 30)
-	s.BuildKG()
+	if _, err := s.BuildKG(); err != nil {
+		t.Fatal(err)
+	}
 	size := s.Graph.Size()
 	if err := s.PersistGraph(); err != nil {
 		t.Fatal(err)
@@ -500,8 +521,8 @@ func TestPersistRestoreGraph(t *testing.T) {
 		t.Fatalf("restored %d nodes, want %d", s2.Graph.Size(), size)
 	}
 	// restored graph is searchable and fusable
-	if len(s2.Graph.Search("vaccines")) == 0 {
-		t.Fatal("restored graph not searchable")
+	if hits, err := s2.Graph.SearchContext(context.Background(), "vaccines"); err != nil || len(hits) == 0 {
+		t.Fatalf("restored graph not searchable: %v", err)
 	}
 	res := s2.Fuser.Fuse(kg.NewSubtree("Vaccines", "RestoredVac"))
 	if res.Action != kg.ActionFused {

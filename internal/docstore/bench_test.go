@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -56,25 +57,9 @@ func BenchmarkScan1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		c.Scan(func(jsondoc.Doc) bool { n++; return true })
-		if n != 1000 {
+		err := c.ScanContext(context.Background(), func(jsondoc.Doc) bool { n++; return true })
+		if err != nil || n != 1000 {
 			b.Fatal("bad scan")
-		}
-	}
-}
-
-func BenchmarkFindByIndex(b *testing.B) {
-	s := Open(WithShards(4))
-	c := s.Collection("pubs")
-	c.EnsureIndex("year")
-	for i := 0; i < 1000; i++ {
-		c.Insert(benchDoc(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		docs, used := c.FindByIndex("year", 2021)
-		if !used || len(docs) == 0 {
-			b.Fatal("index miss")
 		}
 	}
 }

@@ -47,10 +47,8 @@ type Docs interface {
 	Count() int
 	// IDs returns every document id, sorted.
 	IDs() []string
-	// Scan streams a snapshot of every document in deterministic order;
-	// fn returning false stops the scan. Dark shards end the scan early.
-	Scan(fn func(jsondoc.Doc) bool)
-	// ScanContext is Scan under a request context, failing loudly on a
+	// ScanContext streams a snapshot of every document in deterministic
+	// order; fn returning false stops the scan. It fails loudly on a
 	// dark shard or a dead context.
 	ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error
 

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,10 +131,12 @@ func dump(s *Store) string {
 	for _, name := range s.CollectionNames() {
 		b.WriteString("== " + name + "\n")
 		var lines []string
-		s.Collection(name).Scan(func(d jsondoc.Doc) bool {
+		if err := s.Collection(name).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 			lines = append(lines, string(d.JSON()))
 			return true
-		})
+		}); err != nil {
+			b.WriteString("scan: " + err.Error() + "\n")
+		}
 		sort.Strings(lines)
 		b.WriteString(strings.Join(lines, "\n"))
 		b.WriteByte('\n')

@@ -4,8 +4,7 @@
 // hash sharding on the document id with one copy per shard, each shard
 // a failure domain (a breaker and a failpoint target; a dark shard
 // rejects writes whole and fails its reads), CRUD, snapshot scans
-// feeding the aggregation pipeline, secondary equality indexes, and
-// JSON-lines persistence.
+// feeding the aggregation pipeline, and JSON-lines persistence.
 package docstore
 
 import (
@@ -235,17 +234,13 @@ type Collection struct {
 	name   string
 	store  *Store
 	shards []*shard
-
-	idxMu   sync.RWMutex
-	indexes map[string]*equalityIndex
 }
 
 func newCollection(name string, s *Store) *Collection {
 	c := &Collection{
-		name:    name,
-		store:   s,
-		shards:  make([]*shard, s.numShards),
-		indexes: map[string]*equalityIndex{},
+		name:   name,
+		store:  s,
+		shards: make([]*shard, s.numShards),
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{docs: map[string]jsondoc.Doc{}}
@@ -279,21 +274,7 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 	sh.docs[id] = doc
 	sh.bytes += size
 	sh.mu.Unlock()
-	c.indexInsert(id, doc)
 	return id, nil
-}
-
-// InsertMany inserts a batch, stopping at the first error.
-func (c *Collection) InsertMany(docs []jsondoc.Doc) ([]string, error) {
-	ids := make([]string, 0, len(docs))
-	for _, d := range docs {
-		id, err := c.Insert(d)
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }
 
 // Get returns a deep copy of the document with the given id. When its
@@ -358,8 +339,6 @@ func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 	sh.bytes += size - len(old.JSON())
 	sh.docs[id] = doc
 	sh.mu.Unlock()
-	c.indexRemove(id, old)
-	c.indexInsert(id, doc)
 	return nil
 }
 
@@ -384,8 +363,6 @@ func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
 	sh.bytes += len(doc.JSON()) - len(old.JSON())
 	sh.docs[id] = doc
 	sh.mu.Unlock()
-	c.indexRemove(id, old)
-	c.indexInsert(id, doc)
 	return nil
 }
 
@@ -403,7 +380,6 @@ func (c *Collection) Delete(id string) error {
 	sh.bytes -= len(old.JSON())
 	delete(sh.docs, id)
 	sh.mu.Unlock()
-	c.indexRemove(id, old)
 	return nil
 }
 
@@ -419,21 +395,16 @@ func (c *Collection) Count() int {
 	return n
 }
 
-// Scan streams a snapshot of every document to fn; fn returning false
-// stops the scan. Documents are deep copies; mutation is safe. Shards
-// are visited in order, ids within a shard in sorted order, so scans
-// are deterministic.
-func (c *Collection) Scan(fn func(jsondoc.Doc) bool) {
-	_ = c.ScanContext(context.Background(), fn)
-}
-
 // ScanCheckInterval is how many documents ScanContext processes between
 // context checks; it bounds how long a cancelled scan keeps cloning.
 const ScanCheckInterval = 64
 
-// ScanContext is Scan under a request context: shard snapshots and the
-// callback loop both check ctx every ScanCheckInterval documents, so a
-// client that hung up stops costing CPU within one interval. A dark
+// ScanContext streams a snapshot of every document to fn; fn returning
+// false stops the scan. Documents are deep copies; mutation is safe.
+// Shards are visited in order, ids within a shard in sorted order, so
+// scans are deterministic. Shard snapshots and the callback loop both
+// check ctx every ScanCheckInterval documents, so a client that hung up
+// stops costing CPU within one interval. A dark
 // shard fails the scan with a ShardError wrapping ErrShardUnavailable —
 // full scans must fail loudly rather than silently drop a partition.
 // Degraded readers that can tolerate missing shards use
@@ -461,16 +432,6 @@ func (c *Collection) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool)
 	return nil
 }
 
-// All returns a snapshot of every document, deterministic order.
-func (c *Collection) All() []jsondoc.Doc {
-	out := make([]jsondoc.Doc, 0, c.Count())
-	c.Scan(func(d jsondoc.Doc) bool {
-		out = append(out, d)
-		return true
-	})
-	return out
-}
-
 // IDs returns every document id, sorted (introspective).
 func (c *Collection) IDs() []string {
 	var out []string
@@ -482,17 +443,5 @@ func (c *Collection) IDs() []string {
 		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Find returns copies of all documents for which pred returns true.
-func (c *Collection) Find(pred func(jsondoc.Doc) bool) []jsondoc.Doc {
-	var out []jsondoc.Doc
-	c.Scan(func(d jsondoc.Doc) bool {
-		if pred(d) {
-			out = append(out, d)
-		}
-		return true
-	})
 	return out
 }

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -148,15 +149,20 @@ func TestScanDeterministicAndStoppable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ctx := context.Background()
 	var order1, order2 []string
-	c.Scan(func(d jsondoc.Doc) bool {
+	if err := c.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		order1 = append(order1, d[IDField].(string))
 		return true
-	})
-	c.Scan(func(d jsondoc.Doc) bool {
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		order2 = append(order2, d[IDField].(string))
 		return true
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(order1) != 20 {
 		t.Fatalf("scan saw %d docs", len(order1))
 	}
@@ -166,7 +172,9 @@ func TestScanDeterministicAndStoppable(t *testing.T) {
 		}
 	}
 	n := 0
-	c.Scan(func(jsondoc.Doc) bool { n++; return n < 5 })
+	if err := c.ScanContext(ctx, func(jsondoc.Doc) bool { n++; return n < 5 }); err != nil {
+		t.Fatal(err)
+	}
 	if n != 5 {
 		t.Fatalf("early stop at %d", n)
 	}
@@ -246,7 +254,9 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Scan(func(jsondoc.Doc) bool { return true })
+			if err := c.ScanContext(context.Background(), func(jsondoc.Doc) bool { return true }); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -269,98 +279,6 @@ func TestCollectionNamesAndDrop(t *testing.T) {
 	s.DropCollection("a")
 	if s.HasCollection("a") {
 		t.Fatal("a should be dropped")
-	}
-}
-
-func TestFind(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	for i := 0; i < 10; i++ {
-		c.Insert(jsondoc.Doc{"i": i})
-	}
-	got := c.Find(func(d jsondoc.Doc) bool {
-		n, _ := d.GetNumber("i")
-		return n >= 7
-	})
-	if len(got) != 3 {
-		t.Fatalf("Find = %d docs", len(got))
-	}
-}
-
-func TestEqualityIndex(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	for i := 0; i < 30; i++ {
-		c.Insert(jsondoc.Doc{"topic": fmt.Sprintf("t%d", i%3), "i": i})
-	}
-	c.EnsureIndex("topic")
-	docs, used := c.FindByIndex("topic", "t1")
-	if !used {
-		t.Fatal("index not used")
-	}
-	if len(docs) != 10 {
-		t.Fatalf("indexed find = %d docs", len(docs))
-	}
-	// index maintained on insert/delete/replace
-	id, _ := c.Insert(jsondoc.Doc{"topic": "t1"})
-	if docs, _ := c.FindByIndex("topic", "t1"); len(docs) != 11 {
-		t.Fatalf("after insert: %d", len(docs))
-	}
-	c.Replace(id, jsondoc.Doc{"topic": "t9"})
-	if docs, _ := c.FindByIndex("topic", "t1"); len(docs) != 10 {
-		t.Fatalf("after replace: %d", len(docs))
-	}
-	if docs, _ := c.FindByIndex("topic", "t9"); len(docs) != 1 {
-		t.Fatalf("t9: %d", len(docs))
-	}
-	c.Delete(id)
-	if docs, _ := c.FindByIndex("topic", "t9"); len(docs) != 0 {
-		t.Fatalf("after delete: %d", len(docs))
-	}
-}
-
-func TestIndexMultikeyArrays(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	c.EnsureIndex("tags")
-	c.Insert(jsondoc.Doc{IDField: "a", "tags": []any{"vaccine", "fever"}})
-	c.Insert(jsondoc.Doc{IDField: "b", "tags": []any{"fever"}})
-	docs, used := c.FindByIndex("tags", "fever")
-	if !used || len(docs) != 2 {
-		t.Fatalf("multikey: used=%v n=%d", used, len(docs))
-	}
-	docs, _ = c.FindByIndex("tags", "vaccine")
-	if len(docs) != 1 || docs[0][IDField] != "a" {
-		t.Fatalf("vaccine: %v", docs)
-	}
-}
-
-func TestFindByIndexFallbackScan(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	c.Insert(jsondoc.Doc{"k": "v"})
-	docs, used := c.FindByIndex("k", "v")
-	if used {
-		t.Fatal("no index exists; should report fallback")
-	}
-	if len(docs) != 1 {
-		t.Fatalf("fallback found %d", len(docs))
-	}
-}
-
-func TestDistinctIndexed(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	c.EnsureIndex("topic")
-	c.Insert(jsondoc.Doc{"topic": "b"})
-	c.Insert(jsondoc.Doc{"topic": "a"})
-	c.Insert(jsondoc.Doc{"topic": "a"})
-	got := c.DistinctIndexed("topic")
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("distinct = %v", got)
-	}
-	if c.DistinctIndexed("nope") != nil {
-		t.Fatal("unindexed path should return nil")
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -60,6 +61,7 @@ func E13(quick bool) *Report {
 		}
 	}
 	eng := search.NewEngine(coll)
+	ctx := context.Background()
 
 	type query struct {
 		text string
@@ -78,7 +80,7 @@ func E13(quick bool) *Report {
 
 	evaluate := func() (p10, mapScore float64) {
 		for _, q := range queries {
-			page, err := eng.SearchAll(q.text, 1)
+			page, err := eng.SearchAllContext(ctx, q.text, 1)
 			if err != nil {
 				panic(err)
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"time"
@@ -10,11 +11,6 @@ import (
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/pipeline"
 )
-
-// collSource adapts a collection for the pipeline.
-type collSource struct{ c *docstore.Collection }
-
-func (s collSource) Scan(fn func(jsondoc.Doc) bool) { s.c.Scan(fn) }
 
 // heavyStage is an expensive per-document $function standing in for the
 // paper's custom JavaScript ranking functions.
@@ -49,6 +45,7 @@ func E3(quick bool) *Report {
 	if quick {
 		nDocs = 1500
 	}
+	ctx := context.Background()
 	store := docstore.Open(docstore.WithShards(4))
 	coll := store.Collection("pubs")
 	g := cord19.NewGenerator(11)
@@ -63,13 +60,15 @@ func E3(quick bool) *Report {
 
 	// warm the store's scan path so neither variant pays first-touch
 	// allocation costs
-	coll.Scan(func(jsondoc.Doc) bool { return true })
+	if err := coll.ScanContext(ctx, func(jsondoc.Doc) bool { return true }); err != nil {
+		panic(err)
+	}
 
 	run := func(p *pipeline.Pipeline) (int, time.Duration) {
 		bestN, bestT := 0, time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			out, err := p.Run(collSource{coll})
+			out, err := p.RunContext(ctx, coll)
 			if err != nil {
 				panic(err)
 			}
@@ -86,7 +85,7 @@ func E3(quick bool) *Report {
 		inner := heavyStage()
 		return pipeline.Function("count+rank", func(d jsondoc.Doc) (jsondoc.Doc, error) {
 			*counter++
-			out, err := inner.Run([]jsondoc.Doc{d})
+			out, err := inner.Run(ctx, []jsondoc.Doc{d})
 			if err != nil || len(out) == 0 {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -38,6 +39,7 @@ func E4(quick bool) *Report {
 		}
 	}
 	eng := search.NewEngine(coll)
+	ctx := context.Background()
 
 	type probe struct {
 		name string
@@ -45,12 +47,12 @@ func E4(quick bool) *Report {
 		q    string
 	}
 	probes := []probe{
-		{"all-fields", func() (search.Page, error) { return eng.SearchAll("masks", 1) }, "masks"},
-		{"all-fields", func() (search.Page, error) { return eng.SearchAll(`"side effect"`, 1) }, `"side effect"`},
-		{"tables", func() (search.Page, error) { return eng.SearchTables("ventilators", 1) }, "ventilators"},
-		{"tables", func() (search.Page, error) { return eng.SearchTables("vaccine", 1) }, "vaccine"},
+		{"all-fields", func() (search.Page, error) { return eng.SearchAllContext(ctx, "masks", 1) }, "masks"},
+		{"all-fields", func() (search.Page, error) { return eng.SearchAllContext(ctx, `"side effect"`, 1) }, `"side effect"`},
+		{"tables", func() (search.Page, error) { return eng.SearchTablesContext(ctx, "ventilators", 1) }, "ventilators"},
+		{"tables", func() (search.Page, error) { return eng.SearchTablesContext(ctx, "vaccine", 1) }, "vaccine"},
 		{"fields", func() (search.Page, error) {
-			return eng.SearchFields(search.FieldQuery{Title: "vaccination", Abstract: "dose"}, 1)
+			return eng.SearchFieldsContext(ctx, search.FieldQuery{Title: "vaccination", Abstract: "dose"}, 1)
 		}, "title:vaccination abstract:dose"},
 	}
 	for _, p := range probes {

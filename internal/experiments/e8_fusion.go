@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -107,7 +108,10 @@ func E8(quick bool) *Report {
 		r.AddNote("shape check: second pass still queued %d/%d", stillQueued, len(second))
 	}
 	// NovoVac reachable with provenance path
-	hits := g.Search("NovoVac")
+	hits, err := g.SearchContext(context.Background(), "NovoVac")
+	if err != nil {
+		panic(err)
+	}
 	if len(hits) == 1 {
 		var labels []string
 		for _, p := range hits[0].Path {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"covidkg/internal/cluster"
@@ -71,10 +72,12 @@ func E9(quick bool) *Report {
 // order TopicClusters uses, so cluster assignments align.
 func sysPoints(sys *core.System, out *[][]float64) {
 	*out = (*out)[:0]
-	sys.Pubs.Scan(func(d jsondoc.Doc) bool {
+	if err := sys.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		if v := sys.TextW2V.EmbedText(d.GetString("title") + " " + d.GetString("abstract")); v != nil {
 			*out = append(*out, v)
 		}
 		return true
-	})
+	}); err != nil {
+		panic(err)
+	}
 }

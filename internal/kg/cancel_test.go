@@ -41,12 +41,15 @@ func TestSearchContextCancelled(t *testing.T) {
 
 func TestSearchMatchesSearchContext(t *testing.T) {
 	g := SeedCOVID(nil)
-	plain := g.Search("vaccines")
-	withCtx, err := g.SearchContext(context.Background(), "vaccines")
+	plain := search(t, g, "vaccines")
+	// a cancellable context that stays live must not change the hits
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := g.SearchContext(live, "vaccines")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != len(withCtx) {
-		t.Fatalf("Search and SearchContext diverge: %d vs %d", len(plain), len(withCtx))
+		t.Fatalf("background and live contexts diverge: %d vs %d", len(plain), len(withCtx))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 
+	"covidkg/internal/metrics"
 	"covidkg/internal/textproc"
 )
 
@@ -67,6 +68,7 @@ type Graph struct {
 	// while snap.gen == gen.
 	gen  uint64
 	snap *Snapshot
+	met  *metrics.Registry // receives the snapshot build counters
 }
 
 // New creates a graph with a root node of the given label. embed may be
@@ -76,6 +78,7 @@ func New(rootLabel string, embed EmbedFunc) *Graph {
 		nodes:  map[string]*Node{},
 		byNorm: map[string][]string{},
 		embed:  embed,
+		met:    metrics.Default(),
 	}
 	root := &Node{
 		ID:     g.nextID(),
@@ -96,6 +99,17 @@ func (g *Graph) SetEmbedder(embed EmbedFunc) {
 	defer g.mu.Unlock()
 	g.embed = embed
 	g.embedGen++
+}
+
+// SetMetrics directs the graph's snapshot build counters to reg instead
+// of the process-default registry; nil keeps the current one.
+func (g *Graph) SetMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.met = reg
 }
 
 func (g *Graph) nextID() string {
@@ -310,21 +324,15 @@ type SearchHit struct {
 	Path []Node
 }
 
-// Search finds nodes whose normalized label contains every stemmed query
-// token, ordered by depth then label for determinism.
-func (g *Graph) Search(query string) []SearchHit {
-	hits, _ := g.SearchContext(context.Background(), query)
-	return hits
-}
-
 // searchCheckInterval is how many nodes SearchContext examines between
 // context checks.
 const searchCheckInterval = 64
 
-// SearchContext is Search under a request context: the label-match loop
-// and the path-resolution loop check ctx every searchCheckInterval nodes
-// and return ctx.Err() when the caller is gone, so a KG search over a
-// large graph cannot outlive its request.
+// SearchContext finds nodes whose normalized label contains every
+// stemmed query token, ordered by depth then label for determinism. The
+// label-match loop and the path-resolution loop check ctx every
+// searchCheckInterval nodes and return ctx.Err() when the caller is
+// gone, so a KG search over a large graph cannot outlive its request.
 func (g *Graph) SearchContext(ctx context.Context, query string) ([]SearchHit, error) {
 	terms := textproc.ParseQuery(query)
 	if len(terms) == 0 {
@@ -467,6 +475,7 @@ func FromJSON(data []byte) (*Graph, error) {
 		byNorm: map[string][]string{},
 		rootID: snap.Root,
 		seq:    snap.Seq,
+		met:    metrics.Default(),
 	}
 	for _, n := range snap.Nodes {
 		g.nodes[n.ID] = n

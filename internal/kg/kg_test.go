@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -127,7 +128,7 @@ func TestRemoveLeaf(t *testing.T) {
 
 func TestSearchWithPaths(t *testing.T) {
 	g := SeedCOVID(nil)
-	hits := g.Search("vaccines")
+	hits := search(t, g, "vaccines")
 	if len(hits) == 0 {
 		t.Fatal("no hits for vaccines")
 	}
@@ -142,13 +143,13 @@ func TestSearchWithPaths(t *testing.T) {
 		t.Fatal("path must end at the hit")
 	}
 	// stemming: "vaccination" matches "Vaccines"
-	if len(g.Search("vaccination")) == 0 {
+	if len(search(t, g, "vaccination")) == 0 {
 		t.Fatal("stemmed query found nothing")
 	}
-	if g.Search("") != nil {
+	if search(t, g, "") != nil {
 		t.Fatal("empty query")
 	}
-	if len(g.Search("zebra")) != 0 {
+	if len(search(t, g, "zebra")) != 0 {
 		t.Fatal("absent term matched")
 	}
 }
@@ -243,7 +244,7 @@ func TestFuseTermMatchUnsupervised(t *testing.T) {
 		t.Fatalf("new nodes = %d", res.NewNodes)
 	}
 	// leaves landed under the seed Vaccines node
-	hits := g.Search("Pfizer")
+	hits := search(t, g, "Pfizer")
 	if len(hits) != 1 {
 		t.Fatalf("pfizer hits = %d", len(hits))
 	}
@@ -299,7 +300,7 @@ func TestFuseMultiLayerQueued(t *testing.T) {
 		t.Fatalf("pending = %+v", pend)
 	}
 	// nothing added yet
-	if len(g.Search("rash")) != 0 {
+	if len(search(t, g, "rash")) != 0 {
 		t.Fatal("subtree applied before approval")
 	}
 }
@@ -318,7 +319,7 @@ func TestApproveAppliesAndLearns(t *testing.T) {
 	if err := f.Approve(res.ReviewID, target); err != nil {
 		t.Fatal(err)
 	}
-	hits := g.Search("rash")
+	hits := search(t, g, "rash")
 	if len(hits) != 1 {
 		t.Fatalf("rash hits = %d", len(hits))
 	}
@@ -384,7 +385,7 @@ func TestFuseEmbeddingFallbackNovoVac(t *testing.T) {
 		if res.Method != MethodEmbedding {
 			t.Fatalf("method = %q", res.Method)
 		}
-		if len(g.Search("NovoVac")) != 1 {
+		if len(search(t, g, "NovoVac")) != 1 {
 			t.Fatal("NovoVac not inserted")
 		}
 	case ActionQueued:
@@ -447,7 +448,7 @@ func TestApproveOverrideSuggestion(t *testing.T) {
 	if err := f.Approve(res.ReviewID, other); err != nil {
 		t.Fatal(err)
 	}
-	hits := g.Search("deep leaf")
+	hits := search(t, g, "deep leaf")
 	if len(hits) != 1 {
 		t.Fatalf("hits = %d", len(hits))
 	}
@@ -495,4 +496,14 @@ func TestNodesByPaper(t *testing.T) {
 	if got := g.NodesByPaper("nope"); got != nil {
 		t.Fatalf("unknown paper = %v", got)
 	}
+}
+
+// search runs SearchContext under a background context.
+func search(t testing.TB, g *Graph, query string) []SearchHit {
+	t.Helper()
+	hits, err := g.SearchContext(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits
 }

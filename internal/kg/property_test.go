@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -118,7 +119,10 @@ func TestConcurrentFuseAndSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
-				g.Search("vaccines")
+				if _, err := g.SearchContext(context.Background(), "vaccines"); err != nil {
+					t.Error(err)
+					return
+				}
 				g.Walk(func(Node, int) bool { return true })
 				if blob, err := g.MarshalJSON(); err != nil || len(blob) == 0 {
 					t.Error("marshal during fusion failed")

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"covidkg/internal/metrics"
 )
 
 // Snapshot is an immutable point-in-time view of the graph: node set,
@@ -212,8 +210,7 @@ func (g *Graph) buildSnapshotLocked() *Snapshot {
 	for norm, ids := range g.byNorm {
 		s.byNorm[norm] = carve(ids)
 	}
-	met := metrics.Default()
-	met.Counter("kg.snapshot_builds").Inc()
-	met.Histogram("kg.snapshot_build").Observe(time.Since(start))
+	g.met.Counter("kg.snapshot_builds").Inc()
+	g.met.Histogram("kg.snapshot_build").Observe(time.Since(start))
 	return s
 }

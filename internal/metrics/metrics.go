@@ -284,11 +284,3 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// Time runs fn and records its duration in the named histogram of the
-// default registry — the one-liner for instrumenting a code block.
-func Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	Default().Histogram(name).Observe(time.Since(start))
-}

@@ -119,11 +119,3 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 }
-
-func TestDefaultAndTime(t *testing.T) {
-	Time("test.block", func() { time.Sleep(time.Millisecond) })
-	s := Default().Histogram("test.block").Snapshot()
-	if s.Count < 1 || s.MaxUs < 500 {
-		t.Fatalf("Time did not record: %+v", s)
-	}
-}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,7 +25,7 @@ func BenchmarkMatchProjectSortLimit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := New(MatchEq("topic", "t3"), Project("i", "title"), SortByDesc("i"), Limit(10))
-		if _, err := p.Run(src); err != nil {
+		if _, err := p.RunContext(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +36,7 @@ func BenchmarkGroupBy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := New(GroupBy("topic", Sum("total", "i"), CountAcc("n")))
-		out, err := p.Run(src)
+		out, err := p.RunContext(context.Background(), src)
 		if err != nil || len(out) != 7 {
 			b.Fatalf("groups=%d err=%v", len(out), err)
 		}
@@ -50,7 +51,7 @@ func BenchmarkUnwind(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := New(Unwind("tags"))
-		if out, err := p.Run(src); err != nil || len(out) != 3000 {
+		if out, err := p.RunContext(context.Background(), src); err != nil || len(out) != 3000 {
 			b.Fatal(err)
 		}
 	}

@@ -91,6 +91,7 @@ func TestRunContextStageCancellation(t *testing.T) {
 }
 
 func TestRunContextLiveMatchesRun(t *testing.T) {
+	// a cancellable context that stays live must not change the result
 	docs := cancelDocs(3 * CancelCheckInterval)
 	build := func() *Pipeline {
 		return New(
@@ -99,20 +100,42 @@ func TestRunContextLiveMatchesRun(t *testing.T) {
 			Limit(10),
 		)
 	}
-	plain, err := build().Run(SliceSource(docs))
+	plain, err := build().RunContext(context.Background(), SliceSource(docs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := build().RunContext(context.Background(), SliceSource(docs))
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := build().RunContext(live, SliceSource(docs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != len(withCtx) {
-		t.Fatalf("Run and RunContext diverge: %d vs %d docs", len(plain), len(withCtx))
+		t.Fatalf("background and live contexts diverge: %d vs %d docs", len(plain), len(withCtx))
 	}
 	for i := range plain {
 		if plain[i]["_id"] != withCtx[i]["_id"] {
 			t.Fatalf("doc %d: %v vs %v", i, plain[i]["_id"], withCtx[i]["_id"])
 		}
+	}
+}
+
+// failingSource stops after one document with a fixed error, as a
+// docstore scan does when it reaches a dark shard.
+type failingSource struct{ err error }
+
+func (s failingSource) ScanContext(_ context.Context, fn func(jsondoc.Doc) bool) error {
+	fn(jsondoc.Doc{"_id": "0"})
+	return s.err
+}
+
+func TestRunContextReturnsSourceError(t *testing.T) {
+	boom := errors.New("shard dark")
+	out, err := New(Count("n")).RunContext(context.Background(), failingSource{boom})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the source's error", err)
+	}
+	if out != nil {
+		t.Fatalf("failed scan returned partial results: %v", out)
 	}
 }

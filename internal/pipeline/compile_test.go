@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -25,7 +26,7 @@ func compileJSON(t *testing.T, src string) *Pipeline {
 
 func TestCompileMatchEquality(t *testing.T) {
 	p := compileJSON(t, `[{"$match": {"topic": "t1"}}]`)
-	out, err := p.Run(docs(9))
+	out, err := p.RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCompileMatchOperators(t *testing.T) {
 		{`[{"$match": {"topic": {"$in": ["t0", "t2"]}}}]`, 7},
 	}
 	for _, c := range cases {
-		out, err := compileJSON(t, c.spec).Run(docs(10))
+		out, err := compileJSON(t, c.spec).RunContext(context.Background(), docs(10))
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -72,7 +73,7 @@ func TestCompileFullQuery(t *testing.T) {
 		{"$skip":    1},
 		{"$limit":   2}
 	]`)
-	out, err := p.Run(docs(30))
+	out, err := p.RunContext(context.Background(), docs(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestCompileGroup(t *testing.T) {
 		            "avg": {"$avg": "$i"}, "ids": {"$push": "$_id"}}},
 		{"$sort": {"_id": 1}}
 	]`)
-	out, err := p.Run(docs(9))
+	out, err := p.RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCompileUnwindAndCount(t *testing.T) {
 		jsondoc.Doc{"tags": []any{"c"}},
 	}
 	p := compileJSON(t, `[{"$unwind": "$tags"}, {"$count": "n"}]`)
-	out, err := p.Run(src)
+	out, err := p.RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestCompileMatchArrayEquality(t *testing.T) {
 		jsondoc.Doc{"tags": []any{"x", "y"}},
 		jsondoc.Doc{"tags": []any{"z"}},
 	}
-	out, err := compileJSON(t, `[{"$match": {"tags": "y"}}]`).Run(src)
+	out, err := compileJSON(t, `[{"$match": {"tags": "y"}}]`).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +194,11 @@ func TestCompiledEqualsHandWritten(t *testing.T) {
 		{"$limit": 3}
 	]`)
 	hand := New(MatchEq("topic", "t2"), SortByDesc("i"), Limit(3))
-	a, err := compiled.Run(src)
+	a, err := compiled.RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := hand.Run(docs(50))
+	b, err := hand.RunContext(context.Background(), docs(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestCompileFuzzNoPanic(t *testing.T) {
 			continue
 		}
 		// a compiled pipeline must also run without panicking
-		if _, err := p.Run(docs(5)); err != nil {
+		if _, err := p.RunContext(context.Background(), docs(5)); err != nil {
 			continue
 		}
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -29,7 +30,7 @@ func ExampleCompile() {
 	if err != nil {
 		panic(err)
 	}
-	out, err := p.Run(docs)
+	out, err := p.RunContext(context.Background(), docs)
 	if err != nil {
 		panic(err)
 	}

@@ -29,18 +29,12 @@ var ErrBadStage = errors.New("pipeline: bad stage")
 // Stage transforms a stream of documents into another stream.
 type Stage interface {
 	// Run consumes the input slice and returns the output slice. Stages
-	// own their input and may mutate or reuse it.
-	Run(in []jsondoc.Doc) ([]jsondoc.Doc, error)
+	// own their input and may mutate or reuse it. $match and $function
+	// check ctx every CancelCheckInterval documents and return ctx.Err()
+	// once the request driving the pipeline is gone.
+	Run(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error)
 	// Name returns the stage's $name for diagnostics.
 	Name() string
-}
-
-// ContextStage is implemented by stages that can abandon work early when
-// the request driving the pipeline is cancelled or its deadline expires.
-// RunContext must behave exactly like Run when ctx is never cancelled.
-type ContextStage interface {
-	Stage
-	RunContext(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error)
 }
 
 // CancelCheckInterval is how many documents a cooperative loop (source
@@ -49,17 +43,11 @@ type ContextStage interface {
 // interval at most.
 const CancelCheckInterval = 64
 
-// runStage dispatches one stage, preferring its context-aware path.
-func runStage(ctx context.Context, st Stage, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	if cs, ok := st.(ContextStage); ok {
-		return cs.RunContext(ctx, in)
-	}
-	return st.Run(in)
-}
-
-// Source yields the initial document stream.
+// Source yields the initial document stream; fn returning false stops
+// it. Every docstore.Docs is a Source. An error means the stream is
+// incomplete (a dark shard, a dead context), never a partial success.
 type Source interface {
-	Scan(fn func(jsondoc.Doc) bool)
+	ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error
 }
 
 // Pipeline is an ordered list of stages applied to a source.
@@ -85,17 +73,12 @@ func (p *Pipeline) Stages() []string {
 	return out
 }
 
-// Run executes the pipeline over the source with no deadline; it is
-// RunContext under context.Background().
-func (p *Pipeline) Run(src Source) ([]jsondoc.Doc, error) {
-	return p.RunContext(context.Background(), src)
-}
-
 // RunContext executes the pipeline over the source, abandoning work as
 // soon as ctx is cancelled or its deadline expires: the streaming scan
-// checks the context every CancelCheckInterval documents, context-aware
-// stages stop mid-stream, and remaining stages are skipped. A cancelled
-// run returns ctx.Err() (wrapped), never a partial result.
+// checks the context every CancelCheckInterval documents, $match and
+// $function stages stop mid-stream, and remaining stages are skipped. A cancelled
+// run returns ctx.Err() (wrapped), never a partial result; so does a
+// source that fails, with the source's error.
 //
 // The first contiguous run of $match stages is evaluated while streaming
 // from the source so non-matching documents are dropped before any
@@ -116,11 +99,9 @@ func (p *Pipeline) RunContext(ctx context.Context, src Source) ([]jsondoc.Doc, e
 
 	var buf []jsondoc.Doc
 	scanned := 0
-	cancelled := false
-	src.Scan(func(d jsondoc.Doc) bool {
+	err := src.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		scanned++
 		if scanned%CancelCheckInterval == 0 && ctx.Err() != nil {
-			cancelled = true
 			return false
 		}
 		for _, m := range streamMatches {
@@ -131,16 +112,18 @@ func (p *Pipeline) RunContext(ctx context.Context, src Source) ([]jsondoc.Doc, e
 		buf = append(buf, d)
 		return true
 	})
-	if cancelled || ctx.Err() != nil {
-		return nil, fmt.Errorf("pipeline: scan: %w", ctx.Err())
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: scan: %w", err)
 	}
 
-	var err error
 	for _, st := range rest {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), ctx.Err())
 		}
-		buf, err = runStage(ctx, st, buf)
+		buf, err = st.Run(ctx, buf)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: stage %s: %w", st.Name(), err)
 		}
@@ -151,13 +134,14 @@ func (p *Pipeline) RunContext(ctx context.Context, src Source) ([]jsondoc.Doc, e
 // SliceSource adapts a document slice to the Source interface.
 type SliceSource []jsondoc.Doc
 
-// Scan implements Source.
-func (s SliceSource) Scan(fn func(jsondoc.Doc) bool) {
+// ScanContext implements Source; RunContext does the context checks.
+func (s SliceSource) ScanContext(_ context.Context, fn func(jsondoc.Doc) bool) error {
 	for _, d := range s {
 		if !fn(d) {
-			return
+			break
 		}
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------- $match
@@ -213,13 +197,7 @@ func MatchExists(path string) *MatchStage {
 func (m *MatchStage) Name() string { return m.desc }
 
 // Run implements Stage.
-func (m *MatchStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	return m.RunContext(context.Background(), in)
-}
-
-// RunContext implements ContextStage: the predicate loop checks the
-// context every CancelCheckInterval documents.
-func (m *MatchStage) RunContext(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (m *MatchStage) Run(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	out := in[:0]
 	for i, d := range in {
 		if i%CancelCheckInterval == CancelCheckInterval-1 && ctx.Err() != nil {
@@ -253,7 +231,7 @@ func (p *ProjectStage) ExcludeID() *ProjectStage {
 func (p *ProjectStage) Name() string { return "$project" }
 
 // Run implements Stage.
-func (p *ProjectStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (p *ProjectStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	if len(p.fields) == 0 {
 		return nil, fmt.Errorf("%w: $project needs at least one field", ErrBadStage)
 	}
@@ -295,15 +273,9 @@ func Function(name string, fn func(jsondoc.Doc) (jsondoc.Doc, error)) *FunctionS
 // Name implements Stage.
 func (f *FunctionStage) Name() string { return "$function(" + f.name + ")" }
 
-// Run implements Stage.
-func (f *FunctionStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
-	return f.RunContext(context.Background(), in)
-}
-
-// RunContext implements ContextStage: the per-document loop checks the
-// context every CancelCheckInterval documents, so a slow custom function
-// cannot pin a worker past cancellation.
-func (f *FunctionStage) RunContext(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+// Run implements Stage. The per-document loop checks ctx, so a slow
+// custom function cannot pin a worker past cancellation.
+func (f *FunctionStage) Run(ctx context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	out := in[:0]
 	for i, d := range in {
 		if i%CancelCheckInterval == CancelCheckInterval-1 && ctx.Err() != nil {
@@ -337,7 +309,7 @@ func AddFields(fields map[string]func(jsondoc.Doc) any) *AddFieldsStage {
 func (a *AddFieldsStage) Name() string { return "$addFields" }
 
 // Run implements Stage.
-func (a *AddFieldsStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (a *AddFieldsStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	paths := make([]string, 0, len(a.fields))
 	for p := range a.fields {
 		paths = append(paths, p)
@@ -380,7 +352,7 @@ func SortByDesc(path string) *SortStage { return Sort(SortKey{Path: path, Desc: 
 func (s *SortStage) Name() string { return "$sort" }
 
 // Run implements Stage.
-func (s *SortStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (s *SortStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	if len(s.keys) == 0 {
 		return nil, fmt.Errorf("%w: $sort needs at least one key", ErrBadStage)
 	}
@@ -414,7 +386,7 @@ func Limit(n int) *LimitStage { return &LimitStage{n: n} }
 func (l *LimitStage) Name() string { return "$limit" }
 
 // Run implements Stage.
-func (l *LimitStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (l *LimitStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	if l.n < 0 {
 		return nil, fmt.Errorf("%w: negative $limit", ErrBadStage)
 	}
@@ -434,7 +406,7 @@ func Skip(n int) *SkipStage { return &SkipStage{n: n} }
 func (s *SkipStage) Name() string { return "$skip" }
 
 // Run implements Stage.
-func (s *SkipStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (s *SkipStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	if s.n < 0 {
 		return nil, fmt.Errorf("%w: negative $skip", ErrBadStage)
 	}
@@ -458,7 +430,7 @@ func Unwind(path string) *UnwindStage { return &UnwindStage{path: path} }
 func (u *UnwindStage) Name() string { return "$unwind" }
 
 // Run implements Stage.
-func (u *UnwindStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (u *UnwindStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	var out []jsondoc.Doc
 	for _, d := range in {
 		arr := d.GetArray(u.path)
@@ -573,7 +545,7 @@ func GroupByFunc(keyFn func(jsondoc.Doc) any, accs ...Accumulator) *GroupStage {
 func (g *GroupStage) Name() string { return "$group" }
 
 // Run implements Stage.
-func (g *GroupStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (g *GroupStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	type group struct {
 		key    any
 		states []any
@@ -624,7 +596,7 @@ func Count(field string) *CountStage { return &CountStage{field: field} }
 func (c *CountStage) Name() string { return "$count" }
 
 // Run implements Stage.
-func (c *CountStage) Run(in []jsondoc.Doc) ([]jsondoc.Doc, error) {
+func (c *CountStage) Run(_ context.Context, in []jsondoc.Doc) ([]jsondoc.Doc, error) {
 	if c.field == "" {
 		return nil, fmt.Errorf("%w: $count needs a field name", ErrBadStage)
 	}

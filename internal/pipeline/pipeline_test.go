@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"regexp"
@@ -24,7 +25,7 @@ func docs(n int) SliceSource {
 }
 
 func TestMatchEq(t *testing.T) {
-	out, err := New(MatchEq("topic", "t1")).Run(docs(9))
+	out, err := New(MatchEq("topic", "t1")).RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestMatchRegex(t *testing.T) {
 		jsondoc.Doc{"body": 42.0},
 	}
 	re := regexp.MustCompile(`(?i)\bmasks?\b`)
-	out, err := New(MatchRegex("title", re)).Run(src)
+	out, err := New(MatchRegex("title", re)).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestMatchExists(t *testing.T) {
 		jsondoc.Doc{"abstract": "x"},
 		jsondoc.Doc{"title": "y"},
 	}
-	out, err := New(MatchExists("abstract")).Run(src)
+	out, err := New(MatchExists("abstract")).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestMatchExists(t *testing.T) {
 }
 
 func TestProject(t *testing.T) {
-	out, err := New(Project("title")).Run(docs(2))
+	out, err := New(Project("title")).RunContext(context.Background(), docs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestProject(t *testing.T) {
 }
 
 func TestProjectExcludeID(t *testing.T) {
-	out, err := New(Project("title").ExcludeID()).Run(docs(1))
+	out, err := New(Project("title").ExcludeID()).RunContext(context.Background(), docs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestProjectExcludeID(t *testing.T) {
 
 func TestProjectNested(t *testing.T) {
 	src := SliceSource{jsondoc.Doc{"a": map[string]any{"b": 1.0, "c": 2.0}}}
-	out, err := New(Project("a.b").ExcludeID()).Run(src)
+	out, err := New(Project("a.b").ExcludeID()).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestProjectNested(t *testing.T) {
 }
 
 func TestProjectEmptyIsError(t *testing.T) {
-	if _, err := New(Project()).Run(docs(1)); !errors.Is(err, ErrBadStage) {
+	if _, err := New(Project()).RunContext(context.Background(), docs(1)); !errors.Is(err, ErrBadStage) {
 		t.Fatalf("want ErrBadStage, got %v", err)
 	}
 }
@@ -120,7 +121,7 @@ func TestFunctionStage(t *testing.T) {
 		}
 		return d, nil
 	})
-	out, err := New(score).Run(docs(3))
+	out, err := New(score).RunContext(context.Background(), docs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestFunctionDropsNil(t *testing.T) {
 		}
 		return d, nil
 	})
-	out, err := New(dropOdd).Run(docs(10))
+	out, err := New(dropOdd).RunContext(context.Background(), docs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +150,13 @@ func TestFunctionDropsNil(t *testing.T) {
 func TestFunctionError(t *testing.T) {
 	boom := errors.New("boom")
 	fail := Function("fail", func(jsondoc.Doc) (jsondoc.Doc, error) { return nil, boom })
-	if _, err := New(fail).Run(docs(1)); !errors.Is(err, boom) {
+	if _, err := New(fail).RunContext(context.Background(), docs(1)); !errors.Is(err, boom) {
 		t.Fatalf("error not propagated: %v", err)
 	}
 }
 
 func TestSortAscDesc(t *testing.T) {
-	out, err := New(SortByDesc("i"), Limit(3)).Run(docs(10))
+	out, err := New(SortByDesc("i"), Limit(3)).RunContext(context.Background(), docs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSortAscDesc(t *testing.T) {
 			t.Fatalf("sorted[%d] = %v, want %v", i, v, w)
 		}
 	}
-	out, _ = New(SortBy("i"), Limit(1)).Run(docs(10))
+	out, _ = New(SortBy("i"), Limit(1)).RunContext(context.Background(), docs(10))
 	if v, _ := out[0].GetNumber("i"); v != 0 {
 		t.Fatalf("asc head = %v", v)
 	}
@@ -177,7 +178,7 @@ func TestSortMultiKeyStable(t *testing.T) {
 		jsondoc.Doc{"g": "a", "n": 2.0, "tag": "second"},
 		jsondoc.Doc{"g": "b", "n": 1.0},
 	}
-	out, err := New(Sort(SortKey{Path: "g"}, SortKey{Path: "n", Desc: true})).Run(src)
+	out, err := New(Sort(SortKey{Path: "g"}, SortKey{Path: "n", Desc: true})).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestSortMultiKeyStable(t *testing.T) {
 
 func TestLimitSkipPagination(t *testing.T) {
 	// page 2, 10 per page — the paper's pagination shape
-	out, err := New(SortBy("i"), Skip(10), Limit(10)).Run(docs(35))
+	out, err := New(SortBy("i"), Skip(10), Limit(10)).RunContext(context.Background(), docs(35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,17 +203,17 @@ func TestLimitSkipPagination(t *testing.T) {
 		t.Fatalf("page start = %v", v)
 	}
 	// past-the-end page
-	out, _ = New(SortBy("i"), Skip(100), Limit(10)).Run(docs(35))
+	out, _ = New(SortBy("i"), Skip(100), Limit(10)).RunContext(context.Background(), docs(35))
 	if len(out) != 0 {
 		t.Fatalf("past-end page = %d", len(out))
 	}
 }
 
 func TestLimitSkipErrors(t *testing.T) {
-	if _, err := New(Limit(-1)).Run(docs(1)); !errors.Is(err, ErrBadStage) {
+	if _, err := New(Limit(-1)).RunContext(context.Background(), docs(1)); !errors.Is(err, ErrBadStage) {
 		t.Fatal("negative limit")
 	}
-	if _, err := New(Skip(-1)).Run(docs(1)); !errors.Is(err, ErrBadStage) {
+	if _, err := New(Skip(-1)).RunContext(context.Background(), docs(1)); !errors.Is(err, ErrBadStage) {
 		t.Fatal("negative skip")
 	}
 }
@@ -223,7 +224,7 @@ func TestUnwind(t *testing.T) {
 		jsondoc.Doc{"_id": "b", "tags": []any{"z"}},
 		jsondoc.Doc{"_id": "c"}, // no array: dropped
 	}
-	out, err := New(Unwind("tags")).Run(src)
+	out, err := New(Unwind("tags")).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestGroupBySumCountAvgPush(t *testing.T) {
 	out, err := New(
 		GroupBy("topic", Sum("total", "i"), CountAcc("n"), Avg("avg", "i"), Push("ids", "_id")),
 		SortBy("_id"),
-	).Run(docs(9))
+	).RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestGroupByFunc(t *testing.T) {
 	out, err := New(GroupByFunc(func(d jsondoc.Doc) any {
 		n, _ := d.GetNumber("i")
 		return int(n) % 2
-	}, CountAcc("n"))).Run(docs(10))
+	}, CountAcc("n"))).RunContext(context.Background(), docs(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestGroupByFunc(t *testing.T) {
 
 func TestAvgEmptyGroupIsNull(t *testing.T) {
 	src := SliceSource{jsondoc.Doc{"g": "a"}}
-	out, err := New(GroupBy("g", Avg("avg", "missing"))).Run(src)
+	out, err := New(GroupBy("g", Avg("avg", "missing"))).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestAvgEmptyGroupIsNull(t *testing.T) {
 }
 
 func TestCount(t *testing.T) {
-	out, err := New(MatchEq("topic", "t0"), Count("n")).Run(docs(9))
+	out, err := New(MatchEq("topic", "t0"), Count("n")).RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestCount(t *testing.T) {
 	if v, _ := out[0].GetNumber("n"); v != 3 {
 		t.Fatalf("n = %v", v)
 	}
-	if _, err := New(Count("")).Run(docs(1)); !errors.Is(err, ErrBadStage) {
+	if _, err := New(Count("")).RunContext(context.Background(), docs(1)); !errors.Is(err, ErrBadStage) {
 		t.Fatal("empty count field")
 	}
 }
@@ -311,7 +312,7 @@ func TestAddFields(t *testing.T) {
 			n, _ := d.GetNumber("i")
 			return n * 2
 		},
-	})).Run(docs(3))
+	})).RunContext(context.Background(), docs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestPipelineOverDocstore(t *testing.T) {
 		Project("i"),
 		SortByDesc("i"),
 		Limit(2),
-	).Run(collectionSource{c})
+	).RunContext(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +346,6 @@ func TestPipelineOverDocstore(t *testing.T) {
 	}
 }
 
-// collectionSource adapts a docstore collection to pipeline.Source.
-type collectionSource struct{ c *docstore.Collection }
-
-func (s collectionSource) Scan(fn func(jsondoc.Doc) bool) { s.c.Scan(fn) }
-
 func TestStreamingMatchPrefix(t *testing.T) {
 	// Both orders must give identical results; the match-first pipeline
 	// streams and the match-late pipeline buffers (E3 measures the perf
@@ -358,11 +354,11 @@ func TestStreamingMatchPrefix(t *testing.T) {
 	heavy := Function("annotate", func(d jsondoc.Doc) (jsondoc.Doc, error) {
 		return d, d.Set("x", 1)
 	})
-	first, err := New(MatchEq("topic", "t1"), heavy).Run(src)
+	first, err := New(MatchEq("topic", "t1"), heavy).RunContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := New(heavy, MatchEq("topic", "t1")).Run(docs(50))
+	late, err := New(heavy, MatchEq("topic", "t1")).RunContext(context.Background(), docs(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +378,7 @@ func TestExplain(t *testing.T) {
 
 func TestAppendChaining(t *testing.T) {
 	p := New(MatchEq("topic", "t0")).Append(Limit(1))
-	out, err := p.Run(docs(9))
+	out, err := p.RunContext(context.Background(), docs(9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestSortIsOrderedPermutation(t *testing.T) {
 			src[i] = jsondoc.Doc{"k": v}
 			counts[v]++
 		}
-		out, err := New(SortBy("k")).Run(src)
+		out, err := New(SortBy("k")).RunContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestMatchIsSubset(t *testing.T) {
 		out, err := New(Match(func(d jsondoc.Doc) bool {
 			v, _ := d.GetNumber("v")
 			return v >= cut
-		})).Run(src)
+		})).RunContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestSkipLimitPartition(t *testing.T) {
 		}
 		seen := map[float64]bool{}
 		for page := 0; ; page++ {
-			out, err := New(SortBy("i"), Skip(page*pageSize), Limit(pageSize)).Run(append(SliceSource(nil), src...))
+			out, err := New(SortBy("i"), Skip(page*pageSize), Limit(pageSize)).RunContext(context.Background(), append(SliceSource(nil), src...))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestGroupCountsSumToInput(t *testing.T) {
 		for i := range src {
 			src[i] = jsondoc.Doc{"g": float64(rng.Intn(6))}
 		}
-		out, err := New(GroupBy("g", CountAcc("n"))).Run(src)
+		out, err := New(GroupBy("g", CountAcc("n"))).RunContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}

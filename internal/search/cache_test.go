@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -97,11 +98,11 @@ func TestCacheDisabled(t *testing.T) {
 // identical queries makes the second one see the new document.
 func TestEngineCacheHitAndIngestInvalidation(t *testing.T) {
 	e := testEngine(t)
-	p1, err := e.SearchAll("masks", 1)
+	p1, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.SearchAll("masks", 1)
+	p2, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestEngineCacheHitAndIngestInvalidation(t *testing.T) {
 	if _, err := e.AddDocument(pub("", "New masks meta-analysis", "Masks again.", "")); err != nil {
 		t.Fatal(err)
 	}
-	p3, err := e.SearchAll("masks", 1)
+	p3, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestEngineCacheHitAndIngestInvalidation(t *testing.T) {
 
 	// normalization: whitespace/case variants share one entry
 	before := e.CacheStats().Hits
-	if _, err := e.SearchAll("  MASKS ", 1); err != nil {
+	if _, err := e.SearchAllContext(context.Background(), "  MASKS ", 1); err != nil {
 		t.Fatal(err)
 	}
 	if e.CacheStats().Hits != before+1 {
@@ -136,7 +137,7 @@ func TestEngineCacheHitAndIngestInvalidation(t *testing.T) {
 
 func TestSetRankOptionsInvalidatesCache(t *testing.T) {
 	e := testEngine(t)
-	if _, err := e.SearchAll("ventilators", 1); err != nil {
+	if _, err := e.SearchAllContext(context.Background(), "ventilators", 1); err != nil {
 		t.Fatal(err)
 	}
 	gen := e.Generation()
@@ -146,7 +147,7 @@ func TestSetRankOptionsInvalidatesCache(t *testing.T) {
 	}
 	// synonym-only doc p2 ("immunization") must vanish under NoSynonyms…
 	// here: recompute happens, not a stale cached page
-	p, err := e.SearchAll("ventilators", 1)
+	p, err := e.SearchAllContext(context.Background(), "ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -81,7 +82,9 @@ func NewEngine(coll docstore.Docs) *Engine {
 	e.idx.SetFieldWeights(fieldWeights)
 	e.rankOpts.Store(&RankOptions{})
 	e.cache.Store(newQueryCache(defaultCacheEntries, defaultCacheBytes))
-	coll.Scan(func(d jsondoc.Doc) bool {
+	// NewEngine has no error result, so a shard dark at boot leaves its
+	// documents unindexed.
+	_ = coll.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
 		if id, _ := d[docstore.IDField].(string); id != "" {
 			e.idx.AddDoc(id, index.Analyze(docTexts(d)), recencyOf(d))
 		} else { // a malformed pre-seeded document: unindexed, but counted

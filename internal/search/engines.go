@@ -368,11 +368,6 @@ type FieldQuery struct {
 	Caption  string
 }
 
-// SearchFields is engine §2.1.1 over a background context.
-func (e *Engine) SearchFields(q FieldQuery, pageNum int) (Page, error) {
-	return e.SearchFieldsContext(context.Background(), q, pageNum)
-}
-
 // fieldTerms is one non-empty field of a FieldQuery, parsed.
 type fieldTerms struct {
 	field string
@@ -462,11 +457,6 @@ func (e *Engine) fieldsPlan(conds []fieldTerms, allTerms []textproc.QueryTerm) p
 	return q
 }
 
-// SearchAll is engine §2.1.2 over a background context.
-func (e *Engine) SearchAll(query string, pageNum int) (Page, error) {
-	return e.SearchAllContext(context.Background(), query, pageNum)
-}
-
 // SearchAllContext is engine §2.1.2 — search over all publication
 // fields, for when "where the term is referenced is unimportant".
 // Results carry excerpts from every matching field: abstract, body text,
@@ -507,11 +497,6 @@ func (e *Engine) termsPlan(terms []textproc.QueryTerm, rankFields map[string]boo
 	return q
 }
 
-// SearchTables is engine §2.1.3 over a background context.
-func (e *Engine) SearchTables(query string, pageNum int) (Page, error) {
-	return e.SearchTablesContext(context.Background(), query, pageNum)
-}
-
 // SearchTablesContext is engine §2.1.3 — search over paper tables only:
 // "a product of regular expression search over table captions and all of
 // the table's data". Ranked with the same weighted-feature function,
@@ -545,16 +530,10 @@ type CellMatch struct {
 	Cells          [][2]int // (row, col) of every matched cell
 }
 
-// TableCellMatches locates every matched caption and cell of a stored
-// publication for the query, table by table, over a background context.
-func (e *Engine) TableCellMatches(docID, query string) ([]CellMatch, error) {
-	return e.TableCellMatchesContext(context.Background(), docID, query)
-}
-
-// TableCellMatchesContext is TableCellMatches under a request context:
-// the per-table matching loop checks ctx between tables (a table is the
-// unit of work — cell loops are short) and returns ctx.Err() when the
-// caller is gone.
+// TableCellMatchesContext locates every matched caption and cell of a
+// stored publication for the query, table by table. The loop checks ctx
+// between tables (a table is the unit of work — cell loops are short)
+// and returns ctx.Err() when the caller is gone.
 func (e *Engine) TableCellMatchesContext(ctx context.Context, docID, query string) ([]CellMatch, error) {
 	terms, err := queryOrError(query)
 	if err != nil {

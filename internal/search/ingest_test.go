@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,7 +59,7 @@ func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
 	}
 
 	reg.ClearAll()
-	pg, err := e.SearchAll("zymurgy", 1)
+	pg, err := e.SearchAllContext(context.Background(), "zymurgy", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,9 @@ func TestAddDocumentRejectsNonStringID(t *testing.T) {
 	e := testEngine(t)
 	countDocs := func() int {
 		n := 0
-		e.coll.Scan(func(jsondoc.Doc) bool { n++; return true })
+		if err := e.coll.ScanContext(context.Background(), func(jsondoc.Doc) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
 		return n
 	}
 	before, idxBefore := countDocs(), e.Index().DocCount()
@@ -167,7 +170,7 @@ func TestPagesIdenticalUnderLiveWriter(t *testing.T) {
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for _, q := range queries {
-			pg, err := e.SearchAll(q, 1)
+			pg, err := e.SearchAllContext(context.Background(), q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,11 +219,11 @@ func TestPagesIdenticalUnderLiveWriter(t *testing.T) {
 	e2 := NewEngine(c2)
 	for _, q := range queries {
 		for page := 1; page <= 3; page++ {
-			got, err := e.SearchAll(q, page)
+			got, err := e.SearchAllContext(context.Background(), q, page)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e2.SearchAll(q, page)
+			want, err := e2.SearchAllContext(context.Background(), q, page)
 			if err != nil {
 				t.Fatal(err)
 			}

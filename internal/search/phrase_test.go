@@ -71,21 +71,21 @@ func TestPhrasePositionalBoundaries(t *testing.T) {
 	all := func(q string) func(*Engine) (Page, Page, plan) {
 		return func(e *Engine) (Page, Page, plan) {
 			terms, _ := queryOrError(q)
-			got, _ := e.SearchAll(q, 1)
+			got, _ := e.SearchAllContext(context.Background(), q, 1)
 			return got, e.refRank(e.allPlan(terms), 1), e.allPlan(terms)
 		}
 	}
 	tables := func(q string) func(*Engine) (Page, Page, plan) {
 		return func(e *Engine) (Page, Page, plan) {
 			terms, _ := queryOrError(q)
-			got, _ := e.SearchTables(q, 1)
+			got, _ := e.SearchTablesContext(context.Background(), q, 1)
 			return got, e.refRank(e.tablesPlan(terms), 1), e.tablesPlan(terms)
 		}
 	}
 	fields := func(fq FieldQuery) func(*Engine) (Page, Page, plan) {
 		return func(e *Engine) (Page, Page, plan) {
 			conds, terms, _ := parseFieldQuery(fq)
-			got, _ := e.SearchFields(fq, 1)
+			got, _ := e.SearchFieldsContext(context.Background(), fq, 1)
 			return got, e.refRank(e.fieldsPlan(conds, terms), 1), e.fieldsPlan(conds, terms)
 		}
 	}
@@ -205,7 +205,7 @@ func TestPhraseQueryReadsOnlyAlignedCandidates(t *testing.T) {
 		}
 	}
 	const q = `"vaccine mRNA" transmission`
-	pg, err := e.SearchAll(q, 1)
+	pg, err := e.SearchAllContext(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -39,7 +40,7 @@ func TestPaginationPartitionProperty(t *testing.T) {
 	prevScore := -1.0
 	total := -1
 	for page := 1; ; page++ {
-		pg, err := e.SearchAll("masks", page)
+		pg, err := e.SearchAllContext(context.Background(), "masks", page)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +75,11 @@ func TestPaginationPartitionProperty(t *testing.T) {
 // engine must also be found by the all-fields engine (tables ⊆ all).
 func TestEnginesAgreeOnTableOnlyTerms(t *testing.T) {
 	e := testEngine(t)
-	tp, err := e.SearchTables("ventilators", 1)
+	tp, err := e.SearchTablesContext(context.Background(), "ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := e.SearchAll("ventilators", 1)
+	all, err := e.SearchAllContext(context.Background(), "ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +111,9 @@ func TestParallelSerialIdentical(t *testing.T) {
 	e.SetCacheLimits(0, 0) // force recomputation each call
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	// at returns what search answers at the given width
-	at := func(workers int, search func(string, int) (Page, error), q string, page int) Page {
+	at := func(workers int, search func(context.Context, string, int) (Page, error), q string, page int) Page {
 		runtime.GOMAXPROCS(workers)
-		pg, err := search(q, page)
+		pg, err := search(context.Background(), q, page)
 		if err != nil {
 			t.Fatalf("q=%q page=%d workers=%d: %v", q, page, workers, err)
 		}
@@ -125,13 +126,13 @@ func TestParallelSerialIdentical(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		for _, q := range queries {
 			for page := 1; page <= 3; page++ {
-				want, got := at(1, e.SearchAll, q, page), at(workers, e.SearchAll, q, page)
+				want, got := at(1, e.SearchAllContext, q, page), at(workers, e.SearchAllContext, q, page)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("q=%q page=%d workers=%d: parallel diverged from serial\nserial: %+v\nparallel: %+v",
 						q, page, workers, want, got)
 				}
 			}
-			if !reflect.DeepEqual(at(1, e.SearchTables, q, 1), at(workers, e.SearchTables, q, 1)) {
+			if !reflect.DeepEqual(at(1, e.SearchTablesContext, q, 1), at(workers, e.SearchTablesContext, q, 1)) {
 				t.Fatalf("tables q=%q workers=%d diverged", q, workers)
 			}
 		}
@@ -158,7 +159,7 @@ func TestIndexConsistencyAfterChurn(t *testing.T) {
 			kept = append(kept, id)
 		}
 	}
-	page, err := e.SearchAll("masks", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestIndexConsistencyAfterChurn(t *testing.T) {
 	}
 	// fresh engine over the same collection agrees
 	fresh := NewEngine(c)
-	fp, _ := fresh.SearchAll("masks", 1)
+	fp, _ := fresh.SearchAllContext(context.Background(), "masks", 1)
 	if fp.Total != page.Total {
 		t.Fatalf("fresh engine disagrees: %d vs %d", fp.Total, page.Total)
 	}

@@ -298,14 +298,14 @@ func TestRepeatedQueryWordIsOneTerm(t *testing.T) {
 		{"fever dose", "fever dose fever dose"},
 		{`"viral load" masks`, `"viral load" masks "Viral Load" masks`},
 	} {
-		same("all "+q[1], func() (Page, error) { return e.SearchAll(q[0], 1) }, func() (Page, error) { return e.SearchAll(q[1], 1) })
-		same("tables "+q[1], func() (Page, error) { return e.SearchTables(q[0], 1) }, func() (Page, error) { return e.SearchTables(q[1], 1) })
+		same("all "+q[1], func() (Page, error) { return e.SearchAllContext(context.Background(), q[0], 1) }, func() (Page, error) { return e.SearchAllContext(context.Background(), q[1], 1) })
+		same("tables "+q[1], func() (Page, error) { return e.SearchTablesContext(context.Background(), q[0], 1) }, func() (Page, error) { return e.SearchTablesContext(context.Background(), q[1], 1) })
 		same("fields "+q[1],
-			func() (Page, error) { return e.SearchFields(FieldQuery{Title: q[0]}, 1) },
-			func() (Page, error) { return e.SearchFields(FieldQuery{Title: q[1]}, 1) })
+			func() (Page, error) { return e.SearchFieldsContext(context.Background(), FieldQuery{Title: q[0]}, 1) },
+			func() (Page, error) { return e.SearchFieldsContext(context.Background(), FieldQuery{Title: q[1]}, 1) })
 	}
 	// the same word asked of two fields is still one ranking term
-	pg, err := e.SearchFields(FieldQuery{Title: "vaccine", Abstract: "vaccine"}, 1)
+	pg, err := e.SearchFieldsContext(context.Background(), FieldQuery{Title: "vaccine", Abstract: "vaccine"}, 1)
 	if err != nil || pg.Total == 0 {
 		t.Fatalf("title+abstract: %v, total %d", err, pg.Total)
 	}
@@ -330,7 +330,7 @@ func TestCandidateReadReasons(t *testing.T) {
 	var readDocs int64
 	check := func(reason, q string) {
 		t.Helper()
-		if _, err := e.SearchAll(q, 1); err != nil {
+		if _, err := e.SearchAllContext(context.Background(), q, 1); err != nil {
 			t.Fatal(err)
 		}
 		if reason != "" {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -77,7 +78,7 @@ func testEngine(t *testing.T) *Engine {
 
 func TestSearchAllBasic(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchAll("masks", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSearchAllBasic(t *testing.T) {
 func TestSearchAllStemming(t *testing.T) {
 	e := testEngine(t)
 	// "vaccination" stems to vaccin, matching "vaccine"/"vaccination"
-	page, err := e.SearchAll("vaccinations", 1)
+	page, err := e.SearchAllContext(context.Background(), "vaccinations", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSearchAllStemming(t *testing.T) {
 
 func TestSearchAllExactQuoted(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchAll(`"droplet transmission"`, 1)
+	page, err := e.SearchAllContext(context.Background(), `"droplet transmission"`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSearchAllExactQuoted(t *testing.T) {
 		t.Fatalf("quoted phrase: %+v", page)
 	}
 	// phrase in different order must not match
-	page, err = e.SearchAll(`"transmission droplet"`, 1)
+	page, err = e.SearchAllContext(context.Background(), `"transmission droplet"`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestSearchFieldsInclusive(t *testing.T) {
 	e := testEngine(t)
 	// title matches p1, abstract term only in p2 — inclusive semantics
 	// require each queried field to match, so no document qualifies.
-	page, err := e.SearchFields(FieldQuery{Title: "masks", Abstract: "fever"}, 1)
+	page, err := e.SearchFieldsContext(context.Background(), FieldQuery{Title: "masks", Abstract: "fever"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestSearchFieldsInclusive(t *testing.T) {
 		t.Fatalf("inclusive semantics violated: %+v", page.Results)
 	}
 	// both conditions satisfied by p2
-	page, err = e.SearchFields(FieldQuery{Title: "vaccine", Abstract: "fever"}, 1)
+	page, err = e.SearchFieldsContext(context.Background(), FieldQuery{Title: "vaccine", Abstract: "fever"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSearchFieldsInclusive(t *testing.T) {
 
 func TestSearchFieldsCaption(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchFields(FieldQuery{Caption: "side effects"}, 1)
+	page, err := e.SearchFieldsContext(context.Background(), FieldQuery{Caption: "side effects"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestSearchFieldsCaption(t *testing.T) {
 
 func TestSearchFieldsEmpty(t *testing.T) {
 	e := testEngine(t)
-	if _, err := e.SearchFields(FieldQuery{}, 1); err == nil {
+	if _, err := e.SearchFieldsContext(context.Background(), FieldQuery{}, 1); err == nil {
 		t.Fatal("empty field query should error")
 	}
 }
 
 func TestSearchTablesMatchesCellsAndCaption(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchTables("ventilators", 1)
+	page, err := e.SearchTablesContext(context.Background(), "ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSearchTablesMatchesCellsAndCaption(t *testing.T) {
 		t.Fatalf("table search: %+v", page.Results)
 	}
 	// cell-only term
-	page, err = e.SearchTables("Moderna", 1)
+	page, err = e.SearchTablesContext(context.Background(), "Moderna", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSearchTablesMatchesCellsAndCaption(t *testing.T) {
 		t.Fatalf("cell match: %+v", page.Results)
 	}
 	// body-only term must NOT hit the table engine
-	page, err = e.SearchTables("distancing", 1)
+	page, err = e.SearchTablesContext(context.Background(), "distancing", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestRankingTitleBeatsBody(t *testing.T) {
 	c.Insert(pub("title-hit", "Masks work", "Nothing here.", "Nothing here either."))
 	c.Insert(pub("body-hit", "Unrelated title", "Nothing.", "A mention of masks deep in the body."))
 	e := NewEngine(c)
-	page, err := e.SearchAll("masks", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestRankingProximity(t *testing.T) {
 	c.Insert(pub("near", "t", "masks reduce transmission quickly", ""))
 	c.Insert(pub("far", "t", "masks were distributed. later we measured cough and fever and finally transmission", ""))
 	e := NewEngine(c)
-	page, err := e.SearchAll("masks transmission", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks transmission", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestRankingCoverage(t *testing.T) {
 	c.Insert(pub("both", "t", "masks and ventilators", ""))
 	c.Insert(pub("one", "t", "masks masks masks masks masks masks", ""))
 	e := NewEngine(c)
-	page, err := e.SearchAll("masks ventilators", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,18 +281,18 @@ func TestPagination(t *testing.T) {
 			"Masks study "+itoa(i), "About masks.", ""))
 	}
 	e := NewEngine(c)
-	p1, err := e.SearchAll("masks", 1)
+	p1, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1.Total != 23 || p1.NumPages != 3 || len(p1.Results) != 10 {
 		t.Fatalf("page1 = %+v", p1)
 	}
-	p3, _ := e.SearchAll("masks", 3)
+	p3, _ := e.SearchAllContext(context.Background(), "masks", 3)
 	if len(p3.Results) != 3 {
 		t.Fatalf("page3 = %d results", len(p3.Results))
 	}
-	p9, _ := e.SearchAll("masks", 9)
+	p9, _ := e.SearchAllContext(context.Background(), "masks", 9)
 	if len(p9.Results) != 0 {
 		t.Fatalf("past-end page = %d results", len(p9.Results))
 	}
@@ -321,7 +322,7 @@ func itoa(n int) string {
 
 func TestSnippetHighlights(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchAll("masks", 1)
+	page, err := e.SearchAllContext(context.Background(), "masks", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,14 +351,14 @@ func TestAddRemoveDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page, _ := e.SearchAll("remdesivir", 1)
+	page, _ := e.SearchAllContext(context.Background(), "remdesivir", 1)
 	if page.Total != 1 {
 		t.Fatal("added doc not searchable")
 	}
 	if err := e.RemoveDocument(id); err != nil {
 		t.Fatal(err)
 	}
-	page, _ = e.SearchAll("remdesivir", 1)
+	page, _ = e.SearchAllContext(context.Background(), "remdesivir", 1)
 	if page.Total != 0 {
 		t.Fatal("removed doc still searchable")
 	}
@@ -366,10 +367,10 @@ func TestAddRemoveDocument(t *testing.T) {
 func TestEmptyQueryErrors(t *testing.T) {
 	e := testEngine(t)
 	for _, q := range []string{"", "the of and", `""`} {
-		if _, err := e.SearchAll(q, 1); err == nil {
+		if _, err := e.SearchAllContext(context.Background(), q, 1); err == nil {
 			t.Errorf("query %q should error", q)
 		}
-		if _, err := e.SearchTables(q, 1); err == nil {
+		if _, err := e.SearchTablesContext(context.Background(), q, 1); err == nil {
 			t.Errorf("table query %q should error", q)
 		}
 	}
@@ -387,7 +388,7 @@ func TestSearchOverGeneratedCorpus(t *testing.T) {
 	e := NewEngine(c)
 	// the paper's demo queries
 	for _, q := range []string{"masks", "ventilators", "vaccine"} {
-		page, err := e.SearchAll(q, 1)
+		page, err := e.SearchAllContext(context.Background(), q, 1)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -427,7 +428,7 @@ func TestSynonymRecallAndDiscount(t *testing.T) {
 	c.Insert(pub("synonym", "t", "Respirator allocation in intensive care.", ""))
 	c.Insert(pub("neither", "t", "Oxygen therapy outcomes.", ""))
 	e := NewEngine(c)
-	page, err := e.SearchAll("ventilators", 1)
+	page, err := e.SearchAllContext(context.Background(), "ventilators", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestSynonymVaccineImmunization(t *testing.T) {
 	c := s.Collection("pubs")
 	c.Insert(pub("imm", "Immunization outcomes", "Mass immunization programmes.", ""))
 	e := NewEngine(c)
-	page, err := e.SearchAll("vaccine", 1)
+	page, err := e.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestPhraseTermSynonymRecall(t *testing.T) {
 		"The vaccine targets the spike protein.", ""))
 	e := NewEngine(c)
 
-	page, err := e.SearchAll(`vaccine "spike protein"`, 1)
+	page, err := e.SearchAllContext(context.Background(), `vaccine "spike protein"`, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +486,7 @@ func TestPhraseTermSynonymRecall(t *testing.T) {
 
 	// the field engine applies the predicate per field: a synonym-only
 	// title must satisfy its condition when the abstract carries a phrase
-	page, err = e.SearchFields(FieldQuery{Title: "vaccine", Abstract: `"spike protein"`}, 1)
+	page, err = e.SearchFieldsContext(context.Background(), FieldQuery{Title: "vaccine", Abstract: `"spike protein"`}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestPhraseTermSynonymRecall(t *testing.T) {
 
 	// NoSynonyms restores literal-only verification
 	e.SetRankOptions(RankOptions{NoSynonyms: true})
-	page, err = e.SearchFields(FieldQuery{Title: "vaccine", Abstract: `"spike protein"`}, 1)
+	page, err = e.SearchFieldsContext(context.Background(), FieldQuery{Title: "vaccine", Abstract: `"spike protein"`}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func TestSnippetUTF8(t *testing.T) {
 // never zero pages — UIs divide by NumPages.
 func TestPaginateNumPagesAtLeastOne(t *testing.T) {
 	e := testEngine(t)
-	page, err := e.SearchAll("xylophone", 1)
+	page, err := e.SearchAllContext(context.Background(), "xylophone", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +560,7 @@ func TestPaginateNumPagesAtLeastOne(t *testing.T) {
 		t.Fatalf("zero-hit page = %+v", page)
 	}
 	// page 0 and page 1 are the same request (and the same cache entry)
-	p0, err := e.SearchAll("masks", 0)
+	p0, err := e.SearchAllContext(context.Background(), "masks", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +571,7 @@ func TestPaginateNumPagesAtLeastOne(t *testing.T) {
 
 func TestTableCellMatches(t *testing.T) {
 	e := testEngine(t)
-	ms, err := e.TableCellMatches("p2", "fever")
+	ms, err := e.TableCellMatchesContext(context.Background(), "p2", "fever")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +593,7 @@ func TestTableCellMatches(t *testing.T) {
 		t.Fatalf("cells = %v", m.Cells)
 	}
 	// caption match
-	ms, err = e.TableCellMatches("p3", "regions")
+	ms, err = e.TableCellMatchesContext(context.Background(), "p3", "regions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -600,16 +601,16 @@ func TestTableCellMatches(t *testing.T) {
 		t.Fatalf("caption match: %+v", ms)
 	}
 	// no match
-	ms, err = e.TableCellMatches("p2", "zebra")
+	ms, err = e.TableCellMatchesContext(context.Background(), "p2", "zebra")
 	if err != nil || len(ms) != 0 {
 		t.Fatalf("no-match: %+v %v", ms, err)
 	}
 	// missing doc
-	if _, err := e.TableCellMatches("nope", "fever"); err == nil {
+	if _, err := e.TableCellMatchesContext(context.Background(), "nope", "fever"); err == nil {
 		t.Fatal("missing doc should error")
 	}
 	// empty query
-	if _, err := e.TableCellMatches("p2", ""); err == nil {
+	if _, err := e.TableCellMatchesContext(context.Background(), "p2", ""); err == nil {
 		t.Fatal("empty query should error")
 	}
 }
@@ -634,15 +635,15 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := e.SearchAll("masks", 1); err != nil {
+		if _, err := e.SearchAllContext(context.Background(), "masks", 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.SearchTables("vaccine", 1); err != nil {
+		if _, err := e.SearchTablesContext(context.Background(), "vaccine", 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-done
-	page, err := e.SearchAll("vaccines", 1)
+	page, err := e.SearchAllContext(context.Background(), "vaccines", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -54,7 +55,7 @@ func TestNoPageCachedWithoutStatic(t *testing.T) {
 					default:
 					}
 					for _, q := range queries {
-						if _, err := e.SearchAll(q, 1); err != nil {
+						if _, err := e.SearchAllContext(context.Background(), q, 1); err != nil {
 							t.Error(err)
 							return
 						}
@@ -79,11 +80,11 @@ func TestNoPageCachedWithoutStatic(t *testing.T) {
 			}
 			fe := NewEngine(fresh)
 			for _, q := range queries {
-				got, err := e.SearchAll(q, 1)
+				got, err := e.SearchAllContext(context.Background(), q, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fe.SearchAll(q, 1)
+				want, err := fe.SearchAllContext(context.Background(), q, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

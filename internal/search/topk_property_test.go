@@ -76,7 +76,7 @@ func checkAll(t *testing.T, e *Engine, label, q string) int {
 	t.Helper()
 	total := 0
 	for _, page := range parityPages {
-		got, err1 := e.SearchAll(q, page)
+		got, err1 := e.SearchAllContext(context.Background(), q, page)
 		want, err2 := refSearch(e, e.allPlan, q, page)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s all q=%q page=%d: err %v vs %v", label, q, page, err1, err2)
@@ -88,7 +88,7 @@ func checkAll(t *testing.T, e *Engine, label, q string) int {
 		if page == 1 {
 			total = got.Total
 		}
-		got, err1 = e.SearchTables(q, page)
+		got, err1 = e.SearchTablesContext(context.Background(), q, page)
 		want, err2 = refSearch(e, e.tablesPlan, q, page)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s tables q=%q page=%d: %v / %v", label, q, page, err1, err2)
@@ -103,7 +103,7 @@ func checkFields(t *testing.T, e *Engine, label string, fq FieldQuery) int {
 	t.Helper()
 	total := 0
 	for _, page := range parityPages {
-		got, err1 := e.SearchFields(fq, page)
+		got, err1 := e.SearchFieldsContext(context.Background(), fq, page)
 		want, err2 := refSearchFields(e, fq, page)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s fields %+v page=%d: %v / %v", label, fq, page, err1, err2)
@@ -344,7 +344,7 @@ func TestRankingDegradesLikeOracle(t *testing.T) {
 				tc.before(t, c, fp)
 			}
 			// every seeded doc scores the same, so p00 leads page 1
-			got, err := e.SearchAll("covid", 1)
+			got, err := e.SearchAllContext(context.Background(), "covid", 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestTopKPruningActuallyPrunes(t *testing.T) {
 		}
 	}
 	e, reg := parityEngine(t, c)
-	pg, err := e.SearchAll("masks zebra", 1)
+	pg, err := e.SearchAllContext(context.Background(), "masks zebra", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

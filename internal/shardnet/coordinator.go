@@ -429,17 +429,11 @@ func (co *Coordinator) IDs() []string {
 	return all
 }
 
-// Scan streams every document in deterministic (shard, id) order,
-// ending early at a dark shard — use ScanContext to fail loudly.
-func (co *Coordinator) Scan(fn func(jsondoc.Doc) bool) {
-	_ = co.ScanContext(context.Background(), fn)
-}
-
-// ScanContext streams a snapshot of every shard in order, failing
-// loudly (dark-shard error) rather than silently dropping a partition.
-// While one shard's snapshot is being consumed, the next shard's is
-// already being fetched, so the scan's wall clock overlaps network and
-// iteration instead of summing them.
+// ScanContext streams a snapshot of every shard in deterministic
+// (shard, id) order, failing loudly (dark-shard error) rather than
+// silently dropping a partition. While one shard's snapshot is being
+// consumed, the next shard's is already being fetched, so the scan's
+// wall clock overlaps network and iteration instead of summing them.
 func (co *Coordinator) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
 	type snap struct {
 		docs []jsondoc.Doc

@@ -1,6 +1,7 @@
 package covidkg_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestLargeCorpusEndToEnd(t *testing.T) {
 
 	eng := search.NewEngine(coll)
 	for _, q := range []string{"masks", "vaccine side effects", `"viral load"`} {
-		page, err := eng.SearchAll(q, 1)
+		page, err := eng.SearchAllContext(context.Background(), q, 1)
 		if err != nil {
 			t.Fatalf("query %q: %v", q, err)
 		}
@@ -63,8 +64,8 @@ func TestLargeCorpusEndToEnd(t *testing.T) {
 	}
 
 	// deep pagination stays consistent
-	p1, _ := eng.SearchAll("masks", 1)
-	p50, _ := eng.SearchAll("masks", 50)
+	p1, _ := eng.SearchAllContext(context.Background(), "masks", 1)
+	p50, _ := eng.SearchAllContext(context.Background(), "masks", 50)
 	if p50.Total != p1.Total {
 		t.Fatalf("Total unstable across pages: %d vs %d", p1.Total, p50.Total)
 	}
@@ -86,9 +87,9 @@ func TestLargeKGBuild(t *testing.T) {
 	if sys.GraphSize() < 5000 {
 		t.Fatalf("graph size = %d", sys.GraphSize())
 	}
-	hits := sys.GraphSearch("candidate 4999")
-	if len(hits) != 1 {
-		t.Fatalf("search at size: %d hits", len(hits))
+	hits, err := sys.GraphSearchContext(context.Background(), "candidate 4999")
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("search at size: %d hits, %v", len(hits), err)
 	}
 	blob, err := sys.GraphJSON()
 	if err != nil {
@@ -115,8 +116,8 @@ func TestLargeAggregation(t *testing.T) {
 		}
 	}
 	total := 0
-	coll.Scan(func(d jsondoc.Doc) bool { total++; return true })
-	if total != n {
-		t.Fatalf("scan = %d", total)
+	err := coll.ScanContext(context.Background(), func(d jsondoc.Doc) bool { total++; return true })
+	if err != nil || total != n {
+		t.Fatalf("scan = %d, %v", total, err)
 	}
 }
