@@ -77,8 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("shard tier not reachable: %v", err)
 		}
-		log.Printf("publications served by %d remote shard processes (map v%d)",
-			sys.Coord.NumShards(), sys.Coord.MapVersion())
+		log.Printf("publications served by %d remote shard processes", sys.Coord.NumShards())
 	}
 
 	loaded := false

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9301", "listen address (port 0 picks an ephemeral port)")
-	name := flag.String("name", "shard0", "logical shard name (stable across restarts and migrations)")
+	name := flag.String("name", "shard0", "logical shard name (stable across restarts)")
 	wal := flag.String("wal", "", "write-ahead log path; empty disables crash durability")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()

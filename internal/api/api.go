@@ -176,11 +176,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // operator can see exactly which failure domain is dark. In the
 // in-process tier that is each shard's breaker state; in networked mode
 // it is the per-shard connection state — connected, breaker-open, or
-// unreachable — plus the shard-map version, so a migration's cutover
-// is visible from the probe.
+// unreachable.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if s.sys.Remote() {
-		conns, mapVersion := s.sys.ShardConnHealth(r.Context())
+		conns := s.sys.ShardConnHealth(r.Context())
 		ready := true
 		for _, c := range conns {
 			if !c.Ready() {
@@ -193,10 +192,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			status, state = http.StatusServiceUnavailable, "degraded"
 		}
 		writeJSON(w, status, map[string]any{
-			"status":            state,
-			"mode":              "shardnet",
-			"shard_map_version": mapVersion,
-			"shards":            conns,
+			"status": state,
+			"mode":   "shardnet",
+			"shards": conns,
 		})
 		return
 	}
@@ -221,13 +219,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"kg_nodes":     s.sys.Graph.Size(),
 	}
 	if s.sys.Remote() {
-		conns, mapVersion := s.sys.ShardConnHealth(r.Context())
+		conns := s.sys.ShardConnHealth(r.Context())
 		perShard := make([]int, len(conns))
 		for i, c := range conns {
 			perShard[i] = c.Docs
 		}
 		out["mode"] = "shardnet"
-		out["shard_map_version"] = mapVersion
 		out["per_shard"] = perShard
 	} else {
 		st := s.sys.Store.Stats()

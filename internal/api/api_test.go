@@ -15,7 +15,7 @@ import (
 	"covidkg/internal/metrics"
 )
 
-func testServer(t *testing.T) (*Server, *core.System) {
+func testServer(t testing.TB) (*Server, *core.System) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.TrainTables = 40

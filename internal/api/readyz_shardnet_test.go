@@ -39,7 +39,7 @@ func remoteTestServer(t *testing.T) (*Server, *core.System, []*shardnet.Server) 
 }
 
 // TestReadyzShardnetMode pins the networked /readyz contract: per-shard
-// connection states plus the shard-map version while healthy, and a 503
+// connection states while healthy, and a 503
 // naming the dark shard once a shard process disappears.
 func TestReadyzShardnetMode(t *testing.T) {
 	s, sys, backends := remoteTestServer(t)
@@ -55,9 +55,6 @@ func TestReadyzShardnetMode(t *testing.T) {
 	}
 	if body["mode"] != "shardnet" {
 		t.Fatalf("mode = %v, want shardnet", body["mode"])
-	}
-	if v := body["shard_map_version"].(float64); v != 1 {
-		t.Fatalf("shard_map_version = %v, want 1", v)
 	}
 	shards := body["shards"].([]any)
 	if len(shards) != 2 {

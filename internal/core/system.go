@@ -205,12 +205,11 @@ func (s *System) Health() []docstore.ShardHealth { return s.Store.Health() }
 func (s *System) Remote() bool { return s.Coord != nil }
 
 // ShardConnHealth probes the remote shard tier: per-connection state
-// (connected / breaker-open / unreachable) and the current
-// shard-map version — the payload behind GET /readyz in networked
-// mode. Returns nil, 0 when the system is in-process.
-func (s *System) ShardConnHealth(ctx context.Context) ([]shardnet.ConnHealth, uint64) {
+// (connected / breaker-open / unreachable) — the payload behind GET
+// /readyz in networked mode. Returns nil when the system is in-process.
+func (s *System) ShardConnHealth(ctx context.Context) []shardnet.ConnHealth {
 	if s.Coord == nil {
-		return nil, 0
+		return nil
 	}
 	return s.Coord.Health(ctx)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"strconv"
 	"sync"
@@ -196,23 +195,6 @@ func (c *Collection) AllShardsServing() bool {
 		}
 	}
 	return true
-}
-
-// ShardCRC returns the CRC32 (IEEE — the polynomial the durable
-// snapshot manifests use) of one shard's deterministic JSONL
-// serialization: sorted ids, one document JSON per line. Shard servers
-// expose it over the wire so a live migration can prove the destination
-// holds byte-identical data before the shard map cuts over.
-func (c *Collection) ShardCRC(si int) uint32 {
-	sh := c.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var crc uint32
-	for _, id := range sh.sortedIDs() {
-		crc = crc32.Update(crc, crc32.IEEETable, sh.docs[id].JSON())
-		crc = crc32.Update(crc, crc32.IEEETable, []byte{'\n'})
-	}
-	return crc
 }
 
 // --------------------------------------------------------------- health

@@ -501,71 +501,20 @@ func decodeDocs(p []byte) ([]jsondoc.Doc, error) {
 	return out, nil
 }
 
-func appendManifestField(b []byte, num int, man map[string]uint32) []byte {
-	if len(man) == 0 {
-		return b
-	}
-	sz := uvarintLen(uint64(len(man)))
-	for k, crc := range man {
-		sz += uvarintLen(uint64(len(k))) + len(k) + uvarintLen(uint64(crc))
-	}
-	b = appendTag(b, num, wtBytes)
-	b = appendUvarint(b, uint64(sz))
-	b = appendUvarint(b, uint64(len(man)))
-	for k, crc := range man {
-		b = appendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
-		b = appendUvarint(b, uint64(crc))
-	}
-	return b
-}
-
-func decodeManifest(p []byte) (map[string]uint32, error) {
-	count, pos, err := readUvarint(p, 0)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(p)-pos)/2 {
-		return nil, codecErr("manifest claims %d entries in %d bytes", count, len(p)-pos)
-	}
-	out := make(map[string]uint32, count)
-	for i := uint64(0); i < count; i++ {
-		kl, kpos, err := readUvarint(p, pos)
-		if err != nil {
-			return nil, err
-		}
-		pos = kpos
-		if kl > uint64(len(p)-pos) {
-			return nil, codecErr("manifest key of %d bytes with %d remaining", kl, len(p)-pos)
-		}
-		k := string(p[pos : pos+int(kl)])
-		pos += int(kl)
-		crc, cpos, err := readUvarint(p, pos)
-		if err != nil {
-			return nil, err
-		}
-		pos = cpos
-		out[k] = uint32(crc)
-	}
-	return out, nil
-}
-
 // --------------------------------------------------- request envelope
 
 // Binary field numbers for the request envelope. Numbers are permanent
-// once shipped — new fields take new numbers (request 11 and response
-// 14, 15 are retired).
+// once shipped — new fields take new numbers, and a retired number is
+// never reused. Retired: 3 (shard-map version), 9 (bulk documents), 10
+// (cutover version) and 11 (codec features).
 const (
 	rfOp       = 1
 	rfShard    = 2
-	rfMapVer   = 3
 	rfDeadline = 4
 	rfIdemKey  = 5
 	rfID       = 6
 	rfIDs      = 7
 	rfDoc      = 8
-	rfDocs     = 9
-	rfVersion  = 10
 )
 
 func appendBinaryRequest(b []byte, corr uint64, req *request) ([]byte, error) {
@@ -573,20 +522,11 @@ func appendBinaryRequest(b []byte, corr uint64, req *request) ([]byte, error) {
 	b = appendUvarint(b, corr)
 	b = appendStringField(b, rfOp, req.Op)
 	b = appendVarintField(b, rfShard, uint64(req.Shard))
-	b = appendVarintField(b, rfMapVer, req.MapVersion)
 	b = appendVarintField(b, rfDeadline, uint64(req.DeadlineUnixMicro))
 	b = appendStringField(b, rfIdemKey, req.IdemKey)
 	b = appendStringField(b, rfID, req.ID)
 	b = appendStringsField(b, rfIDs, req.IDs)
-	b, err := appendDocField(b, rfDoc, req.Doc)
-	if err != nil {
-		return b, err
-	}
-	if b, err = appendDocsField(b, rfDocs, req.Docs); err != nil {
-		return b, err
-	}
-	b = appendVarintField(b, rfVersion, req.Version)
-	return b, nil
+	return appendDocField(b, rfDoc, req.Doc)
 }
 
 func decodeBinaryRequest(p []byte) (uint64, *request, error) {
@@ -609,12 +549,8 @@ func decodeBinaryRequest(p []byte) (uint64, *request, error) {
 			switch num {
 			case rfShard:
 				req.Shard = int(v)
-			case rfMapVer:
-				req.MapVersion = v
 			case rfDeadline:
 				req.DeadlineUnixMicro = int64(v)
-			case rfVersion:
-				req.Version = v
 			}
 			continue
 		}
@@ -633,10 +569,6 @@ func decodeBinaryRequest(p []byte) (uint64, *request, error) {
 			if req.Doc, err = decodeDoc(fp); err != nil {
 				return 0, nil, err
 			}
-		case rfDocs:
-			if req.Docs, err = decodeDocs(fp); err != nil {
-				return 0, nil, err
-			}
 		}
 	}
 	return corr, req, nil
@@ -644,6 +576,10 @@ func decodeBinaryRequest(p []byte) (uint64, *request, error) {
 
 // -------------------------------------------------- response envelope
 
+// Binary field numbers for the response envelope, under the same rule.
+// Retired: 8 (shard CRC), 9 (id → CRC manifest), 10, 11 and 12
+// (replica health, stale replica count, resync report), 14 and 15
+// (codec and mux negotiation).
 const (
 	pfErrCode  = 1
 	pfErrMsg   = 2
@@ -652,10 +588,6 @@ const (
 	pfDoc      = 5
 	pfDocs     = 6
 	pfN        = 7
-	pfCRC      = 8
-	pfManifest = 9
-	// 10–12 (replica health, stale replica count, resync report) are
-	// retired; never reuse them.
 	pfWALBytes = 13
 )
 
@@ -674,8 +606,6 @@ func appendBinaryResponse(b []byte, corr uint64, resp *response) ([]byte, error)
 		return b, err
 	}
 	b = appendVarintField(b, pfN, uint64(resp.N))
-	b = appendVarintField(b, pfCRC, uint64(resp.CRC))
-	b = appendManifestField(b, pfManifest, resp.Manifest)
 	b = appendVarintField(b, pfWALBytes, uint64(resp.WALBytes))
 	return b, nil
 }
@@ -700,8 +630,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 			switch num {
 			case pfN:
 				resp.N = int(v)
-			case pfCRC:
-				resp.CRC = uint32(v)
 			case pfWALBytes:
 				resp.WALBytes = int64(v)
 			}
@@ -724,10 +652,6 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 			}
 		case pfDocs:
 			if resp.Docs, err = decodeDocs(fp); err != nil {
-				return 0, nil, err
-			}
-		case pfManifest:
-			if resp.Manifest, err = decodeManifest(fp); err != nil {
 				return 0, nil, err
 			}
 		}

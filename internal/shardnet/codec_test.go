@@ -1,9 +1,14 @@
 package shardnet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"covidkg/internal/jsondoc"
@@ -78,12 +83,9 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		req := &request{
 			Op:                opGetMany,
 			Shard:             rng.Intn(16),
-			MapVersion:        uint64(rng.Intn(5)),
 			DeadlineUnixMicro: rng.Int63n(1 << 40),
 			ID:                fmt.Sprintf("id-%d", i),
 			IDs:               randIDs(rng, rng.Intn(4)),
-			Docs:              randDocs(rng, rng.Intn(3)),
-			Version:           uint64(rng.Intn(3)),
 		}
 		if rng.Intn(2) == 0 {
 			req.IdemKey = fmt.Sprintf("idem-%d", i)
@@ -118,7 +120,6 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			IDs:      randIDs(rng, rng.Intn(5)),
 			Docs:     randDocs(rng, rng.Intn(3)),
 			N:        rng.Intn(1000),
-			CRC:      uint32(rng.Int63()),
 			WALBytes: rng.Int63n(1 << 30),
 		}
 		switch rng.Intn(3) {
@@ -126,7 +127,6 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			resp.ErrCode, resp.ErrMsg = codeNotFound, "no such doc"
 		case 1:
 			resp.Doc = randDoc(rng, 2)
-			resp.Manifest = map[string]uint32{"a": 1, "b": uint32(rng.Intn(100))}
 		}
 
 		bin, err := appendBinaryResponse(nil, 42, resp)
@@ -142,6 +142,125 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("envelope %d diverged:\ndecoded: %#v\nencoded: %#v", i, got, resp)
+		}
+	}
+}
+
+// retiredRequestFields and retiredResponseFields are the field numbers
+// that older peers sent and that are never reused (codec.go lists what
+// each carried).
+var (
+	retiredRequestFields  = []int{3, 9, 10, 11}
+	retiredResponseFields = []int{8, 9, 10, 11, 12, 14, 15}
+)
+
+// appendRetiredFields appends each retired number twice, once per
+// wiretype, so the decoder must skip both shapes.
+func appendRetiredFields(b []byte, nums []int) []byte {
+	for _, num := range nums {
+		b = appendVarintField(b, num, 7)
+		b = appendStringField(b, num, "retired")
+	}
+	return b
+}
+
+// tagsIn lists the field numbers of every field in an encoded envelope,
+// in order.
+func tagsIn(t *testing.T, p []byte) []int {
+	t.Helper()
+	_, pos, err := readUvarint(p, 2) // the corr, after version and kind
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nums []int
+	for pos < len(p) {
+		num, _, _, _, npos, err := readField(p, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nums = append(nums, num)
+		pos = npos
+	}
+	return nums
+}
+
+// TestRetiredFieldNumbersIgnored pins the retired b1 field numbers: a
+// frame carrying them decodes to the same envelope as one without them,
+// and the encoder never emits them.
+func TestRetiredFieldNumbersIgnored(t *testing.T) {
+	req := &request{
+		Op: opInsert, Shard: 3, DeadlineUnixMicro: 1234567, IdemKey: "k",
+		ID: "doc-1", IDs: []string{"a", "b"}, Doc: jsondoc.Doc{"_id": "doc-1", "n": 2.0},
+	}
+	plainReq, err := appendBinaryRequest(nil, 5, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := decodeBinaryRequest(plainReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := decodeBinaryRequest(appendRetiredFields(append([]byte(nil), plainReq...), retiredRequestFields))
+	if err != nil {
+		t.Fatalf("request with retired fields: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired request fields changed the envelope:\ngot:  %#v\nwant: %#v", got, want)
+	}
+
+	resp := &response{
+		ErrCode: codeNotFound, ErrMsg: "m", ID: "doc-1", IDs: []string{"a"},
+		Doc: jsondoc.Doc{"_id": "doc-1"}, Docs: []jsondoc.Doc{{"_id": "a"}}, N: 9, WALBytes: 1 << 20,
+	}
+	plainResp, err := appendBinaryResponse(nil, 6, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantResp, err := decodeBinaryResponse(plainResp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, gotResp, err := decodeBinaryResponse(appendRetiredFields(append([]byte(nil), plainResp...), retiredResponseFields))
+	if err != nil {
+		t.Fatalf("response with retired fields: %v", err)
+	}
+	if !reflect.DeepEqual(gotResp, wantResp) {
+		t.Fatalf("retired response fields changed the envelope:\ngot:  %#v\nwant: %#v", gotResp, wantResp)
+	}
+
+	// Every field of both envelopes is populated above, so the encoder
+	// had every chance to emit a retired number.
+	for _, c := range []struct {
+		name    string
+		p       []byte
+		retired []int
+	}{{"request", plainReq, retiredRequestFields}, {"response", plainResp, retiredResponseFields}} {
+		for _, num := range tagsIn(t, c.p) {
+			if slices.Contains(c.retired, num) {
+				t.Errorf("%s encoder emitted retired field %d", c.name, num)
+			}
+		}
+	}
+
+	// codec.go's field-number comments list every retired number.
+	src, err := os.ReadFile("codec.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		anchor  string
+		retired []int
+	}{{"request envelope. Numbers", retiredRequestFields}, {"response envelope, under", retiredResponseFields}} {
+		i := bytes.Index(src, []byte(c.anchor))
+		if i < 0 {
+			t.Fatalf("codec.go has no comment containing %q", c.anchor)
+		}
+		comment := string(src[i:])
+		comment = comment[:strings.Index(comment, "const (")]
+		for _, num := range c.retired {
+			if !regexp.MustCompile(fmt.Sprintf(`\b%d\b`, num)).MatchString(comment) {
+				t.Errorf("codec.go's %q comment does not list retired field %d", c.anchor, num)
+			}
 		}
 	}
 }

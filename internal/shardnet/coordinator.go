@@ -76,7 +76,7 @@ func transportFailure(err error) bool {
 // it; the in-process *Collection and the networked tier are
 // interchangeable behind that interface.
 //
-// Placement is the versioned consistent-hash ShardMap; per-shard
+// Placement is the consistent-hash ShardMap, fixed at Dial; per-shard
 // clients carry circuit breakers, hedged reads, deadline propagation,
 // and idempotent write retries. A dark shard degrades exactly like the
 // in-process tier: shard-scoped reads fail with a *docstore.ShardError
@@ -86,18 +86,10 @@ type Coordinator struct {
 	cfg Config
 	met *metrics.Registry
 
-	// mu guards the shard map and client table (swapped at migration
-	// cutover).
-	mu      sync.RWMutex
+	// smap and clients are set once in Dial and never change, so no
+	// read or write path takes a lock to route.
 	smap    *ShardMap
 	clients []*shardClient
-
-	// gates pause writes to one shard during a migration's delta+cutover
-	// window: writers hold the shard's gate in read mode for the length
-	// of one attempt, the migrator holds it in write mode while it
-	// drains, delta-syncs, and swaps the client. Readers never take the
-	// gate — reads stay live through the whole migration.
-	gates []*sync.RWMutex
 
 	idemSeq    atomic.Uint64
 	idemPrefix string
@@ -119,23 +111,17 @@ func Dial(cfg Config, addrs []string) (*Coordinator, error) {
 		idemPrefix: randomToken(),
 	}
 	co.clients = make([]*shardClient, len(addrs))
-	co.gates = make([]*sync.RWMutex, len(addrs))
 	for i, sa := range co.smap.Shards {
-		co.clients[i] = co.newClient(i, sa.Name, sa.Addr)
-		co.gates[i] = &sync.RWMutex{}
+		co.clients[i] = newShardClient(i, sa.Name, sa.Addr, clientOpts{
+			dialTimeout: cfg.DialTimeout,
+			callTimeout: cfg.CallTimeout,
+			hedgeDelay:  cfg.HedgeDelay,
+			muxConns:    cfg.MuxConns,
+			brk:         cfg.Breaker,
+			met:         cfg.Metrics,
+		})
 	}
 	return co, nil
-}
-
-func (co *Coordinator) newClient(si int, name, addr string) *shardClient {
-	return newShardClient(si, name, addr, clientOpts{
-		dialTimeout: co.cfg.DialTimeout,
-		callTimeout: co.cfg.CallTimeout,
-		hedgeDelay:  co.cfg.HedgeDelay,
-		muxConns:    co.cfg.MuxConns,
-		brk:         co.cfg.Breaker,
-		met:         co.met,
-	})
 }
 
 // randomToken makes idempotency keys unique across coordinator
@@ -155,35 +141,9 @@ func (co *Coordinator) nextIdemKey() string {
 
 // Close releases every pooled connection.
 func (co *Coordinator) Close() {
-	co.mu.RLock()
-	clients := append([]*shardClient(nil), co.clients...)
-	co.mu.RUnlock()
-	for _, c := range clients {
+	for _, c := range co.clients {
 		c.close()
 	}
-}
-
-// clientFor reads the current client + map version for a shard.
-func (co *Coordinator) clientFor(si int) (*shardClient, uint64) {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.clients[si], co.smap.Version
-}
-
-// MapVersion returns the current shard-map version.
-func (co *Coordinator) MapVersion() uint64 {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.smap.Version
-}
-
-// ShardMapSnapshot returns a copy of the placement table (no ring).
-func (co *Coordinator) ShardMapSnapshot() ShardMap {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	out := ShardMap{Version: co.smap.Version, Shards: make([]ShardAddr, len(co.smap.Shards))}
-	copy(out.Shards, co.smap.Shards)
-	return out
 }
 
 // darkShardErr folds an exhausted transport failure into the error
@@ -202,30 +162,22 @@ func (co *Coordinator) darkShardErr(si int, err error) error {
 
 // ------------------------------------------------------------- writes
 
-// writeCall runs one write op with bounded retries under the shard's
-// migration gate, re-resolving the client and map version on every
-// attempt (a retry after cutover lands on the new owner). If ANY
-// attempt ended indeterminate, a final failure is classified
-// indeterminate even when the last attempt definitively did not send —
-// an earlier frame may have been applied, and claiming otherwise would
-// corrupt the lost/ghost audit.
-func (co *Coordinator) writeCall(ctx context.Context, id string, build func(si int, mapv uint64) *request) (*response, error) {
+// writeCall runs one write op against shard si with bounded
+// retries; the request, and so its idempotency key, is the same on
+// every attempt. If ANY attempt ended indeterminate, a final failure is
+// classified indeterminate even when the last attempt definitively did
+// not send — an earlier frame may have been applied, and claiming
+// otherwise would corrupt the lost/ghost audit.
+func (co *Coordinator) writeCall(ctx context.Context, si int, req *request) (*response, error) {
 	sawIndeterminate := false
 	var resp *response
 	retryCfg := co.cfg.WriteRetry
 	retryCfg.Retryable = func(err error) bool {
-		return transportFailure(err) || errors.Is(err, ErrStaleMap) || errors.Is(err, docstore.ErrNoQuorum)
+		return transportFailure(err) || errors.Is(err, docstore.ErrNoQuorum)
 	}
+	cl := co.clients[si]
 	err := retry.Do(ctx, retryCfg, func() error {
-		co.mu.RLock()
-		si := co.smap.ShardOf(id)
-		gate := co.gates[si]
-		co.mu.RUnlock()
-
-		gate.RLock()
-		cl, mapv := co.clientFor(si)
-		r, err := cl.call(ctx, build(si, mapv))
-		gate.RUnlock()
+		r, err := cl.call(ctx, req)
 		if err != nil {
 			if errors.Is(err, ErrIndeterminate) {
 				sawIndeterminate = true
@@ -239,9 +191,6 @@ func (co *Coordinator) writeCall(ctx context.Context, id string, build func(si i
 		if sawIndeterminate && !errors.Is(err, ErrIndeterminate) {
 			err = fmt.Errorf("%w: an earlier attempt may have been applied: %v", ErrIndeterminate, err)
 		}
-		co.mu.RLock()
-		si := co.smap.ShardOf(id)
-		co.mu.RUnlock()
 		return nil, co.darkShardErr(si, err)
 	}
 	return resp, nil
@@ -257,10 +206,8 @@ func (co *Coordinator) Insert(d jsondoc.Doc) (string, error) {
 		id = fmt.Sprintf("doc-%s-%d", co.idemPrefix, co.idemSeq.Add(1))
 		doc[docstore.IDField] = id
 	}
-	idem := co.nextIdemKey()
-	resp, err := co.writeCall(context.Background(), id, func(si int, mapv uint64) *request {
-		return &request{Op: opInsert, Shard: si, MapVersion: mapv, IdemKey: idem, Doc: doc}
-	})
+	si := co.smap.ShardOf(id)
+	resp, err := co.writeCall(context.Background(), si, &request{Op: opInsert, Shard: si, IdemKey: co.nextIdemKey(), Doc: doc})
 	if err != nil {
 		return "", err
 	}
@@ -271,10 +218,8 @@ func (co *Coordinator) Insert(d jsondoc.Doc) (string, error) {
 // Delete removes one document with the same retry/idempotency
 // machinery as Insert.
 func (co *Coordinator) Delete(id string) error {
-	idem := co.nextIdemKey()
-	_, err := co.writeCall(context.Background(), id, func(si int, mapv uint64) *request {
-		return &request{Op: opDelete, Shard: si, MapVersion: mapv, IdemKey: idem, ID: id}
-	})
+	si := co.smap.ShardOf(id)
+	_, err := co.writeCall(context.Background(), si, &request{Op: opDelete, Shard: si, IdemKey: co.nextIdemKey(), ID: id})
 	return err
 }
 
@@ -283,13 +228,13 @@ func (co *Coordinator) Delete(id string) error {
 // readCall runs one read op against a shard with hedging plus a short
 // retry, folding exhausted transport failures into the dark-shard
 // error shape.
-func (co *Coordinator) readCall(ctx context.Context, si int, build func(mapv uint64) *request) (*response, error) {
+func (co *Coordinator) readCall(ctx context.Context, si int, req *request) (*response, error) {
 	var resp *response
 	retryCfg := co.cfg.ReadRetry
 	retryCfg.Retryable = transportFailure
+	cl := co.clients[si]
 	err := retry.Do(ctx, retryCfg, func() error {
-		cl, mapv := co.clientFor(si)
-		r, err := cl.hedgedCall(ctx, build(mapv))
+		r, err := cl.hedgedCall(ctx, req)
 		if err != nil {
 			return err
 		}
@@ -307,12 +252,8 @@ func (co *Coordinator) Name() string { return co.cfg.Collection }
 
 // Get fetches one document from its shard (hedged read).
 func (co *Coordinator) Get(id string) (jsondoc.Doc, error) {
-	co.mu.RLock()
 	si := co.smap.ShardOf(id)
-	co.mu.RUnlock()
-	resp, err := co.readCall(context.Background(), si, func(mapv uint64) *request {
-		return &request{Op: opGet, Shard: si, MapVersion: mapv, ID: id}
-	})
+	resp, err := co.readCall(context.Background(), si, &request{Op: opGet, Shard: si, ID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -331,13 +272,11 @@ func (co *Coordinator) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc
 	}
 	// Group ids by owning shard, remembering each id's result slots
 	// (an id may appear more than once in the batch).
-	co.mu.RLock()
 	perShard := make(map[int][]string)
 	for _, id := range ids {
 		si := co.smap.ShardOf(id)
 		perShard[si] = append(perShard[si], id)
 	}
-	co.mu.RUnlock()
 	slots := make(map[string][]int, len(ids))
 	for i, id := range ids {
 		slots[id] = append(slots[id], i)
@@ -352,9 +291,7 @@ func (co *Coordinator) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc
 		wg.Add(1)
 		go func(si int, shardIDs []string) {
 			defer wg.Done()
-			resp, err := co.readCall(ctx, si, func(mapv uint64) *request {
-				return &request{Op: opGetMany, Shard: si, MapVersion: mapv, IDs: shardIDs}
-			})
+			resp, err := co.readCall(ctx, si, &request{Op: opGetMany, Shard: si, IDs: shardIDs})
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -388,9 +325,7 @@ func (co *Coordinator) Count() int {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			resp, err := co.readCall(context.Background(), si, func(mapv uint64) *request {
-				return &request{Op: opCount, Shard: si, MapVersion: mapv}
-			})
+			resp, err := co.readCall(context.Background(), si, &request{Op: opCount, Shard: si})
 			if err == nil {
 				counts[si] = resp.N
 			}
@@ -470,24 +405,14 @@ func (co *Coordinator) ScanContext(ctx context.Context, fn func(jsondoc.Doc) boo
 }
 
 // NumShards returns the shard count.
-func (co *Coordinator) NumShards() int {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.smap.NumShards()
-}
+func (co *Coordinator) NumShards() int { return co.smap.NumShards() }
 
 // ShardOfID places an id on the consistent-hash ring.
-func (co *Coordinator) ShardOfID(id string) int {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.smap.ShardOf(id)
-}
+func (co *Coordinator) ShardOfID(id string) int { return co.smap.ShardOf(id) }
 
 // ShardIDsContext lists one shard's ids (sorted server-side).
 func (co *Coordinator) ShardIDsContext(ctx context.Context, si int) ([]string, error) {
-	resp, err := co.readCall(ctx, si, func(mapv uint64) *request {
-		return &request{Op: opIDs, Shard: si, MapVersion: mapv}
-	})
+	resp, err := co.readCall(ctx, si, &request{Op: opIDs, Shard: si})
 	if err != nil {
 		return nil, err
 	}
@@ -496,9 +421,7 @@ func (co *Coordinator) ShardIDsContext(ctx context.Context, si int) ([]string, e
 
 // SnapshotShardContext fetches one shard's full snapshot, ids sorted.
 func (co *Coordinator) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
-	resp, err := co.readCall(ctx, si, func(mapv uint64) *request {
-		return &request{Op: opSnapshot, Shard: si, MapVersion: mapv}
-	})
+	resp, err := co.readCall(ctx, si, &request{Op: opSnapshot, Shard: si})
 	if err != nil {
 		return nil, err
 	}
@@ -509,8 +432,6 @@ func (co *Coordinator) SnapshotShardContext(ctx context.Context, si int) ([]json
 // currently admits traffic — the cheap gate the index-native scoring
 // path checks before trusting a full scatter.
 func (co *Coordinator) AllShardsServing() bool {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
 	for _, cl := range co.clients {
 		if cl.brk.State() == breaker.Open {
 			return false
@@ -541,22 +462,15 @@ type ConnHealth struct {
 func (h ConnHealth) Ready() bool { return h.State == "connected" }
 
 // Health probes every shard (concurrently, bounded by ctx) and reports
-// per-connection state plus the current shard-map version.
-func (co *Coordinator) Health(ctx context.Context) ([]ConnHealth, uint64) {
-	co.mu.RLock()
-	clients := append([]*shardClient(nil), co.clients...)
-	shards := append([]ShardAddr(nil), co.smap.Shards...)
-	version := co.smap.Version
-	co.mu.RUnlock()
-
-	out := make([]ConnHealth, len(clients))
+// per-connection state.
+func (co *Coordinator) Health(ctx context.Context) []ConnHealth {
+	out := make([]ConnHealth, len(co.clients))
 	var wg sync.WaitGroup
-	for i := range clients {
+	for i, cl := range co.clients {
 		wg.Add(1)
-		go func(si int) {
+		go func(si int, cl *shardClient) {
 			defer wg.Done()
-			h := ConnHealth{Shard: si, Name: shards[si].Name, Addr: shards[si].Addr}
-			cl := clients[si]
+			h := ConnHealth{Shard: si, Name: cl.name, Addr: cl.addr}
 			if cl.brk.State() == breaker.Open {
 				h.State = "breaker-open"
 				out[si] = h
@@ -578,18 +492,17 @@ func (co *Coordinator) Health(ctx context.Context) ([]ConnHealth, uint64) {
 			h.WALBytes = resp.WALBytes
 			h.State = "connected"
 			out[si] = h
-		}(i)
+		}(i, cl)
 	}
 	wg.Wait()
-	return out, version
+	return out
 }
 
 // Ping dials every shard once, returning an error naming the
 // unreachable ones — the startup fail-fast check.
 func (co *Coordinator) Ping(ctx context.Context) error {
 	var dark []string
-	for si := 0; si < co.NumShards(); si++ {
-		cl, _ := co.clientFor(si)
+	for si, cl := range co.clients {
 		if _, err := cl.call(ctx, &request{Op: opPing, Shard: si}); err != nil {
 			dark = append(dark, fmt.Sprintf("%s(%s)", cl.name, cl.addr))
 		}

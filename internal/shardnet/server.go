@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"net"
@@ -48,20 +47,14 @@ type idemOutcome struct {
 // Server hosts one shard: a single-shard store behind the
 // length-prefixed wire protocol. It enforces deadline propagation
 // (requests whose propagated deadline already passed are refused
-// without touching the store), idempotent writes (a retried IdemKey
-// replays the recorded outcome instead of re-applying), and shard-map
-// fencing (after a cutover op, writes carrying an older map version are
-// rejected with stale_map so a drained owner cannot accept strays).
+// without touching the store) and idempotent writes (a retried IdemKey
+// replays the recorded outcome instead of re-applying).
 type Server struct {
 	cfg  ServerConfig
 	coll *docstore.Collection
 	wal  *wal
 	met  *metrics.Registry
 	logf func(string, ...any)
-
-	// minMapVersion fences writes after migration cutover: a request
-	// whose MapVersion is non-zero and below this is stale-routed.
-	minMapVersion atomic.Uint64
 
 	idemMu   sync.Mutex
 	idem     map[string]idemOutcome
@@ -133,28 +126,10 @@ func (s *Server) applyWALRecord(rec walRecord) {
 		if err := s.coll.Delete(rec.ID); err != nil && !errors.Is(err, docstore.ErrNotFound) {
 			s.logf("shardnet %s: wal replay delete %s: %v", s.cfg.Name, rec.ID, err)
 		}
-	case "put":
-		if err := s.upsert(rec.Doc); err != nil {
-			s.logf("shardnet %s: wal replay put %s: %v", s.cfg.Name, rec.ID, err)
-		}
 	}
 	if rec.Idem != "" {
 		s.recordIdem(rec.Idem, idemOutcome{id: rec.ID})
 	}
-}
-
-// upsert replaces the document if present, inserts it otherwise.
-func (s *Server) upsert(d jsondoc.Doc) error {
-	id, _ := d[docstore.IDField].(string)
-	if id == "" {
-		_, err := s.coll.Insert(d)
-		return err
-	}
-	err := s.coll.Replace(id, d)
-	if errors.Is(err, docstore.ErrNotFound) {
-		_, err = s.coll.Insert(d)
-	}
-	return err
 }
 
 // Serve accepts connections on ln until Close and runs handleConn on
@@ -385,41 +360,13 @@ func (s *Server) dispatch(req *request) *response {
 		return &response{Docs: docs, N: len(docs)}
 	case opCount:
 		return &response{N: s.coll.Count()}
-	case opCRC:
-		return &response{CRC: s.coll.ShardCRC(0), N: s.coll.Count()}
-	case opManifest:
-		return s.handleManifest(ctx)
 	case opGetMany:
 		return s.handleGetMany(req)
-	case opPutBulk:
-		return s.handlePutBulk(req)
-	case opDeleteMany:
-		return s.handleDeleteMany(req)
 	case opHealth:
 		return s.handleHealth()
-	case opCutover:
-		// Fence: after this, writes routed with an older map version are
-		// rejected. The coordinator calls this on the OLD owner at
-		// migration cutover so in-flight stale-routed writes drain
-		// instead of landing on a shard nobody reads anymore.
-		old := s.minMapVersion.Load()
-		for old < req.Version && !s.minMapVersion.CompareAndSwap(old, req.Version) {
-			old = s.minMapVersion.Load()
-		}
-		s.logf("shardnet %s: cutover to map version %d (writes below are fenced)", s.cfg.Name, req.Version)
-		return &response{N: int(s.minMapVersion.Load())}
 	default:
 		return errResponse(fmt.Errorf("%w: unknown op %q", errBadRequest, req.Op))
 	}
-}
-
-// checkMapVersion applies the cutover fence to a write request.
-func (s *Server) checkMapVersion(req *request) error {
-	min := s.minMapVersion.Load()
-	if req.MapVersion != 0 && req.MapVersion < min {
-		return fmt.Errorf("%w: request map v%d < fence v%d", ErrStaleMap, req.MapVersion, min)
-	}
-	return nil
 }
 
 // lookupIdem returns the recorded outcome for a key, if any.
@@ -471,9 +418,6 @@ func (s *Server) handleInsert(req *request) *response {
 		s.met.Counter("shardnet.server.idem_replays").Inc()
 		return &response{ID: out.id, ErrCode: out.errCode, ErrMsg: out.errMsg}
 	}
-	if err := s.checkMapVersion(req); err != nil {
-		return errResponse(err)
-	}
 	id, err := s.coll.Insert(req.Doc)
 	if err != nil {
 		// Duplicate-id rejections are deterministic: record them so a
@@ -508,9 +452,6 @@ func (s *Server) handleDelete(req *request) *response {
 		s.met.Counter("shardnet.server.idem_replays").Inc()
 		return &response{ID: out.id, ErrCode: out.errCode, ErrMsg: out.errMsg}
 	}
-	if err := s.checkMapVersion(req); err != nil {
-		return errResponse(err)
-	}
 	if err := s.coll.Delete(req.ID); err != nil {
 		if errors.Is(err, docstore.ErrNotFound) {
 			code, msg := encodeWireErr(err)
@@ -527,91 +468,19 @@ func (s *Server) handleDelete(req *request) *response {
 	return &response{ID: req.ID}
 }
 
-// handleManifest returns id → CRC32(doc JSON) for every document — the
-// delta-sync primitive: the migration coordinator diffs source and
-// destination manifests to copy only changed documents during the
-// paused window.
-func (s *Server) handleManifest(ctx context.Context) *response {
-	man := make(map[string]uint32)
-	err := s.coll.ScanContext(ctx, func(d jsondoc.Doc) bool {
-		id, _ := d[docstore.IDField].(string)
-		man[id] = crc32.ChecksumIEEE(d.JSON())
-		return true
-	})
-	if err != nil {
-		return errResponse(err)
-	}
-	return &response{Manifest: man, N: len(man)}
-}
-
 func (s *Server) handleGetMany(req *request) *response {
 	docs := make([]jsondoc.Doc, 0, len(req.IDs))
 	for _, id := range req.IDs {
 		d, err := s.coll.Get(id)
 		if err != nil {
 			if errors.Is(err, docstore.ErrNotFound) {
-				continue // racing delete: the manifest diff will reconcile
+				continue // absent ids are left out of the reply
 			}
 			return errResponse(err)
 		}
 		docs = append(docs, d)
 	}
 	return &response{Docs: docs, N: len(docs)}
-}
-
-// handlePutBulk upserts a batch (migration bulk copy / delta sync).
-// Batches are WAL-logged like client writes: a migration destination
-// that crashes mid-copy recovers what it acked and the coordinator's
-// manifest diff fills the rest.
-func (s *Server) handlePutBulk(req *request) *response {
-	if err := s.checkMapVersion(req); err != nil {
-		return errResponse(err)
-	}
-	// A failed upsert still logs the documents applied before it, as the
-	// per-document loop this replaces did; the batch itself is not acked.
-	var applied []walRecord
-	var failed error
-	for _, d := range req.Docs {
-		if failed = s.upsert(d); failed != nil {
-			break
-		}
-		id, _ := d[docstore.IDField].(string)
-		applied = append(applied, walRecord{Op: "put", ID: id, Doc: d})
-	}
-	if err := s.logRun(applied, failed); err != nil {
-		return errResponse(err)
-	}
-	return &response{N: len(req.Docs)}
-}
-
-// logRun commits what a multi-document request applied as a single WAL
-// run — one write, one fsync, however many documents — and returns the
-// request's outcome: the WAL failure, else the apply error (if any)
-// that cut the request short.
-func (s *Server) logRun(applied []walRecord, failed error) error {
-	if s.wal != nil && len(applied) > 0 {
-		if err := s.wal.append(applied...); err != nil {
-			return fmt.Errorf("shardnet: wal append failed: %w", err)
-		}
-	}
-	return failed
-}
-
-func (s *Server) handleDeleteMany(req *request) *response {
-	var applied []walRecord
-	var failed error
-	for _, id := range req.IDs {
-		if err := s.coll.Delete(id); err == nil {
-			applied = append(applied, walRecord{Op: "delete", ID: id})
-		} else if !errors.Is(err, docstore.ErrNotFound) {
-			failed = err
-			break
-		}
-	}
-	if err := s.logRun(applied, failed); err != nil {
-		return errResponse(err)
-	}
-	return &response{N: len(applied)}
 }
 
 // handleHealth reports the shard's document count and WAL size —

@@ -23,7 +23,7 @@ import (
 // client retrying a write across a server restart still gets
 // exactly-once semantics.
 type walRecord struct {
-	Op   string // "insert" | "delete" | "put"
+	Op   string // "insert" | "delete"
 	ID   string
 	Doc  jsondoc.Doc
 	Idem string
@@ -65,10 +65,12 @@ const maxWALRecord = 16 << 20
 // followed by the codec-encoded document.
 const walBinV1 = 0x01
 
+// Op bytes. Byte 3 (a migration upsert, "put") is retired and never
+// reused: a checksum-valid record carrying it fails replay like any
+// other record this build cannot decode.
 const (
 	walOpInsert = 1
 	walOpDelete = 2
-	walOpPut    = 3
 )
 
 func appendWALRecord(b []byte, rec walRecord) ([]byte, error) {
@@ -78,8 +80,6 @@ func appendWALRecord(b []byte, rec walRecord) ([]byte, error) {
 		b = append(b, walOpInsert)
 	case "delete":
 		b = append(b, walOpDelete)
-	case "put":
-		b = append(b, walOpPut)
 	default:
 		return b, fmt.Errorf("shardnet: wal: unknown op %q", rec.Op)
 	}
@@ -113,8 +113,6 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 		rec.Op = "insert"
 	case walOpDelete:
 		rec.Op = "delete"
-	case walOpPut:
-		rec.Op = "put"
 	default:
 		return rec, fmt.Errorf("shardnet: wal: unknown op byte 0x%02x", p[1])
 	}

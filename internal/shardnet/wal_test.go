@@ -25,11 +25,11 @@ func frameWALPayload(payload []byte) []byte {
 
 // TestWALRefusesToTruncateIntactRecord is the regression test for the
 // replay data-loss bug: a record whose length and checksum hold but
-// whose version byte this build does not decode — a JSON record from
-// before walBinV1 was the only format, or one from a build after it —
-// sits in the middle of the log. It is not a torn tail, every record
-// behind it was acked, so open must fail and leave the file
-// byte-for-byte alone.
+// which this build does not decode — a JSON record from before walBinV1
+// was the only format, one from a build after it, or one carrying the
+// retired op byte 3 — sits in the middle of the log. It is not a torn
+// tail, every record behind it was acked, so open must fail and leave
+// the file byte-for-byte alone.
 func TestWALRefusesToTruncateIntactRecord(t *testing.T) {
 	goodRecord := func(id string) []byte {
 		payload, err := appendWALRecord(nil, walRecord{Op: "insert", ID: id, Doc: jsondoc.Doc{"_id": id}})
@@ -41,6 +41,7 @@ func TestWALRefusesToTruncateIntactRecord(t *testing.T) {
 	for name, foreign := range map[string][]byte{
 		"json_record":    []byte(`{"op":"insert","id":"j","doc":{"_id":"j"}}`),
 		"future_version": {0x02, walOpInsert, 1, 'f', 0, 0},
+		"retired_op_3":   {walBinV1, 3, 1, 'p', 0, 0},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var log []byte
@@ -117,7 +118,7 @@ func sameValue(a, b any) bool {
 // a document of 2^30 entries.
 var hostileWALRecords = map[string][]byte{
 	"huge_id":  append(appendUvarint([]byte{walBinV1, walOpInsert}, 1<<40), "tiny"...),
-	"huge_doc": append(appendUvarint([]byte{walBinV1, walOpPut, 0, 0, 1, bvObject}, 1<<30), "abcdefgh"...),
+	"huge_doc": append(appendUvarint([]byte{walBinV1, walOpInsert, 0, 0, 1, bvObject}, 1<<30), "abcdefgh"...),
 }
 
 // FuzzDecodeWALRecord asserts the WAL record decoder — which reads
@@ -133,8 +134,8 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		{Op: "insert", ID: "x"},
 		{Op: "delete", ID: "x", Idem: "k2"},
 		{Op: "delete", ID: "x", Doc: doc},
-		{Op: "put", ID: "x", Doc: doc},
-		{Op: "put"},
+		{Op: "insert", Doc: doc},
+		{Op: "delete"},
 	} {
 		seed, err := appendWALRecord(nil, rec)
 		if err != nil {

@@ -18,9 +18,10 @@
 //     path: wire errors are reconstructed into the same *ShardError /
 //     ErrShardUnavailable chain the in-process store produces.
 //
-// Placement is consistent-hash over a versioned shard map, with live
-// migration: a shard streams to a new process, the map version cuts
-// over, and the old owner drains.
+// Placement is consistent-hash over logical shard names, and the shard
+// map is fixed when the coordinator dials: a shard keeps its name and
+// its address for the coordinator's lifetime. Changing the shard count
+// means re-ingesting or restoring the corpus.
 //
 // The wire contract is one codec, b1 (codec.go): every frame in either
 // direction, from a connection's first byte, is a 4-byte big-endian
@@ -46,39 +47,30 @@ const maxFrame = 256 << 20
 
 // Operation codes carried in request frames.
 const (
-	opPing       = "ping"
-	opGet        = "get"
-	opInsert     = "insert"
-	opDelete     = "delete"
-	opIDs        = "ids"
-	opSnapshot   = "snapshot"
-	opCount      = "count"
-	opCRC        = "crc"
-	opManifest   = "manifest"
-	opGetMany    = "get_many"
-	opPutBulk    = "put_bulk"
-	opDeleteMany = "delete_many"
-	opHealth     = "health"
-	opCutover    = "cutover"
+	opPing     = "ping"
+	opGet      = "get"
+	opInsert   = "insert"
+	opDelete   = "delete"
+	opIDs      = "ids"
+	opSnapshot = "snapshot"
+	opCount    = "count"
+	opGetMany  = "get_many"
+	opHealth   = "health"
 )
 
 // request is one framed request envelope. Shard carries the
 // coordinator's logical shard index so server-side failures can be
-// attributed to the right partition when they travel back; MapVersion
-// is the coordinator's shard-map version, letting a drained owner
-// reject writes routed with a stale map; DeadlineUnixMicro propagates
-// the caller's context deadline into the server's handler context.
+// attributed to the right partition when they travel back;
+// DeadlineUnixMicro propagates the caller's context deadline into the
+// server's handler context.
 type request struct {
 	Op                string
 	Shard             int
-	MapVersion        uint64
 	DeadlineUnixMicro int64
 	IdemKey           string
 	ID                string
 	IDs               []string
 	Doc               jsondoc.Doc
-	Docs              []jsondoc.Doc
-	Version           uint64
 }
 
 // response is one framed response envelope. ErrCode is one of the wire
@@ -93,8 +85,6 @@ type response struct {
 	Doc      jsondoc.Doc
 	Docs     []jsondoc.Doc
 	N        int
-	CRC      uint32
-	Manifest map[string]uint32
 	WALBytes int64
 }
 
@@ -105,17 +95,11 @@ const (
 	codeDuplicate   = "duplicate"
 	codeNoQuorum    = "no_quorum"
 	codeUnavailable = "shard_unavailable"
-	codeStaleMap    = "stale_map"
 	codeDeadline    = "deadline_exceeded"
 	codeCancelled   = "cancelled"
 	codeBadRequest  = "bad_request"
 	codeInternal    = "internal"
 )
-
-// ErrStaleMap reports a write rejected by a shard server because the
-// request carried a shard-map version older than the server's cutover
-// version — the coordinator must refresh its map and re-route.
-var ErrStaleMap = errors.New("shardnet: shard map version is stale")
 
 // errBadRequest marks malformed requests (unknown op, missing id).
 var errBadRequest = errors.New("shardnet: bad request")
@@ -136,8 +120,6 @@ func encodeWireErr(err error) (code, msg string) {
 		code = codeNoQuorum
 	case errors.Is(err, docstore.ErrShardUnavailable):
 		code = codeUnavailable
-	case errors.Is(err, ErrStaleMap):
-		code = codeStaleMap
 	case errors.Is(err, errDeadline):
 		code = codeDeadline
 	case errors.Is(err, errCancelled):
@@ -176,8 +158,6 @@ func decodeWireErr(shard int, code, msg string) error {
 		sentinel = docstore.ErrNoQuorum
 	case codeUnavailable:
 		sentinel = docstore.ErrShardUnavailable
-	case codeStaleMap:
-		sentinel = ErrStaleMap
 	case codeBadRequest:
 		sentinel = errBadRequest
 	default:
