@@ -112,10 +112,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
+// writeJSON encodes v, then writes it with writeBody. A value
+// encoding/json refuses (a NaN or an infinite number) is answered 500
+// internal with the request id instead: the status line never goes out
+// before the body is known.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		env := map[string]string{"error": "encode response: " + err.Error(), "code": "internal"}
+		if id := w.Header().Get("X-Request-ID"); id != "" {
+			env["request_id"] = id
+		}
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(env) // a map of strings always encodes
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody sends an encoded JSON body in one Write, with its
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is a client gone: no one is left to tell
 }
 
 // errCode maps a status onto the envelope's machine-readable code.
@@ -238,40 +259,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleSearch dispatches to the three engines via ?engine=. The request
 // context — deadline, client cancellation — rides through the whole
 // pipeline: a cancelled query stops scanning within one check interval
-// and is never cached.
+// and is never cached. The engine answers with the encoded body, so a
+// cache hit is written without encoding anything.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	page, _ := strconv.Atoi(q.Get("page"))
-	if page < 1 {
-		page = 1
+	page := 1
+	if p := q.Get("page"); p != "" { // Atoi("") allocates its error
+		page, _ = strconv.Atoi(p)
 	}
 	engine := q.Get("engine")
 	if engine == "" {
 		engine = "all"
 	}
-	ctx := r.Context()
-	var (
-		res search.Page
-		err error
-	)
-	switch engine {
-	case "all":
-		res, err = s.sys.Search.SearchAllContext(ctx, q.Get("q"), page)
-	case "tables":
-		res, err = s.sys.Search.SearchTablesContext(ctx, q.Get("q"), page)
-	case "fields":
-		res, err = s.sys.Search.SearchFieldsContext(ctx, search.FieldQuery{
-			Title:    q.Get("title"),
-			Abstract: q.Get("abstract"),
-			Caption:  q.Get("caption"),
-		}, page)
-	default:
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("unknown engine %q", engine))
-		return
-	}
+	body, partial, err := s.sys.Search.SearchBody(r.Context(), engine, q.Get("q"), search.FieldQuery{
+		Title:    q.Get("title"),
+		Abstract: q.Get("abstract"),
+		Caption:  q.Get("caption"),
+	}, page)
 	if err != nil {
-		// bad input (empty/unsearchable query) is the caller's fault; a
-		// dead context gets its own statuses; anything else is ours
+		// bad input (unknown engine, empty/unsearchable query) is the
+		// caller's fault; a dead context gets its own statuses; anything
+		// else is ours
 		status := http.StatusInternalServerError
 		if errors.Is(err, search.ErrBadQuery) {
 			status = http.StatusBadRequest
@@ -282,10 +290,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// a dark shard degrades, never fails: the body carries
 	// "partial": true + missing_shards, and the header lets callers
 	// detect degradation without parsing the body
-	if res.Partial {
+	if partial {
 		w.Header().Set("X-Partial-Results", "true")
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleMetrics exposes the process-wide counters, gauges, and latency
@@ -361,8 +369,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	writeBody(w, http.StatusOK, data)
 }
 
 // handleGraphSearch answers KG node search with root paths, paginated:
@@ -632,7 +639,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if fname == "" {
 		fname = "model"
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="`+fname+`.json"`)
-	w.Write(m.Data)
+	writeBody(w, http.StatusOK, m.Data)
 }

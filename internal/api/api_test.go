@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -300,6 +301,30 @@ func TestAggregateDefaultLimit(t *testing.T) {
 	}
 	if n := body["n"].(float64); n != 40 { // 40 docs < default cap 100
 		t.Fatalf("n = %v", n)
+	}
+}
+
+// TestUnencodableResultIs500: a result encoding/json refuses (two 1e308
+// summed to +Inf) is a 500 internal envelope carrying the request id,
+// never a 200 status line over an empty body.
+func TestUnencodableResultIs500(t *testing.T) {
+	s, _ := testServer(t)
+	if rec, out := postJSON(t, s, "/api/v1/publications", `[
+		{"_id": "inf-1", "title": "a", "grp": "g", "big": 1e308},
+		{"_id": "inf-2", "title": "b", "grp": "g", "big": 1e308}]`); rec.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %v", rec.Code, out)
+	}
+	rec, out := postJSON(t, s, "/api/v1/aggregate", `{"pipeline": [
+		{"$match": {"grp": "g"}},
+		{"$group": {"_id": "$grp", "s": {"$sum": "$big"}}}]}`)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, body %q; want 500", rec.Code, rec.Body.String())
+	}
+	if out["code"] != "internal" || out["request_id"] == nil || out["request_id"] != rec.Header().Get("X-Request-ID") {
+		t.Fatalf("envelope %v, X-Request-ID %q", out, rec.Header().Get("X-Request-ID"))
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, rec.Body.Len())
 	}
 }
 

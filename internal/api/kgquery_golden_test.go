@@ -115,21 +115,28 @@ func TestKGResponsesGolden(t *testing.T) {
 		record(name, path, "")
 	}
 
-	if *updateKGGolden {
+	checkGolden(t, kgGoldenFile, *updateKGGolden, got)
+}
+
+// checkGolden compares got with the recording in file, or rewrites the
+// file from got when update is set.
+func checkGolden[T comparable](t *testing.T, file string, update bool, got map[string]T) {
+	t.Helper()
+	if update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(kgGoldenFile, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(kgGoldenFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]kgGolden
+	var want map[string]T
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package search
 
 import (
 	"container/list"
+	"encoding/json"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Default query-cache bounds: page-1 queries repeat heavily in an
@@ -81,16 +83,16 @@ func (sc cacheScope) staleness(now cacheScope) int {
 	return 0
 }
 
-// cacheEntry is one LRU slot.
+// cacheEntry is one LRU slot: a page's encoded response body.
 type cacheEntry struct {
 	key   cacheKey
-	page  Page
+	body  []byte
 	scope cacheScope
-	bytes int64
 }
 
-// queryCache is a doubly-bounded (entries and bytes) LRU of computed
-// result pages. Invalidation is scope-based: entries carry the
+// queryCache is a doubly-bounded (entries and bytes) LRU of the encoded
+// bodies of computed result pages; the byte bound counts body bytes
+// exactly. Invalidation is scope-based: entries carry the
 // generation and per-term write fingerprints they were computed under
 // and are discarded on lookup when the current fingerprint no longer
 // matches — no sweep, and a write to term X never evicts pages for
@@ -123,18 +125,19 @@ func newQueryCache(maxItems int, maxBytes int64) *queryCache {
 
 func (c *queryCache) enabled() bool { return c.maxItems > 0 && c.maxBytes > 0 }
 
-// get returns the cached page for key if present and still fresh under
-// the current scope fingerprint. Stale entries are removed on sight.
-func (c *queryCache) get(key cacheKey, now cacheScope) (Page, bool) {
+// get returns the cached body for key if present and still fresh under
+// the current scope fingerprint. Stale entries are removed on sight. The
+// body is shared: callers must not modify it.
+func (c *queryCache) get(key cacheKey, now cacheScope) ([]byte, bool) {
 	if !c.enabled() {
-		return Page{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
-		return Page{}, false
+		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if st := ent.scope.staleness(now); st != 0 {
@@ -146,24 +149,24 @@ func (c *queryCache) get(key cacheKey, now cacheScope) (Page, bool) {
 		} else {
 			c.staleTerm.Add(1)
 		}
-		return Page{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	pg := ent.page
+	body := ent.body
 	c.mu.Unlock()
 	c.hits.Add(1)
-	return pg, true
+	return body, true
 }
 
-// put stores a computed page under the scope fingerprint captured
+// put stores a computed page's body under the scope fingerprint captured
 // before the computation started, so a concurrent write to one of the
 // query's terms invalidates it. Returns the number of entries evicted
-// to make room. Pages larger than the whole byte budget are not cached.
-func (c *queryCache) put(key cacheKey, pg Page, scope cacheScope) int64 {
+// to make room. Bodies larger than the whole byte budget are not cached.
+func (c *queryCache) put(key cacheKey, body []byte, scope cacheScope) int64 {
 	if !c.enabled() {
 		return 0
 	}
-	size := pageBytes(pg)
+	size := int64(len(body))
 	if size > c.maxBytes {
 		return 0
 	}
@@ -172,7 +175,7 @@ func (c *queryCache) put(key cacheKey, pg Page, scope cacheScope) int64 {
 	if el, ok := c.items[key]; ok {
 		c.removeLocked(el)
 	}
-	ent := &cacheEntry{key: key, page: pg, scope: scope, bytes: size}
+	ent := &cacheEntry{key: key, body: body, scope: scope}
 	c.items[key] = c.ll.PushFront(ent)
 	c.curBytes += size
 	var evicted int64
@@ -189,7 +192,7 @@ func (c *queryCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.items, ent.key)
-	c.curBytes -= ent.bytes
+	c.curBytes -= int64(len(ent.body))
 }
 
 // stats snapshots the counters.
@@ -208,19 +211,47 @@ func (c *queryCache) stats() CacheStats {
 	}
 }
 
-// pageBytes estimates the retained size of a cached page: string bytes
-// plus struct overhead. An estimate is enough — the bound exists to
-// prevent runaway growth, not to account exactly.
-func pageBytes(pg Page) int64 {
-	size := int64(64)
+// encodePage renders pg as the /api/v1/search response body: the bytes
+// a json.Encoder writes for it, trailing newline included.
+func encodePage(pg Page) ([]byte, error) {
+	b, err := json.Marshal(pg)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// decodePage is encodePage's inverse for the pages roundTrips accepts.
+func decodePage(body []byte) (Page, error) {
+	var pg Page
+	err := json.Unmarshal(body, &pg)
+	return pg, err
+}
+
+// roundTrips reports whether pg's encoded body decodes back to a page
+// reflect.DeepEqual to pg, the condition for caching the body. Every
+// string must be valid UTF-8 (encoding/json replaces invalid bytes with
+// U+FFFD), and MissingShards must not be an empty non-nil list
+// (omitempty drops it, so it decodes as nil). A non-finite score fails
+// earlier: it does not encode at all.
+func roundTrips(pg Page) bool {
+	if pg.MissingShards != nil && len(pg.MissingShards) == 0 {
+		return false
+	}
 	for _, r := range pg.Results {
-		size += 96 + int64(len(r.DocID)+len(r.Title)+len(r.Journal))
+		if !utf8.ValidString(r.DocID) || !utf8.ValidString(r.Title) || !utf8.ValidString(r.Journal) {
+			return false
+		}
 		for _, a := range r.Authors {
-			size += int64(len(a)) + 16
+			if !utf8.ValidString(a) {
+				return false
+			}
 		}
 		for _, sn := range r.Snippets {
-			size += 48 + int64(len(sn.Field)+len(sn.Text)) + int64(16*len(sn.Highlights))
+			if !utf8.ValidString(sn.Field) || !utf8.ValidString(sn.Text) {
+				return false
+			}
 		}
 	}
-	return size
+	return true
 }

@@ -7,17 +7,22 @@ import (
 	"testing"
 )
 
-func fakePage(id string, titleLen int) Page {
-	return Page{
+// fakeBody is the cached body of a one-result page.
+func fakeBody(id string, titleLen int) []byte {
+	body, err := encodePage(Page{
 		Results: []Result{{DocID: id, Title: strings.Repeat("x", titleLen)}},
 		Total:   1, PageNum: 1, PerPage: PerPage, NumPages: 1,
+	})
+	if err != nil {
+		panic(err)
 	}
+	return body
 }
 
 func TestCacheEntryBoundEvictsLRU(t *testing.T) {
 	c := newQueryCache(3, 1<<20)
 	for i := 0; i < 4; i++ {
-		c.put(cacheKey{"all", fmt.Sprintf("q%d", i), 1}, fakePage("d", 10), cacheScope{gen: 1})
+		c.put(cacheKey{"all", fmt.Sprintf("q%d", i), 1}, fakeBody("d", 10), cacheScope{gen: 1})
 	}
 	st := c.stats()
 	if st.Entries != 3 {
@@ -35,7 +40,7 @@ func TestCacheEntryBoundEvictsLRU(t *testing.T) {
 	}
 	// touching q1 then inserting must evict q2, not q1
 	c.get(cacheKey{"all", "q1", 1}, cacheScope{gen: 1})
-	c.put(cacheKey{"all", "q4", 1}, fakePage("d", 10), cacheScope{gen: 1})
+	c.put(cacheKey{"all", "q4", 1}, fakeBody("d", 10), cacheScope{gen: 1})
 	if _, ok := c.get(cacheKey{"all", "q1", 1}, cacheScope{gen: 1}); !ok {
 		t.Fatal("recently-used entry evicted")
 	}
@@ -45,21 +50,21 @@ func TestCacheEntryBoundEvictsLRU(t *testing.T) {
 }
 
 func TestCacheByteBound(t *testing.T) {
-	one := pageBytes(fakePage("d", 1000))
+	one := int64(len(fakeBody("d", 1000)))
 	c := newQueryCache(100, 2*one+one/2) // room for two big pages, not three
 	for i := 0; i < 3; i++ {
-		c.put(cacheKey{"all", fmt.Sprintf("q%d", i), 1}, fakePage("d", 1000), cacheScope{gen: 1})
+		c.put(cacheKey{"all", fmt.Sprintf("q%d", i), 1}, fakeBody("d", 1000), cacheScope{gen: 1})
 	}
 	st := c.stats()
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d", st.Entries)
 	}
-	if st.Bytes > 2*one+one/2 {
-		t.Fatalf("bytes = %d over bound", st.Bytes)
+	if st.Bytes != 2*one { // the bound counts body bytes exactly
+		t.Fatalf("bytes = %d, want %d", st.Bytes, 2*one)
 	}
 	// a single page larger than the whole budget is never cached
 	c2 := newQueryCache(100, 64)
-	c2.put(cacheKey{"all", "big", 1}, fakePage("d", 10000), cacheScope{gen: 1})
+	c2.put(cacheKey{"all", "big", 1}, fakeBody("d", 10000), cacheScope{gen: 1})
 	if st := c2.stats(); st.Entries != 0 {
 		t.Fatalf("oversized page cached: %+v", st)
 	}
@@ -68,7 +73,7 @@ func TestCacheByteBound(t *testing.T) {
 func TestCacheGenerationInvalidation(t *testing.T) {
 	c := newQueryCache(10, 1<<20)
 	key := cacheKey{"all", "masks", 1}
-	c.put(key, fakePage("d1", 10), cacheScope{gen: 5})
+	c.put(key, fakeBody("d1", 10), cacheScope{gen: 5})
 	if _, ok := c.get(key, cacheScope{gen: 5}); !ok {
 		t.Fatal("same-generation lookup missed")
 	}
@@ -83,7 +88,7 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	for _, c := range []*queryCache{newQueryCache(0, 1<<20), newQueryCache(10, 0)} {
-		c.put(cacheKey{"all", "q", 1}, fakePage("d", 10), cacheScope{gen: 1})
+		c.put(cacheKey{"all", "q", 1}, fakeBody("d", 10), cacheScope{gen: 1})
 		if _, ok := c.get(cacheKey{"all", "q", 1}, cacheScope{gen: 1}); ok {
 			t.Fatal("disabled cache served an entry")
 		}

@@ -54,9 +54,9 @@ const PerPage = 10
 // Engine ties a publication collection to its inverted index and hosts
 // the three search entry points. Queries run concurrently: reading and
 // scoring candidate documents fans out over GOMAXPROCS workers, and
-// computed pages are held in a generation-versioned LRU so repeated
-// queries skip ranking entirely. All methods are safe for concurrent
-// use.
+// computed pages are held, as encoded response bodies, in a
+// generation-versioned LRU so repeated queries skip ranking and encoding
+// entirely. All methods are safe for concurrent use.
 type Engine struct {
 	coll docstore.Docs
 	idx  *index.Index
@@ -124,7 +124,7 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 }
 
 // SetCacheLimits replaces the query cache with one bounded by maxItems
-// entries and maxBytes of retained results. Non-positive limits disable
+// entries and maxBytes of encoded response bodies. Non-positive limits disable
 // caching. The previous cache's contents are discarded.
 func (e *Engine) SetCacheLimits(maxItems int, maxBytes int64) {
 	e.cache.Store(newQueryCache(maxItems, maxBytes))

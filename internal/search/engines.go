@@ -267,51 +267,121 @@ func (e *Engine) currentScope(terms []textproc.QueryTerm) cacheScope {
 	return sc
 }
 
-// cachedSearch funnels one engine's query through the query cache: a hit
-// returns the cached page; a miss computes, then stores the page under
-// the scope fingerprint captured *before* computing, so a concurrent
-// write to any of the query's terms (or a removal/option change, which
-// bump the global generation) invalidates it while writes to unrelated
-// terms leave it warm. The deliberate staleness window: a new document
-// shifts corpus-wide statistics (N in IDF) by one, and pages whose terms
-// the document does not touch keep their pre-write scores until one of
-// their own terms is written — bounded drift traded for a cache that
-// survives a live ingest stream. Total latency per engine and cache
-// hit/miss/eviction counts are recorded in the metrics registry.
+// prepared is one parsed search, ready to run through the query cache:
+// its cache key, the terms its invalidation scope derives from, and how
+// a miss computes its page.
+type prepared struct {
+	key     cacheKey
+	terms   []textproc.QueryTerm
+	compute func(context.Context) (Page, error)
+}
+
+// answer is one search's outcome through the query cache. A hit carries
+// only the cached body. A miss carries the computed page and its body,
+// or, when the page does not encode (a non-finite score), encErr.
+type answer struct {
+	hit    bool
+	page   Page
+	body   []byte
+	encErr error
+}
+
+// cachedSearch funnels one prepared query through the query cache: a hit
+// returns the cached body; a miss computes the page, encodes it once,
+// then stores the body under the scope fingerprint captured *before*
+// computing, so a concurrent write to any of the query's terms (or a
+// removal/option change, which bump the global generation) invalidates
+// it while writes to unrelated terms leave it warm. The deliberate
+// staleness window: a new document shifts corpus-wide statistics (N in
+// IDF) by one, and pages whose terms the document does not touch keep
+// their pre-write scores until one of their own terms is written —
+// bounded drift traded for a cache that survives a live ingest stream.
+// Total latency per engine and cache hit/miss/eviction counts are
+// recorded in the metrics registry.
 //
 // A compute abandoned by cancellation (or failed for any other reason)
 // returns its error WITHOUT touching the cache — partial results from a
 // dead request must never be served to a live one. Likewise a page
 // degraded by a dark shard (Partial) is returned but never cached: the
 // shard may recover the next instant, and a cached partial page would
-// keep serving the hole until the entry went stale.
-func (e *Engine) cachedSearch(ctx context.Context, engine, canon string, pageNum int, terms []textproc.QueryTerm, compute func(context.Context) (Page, error)) (Page, error) {
+// keep serving the hole until the entry went stale. Nor is a page whose
+// body would not decode back to it (roundTrips), so every hit can
+// answer a library caller as well as an HTTP one.
+func (e *Engine) cachedSearch(ctx context.Context, p prepared) (answer, error) {
 	start := time.Now()
 	e.met.Counter("search.queries").Inc()
 	cache := e.cache.Load()
-	key := cacheKey{engine: engine, query: canon, page: pageNum}
-	scope := e.currentScope(terms)
-	if pg, ok := cache.get(key, scope); ok {
+	scope := e.currentScope(p.terms)
+	if body, ok := cache.get(p.key, scope); ok {
 		e.met.Counter("search.cache.hits").Inc()
-		e.met.Histogram("search.latency." + engine).Observe(time.Since(start))
-		return pg, nil
+		e.met.Histogram("search.latency." + p.key.engine).Observe(time.Since(start))
+		return answer{hit: true, body: body}, nil
 	}
 	e.met.Counter("search.cache.misses").Inc()
-	pg, err := compute(ctx)
+	pg, err := p.compute(ctx)
 	if err != nil {
-		return Page{}, err
+		return answer{}, err
 	}
+	a := answer{page: pg}
+	a.body, a.encErr = encodePage(pg)
 	// belt and braces: even if a compute path missed a cancellation, a
 	// page produced under a dead context is not stored
 	if pg.Partial {
 		e.met.Counter("partial_responses").Inc()
-	} else if ctx.Err() == nil {
-		if ev := cache.put(key, pg, scope); ev > 0 {
+	} else if a.encErr == nil && ctx.Err() == nil && roundTrips(pg) {
+		if ev := cache.put(p.key, a.body, scope); ev > 0 {
 			e.met.Counter("search.cache.evictions").Add(ev)
 		}
 	}
-	e.met.Histogram("search.latency." + engine).Observe(time.Since(start))
+	e.met.Histogram("search.latency." + p.key.engine).Observe(time.Since(start))
+	return a, nil
+}
+
+// searchPage runs p for a library caller: a miss returns the computed
+// page, a hit decodes the cached body into a page reflect.DeepEqual to
+// the one computed.
+func (e *Engine) searchPage(ctx context.Context, p prepared) (Page, error) {
+	a, err := e.cachedSearch(ctx, p)
+	if err != nil || !a.hit {
+		return a.page, err
+	}
+	pg, err := decodePage(a.body)
+	if err != nil {
+		return Page{}, fmt.Errorf("search: decode cached page: %w", err)
+	}
 	return pg, nil
+}
+
+// SearchBody answers one search as the body GET /api/v1/search sends:
+// engine "all" or "tables" reads query, "fields" reads fields. A cache
+// hit returns the stored body and encodes nothing; a miss returns the
+// body it encoded for the cache, so the page is encoded once either
+// way. partial reports a page degraded by a dark shard. The body is
+// shared with the cache: callers must not modify it. A page that does
+// not encode is an error, not an empty body.
+func (e *Engine) SearchBody(ctx context.Context, engine, query string, fields FieldQuery, pageNum int) (body []byte, partial bool, err error) {
+	var p prepared
+	switch engine {
+	case "all":
+		p, err = e.prepareTerms("all", query, pageNum, (*Engine).allPlan)
+	case "tables":
+		p, err = e.prepareTerms("tables", query, pageNum, (*Engine).tablesPlan)
+	case "fields":
+		p, err = e.prepareFields(fields, pageNum)
+	default:
+		err = fmt.Errorf("search: %w: unknown engine %q", ErrBadQuery, engine)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	a, err := e.cachedSearch(ctx, p)
+	if err != nil {
+		return nil, false, err
+	}
+	if a.encErr != nil {
+		return nil, false, fmt.Errorf("search: encode page: %w", a.encErr)
+	}
+	return a.body, a.page.Partial, nil
 }
 
 // mergeMissing unions two dark-shard lists into one sorted list without
@@ -402,9 +472,17 @@ func parseFieldQuery(q FieldQuery) (conds []fieldTerms, allTerms []textproc.Quer
 // the document is dropped regardless of other fields. Cancelling ctx
 // abandons the query mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchFieldsContext(ctx context.Context, q FieldQuery, pageNum int) (Page, error) {
-	conds, allTerms, err := parseFieldQuery(q)
+	p, err := e.prepareFields(q, pageNum)
 	if err != nil {
 		return Page{}, err
+	}
+	return e.searchPage(ctx, p)
+}
+
+func (e *Engine) prepareFields(q FieldQuery, pageNum int) (prepared, error) {
+	conds, allTerms, err := parseFieldQuery(q)
+	if err != nil {
+		return prepared{}, err
 	}
 	pageNum = clampPage(pageNum)
 
@@ -415,9 +493,13 @@ func (e *Engine) SearchFieldsContext(ctx context.Context, q FieldQuery, pageNum 
 		}
 		canon.WriteString(c.field + "=" + canonicalTerms(c.terms))
 	}
-	return e.cachedSearch(ctx, "fields", canon.String(), pageNum, allTerms, func(ctx context.Context) (Page, error) {
-		return e.runQuery(ctx, e.fieldsPlan(conds, allTerms), false, pageNum)
-	})
+	return prepared{
+		key:   cacheKey{engine: "fields", query: canon.String(), page: pageNum},
+		terms: allTerms,
+		compute: func(ctx context.Context) (Page, error) {
+			return e.runQuery(ctx, e.fieldsPlan(conds, allTerms), false, pageNum)
+		},
+	}, nil
 }
 
 // fieldsPlan resolves the fields engine's per-field conditions.
@@ -463,14 +545,11 @@ func (e *Engine) fieldsPlan(conds []fieldTerms, allTerms []textproc.QueryTerm) p
 // table captions, tables, and figure captions. Cancelling ctx abandons
 // the query mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchAllContext(ctx context.Context, query string, pageNum int) (Page, error) {
-	terms, err := queryOrError(query)
+	p, err := e.prepareTerms("all", query, pageNum, (*Engine).allPlan)
 	if err != nil {
 		return Page{}, err
 	}
-	pageNum = clampPage(pageNum)
-	return e.cachedSearch(ctx, "all", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
-		return e.runQuery(ctx, e.allPlan(terms), false, pageNum)
-	})
+	return e.searchPage(ctx, p)
 }
 
 func (e *Engine) allPlan(terms []textproc.QueryTerm) plan {
@@ -503,14 +582,28 @@ func (e *Engine) termsPlan(terms []textproc.QueryTerm, rankFields map[string]boo
 // restricted to table fields. Cancelling ctx abandons the query
 // mid-ranking; abandoned pages are never cached.
 func (e *Engine) SearchTablesContext(ctx context.Context, query string, pageNum int) (Page, error) {
-	terms, err := queryOrError(query)
+	p, err := e.prepareTerms("tables", query, pageNum, (*Engine).tablesPlan)
 	if err != nil {
 		return Page{}, err
 	}
+	return e.searchPage(ctx, p)
+}
+
+// prepareTerms prepares the search of an engine that reads one query
+// string ("all" or "tables").
+func (e *Engine) prepareTerms(engine, query string, pageNum int, planFor func(*Engine, []textproc.QueryTerm) plan) (prepared, error) {
+	terms, err := queryOrError(query)
+	if err != nil {
+		return prepared{}, err
+	}
 	pageNum = clampPage(pageNum)
-	return e.cachedSearch(ctx, "tables", canonicalTerms(terms), pageNum, terms, func(ctx context.Context) (Page, error) {
-		return e.runQuery(ctx, e.tablesPlan(terms), false, pageNum)
-	})
+	return prepared{
+		key:   cacheKey{engine: engine, query: canonicalTerms(terms), page: pageNum},
+		terms: terms,
+		compute: func(ctx context.Context) (Page, error) {
+			return e.runQuery(ctx, planFor(e, terms), false, pageNum)
+		},
+	}, nil
 }
 
 func (e *Engine) tablesPlan(terms []textproc.QueryTerm) plan {
