@@ -7,8 +7,9 @@
 //	covidkg-server [-addr :8080] [-pubs 300] [-seed 42] [-data DIR]
 //
 // With -data, the newest complete checkpoint in DIR is restored when
-// present and a fresh one is committed after ingestion otherwise, so
-// restarts are warm. On SIGINT/SIGTERM the server drains in-flight
+// present; otherwise the server generates a corpus, builds the
+// knowledge graph and commits one checkpoint, so restarts are warm and
+// skip the build. On SIGINT/SIGTERM the server drains in-flight
 // requests and checkpoints the store + knowledge graph before exiting.
 package main
 
@@ -20,6 +21,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -28,6 +30,7 @@ import (
 	"covidkg/internal/breaker"
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
+	"covidkg/internal/durable"
 	"covidkg/internal/metrics"
 	"covidkg/internal/pprofserve"
 	"covidkg/internal/retry"
@@ -80,24 +83,22 @@ func main() {
 		log.Printf("publications served by %d remote shard processes", sys.Coord.NumShards())
 	}
 
-	loaded := false
+	var recovered []string
 	if *dataDir != "" {
 		report, err := sys.Restore(*dataDir)
 		switch {
-		case err == nil && sys.Pubs.Count() > 0:
-			// Restore re-indexed the search engine and restored the
-			// persisted graph, so the system is immediately servable
-			log.Printf("store restored from %s: %s", *dataDir, report)
-			loaded = true
 		case err == nil:
-			log.Printf("data dir %s holds no publications; generating", *dataDir)
-		case errors.Is(err, os.ErrNotExist):
-			log.Printf("data dir %s not found; generating", *dataDir)
+			// Restore re-indexed the search engine and restored the
+			// checkpointed graph
+			log.Printf("store restored from %s: %s", *dataDir, report)
+			recovered = report.Recovered
+		case errors.Is(err, durable.ErrNoSnapshot):
+			log.Printf("data dir %s holds no checkpoint", *dataDir)
 		default:
 			log.Fatalf("restore: %v", err)
 		}
 	}
-	if !loaded {
+	if sys.Pubs.Count() == 0 {
 		log.Printf("generating %d publications (seed %d)", *pubs, *seed)
 		start := time.Now()
 		g := cord19.NewGenerator(*seed)
@@ -107,15 +108,6 @@ func main() {
 			log.Fatalf("ingest: %v", err)
 		}
 		log.Printf("generated and ingested %d publications in %s", len(corpus), time.Since(start).Round(time.Millisecond))
-		if *dataDir != "" {
-			// plain store save: checkpointing here would persist the
-			// still-seed-only graph and make the restore branch below
-			// skip building the real one
-			if err := saveStore(sys, *dataDir); err != nil {
-				log.Fatalf("save: %v", err)
-			}
-			log.Printf("store saved to %s", *dataDir)
-		}
 	}
 
 	log.Printf("training models")
@@ -128,10 +120,8 @@ func main() {
 		time.Since(start).Round(time.Millisecond), stats.VocabSize, stats.TermVocab, stats.CellVocab, stats.TextVocab,
 		stats.SVMMetrics)
 
-	if restored, err := sys.RestoreGraph(); err != nil {
-		log.Fatalf("restore graph: %v", err)
-	} else if restored {
-		log.Printf("knowledge graph restored from store: %d nodes", sys.Graph.Size())
+	if slices.Contains(recovered, core.GraphFile) {
+		log.Printf("knowledge graph restored from checkpoint: %d nodes", sys.Graph.Size())
 	} else {
 		log.Printf("building knowledge graph")
 		start = time.Now()
@@ -199,16 +189,6 @@ func checkpoint(sys *core.System, dir string) error {
 	defer cancel()
 	return retry.Do(ctx, retry.DefaultConfig(), func() error {
 		return sys.Checkpoint(dir)
-	})
-}
-
-// saveStore persists only the collections (no graph), with the same
-// retry discipline.
-func saveStore(sys *core.System, dir string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return retry.Do(ctx, retry.DefaultConfig(), func() error {
-		return sys.Store.Save(dir)
 	})
 }
 

@@ -4,9 +4,9 @@
 //
 // Subcommands:
 //
-//	kgctl gen       -n 500 -seed 42 -out DIR     generate a corpus into a store dir
+//	kgctl gen       -n 500 -seed 42 -out DIR     generate, train, build the KG, checkpoint
 //	kgctl search    -data DIR -engine all -q "masks" [-page 1]
-//	kgctl kg        -data DIR [-q vaccines] [-graph FILE]  build/load and query the KG
+//	kgctl kg        -data DIR [-q vaccines] [-tree]  query the checkpointed KG
 //	kgctl profile   -data DIR                    build the side-effect meta-profile
 //	kgctl topics    -data DIR -k 8               topical clustering
 //	kgctl stats     -data DIR                    store statistics
@@ -25,9 +25,6 @@ import (
 
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
-	"covidkg/internal/durable"
-	"covidkg/internal/faultfs"
-	"covidkg/internal/jsondoc"
 	"covidkg/internal/kg"
 	"covidkg/internal/pipeline"
 	"covidkg/internal/search"
@@ -88,10 +85,7 @@ func cmdAggregate(args []string) {
 	}
 	p.Append(pipeline.Limit(*limit))
 
-	sys := core.NewSystem(core.DefaultConfig())
-	if err := sys.Store.Load(*data); err != nil {
-		log.Fatalf("load: %v", err)
-	}
+	sys := loadSystem(*data, false)
 	coll := sys.Store.Collection(*collName)
 	out, err := p.RunContext(context.Background(), coll)
 	if err != nil {
@@ -123,7 +117,9 @@ func cmdGen(args []string) {
 	withSE := fs.Bool("side-effects", true, "include Figure 6 side-effect papers")
 	fs.Parse(args)
 
-	sys := core.NewSystem(core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	cfg.Seed = *seed
+	sys := core.NewSystem(cfg)
 	g := cord19.NewGenerator(*seed)
 	pubs := g.Corpus(*n)
 	if *withSE {
@@ -135,35 +131,31 @@ func cmdGen(args []string) {
 	if err := sys.IngestPublications(pubs); err != nil {
 		log.Fatalf("ingest: %v", err)
 	}
-	if err := sys.Store.Save(*out); err != nil {
-		log.Fatalf("save: %v", err)
+	if _, err := sys.TrainModels(); err != nil {
+		log.Fatalf("train: %v", err)
 	}
-	log.Printf("wrote %d publications to %s", sys.Pubs.Count(), *out)
+	if _, err := sys.BuildKG(); err != nil {
+		log.Fatalf("build kg: %v", err)
+	}
+	if err := sys.Checkpoint(*out); err != nil {
+		log.Fatalf("checkpoint: %v", err)
+	}
+	log.Printf("wrote %d publications and a %d-node knowledge graph to %s", sys.Pubs.Count(), sys.Graph.Size(), *out)
 }
 
-// loadSystem loads a store dir and retrains models.
+// loadSystem restores the checkpoint in dataDir and, when asked,
+// retrains the models.
 func loadSystem(dataDir string, train bool) *core.System {
-	cfg := core.DefaultConfig()
-	sys := core.NewSystem(cfg)
-	if err := sys.Store.Load(dataDir); err != nil {
+	sys := core.NewSystem(core.DefaultConfig())
+	if _, err := sys.Restore(dataDir); err != nil {
 		log.Fatalf("load %s: %v (run `kgctl gen` first)", dataDir, err)
 	}
-	// reindex into a fresh engine
-	fresh := core.NewSystem(cfg)
-	if err := sys.Store.Collection(core.PubsCollection).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
-		if _, err := fresh.Search.AddDocument(d); err != nil {
-			log.Printf("reindex: %v", err)
-		}
-		return true
-	}); err != nil {
-		log.Fatalf("reindex: %v", err)
-	}
 	if train {
-		if _, err := fresh.TrainModels(); err != nil {
+		if _, err := sys.TrainModels(); err != nil {
 			log.Fatalf("train: %v", err)
 		}
 	}
-	return fresh
+	return sys
 }
 
 func cmdSearch(args []string) {
@@ -215,48 +207,10 @@ func cmdKG(args []string) {
 	data := fs.String("data", "covidkg-data", "store directory")
 	q := fs.String("q", "", "optional KG query")
 	dump := fs.Bool("tree", false, "print the full tree")
-	graphFile := fs.String("graph", "", "optional file: load the graph from it when present, save after building otherwise")
 	fs.Parse(args)
 
-	var sys *core.System
-	if *graphFile != "" {
-		// checksummed envelope; pre-durability raw dumps load too
-		blob, err := durable.ReadChecksummed(faultfs.OS{}, *graphFile)
-		switch {
-		case err == nil:
-			g, err := kg.FromJSON(blob)
-			if err != nil {
-				log.Fatalf("graph file: %v", err)
-			}
-			sys = loadSystem(*data, false)
-			sys.Graph = g
-			sys.Fuser = kg.NewFuser(g)
-			fmt.Printf("knowledge graph loaded from %s: %d nodes\n\n", *graphFile, g.Size())
-			queryAndDump(sys, *q, *dump)
-			return
-		case !os.IsNotExist(err):
-			// an existing-but-unreadable dump deserves a warning before
-			// it gets rebuilt and overwritten below
-			log.Printf("warning: graph file %s unusable, rebuilding: %v", *graphFile, err)
-		}
-	}
-	sys = loadSystem(*data, true)
-	st, err := sys.BuildKG()
-	if err != nil {
-		log.Fatalf("build kg: %v", err)
-	}
-	fmt.Printf("knowledge graph: %d nodes (tables=%d subtrees=%d fused=%d queued=%d)\n\n",
-		sys.Graph.Size(), st.Tables, st.Subtrees, st.Fused, st.Queued)
-	if *graphFile != "" {
-		blob, err := sys.Graph.MarshalJSON()
-		if err != nil {
-			log.Fatalf("serialize graph: %v", err)
-		}
-		if err := durable.WriteChecksummed(faultfs.OS{}, *graphFile, blob); err != nil {
-			log.Fatalf("save graph: %v", err)
-		}
-		fmt.Printf("graph saved to %s\n", *graphFile)
-	}
+	sys := loadSystem(*data, false)
+	fmt.Printf("knowledge graph: %d nodes\n\n", sys.Graph.Size())
 	queryAndDump(sys, *q, *dump)
 }
 
@@ -331,11 +285,7 @@ func cmdStats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
-	cfg := core.DefaultConfig()
-	sys := core.NewSystem(cfg)
-	if err := sys.Store.Load(*data); err != nil {
-		log.Fatalf("load: %v", err)
-	}
+	sys := loadSystem(*data, false)
 	st := sys.Store.Stats()
 	fmt.Printf("collections: %d\ndocuments:   %d\nbytes:       %d\n", st.Collections, st.Documents, st.Bytes)
 	for i, n := range st.PerShard {

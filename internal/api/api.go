@@ -556,15 +556,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // aggregateRequest is the POST /api/v1/aggregate body: a collection name
-// and a MongoDB-dialect JSON pipeline (see pipeline.Compile).
+// (only "publications", the default, exists) and a MongoDB-dialect JSON
+// pipeline (see pipeline.Compile).
 type aggregateRequest struct {
 	Collection string `json:"collection"`
 	Pipeline   []any  `json:"pipeline"`
 	Limit      int    `json:"limit"` // server-side result cap; default 100
 }
 
-// handleAggregate runs a compiled aggregation pipeline over a
-// collection — the paper's "API users that might want to query the
+// handleAggregate runs a compiled aggregation pipeline over the
+// publications — the paper's "API users that might want to query the
 // Knowledge Graph" surface (№11/13), speaking the same $-stage dialect
 // the internal search engines use. The request context rides through
 // pipeline execution, so a deadline or disconnect stops the scan.
@@ -574,21 +575,9 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if req.Collection == "" {
-		req.Collection = core.PubsCollection
-	}
-	// In networked mode the publications collection lives in the shard
-	// processes: aggregate over the coordinator. Every other collection
-	// (the knowledge graph, model metadata) stays in the local store.
-	var coll docstore.Docs
-	if s.sys.Remote() && req.Collection == core.PubsCollection {
-		coll = s.sys.Pubs
-	} else {
-		if !s.sys.Store.HasCollection(req.Collection) {
-			writeErr(w, r, http.StatusNotFound, fmt.Errorf("collection %q does not exist", req.Collection))
-			return
-		}
-		coll = s.sys.Store.Collection(req.Collection)
+	if req.Collection != "" && req.Collection != core.PubsCollection {
+		writeErr(w, r, http.StatusNotFound, fmt.Errorf("collection %q does not exist", req.Collection))
+		return
 	}
 	p, err := pipeline.Compile(req.Pipeline)
 	if err != nil {
@@ -600,7 +589,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		limit = 100
 	}
 	p.Append(pipeline.Limit(limit))
-	out, err := p.RunContext(r.Context(), coll)
+	out, err := p.RunContext(r.Context(), s.sys.Pubs)
 	if err != nil {
 		writeErr(w, r, failStatus(err, http.StatusBadRequest), err)
 		return

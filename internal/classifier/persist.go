@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"covidkg/internal/durable"
 	"covidkg/internal/embeddings"
-	"covidkg/internal/faultfs"
 	"covidkg/internal/mlcore"
 )
 
@@ -85,32 +83,6 @@ func ImportEnsemble(data []byte) (*Ensemble, error) {
 		copy(bn.RunVar, snap.BNRunVar)
 	}
 	return m, nil
-}
-
-// SaveEnsembleFile persists a trained ensemble to path atomically
-// (tmp → fsync → rename) inside a CRC32 envelope, so a crash mid-save
-// never destroys the previous model and a corrupted file is detected
-// at load instead of producing silently wrong predictions. Pass
-// faultfs.OS{} outside tests.
-func SaveEnsembleFile(fs faultfs.FS, path string, m *Ensemble) error {
-	blob, err := m.Export()
-	if err != nil {
-		return err
-	}
-	if err := durable.WriteChecksummed(fs, path, blob); err != nil {
-		return fmt.Errorf("classifier: save %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadEnsembleFile reads a model written by SaveEnsembleFile, verifying
-// its checksum. Plain pre-envelope exports still load.
-func LoadEnsembleFile(fs faultfs.FS, path string) (*Ensemble, error) {
-	blob, err := durable.ReadChecksummed(fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("classifier: load %s: %w", path, err)
-	}
-	return ImportEnsemble(blob)
 }
 
 // shellW2V builds a zero-weight Word2Vec carrying just a vocabulary and

@@ -3,32 +3,22 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"covidkg/internal/classifier"
 	"covidkg/internal/cord19"
+	"covidkg/internal/durable"
+	"covidkg/internal/embeddings"
 	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
+	"covidkg/internal/kg"
 )
-
-// writeLegacyCollection dumps one collection as a bare pre-durability
-// jsonl file.
-func writeLegacyCollection(t *testing.T, dir string, s *System, name string) {
-	t.Helper()
-	var b bytes.Buffer
-	if err := s.Store.Collection(name).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
-		b.Write(d.JSON())
-		b.WriteByte('\n')
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, name+".jsonl"), b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // untrainedSystem builds a system with ingested publications and a
 // markup-hint-built KG but no trained models, so checkpoint tests stay
@@ -48,10 +38,68 @@ func untrainedSystem(t *testing.T, nPubs int, seed int64, fs faultfs.FS) *System
 	return s
 }
 
+// tinyEnsemble is an untrained BiGRU ensemble over a small vocabulary:
+// enough to put ensemble.model into a checkpoint. Different seeds give
+// different weights.
+func tinyEnsemble(t *testing.T, seed int64) *classifier.Ensemble {
+	t.Helper()
+	wcfg := embeddings.DefaultConfig()
+	wcfg.Dim, wcfg.MinCount, wcfg.Epochs, wcfg.Seed = 4, 1, 1, seed
+	w2v := embeddings.Train([][]string{{"fever", "cough", "dose", "mask", "pfizer"}}, wcfg)
+	ecfg := classifier.DefaultEnsembleConfig()
+	ecfg.Units, ecfg.DenseUnits, ecfg.Seed = 2, 2, seed
+	m, err := classifier.NewEnsemble(w2v, w2v, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// stateQueries are the fixed searches whose first pages a restore must
+// reproduce byte for byte.
+var stateQueries = []string{"vaccine", "transmission masks", "covid patients"}
+
+// state renders what a restore must reproduce exactly: the graph's
+// JSON bytes, three fixed SearchAllContext pages, and the ensemble's
+// export when there is one.
+func state(t *testing.T, s *System) string {
+	t.Helper()
+	graph, err := s.Graph.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.Write(graph)
+	for _, q := range stateQueries {
+		pg, err := s.Search.SearchAllContext(context.Background(), q, 1)
+		if err != nil {
+			t.Fatalf("search %q: %v", q, err)
+		}
+		if pg.Total == 0 {
+			t.Fatalf("search %q matched nothing: the comparison would be vacuous", q)
+		}
+		enc, err := json.Marshal(pg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteByte('\n')
+		b.Write(enc)
+	}
+	if s.Ensemble != nil {
+		blob, err := s.Ensemble.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteByte('\n')
+		b.Write(blob)
+	}
+	return b.String()
+}
+
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := untrainedSystem(t, 20, 7, nil)
-	wantPubs, wantNodes := s.Pubs.Count(), s.Graph.Size()
+	want := state(t, s)
 	if err := s.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +112,27 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if report.Generation != 1 {
 		t.Fatalf("report generation = %d", report.Generation)
 	}
-	if got := s2.Pubs.Count(); got != wantPubs {
-		t.Fatalf("pubs = %d, want %d", got, wantPubs)
+	if got := strings.Join(report.Recovered, ","); got != GraphFile+","+PubsCollection+".jsonl" {
+		t.Fatalf("recovered files = %s", got)
 	}
-	if got := s2.Graph.Size(); got != wantNodes {
-		t.Fatalf("graph = %d nodes, want %d", got, wantNodes)
+	if got := state(t, s2); got != want {
+		t.Fatal("restored graph or search pages differ from the checkpointed system")
+	}
+	// the graph is a checkpoint file, not a document in the store
+	if got := s2.Store.Stats().Documents; got != s.Pubs.Count() {
+		t.Fatalf("store holds %d documents, want the %d publications", got, s.Pubs.Count())
 	}
 
-	// a second checkpoint advances the generation
+	// the restored graph is searchable and fusable
+	if hits, err := s2.Graph.SearchContext(context.Background(), "vaccines"); err != nil || len(hits) == 0 {
+		t.Fatalf("restored graph not searchable: %d hits, %v", len(hits), err)
+	}
+	if res := s2.Fuser.Fuse(kg.NewSubtree("Vaccines", "RestoredVac")); res.Action != kg.ActionFused {
+		t.Fatalf("fusion on restored graph: %+v", res)
+	}
+
+	// a second checkpoint advances the generation and carries the fusion
+	want2 := state(t, s2)
 	if err := s2.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -80,54 +141,69 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err != nil || report.Generation != 2 {
 		t.Fatalf("gen=%d err=%v", report.Generation, err)
 	}
+	if got := state(t, s3); got != want2 {
+		t.Fatal("second restore differs from the second checkpoint")
+	}
 }
 
 // TestCheckpointCrashRecovery drives the acceptance criterion at the
 // system level: crash a second checkpoint at every mutating-I/O point
 // and require Restore to come back with exactly the old state or
-// exactly the new one — publications, graph and all — plus a report
-// naming the generation.
+// exactly the new one — publications, graph, search pages and model —
+// plus a report naming the generation.
 func TestCheckpointCrashRecovery(t *testing.T) {
+	oldSystem := func(fs faultfs.FS) *System {
+		s := untrainedSystem(t, 12, 7, fs)
+		s.Ensemble = tinyEnsemble(t, 1)
+		return s
+	}
+	newSystem := func(fs faultfs.FS) *System {
+		s := untrainedSystem(t, 14, 8, fs)
+		s.Ensemble = tinyEnsemble(t, 2)
+		return s
+	}
 	// count the crash surface of the second checkpoint
 	probe := t.TempDir()
-	if err := untrainedSystem(t, 12, 7, nil).Checkpoint(probe); err != nil {
+	if err := oldSystem(nil).Checkpoint(probe); err != nil {
 		t.Fatal(err)
 	}
 	counter := &faultfs.CrashPolicy{}
-	if err := untrainedSystem(t, 14, 8, faultfs.NewFaulty(faultfs.OS{}, counter)).Checkpoint(probe); err != nil {
+	if err := newSystem(faultfs.NewFaulty(faultfs.OS{}, counter)).Checkpoint(probe); err != nil {
 		t.Fatal(err)
 	}
 	nOps := counter.Ops()
 
-	oldRef := untrainedSystem(t, 12, 7, nil)
-	newRef := untrainedSystem(t, 14, 8, nil)
+	oldWant, newWant := state(t, oldSystem(nil)), state(t, newSystem(nil))
+	if oldWant == newWant {
+		t.Fatal("the two generations are indistinguishable")
+	}
 
 	for failAt := 1; failAt <= nOps; failAt++ {
 		name := fmt.Sprintf("failAt=%d", failAt)
 		dir := t.TempDir()
-		if err := untrainedSystem(t, 12, 7, nil).Checkpoint(dir); err != nil {
+		if err := oldSystem(nil).Checkpoint(dir); err != nil {
 			t.Fatal(err)
 		}
 		policy := &faultfs.CrashPolicy{FailAt: failAt}
-		crashed := untrainedSystem(t, 14, 8, faultfs.NewFaulty(faultfs.OS{}, policy))
-		saveErr := crashed.Checkpoint(dir)
+		saveErr := newSystem(faultfs.NewFaulty(faultfs.OS{}, policy)).Checkpoint(dir)
 
 		s := NewSystem(DefaultConfig())
 		report, err := s.Restore(dir)
 		if err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
 		}
+		got := state(t, s)
 		switch report.Generation {
 		case 1:
 			if saveErr == nil {
 				t.Fatalf("%s: checkpoint claimed success but gen 2 is gone", name)
 			}
-			if s.Pubs.Count() != oldRef.Pubs.Count() || s.Graph.Size() != oldRef.Graph.Size() {
-				t.Fatalf("%s: gen 1 state mismatch: pubs=%d graph=%d", name, s.Pubs.Count(), s.Graph.Size())
+			if got != oldWant {
+				t.Fatalf("%s: gen 1 state differs from the first checkpoint", name)
 			}
 		case 2:
-			if s.Pubs.Count() != newRef.Pubs.Count() || s.Graph.Size() != newRef.Graph.Size() {
-				t.Fatalf("%s: gen 2 state mismatch: pubs=%d graph=%d", name, s.Pubs.Count(), s.Graph.Size())
+			if got != newWant {
+				t.Fatalf("%s: gen 2 state differs from the second checkpoint", name)
 			}
 		default:
 			t.Fatalf("%s: recovered unexpected generation %d", name, report.Generation)
@@ -135,28 +211,166 @@ func TestCheckpointCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyDir: a pre-durability bare-jsonl directory restores
-// through the legacy path.
-func TestRestoreLegacyDir(t *testing.T) {
+// TestCheckpointRestoresEnsemble: the trained ensemble is a named file
+// of the checkpoint and comes back bit for bit; a corrupted copy fails
+// its checksum instead of loading wrong weights.
+func TestCheckpointRestoresEnsemble(t *testing.T) {
 	dir := t.TempDir()
 	s := untrainedSystem(t, 10, 7, nil)
-	if err := s.PersistGraph(); err != nil {
-		t.Fatal(err)
-	}
-	// write the legacy layout by hand: one bare jsonl per collection
-	for _, name := range s.Store.CollectionNames() {
-		writeLegacyCollection(t, dir, s, name)
-	}
-	s2 := NewSystem(DefaultConfig())
-	report, err := s2.Restore(dir)
+	s.Ensemble = tinyEnsemble(t, 3)
+	want, err := s.Ensemble.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Source != "legacy" {
-		t.Fatalf("source = %q", report.Source)
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
 	}
-	if s2.Pubs.Count() != s.Pubs.Count() || s2.Graph.Size() != s.Graph.Size() {
-		t.Fatalf("legacy restore mismatch: pubs=%d graph=%d", s2.Pubs.Count(), s2.Graph.Size())
+	s2 := NewSystem(DefaultConfig())
+	if _, err := s2.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if s2.Ensemble == nil {
+		t.Fatal("ensemble not restored")
+	}
+	got, err := s2.Ensemble.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("restored ensemble exports different bytes")
+	}
+
+	path := filepath.Join(dir, fmt.Sprintf("g%06d-%s", 1, EnsembleFile))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSystem(DefaultConfig()).Restore(dir)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("corrupt ensemble restored: err = %v", err)
+	}
+}
+
+// TestRestoreNothingToRestore pins the contract the server's boot
+// relies on: a missing or empty dir, or one holding only bare
+// collection files, is ErrNoSnapshot ("generate"); a dir whose only
+// generation is corrupt is a different error ("refuse to boot").
+func TestRestoreNothingToRestore(t *testing.T) {
+	bare := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bare, PubsCollection+".jsonl"), []byte(`{"_id":"a"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{
+		"missing": filepath.Join(t.TempDir(), "missing"),
+		"empty":   t.TempDir(),
+		"bare":    bare,
+	} {
+		s := NewSystem(DefaultConfig())
+		if _, err := s.Restore(dir); !errors.Is(err, durable.ErrNoSnapshot) {
+			t.Fatalf("%s dir: err = %v, want ErrNoSnapshot", name, err)
+		}
+		if n := s.Pubs.Count(); n != 0 {
+			t.Fatalf("%s dir: restored %d publications", name, n)
+		}
+	}
+
+	corrupt := t.TempDir()
+	if err := untrainedSystem(t, 5, 7, nil).Checkpoint(corrupt); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(corrupt, fmt.Sprintf("g%06d-%s", 1, GraphFile))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSystem(DefaultConfig()).Restore(corrupt)
+	if err == nil || errors.Is(err, durable.ErrNoSnapshot) {
+		t.Fatalf("corrupt only generation: err = %v, want a non-ErrNoSnapshot error", err)
+	}
+}
+
+// TestCheckpointRestoresGraphOver16MiB: a graph whose JSON is larger
+// than any line buffer (200 × 200 branches, 30 papers per leaf: 40,220
+// nodes) checkpoints and restores byte-identical.
+func TestCheckpointRestoresGraphOver16MiB(t *testing.T) {
+	s := NewSystem(DefaultConfig())
+	papers := make([]string, 30)
+	for i := 0; i < 200; i++ {
+		branch, err := s.Graph.AddNode(s.Graph.RootID(), "branch "+code(i), "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 200; j++ {
+			for k := range papers {
+				papers[k] = fmt.Sprintf("pub-%03d-%03d-%02d", i, j, k)
+			}
+			if _, err := s.Graph.AddNode(branch.ID, "leaf "+code(i)+code(j), "test", papers...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := s.Graph.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 16<<20 {
+		t.Fatalf("graph JSON is only %d bytes", len(want))
+	}
+	dir := t.TempDir()
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSystem(DefaultConfig())
+	if _, err := s2.Restore(dir); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got, err := s2.Graph.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Graph.Size() != s.Graph.Size() || !bytes.Equal(got, want) {
+		t.Fatalf("restored graph differs: %d nodes, want %d", s2.Graph.Size(), s.Graph.Size())
+	}
+}
+
+// code spells n < 676 as a word label normalisation keeps distinct: it
+// drops digits and single letters and stems common suffixes.
+func code(n int) string {
+	return string([]byte{'x', byte('a' + n/26), byte('a' + n%26), 'z'})
+}
+
+// TestCheckpointRestoresPublicationOver16MiB: a publication the ingest
+// path accepts — here with a 17 MiB field the index never reads — is
+// written by Checkpoint as one JSON line and must restore.
+func TestCheckpointRestoresPublicationOver16MiB(t *testing.T) {
+	s := NewSystem(DefaultConfig())
+	doc := cord19.NewGenerator(7).Publication().Doc()
+	doc["_id"] = "big"
+	doc["supplement"] = strings.Repeat("x", 17<<20)
+	if rep := s.IngestDocs([]jsondoc.Doc{doc}); rep.Failed > 0 {
+		t.Fatal(rep.Err())
+	}
+	dir := t.TempDir()
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSystem(DefaultConfig())
+	if _, err := s2.Restore(dir); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got, err := s2.Pubs.Get("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GetString("supplement") != doc.GetString("supplement") {
+		t.Fatal("17 MiB field did not round-trip")
 	}
 }
 

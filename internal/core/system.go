@@ -84,8 +84,9 @@ type Config struct {
 	// BuildKG; false uses the (much faster) SVM.
 	UseEnsemble bool
 
-	// FS overrides the filesystem used for persistence — fault-injection
-	// tests crash checkpoints through it. Nil means the real filesystem.
+	// FS overrides the filesystem Checkpoint and Restore use —
+	// fault-injection tests crash checkpoints through it. Nil means the
+	// real filesystem.
 	FS faultfs.FS
 
 	W2V      embeddings.Config
@@ -155,9 +156,6 @@ func NewSystem(cfg Config) *System {
 	storeOpts := []docstore.Option{
 		docstore.WithShards(cfg.Shards),
 		docstore.WithBreaker(cfg.Breaker),
-	}
-	if cfg.FS != nil {
-		storeOpts = append(storeOpts, docstore.WithFS(cfg.FS))
 	}
 	if cfg.Failpoints != nil {
 		storeOpts = append(storeOpts, docstore.WithFailpoints(cfg.Failpoints))
@@ -746,59 +744,14 @@ func (s *System) BuildMetaProfile(name string) (*metaprofile.Profile, error) {
 	return metaprofile.Build(name, obs), nil
 }
 
-// GraphCollection is the collection persisting the knowledge graph —
-// the paper stores the KG as JSON in the same sharded store as the
-// publications (§4.2: "the graph is populated with nodes and edges and
-// is stored in JSON format").
-const GraphCollection = "knowledge_graph"
-
-// PersistGraph writes the current knowledge graph into the store, so
-// Store.Save captures it alongside the publications.
-func (s *System) PersistGraph() error {
-	blob, err := s.Graph.MarshalJSON()
-	if err != nil {
-		return fmt.Errorf("core: persist graph: %w", err)
-	}
-	doc, err := jsondoc.FromJSON(blob)
-	if err != nil {
-		return fmt.Errorf("core: persist graph: %w", err)
-	}
-	doc["_id"] = "kg"
-	s.Store.DropCollection(GraphCollection)
-	if _, err := s.Store.Collection(GraphCollection).Insert(doc); err != nil {
-		return fmt.Errorf("core: persist graph: %w", err)
-	}
-	return nil
-}
-
-// RestoreGraph loads a previously persisted knowledge graph from the
-// store, replacing the current graph (and resetting the fuser). Returns
-// false when the store holds no graph.
-func (s *System) RestoreGraph() (bool, error) {
-	if !s.Store.HasCollection(GraphCollection) {
-		return false, nil
-	}
-	doc, err := s.Store.Collection(GraphCollection).Get("kg")
-	if err != nil {
-		return false, nil
-	}
-	delete(doc, "_id")
-	g, err := kg.FromJSON(doc.JSON())
-	if err != nil {
-		return false, fmt.Errorf("core: restore graph: %w", err)
-	}
-	if s.TextW2V != nil {
-		g.SetEmbedder(func(label string) []float64 { return s.TextW2V.EmbedText(label) })
-	}
-	g.SetMetrics(s.cfg.Metrics)
-	s.Graph = g
-	s.Fuser = kg.NewFuser(g)
-	return true, nil
-}
-
-// EnsembleFile is the logical snapshot file name holding the trained
-// BiGRU ensemble inside a system checkpoint.
-const EnsembleFile = "ensemble.model"
+// GraphFile and EnsembleFile are the logical snapshot file names
+// holding the knowledge graph (the paper keeps the KG as JSON beside
+// the publications, §4.2) and the trained BiGRU ensemble inside a
+// system checkpoint.
+const (
+	GraphFile    = "knowledge_graph.json"
+	EnsembleFile = "ensemble.model"
+)
 
 // Checkpoint atomically persists the whole system state — every store
 // collection, the knowledge graph, and the trained ensemble when
@@ -806,15 +759,18 @@ const EnsembleFile = "ensemble.model"
 // all-or-nothing: a crash at any point leaves the previous checkpoint
 // fully loadable.
 func (s *System) Checkpoint(dir string) error {
-	if err := s.PersistGraph(); err != nil {
-		return err
-	}
-	snap := durable.NewSnapshotter(dir, durable.WithFS(s.Store.FS()))
-	tx, err := snap.Begin()
+	tx, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Begin()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if err := s.Store.SaveTxn(tx); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	graph, err := s.Graph.MarshalJSON()
+	if err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if err := tx.WriteFile(GraphFile, graph); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if s.Ensemble != nil {
@@ -833,38 +789,46 @@ func (s *System) Checkpoint(dir string) error {
 }
 
 // Restore loads the newest complete checkpoint from dir: collections
-// into the store, the persisted knowledge graph (when present), and the
-// trained ensemble (when present). The returned report says which
-// generation was recovered and which torn or corrupt generations were
-// discarded. Legacy bare-*.jsonl directories load too.
+// into the store, the knowledge graph and the trained ensemble when
+// the checkpoint holds them. The returned report says which generation
+// was recovered, which files it held, and which torn or corrupt
+// generations were discarded. A missing or empty dir returns an error
+// satisfying errors.Is(err, durable.ErrNoSnapshot); a dir whose every
+// generation fails verification returns a different error.
 func (s *System) Restore(dir string) (*durable.Report, error) {
-	snap := durable.NewSnapshotter(dir, durable.WithFS(s.Store.FS()))
-	sn, report, err := snap.Load()
+	sn, report, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Load()
 	if err != nil {
-		if errors.Is(err, durable.ErrNoSnapshot) {
-			// pre-durability layout: collections only
-			report, err = s.Store.LoadReport(dir)
-			if err != nil {
-				return report, err
-			}
-		} else {
+		return report, fmt.Errorf("core: restore: %w", err)
+	}
+	if err := s.Store.LoadSnapshot(sn); err != nil {
+		return report, fmt.Errorf("core: restore: %w", err)
+	}
+	if sn.Has(GraphFile) {
+		blob, err := sn.ReadFile(GraphFile)
+		if err != nil {
 			return report, fmt.Errorf("core: restore: %w", err)
 		}
-	} else {
-		if err := s.Store.LoadSnapshot(sn); err != nil {
+		g, err := kg.FromJSON(blob)
+		if err != nil {
+			return report, fmt.Errorf("core: restore graph: %w", err)
+		}
+		if s.TextW2V != nil {
+			g.SetEmbedder(s.TextW2V.EmbedText)
+		}
+		g.SetMetrics(s.cfg.Metrics)
+		s.Graph = g
+		s.Fuser = kg.NewFuser(g)
+	}
+	if sn.Has(EnsembleFile) {
+		blob, err := sn.ReadFile(EnsembleFile)
+		if err != nil {
 			return report, fmt.Errorf("core: restore: %w", err)
 		}
-		if sn.Has(EnsembleFile) {
-			blob, err := sn.ReadFile(EnsembleFile)
-			if err != nil {
-				return report, fmt.Errorf("core: restore: %w", err)
-			}
-			ens, err := classifier.ImportEnsemble(blob)
-			if err != nil {
-				return report, fmt.Errorf("core: restore ensemble: %w", err)
-			}
-			s.Ensemble = ens
+		ens, err := classifier.ImportEnsemble(blob)
+		if err != nil {
+			return report, fmt.Errorf("core: restore ensemble: %w", err)
 		}
+		s.Ensemble = ens
 	}
 	// loading replaced the collection objects: rebind the publications
 	// handle and rebuild the search engine, which re-indexes on scan. In
@@ -875,9 +839,6 @@ func (s *System) Restore(dir string) (*durable.Report, error) {
 	}
 	s.Search = search.NewEngine(s.Pubs)
 	s.Search.SetMetrics(s.cfg.Metrics)
-	if _, err := s.RestoreGraph(); err != nil {
-		return report, err
-	}
 	return report, nil
 }
 

@@ -15,16 +15,55 @@ import (
 	"covidkg/internal/jsondoc"
 )
 
+// save commits every collection of s as one snapshot generation in
+// dir through fs — the store's half of core.System.Checkpoint.
+func save(s *Store, dir string, fs faultfs.FS) error {
+	tx, err := durable.NewSnapshotter(dir, durable.WithFS(fs)).Begin()
+	if err != nil {
+		return err
+	}
+	if err := s.SaveTxn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+// load fills s from the newest verifiable generation in dir — the
+// store's half of core.System.Restore.
+func load(s *Store, dir string) (*durable.Report, error) {
+	sn, report, err := durable.NewSnapshotter(dir).Load()
+	if err != nil {
+		return report, err
+	}
+	return report, s.LoadSnapshot(sn)
+}
+
+// writeSnapshot commits files verbatim as one generation in a fresh
+// dir, so tests can hand LoadSnapshot lines no store would write.
+func writeSnapshot(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	tx, err := durable.NewSnapshotter(dir).Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		if err := tx.WriteFile(name, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestLoadCorruptedLine: a broken JSON line must fail loudly with the
 // line number, not silently drop data.
 func TestLoadCorruptedLine(t *testing.T) {
-	dir := t.TempDir()
 	content := `{"_id":"a","x":1}` + "\n" + `{"broken` + "\n" + `{"_id":"b","x":2}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "pubs.jsonl"), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := Open()
-	err := s.Load(dir)
+	dir := writeSnapshot(t, map[string]string{"pubs.jsonl": content})
+	_, err := load(Open(), dir)
 	if err == nil {
 		t.Fatal("corrupted file loaded silently")
 	}
@@ -35,32 +74,30 @@ func TestLoadCorruptedLine(t *testing.T) {
 
 // TestLoadDuplicateIDs: duplicate _id lines must be rejected.
 func TestLoadDuplicateIDs(t *testing.T) {
-	dir := t.TempDir()
 	content := `{"_id":"a","x":1}` + "\n" + `{"_id":"a","x":2}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "pubs.jsonl"), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Open().Load(dir); err == nil {
+	dir := writeSnapshot(t, map[string]string{"pubs.jsonl": content})
+	if _, err := load(Open(), dir); err == nil {
 		t.Fatal("duplicate ids loaded silently")
 	}
 }
 
-// TestLoadSkipsBlankLinesAndForeignFiles.
+// TestLoadSkipsBlankLinesAndForeignFiles: blank lines are skipped, and
+// non-.jsonl snapshot files (a checkpoint's graph and models) are not
+// collections.
 func TestLoadSkipsBlankLinesAndForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	content := "\n" + `{"_id":"a","x":1}` + "\n\n"
-	os.WriteFile(filepath.Join(dir, "pubs.jsonl"), []byte(content), 0o644)
-	os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not data"), 0o644)
-	os.MkdirAll(filepath.Join(dir, "subdir"), 0o755)
+	dir := writeSnapshot(t, map[string]string{
+		"pubs.jsonl":           "\n" + `{"_id":"a","x":1}` + "\n\n",
+		"knowledge_graph.json": `{"_id":"kg"}`,
+	})
 	s := Open()
-	if err := s.Load(dir); err != nil {
+	if _, err := load(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	if s.Collection("pubs").Count() != 1 {
 		t.Fatalf("count = %d", s.Collection("pubs").Count())
 	}
-	if s.HasCollection("README") {
-		t.Fatal("foreign file loaded")
+	if got := s.CollectionNames(); len(got) != 1 {
+		t.Fatalf("foreign file loaded: collections %v", got)
 	}
 }
 
@@ -68,7 +105,7 @@ func TestLoadSkipsBlankLinesAndForeignFiles(t *testing.T) {
 func TestSaveToUnwritableDir(t *testing.T) {
 	s := Open()
 	s.Collection("pubs").Insert(jsondoc.Doc{"x": 1})
-	if err := s.Save("/proc/definitely/not/writable"); err == nil {
+	if err := save(s, "/proc/definitely/not/writable", faultfs.OS{}); err == nil {
 		t.Fatal("save into unwritable path succeeded")
 	}
 }
@@ -82,10 +119,10 @@ func TestSaveDeterministic(t *testing.T) {
 		c.Insert(jsondoc.Doc{"i": i})
 	}
 	d1, d2 := t.TempDir(), t.TempDir()
-	if err := s.Save(d1); err != nil {
+	if err := save(s, d1, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(d2); err != nil {
+	if err := save(s, d2, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(dir string) []byte {
@@ -113,8 +150,8 @@ func TestSaveDeterministic(t *testing.T) {
 
 // testStore builds a deterministic store whose every document carries
 // tag, so two generations are easy to tell apart.
-func testStore(fs faultfs.FS, docs int, tag string) *Store {
-	s := Open(WithShards(3), WithFS(fs))
+func testStore(docs int, tag string) *Store {
+	s := Open(WithShards(3))
 	c := s.Collection("pubs")
 	for i := 0; i < docs; i++ {
 		c.Insert(jsondoc.Doc{"_id": fmt.Sprintf("p%03d", i), "v": tag, "i": i})
@@ -152,11 +189,11 @@ func dump(s *Store) string {
 func TestCrashMatrix(t *testing.T) {
 	// count the crash surface of a gen-2 save once
 	probeDir := t.TempDir()
-	if err := testStore(faultfs.OS{}, 12, "old").Save(probeDir); err != nil {
+	if err := save(testStore(12, "old"), probeDir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	counter := &faultfs.CrashPolicy{}
-	if err := testStore(faultfs.NewFaulty(faultfs.OS{}, counter), 13, "new").Save(probeDir); err != nil {
+	if err := save(testStore(13, "new"), probeDir, faultfs.NewFaulty(faultfs.OS{}, counter)); err != nil {
 		t.Fatal(err)
 	}
 	nOps := counter.Ops()
@@ -164,22 +201,21 @@ func TestCrashMatrix(t *testing.T) {
 		t.Fatalf("suspiciously few crash points: %d", nOps)
 	}
 
-	oldWant := dump(testStore(faultfs.OS{}, 12, "old"))
-	newWant := dump(testStore(faultfs.OS{}, 13, "new"))
+	oldWant := dump(testStore(12, "old"))
+	newWant := dump(testStore(13, "new"))
 
 	for _, torn := range []bool{false, true} {
 		for failAt := 1; failAt <= nOps; failAt++ {
 			name := fmt.Sprintf("torn=%v/failAt=%d", torn, failAt)
 			dir := t.TempDir()
-			if err := testStore(faultfs.OS{}, 12, "old").Save(dir); err != nil {
+			if err := save(testStore(12, "old"), dir, faultfs.OS{}); err != nil {
 				t.Fatal(err)
 			}
 			policy := &faultfs.CrashPolicy{FailAt: failAt, Torn: torn}
-			crashed := testStore(faultfs.NewFaulty(faultfs.OS{}, policy), 13, "new")
-			saveErr := crashed.Save(dir)
+			saveErr := save(testStore(13, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy))
 
 			recovered := Open()
-			report, err := recovered.LoadReport(dir)
+			report, err := load(recovered, dir)
 			if err != nil {
 				t.Fatalf("%s: load after crash: %v", name, err)
 			}
@@ -209,23 +245,22 @@ func TestCrashMatrix(t *testing.T) {
 // previous generation loadable and be reported to the caller.
 func TestSaveFailOnRename(t *testing.T) {
 	dir := t.TempDir()
-	if err := testStore(faultfs.OS{}, 8, "old").Save(dir); err != nil {
+	if err := save(testStore(8, "old"), dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	for call := 1; call <= 4; call++ {
 		policy := &faultfs.OpFailPolicy{Op: faultfs.OpRename, OnCall: call}
-		s := testStore(faultfs.NewFaulty(faultfs.OS{}, policy), 8, "new")
-		if err := s.Save(dir); err == nil {
+		if err := save(testStore(8, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy)); err == nil {
 			t.Fatalf("rename #%d: save swallowed the failure", call)
 		} else if !strings.Contains(err.Error(), "injected") {
 			t.Fatalf("rename #%d: unexpected error: %v", call, err)
 		}
 		recovered := Open()
-		report, err := recovered.LoadReport(dir)
+		report, err := load(recovered, dir)
 		if err != nil {
 			t.Fatalf("rename #%d: load: %v", call, err)
 		}
-		if got := dump(recovered); got != dump(testStore(faultfs.OS{}, 8, "old")) {
+		if got := dump(recovered); got != dump(testStore(8, "old")) {
 			t.Fatalf("rename #%d: old generation not recovered byte-identically", call)
 		}
 		if report.Generation != 1 {
@@ -237,15 +272,15 @@ func TestSaveFailOnRename(t *testing.T) {
 // TestSaveFailOnSync: same for fsync failures.
 func TestSaveFailOnSync(t *testing.T) {
 	dir := t.TempDir()
-	if err := testStore(faultfs.OS{}, 8, "old").Save(dir); err != nil {
+	if err := save(testStore(8, "old"), dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	policy := &faultfs.OpFailPolicy{Op: faultfs.OpSync, OnCall: 1}
-	if err := testStore(faultfs.NewFaulty(faultfs.OS{}, policy), 8, "new").Save(dir); err == nil {
+	if err := save(testStore(8, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy)); err == nil {
 		t.Fatal("sync failure swallowed")
 	}
 	recovered := Open()
-	report, err := recovered.LoadReport(dir)
+	report, err := load(recovered, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +294,10 @@ func TestSaveFailOnSync(t *testing.T) {
 // back to the previous generation and report the discard.
 func TestTornDataFileFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	if err := testStore(faultfs.OS{}, 8, "old").Save(dir); err != nil {
+	if err := save(testStore(8, "old"), dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := testStore(faultfs.OS{}, 9, "new").Save(dir); err != nil {
+	if err := save(testStore(9, "new"), dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	// tear the newest generation's pubs file: drop the final line and half
@@ -276,7 +311,7 @@ func TestTornDataFileFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := Open()
-	report, err := recovered.LoadReport(dir)
+	report, err := load(recovered, dir)
 	if err != nil {
 		t.Fatalf("load with torn gen-2 file: %v", err)
 	}
@@ -286,26 +321,8 @@ func TestTornDataFileFallsBack(t *testing.T) {
 	if len(report.Discarded) == 0 {
 		t.Fatal("report does not mention the discarded generation")
 	}
-	if got, want := dump(recovered), dump(testStore(faultfs.OS{}, 8, "old")); got != want {
+	if got, want := dump(recovered), dump(testStore(8, "old")); got != want {
 		t.Fatal("fallback generation differs from the original bytes")
-	}
-}
-
-// TestLoadReportLegacy: pre-durability directories load with a report
-// marking the legacy source.
-func TestLoadReportLegacy(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "pubs.jsonl"), []byte(`{"_id":"a","x":1}`+"\n"), 0o644)
-	s := Open()
-	report, err := s.LoadReport(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Source != "legacy" {
-		t.Fatalf("source = %q, want legacy", report.Source)
-	}
-	if s.Collection("pubs").Count() != 1 {
-		t.Fatal("legacy data not loaded")
 	}
 }
 

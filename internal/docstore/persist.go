@@ -4,42 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 
 	"covidkg/internal/durable"
 	"covidkg/internal/jsondoc"
 )
 
-// Save writes every collection to dir as one JSON-lines file per
-// collection (<name>.jsonl) inside a new durable snapshot generation:
-// each file goes to a temp name, is fsynced, renamed, and the
-// checksummed MANIFEST + CURRENT pointer are committed last. A crash at
-// any point leaves the previous generation fully loadable. The on-disk
-// order is the deterministic scan order, so saves of equal stores are
-// byte-identical.
-func (s *Store) Save(dir string) error {
-	snap := durable.NewSnapshotter(dir, durable.WithFS(s.fs))
-	tx, err := snap.Begin()
-	if err != nil {
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	if err := s.SaveTxn(tx); err != nil {
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	return nil
-}
-
-// SaveTxn writes every collection into an already-open snapshot
-// transaction, so callers (core.System.Checkpoint) can commit the store
-// atomically together with other artifacts — graph, models — under one
-// manifest.
+// SaveTxn writes every collection as one JSON-lines file per collection
+// (<name>.jsonl) into an open snapshot transaction — the store's half
+// of core.System.Checkpoint, which commits it together with the graph
+// and models under one manifest. The on-disk order is the deterministic
+// scan order, so saves of equal stores are byte-identical.
 func (s *Store) SaveTxn(tx *durable.Txn) error {
 	for _, name := range s.CollectionNames() {
 		c := s.Collection(name)
@@ -84,34 +61,9 @@ func (c *Collection) writeTo(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads the newest complete snapshot in dir into same-named
-// collections, replacing existing ones. Directories written before the
-// durability layer (bare *.jsonl files, no MANIFEST) still load.
-func (s *Store) Load(dir string) error {
-	_, err := s.LoadReport(dir)
-	return err
-}
-
-// LoadReport is Load plus the recovery report: which generation was
-// recovered, via which path, and which torn or corrupt generations were
-// discarded along the way.
-func (s *Store) LoadReport(dir string) (*durable.Report, error) {
-	snap := durable.NewSnapshotter(dir, durable.WithFS(s.fs))
-	sn, report, err := snap.Load()
-	if err != nil {
-		if errors.Is(err, durable.ErrNoSnapshot) {
-			return s.loadLegacy(dir)
-		}
-		return report, fmt.Errorf("docstore: load: %w", err)
-	}
-	if err := s.LoadSnapshot(sn); err != nil {
-		return report, err
-	}
-	return report, nil
-}
-
 // LoadSnapshot fills the store from a verified snapshot's *.jsonl
-// files. Non-collection files (e.g. a checkpointed graph) are ignored.
+// files, replacing same-named collections. Non-collection files (the
+// checkpointed graph and models) are ignored.
 func (s *Store) LoadSnapshot(sn *durable.Snapshot) error {
 	for _, fname := range sn.Names() {
 		if !strings.HasSuffix(fname, ".jsonl") {
@@ -123,65 +75,34 @@ func (s *Store) LoadSnapshot(sn *durable.Snapshot) error {
 			return fmt.Errorf("docstore: load %s: %w", name, err)
 		}
 		s.DropCollection(name)
-		if err := s.Collection(name).loadReader(bytes.NewReader(data)); err != nil {
+		if err := s.Collection(name).loadLines(data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadLegacy reads a pre-durability directory of bare *.jsonl files.
-func (s *Store) loadLegacy(dir string) (*durable.Report, error) {
-	entries, err := s.fs.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("docstore: load: %w", err)
-	}
-	report := &durable.Report{Source: "legacy"}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
+// loadLines inserts one JSON document per non-blank line. A line may be
+// as long as its writer made it: there is no line-length cap.
+func (c *Collection) loadLines(data []byte) error {
+	for line := 1; len(data) > 0; line++ {
+		raw := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			raw, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		raw = bytes.TrimSpace(raw)
+		if len(raw) == 0 {
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".jsonl")
-		s.DropCollection(name)
-		c := s.Collection(name)
-		if err := c.loadFile(filepath.Join(dir, e.Name())); err != nil {
-			return report, err
-		}
-		report.Recovered = append(report.Recovered, e.Name())
-	}
-	return report, nil
-}
-
-func (c *Collection) loadFile(path string) error {
-	f, err := c.store.fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("docstore: load %s: %w", c.name, err)
-	}
-	defer f.Close()
-	return c.loadReader(f)
-}
-
-// loadReader inserts one JSON document per non-blank line.
-func (c *Collection) loadReader(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
-			continue
-		}
-		d, err := jsondoc.FromJSON([]byte(raw))
+		d, err := jsondoc.FromJSON(raw)
 		if err != nil {
 			return fmt.Errorf("docstore: load %s line %d: %w", c.name, line, err)
 		}
 		if _, err := c.Insert(d); err != nil {
 			return fmt.Errorf("docstore: load %s line %d: %w", c.name, line, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("docstore: load %s: %w", c.name, err)
 	}
 	return nil
 }

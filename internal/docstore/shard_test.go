@@ -10,6 +10,7 @@ import (
 
 	"covidkg/internal/breaker"
 	"covidkg/internal/failpoint"
+	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
 )
@@ -243,7 +244,7 @@ func TestSaveFailsOnDarkShard(t *testing.T) {
 	ids := seedDocs(t, c, 30)
 	si, _ := shardWithDocs(c, ids)
 	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
-	if err := s.Save(t.TempDir()); !errors.Is(err, ErrShardUnavailable) {
+	if err := save(s, t.TempDir(), faultfs.OS{}); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Save with dark shard = %v, want ErrShardUnavailable", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 
 	"covidkg/internal/breaker"
 	"covidkg/internal/failpoint"
-	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
 )
@@ -39,7 +38,6 @@ var (
 // failure domain shared by every collection.
 type Store struct {
 	numShards int
-	fs        faultfs.FS          // filesystem for persistence; tests inject faults
 	fp        *failpoint.Registry // runtime fault layer; nil means healthy
 	met       *metrics.Registry
 	brkCfg    breaker.Config
@@ -70,16 +68,6 @@ func WithShards(n int) Option {
 // it; delete it with that call site.
 func WithReplicas(int) Option { return func(*Store) {} }
 
-// WithFS substitutes the filesystem used by Save/Load. Tests pass a
-// faultfs.Faulty to simulate crashes mid-save.
-func WithFS(fs faultfs.FS) Option {
-	return func(s *Store) {
-		if fs != nil {
-			s.fs = fs
-		}
-	}
-}
-
 // WithFailpoints attaches the runtime fault registry; every shard
 // access checks its ShardTarget against it. Nil (the default) means
 // no injection.
@@ -108,7 +96,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 func Open(opts ...Option) *Store {
 	s := &Store{
 		numShards:   4,
-		fs:          faultfs.OS{},
 		met:         metrics.Default(),
 		collections: map[string]*Collection{},
 	}
@@ -137,10 +124,6 @@ func Open(opts ...Option) *Store {
 // NumShards returns the configured shard count.
 func (s *Store) NumShards() int { return s.numShards }
 
-// FS returns the filesystem used for persistence, so higher layers
-// (core.System checkpoints) share the store's fault-injection surface.
-func (s *Store) FS() faultfs.FS { return s.fs }
-
 // Failpoints returns the runtime fault registry (nil when chaos is
 // off), so chaos harnesses can address the same targets.
 func (s *Store) Failpoints() *failpoint.Registry { return s.fp }
@@ -161,14 +144,6 @@ func (s *Store) Collection(name string) *Collection {
 	c = newCollection(name, s)
 	s.collections[name] = c
 	return c
-}
-
-// HasCollection reports whether name exists without creating it.
-func (s *Store) HasCollection(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.collections[name]
-	return ok
 }
 
 // DropCollection removes the named collection and its data.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"covidkg/internal/durable"
+	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
 )
 
@@ -273,12 +275,9 @@ func TestCollectionNamesAndDrop(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("names = %v", got)
 	}
-	if !s.HasCollection("a") {
-		t.Fatal("HasCollection(a)")
-	}
 	s.DropCollection("a")
-	if s.HasCollection("a") {
-		t.Fatal("a should be dropped")
+	if got := s.CollectionNames(); len(got) != 1 || got[0] != "b" {
+		t.Fatalf("a should be dropped: names = %v", got)
 	}
 }
 
@@ -290,11 +289,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		c.Insert(jsondoc.Doc{"i": i, "s": fmt.Sprintf("doc %d", i)})
 	}
 	s.Collection("topics").Insert(jsondoc.Doc{"name": "vaccines"})
-	if err := s.Save(dir); err != nil {
+	if err := save(s, dir, faultfs.OS{}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	s2 := Open(WithShards(5)) // different shard count must not matter
-	if err := s2.Load(dir); err != nil {
+	if _, err := load(s2, dir); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if got := s2.Collection("pubs").Count(); got != 25 {
@@ -322,8 +321,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadMissingDir(t *testing.T) {
 	s := Open()
-	if err := s.Load("/nonexistent/dir"); err == nil {
-		t.Fatal("expected error")
+	if _, err := load(s, "/nonexistent/dir"); !errors.Is(err, durable.ErrNoSnapshot) {
+		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
 }
 

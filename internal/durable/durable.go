@@ -47,8 +47,9 @@ const (
 )
 
 // ErrNoSnapshot reports a directory with no committed snapshot at all
-// (neither a CURRENT pointer nor any readable MANIFEST). Callers use it
-// to fall back to legacy, pre-durable layouts.
+// (neither a CURRENT pointer nor any MANIFEST), missing directories
+// included: there is nothing to restore. A directory whose generations
+// all fail verification returns a different error.
 var ErrNoSnapshot = errors.New("durable: no committed snapshot")
 
 // FileEntry describes one data file inside a manifest.
@@ -77,7 +78,7 @@ type Discard struct {
 // newer generations were discarded as torn or corrupt.
 type Report struct {
 	Generation uint64    `json:"generation"`
-	Source     string    `json:"source"` // "current", "scan", or "legacy"
+	Source     string    `json:"source"` // "current" or "scan"
 	Recovered  []string  `json:"recovered"`
 	Discarded  []Discard `json:"discarded,omitempty"`
 }
@@ -462,7 +463,7 @@ func (s *Snapshotter) loadManifest(name string) (*Snapshot, string) {
 }
 
 // ---------------------------------------------------------------------
-// single-file helpers
+// manifest and CURRENT files
 
 // atomicWrite writes data to path via tmp → flush → fsync → rename.
 func atomicWrite(fs faultfs.FS, path string, data []byte) error {
@@ -484,16 +485,10 @@ func atomicWrite(fs faultfs.FS, path string, data []byte) error {
 	return fs.Rename(tmp, path)
 }
 
-// AtomicWriteFile atomically replaces path with data on the real
-// filesystem (tmp → fsync → rename).
-func AtomicWriteFile(path string, data []byte) error {
-	return atomicWrite(faultfs.OS{}, path, data)
-}
-
 const envelopeMagic = "CKG1"
 
-// sealEnvelope prepends a "CKG1 <crc32hex>\n" header to data so a
-// standalone file carries its own integrity check.
+// sealEnvelope prepends a "CKG1 <crc32hex>\n" header to data so the
+// manifest carries its own integrity check.
 func sealEnvelope(data []byte) []byte {
 	header := fmt.Sprintf("%s %08x\n", envelopeMagic, crc32.ChecksumIEEE(data))
 	return append([]byte(header), data...)
@@ -520,28 +515,4 @@ func openEnvelope(raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("envelope checksum mismatch: %08x != %08x", got, crc)
 	}
 	return body, nil
-}
-
-// WriteChecksummed atomically writes data to path wrapped in the CKG1
-// checksum envelope, through the given filesystem.
-func WriteChecksummed(fs faultfs.FS, path string, data []byte) error {
-	return atomicWrite(fs, path, sealEnvelope(data))
-}
-
-// ReadChecksummed reads a file written by WriteChecksummed, verifying
-// its checksum. Files without the CKG1 header are returned verbatim,
-// so pre-durability artifacts (e.g. old graph dumps) still load.
-func ReadChecksummed(fs faultfs.FS, path string) ([]byte, error) {
-	raw, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw) >= len(envelopeMagic)+1 && string(raw[:len(envelopeMagic)+1]) == envelopeMagic+" " {
-		body, err := openEnvelope(raw)
-		if err != nil {
-			return nil, fmt.Errorf("durable: %s: %w", path, err)
-		}
-		return body, nil
-	}
-	return raw, nil
 }

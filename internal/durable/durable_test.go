@@ -195,37 +195,28 @@ func TestTxnRejectsBadNames(t *testing.T) {
 }
 
 func TestEnvelopeRoundTrip(t *testing.T) {
-	fs := faultfs.OS{}
-	path := filepath.Join(t.TempDir(), "blob")
-	if err := WriteChecksummed(fs, path, []byte(`{"k":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadChecksummed(fs, path)
+	sealed := sealEnvelope([]byte(`{"k":1}`))
+	b, err := openEnvelope(sealed)
 	if err != nil || string(b) != `{"k":1}` {
 		t.Fatalf("%q %v", b, err)
 	}
 	// corruption detected
-	raw, _ := os.ReadFile(path)
-	raw[len(raw)-1] ^= 0xff
-	os.WriteFile(path, raw, 0o644)
-	if _, err := ReadChecksummed(fs, path); err == nil {
-		t.Fatal("corrupt envelope read back silently")
+	sealed[len(sealed)-1] ^= 0xff
+	if _, err := openEnvelope(sealed); err == nil {
+		t.Fatal("corrupt envelope opened silently")
 	}
-	// legacy raw files pass through
-	legacy := filepath.Join(t.TempDir(), "legacy")
-	os.WriteFile(legacy, []byte("plain"), 0o644)
-	b, err = ReadChecksummed(fs, legacy)
-	if err != nil || string(b) != "plain" {
-		t.Fatalf("legacy: %q %v", b, err)
+	// a body without the header is rejected, not passed through
+	if _, err := openEnvelope([]byte("plain\n")); err == nil {
+		t.Fatal("envelope-less body opened")
 	}
 }
 
 func TestAtomicWriteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f")
-	if err := AtomicWriteFile(path, []byte("v1")); err != nil {
+	if err := atomicWrite(faultfs.OS{}, path, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteFile(path, []byte("v2")); err != nil {
+	if err := atomicWrite(faultfs.OS{}, path, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)
