@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,7 +45,7 @@ type Word2Vec struct {
 	Out   *mlcore.Matrix // vocab × dim context vectors
 
 	counts   []int
-	negTable []int
+	negTable []int32
 }
 
 // Train builds a vocabulary from sentences and trains skip-gram with
@@ -136,11 +137,11 @@ func (w *Word2Vec) buildNegTable() {
 		pow[i] = math.Pow(float64(c), 0.75)
 		total += pow[i]
 	}
-	w.negTable = make([]int, negTableSize)
+	w.negTable = make([]int32, negTableSize)
 	idx := 0
 	cum := pow[0] / total
 	for i := range w.negTable {
-		w.negTable[i] = idx
+		w.negTable[i] = int32(idx)
 		if float64(i)/negTableSize > cum && idx < len(pow)-1 {
 			idx++
 			cum += pow[idx] / total
@@ -150,7 +151,7 @@ func (w *Word2Vec) buildNegTable() {
 
 func (w *Word2Vec) sampleNegative(rng *rand.Rand, exclude int) int {
 	for tries := 0; tries < 8; tries++ {
-		id := w.negTable[rng.Intn(len(w.negTable))]
+		id := int(w.negTable[int(rng.Int63()>>32)&(negTableSize-1)]) // what rng.Intn(negTableSize) draws
 		if id != exclude {
 			return id
 		}
@@ -183,9 +184,11 @@ func (w *Word2Vec) train(sentences [][]string, cfg Config, rng *rand.Rand) {
 		return
 	}
 	grad := make([]float64, w.Dim)
+	ids := make([]int, 1+max(cfg.Negatives, 0)) // the context, then the negatives
+	dots := make([]float64, len(ids)+3)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, ids := range enc {
-			for pos, center := range ids {
+		for _, sent := range enc {
+			for pos, center := range sent {
 				lr := cfg.LR * (1 - float64(steps)/float64(totalSteps+1))
 				if lr < cfg.LR*0.0001 {
 					lr = cfg.LR * 0.0001
@@ -194,39 +197,75 @@ func (w *Word2Vec) train(sentences [][]string, cfg Config, rng *rand.Rand) {
 				win := 1 + rng.Intn(cfg.Window)
 				for off := -win; off <= win; off++ {
 					cp := pos + off
-					if off == 0 || cp < 0 || cp >= len(ids) {
+					if off == 0 || cp < 0 || cp >= len(sent) {
 						continue
 					}
-					ctx := ids[cp]
-					vIn := w.In.Row(center)
-					for i := range grad {
-						grad[i] = 0
+					ids[0] = sent[cp]
+					for n := 1; n < len(ids); n++ {
+						ids[n] = w.sampleNegative(rng, ids[0])
 					}
-					// positive pair
-					w.pair(vIn, ctx, 1, lr, grad)
-					// negatives
-					for n := 0; n < cfg.Negatives; n++ {
-						neg := w.sampleNegative(rng, ctx)
-						w.pair(vIn, neg, 0, lr, grad)
-					}
-					for i := range vIn {
-						vIn[i] += grad[i]
-					}
+					w.update(w.In.Row(center), ids, lr, grad, dots)
 				}
 			}
 		}
 	}
 }
 
-// pair applies one (center, context/negative) SGNS update to the output
-// vector and accumulates the input-vector gradient.
-func (w *Word2Vec) pair(vIn []float64, outID int, label float64, lr float64, grad []float64) {
-	vOut := w.Out.Row(outID)
-	score := mlcore.Sigmoid(mlcore.Dot(vIn, vOut))
-	g := lr * (label - score)
-	for i := range vOut {
-		grad[i] += g * vOut[i]
-		vOut[i] += g * vIn[i]
+// update applies one SGNS step of center vector v against output rows
+// ids, the context first and then the negatives. It splits ids into maximal
+// runs of distinct rows: no dot product in a run reads another's write, so
+// they are taken four side by side, each summed in index order, before
+// the run's updates are applied in order, element by element. The floats
+// are bit for bit those of one (dot, update) per row in turn. grad and
+// dots are scratch; dots holds len(ids)+3.
+func (w *Word2Vec) update(v []float64, ids []int, lr float64, grad, dots []float64) {
+	clear(grad)
+	for start, end := 0, 1; start < len(ids); start, end = end, end+1 {
+		for end < len(ids) && !slices.Contains(ids[start:end], ids[end]) {
+			end++
+		}
+		// a short group of four repeats the run's last row; its extra dots
+		// land in slack that the next run overwrites
+		row := func(j int) []float64 { return w.Out.Row(ids[min(j, end-1)])[:len(v)] }
+		for j := start; j < end; j += 4 {
+			a, b, c, d := row(j), row(j+1), row(j+2), row(j+3)
+			var sa, sb, sc, sd float64 // four mlcore.Dot chains side by side
+			for i, x := range v {
+				sa += x * a[i]
+				sb += x * b[i]
+				sc += x * c[i]
+				sd += x * d[i]
+			}
+			dots[j], dots[j+1], dots[j+2], dots[j+3] = sa, sb, sc, sd
+		}
+		label := 0.0 // 1 for the context ids[0], 0 for a negative
+		if start == 0 {
+			label = 1
+		}
+		for j := start; j < end; j++ {
+			dots[j] = lr * (label - mlcore.Sigmoid(dots[j]))
+			label = 0
+		}
+		j := start
+		for ; j+1 < end; j += 2 { // two rows a pass load and store grad[i] once
+			g0, o0, g1, o1 := dots[j], row(j), dots[j+1], row(j+1)
+			for i, x := range v {
+				a, b := o0[i], o1[i]
+				grad[i] = grad[i] + g0*a + g1*b
+				o0[i] = a + g0*x
+				o1[i] = b + g1*x
+			}
+		}
+		if j < end {
+			g, o := dots[j], row(j)
+			for i, x := range v {
+				grad[i] += g * o[i]
+				o[i] += g * x
+			}
+		}
+	}
+	for i := range v {
+		v[i] += grad[i]
 	}
 }
 
