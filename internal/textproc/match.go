@@ -148,7 +148,7 @@ func (m *TermMatcher) MatchToken(tok []byte) bool {
 			continue
 		}
 		if stemmed == "" {
-			stemmed = Stem(string(tok))
+			stemmed = stemToken(tok)
 		}
 		if stemmed == st {
 			return true

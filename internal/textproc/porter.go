@@ -1,13 +1,73 @@
 package textproc
 
-import "strings"
+import (
+	"hash/maphash"
+	"strings"
+	"sync/atomic"
+)
 
 // Stem applies the Porter (1980) stemming algorithm to a single
 // lowercase word. Words of length <= 2 are returned unchanged, as in the
 // original algorithm. Non-ASCII-letter characters (digits, hyphens) make
 // a word ineligible for stemming and it is returned as-is; this keeps
 // identifiers like "covid-19" or "b.1.1.7" stable in the index.
+//
+// Stem is a pure function, so it answers from a memo when it can. The
+// result never shares memory with word, and equal words may share one
+// result.
 func Stem(word string) string {
+	if len(word) > memoMaxWord {
+		return porter(strings.Clone(word))
+	}
+	slot := &stemMemo[maphash.String(memoSeed, word)&(memoSlots-1)]
+	if e := slot.Load(); e != nil && e.word == word {
+		return e.stem
+	}
+	return remember(slot, strings.Clone(word))
+}
+
+// stemToken is Stem of a token as a Scanner yields it: a memo hit
+// converts and allocates nothing.
+func stemToken(tok []byte) string {
+	if len(tok) > memoMaxWord {
+		return porter(string(tok))
+	}
+	slot := &stemMemo[maphash.Bytes(memoSeed, tok)&(memoSlots-1)]
+	if e := slot.Load(); e != nil && e.word == string(tok) {
+		return e.stem
+	}
+	return remember(slot, string(tok))
+}
+
+// The memo is direct-mapped: a word hashes to one slot, and a new word
+// replaces whatever the slot held. An entry keeps its whole word, so a
+// collision costs a recompute and can never answer a wrong stem. Its
+// size is fixed, so what it retains is bounded: memoSlots entries of at
+// most memoMaxWord bytes each, whatever the text seen. Slots are
+// atomic pointers to immutable entries, so readers take no lock.
+const (
+	memoSlots   = 1 << 16
+	memoMaxWord = 64 // longer words (rare; they spill the Scanner's buffer too) skip the memo
+)
+
+type stemEntry struct{ word, stem string }
+
+var (
+	memoSeed = maphash.MakeSeed()
+	stemMemo [memoSlots]atomic.Pointer[stemEntry]
+)
+
+// remember stems word, which the caller owns, into slot. A word porter
+// leaves unchanged is its own stem, so the stem never aliases the
+// caller's text either.
+func remember(slot *atomic.Pointer[stemEntry], word string) string {
+	stem := porter(word)
+	slot.Store(&stemEntry{word: word, stem: stem})
+	return stem
+}
+
+// porter is the uncached Porter algorithm behind Stem.
+func porter(word string) string {
 	if len(word) <= 2 {
 		return word
 	}

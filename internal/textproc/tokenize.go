@@ -5,7 +5,10 @@
 // matches; bare terms are stemmed).
 package textproc
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // Token is a single token with its byte offsets in the source text, so
 // snippet generators can highlight the original spans.
@@ -72,18 +75,30 @@ func IsStopword(w string) bool {
 
 // ContentWords tokenizes, removes stopwords, and stems. This is the
 // canonical path text takes before entering the inverted index or the
-// vocabulary builder.
+// vocabulary builder. It walks the Scanner's tokens in place, so once
+// the memo holds a text's words the result slice is its one allocation,
+// and no word of the result shares memory with text.
 func ContentWords(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, 0, len(toks))
-	for _, t := range toks {
-		if IsStopword(t.Text) {
-			continue
+	scratch := contentScratch.Get().(*[]string)
+	words := (*scratch)[:0]
+	var sc Scanner
+	sc.Reset(text)
+	for tok := sc.Next(); tok != nil; tok = sc.Next() {
+		if _, stop := stopwords[string(tok)]; !stop { // tok is lowercase already
+			words = append(words, stemToken(tok))
 		}
-		out = append(out, Stem(t.Text))
 	}
+	out := make([]string, len(words))
+	copy(out, words)
+	clear(words)
+	*scratch = words
+	contentScratch.Put(scratch)
 	return out
 }
+
+// contentScratch holds ContentWords' growing buffers, so a text's
+// words are collected without regrowth and returned in one exact slice.
+var contentScratch = sync.Pool{New: func() any { return new([]string) }}
 
 // QueryTerm is one unit of a parsed user query.
 type QueryTerm struct {
