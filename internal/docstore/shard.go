@@ -69,13 +69,14 @@ func UnavailableShard(err error) (int, bool) {
 // (e.g. Set(ShardTarget(2), Rule{Down: true}) darkens shard 2).
 func ShardTarget(si int) string { return "shard" + strconv.Itoa(si) }
 
-// shard is one partition of a collection. Stored documents are never
-// mutated in place (updates replace the object), so readers may clone
-// a document after releasing the lock.
+// shard is one partition of a collection, each document kept as its
+// jsondoc.Encode bytes. A stored slice is never written (a write swaps in
+// a new one), so readers may copy or decode it after releasing the lock,
+// and a document decoded from it may alias its strings.
 type shard struct {
 	mu    sync.RWMutex
-	docs  map[string]jsondoc.Doc
-	bytes int
+	docs  map[string][]byte
+	bytes int // sum of the stored encodings' lengths
 }
 
 // gate admits one access to shard si, which is one failure domain for
@@ -139,10 +140,29 @@ func (sh *shard) sortedIDs() []string {
 	return ids
 }
 
-// SnapshotShardContext returns a consistent deep-copied snapshot of one
-// shard, ids sorted. A dark shard fails with a ShardError wrapping
-// ErrShardUnavailable.
+// SnapshotShardContext returns a consistent snapshot of one shard, ids
+// sorted, each document freshly decoded. A dark shard fails with a
+// ShardError wrapping ErrShardUnavailable.
 func (c *Collection) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
+	encs, err := c.SnapshotShardBinary(ctx, si)
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]jsondoc.Doc, len(encs))
+	for i, enc := range encs {
+		if i%ScanCheckInterval == ScanCheckInterval-1 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if docs[i], err = jsondoc.FromBinaryAliased(enc); err != nil {
+			return nil, err
+		}
+	}
+	return docs, nil
+}
+
+// SnapshotShardBinary is SnapshotShardContext returning the stored
+// encodings themselves, which the caller must not write.
+func (c *Collection) SnapshotShardBinary(ctx context.Context, si int) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -151,19 +171,13 @@ func (c *Collection) SnapshotShardContext(ctx context.Context, si int) ([]jsondo
 	}
 	sh := c.shards[si]
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	ids := sh.sortedIDs()
-	docs := make([]jsondoc.Doc, len(ids))
+	encs := make([][]byte, len(ids))
 	for i, id := range ids {
-		docs[i] = sh.docs[id]
+		encs[i] = sh.docs[id]
 	}
-	sh.mu.RUnlock()
-	for i, d := range docs {
-		if i%ScanCheckInterval == ScanCheckInterval-1 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		docs[i] = d.Clone()
-	}
-	return docs, nil
+	return encs, nil
 }
 
 // ShardIDsContext returns one shard's document ids (sorted), cloning

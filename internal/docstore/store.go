@@ -175,7 +175,7 @@ func (s *Store) nextID() string {
 type Stats struct {
 	Collections int
 	Documents   int
-	Bytes       int // approximate JSON bytes across all shards
+	Bytes       int // stored encoded bytes across all shards
 	PerShard    []int
 }
 
@@ -218,7 +218,7 @@ func newCollection(name string, s *Store) *Collection {
 		shards: make([]*shard, s.numShards),
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{docs: map[string]jsondoc.Doc{}}
+		c.shards[i] = &shard{docs: map[string][]byte{}}
 	}
 	return c
 }
@@ -237,7 +237,10 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 		id = c.store.nextID()
 		doc[IDField] = id
 	}
-	size := len(doc.JSON())
+	enc, err := jsondoc.Encode(doc) // refuses NaN and ±Inf: jsondoc.ErrInvalid
+	if err != nil {
+		return "", fmt.Errorf("docstore: insert %s: %w", id, err)
+	}
 	sh, err := c.lockForWrite(id)
 	if err != nil {
 		return "", err
@@ -246,27 +249,39 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 		sh.mu.Unlock()
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
-	sh.docs[id] = doc
-	sh.bytes += size
+	sh.docs[id] = enc
+	sh.bytes += len(enc)
 	sh.mu.Unlock()
 	return id, nil
 }
 
-// Get returns a deep copy of the document with the given id. When its
-// shard is dark the error is a ShardError wrapping ErrShardUnavailable.
+// Get returns a freshly decoded copy of the document with the given id:
+// its maps and slices are the caller's, and its strings alias the
+// immutable stored encoding. When its shard is dark the error is a
+// ShardError wrapping ErrShardUnavailable.
 func (c *Collection) Get(id string) (jsondoc.Doc, error) {
+	enc, err := c.GetBinary(id)
+	if err != nil {
+		return nil, err
+	}
+	return jsondoc.FromBinaryAliased(enc)
+}
+
+// GetBinary is Get returning the stored encoding itself, which the
+// caller must not write.
+func (c *Collection) GetBinary(id string) ([]byte, error) {
 	si := shardOf(id, len(c.shards))
 	if err := c.store.readGate(si); err != nil {
 		return nil, err
 	}
 	sh := c.shards[si]
 	sh.mu.RLock()
-	doc, ok := sh.docs[id]
+	enc, ok := sh.docs[id]
 	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return doc.Clone(), nil
+	return enc, nil
 }
 
 // GetMany fetches a batch of documents, aligned 1:1 with ids (nil for
@@ -301,7 +316,10 @@ func (c *Collection) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, 
 func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 	doc := jsondoc.NormalizeDoc(d)
 	doc[IDField] = id
-	size := len(doc.JSON())
+	enc, err := jsondoc.Encode(doc)
+	if err != nil {
+		return fmt.Errorf("docstore: replace %s: %w", id, err)
+	}
 	sh, err := c.lockForWrite(id)
 	if err != nil {
 		return err
@@ -311,8 +329,8 @@ func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	sh.bytes += size - len(old.JSON())
-	sh.docs[id] = doc
+	sh.bytes += len(enc) - len(old)
+	sh.docs[id] = enc
 	sh.mu.Unlock()
 	return nil
 }
@@ -324,20 +342,22 @@ func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
 	if err != nil {
 		return err
 	}
+	defer sh.mu.Unlock()
 	old, ok := sh.docs[id]
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	doc := old.Clone()
+	doc, _ := jsondoc.FromBinaryAliased(old) // a stored encoding always decodes
 	if err := fn(doc); err != nil {
-		sh.mu.Unlock()
 		return err
 	}
 	doc[IDField] = id
-	sh.bytes += len(doc.JSON()) - len(old.JSON())
-	sh.docs[id] = doc
-	sh.mu.Unlock()
+	enc, err := jsondoc.Encode(doc)
+	if err != nil {
+		return fmt.Errorf("docstore: update %s: %w", id, err)
+	}
+	sh.bytes += len(enc) - len(old)
+	sh.docs[id] = enc
 	return nil
 }
 
@@ -352,7 +372,7 @@ func (c *Collection) Delete(id string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	sh.bytes -= len(old.JSON())
+	sh.bytes -= len(old)
 	delete(sh.docs, id)
 	sh.mu.Unlock()
 	return nil

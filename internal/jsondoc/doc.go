@@ -15,6 +15,7 @@ package jsondoc
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,28 +67,6 @@ func Normalize(v any) any {
 	switch x := v.(type) {
 	case nil, bool, float64, string:
 		return x
-	case int:
-		return float64(x)
-	case int8:
-		return float64(x)
-	case int16:
-		return float64(x)
-	case int32:
-		return float64(x)
-	case int64:
-		return float64(x)
-	case uint:
-		return float64(x)
-	case uint8:
-		return float64(x)
-	case uint16:
-		return float64(x)
-	case uint32:
-		return float64(x)
-	case uint64:
-		return float64(x)
-	case float32:
-		return float64(x)
 	case []any:
 		out := make([]any, len(x))
 		for i, e := range x {
@@ -113,12 +92,11 @@ func Normalize(v any) any {
 		}
 		return out
 	case Doc:
-		out := make(map[string]any, len(x))
-		for k, e := range x {
-			out[k] = Normalize(e)
-		}
-		return out
+		return Normalize(map[string]any(x))
 	default:
+		if f, ok := asFloat(x); ok {
+			return f
+		}
 		// Last resort: round-trip through JSON. Callers should not rely
 		// on this path for performance-sensitive code.
 		b, err := json.Marshal(x)
@@ -201,20 +179,8 @@ func (d Doc) GetString(path string) string {
 // GetNumber resolves path and returns its numeric value. ok is false if
 // the path is absent or not a number.
 func (d Doc) GetNumber(path string) (float64, bool) {
-	v, ok := d.Get(path)
-	if !ok {
-		return 0, false
-	}
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	default:
-		return 0, false
-	}
+	v, _ := d.Get(path)
+	return asFloat(v)
 }
 
 // GetArray resolves path and returns its array value, or nil if absent or
@@ -391,16 +357,25 @@ func typeRank(v any) int {
 	}
 }
 
-func toFloat(v any) float64 {
-	switch n := v.(type) {
-	case float64:
-		return n
-	case int:
-		return float64(n)
-	case int64:
-		return float64(n)
+// asFloat converts a value of a built-in Go numeric type to float64.
+// Named types are left alone: they may marshal themselves differently.
+func asFloat(v any) (float64, bool) {
+	if f, ok := v.(float64); ok {
+		return f, true
 	}
-	return 0
+	rv := reflect.ValueOf(v)
+	if !rv.IsValid() || rv.Type().PkgPath() != "" {
+		return 0, false
+	}
+	switch rv.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return float64(rv.Int()), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return float64(rv.Uint()), true
+	case reflect.Float32, reflect.Float64:
+		return rv.Float(), true
+	}
+	return 0, false
 }
 
 // Compare imposes a total order over JSON values: by type rank first, then
@@ -415,7 +390,8 @@ func Compare(a, b any) int {
 	case 0:
 		return 0
 	case 1:
-		fa, fb := toFloat(a), toFloat(b)
+		fa, _ := asFloat(a)
+		fb, _ := asFloat(b)
 		switch {
 		case fa < fb:
 			return -1

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,16 +70,25 @@ type Graph struct {
 	gen  uint64
 	snap *Snapshot
 	met  *metrics.Registry // receives the snapshot build counters
+
+	// paperSets holds the ids of each Papers list longer than
+	// paperSetMin as a set, built on the first merge past that length
+	// (after FromJSON too) and dropped with its node, so merging into a
+	// node citing thousands of papers is not a scan of them all.
+	paperSets map[string]map[string]struct{}
 }
+
+const paperSetMin = 16 // below this, a scan is cheaper than a set
 
 // New creates a graph with a root node of the given label. embed may be
 // nil (embedding-driven matching then reports no matches).
 func New(rootLabel string, embed EmbedFunc) *Graph {
 	g := &Graph{
-		nodes:  map[string]*Node{},
-		byNorm: map[string][]string{},
-		embed:  embed,
-		met:    metrics.Default(),
+		nodes:     map[string]*Node{},
+		byNorm:    map[string][]string{},
+		embed:     embed,
+		met:       metrics.Default(),
+		paperSets: map[string]map[string]struct{}{},
 	}
 	root := &Node{
 		ID:     g.nextID(),
@@ -206,16 +216,21 @@ func (g *Graph) addNodeLocked(parentID, label, source string, papers []string) (
 }
 
 func (g *Graph) addPapersLocked(n *Node, papers []string) {
+	set := g.paperSets[n.ID]
 	for _, p := range papers {
-		dup := false
-		for _, e := range n.Papers {
-			if e == p {
-				dup = true
-				break
+		if set == nil && len(n.Papers) > paperSetMin {
+			set = make(map[string]struct{}, len(n.Papers))
+			for _, e := range n.Papers {
+				set[e] = struct{}{}
 			}
+			g.paperSets[n.ID] = set
 		}
-		if !dup {
-			n.Papers = append(n.Papers, p)
+		if _, dup := set[p]; dup || set == nil && slices.Contains(n.Papers, p) {
+			continue
+		}
+		n.Papers = append(n.Papers, p)
+		if set != nil {
+			set[p] = struct{}{}
 		}
 	}
 }
@@ -265,6 +280,7 @@ func (g *Graph) RemoveLeaf(id string) error {
 		delete(g.byNorm, n.Norm)
 	}
 	delete(g.nodes, id)
+	delete(g.paperSets, id)
 	g.gen++
 	return nil
 }
@@ -400,15 +416,14 @@ func containsToken(norm, token string) bool {
 
 // NodesByPaper returns every node whose provenance cites the given
 // publication — the reverse of the path-to-publication navigation: from
-// a paper to everything the KG learned from it.
+// a paper to everything the KG learned from it. Only matches are copied.
 func (g *Graph) NodesByPaper(pubID string) []Node {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 	var out []Node
-	g.Walk(func(n Node, _ int) bool {
-		for _, p := range n.Papers {
-			if p == pubID {
-				out = append(out, n)
-				break
-			}
+	g.walk(g.rootID, 0, func(n *Node, _ int) bool {
+		if slices.Contains(n.Papers, pubID) {
+			out = append(out, copyNode(n))
 		}
 		return true
 	})
@@ -471,11 +486,12 @@ func FromJSON(data []byte) (*Graph, error) {
 		return nil, fmt.Errorf("kg: empty graph")
 	}
 	g := &Graph{
-		nodes:  map[string]*Node{},
-		byNorm: map[string][]string{},
-		rootID: snap.Root,
-		seq:    snap.Seq,
-		met:    metrics.Default(),
+		nodes:     map[string]*Node{},
+		byNorm:    map[string][]string{},
+		rootID:    snap.Root,
+		seq:       snap.Seq,
+		met:       metrics.Default(),
+		paperSets: map[string]map[string]struct{}{},
 	}
 	for _, n := range snap.Nodes {
 		g.nodes[n.ID] = n

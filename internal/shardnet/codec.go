@@ -17,20 +17,19 @@ package shardnet
 // corr of the request they answer, in whatever order the server
 // finishes them.
 //
-// Document payloads are encoded directly from the jsondoc value domain
-// (null, bool, float64, string, []any, map[string]any) with a
-// one-byte type tag per value — no reflection, no intermediate JSON.
-// Decoding is reject-don't-allocate: every claimed length and element
-// count is checked against the bytes actually remaining in the frame
-// before any allocation is sized from it, so a corrupt or hostile
-// frame costs at most the frame itself (already bounded by maxFrame).
+// Document payloads are jsondoc's binary encoding (jsondoc/binary.go):
+// a shard server copies the encodings its store holds straight into the
+// frame, and a request's document is encoded from its tree. Decoding is
+// reject-don't-allocate: every claimed length and element count is
+// checked against the bytes actually remaining in the frame before any
+// allocation is sized from it, so a corrupt or hostile frame costs at
+// most the frame itself (already bounded by maxFrame).
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"covidkg/internal/jsondoc"
@@ -43,10 +42,6 @@ const (
 
 	wtVarint = 0
 	wtBytes  = 1
-
-	// maxValueDepth bounds document nesting during decode so a frame of
-	// nothing but open-array bytes cannot recurse the stack away.
-	maxValueDepth = 64
 )
 
 func codecErr(format string, args ...any) error {
@@ -174,307 +169,34 @@ func decodeStrings(p []byte) ([]string, error) {
 
 // ------------------------------------------------------ document codec
 
-// Value type tags for the jsondoc value domain.
-const (
-	bvNull   = 0
-	bvFalse  = 1
-	bvTrue   = 2
-	bvF64    = 3 // 8 bytes little-endian IEEE-754
-	bvString = 4 // uvarint len + bytes
-	bvArray  = 5 // uvarint count + values
-	bvObject = 6 // uvarint count + (uvarint keylen + key + value)*
-)
-
-// sizeValue returns the encoded size of v without encoding it — the
-// sizing pass lets nested length prefixes be written front-to-back in
-// a single buffer with zero intermediate allocation.
-func sizeValue(v any, depth int) (int, error) {
-	if depth > maxValueDepth {
-		return 0, codecErr("value nesting exceeds depth %d", maxValueDepth)
-	}
-	switch x := v.(type) {
-	case nil:
-		return 1, nil
-	case bool:
-		return 1, nil
-	case float64:
-		return 9, nil
-	case string:
-		return 1 + uvarintLen(uint64(len(x))) + len(x), nil
-	case []any:
-		sz := 1 + uvarintLen(uint64(len(x)))
-		for _, e := range x {
-			es, err := sizeValue(e, depth+1)
-			if err != nil {
-				return 0, err
-			}
-			sz += es
-		}
-		return sz, nil
-	case map[string]any:
-		return sizeObjectDepth(x, depth)
-	case jsondoc.Doc:
-		return sizeObjectDepth(x, depth)
-	default:
-		// Non-normalized numerics are carried as float64, exactly like
-		// jsondoc.Normalize / a JSON round trip would.
-		if _, ok := asFloat(v); ok {
-			return 9, nil
-		}
-		return 0, codecErr("unsupported value type %T", v)
-	}
-}
-
-func sizeObject(m map[string]any) (int, error) { return sizeObjectDepth(m, 0) }
-
-func sizeObjectDepth(m map[string]any, depth int) (int, error) {
-	if depth > maxValueDepth {
-		return 0, codecErr("value nesting exceeds depth %d", maxValueDepth)
-	}
-	sz := 1 + uvarintLen(uint64(len(m)))
-	for k, e := range m {
-		es, err := sizeValue(e, depth+1)
-		if err != nil {
-			return 0, err
-		}
-		sz += uvarintLen(uint64(len(k))) + len(k) + es
-	}
-	return sz, nil
-}
-
-func asFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int:
-		return float64(x), true
-	case int8:
-		return float64(x), true
-	case int16:
-		return float64(x), true
-	case int32:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case uint:
-		return float64(x), true
-	case uint8:
-		return float64(x), true
-	case uint16:
-		return float64(x), true
-	case uint32:
-		return float64(x), true
-	case uint64:
-		return float64(x), true
-	case float32:
-		return float64(x), true
-	}
-	return 0, false
-}
-
-func appendValue(b []byte, v any, depth int) ([]byte, error) {
-	if depth > maxValueDepth {
-		return b, codecErr("value nesting exceeds depth %d", maxValueDepth)
-	}
-	switch x := v.(type) {
-	case nil:
-		return append(b, bvNull), nil
-	case bool:
-		if x {
-			return append(b, bvTrue), nil
-		}
-		return append(b, bvFalse), nil
-	case float64:
-		b = append(b, bvF64)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(x)), nil
-	case string:
-		b = append(b, bvString)
-		b = appendUvarint(b, uint64(len(x)))
-		return append(b, x...), nil
-	case []any:
-		b = append(b, bvArray)
-		b = appendUvarint(b, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if b, err = appendValue(b, e, depth+1); err != nil {
-				return b, err
-			}
-		}
-		return b, nil
-	case map[string]any:
-		return appendObjectDepth(b, x, depth)
-	case jsondoc.Doc:
-		return appendObjectDepth(b, x, depth)
-	default:
-		if f, ok := asFloat(v); ok {
-			b = append(b, bvF64)
-			return binary.LittleEndian.AppendUint64(b, math.Float64bits(f)), nil
-		}
-		return b, codecErr("unsupported value type %T", v)
-	}
-}
-
-func appendObject(b []byte, m map[string]any) ([]byte, error) {
-	return appendObjectDepth(b, m, 0)
-}
-
-func appendObjectDepth(b []byte, m map[string]any, depth int) ([]byte, error) {
-	if depth > maxValueDepth {
-		return b, codecErr("value nesting exceeds depth %d", maxValueDepth)
-	}
-	b = append(b, bvObject)
-	b = appendUvarint(b, uint64(len(m)))
-	var err error
-	for k, e := range m {
-		b = appendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
-		if b, err = appendValue(b, e, depth+1); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-// decodeValue decodes one value starting at pos, returning the value
-// and the position just past it. All strings are copied out of p, so
-// the decoded value never aliases a reused frame buffer.
-func decodeValue(p []byte, pos, depth int) (any, int, error) {
-	if depth > maxValueDepth {
-		return nil, 0, codecErr("value nesting exceeds %d", maxValueDepth)
-	}
-	if pos >= len(p) {
-		return nil, 0, codecErr("truncated value at %d", pos)
-	}
-	t := p[pos]
-	pos++
-	switch t {
-	case bvNull:
-		return nil, pos, nil
-	case bvFalse:
-		return false, pos, nil
-	case bvTrue:
-		return true, pos, nil
-	case bvF64:
-		if len(p)-pos < 8 {
-			return nil, 0, codecErr("truncated float at %d", pos)
-		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(p[pos:]))
-		return f, pos + 8, nil
-	case bvString:
-		n, npos, err := readUvarint(p, pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos = npos
-		if n > uint64(len(p)-pos) {
-			return nil, 0, codecErr("string of %d bytes with %d remaining", n, len(p)-pos)
-		}
-		s := string(p[pos : pos+int(n)])
-		return s, pos + int(n), nil
-	case bvArray:
-		n, npos, err := readUvarint(p, pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos = npos
-		// Each element costs at least one byte: a count beyond the bytes
-		// remaining is rejected before the slice is sized from it.
-		if n > uint64(len(p)-pos) {
-			return nil, 0, codecErr("array claims %d items in %d bytes", n, len(p)-pos)
-		}
-		arr := make([]any, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var e any
-			e, pos, err = decodeValue(p, pos, depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			arr = append(arr, e)
-		}
-		return arr, pos, nil
-	case bvObject:
-		n, npos, err := readUvarint(p, pos)
-		if err != nil {
-			return nil, 0, err
-		}
-		pos = npos
-		// Each entry costs at least two bytes (key length + value tag).
-		if n > uint64(len(p)-pos)/2 {
-			return nil, 0, codecErr("object claims %d entries in %d bytes", n, len(p)-pos)
-		}
-		m := make(map[string]any, n)
-		for i := uint64(0); i < n; i++ {
-			kl, kpos, err := readUvarint(p, pos)
-			if err != nil {
-				return nil, 0, err
-			}
-			pos = kpos
-			if kl > uint64(len(p)-pos) {
-				return nil, 0, codecErr("object key of %d bytes with %d remaining", kl, len(p)-pos)
-			}
-			k := string(p[pos : pos+int(kl)])
-			pos += int(kl)
-			var e any
-			e, pos, err = decodeValue(p, pos, depth+1)
-			if err != nil {
-				return nil, 0, err
-			}
-			m[k] = e
-		}
-		return m, pos, nil
-	default:
-		return nil, 0, codecErr("unknown value tag 0x%02x at %d", t, pos-1)
-	}
-}
-
 func appendDocField(b []byte, num int, d jsondoc.Doc) ([]byte, error) {
 	if len(d) == 0 {
 		return b, nil
 	}
-	sz, err := sizeObject(d)
+	enc, err := jsondoc.AppendBinary(nil, d)
 	if err != nil {
 		return b, err
 	}
-	b = appendTag(b, num, wtBytes)
-	b = appendUvarint(b, uint64(sz))
-	return appendObject(b, d)
+	return appendBytesField(b, num, enc), nil
 }
 
-func decodeDoc(p []byte) (jsondoc.Doc, error) {
-	v, pos, err := decodeValue(p, 0, 0)
-	if err != nil {
-		return nil, err
+// appendDocsField writes a list of documents already in their encoded
+// form: a count, then each encoding as it is.
+func appendDocsField(b []byte, num int, encs [][]byte) []byte {
+	if len(encs) == 0 {
+		return b
 	}
-	if pos != len(p) {
-		return nil, codecErr("%d trailing bytes after document", len(p)-pos)
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, codecErr("document field holds %T, want object", v)
-	}
-	return jsondoc.Doc(m), nil
-}
-
-func appendDocsField(b []byte, num int, docs []jsondoc.Doc) ([]byte, error) {
-	if len(docs) == 0 {
-		return b, nil
-	}
-	sz := uvarintLen(uint64(len(docs)))
-	for _, d := range docs {
-		ds, err := sizeObject(d)
-		if err != nil {
-			return b, err
-		}
-		sz += ds
+	sz := uvarintLen(uint64(len(encs)))
+	for _, e := range encs {
+		sz += len(e)
 	}
 	b = appendTag(b, num, wtBytes)
 	b = appendUvarint(b, uint64(sz))
-	b = appendUvarint(b, uint64(len(docs)))
-	var err error
-	for _, d := range docs {
-		if b, err = appendObject(b, d); err != nil {
-			return b, err
-		}
+	b = appendUvarint(b, uint64(len(encs)))
+	for _, e := range encs {
+		b = append(b, e...)
 	}
-	return b, nil
+	return b
 }
 
 func decodeDocs(p []byte) ([]jsondoc.Doc, error) {
@@ -482,21 +204,18 @@ func decodeDocs(p []byte) ([]jsondoc.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	if count > uint64(len(p)-pos) {
+	// Each document costs at least two bytes (tag and count).
+	if count > uint64(len(p)-pos)/2 {
 		return nil, codecErr("doc list claims %d items in %d bytes", count, len(p)-pos)
 	}
-	out := make([]jsondoc.Doc, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var v any
-		v, pos, err = decodeValue(p, pos, 0)
+	out := make([]jsondoc.Doc, count)
+	for i := range out {
+		d, n, err := jsondoc.ReadBinary(p[pos:])
 		if err != nil {
-			return nil, err
+			return nil, codecErr("doc list item %d: %v", i, err)
 		}
-		m, ok := v.(map[string]any)
-		if !ok {
-			return nil, codecErr("doc list item %d holds %T, want object", i, v)
-		}
-		out = append(out, jsondoc.Doc(m))
+		out[i] = d
+		pos += n
 	}
 	return out, nil
 }
@@ -566,7 +285,7 @@ func decodeBinaryRequest(p []byte) (uint64, *request, error) {
 				return 0, nil, err
 			}
 		case rfDoc:
-			if req.Doc, err = decodeDoc(fp); err != nil {
+			if req.Doc, err = jsondoc.FromBinary(fp); err != nil {
 				return 0, nil, err
 			}
 		}
@@ -598,13 +317,13 @@ func appendBinaryResponse(b []byte, corr uint64, resp *response) ([]byte, error)
 	b = appendStringField(b, pfErrMsg, resp.ErrMsg)
 	b = appendStringField(b, pfID, resp.ID)
 	b = appendStringsField(b, pfIDs, resp.IDs)
-	b, err := appendDocField(b, pfDoc, resp.Doc)
-	if err != nil {
+	var err error
+	if resp.EncDoc != nil {
+		b = appendBytesField(b, pfDoc, resp.EncDoc)
+	} else if b, err = appendDocField(b, pfDoc, resp.Doc); err != nil {
 		return b, err
 	}
-	if b, err = appendDocsField(b, pfDocs, resp.Docs); err != nil {
-		return b, err
-	}
+	b = appendDocsField(b, pfDocs, resp.EncDocs)
 	b = appendVarintField(b, pfN, uint64(resp.N))
 	b = appendVarintField(b, pfWALBytes, uint64(resp.WALBytes))
 	return b, nil
@@ -647,7 +366,7 @@ func decodeBinaryResponse(p []byte) (uint64, *response, error) {
 				return 0, nil, err
 			}
 		case pfDoc:
-			if resp.Doc, err = decodeDoc(fp); err != nil {
+			if resp.Doc, err = jsondoc.FromBinary(fp); err != nil {
 				return 0, nil, err
 			}
 		case pfDocs:

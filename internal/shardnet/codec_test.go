@@ -14,6 +14,22 @@ import (
 	"covidkg/internal/jsondoc"
 )
 
+// maxValueDepth and appendObject name the document encoding's nesting
+// limit and encoder for the tests below.
+const maxValueDepth = jsondoc.MaxBinaryDepth
+
+func appendObject(b []byte, m map[string]any) ([]byte, error) { return jsondoc.AppendBinary(b, m) }
+
+// bvObject is the type tag an encoded document starts with, read off
+// the one encoder so the hostile frames below stay in step with it.
+var bvObject = func() byte {
+	b, err := jsondoc.AppendBinary(nil, jsondoc.Doc{})
+	if err != nil {
+		panic(err)
+	}
+	return b[0]
+}()
+
 // randValue builds a random JSON-domain value (the domain jsondoc
 // normalizes to: nil, bool, float64, string, []any, map[string]any).
 func randValue(rng *rand.Rand, depth int) any {
@@ -111,7 +127,8 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 }
 
 // TestBinaryResponseRoundTrip is the same property on the response
-// side.
+// side: documents sent as stored encodings (EncDoc, EncDocs) or as a
+// tree (Doc) decode to the trees they were encoded from.
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 500; i++ {
@@ -122,11 +139,17 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			N:        rng.Intn(1000),
 			WALBytes: rng.Int63n(1 << 30),
 		}
-		switch rng.Intn(3) {
+		for _, d := range resp.Docs {
+			resp.EncDocs = append(resp.EncDocs, mustEncode(d))
+		}
+		switch rng.Intn(4) {
 		case 0:
 			resp.ErrCode, resp.ErrMsg = codeNotFound, "no such doc"
 		case 1:
 			resp.Doc = randDoc(rng, 2)
+		case 2:
+			resp.Doc = randDoc(rng, 2)
+			resp.EncDoc = mustEncode(resp.Doc)
 		}
 
 		bin, err := appendBinaryResponse(nil, 42, resp)
@@ -140,6 +163,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		if corr != 42 {
 			t.Fatalf("corr = %d, want 42", corr)
 		}
+		resp.EncDoc, resp.EncDocs = nil, nil // sent, never decoded
 		if !reflect.DeepEqual(got, resp) {
 			t.Fatalf("envelope %d diverged:\ndecoded: %#v\nencoded: %#v", i, got, resp)
 		}
@@ -392,11 +416,30 @@ func benchDocs(n int) []jsondoc.Doc {
 	return out
 }
 
+func mustEncode(d jsondoc.Doc) []byte {
+	enc, err := jsondoc.Encode(d)
+	if err != nil {
+		panic(err)
+	}
+	return enc
+}
+
+// encodeAll returns each document's stored encoding, as a shard's
+// store holds it.
+func encodeAll(docs []jsondoc.Doc) [][]byte {
+	out := make([][]byte, len(docs))
+	for i, d := range docs {
+		out[i] = mustEncode(d)
+	}
+	return out
+}
+
 // BenchmarkEncodeGetManyBinary proves the pooled encode path is
 // zero-allocation at steady state: run with -benchmem and allocs/op
-// reads 0.
+// reads 0. The documents are stored encodings, which is what a shard
+// server's get_many reply is built from.
 func BenchmarkEncodeGetManyBinary(b *testing.B) {
-	resp := &response{Docs: benchDocs(64)}
+	resp := &response{EncDocs: encodeAll(benchDocs(64))}
 	buf := getBuf()
 	defer putBuf(buf)
 	b.ReportAllocs()
@@ -412,7 +455,7 @@ func BenchmarkEncodeGetManyBinary(b *testing.B) {
 
 func BenchmarkRoundTripGetBinary(b *testing.B) {
 	req := &request{Op: opGet, Shard: 1, DeadlineUnixMicro: 123456789, ID: "doc-bench-1"}
-	resp := &response{Doc: benchDoc()}
+	resp := &response{EncDoc: mustEncode(benchDoc())}
 	reqBuf, respBuf := getBuf(), getBuf()
 	defer putBuf(reqBuf)
 	defer putBuf(respBuf)

@@ -337,11 +337,11 @@ func (s *Server) dispatch(req *request) *response {
 	case opPing:
 		return &response{N: s.coll.Count()}
 	case opGet:
-		doc, err := s.coll.Get(req.ID)
+		enc, err := s.coll.GetBinary(req.ID)
 		if err != nil {
 			return errResponse(err)
 		}
-		return &response{Doc: doc}
+		return &response{EncDoc: enc}
 	case opInsert:
 		return s.handleInsert(req)
 	case opDelete:
@@ -353,11 +353,11 @@ func (s *Server) dispatch(req *request) *response {
 		}
 		return &response{IDs: ids, N: len(ids)}
 	case opSnapshot:
-		docs, err := s.coll.SnapshotShardContext(ctx, 0)
+		encs, err := s.coll.SnapshotShardBinary(ctx, 0)
 		if err != nil {
 			return errResponse(err)
 		}
-		return &response{Docs: docs, N: len(docs)}
+		return &response{EncDocs: encs, N: len(encs)}
 	case opCount:
 		return &response{N: s.coll.Count()}
 	case opGetMany:
@@ -418,6 +418,9 @@ func (s *Server) handleInsert(req *request) *response {
 		s.met.Counter("shardnet.server.idem_replays").Inc()
 		return &response{ID: out.id, ErrCode: out.errCode, ErrMsg: out.errMsg}
 	}
+	if req.Doc == nil {
+		req.Doc = jsondoc.Doc{}
+	}
 	id, err := s.coll.Insert(req.Doc)
 	if err != nil {
 		// Duplicate-id rejections are deterministic: record them so a
@@ -430,12 +433,10 @@ func (s *Server) handleInsert(req *request) *response {
 		return errResponse(err)
 	}
 	if s.wal != nil {
-		stored, gerr := s.coll.Get(id)
-		if gerr != nil {
-			stored = req.Doc.Clone()
-			stored[docstore.IDField] = id
-		}
-		if werr := s.wal.append(walRecord{Op: "insert", ID: id, Doc: stored, Idem: req.IdemKey}); werr != nil {
+		// A decoded frame holds only normalised values, so the request
+		// document with its id is exactly what the store now holds.
+		req.Doc[docstore.IDField] = id
+		if werr := s.wal.append(walRecord{Op: "insert", ID: id, Doc: req.Doc, Idem: req.IdemKey}); werr != nil {
 			// The write is applied in memory but not durable; refuse the
 			// ack so the client treats it as failed rather than trusting
 			// a write a crash could lose.
@@ -469,18 +470,18 @@ func (s *Server) handleDelete(req *request) *response {
 }
 
 func (s *Server) handleGetMany(req *request) *response {
-	docs := make([]jsondoc.Doc, 0, len(req.IDs))
+	encs := make([][]byte, 0, len(req.IDs))
 	for _, id := range req.IDs {
-		d, err := s.coll.Get(id)
+		enc, err := s.coll.GetBinary(id)
 		if err != nil {
 			if errors.Is(err, docstore.ErrNotFound) {
 				continue // absent ids are left out of the reply
 			}
 			return errResponse(err)
 		}
-		docs = append(docs, d)
+		encs = append(encs, enc)
 	}
-	return &response{Docs: docs, N: len(docs)}
+	return &response{EncDocs: encs, N: len(encs)}
 }
 
 // handleHealth reports the shard's document count and WAL size —

@@ -91,7 +91,7 @@ func appendWALRecord(b []byte, rec walRecord) ([]byte, error) {
 		return append(b, 0), nil
 	}
 	b = append(b, 1)
-	return appendObject(b, rec.Doc)
+	return jsondoc.AppendBinary(b, rec.Doc)
 }
 
 // decodeWALRecord parses one record payload. Like the wire decoder it
@@ -130,7 +130,7 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	if p[pos] == 0 {
 		return rec, nil
 	}
-	if rec.Doc, err = decodeDoc(p[pos+1:]); err != nil {
+	if rec.Doc, err = jsondoc.FromBinary(p[pos+1:]); err != nil {
 		return rec, fmt.Errorf("shardnet: wal: %w", err)
 	}
 	return rec, nil

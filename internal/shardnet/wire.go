@@ -80,10 +80,15 @@ type response struct {
 	ErrCode string
 	ErrMsg  string
 
-	ID       string
-	IDs      []string
+	ID  string
+	IDs []string
+	// A receiver decodes the document fields into Doc and Docs; a shard
+	// server sends them from EncDoc and EncDocs, encodings straight from
+	// its store (or from Doc's tree when EncDoc is nil).
 	Doc      jsondoc.Doc
 	Docs     []jsondoc.Doc
+	EncDoc   []byte
+	EncDocs  [][]byte
 	N        int
 	WALBytes int64
 }
@@ -101,7 +106,8 @@ const (
 	codeInternal    = "internal"
 )
 
-// errBadRequest marks malformed requests (unknown op, missing id).
+// errBadRequest marks malformed requests (unknown op, missing id); a
+// document the store refuses (jsondoc.ErrInvalid) travels as one too.
 var errBadRequest = errors.New("shardnet: bad request")
 
 // encodeWireErr classifies a server-side error into its wire code.
@@ -124,7 +130,7 @@ func encodeWireErr(err error) (code, msg string) {
 		code = codeDeadline
 	case errors.Is(err, errCancelled):
 		code = codeCancelled
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, jsondoc.ErrInvalid):
 		code = codeBadRequest
 	default:
 		code = codeInternal

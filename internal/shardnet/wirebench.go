@@ -79,13 +79,22 @@ func benchEnvelopePair(op string, req *request, resp *response, reps int) CodecO
 // read fast path lives on: a single get (request with an id, response
 // with one document) and a batched get_many (request with len(ids) ids,
 // response with the matching documents). Each measurement covers
-// request+response together — one logical round trip's codec work.
+// request+response together — one logical round trip's codec work. The
+// documents are encoded up front, as a shard's store holds them, so the
+// response encode times a shard server's: copying stored encodings.
 func BenchWireCodecs(doc jsondoc.Doc, docs []jsondoc.Doc, ids []string, reps int) []CodecOpStats {
 	deadline := time.Now().Add(5 * time.Second).UnixMicro()
 	getReq := &request{Op: opGet, Shard: 2, DeadlineUnixMicro: deadline, ID: ids[0]}
-	getResp := &response{Doc: doc}
+	encs := make([][]byte, 1+len(docs))
+	for i, d := range append([]jsondoc.Doc{doc}, docs...) {
+		var err error
+		if encs[i], err = jsondoc.Encode(d); err != nil {
+			panic(err)
+		}
+	}
+	getResp := &response{EncDoc: encs[0]}
 	manyReq := &request{Op: opGetMany, Shard: 2, DeadlineUnixMicro: deadline, IDs: ids}
-	manyResp := &response{Docs: docs}
+	manyResp := &response{EncDocs: encs[1:]}
 
 	manyReps := reps / 10
 	if manyReps < 20 {
