@@ -88,9 +88,14 @@ func main() {
 		report, err := sys.Restore(*dataDir)
 		switch {
 		case err == nil:
-			// Restore re-indexed the search engine and restored the
+			// Restore read or rebuilt the search index and restored the
 			// checkpointed graph
 			log.Printf("store restored from %s: %s", *dataDir, report)
+			if sys.IndexReadErr != nil {
+				log.Printf("search index rebuilt from the publications: %v", sys.IndexReadErr)
+			} else {
+				log.Printf("search index read from checkpoint: %d catch-up writes", sys.Search.Index().WriteSeq())
+			}
 			recovered = report.Recovered
 		case errors.Is(err, durable.ErrNoSnapshot):
 			log.Printf("data dir %s holds no checkpoint", *dataDir)

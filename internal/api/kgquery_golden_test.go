@@ -62,7 +62,13 @@ func TestKGResponsesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the 500-publication corpus")
 	}
-	s := benchServer(t)
+	checkKGGolden(t, benchServer(t), *updateKGGolden)
+}
+
+// checkKGGolden replays the KG recording against s, or rewrites it from
+// s when update is set.
+func checkKGGolden(t *testing.T, s *Server, update bool) {
+	t.Helper()
 	got := map[string]kgGolden{}
 	record := func(name, path, body string) map[string]any {
 		call := func() (*httptest.ResponseRecorder, map[string]any) { return get(t, s, path) }
@@ -115,7 +121,33 @@ func TestKGResponsesGolden(t *testing.T) {
 		record(name, path, "")
 	}
 
-	checkGolden(t, kgGoldenFile, *updateKGGolden, got)
+	checkGolden(t, kgGoldenFile, update, got)
+}
+
+// TestRestoredServerGoldens: the benchmark corpus checkpointed and
+// restored into a fresh System, as a warm covidkg-server boot restores
+// it, reads its search index from the checkpoint instead of analysing a
+// document, and serves both recordings byte for byte, miss and hit.
+func TestRestoredServerGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the 500-publication corpus")
+	}
+	dir := t.TempDir()
+	if err := benchServer(t).sys.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = 42
+	sys := core.NewSystem(cfg)
+	if _, err := sys.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if sys.IndexReadErr != nil || sys.Search.Index().WriteSeq() != 0 {
+		t.Fatalf("restore re-indexed: read error %v, %d index writes", sys.IndexReadErr, sys.Search.Index().WriteSeq())
+	}
+	s := NewServer(sys)
+	checkSearchGolden(t, s, false)
+	checkKGGolden(t, s, false)
 }
 
 // checkGolden compares got with the recording in file, or rewrites the

@@ -33,7 +33,13 @@ func TestSearchResponsesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the 500-publication corpus")
 	}
-	s := benchServer(t)
+	checkSearchGolden(t, benchServer(t), *updateSearchGolden)
+}
+
+// checkSearchGolden replays the search recording against s, or
+// rewrites it from s when update is set.
+func checkSearchGolden(t *testing.T, s *Server, update bool) {
+	t.Helper()
 	got := map[string]searchGolden{}
 	record := func(name string, v url.Values) int {
 		path := "/api/v1/search?" + v.Encode()
@@ -83,5 +89,5 @@ func TestSearchResponsesGolden(t *testing.T) {
 		record(sh.name+"/last", at(last))
 	}
 
-	checkGolden(t, searchGoldenFile, *updateSearchGolden, got)
+	checkGolden(t, searchGoldenFile, update, got)
 }

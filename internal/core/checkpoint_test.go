@@ -18,6 +18,7 @@ import (
 	"covidkg/internal/faultfs"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/kg"
+	"covidkg/internal/search"
 )
 
 // untrainedSystem builds a system with ingested publications and a
@@ -59,19 +60,12 @@ func tinyEnsemble(t *testing.T, seed int64) *classifier.Ensemble {
 // reproduce byte for byte.
 var stateQueries = []string{"vaccine", "transmission masks", "covid patients"}
 
-// state renders what a restore must reproduce exactly: the graph's
-// JSON bytes, three fixed SearchAllContext pages, and the ensemble's
-// export when there is one.
-func state(t *testing.T, s *System) string {
+// pages renders the first SearchAllContext page of every stateQuery.
+func pages(t *testing.T, e *search.Engine) string {
 	t.Helper()
-	graph, err := s.Graph.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b bytes.Buffer
-	b.Write(graph)
 	for _, q := range stateQueries {
-		pg, err := s.Search.SearchAllContext(context.Background(), q, 1)
+		pg, err := e.SearchAllContext(context.Background(), q, 1)
 		if err != nil {
 			t.Fatalf("search %q: %v", q, err)
 		}
@@ -85,6 +79,21 @@ func state(t *testing.T, s *System) string {
 		b.WriteByte('\n')
 		b.Write(enc)
 	}
+	return b.String()
+}
+
+// state renders what a restore must reproduce exactly: the graph's
+// JSON bytes, three fixed SearchAllContext pages, and the ensemble's
+// export when there is one.
+func state(t *testing.T, s *System) string {
+	t.Helper()
+	graph, err := s.Graph.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.Write(graph)
+	b.WriteString(pages(t, s.Search))
 	if s.Ensemble != nil {
 		blob, err := s.Ensemble.Export()
 		if err != nil {
@@ -112,7 +121,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if report.Generation != 1 {
 		t.Fatalf("report generation = %d", report.Generation)
 	}
-	if got := strings.Join(report.Recovered, ","); got != GraphFile+","+PubsCollection+".jsonl" {
+	if got := strings.Join(report.Recovered, ","); got != "index.json,"+GraphFile+","+PubsCollection+".jsonl,seg-0.bin" {
 		t.Fatalf("recovered files = %s", got)
 	}
 	if got := state(t, s2); got != want {

@@ -16,8 +16,19 @@ import (
 // shard servers with WALs, as BenchmarkIngestBatch builds them.
 func remoteSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
+	cfg.ShardAddrs, _ = remoteShards(t)
+	s := NewSystem(cfg)
+	t.Cleanup(s.Coord.Close)
+	return s
+}
+
+// remoteShards starts four loopback shard servers with WALs, stopped
+// when the test ends, and returns their addresses.
+func remoteShards(t *testing.T) ([]string, []*shardnet.Server) {
+	t.Helper()
 	dir := t.TempDir()
 	var addrs []string
+	var srvs []*shardnet.Server
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("shard%d", i)
 		srv, err := shardnet.NewServer(shardnet.ServerConfig{
@@ -33,11 +44,9 @@ func remoteSystem(t *testing.T, cfg Config) *System {
 		}
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, addr.String())
+		srvs = append(srvs, srv)
 	}
-	cfg.ShardAddrs = addrs
-	s := NewSystem(cfg)
-	t.Cleanup(s.Coord.Close)
-	return s
+	return addrs, srvs
 }
 
 // TestLocalAndRemotePagesIdentical is the local ≡ remote differential:

@@ -27,6 +27,7 @@ import (
 	"covidkg/internal/failpoint"
 	"covidkg/internal/faultfs"
 	"covidkg/internal/features"
+	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/kg"
 	"covidkg/internal/metaprofile"
@@ -114,9 +115,10 @@ func DefaultConfig() Config {
 type System struct {
 	cfg Config
 
-	Store  *docstore.Store
-	Pubs   docstore.Docs
-	Search *search.Engine
+	Store        *docstore.Store
+	Pubs         docstore.Docs
+	Search       *search.Engine
+	IndexReadErr error // why Restore rebuilt the index; nil if it read it
 
 	// Coord is non-nil in networked mode: publications live in remote
 	// shard server processes and Pubs is the scatter-gather coordinator.
@@ -754,16 +756,19 @@ const (
 )
 
 // Checkpoint atomically persists the whole system state — every store
-// collection, the knowledge graph, and the trained ensemble when
-// present — into one durable snapshot generation in dir. The commit is
-// all-or-nothing: a crash at any point leaves the previous checkpoint
-// fully loadable.
+// collection, the search index, the knowledge graph, and the trained
+// ensemble when present — into one durable snapshot generation in dir.
+// The commit is all-or-nothing: a crash at any point leaves the
+// previous checkpoint fully loadable.
 func (s *System) Checkpoint(dir string) error {
 	tx, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Begin()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	if err := s.Store.SaveTxn(tx); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if err := s.Search.Index().WriteTxn(tx); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	graph, err := s.Graph.MarshalJSON()
@@ -789,12 +794,13 @@ func (s *System) Checkpoint(dir string) error {
 }
 
 // Restore loads the newest complete checkpoint from dir: collections
-// into the store, the knowledge graph and the trained ensemble when
-// the checkpoint holds them. The returned report says which generation
-// was recovered, which files it held, and which torn or corrupt
-// generations were discarded. A missing or empty dir returns an error
-// satisfying errors.Is(err, durable.ErrNoSnapshot); a dir whose every
-// generation fails verification returns a different error.
+// into the store, the search index (rebuilt if it does not read: see
+// IndexReadErr), the knowledge graph and the trained ensemble when the
+// checkpoint holds them. The returned report says which generation was
+// recovered, which files it held, and which torn or corrupt generations
+// were discarded. A missing or empty dir returns an error satisfying
+// errors.Is(err, durable.ErrNoSnapshot); a dir whose every generation
+// fails verification returns a different error.
 func (s *System) Restore(dir string) (*durable.Report, error) {
 	sn, report, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Load()
 	if err != nil {
@@ -831,13 +837,14 @@ func (s *System) Restore(dir string) (*durable.Report, error) {
 		s.Ensemble = ens
 	}
 	// loading replaced the collection objects: rebind the publications
-	// handle and rebuild the search engine, which re-indexes on scan. In
-	// networked mode the publications live in the shard processes (each
-	// with its own WAL), so the coordinator handle stays authoritative.
+	// handle and rebuild the search engine, which catches the index up on
+	// scan. In networked mode the publications live in the shard processes
+	// (each with its own WAL), so the coordinator handle stays authoritative.
 	if s.Coord == nil {
 		s.Pubs = s.Store.Collection(PubsCollection)
 	}
-	s.Search = search.NewEngine(s.Pubs)
+	ix, err := index.Read(sn)
+	s.Search, s.IndexReadErr = search.NewEngineFrom(s.Pubs, ix), err
 	s.Search.SetMetrics(s.cfg.Metrics)
 	return report, nil
 }

@@ -390,6 +390,26 @@ func (ix *Index) docCountLocked() int {
 	return n
 }
 
+// LiveIDs returns the set of indexed document ids.
+func (ix *Index) LiveIDs() map[string]bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ids := make(map[string]bool, ix.docCountLocked())
+	for _, m := range ix.memsLocked() {
+		for id := range m.docs {
+			ids[id] = true
+		}
+	}
+	for _, s := range ix.segs {
+		for ord, id := range s.docIDs {
+			if !s.dead[ord] {
+				ids[id] = true
+			}
+		}
+	}
+	return ids
+}
+
 // DocFreq returns the number of documents containing term (already
 // stemmed).
 func (ix *Index) DocFreq(term string) int {

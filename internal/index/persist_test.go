@@ -1,9 +1,11 @@
 package index
 
 import (
-	"errors"
+	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"covidkg/internal/durable"
@@ -33,15 +35,39 @@ func buildPersistIndex(n int) *Index {
 	return ix
 }
 
+// saveIndex writes ix into a new generation under dir through fs, as a
+// system checkpoint does, and commits it.
+func saveIndex(ix *Index, dir string, fs faultfs.FS) error {
+	tx, err := durable.NewSnapshotter(dir, durable.WithFS(fs)).Begin()
+	if err != nil {
+		return err
+	}
+	if err := ix.WriteTxn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+// loadIndex reads the index from the newest committed generation under
+// dir.
+func loadIndex(dir string) (*Index, *durable.Report, error) {
+	sn, rep, err := durable.NewSnapshotter(dir).Load()
+	if err != nil {
+		return nil, rep, err
+	}
+	ix, err := Read(sn)
+	return ix, rep, err
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ix := buildPersistIndex(60)
 	ix.Seal()
 	ix.Remove("doc-0003")
-	if err := ix.Save(dir, faultfs.OS{}); err != nil {
+	if err := saveIndex(ix, dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Load(dir, faultfs.OS{})
+	got, _, err := loadIndex(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +82,43 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(snaps, lsnaps) {
 		t.Fatalf("snapshots diverged:\n%+v\nvs\n%+v", snaps, lsnaps)
 	}
-}
-
-func TestLoadNoSnapshot(t *testing.T) {
-	_, _, err := Load(t.TempDir(), faultfs.OS{})
-	if !errors.Is(err, durable.ErrNoSnapshot) {
-		t.Fatalf("err = %v, want ErrNoSnapshot", err)
+	if !reflect.DeepEqual(ix.LiveIDs(), got.LiveIDs()) || got.LiveIDs()["doc-0003"] {
+		t.Fatal("live ids differ, or the removed document came back")
+	}
+	if got.WriteSeq() != 0 {
+		t.Fatalf("reading the index wrote to it: WriteSeq = %d", got.WriteSeq())
 	}
 }
 
-// TestSaveCrashMatrix crashes a second Save at every mutating
+// TestLoadNoSnapshot: a generation without the index files (a checkpoint
+// from before the index was part of it), or with a segment in another
+// format, is an error, on which a restore re-indexes instead.
+func TestLoadNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	tx, err := durable.NewSnapshotter(dir).Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.WriteFile("publications.jsonl", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, _, err := loadIndex(dir); err == nil || ix != nil || !strings.Contains(err.Error(), "index.json") {
+		t.Fatalf("generation without index.json: index %v, err = %v", ix, err)
+	}
+
+	ix := buildPersistIndex(10)
+	ix.Seal()
+	data := encodeSegment(ix.segs[0])
+	data[len(segMagic)-1]++
+	if _, err := decodeSegment(data); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("segment in another format: err = %v", err)
+	}
+}
+
+// TestSaveCrashMatrix crashes a second save at every mutating
 // filesystem operation — including the window between the segment file
 // writes and the manifest commit — and requires recovery to always
 // yield a complete generation: either the previous save's view or the
@@ -83,11 +136,11 @@ func TestSaveCrashMatrix(t *testing.T) {
 
 	// Dry run counts the crash points in the second save.
 	countDir := t.TempDir()
-	if err := v1.Save(countDir, faultfs.OS{}); err != nil {
+	if err := saveIndex(v1, countDir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	counter := &faultfs.CrashPolicy{}
-	if err := v2.Save(countDir, faultfs.NewFaulty(faultfs.OS{}, counter)); err != nil {
+	if err := saveIndex(v2, countDir, faultfs.NewFaulty(faultfs.OS{}, counter)); err != nil {
 		t.Fatal(err)
 	}
 	nOps := counter.Ops()
@@ -97,14 +150,14 @@ func TestSaveCrashMatrix(t *testing.T) {
 
 	for failAt := 1; failAt <= nOps; failAt++ {
 		dir := filepath.Join(t.TempDir(), "idx")
-		if err := v1.Save(dir, faultfs.OS{}); err != nil {
+		if err := saveIndex(v1, dir, faultfs.OS{}); err != nil {
 			t.Fatal(err)
 		}
 		crashFS := faultfs.NewFaulty(faultfs.OS{}, &faultfs.CrashPolicy{FailAt: failAt, Torn: true})
-		if err := v2.Save(dir, crashFS); err == nil {
+		if err := saveIndex(v2, dir, crashFS); err == nil {
 			t.Fatalf("failAt=%d: save unexpectedly succeeded", failAt)
 		}
-		got, rep, err := Load(dir, faultfs.OS{})
+		got, rep, err := loadIndex(dir)
 		if err != nil {
 			t.Fatalf("failAt=%d: recovery failed: %v (report %v)", failAt, err, rep)
 		}
@@ -113,4 +166,53 @@ func TestSaveCrashMatrix(t *testing.T) {
 			t.Fatalf("failAt=%d: recovered view matches neither generation", failAt)
 		}
 	}
+}
+
+// FuzzDecodeSegment: a segment read from disk is untrusted. Any input
+// decodes to an error or to a segment every read path can walk, and
+// never panics or allocates past its size; an accepted segment encodes
+// to bytes that decode and encode again unchanged, and a sealed one
+// round-trips byte for byte.
+func FuzzDecodeSegment(f *testing.F) {
+	ix := buildPersistIndex(100) // several terms span two posting blocks
+	ix.Seal()
+	ix.Remove("doc-0007")
+	sealed := encodeSegment(ix.segs[0])
+	s, err := decodeSegment(sealed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(encodeSegment(s), sealed) {
+		f.Fatal("a sealed segment does not round-trip byte for byte")
+	}
+	f.Add(sealed)
+	for i := 1; i < 16; i++ {
+		f.Add(sealed[:len(sealed)*i/16])
+	}
+	hdr := []byte(segMagic + "\x00")
+	f.Add(binary.AppendUvarint(append(hdr, 1), 1<<63+7))     // a string length past MaxInt
+	f.Add(append(binary.AppendUvarint(hdr, 1<<40), 0, 0, 0)) // 2^40 documents in 17 bytes
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeSegment(data)
+		if err != nil {
+			return
+		}
+		for tid := range s.terms {
+			s.live(tid)
+		}
+		for ord := range s.docIDs {
+			s.termsOf(ord)
+			for fid := range s.fields {
+				s.fieldLenOf(ord, fid)
+			}
+		}
+		enc := encodeSegment(s)
+		s2, err := decodeSegment(enc)
+		if err != nil {
+			t.Fatalf("re-encoded segment rejected: %v", err)
+		}
+		if !bytes.Equal(encodeSegment(s2), enc) {
+			t.Fatal("re-encoded segment does not round-trip")
+		}
+	})
 }

@@ -73,25 +73,39 @@ type Engine struct {
 	met   *metrics.Registry
 }
 
-// NewEngine builds a search engine over the given publication
-// collection — in-process (*docstore.Collection) or a remote shard tier
-// behind a shardnet coordinator; any docstore.Docs works — and indexes
-// every document already present.
-func NewEngine(coll docstore.Docs) *Engine {
-	e := &Engine{coll: coll, idx: index.New(), met: metrics.Default()}
-	e.idx.SetFieldWeights(fieldWeights)
+// NewEngine builds a search engine that indexes every document of coll.
+func NewEngine(coll docstore.Docs) *Engine { return NewEngineFrom(coll, nil) }
+
+// NewEngineFrom builds a search engine over coll, any docstore.Docs,
+// around ix (nil: a new, empty index). It indexes, in scan order, every
+// document ix lacks and, if the scan read every shard, removes from ix
+// every id the scan did not see.
+func NewEngineFrom(coll docstore.Docs, ix *index.Index) *Engine {
+	if ix == nil {
+		ix = index.New()
+		ix.SetFieldWeights(fieldWeights)
+	}
+	e := &Engine{coll: coll, idx: ix, met: metrics.Default()}
 	e.rankOpts.Store(&RankOptions{})
 	e.cache.Store(newQueryCache(defaultCacheEntries, defaultCacheBytes))
-	// NewEngine has no error result, so a shard dark at boot leaves its
-	// documents unindexed.
-	_ = coll.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
-		if id, _ := d[docstore.IDField].(string); id != "" {
-			e.idx.AddDoc(id, index.Analyze(docTexts(d)), recencyOf(d))
+	unseen := ix.LiveIDs()
+	// NewEngineFrom has no error result, so a shard dark at boot leaves
+	// its documents unindexed, and removes nothing.
+	err := coll.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+		if id, _ := d[docstore.IDField].(string); unseen[id] {
+			delete(unseen, id)
+		} else if id != "" {
+			ix.AddDoc(id, index.Analyze(docTexts(d)), recencyOf(d))
 		} else { // a malformed pre-seeded document: unindexed, but counted
 			e.met.Counter("index.skipped_no_id").Inc()
 		}
 		return true
 	})
+	if err == nil {
+		for id := range unseen {
+			ix.Remove(id)
+		}
+	}
 	return e
 }
 

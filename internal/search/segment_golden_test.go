@@ -12,7 +12,6 @@ import (
 	"covidkg/internal/cord19"
 	"covidkg/internal/docstore"
 	"covidkg/internal/durable"
-	"covidkg/internal/faultfs"
 )
 
 var updateSegmentGolden = flag.Bool("update-segment-golden", false,
@@ -45,7 +44,14 @@ func TestSegmentGolden(t *testing.T) {
 	}
 	e := NewEngine(coll)
 	dir := t.TempDir()
-	if err := e.Index().Save(dir, faultfs.OS{}); err != nil {
+	tx, err := durable.NewSnapshotter(dir).Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Index().WriteTxn(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	snap, _, err := durable.NewSnapshotter(dir).Load()

@@ -3,8 +3,10 @@
 #
 #   - A cold `covidkg-server -pubs 30 -data DIR` boot builds the
 #     knowledge graph and commits exactly one checkpoint generation.
-#   - After SIGTERM, a warm boot restores the graph instead of building
-#     it and serves a byte-identical GET /api/v1/kg body.
+#   - After SIGTERM, a warm boot reads the search index from the
+#     checkpoint instead of re-indexing, restores the graph instead of
+#     building it, and serves byte-identical GET /api/v1/kg and
+#     /api/v1/search?q=vaccine bodies.
 #   - `kgctl stats` and `kgctl kg` read the server's checkpoint and agree
 #     with it: 33 publications, the same graph size.
 #   - `kgctl gen`, `stats`, `search` and `kg` run on a fresh dir, and
@@ -54,16 +56,20 @@ manifests=$(ls "$data" | grep -c '^MANIFEST-' || true)
 [ "$manifests" -eq 1 ] || fail "cold boot left $manifests MANIFEST files, want 1"
 grep -q 'kg built in' "$work/cold.log" || fail "cold boot did not build the graph"
 curl -sf "$base/api/v1/kg" >"$work/cold.json"
+curl -sf "$base/api/v1/search?q=vaccine" >"$work/cold-search.json"
 stop
 grep -q 'final checkpoint committed' "$work/cold.log" || fail "no final checkpoint on SIGTERM"
 
-# warm boot: graph restored, not built, same body
+# warm boot: index read and graph restored, not rebuilt, same bodies
 boot "$work/warm.log"
+grep -q 'search index read from checkpoint' "$work/warm.log" || fail "warm boot did not read the index: $(grep 'search index' "$work/warm.log")"
 grep -q 'knowledge graph restored from checkpoint' "$work/warm.log" || fail "warm boot did not restore the graph"
 ! grep -q 'building knowledge graph' "$work/warm.log" || fail "warm boot rebuilt the graph"
 curl -sf "$base/api/v1/kg" >"$work/warm.json"
+curl -sf "$base/api/v1/search?q=vaccine" >"$work/warm-search.json"
 stop
 cmp -s "$work/cold.json" "$work/warm.json" || fail "warm /api/v1/kg body differs from the cold one"
+cmp -s "$work/cold-search.json" "$work/warm-search.json" || fail "warm /api/v1/search?q=vaccine body differs from the cold one"
 
 # kgctl agrees with the server's checkpoint. Outputs are captured first:
 # grep -q closing the pipe early would fail the pipeline under pipefail.
@@ -83,4 +89,4 @@ grep -q 'results (page 1/' <<<"$out" || fail "kgctl search: $out"
 out=$("$work/kgctl" kg -data "$cli" -q vaccines)
 grep -q '^knowledge graph: [0-9]* nodes' <<<"$out" || fail "kgctl kg: $out"
 
-echo "boot smoke ok: cold and warm /api/v1/kg identical ($nodes nodes), kgctl agrees"
+echo "boot smoke ok: index read on the warm boot, cold and warm /api/v1/kg ($nodes nodes) and search identical, kgctl agrees"
