@@ -1,6 +1,6 @@
-// Command covidkg-server runs the COVIDKG HTTP service: it generates (or
-// loads) a corpus, trains the models, builds the knowledge graph, and
-// serves the interactive browser plus the JSON API.
+// Command covidkg-server runs the COVIDKG HTTP service: it restores a
+// checkpoint or builds the system with core.System.Build, then serves
+// the interactive browser plus the JSON API.
 //
 // Usage:
 //
@@ -21,14 +21,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"covidkg/internal/api"
 	"covidkg/internal/breaker"
-	"covidkg/internal/cord19"
 	"covidkg/internal/core"
 	"covidkg/internal/durable"
 	"covidkg/internal/metrics"
@@ -38,7 +36,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	pubs := flag.Int("pubs", 300, "synthetic publications to generate when no data dir is loaded")
+	pubs := flag.Int("pubs", 300, "synthetic publications to generate when the boot restores no checkpoint and the store is empty")
 	seed := flag.Int64("seed", 42, "corpus generator seed")
 	dataDir := flag.String("data", "", "optional directory for store persistence")
 	shards := flag.Int("shards", 4, "document store shards")
@@ -83,59 +81,44 @@ func main() {
 		log.Printf("publications served by %d remote shard processes", sys.Coord.NumShards())
 	}
 
-	var recovered []string
+	// a boot that restored a checkpoint serves it and retrains the
+	// models; every other boot builds
+	restored := false
 	if *dataDir != "" {
 		report, err := sys.Restore(*dataDir)
 		switch {
 		case err == nil:
-			// Restore read or rebuilt the search index and restored the
-			// checkpointed graph
+			restored = true
 			log.Printf("store restored from %s: %s", *dataDir, report)
 			if sys.IndexReadErr != nil {
 				log.Printf("search index rebuilt from the publications: %v", sys.IndexReadErr)
 			} else {
 				log.Printf("search index read from checkpoint: %d catch-up writes", sys.Search.Index().WriteSeq())
 			}
-			recovered = report.Recovered
 		case errors.Is(err, durable.ErrNoSnapshot):
 			log.Printf("data dir %s holds no checkpoint", *dataDir)
 		default:
 			log.Fatalf("restore: %v", err)
 		}
 	}
-	if sys.Pubs.Count() == 0 {
-		log.Printf("generating %d publications (seed %d)", *pubs, *seed)
-		start := time.Now()
-		g := cord19.NewGenerator(*seed)
-		corpus := g.Corpus(*pubs)
-		corpus = append(corpus, sideEffectPapers(g)...)
-		if err := sys.IngestPublications(corpus); err != nil {
-			log.Fatalf("ingest: %v", err)
-		}
-		log.Printf("generated and ingested %d publications in %s", len(corpus), time.Since(start).Round(time.Millisecond))
-	}
-
-	log.Printf("training models")
 	start := time.Now()
-	stats, err := sys.TrainModels()
-	if err != nil {
-		log.Fatalf("train: %v", err)
-	}
-	log.Printf("trained in %s: vocab=%d termW2V=%d cellW2V=%d textW2V=%d svm=%s",
-		time.Since(start).Round(time.Millisecond), stats.VocabSize, stats.TermVocab, stats.CellVocab, stats.TextVocab,
-		stats.SVMMetrics)
-
-	if slices.Contains(recovered, core.GraphFile) {
+	if restored {
+		stats, err := sys.TrainModels()
+		if err != nil {
+			log.Fatalf("train: %v", err)
+		}
+		log.Printf("trained in %s: vocab=%d termW2V=%d cellW2V=%d textW2V=%d svm=%s",
+			time.Since(start).Round(time.Millisecond), stats.VocabSize, stats.TermVocab, stats.CellVocab, stats.TextVocab,
+			stats.SVMMetrics)
 		log.Printf("knowledge graph restored from checkpoint: %d nodes", sys.Graph.Size())
 	} else {
-		log.Printf("building knowledge graph")
-		start = time.Now()
-		bs, err := sys.BuildKG()
+		log.Printf("building knowledge graph (an empty store first gets %d publications, seed %d)", *pubs, *seed)
+		bs, err := sys.Build(core.BuildSpec{Pubs: *pubs, Seed: *seed})
 		if err != nil {
-			log.Fatalf("build kg: %v", err)
+			log.Fatalf("build: %v", err)
 		}
-		log.Printf("kg built in %s: tables=%d subtrees=%d fused=%d queued=%d nodes+%d",
-			time.Since(start).Round(time.Millisecond), bs.Tables, bs.Subtrees, bs.Fused, bs.Queued, bs.NodesAdded)
+		log.Printf("kg built in %s: publications=%d tables=%d subtrees=%d fused=%d queued=%d nodes+%d",
+			time.Since(start).Round(time.Millisecond), sys.Pubs.Count(), bs.Tables, bs.Subtrees, bs.Fused, bs.Queued, bs.NodesAdded)
 		if *dataDir != "" {
 			if err := checkpoint(sys, *dataDir); err != nil {
 				log.Fatalf("checkpoint: %v", err)
@@ -205,15 +188,6 @@ func splitAddrs(s string) []string {
 		if a = strings.TrimSpace(a); a != "" {
 			out = append(out, a)
 		}
-	}
-	return out
-}
-
-func sideEffectPapers(g *cord19.Generator) []*cord19.Publication {
-	vaccines := []string{"Pfizer-BioNTech", "Moderna", "AstraZeneca"}
-	out := make([]*cord19.Publication, 3)
-	for i := range out {
-		out[i] = g.SideEffectPaper(vaccines)
 	}
 	return out
 }

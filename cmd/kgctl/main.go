@@ -62,13 +62,13 @@ func usage() {
 	os.Exit(2)
 }
 
-// cmdAggregate runs a MongoDB-dialect JSON pipeline over a collection:
+// cmdAggregate runs a MongoDB-dialect JSON pipeline over the
+// publications, the one collection a checkpoint holds:
 //
 //	kgctl aggregate -data DIR -q '[{"$group": {"_id": "$topic", "n": {"$sum": 1}}}]'
 func cmdAggregate(args []string) {
 	fs := flag.NewFlagSet("aggregate", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
-	collName := fs.String("collection", core.PubsCollection, "collection to query")
 	q := fs.String("q", "", "JSON pipeline (array of $-stages)")
 	limit := fs.Int("limit", 20, "max results printed")
 	fs.Parse(args)
@@ -86,8 +86,7 @@ func cmdAggregate(args []string) {
 	p.Append(pipeline.Limit(*limit))
 
 	sys := loadSystem(*data, false)
-	coll := sys.Store.Collection(*collName)
-	out, err := p.RunContext(context.Background(), coll)
+	out, err := p.RunContext(context.Background(), sys.Pubs)
 	if err != nil {
 		log.Fatalf("aggregate: %v", err)
 	}
@@ -114,28 +113,13 @@ func cmdGen(args []string) {
 	n := fs.Int("n", 500, "publications to generate")
 	seed := fs.Int64("seed", 42, "generator seed")
 	out := fs.String("out", "covidkg-data", "output store directory")
-	withSE := fs.Bool("side-effects", true, "include Figure 6 side-effect papers")
 	fs.Parse(args)
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	sys := core.NewSystem(cfg)
-	g := cord19.NewGenerator(*seed)
-	pubs := g.Corpus(*n)
-	if *withSE {
-		vaccines := []string{"Pfizer-BioNTech", "Moderna", "AstraZeneca"}
-		for i := 0; i < 3; i++ {
-			pubs = append(pubs, g.SideEffectPaper(vaccines))
-		}
-	}
-	if err := sys.IngestPublications(pubs); err != nil {
-		log.Fatalf("ingest: %v", err)
-	}
-	if _, err := sys.TrainModels(); err != nil {
-		log.Fatalf("train: %v", err)
-	}
-	if _, err := sys.BuildKG(); err != nil {
-		log.Fatalf("build kg: %v", err)
+	if _, err := sys.Build(core.BuildSpec{Pubs: *n, Seed: *seed}); err != nil {
+		log.Fatalf("build: %v", err)
 	}
 	if err := sys.Checkpoint(*out); err != nil {
 		log.Fatalf("checkpoint: %v", err)

@@ -10,7 +10,6 @@ import (
 	"os"
 	"testing"
 
-	"covidkg/internal/cord19"
 	"covidkg/internal/core"
 )
 
@@ -29,25 +28,14 @@ type kgGolden struct {
 	Truncated  bool    `json:"truncated"`
 }
 
-// benchServer boots the corpus cmd/covidkg-server serves to the repo
-// benchmark: -pubs 500 -seed 42 plus the three side-effect papers.
+// benchServer builds what cmd/covidkg-server boots for the repo
+// benchmark, -pubs 500 -seed 42, through the same System.Build.
 func benchServer(t *testing.T) *Server {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = 42
 	sys := core.NewSystem(cfg)
-	g := cord19.NewGenerator(42)
-	corpus := g.Corpus(500)
-	for i := 0; i < 3; i++ {
-		corpus = append(corpus, g.SideEffectPaper([]string{"Pfizer-BioNTech", "Moderna", "AstraZeneca"}))
-	}
-	if err := sys.IngestPublications(corpus); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.TrainModels(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.BuildKG(); err != nil {
+	if _, err := sys.Build(core.BuildSpec{Pubs: 500, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	return NewServer(sys)

@@ -268,6 +268,75 @@ func TestCheckpointRestoresEnsemble(t *testing.T) {
 // relies on: a missing or empty dir, or one holding only bare
 // collection files, is ErrNoSnapshot ("generate"); a dir whose only
 // generation is corrupt is a different error ("refuse to boot").
+// TestCheckpointBuildIsDeterministic: two systems that Build the same
+// spec checkpoint byte-identical generations, which is what lets a cold
+// covidkg-server boot and kgctl gen write the same files. Build over a
+// store that already holds publications generates nothing and builds
+// the graph over what is there.
+func TestCheckpointBuildIsDeterministic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	cfg.TrainTables = 60
+	cfg.W2V.Epochs = 2
+	cfg.VocabSize = 1500
+	spec := BuildSpec{Pubs: 20, Seed: 42}
+
+	var dirs [2]string
+	for i := range dirs {
+		s := NewSystem(cfg)
+		if _, err := s.Build(spec); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Pubs.Count(); n != spec.Pubs+3 {
+			t.Fatalf("build %d stored %d publications, want %d", i, n, spec.Pubs+3)
+		}
+		dirs[i] = t.TempDir()
+		if err := s.Checkpoint(dirs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dirs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := os.ReadDir(dirs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(other) {
+		t.Fatalf("checkpoints hold %d and %d files", len(entries), len(other))
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs between two builds of %+v", e.Name(), spec)
+		}
+	}
+
+	s := NewSystem(cfg)
+	if err := s.IngestPublications(cord19.NewGenerator(7).Corpus(15)); err != nil {
+		t.Fatal(err)
+	}
+	seeded := s.Graph.Size()
+	bs, err := s.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Pubs.Count(); n != 15 {
+		t.Fatalf("Build over 15 stored publications left %d", n)
+	}
+	if bs.Tables == 0 || bs.NodesAdded == 0 || s.Graph.Size() != seeded+bs.NodesAdded {
+		t.Fatalf("Build over a filled store: %+v, graph %d → %d nodes", bs, seeded, s.Graph.Size())
+	}
+}
+
 func TestRestoreNothingToRestore(t *testing.T) {
 	bare := t.TempDir()
 	if err := os.WriteFile(filepath.Join(bare, PubsCollection+".jsonl"), []byte(`{"_id":"a"}`+"\n"), 0o644); err != nil {

@@ -67,8 +67,9 @@ type Config struct {
 	// ShardAddrs switches the publication store into networked mode: one
 	// address per shard server process (covidkg-shard), scatter-gathered
 	// by a shardnet.Coordinator instead of in-process shards. Empty keeps
-	// the in-process tier. The knowledge-graph collection and model
-	// artifacts stay in the local store either way.
+	// the in-process tier. The knowledge graph and the models are not
+	// publications: they stay in this process and reach disk only as
+	// checkpoint files.
 	ShardAddrs []string
 
 	// ShardNet tunes the coordinator (timeouts, retries, hedging) in
@@ -554,6 +555,35 @@ func (s *System) BuildKG() (BuildStats, error) {
 	return st, nil
 }
 
+// BuildSpec is the corpus Build generates into an empty store: Pubs
+// synthetic publications from a generator seeded with Seed.
+type BuildSpec struct {
+	Pubs int
+	Seed int64
+}
+
+// Build is the one build pipeline of Figure 1: ingest (№3), train (№4),
+// fuse into the knowledge graph (№5/№6). An empty store first gets
+// spec's corpus plus three Figure 6 side-effect papers. covidkg-server
+// and kgctl gen both build through it, so one spec checkpoints one set
+// of bytes.
+func (s *System) Build(spec BuildSpec) (BuildStats, error) {
+	if s.Pubs.Count() == 0 {
+		g := cord19.NewGenerator(spec.Seed)
+		corpus := g.Corpus(spec.Pubs)
+		for range 3 {
+			corpus = append(corpus, g.SideEffectPaper(cord19.Vaccines[:3]))
+		}
+		if err := s.IngestPublications(corpus); err != nil {
+			return BuildStats{}, err
+		}
+	}
+	if _, err := s.TrainModels(); err != nil {
+		return BuildStats{}, err
+	}
+	return s.BuildKG()
+}
+
 // Refresh is the paper's "scalable mechanism to keep the KG up to date":
 // it ingests new publications and runs enrichment over only the tables
 // the graph has not seen, leaving everything already fused untouched.
@@ -562,20 +592,6 @@ func (s *System) Refresh(pubs []*cord19.Publication) (BuildStats, error) {
 		return BuildStats{}, err
 	}
 	return s.EnrichNew(), nil
-}
-
-// RefreshDocs ingests raw publication documents (№12 in Figure 1: new
-// information arriving from the Web) and incrementally enriches the KG
-// from them. Documents that land are enriched even when others in the
-// batch fail; the summary error reports how many failed. Callers that
-// need the per-document breakdown (the bulk ingest API) use IngestDocs
-// plus EnrichNew directly.
-func (s *System) RefreshDocs(docs []jsondoc.Doc) (BuildStats, error) {
-	rep := s.IngestDocs(docs)
-	if rep.Inserted == 0 && rep.Failed > 0 {
-		return BuildStats{}, rep.Err()
-	}
-	return s.EnrichNew(), rep.Err()
 }
 
 // EnrichNew incrementally enriches the KG from the publications stored

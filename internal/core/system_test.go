@@ -397,10 +397,10 @@ func TestRefreshProcessesOnlyNewTables(t *testing.T) {
 	}
 }
 
-// TestRefreshDocsInvalidatesSearchCache: a query answered from the
-// cache must see documents that arrive later through RefreshDocs — the
-// system-level ingest path — not a stale cached page.
-func TestRefreshDocsInvalidatesSearchCache(t *testing.T) {
+// TestIngestDocsInvalidatesSearchCache: a query answered from the
+// cache must see documents that arrive later through IngestDocs plus
+// EnrichNew — the upload handler's path — not a stale cached page.
+func TestIngestDocsInvalidatesSearchCache(t *testing.T) {
 	s := smallSystem(t, 30)
 	// warm the cache with a repeat query
 	before, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
@@ -418,15 +418,16 @@ func TestRefreshDocsInvalidatesSearchCache(t *testing.T) {
 		"abstract":  "This vaccine vaccine vaccine study reports efficacy.",
 		"body_text": "vaccine trial details",
 	}
-	if _, err := s.RefreshDocs([]jsondoc.Doc{doc}); err != nil {
+	if err := s.IngestDocs([]jsondoc.Doc{doc}).Err(); err != nil {
 		t.Fatal(err)
 	}
+	s.EnrichNew()
 	after, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after.Total != before.Total+1 {
-		t.Fatalf("stale page after RefreshDocs: total %d, want %d", after.Total, before.Total+1)
+		t.Fatalf("stale page after IngestDocs: total %d, want %d", after.Total, before.Total+1)
 	}
 }
 

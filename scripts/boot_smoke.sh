@@ -9,8 +9,10 @@
 #     /api/v1/search?q=vaccine bodies.
 #   - `kgctl stats` and `kgctl kg` read the server's checkpoint and agree
 #     with it: 33 publications, the same graph size.
-#   - `kgctl gen`, `stats`, `search` and `kg` run on a fresh dir, and
-#     `stats` counts exactly the generated publications.
+#   - `kgctl gen -n 30` builds through the same System.Build as the cold
+#     boot (both default to seed 42): its first generation equals the
+#     cold boot's file for file, byte for byte, and `stats`, `search`
+#     and `kg` run on it.
 #
 # Usage: bash scripts/boot_smoke.sh [port]   (default port 18123)
 set -euo pipefail
@@ -55,6 +57,8 @@ boot "$work/cold.log"
 manifests=$(ls "$data" | grep -c '^MANIFEST-' || true)
 [ "$manifests" -eq 1 ] || fail "cold boot left $manifests MANIFEST files, want 1"
 grep -q 'kg built in' "$work/cold.log" || fail "cold boot did not build the graph"
+mkdir "$work/cold-gen"
+cp "$data"/g000001-* "$work/cold-gen/"
 curl -sf "$base/api/v1/kg" >"$work/cold.json"
 curl -sf "$base/api/v1/search?q=vaccine" >"$work/cold-search.json"
 stop
@@ -79,14 +83,19 @@ grep -qx 'documents:   33' <<<"$out" || fail "kgctl stats on the server's checkp
 out=$("$work/kgctl" kg -data "$data")
 grep -qx "knowledge graph: $nodes nodes" <<<"$out" || fail "kgctl kg disagrees with the server's $nodes nodes: $out"
 
-# kgctl on a fresh dir
+# kgctl gen -n 30 writes the cold boot's first generation byte for byte
 cli=$work/cli
-"$work/kgctl" gen -n 40 -out "$cli" 2>/dev/null
+"$work/kgctl" gen -n 30 -out "$cli" 2>/dev/null
+[ "$(ls "$work/cold-gen")" = "$(cd "$cli" && ls g000001-*)" ] ||
+	fail "kgctl gen wrote $(cd "$cli" && ls g000001-* | tr '\n' ' '), the cold boot $(ls "$work/cold-gen" | tr '\n' ' ')"
+for f in "$work"/cold-gen/*; do
+	cmp -s "$f" "$cli/${f##*/}" || fail "kgctl gen -n 30 and the cold boot wrote different ${f##*/}"
+done
 out=$("$work/kgctl" stats -data "$cli")
-grep -qx 'documents:   43' <<<"$out" || fail "kgctl stats after gen -n 40 (+3 side-effect papers): $out"
+grep -qx 'documents:   33' <<<"$out" || fail "kgctl stats after gen -n 30 (+3 side-effect papers): $out"
 out=$("$work/kgctl" search -data "$cli" -q vaccine)
 grep -q 'results (page 1/' <<<"$out" || fail "kgctl search: $out"
 out=$("$work/kgctl" kg -data "$cli" -q vaccines)
 grep -q '^knowledge graph: [0-9]* nodes' <<<"$out" || fail "kgctl kg: $out"
 
-echo "boot smoke ok: index read on the warm boot, cold and warm /api/v1/kg ($nodes nodes) and search identical, kgctl agrees"
+echo "boot smoke ok: index read on the warm boot, cold and warm /api/v1/kg ($nodes nodes) and search identical, kgctl agrees, kgctl gen wrote the cold boot's generation"
