@@ -42,8 +42,8 @@ func main() {
 	shards := flag.Int("shards", 4, "document store shards")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated covidkg-shard addresses; non-empty serves publications from those remote processes via the shardnet coordinator instead of in-process shards")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "with -shard-addrs, latency budget before a shard read is hedged with a second request (0 = adaptive 2×p95)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "circuit-breaker open→half-open cooldown (0 = default 1s)")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive shard failures before the breaker opens (0 = default 3)")
+	breakerCooldown := flag.Duration("breaker-cooldown", 0, "with -shard-addrs, a shard connection's circuit-breaker open→half-open cooldown (0 = default 1s)")
+	breakerFailures := flag.Int("breaker-failures", 0, "with -shard-addrs, consecutive shard failures before its breaker opens (0 = default 3)")
 	searchTimeout := flag.Duration("search-timeout", 0, "per-request deadline for search routes (0 = default 5s, negative = none)")
 	aggTimeout := flag.Duration("aggregate-timeout", 0, "per-request deadline for aggregate/export routes (0 = default 10s, negative = none)")
 	inflightSearch := flag.Int("inflight-search", 0, "max concurrent search requests before shedding (0 = default 64, negative = unbounded)")
@@ -55,7 +55,7 @@ func main() {
 		log.Fatalf("pprof listener: %v", err)
 	}
 
-	// One registry for the whole process: the search engine, the stores
+	// One registry for the whole process: the search engine, the graph
 	// and the coordinator record into the registry /api/v1/metrics serves.
 	reg := metrics.NewRegistry()
 	cfg := core.DefaultConfig()
@@ -63,7 +63,7 @@ func main() {
 	cfg.Shards = *shards
 	cfg.Seed = *seed
 	cfg.ShardNet.HedgeDelay = *hedgeDelay
-	cfg.Breaker = breaker.Config{Threshold: *breakerFailures, Cooldown: *breakerCooldown}
+	cfg.ShardNet.Breaker = breaker.Config{Threshold: *breakerFailures, Cooldown: *breakerCooldown}
 	if *shardAddrs != "" {
 		cfg.ShardAddrs = splitAddrs(*shardAddrs)
 	}

@@ -193,45 +193,24 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is the readiness probe: 200 when every shard is serving,
-// 503 otherwise. Either way the body carries the per-shard states so an
-// operator can see exactly which failure domain is dark. In the
-// in-process tier that is each shard's breaker state; in networked mode
-// it is the per-shard connection state — connected, breaker-open, or
-// unreachable.
+// 503 otherwise. Either way the body carries the per-shard connection
+// states (connected, breaker-open, or unreachable) so an operator can
+// see exactly which shard server is dark. In-process shards cannot go
+// dark, so without a shard tier the list is empty and the answer 200.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.sys.Remote() {
-		conns := s.sys.ShardConnHealth(r.Context())
-		ready := true
-		for _, c := range conns {
-			if !c.Ready() {
-				ready = false
-				break
-			}
-		}
-		status, state := http.StatusOK, "ready"
-		if !ready {
+	conns := s.sys.ShardConnHealth(r.Context())
+	status, state := http.StatusOK, "ready"
+	for _, c := range conns {
+		if !c.Ready() {
 			status, state = http.StatusServiceUnavailable, "degraded"
-		}
-		writeJSON(w, status, map[string]any{
-			"status": state,
-			"mode":   "shardnet",
-			"shards": conns,
-		})
-		return
-	}
-	shards := s.sys.Health()
-	ready := true
-	for _, sh := range shards {
-		if !sh.Ready {
-			ready = false
 			break
 		}
 	}
-	status, state := http.StatusOK, "ready"
-	if !ready {
-		status, state = http.StatusServiceUnavailable, "degraded"
+	body := map[string]any{"status": state, "shards": conns}
+	if s.sys.Remote() {
+		body["mode"] = "shardnet"
 	}
-	writeJSON(w, status, map[string]any{"status": state, "shards": shards})
+	writeJSON(w, status, body)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -57,6 +57,22 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestReadyzInProcess: in-process shards cannot go dark, so readiness
+// is 200 ready over an empty shard list.
+func TestReadyzInProcess(t *testing.T) {
+	s, _ := liteServer(t, Config{})
+	rec, body := get(t, s, "/readyz")
+	if rec.Code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("readyz = %d %v, want 200 ready", rec.Code, body)
+	}
+	if shards, ok := body["shards"].([]any); !ok || len(shards) != 0 {
+		t.Fatalf("shards = %#v, want an empty list", body["shards"])
+	}
+	if mode, ok := body["mode"]; ok {
+		t.Fatalf("in-process readyz carries mode %v", mode)
+	}
+}
+
 func TestStats(t *testing.T) {
 	s, _ := testServer(t)
 	rec, body := get(t, s, "/api/v1/stats")

@@ -4,30 +4,74 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"covidkg/internal/breaker"
 	"covidkg/internal/core"
 	"covidkg/internal/docstore"
-	"covidkg/internal/failpoint"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
+	"covidkg/internal/shardnet"
 )
 
-// chaosServer builds a server over a 4-shard system wired
-// with a failpoint registry, seeded with 40 publications (ids c00..c39,
-// all matching "covid") so every shard holds several documents.
-func chaosServer(t *testing.T) (*Server, *core.System, *failpoint.Registry, *metrics.Registry) {
+// chaosShards are four loopback shard servers with WALs. A dark shard
+// is one whose server was closed; reviving it starts a new server on
+// the same WAL and address.
+type chaosShards struct {
+	t     *testing.T
+	dir   string
+	addrs []string
+	srvs  []*shardnet.Server
+}
+
+func startChaosShards(t *testing.T) *chaosShards {
 	t.Helper()
-	fp := failpoint.New(1)
-	fp.SetSleeper(func(time.Duration) {})
+	cs := &chaosShards{t: t, dir: t.TempDir(), addrs: make([]string, 4), srvs: make([]*shardnet.Server, 4)}
+	for si := range cs.srvs {
+		cs.addrs[si] = "127.0.0.1:0"
+		cs.revive(si)
+	}
+	t.Cleanup(func() {
+		for _, srv := range cs.srvs {
+			srv.Close()
+		}
+	})
+	return cs
+}
+
+// revive starts shard si's server on its WAL and address.
+func (cs *chaosShards) revive(si int) {
+	cs.t.Helper()
+	name := fmt.Sprintf("shard%d", si)
+	srv, err := shardnet.NewServer(shardnet.ServerConfig{
+		Name: name, WALPath: filepath.Join(cs.dir, name+".wal"),
+		Logf: func(string, ...any) {},
+	})
+	if err != nil {
+		cs.t.Fatal(err)
+	}
+	addr, err := srv.Start(cs.addrs[si])
+	if err != nil {
+		cs.t.Fatal(err)
+	}
+	cs.addrs[si], cs.srvs[si] = addr.String(), srv
+}
+
+// chaosServer builds a server over a system whose publications live in
+// four shard servers, seeded with 40 publications (ids c00..c39, all
+// matching "covid") so every shard holds several documents.
+func chaosServer(t *testing.T) (*Server, *core.System, *chaosShards, *metrics.Registry) {
+	t.Helper()
+	cs := startChaosShards(t)
 	reg := metrics.NewRegistry()
 	cfg := core.DefaultConfig()
-	cfg.Failpoints = fp
+	cfg.ShardAddrs = cs.addrs
 	cfg.Metrics = reg
-	cfg.Breaker = breaker.Config{Threshold: 2, Cooldown: time.Millisecond}
+	cfg.ShardNet.Breaker = breaker.Config{Threshold: 2, Cooldown: time.Millisecond}
 	sys := core.NewSystem(cfg)
+	t.Cleanup(sys.Coord.Close)
 	var docs []jsondoc.Doc
 	for i := 0; i < 40; i++ {
 		docs = append(docs, jsondoc.Doc{
@@ -41,24 +85,25 @@ func chaosServer(t *testing.T) (*Server, *core.System, *failpoint.Registry, *met
 	if err := sys.IngestDocs(docs).Err(); err != nil {
 		t.Fatal(err)
 	}
-	return NewServerWith(sys, Config{Metrics: reg}), sys, fp, reg
+	return NewServerWith(sys, Config{Metrics: reg}), sys, cs, reg
 }
 
-// darkShard downs the shard owning c00 and returns its index plus one id
-// that lives there.
-func darkShard(sys *core.System, fp *failpoint.Registry) (int, string) {
+// darkShard closes the server of the shard owning c00 and returns its
+// index plus one id that lives there.
+func darkShard(sys *core.System, cs *chaosShards) (int, string) {
 	si := sys.Pubs.ShardOfID("c00")
-	fp.Set(docstore.ShardTarget(si), failpoint.Rule{Down: true})
+	cs.srvs[si].Close()
 	return si, "c00"
 }
 
 // TestChaosInvariant drives one system end to end through a shard
-// outage: with one of four shards dark, search returns 200 with partial
-// results and writes to the dark shard are rejected whole; after the
-// failpoint clears, the half-open probe restores the shard and the write
-// audit finds no acked write lost and no rejected write resurrected.
+// outage: with one of four shard servers down, search returns 200 with
+// partial results and writes to the dark shard are rejected whole; once
+// the server restarts on its WAL, the half-open probe restores the shard
+// and the write audit finds no acked write lost and no rejected write
+// resurrected.
 func TestChaosInvariant(t *testing.T) {
-	s, sys, fp, reg := chaosServer(t)
+	s, sys, cs, reg := chaosServer(t)
 
 	// healthy baseline: full results, ready, no partial marker
 	rec, body := get(t, s, "/api/v1/search?q=covid")
@@ -74,7 +119,7 @@ func TestChaosInvariant(t *testing.T) {
 
 	// one of four shards goes fully dark; query a term not yet cached
 	// (the baseline "covid" page is legitimately served from cache)
-	si, darkID := darkShard(sys, fp)
+	si, darkID := darkShard(sys, cs)
 	rec, body = get(t, s, "/api/v1/search?q=study")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded search = %d, want 200 (never 500)", rec.Code)
@@ -106,7 +151,7 @@ func TestChaosInvariant(t *testing.T) {
 		t.Fatalf("readyz shards = %v", body["shards"])
 	}
 	dark := shards[si].(map[string]any)
-	if dark["ready"] != false {
+	if dark["state"] == "connected" {
 		t.Fatalf("dark shard %d reported ready: %v", si, dark)
 	}
 
@@ -136,9 +181,9 @@ func TestChaosInvariant(t *testing.T) {
 		t.Fatalf("outage writes: %d acked, %d rejected; want some of each", len(acked), len(rejected))
 	}
 
-	// recovery: the failpoint clears, the breaker cooldown elapses, and
-	// the half-open probe brings the shard back into service
-	fp.ClearAll()
+	// recovery: the server restarts on its WAL, the breaker cooldown
+	// elapses, and the half-open probe brings the shard back into service
+	cs.revive(si)
 	time.Sleep(5 * time.Millisecond)
 	for i := 0; i < 8; i++ {
 		get(t, s, "/api/v1/publications/"+darkID)
@@ -197,18 +242,27 @@ func TestRetryAfterClampedToWholeSecond(t *testing.T) {
 // dark shard 503, as for the publication resource itself — for its table
 // matches and for its nodes.
 func TestTableMatchesErrorStatuses(t *testing.T) {
-	s, sys, fp, _ := chaosServer(t)
-	_, darkID := darkShard(sys, fp)
+	s, sys, cs, _ := chaosServer(t)
+	si, darkID := darkShard(sys, cs)
+	// a stored and an absent id whose shard serves: an id on the dark
+	// shard cannot be told absent
+	liveID, absentID := "c01", "nosuchid"
+	for i := 2; sys.Pubs.ShardOfID(liveID) == si; i++ {
+		liveID = fmt.Sprintf("c%02d", i)
+	}
+	for i := 0; sys.Pubs.ShardOfID(absentID) == si; i++ {
+		absentID = fmt.Sprintf("nosuchid%d", i)
+	}
 	for _, tc := range []struct {
 		path string
 		want int
 	}{
-		{"/api/v1/publications/c01/tables?q=the+of", http.StatusBadRequest},
-		{"/api/v1/publications/nosuchid/tables?q=covid", http.StatusNotFound},
+		{"/api/v1/publications/" + liveID + "/tables?q=the+of", http.StatusBadRequest},
+		{"/api/v1/publications/" + absentID + "/tables?q=covid", http.StatusNotFound},
 		{"/api/v1/publications/" + darkID + "/tables?q=covid", http.StatusServiceUnavailable},
 		// the nodes listing used to answer every lookup failure with 404
-		{"/api/v1/publications/c01/nodes", http.StatusOK},
-		{"/api/v1/publications/nosuchid/nodes", http.StatusNotFound},
+		{"/api/v1/publications/" + liveID + "/nodes", http.StatusOK},
+		{"/api/v1/publications/" + absentID + "/nodes", http.StatusNotFound},
 		{"/api/v1/publications/" + darkID + "/nodes", http.StatusServiceUnavailable},
 	} {
 		if rec, body := get(t, s, tc.path); rec.Code != tc.want {
@@ -223,8 +277,8 @@ func TestTableMatchesErrorStatuses(t *testing.T) {
 // shards before the dark one, and training fails with the shard error
 // instead of fitting models to part of the corpus.
 func TestDarkShardFailsFullScans(t *testing.T) {
-	s, sys, fp, _ := chaosServer(t)
-	darkShard(sys, fp)
+	s, sys, cs, _ := chaosServer(t)
+	darkShard(sys, cs)
 	aggRec, aggBody := postJSON(t, s, "/api/v1/aggregate", `{"pipeline": [{"$count": "n"}]}`)
 	biasRec, biasBody := get(t, s, "/api/v1/bias")
 	for _, tc := range []struct {

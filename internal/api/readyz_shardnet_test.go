@@ -32,7 +32,7 @@ func remoteTestServer(t *testing.T) (*Server, *core.System, []*shardnet.Server) 
 	}
 	cfg := core.DefaultConfig()
 	cfg.ShardAddrs = addrs
-	cfg.Breaker = breaker.Config{Threshold: 2, Cooldown: 50 * time.Millisecond}
+	cfg.ShardNet.Breaker = breaker.Config{Threshold: 2, Cooldown: 50 * time.Millisecond}
 	sys := core.NewSystem(cfg)
 	t.Cleanup(sys.Coord.Close)
 	return NewServer(sys), sys, backends

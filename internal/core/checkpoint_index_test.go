@@ -96,6 +96,37 @@ func TestCheckpointDarkShardRemovesNothing(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesPublicationsIntoShardTier: a checkpoint written
+// by an in-process system holds its publications, which a networked
+// system has nowhere to serve from; the restore fails naming the
+// directory before it loads anything.
+func TestCheckpointRefusesPublicationsIntoShardTier(t *testing.T) {
+	local := NewSystem(DefaultConfig())
+	if err := local.IngestPublications(cord19.NewGenerator(33).Corpus(10)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := local.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	s := remoteSystem(t, DefaultConfig())
+	graph, seed := s.Graph, s.Graph.Size()
+	_, err := s.Restore(dir)
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), pubsFile) {
+		t.Fatalf("Restore of an in-process checkpoint into the shard tier = %v, want an error naming %s and %s", err, dir, pubsFile)
+	}
+	if n := s.Pubs.Count(); n != 0 {
+		t.Fatalf("the shard tier serves %d publications after the refused restore, want 0", n)
+	}
+	if n := s.Store.Stats().Documents; n != 0 {
+		t.Fatalf("the local store holds %d documents after the refused restore, want 0", n)
+	}
+	if s.Graph != graph || s.Graph.Size() != seed {
+		t.Fatalf("the refused restore replaced the seed graph (%d nodes, was %d)", s.Graph.Size(), seed)
+	}
+}
+
 // rewriteCheckpoint copies the newest generation under src into a new
 // generation under dst, passing every file through edit; a nil result
 // leaves the file out.

@@ -17,14 +17,12 @@ import (
 	"time"
 
 	"covidkg/internal/bias"
-	"covidkg/internal/breaker"
 	"covidkg/internal/classifier"
 	"covidkg/internal/cluster"
 	"covidkg/internal/cord19"
 	"covidkg/internal/docstore"
 	"covidkg/internal/durable"
 	"covidkg/internal/embeddings"
-	"covidkg/internal/failpoint"
 	"covidkg/internal/faultfs"
 	"covidkg/internal/features"
 	"covidkg/internal/index"
@@ -42,6 +40,10 @@ import (
 // PubsCollection is the collection name holding publications.
 const PubsCollection = "publications"
 
+// pubsFile is the checkpoint file an in-process store writes the
+// publications to.
+const pubsFile = PubsCollection + ".jsonl"
+
 // Config assembles a System.
 type Config struct {
 	Shards      int // document-store shards
@@ -55,15 +57,6 @@ type Config struct {
 	// it; delete it with that line.
 	Replicas int
 
-	// Failpoints optionally injects runtime faults (latency, errors,
-	// outages) into the store's shards — the chaos-testing hook. Nil
-	// disables injection entirely.
-	Failpoints *failpoint.Registry
-
-	// Breaker tunes the per-shard circuit breakers (failure threshold,
-	// half-open cooldown). The zero value uses the breaker defaults.
-	Breaker breaker.Config
-
 	// ShardAddrs switches the publication store into networked mode: one
 	// address per shard server process (covidkg-shard), scatter-gathered
 	// by a shardnet.Coordinator instead of in-process shards. Empty keeps
@@ -72,13 +65,15 @@ type Config struct {
 	// checkpoint files.
 	ShardAddrs []string
 
-	// ShardNet tunes the coordinator (timeouts, retries, hedging) in
-	// networked mode; zero values take the shardnet defaults. Breaker
-	// and Metrics above are folded in automatically.
+	// ShardNet tunes the coordinator (timeouts, retries, hedging,
+	// per-connection breakers) in networked mode; zero values take the
+	// shardnet defaults. Metrics below is folded in when ShardNet.Metrics
+	// is nil.
 	ShardNet shardnet.Config
 
-	// Metrics directs robustness counters (breaker_open,
-	// partial_responses) to a specific registry; nil uses the process
+	// Metrics directs the system's counters (the coordinator's
+	// breaker_open, search's partial_responses, the train and build
+	// gauges) to a specific registry; nil leaves each subsystem its
 	// default.
 	Metrics *metrics.Registry
 
@@ -156,24 +151,11 @@ type pendingPub struct {
 
 // NewSystem creates an empty system with the expert-seeded KG.
 func NewSystem(cfg Config) *System {
-	storeOpts := []docstore.Option{
-		docstore.WithShards(cfg.Shards),
-		docstore.WithBreaker(cfg.Breaker),
-	}
-	if cfg.Failpoints != nil {
-		storeOpts = append(storeOpts, docstore.WithFailpoints(cfg.Failpoints))
-	}
-	if cfg.Metrics != nil {
-		storeOpts = append(storeOpts, docstore.WithMetrics(cfg.Metrics))
-	}
-	store := docstore.Open(storeOpts...)
+	store := docstore.Open(docstore.WithShards(cfg.Shards))
 	s := &System{cfg: cfg, Store: store}
 	if len(cfg.ShardAddrs) > 0 {
 		ncfg := cfg.ShardNet
 		ncfg.Collection = PubsCollection
-		if ncfg.Breaker.Threshold == 0 && ncfg.Breaker.Cooldown == 0 {
-			ncfg.Breaker = cfg.Breaker
-		}
 		if ncfg.Metrics == nil {
 			ncfg.Metrics = cfg.Metrics
 		}
@@ -196,21 +178,17 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Health reports per-shard readiness and breaker state — the payload
-// behind GET /readyz in the in-process tier. In networked mode use
-// ShardConnHealth instead.
-func (s *System) Health() []docstore.ShardHealth { return s.Store.Health() }
-
 // Remote reports whether publications are served by remote shard
 // processes through a coordinator.
 func (s *System) Remote() bool { return s.Coord != nil }
 
 // ShardConnHealth probes the remote shard tier: per-connection state
 // (connected / breaker-open / unreachable) — the payload behind GET
-// /readyz in networked mode. Returns nil when the system is in-process.
+// /readyz. An in-process system, whose shards cannot go dark, reports
+// none.
 func (s *System) ShardConnHealth(ctx context.Context) []shardnet.ConnHealth {
 	if s.Coord == nil {
-		return nil
+		return []shardnet.ConnHealth{}
 	}
 	return s.Coord.Health(ctx)
 }
@@ -816,11 +794,19 @@ func (s *System) Checkpoint(dir string) error {
 // recovered, which files it held, and which torn or corrupt generations
 // were discarded. A missing or empty dir returns an error satisfying
 // errors.Is(err, durable.ErrNoSnapshot); a dir whose every generation
-// fails verification returns a different error.
+// fails verification returns a different error. In networked mode a
+// checkpoint holding publications (written by an in-process system) is
+// refused before anything is loaded: the shard tier serves the
+// publications, not the local store.
 func (s *System) Restore(dir string) (*durable.Report, error) {
 	sn, report, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Load()
 	if err != nil {
 		return report, fmt.Errorf("core: restore: %w", err)
+	}
+	if s.Coord != nil && sn.Has(pubsFile) {
+		// the publications would land in the idle local store while the
+		// shard tier serves, and the catch-up scan would unindex them all
+		return report, fmt.Errorf("core: restore %s: the checkpoint holds %s from an in-process store, but publications are served by %d shard servers", dir, pubsFile, s.Coord.NumShards())
 	}
 	if err := s.Store.LoadSnapshot(sn); err != nil {
 		return report, fmt.Errorf("core: restore: %w", err)

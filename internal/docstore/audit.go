@@ -24,8 +24,8 @@ const auditIDCap = 16
 // AuditWrites verifies write-acknowledgement accounting over any
 // collection, local or remote: every acknowledged id must still resolve,
 // and no rejected id may have resurrected. Chaos tests call it after
-// failpoints are cleared and dark or restarted shards re-admitted, so a
-// miss means real loss rather than a transiently dark shard.
+// dark or restarted shard servers are back and re-admitted, so a miss
+// means real loss rather than a transiently dark shard.
 func AuditWrites(d Docs, acked, rejected []string) WriteAuditReport {
 	rep := WriteAuditReport{Acked: len(acked), Rejected: len(rejected)}
 	for _, id := range acked {

@@ -14,7 +14,8 @@ import (
 // The contract is identical either way:
 //
 //   - Writes are atomic per shard: an error means the write was not
-//     applied (ErrNoQuorum locally, a definitive rejection remotely).
+//     applied, unless it wraps shardnet.ErrIndeterminate (a reply lost
+//     after the frame was sent).
 //   - Shard-scoped reads fail with a *ShardError wrapping
 //     ErrShardUnavailable when the whole shard is dark, so degraded
 //     readers can map the failure to a missing partition with

@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"covidkg/internal/failpoint"
 )
 
 // TestCollectionGetManyAligned pins the batch-read contract: docs
 // align 1:1 with ids, absent ids produce nil entries (not errors), and
 // nothing is reported missing while all shards serve.
 func TestCollectionGetManyAligned(t *testing.T) {
-	s, _, _ := chaosStore(t)
+	s := Open(WithShards(4))
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 40)
 
@@ -42,47 +40,10 @@ func TestCollectionGetManyAligned(t *testing.T) {
 	}
 }
 
-// TestCollectionGetManyDarkShard pins partial-batch degradation: ids
-// on a dark shard come back nil, the shard index lands in missing, and
-// the rest of the batch is still served.
-func TestCollectionGetManyDarkShard(t *testing.T) {
-	s, fp, _ := chaosStore(t)
-	c := s.Collection("pubs")
-	ids := seedDocs(t, c, 60)
-	si, _ := shardWithDocs(c, ids)
-
-	fp.Set(ShardTarget(si), failpoint.Rule{Down: true})
-
-	docs, missing, err := c.GetMany(context.Background(), ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, darkened := 0, 0
-	for i, id := range ids {
-		if c.ShardOfID(id) == si {
-			if docs[i] != nil {
-				t.Fatalf("doc %s served from dark shard %d", id, si)
-			}
-			darkened++
-			continue
-		}
-		if docs[i] == nil {
-			t.Fatalf("doc %s on healthy shard came back nil", id)
-		}
-		served++
-	}
-	if darkened == 0 || served == 0 {
-		t.Fatalf("degenerate split: %d dark, %d served", darkened, served)
-	}
-	if len(missing) != 1 || missing[0] != si {
-		t.Fatalf("missing = %v, want [%d]", missing, si)
-	}
-}
-
 // TestCollectionGetManyDeadContext pins the only total-failure mode:
 // a cancelled context fails the batch as a whole.
 func TestCollectionGetManyDeadContext(t *testing.T) {
-	s, _, _ := chaosStore(t)
+	s := Open(WithShards(4))
 	c := s.Collection("pubs")
 	ids := seedDocs(t, c, 10)
 

@@ -36,8 +36,6 @@ func (s *Store) SaveTxn(tx *durable.Txn) error {
 }
 
 // writeTo streams the collection as JSON lines in deterministic order.
-// A dark shard fails the save (ShardError) instead of silently writing
-// a snapshot with a missing partition.
 func (c *Collection) writeTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var werr error

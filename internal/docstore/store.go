@@ -1,10 +1,11 @@
 // Package docstore is the COVIDKG back-end storage substrate: a sharded,
 // concurrency-safe JSON document store standing in for the paper's
 // sharded MongoDB cluster (§2, "Storage"). It offers named collections,
-// hash sharding on the document id with one copy per shard, each shard
-// a failure domain (a breaker and a failpoint target; a dark shard
-// rejects writes whole and fails its reads), CRUD, snapshot scans
-// feeding the aggregation pipeline, and JSON-lines persistence.
+// hash sharding on the document id with one copy per shard, CRUD,
+// snapshot scans feeding the aggregation pipeline, and JSON-lines
+// persistence. An in-process shard cannot fail on its own; a shard
+// that can go dark is a covidkg-shard server behind the shardnet
+// coordinator, which reports it with the ShardError types below.
 package docstore
 
 import (
@@ -17,10 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"covidkg/internal/breaker"
-	"covidkg/internal/failpoint"
 	"covidkg/internal/jsondoc"
-	"covidkg/internal/metrics"
 )
 
 // IDField is the reserved primary-key field, mirroring MongoDB's _id.
@@ -34,15 +32,9 @@ var (
 )
 
 // Store is a sharded multi-collection document store holding one copy
-// of each shard. Breakers and failpoints are store-level: a shard is one
-// failure domain shared by every collection.
+// of each shard.
 type Store struct {
 	numShards int
-	fp        *failpoint.Registry // runtime fault layer; nil means healthy
-	met       *metrics.Registry
-	brkCfg    breaker.Config
-	brk       []*breaker.Breaker // per shard
-	targets   []string           // ShardTarget per shard
 
 	mu          sync.RWMutex
 	collections map[string]*Collection
@@ -68,65 +60,20 @@ func WithShards(n int) Option {
 // it; delete it with that call site.
 func WithReplicas(int) Option { return func(*Store) {} }
 
-// WithFailpoints attaches the runtime fault registry; every shard
-// access checks its ShardTarget against it. Nil (the default) means
-// no injection.
-func WithFailpoints(fp *failpoint.Registry) Option {
-	return func(s *Store) { s.fp = fp }
-}
-
-// WithBreaker tunes the per-shard circuit breakers (threshold,
-// cooldown, clock). The store installs its own OnStateChange hook to
-// count breaker_open transitions.
-func WithBreaker(cfg breaker.Config) Option {
-	return func(s *Store) { s.brkCfg = cfg }
-}
-
-// WithMetrics directs the store's breaker_open counter to reg (default
-// metrics.Default()).
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *Store) {
-		if reg != nil {
-			s.met = reg
-		}
-	}
-}
-
 // Open creates an empty in-memory store.
 func Open(opts ...Option) *Store {
 	s := &Store{
 		numShards:   4,
-		met:         metrics.Default(),
 		collections: map[string]*Collection{},
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	cfg := s.brkCfg
-	prev := cfg.OnStateChange
-	cfg.OnStateChange = func(from, to breaker.State) {
-		if to == breaker.Open {
-			s.met.Counter("breaker_open").Inc()
-		}
-		if prev != nil {
-			prev(from, to)
-		}
-	}
-	s.brk = make([]*breaker.Breaker, s.numShards)
-	s.targets = make([]string, s.numShards)
-	for si := range s.brk {
-		s.brk[si] = breaker.New(cfg)
-		s.targets[si] = ShardTarget(si)
 	}
 	return s
 }
 
 // NumShards returns the configured shard count.
 func (s *Store) NumShards() int { return s.numShards }
-
-// Failpoints returns the runtime fault registry (nil when chaos is
-// off), so chaos harnesses can address the same targets.
-func (s *Store) Failpoints() *failpoint.Registry { return s.fp }
 
 // Collection returns the named collection, creating it on first use.
 func (s *Store) Collection(name string) *Collection {
@@ -170,8 +117,7 @@ func (s *Store) nextID() string {
 	return "doc-" + strconv.FormatUint(s.idSeq.Add(1), 36)
 }
 
-// Stats summarizes the store's physical layout (introspective — no
-// breaker or failpoint involvement).
+// Stats summarizes the store's physical layout.
 type Stats struct {
 	Collections int
 	Documents   int
@@ -228,8 +174,7 @@ func (c *Collection) Name() string { return c.name }
 
 // Insert stores a document on its shard. A missing _id is assigned; the
 // stored copy is detached from the caller's document. Returns the
-// document id, or ErrNoQuorum (wrapped in a ShardError) when the shard
-// is dark — in which case the write was applied nowhere.
+// document id.
 func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 	doc := jsondoc.NormalizeDoc(d)
 	id, _ := doc[IDField].(string)
@@ -241,10 +186,7 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("docstore: insert %s: %w", id, err)
 	}
-	sh, err := c.lockForWrite(id)
-	if err != nil {
-		return "", err
-	}
+	sh := c.lockForWrite(id)
 	if _, exists := sh.docs[id]; exists {
 		sh.mu.Unlock()
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
@@ -257,8 +199,7 @@ func (c *Collection) Insert(d jsondoc.Doc) (string, error) {
 
 // Get returns a freshly decoded copy of the document with the given id:
 // its maps and slices are the caller's, and its strings alias the
-// immutable stored encoding. When its shard is dark the error is a
-// ShardError wrapping ErrShardUnavailable.
+// immutable stored encoding.
 func (c *Collection) Get(id string) (jsondoc.Doc, error) {
 	enc, err := c.GetBinary(id)
 	if err != nil {
@@ -270,11 +211,7 @@ func (c *Collection) Get(id string) (jsondoc.Doc, error) {
 // GetBinary is Get returning the stored encoding itself, which the
 // caller must not write.
 func (c *Collection) GetBinary(id string) ([]byte, error) {
-	si := shardOf(id, len(c.shards))
-	if err := c.store.readGate(si); err != nil {
-		return nil, err
-	}
-	sh := c.shards[si]
+	sh := c.shards[shardOf(id, len(c.shards))]
 	sh.mu.RLock()
 	enc, ok := sh.docs[id]
 	sh.mu.RUnlock()
@@ -285,30 +222,18 @@ func (c *Collection) GetBinary(id string) ([]byte, error) {
 }
 
 // GetMany fetches a batch of documents, aligned 1:1 with ids (nil for
-// absent ids and ids on dark shards); missing lists the dark shard
-// indices, sorted and deduplicated. In process this is a Get loop —
-// the batch shape exists so the networked coordinator can coalesce it
-// into one frame per shard behind the same Docs interface.
+// absent ids); no in-process shard is ever missing. In process this is
+// a Get loop — the batch shape exists so the networked coordinator can
+// coalesce it into one frame per shard behind the same Docs interface.
 func (c *Collection) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, []int, error) {
 	docs := make([]jsondoc.Doc, len(ids))
-	var missing []int
-	seen := make(map[int]bool)
 	for i, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		d, err := c.Get(id)
-		if err != nil {
-			if si, dark := UnavailableShard(err); dark && !seen[si] {
-				seen[si] = true
-				missing = append(missing, si)
-			}
-			continue
-		}
-		docs[i] = d
+		docs[i], _ = c.Get(id) // the only failure is ErrNotFound
 	}
-	sort.Ints(missing)
-	return docs, missing, nil
+	return docs, nil, nil
 }
 
 // Replace swaps the document with the given id for a new body (the _id
@@ -320,10 +245,7 @@ func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 	if err != nil {
 		return fmt.Errorf("docstore: replace %s: %w", id, err)
 	}
-	sh, err := c.lockForWrite(id)
-	if err != nil {
-		return err
-	}
+	sh := c.lockForWrite(id)
 	old, ok := sh.docs[id]
 	if !ok {
 		sh.mu.Unlock()
@@ -338,10 +260,7 @@ func (c *Collection) Replace(id string, d jsondoc.Doc) error {
 // Update applies fn to a copy of the document and stores the result.
 // fn returning an error aborts the update.
 func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
-	sh, err := c.lockForWrite(id)
-	if err != nil {
-		return err
-	}
+	sh := c.lockForWrite(id)
 	defer sh.mu.Unlock()
 	old, ok := sh.docs[id]
 	if !ok {
@@ -363,10 +282,7 @@ func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
 
 // Delete removes the document with the given id.
 func (c *Collection) Delete(id string) error {
-	sh, err := c.lockForWrite(id)
-	if err != nil {
-		return err
-	}
+	sh := c.lockForWrite(id)
 	old, ok := sh.docs[id]
 	if !ok {
 		sh.mu.Unlock()
@@ -378,8 +294,7 @@ func (c *Collection) Delete(id string) error {
 	return nil
 }
 
-// Count returns the number of documents in the collection
-// (introspective: no breaker or failpoint involvement).
+// Count returns the number of documents in the collection.
 func (c *Collection) Count() int {
 	n := 0
 	for _, sh := range c.shards {
@@ -399,11 +314,7 @@ const ScanCheckInterval = 64
 // Shards are visited in order, ids within a shard in sorted order, so
 // scans are deterministic. Shard snapshots and the callback loop both
 // check ctx every ScanCheckInterval documents, so a client that hung up
-// stops costing CPU within one interval. A dark
-// shard fails the scan with a ShardError wrapping ErrShardUnavailable —
-// full scans must fail loudly rather than silently drop a partition.
-// Degraded readers that can tolerate missing shards use
-// SnapshotShardContext per shard instead.
+// stops costing CPU within one interval.
 func (c *Collection) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
 	n := 0
 	for si := range c.shards {
@@ -427,7 +338,7 @@ func (c *Collection) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool)
 	return nil
 }
 
-// IDs returns every document id, sorted (introspective).
+// IDs returns every document id, sorted.
 func (c *Collection) IDs() []string {
 	var out []string
 	for _, sh := range c.shards {

@@ -13,7 +13,6 @@ import (
 
 	"covidkg/internal/cord19"
 	"covidkg/internal/docstore"
-	"covidkg/internal/failpoint"
 	"covidkg/internal/index"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
@@ -27,24 +26,10 @@ import (
 // never indexed, permanently invisible to search. The fixed path
 // indexes the insert result and never reads back.
 func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
-	reg := failpoint.New(1)
-	s := docstore.Open(docstore.WithShards(1), docstore.WithFailpoints(reg))
-	c := s.Collection("pubs")
+	c := &darkAfterInsert{&darkDocs{Collection: docstore.Open(docstore.WithShards(1)).Collection("pubs")}}
 	e := NewEngine(c)
-	target := docstore.ShardTarget(0)
 
-	// Measure how many failpoint checks one insert performs, so the
-	// outage can be scheduled to start exactly after the write lands.
-	reg.Set(target, failpoint.Rule{})
-	if _, err := e.AddDocument(pub("", "Warmup", "warmup text", "")); err != nil {
-		t.Fatal(err)
-	}
-	insertChecks := reg.Checks(target)
-	if insertChecks == 0 {
-		t.Fatal("insert performed no failpoint checks; cannot schedule the outage")
-	}
-
-	reg.Set(target, failpoint.Rule{Down: true, SkipChecks: insertChecks})
+	// the shard goes dark the moment the write lands
 	id, err := e.AddDocument(pub("", "Zymurgy advances", "A zymurgy survey.", ""))
 	if err != nil {
 		t.Fatalf("AddDocument failed when the shard died after the write: %v", err)
@@ -58,7 +43,7 @@ func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
 		t.Fatalf("DocFreq(%q) = %d, want 1: stored document was never indexed", stem, df)
 	}
 
-	reg.ClearAll()
+	c.heal()
 	pg, err := e.SearchAllContext(context.Background(), "zymurgy", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +51,18 @@ func TestAddDocumentIndexesDespiteReadbackFailure(t *testing.T) {
 	if len(pg.Results) != 1 || pg.Results[0].DocID != id {
 		t.Fatalf("search after recovery = %+v, want exactly doc %s", pg.Results, id)
 	}
+}
+
+// darkAfterInsert darkens a document's shard as soon as its insert
+// lands.
+type darkAfterInsert struct{ *darkDocs }
+
+func (d *darkAfterInsert) Insert(doc jsondoc.Doc) (string, error) {
+	id, err := d.darkDocs.Insert(doc)
+	if err == nil {
+		d.darken(d.ShardOfID(id))
+	}
+	return id, err
 }
 
 // TestAddDocumentRejectsNonStringID pins the _id validation fix: a

@@ -3,28 +3,109 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
-	"time"
 
-	"covidkg/internal/breaker"
 	"covidkg/internal/docstore"
-	"covidkg/internal/failpoint"
+	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
 )
 
-// partialFixture builds an engine over a 4-shard store with a
-// failpoint registry, seeded so every shard holds several matching docs.
-func partialFixture(t *testing.T) (*Engine, *docstore.Collection, *failpoint.Registry, *metrics.Registry) {
+// darkDocs serves a collection some of whose shards are dark: a read
+// that needs a dark shard fails with a ShardError wrapping
+// ErrShardUnavailable, as the shardnet coordinator reports a shard
+// server it cannot reach, and GetMany lists the shard as missing.
+// Writes pass through.
+type darkDocs struct {
+	*docstore.Collection
+	mu   sync.Mutex
+	dark []int
+}
+
+func (d *darkDocs) darken(si int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !slices.Contains(d.dark, si) {
+		d.dark = append(d.dark, si)
+	}
+}
+
+func (d *darkDocs) heal() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.dark = nil
+}
+
+// check fails with shard si's ShardError while si is dark.
+func (d *darkDocs) check(si int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if slices.Contains(d.dark, si) {
+		return &docstore.ShardError{Shard: si, Err: docstore.ErrShardUnavailable}
+	}
+	return nil
+}
+
+func (d *darkDocs) Get(id string) (jsondoc.Doc, error) {
+	if err := d.check(d.ShardOfID(id)); err != nil {
+		return nil, err
+	}
+	return d.Collection.Get(id)
+}
+
+func (d *darkDocs) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, []int, error) {
+	docs, _, err := d.Collection.GetMany(ctx, ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	var missing []int
+	for i, id := range ids {
+		if si := d.ShardOfID(id); d.check(si) != nil {
+			docs[i] = nil
+			if !slices.Contains(missing, si) {
+				missing = append(missing, si)
+			}
+		}
+	}
+	slices.Sort(missing)
+	return docs, missing, nil
+}
+
+func (d *darkDocs) ShardIDsContext(ctx context.Context, si int) ([]string, error) {
+	if err := d.check(si); err != nil {
+		return nil, err
+	}
+	return d.Collection.ShardIDsContext(ctx, si)
+}
+
+func (d *darkDocs) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
+	if err := d.check(si); err != nil {
+		return nil, err
+	}
+	return d.Collection.SnapshotShardContext(ctx, si)
+}
+
+func (d *darkDocs) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
+	for si := 0; si < d.NumShards(); si++ {
+		if err := d.check(si); err != nil {
+			return err
+		}
+	}
+	return d.Collection.ScanContext(ctx, fn)
+}
+
+func (d *darkDocs) AllShardsServing() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.dark) == 0
+}
+
+// partialFixture builds an engine over a 4-shard collection that can
+// darken its shards, seeded so every shard holds several matching docs.
+func partialFixture(t *testing.T) (*Engine, *darkDocs, *metrics.Registry) {
 	t.Helper()
-	fp := failpoint.New(1)
-	fp.SetSleeper(func(time.Duration) {})
-	s := docstore.Open(
-		docstore.WithShards(4),
-		docstore.WithFailpoints(fp),
-		docstore.WithMetrics(metrics.NewRegistry()),
-		docstore.WithBreaker(breaker.Config{Threshold: 2, Cooldown: time.Millisecond}),
-	)
-	c := s.Collection("pubs")
+	c := &darkDocs{Collection: docstore.Open(docstore.WithShards(4)).Collection("pubs")}
 	for i := 0; i < 40; i++ {
 		d := pub(fmt.Sprintf("p%02d", i),
 			fmt.Sprintf("Covid study %d", i),
@@ -37,14 +118,14 @@ func partialFixture(t *testing.T) (*Engine, *docstore.Collection, *failpoint.Reg
 	e := NewEngine(c)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
-	return e, c, fp, reg
+	return e, c, reg
 }
 
-// darkenShard downs one shard and returns its index
+// darkenShard darkens p00's shard and returns its index
 // plus how many seeded docs live there.
-func darkenShard(c *docstore.Collection, fp *failpoint.Registry) (int, int) {
+func darkenShard(c *darkDocs) (int, int) {
 	si := c.ShardOfID("p00")
-	fp.Set(docstore.ShardTarget(si), failpoint.Rule{Down: true})
+	c.darken(si)
 	n := 0
 	for i := 0; i < 40; i++ {
 		if c.ShardOfID(fmt.Sprintf("p%02d", i)) == si {
@@ -55,8 +136,8 @@ func darkenShard(c *docstore.Collection, fp *failpoint.Registry) (int, int) {
 }
 
 func TestSearchPartialOnDarkShardCandidatePath(t *testing.T) {
-	e, c, fp, reg := partialFixture(t)
-	si, dark := darkenShard(c, fp)
+	e, c, reg := partialFixture(t)
+	si, dark := darkenShard(c)
 	if dark == 0 {
 		t.Fatal("no seeded doc landed on the darkened shard")
 	}
@@ -86,8 +167,8 @@ func TestSearchPartialOnDarkShardCandidatePath(t *testing.T) {
 }
 
 func TestSearchPartialOnDarkShardScanPath(t *testing.T) {
-	e, c, fp, _ := partialFixture(t)
-	si, dark := darkenShard(c, fp)
+	e, c, _ := partialFixture(t)
+	si, dark := darkenShard(c)
 
 	// a stopword-only phrase is unindexable → full-scan path; the seeded
 	// docs contain the literal substring "with the"
@@ -104,28 +185,15 @@ func TestSearchPartialOnDarkShardScanPath(t *testing.T) {
 }
 
 func TestPartialPageNeverCached(t *testing.T) {
-	e, c, fp, _ := partialFixture(t)
-	si, _ := darkenShard(c, fp)
+	e, c, _ := partialFixture(t)
+	darkenShard(c)
 
 	pg, err := e.SearchAllContext(context.Background(), "covid", 1)
 	if err != nil || !pg.Partial {
 		t.Fatalf("expected partial page, got partial=%v err=%v", pg.Partial, err)
 	}
 
-	// shard recovers: clear faults, let the breaker cooldown elapse, and
-	// re-close the shard's breaker with a probe read
-	fp.ClearAll()
-	time.Sleep(5 * time.Millisecond)
-	id := ""
-	for i := 0; i < 40; i++ {
-		if cand := fmt.Sprintf("p%02d", i); c.ShardOfID(cand) == si {
-			id = cand
-			break
-		}
-	}
-	for i := 0; i < 8; i++ {
-		c.Get(id)
-	}
+	c.heal() // the shard recovers
 
 	// the identical query must now return the full corpus — a cached
 	// partial page would keep serving the hole
@@ -139,7 +207,7 @@ func TestPartialPageNeverCached(t *testing.T) {
 }
 
 func TestHealthySearchNotPartial(t *testing.T) {
-	e, _, _, reg := partialFixture(t)
+	e, _, reg := partialFixture(t)
 	pg, err := e.SearchAllContext(context.Background(), "covid", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -319,7 +319,7 @@ func TestRepeatedQueryWordIsOneTerm(t *testing.T) {
 // TestCandidateReadReasons: every query that reads its candidates'
 // documents says why, once, and the reasons sum to the total.
 func TestCandidateReadReasons(t *testing.T) {
-	_, c, fp, _ := partialFixture(t)
+	_, c, _ := partialFixture(t)
 	h := &hookDocs{Docs: c, between: func() {
 		if err := c.Delete("p00"); err != nil { // a winner vanishes between ranking and fetch
 			t.Error(err)
@@ -356,7 +356,7 @@ func TestCandidateReadReasons(t *testing.T) {
 	check("phrase", `"standard covid assay"`)
 	check("", `"covid standard" assay`) // nowhere adjacent: nothing to read, nothing counted
 	check("scan", `"with the"`)
-	dark, _ := darkenShard(c, fp)
+	dark, _ := darkenShard(c)
 	for i := 0; c.AllShardsServing(); i++ {
 		if i == 100 {
 			t.Fatal("breakers never opened on the dark shard")

@@ -12,7 +12,6 @@ import (
 
 	"covidkg/internal/cord19"
 	"covidkg/internal/docstore"
-	"covidkg/internal/failpoint"
 	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
 	"covidkg/internal/textproc"
@@ -309,13 +308,13 @@ func (h *hookDocs) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, []
 func TestRankingDegradesLikeOracle(t *testing.T) {
 	cases := []struct {
 		name    string
-		before  func(t *testing.T, c *docstore.Collection, fp *failpoint.Registry) // ahead of the query
-		between func(t *testing.T, c *docstore.Collection, fp *failpoint.Registry) // ranking → winner fetch
-		darkens bool                                                               // p00's shard, else p00 is deleted
+		before  func(t *testing.T, c *darkDocs) // ahead of the query
+		between func(t *testing.T, c *darkDocs) // ranking → winner fetch
+		darkens bool                            // p00's shard, else p00 is deleted
 	}{
 		{name: "shard dark before the query", darkens: true,
-			before: func(t *testing.T, c *docstore.Collection, fp *failpoint.Registry) {
-				darkenShard(c, fp)
+			before: func(t *testing.T, c *darkDocs) {
+				darkenShard(c)
 				for i := 0; c.AllShardsServing(); i++ {
 					if i == 100 {
 						t.Fatal("breakers never opened on the dark shard")
@@ -324,9 +323,9 @@ func TestRankingDegradesLikeOracle(t *testing.T) {
 				}
 			}},
 		{name: "shard dark between ranking and winner fetch", darkens: true,
-			between: func(t *testing.T, c *docstore.Collection, fp *failpoint.Registry) { darkenShard(c, fp) }},
+			between: func(t *testing.T, c *darkDocs) { darkenShard(c) }},
 		{name: "winner deleted between ranking and fetch",
-			between: func(t *testing.T, c *docstore.Collection, fp *failpoint.Registry) {
+			between: func(t *testing.T, c *darkDocs) {
 				if err := c.Delete("p00"); err != nil {
 					t.Error(err)
 				}
@@ -334,14 +333,14 @@ func TestRankingDegradesLikeOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c, fp, _ := partialFixture(t)
+			_, c, _ := partialFixture(t)
 			h := &hookDocs{Docs: c, between: func() {}}
 			if tc.between != nil {
-				h.between = func() { tc.between(t, c, fp) }
+				h.between = func() { tc.between(t, c) }
 			}
 			e, reg := parityEngine(t, h)
 			if tc.before != nil {
-				tc.before(t, c, fp)
+				tc.before(t, c)
 			}
 			// every seeded doc scores the same, so p00 leads page 1
 			got, err := e.SearchAllContext(context.Background(), "covid", 1)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"covidkg/internal/breaker"
+	"covidkg/internal/metrics"
 )
 
 // scriptedServer accepts raw TCP connections and runs the i-th handler
@@ -124,9 +125,11 @@ func TestBreakerOpensOnConnectRefused(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	cl := newShardClient(0, "shard0", addr, clientOpts{
+	reg := metrics.NewRegistry()
+	cl := newShardClient("shard0", addr, clientOpts{
 		dialTimeout: 200 * time.Millisecond,
 		brk:         breaker.Config{Threshold: 3, Cooldown: time.Hour},
+		met:         reg,
 	})
 	for i := 0; i < 3; i++ {
 		_, err := cl.call(context.Background(), &request{Op: opPing})
@@ -136,6 +139,9 @@ func TestBreakerOpensOnConnectRefused(t *testing.T) {
 	}
 	if got := cl.brk.State(); got != breaker.Open {
 		t.Fatalf("breaker state after %d refused dials = %v, want Open", 3, got)
+	}
+	if got := reg.Counter("breaker_open").Value(); got != 1 {
+		t.Fatalf("breaker_open = %d after the breaker opened once, want 1", got)
 	}
 	// While open the shard is rejected without touching the network.
 	start := time.Now()
@@ -154,7 +160,7 @@ func TestBreakerOpensOnDialTimeout(t *testing.T) {
 
 	// A dial budget no TCP handshake can meet: every dial times out, and
 	// a timed-out dial is still definitively not-sent.
-	cl := newShardClient(0, "shard0", addr, clientOpts{
+	cl := newShardClient("shard0", addr, clientOpts{
 		dialTimeout: time.Nanosecond,
 		brk:         breaker.Config{Threshold: 2, Cooldown: time.Hour},
 	})
@@ -173,7 +179,7 @@ func TestBreakerOpensOnMidStreamEOFThenRecovers(t *testing.T) {
 	// First three connections die mid-stream; the server then heals.
 	addr := scriptedServer(t, midStreamEOF, midStreamEOF, midStreamEOF, healthyReply)
 
-	cl := newShardClient(0, "shard0", addr, clientOpts{
+	cl := newShardClient("shard0", addr, clientOpts{
 		brk: breaker.Config{Threshold: 3, Cooldown: 30 * time.Millisecond},
 	})
 	for i := 0; i < 3; i++ {
@@ -201,7 +207,7 @@ func TestBreakerOpensOnMidStreamEOFThenRecovers(t *testing.T) {
 
 func TestSlowButAliveTimesOutAsIndeterminate(t *testing.T) {
 	addr := scriptedServer(t, neverReply)
-	cl := newShardClient(0, "shard0", addr, clientOpts{
+	cl := newShardClient("shard0", addr, clientOpts{
 		callTimeout: 80 * time.Millisecond,
 		brk:         breaker.Config{Threshold: 1, Cooldown: time.Hour},
 	})
@@ -224,7 +230,7 @@ func TestSlowButAliveTimesOutAsIndeterminate(t *testing.T) {
 func TestHedgedReadBeatsSlowRequest(t *testing.T) {
 	// The first request is answered after 400ms; the hedge instantly.
 	addr := scriptedServer(t, slowFirstReply(400*time.Millisecond))
-	cl := newShardClient(0, "shard0", addr, clientOpts{
+	cl := newShardClient("shard0", addr, clientOpts{
 		hedgeDelay: 20 * time.Millisecond,
 	})
 	t.Cleanup(cl.close)
@@ -250,7 +256,7 @@ func TestHedgedReadBeatsSlowRequest(t *testing.T) {
 // twice the observed p95 (clamped at 1ms).
 func TestAdaptiveHedgeBudgetTracksP95(t *testing.T) {
 	_, addr := startServer(t, "shard0", "")
-	cl := newShardClient(0, "shard0", addr, clientOpts{})
+	cl := newShardClient("shard0", addr, clientOpts{})
 
 	if d := cl.currentHedgeDelay(); d != 25*time.Millisecond {
 		t.Fatalf("cold hedge budget = %v, want 25ms default", d)

@@ -61,12 +61,11 @@ func (o *clientOpts) fillDefaults() {
 // round-robin, and a call that finds none live dials the slot under the
 // cursor.
 type shardClient struct {
-	shard int
-	name  string
-	addr  string
-	opts  clientOpts
-	brk   *breaker.Breaker
-	met   *metrics.Registry
+	name string
+	addr string
+	opts clientOpts
+	brk  *breaker.Breaker
+	met  *metrics.Registry
 
 	mu     sync.Mutex
 	slots  []muxSlot
@@ -91,10 +90,22 @@ type slotDial struct {
 	err  error
 }
 
-func newShardClient(shard int, name, addr string, opts clientOpts) *shardClient {
+func newShardClient(name, addr string, opts clientOpts) *shardClient {
 	opts.fillDefaults()
-	c := &shardClient{shard: shard, name: name, addr: addr, opts: opts, met: opts.met}
-	c.brk = breaker.New(opts.brk)
+	c := &shardClient{name: name, addr: addr, opts: opts, met: opts.met}
+	// every trip of the breaker counts breaker_open, beside the
+	// caller's own hook
+	brk := opts.brk
+	prev := brk.OnStateChange
+	brk.OnStateChange = func(from, to breaker.State) {
+		if to == breaker.Open {
+			c.met.Counter("breaker_open").Inc()
+		}
+		if prev != nil {
+			prev(from, to)
+		}
+	}
+	c.brk = breaker.New(brk)
 	c.slots = make([]muxSlot, opts.muxConns)
 	return c
 }
@@ -199,7 +210,7 @@ func (c *shardClient) call(ctx context.Context, req *request) (*response, error)
 	}
 	c.brk.Success()
 	c.met.Histogram("shardnet.call").Observe(time.Since(start))
-	if werr := decodeWireErr(c.shard, resp.ErrCode, resp.ErrMsg); werr != nil {
+	if werr := decodeWireErr(resp.ErrCode, resp.ErrMsg); werr != nil {
 		return nil, werr
 	}
 	return resp, nil

@@ -112,7 +112,7 @@ func Dial(cfg Config, addrs []string) (*Coordinator, error) {
 	}
 	co.clients = make([]*shardClient, len(addrs))
 	for i, sa := range co.smap.Shards {
-		co.clients[i] = newShardClient(i, sa.Name, sa.Addr, clientOpts{
+		co.clients[i] = newShardClient(sa.Name, sa.Addr, clientOpts{
 			dialTimeout: cfg.DialTimeout,
 			callTimeout: cfg.CallTimeout,
 			hedgeDelay:  cfg.HedgeDelay,
@@ -172,9 +172,7 @@ func (co *Coordinator) writeCall(ctx context.Context, si int, req *request) (*re
 	sawIndeterminate := false
 	var resp *response
 	retryCfg := co.cfg.WriteRetry
-	retryCfg.Retryable = func(err error) bool {
-		return transportFailure(err) || errors.Is(err, docstore.ErrNoQuorum)
-	}
+	retryCfg.Retryable = transportFailure
 	cl := co.clients[si]
 	err := retry.Do(ctx, retryCfg, func() error {
 		r, err := cl.call(ctx, req)

@@ -37,7 +37,7 @@ func (c *shardClient) hasLiveMux() bool {
 // race.
 func TestMuxPipelinesConcurrentCalls(t *testing.T) {
 	srv, addr := startServer(t, "shard0", "")
-	c := newShardClient(0, "shard0", addr, clientOpts{dialTimeout: time.Second, callTimeout: 5 * time.Second})
+	c := newShardClient("shard0", addr, clientOpts{dialTimeout: time.Second, callTimeout: 5 * time.Second})
 	t.Cleanup(c.close)
 	ctx := context.Background()
 
@@ -102,7 +102,7 @@ func TestMuxIndeterminateOnSilentServer(t *testing.T) {
 		io.Copy(io.Discard, br) // never answer another frame
 	})
 
-	c := newShardClient(0, "shard0", addr, clientOpts{muxConns: 1})
+	c := newShardClient("shard0", addr, clientOpts{muxConns: 1})
 	t.Cleanup(c.close)
 	if _, err := c.call(context.Background(), &request{Op: opPing}); err != nil {
 		t.Fatalf("first call: %v", err)
@@ -233,7 +233,7 @@ func TestClientClassifiesGarbageReply(t *testing.T) {
 				conn.Write(reply)
 				io.Copy(io.Discard, br) // stay connected: the client must not wait for us
 			})
-			cl := newShardClient(0, "shard0", addr, clientOpts{
+			cl := newShardClient("shard0", addr, clientOpts{
 				callTimeout: 150 * time.Millisecond,
 				brk:         breaker.Config{Threshold: 1, Cooldown: time.Hour},
 			})

@@ -93,7 +93,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		idem:  make(map[string]idemOutcome),
 		conns: make(map[net.Conn]struct{}),
 	}
-	s.coll = docstore.Open(docstore.WithShards(1), docstore.WithMetrics(met)).Collection(cfg.Collection)
+	s.coll = docstore.Open(docstore.WithShards(1)).Collection(cfg.Collection)
 	if cfg.WALPath != "" {
 		replayed := 0
 		w, err := openWAL(cfg.WALPath, func(rec walRecord) {

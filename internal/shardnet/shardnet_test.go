@@ -331,7 +331,7 @@ func TestWALReplayAfterCrash(t *testing.T) {
 
 func TestIdempotentInsertAcrossRetry(t *testing.T) {
 	srv, addr := startServer(t, "shard0", "")
-	cl := newShardClient(0, "shard0", addr, clientOpts{})
+	cl := newShardClient("shard0", addr, clientOpts{})
 
 	doc := pubDoc("idem-doc", 1)
 	req := &request{Op: opInsert, Shard: 0, IdemKey: "retry-key-1", Doc: doc}

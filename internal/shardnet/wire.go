@@ -14,9 +14,9 @@
 //     whose client is already gone;
 //   - writes retry with idempotency keys (internal/retry), so a retry
 //     racing a crash can never double-apply;
-//   - a dark shard degrades into the existing Partial/MissingShards
-//     path: wire errors are reconstructed into the same *ShardError /
-//     ErrShardUnavailable chain the in-process store produces.
+//   - a dark shard degrades into the Partial/MissingShards path: the
+//     coordinator folds an exhausted transport failure into a
+//     *docstore.ShardError wrapping ErrShardUnavailable.
 //
 // Placement is consistent-hash over logical shard names, and the shard
 // map is fixed when the coordinator dials: a shard keeps its name and
@@ -94,16 +94,14 @@ type response struct {
 }
 
 // Wire error codes. Each maps to exactly one sentinel so the client can
-// rebuild the error chain the in-process store would have produced.
+// rebuild the error chain the shard's store produced.
 const (
-	codeNotFound    = "not_found"
-	codeDuplicate   = "duplicate"
-	codeNoQuorum    = "no_quorum"
-	codeUnavailable = "shard_unavailable"
-	codeDeadline    = "deadline_exceeded"
-	codeCancelled   = "cancelled"
-	codeBadRequest  = "bad_request"
-	codeInternal    = "internal"
+	codeNotFound   = "not_found"
+	codeDuplicate  = "duplicate"
+	codeDeadline   = "deadline_exceeded"
+	codeCancelled  = "cancelled"
+	codeBadRequest = "bad_request"
+	codeInternal   = "internal"
 )
 
 // errBadRequest marks malformed requests (unknown op, missing id); a
@@ -112,8 +110,8 @@ var errBadRequest = errors.New("shardnet: bad request")
 
 // encodeWireErr classifies a server-side error into its wire code.
 // Classification is by errors.Is over the docstore sentinels, so
-// however many layers the store wrapped (ShardError, quorum detail),
-// the client can rebuild an equivalent chain.
+// however many layers the store wrapped, the client can rebuild an
+// equivalent chain.
 func encodeWireErr(err error) (code, msg string) {
 	switch {
 	case err == nil:
@@ -122,10 +120,6 @@ func encodeWireErr(err error) (code, msg string) {
 		code = codeNotFound
 	case errors.Is(err, docstore.ErrDuplicateID):
 		code = codeDuplicate
-	case errors.Is(err, docstore.ErrNoQuorum):
-		code = codeNoQuorum
-	case errors.Is(err, docstore.ErrShardUnavailable):
-		code = codeUnavailable
 	case errors.Is(err, errDeadline):
 		code = codeDeadline
 	case errors.Is(err, errCancelled):
@@ -144,35 +138,22 @@ var (
 )
 
 // decodeWireErr rebuilds a server-reported failure into the error chain
-// upper layers already know how to handle: shard-level failures become
-// a *docstore.ShardError carrying the coordinator's logical shard index
-// and wrapping the matching sentinel, so errors.Is /
-// docstore.ShardOfError / docstore.UnavailableShard all keep working
-// across the transport boundary — a remote dark shard maps onto
-// Page.MissingShards exactly like a local one.
-func decodeWireErr(shard int, code, msg string) error {
-	if code == "" {
-		return nil
-	}
+// upper layers already know how to handle: errors.Is matches the same
+// docstore sentinel the shard's store returned. A code this client does
+// not know decodes to a plain error naming it.
+func decodeWireErr(code, msg string) error {
 	var sentinel error
 	switch code {
+	case "":
+		return nil
 	case codeNotFound:
 		sentinel = docstore.ErrNotFound
 	case codeDuplicate:
 		sentinel = docstore.ErrDuplicateID
-	case codeNoQuorum:
-		sentinel = docstore.ErrNoQuorum
-	case codeUnavailable:
-		sentinel = docstore.ErrShardUnavailable
 	case codeBadRequest:
 		sentinel = errBadRequest
 	default:
 		return fmt.Errorf("shardnet: remote %s: %s", code, msg)
 	}
-	err := fmt.Errorf("%w: remote: %s", sentinel, msg)
-	switch code {
-	case codeNoQuorum, codeUnavailable:
-		return &docstore.ShardError{Shard: shard, Err: err}
-	}
-	return err
+	return fmt.Errorf("%w: remote: %s", sentinel, msg)
 }
