@@ -101,7 +101,7 @@ func cmdBias(args []string) {
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, false)
-	rep, err := sys.AuditBias()
+	rep, err := sys.AuditBias(context.Background())
 	if err != nil {
 		log.Fatalf("bias: %v", err)
 	}
@@ -243,7 +243,7 @@ func cmdTopics(args []string) {
 	k := fs.Int("k", len(cord19.TopicNames()), "number of clusters")
 	fs.Parse(args)
 	sys := loadSystem(*data, true)
-	res, ids, truths, err := sys.TopicClusters(*k)
+	res, ids, truths, err := sys.TopicClusters(context.Background(), *k)
 	if err != nil {
 		log.Fatalf("topics: %v", err)
 	}

@@ -192,8 +192,8 @@ func (s *System) RejectReview(reviewID int) error { return s.inner.Fuser.Reject(
 
 // TopicClusters groups stored publications into k topics; returns the
 // clustering with aligned publication ids and ground-truth topic names.
-func (s *System) TopicClusters(k int) (*ClusterResult, []string, []string, error) {
-	return s.inner.TopicClusters(k)
+func (s *System) TopicClusters(ctx context.Context, k int) (*ClusterResult, []string, []string, error) {
+	return s.inner.TopicClusters(ctx, k)
 }
 
 // MetaProfile fuses observations from every profile-shaped stored table
@@ -211,7 +211,7 @@ type BiasReport = bias.Report
 
 // AuditBias interrogates the stored corpus for topical imbalance,
 // source concentration, temporal skew, and vocabulary dominance.
-func (s *System) AuditBias() (*BiasReport, error) { return s.inner.AuditBias() }
+func (s *System) AuditBias(ctx context.Context) (*BiasReport, error) { return s.inner.AuditBias(ctx) }
 
 // ExportedModel is a released model artifact.
 type ExportedModel = core.ExportedModel

@@ -136,7 +136,7 @@ func TestGenerateCorpusDeterministic(t *testing.T) {
 
 func TestTopicClustersPublic(t *testing.T) {
 	sys := buildSystem(t)
-	res, ids, truths, err := sys.TopicClusters(5)
+	res, ids, truths, err := sys.TopicClusters(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 
 	// Interrogate the accumulated corpus for bias (the title claim).
 	fmt.Println()
-	rep, err := sys.AuditBias()
+	rep, err := sys.AuditBias(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -577,7 +577,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBias(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.sys.AuditBias()
+	rep, err := s.sys.AuditBias(r.Context())
 	if err != nil {
 		writeErr(w, r, failStatus(err, http.StatusInternalServerError), err)
 		return

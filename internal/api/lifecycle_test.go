@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,8 @@ import (
 
 	"covidkg/internal/cord19"
 	"covidkg/internal/core"
+	"covidkg/internal/docstore"
+	"covidkg/internal/jsondoc"
 	"covidkg/internal/metrics"
 )
 
@@ -230,6 +233,68 @@ func TestCancelledClientEnvelope(t *testing.T) {
 	}
 	if st := s.sys.Search.CacheStats(); st.Entries != 0 {
 		t.Fatalf("cancelled query cached %d entries", st.Entries)
+	}
+}
+
+// scanHookDocs runs hook with each GetMany's context once its batch is
+// read, and counts the calls; its scan is the shared id-ordered scan
+// over itself, so every batch a full scan reads goes through GetMany.
+type scanHookDocs struct {
+	docstore.Docs
+	hook  func(ctx context.Context)
+	calls int
+}
+
+func (h *scanHookDocs) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, []int, error) {
+	h.calls++
+	docs, missing, err := h.Docs.GetMany(ctx, ids)
+	h.hook(ctx)
+	return docs, missing, err
+}
+
+func (h *scanHookDocs) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
+	return docstore.Scan(ctx, h, fn)
+}
+
+// TestBiasStopsWithItsRequest: /bias audits under its request's
+// context, so a client that hangs up mid-scan is answered 499, a route
+// deadline that passes mid-scan 504, and either way the scan issues no
+// GetMany after the batch in flight.
+func TestBiasStopsWithItsRequest(t *testing.T) {
+	sys := core.NewSystem(core.DefaultConfig())
+	for i := 0; i < 3*docstore.ScanBatchSize; i++ {
+		if _, err := sys.Pubs.Insert(jsondoc.Doc{"_id": fmt.Sprintf("p%04d", i), "title": "covid vaccine trial"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		hook    func(ctx context.Context, cancel context.CancelFunc)
+		status  int
+		code    string
+	}{
+		{"client gone", time.Minute, func(_ context.Context, cancel context.CancelFunc) { cancel() },
+			StatusClientClosedRequest, "cancelled"},
+		{"deadline passed", 50 * time.Millisecond, func(ctx context.Context, _ context.CancelFunc) { <-ctx.Done() },
+			http.StatusGatewayTimeout, "deadline_exceeded"},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		pubs := &scanHookDocs{Docs: sys.Pubs}
+		pubs.hook = func(ctx context.Context) { tc.hook(ctx, cancel) }
+		sys.Pubs = pubs
+		s := NewServerWith(sys, Config{AggregateTimeout: tc.timeout, Metrics: metrics.NewRegistry()})
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/bias", nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		cancel()
+		sys.Pubs = pubs.Docs
+		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), `"code":"`+tc.code+`"`) {
+			t.Fatalf("%s: /bias = %d %s, want %d %s", tc.name, rec.Code, rec.Body.String(), tc.status, tc.code)
+		}
+		if pubs.calls != 1 {
+			t.Fatalf("%s: the audit's scan called GetMany %d times, want only the batch in flight", tc.name, pubs.calls)
+		}
 	}
 }
 

@@ -522,7 +522,7 @@ func (s *System) BuildKG() (BuildStats, error) {
 	var kept []pendingPub
 	for _, p := range s.pending {
 		if !scanned[p.id] {
-			kept = append(kept, p) // stored after the scan passed its shard
+			kept = append(kept, p) // stored after the id listing
 		}
 	}
 	s.pending = kept
@@ -689,13 +689,13 @@ func isTextValue(v string) bool {
 // TopicClusters clusters stored publications into k topics over their
 // text embeddings. Returns the clustering, aligned publication ids, and
 // aligned ground-truth topics (empty string when absent).
-func (s *System) TopicClusters(k int) (*cluster.Result, []string, []string, error) {
+func (s *System) TopicClusters(ctx context.Context, k int) (*cluster.Result, []string, []string, error) {
 	if s.TextW2V == nil {
 		return nil, nil, nil, fmt.Errorf("core: text embeddings not trained")
 	}
 	var points [][]float64
 	var ids, truths []string
-	if err := s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+	if err := s.Pubs.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		vec := s.TextW2V.EmbedText(d.GetString("title") + " " + d.GetString("abstract"))
 		if vec == nil {
 			return true
@@ -855,10 +855,11 @@ func (s *System) Restore(dir string) (*durable.Report, error) {
 // "interrogated for bias"): topical balance, source concentration,
 // temporal skew, and vocabulary dominance of the publications backing
 // the knowledge graph. A dark shard fails the audit rather than
-// auditing part of the corpus.
-func (s *System) AuditBias() (*bias.Report, error) {
+// auditing part of the corpus, and a dead ctx stops it within one scan
+// batch.
+func (s *System) AuditBias(ctx context.Context) (*bias.Report, error) {
 	var docs []jsondoc.Doc
-	if err := s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+	if err := s.Pubs.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		docs = append(docs, d)
 		return true
 	}); err != nil {

@@ -241,7 +241,7 @@ func TestTopicClusters(t *testing.T) {
 	if _, err := s.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	res, ids, truths, err := s.TopicClusters(len(cord19.TopicNames()))
+	res, ids, truths, err := s.TopicClusters(context.Background(), len(cord19.TopicNames()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestTopicClusters(t *testing.T) {
 
 func TestTopicClustersRequiresTraining(t *testing.T) {
 	s := NewSystem(DefaultConfig())
-	if _, _, _, err := s.TopicClusters(3); err == nil {
+	if _, _, _, err := s.TopicClusters(context.Background(), 3); err == nil {
 		t.Fatal("expected error before training")
 	}
 }

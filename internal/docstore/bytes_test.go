@@ -86,9 +86,8 @@ func mutateDeep(v any) {
 }
 
 // TestReturnedDocsIsolated: whatever a reader does to the maps and
-// arrays of a document it got back — from Get, GetMany, a snapshot, a
-// scan or an aborted Update — the stored bytes and every later read are
-// unchanged.
+// arrays of a document it got back — from Get, GetMany, a scan or an
+// aborted Update — the stored bytes and every later read are unchanged.
 func TestReturnedDocsIsolated(t *testing.T) {
 	c := Open(WithShards(2)).Collection("pubs")
 	var ids []string
@@ -116,13 +115,6 @@ func TestReturnedDocsIsolated(t *testing.T) {
 		},
 		"GetMany": func() []jsondoc.Doc {
 			docs, _, err := c.GetMany(ctx, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return docs
-		},
-		"SnapshotShardContext": func() []jsondoc.Doc {
-			docs, err := c.SnapshotShardContext(ctx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +160,7 @@ func TestReturnedDocsIsolated(t *testing.T) {
 }
 
 // TestNonFiniteWritesRejected: a NaN or ±Inf anywhere in a document
-// fails Insert, Replace and Update with jsondoc.ErrInvalid and changes
+// fails Insert and Update with jsondoc.ErrInvalid and changes
 // nothing, so every stored document stays checkpointable.
 func TestNonFiniteWritesRejected(t *testing.T) {
 	s := Open(WithShards(2))
@@ -186,8 +178,8 @@ func TestNonFiniteWritesRejected(t *testing.T) {
 		if _, err := c.Insert(doc); !errors.Is(err, jsondoc.ErrInvalid) {
 			t.Fatalf("Insert of a nested %v = %v, want ErrInvalid", bad, err)
 		}
-		if err := c.Replace(id, doc); !errors.Is(err, jsondoc.ErrInvalid) {
-			t.Fatalf("Replace with %v = %v, want ErrInvalid", bad, err)
+		if err := c.Update(id, func(d jsondoc.Doc) error { return d.Set("nested", doc["nested"]) }); !errors.Is(err, jsondoc.ErrInvalid) {
+			t.Fatalf("Update to a nested %v = %v, want ErrInvalid", bad, err)
 		}
 		if err := c.Update(id, func(d jsondoc.Doc) error { return d.Set("n", bad) }); !errors.Is(err, jsondoc.ErrInvalid) {
 			t.Fatalf("Update to %v = %v, want ErrInvalid", bad, err)

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"context"
+	"slices"
 
 	"covidkg/internal/jsondoc"
 )
@@ -21,7 +22,8 @@ import (
 //     readers can map the failure to a missing partition with
 //     ShardOfError and keep serving partial results.
 //   - ScanContext fails loudly on a dark shard — full scans must not
-//     silently drop a partition.
+//     silently drop a partition. Every implementation scans through
+//     Scan, so one corpus is scanned in one order on every topology.
 type Docs interface {
 	// Name returns the collection name.
 	Name() string
@@ -48,9 +50,9 @@ type Docs interface {
 	Count() int
 	// IDs returns every document id, sorted.
 	IDs() []string
-	// ScanContext streams a snapshot of every document in deterministic
-	// order; fn returning false stops the scan. It fails loudly on a
-	// dark shard or a dead context.
+	// ScanContext streams every document in id order, holding one
+	// batch of decoded documents at a time; fn returning false stops
+	// the scan. It fails loudly on a dark shard or a dead context.
 	ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error
 
 	// NumShards returns the shard count documents are partitioned over.
@@ -60,9 +62,6 @@ type Docs interface {
 	// ShardIDsContext lists one shard's document ids (sorted) without
 	// materializing documents.
 	ShardIDsContext(ctx context.Context, si int) ([]string, error)
-	// SnapshotShardContext returns a deep-copied snapshot of one shard,
-	// ids sorted.
-	SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error)
 	// AllShardsServing reports whether every shard can currently serve
 	// reads — the cheap gate search checks before ranking a query from
 	// the index alone.
@@ -71,3 +70,61 @@ type Docs interface {
 
 // The in-process collection is the reference implementation.
 var _ Docs = (*Collection)(nil)
+
+// ScanBatchSize is how many ids Scan reads through one GetMany.
+const ScanBatchSize = 256
+
+// ScanCheckInterval is how many documents Scan hands to its callback
+// between context checks; it bounds how long a cancelled scan keeps
+// calling back.
+const ScanCheckInterval = 64
+
+// Scan streams every document of d to fn in id order; fn returning
+// false stops the scan. It lists each shard's ids with ShardIDsContext,
+// merges them into id order and reads them ScanBatchSize at a time
+// through GetMany, so the order depends on the ids alone, never on
+// their placement, and one batch of decoded documents is held at a
+// time. A document deleted after the listing is skipped. A shard that
+// cannot list its ids, or that a batch reports missing, fails the scan
+// with its *ShardError. ctx is checked before every batch and every
+// ScanCheckInterval documents, so a client that hung up stops costing
+// CPU within one interval.
+func Scan(ctx context.Context, d Docs, fn func(jsondoc.Doc) bool) error {
+	var ids []string
+	for si := range d.NumShards() {
+		shardIDs, err := d.ShardIDsContext(ctx, si)
+		if err != nil {
+			return err
+		}
+		ids = append(ids, shardIDs...)
+	}
+	slices.Sort(ids)
+	n := 0
+	for len(ids) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		batch := ids[:min(ScanBatchSize, len(ids))]
+		ids = ids[len(batch):]
+		docs, missing, err := d.GetMany(ctx, batch)
+		if err != nil {
+			return err
+		}
+		if len(missing) > 0 {
+			return &ShardError{Shard: missing[0], Err: ErrShardUnavailable}
+		}
+		for _, doc := range docs {
+			if doc == nil {
+				continue // deleted after the listing
+			}
+			n++
+			if n%ScanCheckInterval == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+			if !fn(doc) {
+				return nil
+			}
+		}
+	}
+	return nil
+}

@@ -15,8 +15,9 @@ import (
 // SaveTxn writes every collection as one JSON-lines file per collection
 // (<name>.jsonl) into an open snapshot transaction — the store's half
 // of core.System.Checkpoint, which commits it together with the graph
-// and models under one manifest. The on-disk order is the deterministic
-// scan order, so saves of equal stores are byte-identical.
+// and models under one manifest. The on-disk order is the scan's id
+// order, so saves of equal stores are byte-identical, whatever their
+// shard counts.
 func (s *Store) SaveTxn(tx *durable.Txn) error {
 	for _, name := range s.CollectionNames() {
 		c := s.Collection(name)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"covidkg/internal/jsondoc"
 )
 
 // ErrShardUnavailable reports an operation whose shard is dark: the
@@ -90,45 +88,9 @@ func (sh *shard) sortedIDs() []string {
 	return ids
 }
 
-// SnapshotShardContext returns a consistent snapshot of one shard, ids
-// sorted, each document freshly decoded.
-func (c *Collection) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
-	encs, err := c.SnapshotShardBinary(ctx, si)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]jsondoc.Doc, len(encs))
-	for i, enc := range encs {
-		if i%ScanCheckInterval == ScanCheckInterval-1 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if docs[i], err = jsondoc.FromBinaryAliased(enc); err != nil {
-			return nil, err
-		}
-	}
-	return docs, nil
-}
-
-// SnapshotShardBinary is SnapshotShardContext returning the stored
-// encodings themselves, which the caller must not write.
-func (c *Collection) SnapshotShardBinary(ctx context.Context, si int) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sh := c.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ids := sh.sortedIDs()
-	encs := make([][]byte, len(ids))
-	for i, id := range ids {
-		encs[i] = sh.docs[id]
-	}
-	return encs, nil
-}
-
 // ShardIDsContext returns one shard's document ids (sorted), cloning
-// nothing — callers that only need ids (the search engine's id scan,
-// candidate feeds) use it instead of materializing the shard.
+// nothing — Scan lists a collection with it, as do callers that only
+// need ids (the search engine's id scan, candidate feeds).
 func (c *Collection) ShardIDsContext(ctx context.Context, si int) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

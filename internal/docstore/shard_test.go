@@ -97,27 +97,3 @@ func TestConcurrentUpdateScan(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestShardIDsContextMatchesSnapshot(t *testing.T) {
-	s := Open(WithShards(4))
-	c := s.Collection("pubs")
-	seedDocs(t, c, 60)
-	for si := 0; si < c.NumShards(); si++ {
-		ids, err := c.ShardIDsContext(context.Background(), si)
-		if err != nil {
-			t.Fatalf("shard %d: %v", si, err)
-		}
-		docs, err := c.SnapshotShardContext(context.Background(), si)
-		if err != nil {
-			t.Fatalf("shard %d snapshot: %v", si, err)
-		}
-		if len(ids) != len(docs) {
-			t.Fatalf("shard %d: %d ids vs %d docs", si, len(ids), len(docs))
-		}
-		for i, d := range docs {
-			if got := d.GetString("_id"); got != ids[i] {
-				t.Fatalf("shard %d pos %d: id %q vs doc %q (order or content mismatch)", si, i, ids[i], got)
-			}
-		}
-	}
-}

@@ -2,10 +2,11 @@
 // concurrency-safe JSON document store standing in for the paper's
 // sharded MongoDB cluster (§2, "Storage"). It offers named collections,
 // hash sharding on the document id with one copy per shard, CRUD,
-// snapshot scans feeding the aggregation pipeline, and JSON-lines
-// persistence. An in-process shard cannot fail on its own; a shard
-// that can go dark is a covidkg-shard server behind the shardnet
-// coordinator, which reports it with the ShardError types below.
+// id-ordered scans (one batch of documents held at a time) feeding the
+// aggregation pipeline, and JSON-lines persistence. An in-process shard
+// cannot fail on its own; a shard that can go dark is a covidkg-shard
+// server behind the shardnet coordinator, which reports it with the
+// ShardError types below.
 package docstore
 
 import (
@@ -236,27 +237,6 @@ func (c *Collection) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc, 
 	return docs, nil, nil
 }
 
-// Replace swaps the document with the given id for a new body (the _id
-// is preserved).
-func (c *Collection) Replace(id string, d jsondoc.Doc) error {
-	doc := jsondoc.NormalizeDoc(d)
-	doc[IDField] = id
-	enc, err := jsondoc.Encode(doc)
-	if err != nil {
-		return fmt.Errorf("docstore: replace %s: %w", id, err)
-	}
-	sh := c.lockForWrite(id)
-	old, ok := sh.docs[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	sh.bytes += len(enc) - len(old)
-	sh.docs[id] = enc
-	sh.mu.Unlock()
-	return nil
-}
-
 // Update applies fn to a copy of the document and stores the result.
 // fn returning an error aborts the update.
 func (c *Collection) Update(id string, fn func(jsondoc.Doc) error) error {
@@ -305,37 +285,10 @@ func (c *Collection) Count() int {
 	return n
 }
 
-// ScanCheckInterval is how many documents ScanContext processes between
-// context checks; it bounds how long a cancelled scan keeps cloning.
-const ScanCheckInterval = 64
-
-// ScanContext streams a snapshot of every document to fn; fn returning
-// false stops the scan. Documents are deep copies; mutation is safe.
-// Shards are visited in order, ids within a shard in sorted order, so
-// scans are deterministic. Shard snapshots and the callback loop both
-// check ctx every ScanCheckInterval documents, so a client that hung up
-// stops costing CPU within one interval.
+// ScanContext streams every document to fn in id order through Scan;
+// fn returning false stops the scan.
 func (c *Collection) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
-	n := 0
-	for si := range c.shards {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		docs, err := c.SnapshotShardContext(ctx, si)
-		if err != nil {
-			return err
-		}
-		for _, d := range docs {
-			n++
-			if n%ScanCheckInterval == 0 && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if !fn(d) {
-				return nil
-			}
-		}
-	}
-	return nil
+	return Scan(ctx, c, fn)
 }
 
 // IDs returns every document id, sorted.

@@ -80,25 +80,6 @@ func TestInsertDetachesCaller(t *testing.T) {
 	}
 }
 
-func TestReplace(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	id, _ := c.Insert(jsondoc.Doc{"a": 1})
-	if err := c.Replace(id, jsondoc.Doc{"b": 2}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.Get(id)
-	if got.Has("a") || !got.Has("b") {
-		t.Fatalf("replace result: %v", got)
-	}
-	if got[IDField] != id {
-		t.Fatal("_id not preserved")
-	}
-	if err := c.Replace("missing", jsondoc.Doc{}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Replace missing: %v", err)
-	}
-}
-
 func TestUpdate(t *testing.T) {
 	s := Open()
 	c := s.Collection("pubs")
@@ -214,12 +195,12 @@ func TestBytesAccounting(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("no bytes after insert")
 	}
-	if err := c.Replace(id, jsondoc.Doc{"payload": "01234567890123456789"}); err != nil {
+	if err := c.Update(id, func(d jsondoc.Doc) error { return d.Set("payload", "01234567890123456789") }); err != nil {
 		t.Fatal(err)
 	}
 	mid := s.Stats().Bytes
 	if mid <= before {
-		t.Fatalf("bytes did not grow on replace: %d -> %d", before, mid)
+		t.Fatalf("bytes did not grow on update: %d -> %d", before, mid)
 	}
 	if err := c.Delete(id); err != nil {
 		t.Fatal(err)

@@ -40,16 +40,17 @@ func E9(quick bool) *Report {
 		panic(err)
 	}
 
+	ctx := context.Background()
 	truthK := len(cord19.TopicNames())
 	var purityAtTruth float64
 	for _, k := range ks {
-		res, _, truths, err := sys.TopicClusters(k)
+		res, _, truths, err := sys.TopicClusters(ctx, k)
 		if err != nil {
 			panic(err)
 		}
 		// silhouette needs the points; recompute embeddings (cheap)
 		var points [][]float64
-		sysPoints(sys, &points)
+		sysPoints(ctx, sys, &points)
 		p := cluster.Purity(res.Assign, truths)
 		sil := cluster.Silhouette(points, res.Assign)
 		if k == truthK {
@@ -70,9 +71,9 @@ func E9(quick bool) *Report {
 
 // sysPoints collects document embeddings in store scan order — the same
 // order TopicClusters uses, so cluster assignments align.
-func sysPoints(sys *core.System, out *[][]float64) {
+func sysPoints(ctx context.Context, sys *core.System, out *[][]float64) {
 	*out = (*out)[:0]
-	if err := sys.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+	if err := sys.Pubs.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		if v := sys.TextW2V.EmbedText(d.GetString("title") + " " + d.GetString("abstract")); v != nil {
 			*out = append(*out, v)
 		}

@@ -79,20 +79,8 @@ func (d *darkDocs) ShardIDsContext(ctx context.Context, si int) ([]string, error
 	return d.Collection.ShardIDsContext(ctx, si)
 }
 
-func (d *darkDocs) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
-	if err := d.check(si); err != nil {
-		return nil, err
-	}
-	return d.Collection.SnapshotShardContext(ctx, si)
-}
-
 func (d *darkDocs) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
-	for si := 0; si < d.NumShards(); si++ {
-		if err := d.check(si); err != nil {
-			return err
-		}
-	}
-	return d.Collection.ScanContext(ctx, fn)
+	return docstore.Scan(ctx, d, fn)
 }
 
 func (d *darkDocs) AllShardsServing() bool {

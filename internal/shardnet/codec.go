@@ -64,7 +64,7 @@ func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
 func putBuf(b *[]byte) {
 	if b == nil || cap(*b) > 1<<20 {
-		return // let one-off giants (snapshots) go to GC instead of pinning the pool
+		return // let one-off giants (a big id listing or batch) go to GC instead of pinning the pool
 	}
 	*b = (*b)[:0]
 	bufPool.Put(b)

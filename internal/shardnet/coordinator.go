@@ -362,44 +362,11 @@ func (co *Coordinator) IDs() []string {
 	return all
 }
 
-// ScanContext streams a snapshot of every shard in deterministic
-// (shard, id) order, failing loudly (dark-shard error) rather than
-// silently dropping a partition. While one shard's snapshot is being
-// consumed, the next shard's is already being fetched, so the scan's
-// wall clock overlaps network and iteration instead of summing them.
+// ScanContext streams every document in id order through
+// docstore.Scan, failing loudly (dark-shard error) rather than silently
+// dropping a partition.
 func (co *Coordinator) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
-	type snap struct {
-		docs []jsondoc.Doc
-		err  error
-	}
-	n := co.NumShards()
-	fetch := func(si int) chan snap {
-		ch := make(chan snap, 1)
-		go func() {
-			docs, err := co.SnapshotShardContext(ctx, si)
-			ch <- snap{docs, err}
-		}()
-		return ch
-	}
-	next := fetch(0)
-	for si := 0; si < n; si++ {
-		cur := <-next
-		if cur.err != nil {
-			return cur.err
-		}
-		if si+1 < n {
-			next = fetch(si + 1)
-		}
-		for _, d := range cur.docs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !fn(d) {
-				return nil
-			}
-		}
-	}
-	return nil
+	return docstore.Scan(ctx, co, fn)
 }
 
 // NumShards returns the shard count.
@@ -415,15 +382,6 @@ func (co *Coordinator) ShardIDsContext(ctx context.Context, si int) ([]string, e
 		return nil, err
 	}
 	return resp.IDs, nil
-}
-
-// SnapshotShardContext fetches one shard's full snapshot, ids sorted.
-func (co *Coordinator) SnapshotShardContext(ctx context.Context, si int) ([]jsondoc.Doc, error) {
-	resp, err := co.readCall(ctx, si, &request{Op: opSnapshot, Shard: si})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
 }
 
 // AllShardsServing reports whether every shard connection's breaker

@@ -352,12 +352,6 @@ func (s *Server) dispatch(req *request) *response {
 			return errResponse(err)
 		}
 		return &response{IDs: ids, N: len(ids)}
-	case opSnapshot:
-		encs, err := s.coll.SnapshotShardBinary(ctx, 0)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &response{EncDocs: encs, N: len(encs)}
 	case opCount:
 		return &response{N: s.coll.Count()}
 	case opGetMany:

@@ -15,7 +15,8 @@ import (
 // TestNonFiniteInsertFrameIsBadRequest: an insert frame whose document
 // carries NaN or ±Inf — which the transport encoding carries bit for
 // bit — is answered bad_request on the same connection, which keeps
-// serving; nothing reaches the store or the WAL.
+// serving; nothing reaches the store or the WAL. A request for the
+// retired snapshot op is answered bad_request the same way.
 func TestNonFiniteInsertFrameIsBadRequest(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "shard.wal")
 	srv, addr := startServer(t, "shard0", walPath)
@@ -53,6 +54,9 @@ func TestNonFiniteInsertFrameIsBadRequest(t *testing.T) {
 		if resp.ErrCode != codeBadRequest || !strings.Contains(resp.ErrMsg, "non-finite") {
 			t.Fatalf("insert with %v answered %q %q, want %q", bad, resp.ErrCode, resp.ErrMsg, codeBadRequest)
 		}
+	}
+	if resp := exchange(9, &request{Op: "snapshot"}); resp.ErrCode != codeBadRequest || !strings.Contains(resp.ErrMsg, "unknown op") {
+		t.Fatalf("retired snapshot op answered %q %q, want %q", resp.ErrCode, resp.ErrMsg, codeBadRequest)
 	}
 	if resp := exchange(10, &request{Op: opInsert, Doc: pubDoc("good", 1)}); resp.ErrCode != "" || resp.ID != "good" {
 		t.Fatalf("valid insert after the rejections answered %+v", resp)
@@ -96,17 +100,17 @@ func sizedDoc(id string, kb int) jsondoc.Doc {
 	}
 }
 
-// TestGetManyAllocsIndependentOfDocSize: a shard server answers get,
-// get_many and snapshot by copying stored encodings into the frame, so
-// each reply over 10 documents of 30 KB allocates exactly as often as
-// over 10 documents of 1 KB — the server neither decodes nor encodes a
+// TestGetManyAllocsIndependentOfDocSize: a shard server answers get and
+// get_many by copying stored encodings into the frame, so each reply
+// over 10 documents of 30 KB allocates exactly as often as over 10
+// documents of 1 KB — the server neither decodes nor encodes a
 // document.
 func TestGetManyAllocsIndependentOfDocSize(t *testing.T) {
 	ids := make([]string, 10)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("doc-%d", i)
 	}
-	reqs := []*request{{Op: opGetMany, IDs: ids}, {Op: opGet, ID: ids[3]}, {Op: opSnapshot}}
+	reqs := []*request{{Op: opGetMany, IDs: ids}, {Op: opGet, ID: ids[3]}}
 	allocs := func(kb int) []float64 {
 		srv, err := NewServer(ServerConfig{Name: "shard0", Logf: t.Logf})
 		if err != nil {
@@ -142,5 +146,5 @@ func TestGetManyAllocsIndependentOfDocSize(t *testing.T) {
 			t.Errorf("%s over 10 documents allocates %v times at 1 KB, %v at 30 KB", req.Op, small[i], large[i])
 		}
 	}
-	t.Logf("allocs for %s, %s, %s: %v at 1 KB, %v at 30 KB", reqs[0].Op, reqs[1].Op, reqs[2].Op, small, large)
+	t.Logf("allocs for %s, %s: %v at 1 KB, %v at 30 KB", reqs[0].Op, reqs[1].Op, small, large)
 }

@@ -41,21 +41,24 @@ import (
 )
 
 // maxFrame bounds one frame's payload so a corrupt or hostile peer
-// cannot make the receiver allocate unboundedly. Shard snapshots are
-// the largest frames; 256 MiB clears any corpus this repo benches.
+// cannot make the receiver allocate unboundedly. Full scans page
+// through get_many, so no frame carries a whole shard's documents; the
+// largest are a shard's id listing and one batch's documents.
 const maxFrame = 256 << 20
 
-// Operation codes carried in request frames.
+// Operation codes carried in request frames. An op name is permanent
+// once shipped and a retired one is never reused; a server answers a
+// retired op bad_request like any unknown one. Retired: "snapshot" (a
+// whole shard in one frame; full scans page through get_many).
 const (
-	opPing     = "ping"
-	opGet      = "get"
-	opInsert   = "insert"
-	opDelete   = "delete"
-	opIDs      = "ids"
-	opSnapshot = "snapshot"
-	opCount    = "count"
-	opGetMany  = "get_many"
-	opHealth   = "health"
+	opPing    = "ping"
+	opGet     = "get"
+	opInsert  = "insert"
+	opDelete  = "delete"
+	opIDs     = "ids"
+	opCount   = "count"
+	opGetMany = "get_many"
+	opHealth  = "health"
 )
 
 // request is one framed request envelope. Shard carries the

@@ -13,17 +13,24 @@
 #     boot (both default to seed 42): its first generation equals the
 #     cold boot's file for file, byte for byte, and `stats`, `search`
 #     and `kg` run on it.
+#   - A networked cold boot, `covidkg-server -shard-addrs … -pubs 30
+#     -data DIR2` over four `covidkg-shard` processes, writes the same
+#     g000001-knowledge_graph.json as `kgctl gen -n 30`, byte for byte:
+#     the build does not depend on where the publications live.
 #
-# Usage: bash scripts/boot_smoke.sh [port]   (default port 18123)
+# Usage: bash scripts/boot_smoke.sh [port]   (default port 18123; the
+# shard processes listen on the four ports after it)
 set -euo pipefail
 
 port=${1:-18123}
 work=$(mktemp -d)
 pid=
-trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; rm -rf "$work"' EXIT
+shard_pids=()
+trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; for p in "${shard_pids[@]}"; do kill "$p" 2>/dev/null; done; rm -rf "$work"' EXIT
 
 go build -o "$work/covidkg-server" ./cmd/covidkg-server
 go build -o "$work/kgctl" ./cmd/kgctl
+go build -o "$work/covidkg-shard" ./cmd/covidkg-shard
 data=$work/data
 base=http://127.0.0.1:$port
 
@@ -32,16 +39,19 @@ fail() {
 	exit 1
 }
 
-# boot LOG starts the server on $data and waits until /readyz answers.
+# boot LOG [FLAG...] starts the server on $data with -pubs 30 and any
+# further flags, and waits until /readyz answers.
 boot() {
-	"$work/covidkg-server" -addr "127.0.0.1:$port" -pubs 30 -data "$data" >"$1" 2>&1 &
+	local log=$1
+	shift
+	"$work/covidkg-server" -addr "127.0.0.1:$port" -pubs 30 -data "$data" "$@" >"$log" 2>&1 &
 	pid=$!
 	for _ in $(seq 1 600); do
 		curl -sf "$base/readyz" >/dev/null && return 0
-		kill -0 "$pid" 2>/dev/null || { cat "$1" >&2; fail "server exited during boot"; }
+		kill -0 "$pid" 2>/dev/null || { cat "$log" >&2; fail "server exited during boot"; }
 		sleep 0.1
 	done
-	cat "$1" >&2
+	cat "$log" >&2
 	fail "server not ready after 60 s"
 }
 
@@ -98,4 +108,19 @@ grep -q 'results (page 1/' <<<"$out" || fail "kgctl search: $out"
 out=$("$work/kgctl" kg -data "$cli" -q vaccines)
 grep -q '^knowledge graph: [0-9]* nodes' <<<"$out" || fail "kgctl kg: $out"
 
-echo "boot smoke ok: index read on the warm boot, cold and warm /api/v1/kg ($nodes nodes) and search identical, kgctl agrees, kgctl gen wrote the cold boot's generation"
+# a networked cold boot over four shard processes builds kgctl gen's graph
+addrs=
+for i in 1 2 3 4; do
+	"$work/covidkg-shard" -addr "127.0.0.1:$((port + i))" -name "shard$i" -wal "$work/shard$i.wal" >"$work/shard$i.log" 2>&1 &
+	shard_pids+=($!)
+	addrs+=${addrs:+,}127.0.0.1:$((port + i))
+done
+data=$work/data2
+boot "$work/net.log" -shard-addrs "$addrs"
+grep -q 'publications served by 4 remote shard processes' "$work/net.log" || fail "networked boot did not use the shard tier"
+grep -q 'kg built in' "$work/net.log" || fail "networked cold boot did not build the graph"
+stop
+cmp -s "$data/g000001-knowledge_graph.json" "$cli/g000001-knowledge_graph.json" ||
+	fail "the networked cold boot and kgctl gen -n 30 wrote different g000001-knowledge_graph.json"
+
+echo "boot smoke ok: index read on the warm boot, cold and warm /api/v1/kg ($nodes nodes) and search identical, kgctl agrees, kgctl gen wrote the cold boot's generation and the networked boot's graph"
