@@ -230,7 +230,7 @@ func cmdProfile(args []string) {
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, true)
-	p, err := sys.BuildMetaProfile("COVID-19 Vaccine Side-effects")
+	p, err := sys.BuildMetaProfile(context.Background(), "COVID-19 Vaccine Side-effects")
 	if err != nil {
 		log.Fatalf("profile: %v", err)
 	}

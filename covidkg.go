@@ -197,9 +197,9 @@ func (s *System) TopicClusters(ctx context.Context, k int) (*ClusterResult, []st
 }
 
 // MetaProfile fuses observations from every profile-shaped stored table
-// into one layered profile.
-func (s *System) MetaProfile(name string) (*Profile, error) {
-	return s.inner.BuildMetaProfile(name)
+// into one layered profile. The scan stops with ctx.
+func (s *System) MetaProfile(ctx context.Context, name string) (*Profile, error) {
+	return s.inner.BuildMetaProfile(ctx, name)
 }
 
 // PublicationCount returns the number of stored publications.

@@ -71,7 +71,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// meta-profile over the side-effect papers
-	p, err := sys.MetaProfile("Vaccine side-effects")
+	p, err := sys.MetaProfile(context.Background(), "Vaccine side-effects")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	profile, err := sys.MetaProfile("COVID-19 Vaccine Side-effects")
+	profile, err := sys.MetaProfile(context.Background(), "COVID-19 Vaccine Side-effects")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,6 @@ type Server struct {
 	handler  http.Handler
 	idPrefix string
 	adms     [numClasses]*admitter
-	tenants  *tenants
 }
 
 // NewServer builds the handler tree over a (typically trained) system
@@ -62,10 +61,9 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		classHeavy:  cfg.MaxInflightHeavy,
 	} {
 		if max > 0 {
-			s.adms[class] = newAdmitter(max)
+			s.adms[class] = &admitter{capacity: int64(max)}
 		}
 	}
-	s.tenants = newTenants(cfg.Tenants, cfg.DefaultTenant, cfg.Now)
 
 	// healthz (liveness) and readyz (readiness) are exempt from
 	// versioning and admission control: load balancers must be able to
@@ -95,10 +93,8 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	s.mux.HandleFunc("GET /", s.handleIndex)
 
 	// request ids outermost so metrics and recovered panics carry them;
-	// tenant resolution sits inside that so every response — including
-	// recovered panics and sheds — carries the resolved X-Tenant-ID;
 	// metrics wraps recover so recovered panics still record their 500
-	s.handler = s.requestIDMiddleware(s.tenantMiddleware(metricsMiddleware(s.met, recoverMiddleware(s.mux))))
+	s.handler = s.requestIDMiddleware(metricsMiddleware(s.met, recoverMiddleware(s.mux)))
 	return s
 }
 
@@ -165,17 +161,9 @@ func errCode(status int) string {
 //
 //	{"error": "...", "code": "bad_query", "request_id": "..."}
 func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
-	writeErrCode(w, r, status, errCode(status), err)
-}
-
-// writeErrCode emits the envelope with an explicit machine-readable
-// code, for statuses that cover several distinct conditions (429 is
-// "overloaded" from admission control, "rate_limited" from a tenant's
-// token bucket, "quota_exceeded" from an exhausted budget).
-func writeErrCode(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	env := map[string]string{
 		"error": err.Error(),
-		"code":  code,
+		"code":  errCode(status),
 	}
 	if r != nil {
 		if id := RequestIDFromContext(r.Context()); id != "" {

@@ -224,7 +224,7 @@ func TestChaosInvariant(t *testing.T) {
 // immediate-retry invitation — on shed responses.
 func TestRetryAfterClampedToWholeSecond(t *testing.T) {
 	s, _ := liteServer(t, Config{MaxInflightSearch: 1, RetryAfter: 100 * time.Millisecond})
-	if ok, _ := s.adms[classSearch].acquire(PriorityHigh); !ok {
+	if ok := s.adms[classSearch].acquire(); !ok {
 		t.Fatal("could not pre-fill the search class")
 	}
 	defer s.adms[classSearch].release()

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -65,28 +64,12 @@ type Config struct {
 	MaxInflightHeavy  int // default 8
 
 	// RetryAfter is the back-off hint attached to admission-shed
-	// responses (rate-limited responses compute theirs from the token
-	// bucket's actual refill time instead).
+	// responses.
 	RetryAfter time.Duration // default 1s
 
-	// Tenants maps X-Tenant-ID values onto per-tenant contracts:
-	// priority (shed order), token-bucket rate limit, and lifetime
-	// quota. Requests with a missing or unconfigured tenant id share
-	// the anonymous state governed by DefaultTenant.
-	Tenants map[string]TenantLimits
-
-	// DefaultTenant is the contract applied to anonymous traffic. The
-	// zero value means standard priority, no rate limit, no quota.
-	DefaultTenant TenantLimits
-
-	// Now is the clock used by rate-limit buckets (default time.Now);
-	// tests inject a fake to drive refill deterministically.
-	Now func() time.Time
-
 	// Metrics receives the lifecycle counters/gauges (requests_shed,
-	// requests_cancelled, deadline_exceeded, inflight_*, per-tenant
-	// tenant.<id>.* counters) alongside the request middleware metrics.
-	// Defaults to metrics.Default().
+	// requests_cancelled, deadline_exceeded, inflight_*) alongside the
+	// request middleware metrics. Defaults to metrics.Default().
 	Metrics *metrics.Registry
 }
 
@@ -136,9 +119,6 @@ func (c Config) withDefaults() Config {
 	c.MaxInflightHeavy = pickN(c.MaxInflightHeavy, d.MaxInflightHeavy)
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = d.RetryAfter
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Metrics == nil {
 		c.Metrics = d.Metrics
@@ -209,23 +189,44 @@ func (s *Server) requestIDMiddleware(next http.Handler) http.Handler {
 
 // ------------------------------------------------- admission + deadlines
 
-// acquire tries to take an in-flight slot for the class at the given
-// priority; it never blocks — under saturation the request is shed, not
-// queued. An inversion (a shed that a lower priority would have
-// survived — structurally impossible, counted to prove it) is recorded
-// into admission_inversions.
-func (s *Server) acquire(class routeClass, p Priority) bool {
+// admitter bounds one route class's in-flight requests: a request
+// takes a slot while fewer than capacity are held and is shed
+// otherwise. It never blocks — under saturation the request is shed,
+// not queued.
+type admitter struct {
+	inflight atomic.Int64
+	capacity int64
+}
+
+// acquire takes an in-flight slot, or reports a shed.
+func (a *admitter) acquire() bool {
+	for {
+		n := a.inflight.Load()
+		if n >= a.capacity {
+			return false
+		}
+		if a.inflight.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// release returns an in-flight slot.
+func (a *admitter) release() {
+	a.inflight.Add(-1)
+}
+
+// acquire tries to take an in-flight slot for the class.
+func (s *Server) acquire(class routeClass) bool {
 	a := s.adms[class]
 	if a == nil {
 		return true
 	}
-	ok, inversion := a.acquire(p)
-	if ok {
-		s.met.Gauge("inflight_" + class.String()).Inc()
-	} else if inversion {
-		s.met.Counter("admission_inversions").Inc()
+	if !a.acquire() {
+		return false
 	}
-	return ok
+	s.met.Gauge("inflight_" + class.String()).Inc()
+	return true
 }
 
 // release returns an in-flight slot.
@@ -236,51 +237,21 @@ func (s *Server) release(class routeClass) {
 	}
 }
 
-// lifecycle wraps a handler with the request lifecycle: the tenant's
-// token-bucket rate limit (429 + bucket-derived Retry-After +
-// X-RateLimit-* when exhausted), priority-aware admission control (shed
-// with 429 + Retry-After when the class is saturated at the tenant's
-// priority ceiling), the tenant's lifetime quota, a per-class deadline
-// layered onto the client's own cancellation, and cancel/deadline
-// accounting after the handler returns.
+// lifecycle wraps a handler with the request lifecycle: admission
+// control (shed with 429 + Retry-After when the class is at capacity),
+// a per-class deadline layered onto the client's own cancellation, and
+// cancel/deadline accounting after the handler returns.
 func (s *Server) lifecycle(class routeClass, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st := s.tenantState(r.Context())
-
-		if st.bucket != nil {
-			ok, wait, remaining, reset := st.bucket.take(s.cfg.Now())
-			setRateHeaders(w, st, remaining, reset)
-			if !ok {
-				s.met.Counter("tenant." + st.id + ".rate_limited").Inc()
-				w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(wait)))
-				writeErrCode(w, r, http.StatusTooManyRequests, "rate_limited",
-					fmt.Errorf("tenant %s over its request rate; retry after the bucket refills", st.id))
-				return
-			}
-		}
-
-		if !s.acquire(class, st.limits.Priority) {
+		if !s.acquire(class) {
 			s.met.Counter("requests_shed").Inc()
 			s.met.Counter("requests_shed." + class.String()).Inc()
-			s.met.Counter("requests_shed.priority." + st.limits.Priority.String()).Inc()
-			s.met.Counter("tenant." + st.id + ".shed").Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 			writeErr(w, r, http.StatusTooManyRequests,
 				errors.New("server overloaded; try again shortly"))
 			return
 		}
 		defer s.release(class)
-
-		// quota is consumed after admission so shed requests never burn
-		// budget; the CAS inside tryQuota makes the cap exact under
-		// concurrency
-		if !st.tryQuota() {
-			s.met.Counter("tenant." + st.id + ".quota_rejected").Inc()
-			writeErrCode(w, r, http.StatusTooManyRequests, "quota_exceeded",
-				fmt.Errorf("tenant %s exhausted its request quota", st.id))
-			return
-		}
-		s.met.Counter("tenant." + st.id + ".served").Inc()
 
 		ctx := r.Context()
 		if timeout > 0 {
@@ -307,17 +278,6 @@ func (s *Server) lifecycle(class routeClass, timeout time.Duration, h http.Handl
 // and turn into a tight retry storm against an overloaded server.
 func retryAfterSeconds(d time.Duration) int {
 	secs := int(d.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// ceilSeconds renders a token-bucket refill wait as a Retry-After
-// value: rounded up to whole seconds (a client that retries early just
-// burns its own budget), never below 1.
-func ceilSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}

@@ -144,9 +144,8 @@ func TestRequestIDPropagation(t *testing.T) {
 func TestAdmissionControlSheds(t *testing.T) {
 	s, reg := liteServer(t, Config{MaxInflightSearch: 1, RetryAfter: 3 * time.Second})
 
-	// saturate the search class from the outside (high priority fills
-	// the whole capacity, so every tenant tier below is saturated too)
-	if ok, _ := s.adms[classSearch].acquire(PriorityHigh); !ok {
+	// saturate the search class from the outside
+	if ok := s.adms[classSearch].acquire(); !ok {
 		t.Fatal("could not pre-fill the search class")
 	}
 	rec, body := get(t, s, "/api/v1/search?q=vaccine")
@@ -183,6 +182,64 @@ func TestAdmissionControlSheds(t *testing.T) {
 	gauges, _ := snap["gauges"].(map[string]any)
 	if _, ok := gauges["inflight_search"]; !ok {
 		t.Fatalf("metrics missing inflight_search gauge: %v", snap["gauges"])
+	}
+}
+
+// TestAdmissionAdmitsConfiguredCapacity: a class configured for N
+// in-flight requests admits the Nth and sheds the N+1th.
+func TestAdmissionAdmitsConfiguredCapacity(t *testing.T) {
+	const capacity = 5
+	s, reg := liteServer(t, Config{MaxInflightSearch: capacity})
+	adm := s.adms[classSearch]
+	held := 0
+	defer func() {
+		for ; held > 0; held-- {
+			adm.release()
+		}
+	}()
+	hold := func(n int) {
+		for ; held < n; held++ {
+			if !adm.acquire() {
+				t.Fatalf("could not hold slot %d of %d", held+1, capacity)
+			}
+		}
+	}
+
+	hold(capacity - 1)
+	if rec, body := get(t, s, "/api/v1/search?q=vaccine"); rec.Code != http.StatusOK {
+		t.Fatalf("search with %d of %d slots held = %d (%v), want 200", held, capacity, rec.Code, body)
+	}
+	hold(capacity)
+	rec, body := get(t, s, "/api/v1/search?q=vaccine")
+	if rec.Code != http.StatusTooManyRequests || body["code"] != "overloaded" {
+		t.Fatalf("search with every slot held = %d (%v), want 429 overloaded", rec.Code, body)
+	}
+	if got := reg.Counter("requests_shed").Value(); got != 1 {
+		t.Fatalf("requests_shed = %d, want 1", got)
+	}
+}
+
+func TestMetricsExposeRuntimeHealth(t *testing.T) {
+	s, _ := liteServer(t, Config{})
+	rec, snap := get(t, s, "/api/v1/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics = %d", rec.Code)
+	}
+	rt, ok := snap["runtime"].(map[string]any)
+	if !ok {
+		t.Fatalf("metrics missing runtime block: %v", snap)
+	}
+	for _, key := range []string{"goroutines", "heap_inuse_bytes", "gc_pause_p99_us", "num_gc"} {
+		if _, ok := rt[key]; !ok {
+			t.Fatalf("runtime block missing %s: %v", key, rt)
+		}
+	}
+	if rt["goroutines"].(float64) < 1 {
+		t.Fatalf("goroutines = %v", rt["goroutines"])
+	}
+	gauges, _ := snap["gauges"].(map[string]any)
+	if _, ok := gauges["runtime.goroutines"]; !ok {
+		t.Fatalf("gauges missing runtime.goroutines: %v", gauges)
 	}
 }
 

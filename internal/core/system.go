@@ -299,9 +299,10 @@ func eachTable(pubID string, tables []any, fn tableFunc) {
 	}
 }
 
-// storedTables iterates every stored table with its owning publication.
-func (s *System) storedTables(fn tableFunc) error {
-	return s.Pubs.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+// storedTables iterates every stored table with its owning publication;
+// the scan stops with ctx.
+func (s *System) storedTables(ctx context.Context, fn tableFunc) error {
+	return s.Pubs.ScanContext(ctx, func(d jsondoc.Doc) bool {
 		eachTable(d.GetString("_id"), d.GetArray("tables"), fn)
 		return true
 	})
@@ -718,10 +719,11 @@ func (s *System) TopicClusters(ctx context.Context, k int) (*cluster.Result, []s
 }
 
 // BuildMetaProfile extracts observations from every profile-shaped
-// stored table and fuses them into one meta-profile (Figure 6).
-func (s *System) BuildMetaProfile(name string) (*metaprofile.Profile, error) {
+// stored table and fuses them into one meta-profile (Figure 6). The
+// scan stops with ctx.
+func (s *System) BuildMetaProfile(ctx context.Context, name string) (*metaprofile.Profile, error) {
 	var obs []metaprofile.Observation
-	err := s.storedTables(func(pubID string, t *tableparse.Table) {
+	err := s.storedTables(ctx, func(pubID string, t *tableparse.Table) {
 		headerRow := -1
 		if s.SVM != nil || (s.cfg.UseEnsemble && s.Ensemble != nil) {
 			meta := s.classifyRows(t)

@@ -281,7 +281,7 @@ func TestBuildMetaProfile(t *testing.T) {
 	if _, err := s.TrainModels(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.BuildMetaProfile("Vaccine side-effects")
+	p, err := s.BuildMetaProfile(context.Background(), "Vaccine side-effects")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +290,21 @@ func TestBuildMetaProfile(t *testing.T) {
 	}
 	if !strings.Contains(p.Render(), "Pfizer-BioNTech") {
 		t.Fatal("profile missing vaccines")
+	}
+}
+
+// TestBuildMetaProfileStopsWithCtx: the meta-profile's table scan runs
+// under its caller's context, so a cancelled one fails the build.
+func TestBuildMetaProfileStopsWithCtx(t *testing.T) {
+	s := NewSystem(DefaultConfig())
+	g := cord19.NewGenerator(17)
+	if err := s.IngestPublications(append(g.Corpus(10), g.SideEffectPaper([]string{"Moderna"}))); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p, err := s.BuildMetaProfile(ctx, "Vaccine side-effects"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("BuildMetaProfile under a cancelled ctx = %v, %v; want context.Canceled", p, err)
 	}
 }
 
