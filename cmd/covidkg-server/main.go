@@ -39,8 +39,8 @@ func main() {
 	pubs := flag.Int("pubs", 300, "synthetic publications to generate when the boot restores no checkpoint and the store is empty")
 	seed := flag.Int64("seed", 42, "corpus generator seed")
 	dataDir := flag.String("data", "", "optional directory for store persistence")
-	shards := flag.Int("shards", 4, "document store shards")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated covidkg-shard addresses; non-empty serves publications from those remote processes via the shardnet coordinator instead of in-process shards")
+	shards := flag.Int("shards", 4, "shard servers run in this process when -shard-addrs is empty")
+	shardAddrs := flag.String("shard-addrs", "", "comma-separated covidkg-shard addresses; non-empty serves publications from those remote processes via the shardnet coordinator instead of -shards shard servers in this process")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "with -shard-addrs, latency budget before a shard read is hedged with a second request (0 = adaptive 2×p95)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "with -shard-addrs, a shard connection's circuit-breaker open→half-open cooldown (0 = default 1s)")
 	breakerFailures := flag.Int("breaker-failures", 0, "with -shard-addrs, consecutive shard failures before its breaker opens (0 = default 3)")

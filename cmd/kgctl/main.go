@@ -35,23 +35,24 @@ func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	ctx := context.Background()
 	switch os.Args[1] {
 	case "gen":
 		cmdGen(os.Args[2:])
 	case "search":
-		cmdSearch(os.Args[2:])
+		cmdSearch(ctx, os.Args[2:])
 	case "kg":
-		cmdKG(os.Args[2:])
+		cmdKG(ctx, os.Args[2:])
 	case "profile":
-		cmdProfile(os.Args[2:])
+		cmdProfile(ctx, os.Args[2:])
 	case "topics":
-		cmdTopics(os.Args[2:])
+		cmdTopics(ctx, os.Args[2:])
 	case "stats":
-		cmdStats(os.Args[2:])
+		cmdStats(ctx, os.Args[2:])
 	case "bias":
-		cmdBias(os.Args[2:])
+		cmdBias(ctx, os.Args[2:])
 	case "aggregate":
-		cmdAggregate(os.Args[2:])
+		cmdAggregate(ctx, os.Args[2:])
 	default:
 		usage()
 	}
@@ -66,7 +67,7 @@ func usage() {
 // publications, the one collection a checkpoint holds:
 //
 //	kgctl aggregate -data DIR -q '[{"$group": {"_id": "$topic", "n": {"$sum": 1}}}]'
-func cmdAggregate(args []string) {
+func cmdAggregate(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("aggregate", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	q := fs.String("q", "", "JSON pipeline (array of $-stages)")
@@ -86,7 +87,7 @@ func cmdAggregate(args []string) {
 	p.Append(pipeline.Limit(*limit))
 
 	sys := loadSystem(*data, false)
-	out, err := p.RunContext(context.Background(), sys.Pubs)
+	out, err := p.RunContext(ctx, sys.Pubs)
 	if err != nil {
 		log.Fatalf("aggregate: %v", err)
 	}
@@ -96,12 +97,12 @@ func cmdAggregate(args []string) {
 	fmt.Fprintf(os.Stderr, "(%d results)\n", len(out))
 }
 
-func cmdBias(args []string) {
+func cmdBias(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("bias", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, false)
-	rep, err := sys.AuditBias(context.Background())
+	rep, err := sys.AuditBias(ctx)
 	if err != nil {
 		log.Fatalf("bias: %v", err)
 	}
@@ -142,7 +143,7 @@ func loadSystem(dataDir string, train bool) *core.System {
 	return sys
 }
 
-func cmdSearch(args []string) {
+func cmdSearch(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	engine := fs.String("engine", "all", "all|tables|fields")
@@ -154,7 +155,6 @@ func cmdSearch(args []string) {
 	fs.Parse(args)
 
 	sys := loadSystem(*data, false)
-	ctx := context.Background()
 	var (
 		pg  search.Page
 		err error
@@ -186,7 +186,7 @@ func cmdSearch(args []string) {
 	}
 }
 
-func cmdKG(args []string) {
+func cmdKG(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("kg", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	q := fs.String("q", "", "optional KG query")
@@ -195,12 +195,12 @@ func cmdKG(args []string) {
 
 	sys := loadSystem(*data, false)
 	fmt.Printf("knowledge graph: %d nodes\n\n", sys.Graph.Size())
-	queryAndDump(sys, *q, *dump)
+	queryAndDump(ctx, sys, *q, *dump)
 }
 
-func queryAndDump(sys *core.System, q string, dump bool) {
+func queryAndDump(ctx context.Context, sys *core.System, q string, dump bool) {
 	if q != "" {
-		hits, err := sys.Graph.SearchContext(context.Background(), q)
+		hits, err := sys.Graph.SearchContext(ctx, q)
 		if err != nil {
 			log.Fatalf("kg search: %v", err)
 		}
@@ -225,25 +225,25 @@ func queryAndDump(sys *core.System, q string, dump bool) {
 	}
 }
 
-func cmdProfile(args []string) {
+func cmdProfile(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, true)
-	p, err := sys.BuildMetaProfile(context.Background(), "COVID-19 Vaccine Side-effects")
+	p, err := sys.BuildMetaProfile(ctx, "COVID-19 Vaccine Side-effects")
 	if err != nil {
 		log.Fatalf("profile: %v", err)
 	}
 	fmt.Print(p.Render())
 }
 
-func cmdTopics(args []string) {
+func cmdTopics(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("topics", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	k := fs.Int("k", len(cord19.TopicNames()), "number of clusters")
 	fs.Parse(args)
 	sys := loadSystem(*data, true)
-	res, ids, truths, err := sys.TopicClusters(context.Background(), *k)
+	res, ids, truths, err := sys.TopicClusters(ctx, *k)
 	if err != nil {
 		log.Fatalf("topics: %v", err)
 	}
@@ -265,14 +265,13 @@ func cmdTopics(args []string) {
 	}
 }
 
-func cmdStats(args []string) {
+func cmdStats(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	data := fs.String("data", "covidkg-data", "store directory")
 	fs.Parse(args)
 	sys := loadSystem(*data, false)
-	st := sys.Store.Stats()
-	fmt.Printf("collections: %d\ndocuments:   %d\nbytes:       %d\n", st.Collections, st.Documents, st.Bytes)
-	for i, n := range st.PerShard {
-		fmt.Printf("shard %d:     %d docs\n", i, n)
+	fmt.Printf("documents:   %d\n", sys.Pubs.Count())
+	for _, c := range sys.ShardConnHealth(ctx) {
+		fmt.Printf("shard %d:     %d docs\n", c.Shard, c.Docs)
 	}
 }

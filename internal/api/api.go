@@ -183,8 +183,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // handleReady is the readiness probe: 200 when every shard is serving,
 // 503 otherwise. Either way the body carries the per-shard connection
 // states (connected, breaker-open, or unreachable) so an operator can
-// see exactly which shard server is dark. In-process shards cannot go
-// dark, so without a shard tier the list is empty and the answer 200.
+// see exactly which shard server is dark. In process the shard servers
+// are listed with their mem:shardN addresses.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	conns := s.sys.ShardConnHealth(r.Context())
 	status, state := http.StatusOK, "ready"
@@ -202,23 +202,18 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	conns := s.sys.ShardConnHealth(r.Context())
+	perShard := make([]int, len(conns))
+	for i, c := range conns {
+		perShard[i] = c.Docs
+	}
 	out := map[string]any{
 		"publications": s.sys.Pubs.Count(),
 		"kg_nodes":     s.sys.Graph.Size(),
+		"per_shard":    perShard,
 	}
 	if s.sys.Remote() {
-		conns := s.sys.ShardConnHealth(r.Context())
-		perShard := make([]int, len(conns))
-		for i, c := range conns {
-			perShard[i] = c.Docs
-		}
 		out["mode"] = "shardnet"
-		out["per_shard"] = perShard
-	} else {
-		st := s.sys.Store.Stats()
-		out["collections"] = st.Collections
-		out["bytes"] = st.Bytes
-		out["per_shard"] = st.PerShard
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -57,16 +57,23 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestReadyzInProcess: in-process shards cannot go dark, so readiness
-// is 200 ready over an empty shard list.
+// TestReadyzInProcess: an in-process system lists its shard servers,
+// each connected at its mem:shardN address, and is 200 ready.
 func TestReadyzInProcess(t *testing.T) {
 	s, _ := liteServer(t, Config{})
 	rec, body := get(t, s, "/readyz")
 	if rec.Code != http.StatusOK || body["status"] != "ready" {
 		t.Fatalf("readyz = %d %v, want 200 ready", rec.Code, body)
 	}
-	if shards, ok := body["shards"].([]any); !ok || len(shards) != 0 {
-		t.Fatalf("shards = %#v, want an empty list", body["shards"])
+	shards, ok := body["shards"].([]any)
+	if !ok || len(shards) != core.DefaultConfig().Shards {
+		t.Fatalf("shards = %#v, want %d entries", body["shards"], core.DefaultConfig().Shards)
+	}
+	for i, sv := range shards {
+		sh := sv.(map[string]any)
+		if sh["state"] != "connected" || sh["addr"] != fmt.Sprintf("mem:shard%d", i) {
+			t.Fatalf("shard %d = %v, want connected at mem:shard%d", i, sh, i)
+		}
 	}
 	if mode, ok := body["mode"]; ok {
 		t.Fatalf("in-process readyz carries mode %v", mode)

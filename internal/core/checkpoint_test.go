@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"covidkg/internal/classifier"
 	"covidkg/internal/cord19"
@@ -128,7 +130,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("restored graph or search pages differ from the checkpointed system")
 	}
 	// the graph is a checkpoint file, not a document in the store
-	if got := s2.Store.Stats().Documents; got != s.Pubs.Count() {
+	if got := s2.Pubs.Count(); got != s.Pubs.Count() {
 		t.Fatalf("store holds %d documents, want the %d publications", got, s.Pubs.Count())
 	}
 
@@ -484,5 +486,33 @@ func TestFirstIngestAfterRestoreEnrichesOnlyItself(t *testing.T) {
 	}
 	if grew := s.Graph.Size() - before; grew > st.Subtrees {
 		t.Fatalf("graph grew by %d nodes from %d subtrees", grew, st.Subtrees)
+	}
+}
+
+// TestRestoreClosesReplacedTier: an in-process Restore loads the
+// publications into a fresh shard tier and closes the one it replaces,
+// so 20 restores into one System leave no goroutine behind once its
+// tier is closed.
+func TestRestoreClosesReplacedTier(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := untrainedSystem(t, 20, 7, nil)
+	dir := t.TempDir()
+	if err := s.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := s.Restore(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Pubs.Count(); got != 20 {
+		t.Fatalf("restored tier serves %d publications, want 20", got)
+	}
+	s.Coord.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 restores and Close, want at most %d as before NewSystem", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

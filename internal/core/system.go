@@ -40,13 +40,13 @@ import (
 // PubsCollection is the collection name holding publications.
 const PubsCollection = "publications"
 
-// pubsFile is the checkpoint file an in-process store writes the
+// pubsFile is the checkpoint file an in-process system writes the
 // publications to.
 const pubsFile = PubsCollection + ".jsonl"
 
 // Config assembles a System.
 type Config struct {
-	Shards      int // document-store shards
+	Shards      int // in-process shard servers (without ShardAddrs)
 	VocabSize   int // §3.2 feature-space size (paper: 100,000)
 	TrainTables int // labeled tables generated for classifier training
 	Seed        int64
@@ -57,18 +57,17 @@ type Config struct {
 	// it; delete it with that line.
 	Replicas int
 
-	// ShardAddrs switches the publication store into networked mode: one
-	// address per shard server process (covidkg-shard), scatter-gathered
-	// by a shardnet.Coordinator instead of in-process shards. Empty keeps
-	// the in-process tier. The knowledge graph and the models are not
-	// publications: they stay in this process and reach disk only as
-	// checkpoint files.
+	// ShardAddrs, when non-empty, serves the publications from one
+	// covidkg-shard process per address (networked mode). Empty serves
+	// them from Shards shard servers in this process. Either way one
+	// shardnet.Coordinator places and reads them. The knowledge graph and
+	// the models are not publications: they stay in this process and
+	// reach disk only as checkpoint files.
 	ShardAddrs []string
 
 	// ShardNet tunes the coordinator (timeouts, retries, hedging,
-	// per-connection breakers) in networked mode; zero values take the
-	// shardnet defaults. Metrics below is folded in when ShardNet.Metrics
-	// is nil.
+	// per-connection breakers); zero values take the shardnet defaults.
+	// Metrics below is folded in when ShardNet.Metrics is nil.
 	ShardNet shardnet.Config
 
 	// Metrics directs the system's counters (the coordinator's
@@ -111,13 +110,13 @@ func DefaultConfig() Config {
 type System struct {
 	cfg Config
 
-	Store        *docstore.Store
-	Pubs         docstore.Docs
+	Pubs         docstore.Docs // Coord, as the document surface
 	Search       *search.Engine
 	IndexReadErr error // why Restore rebuilt the index; nil if it read it
 
-	// Coord is non-nil in networked mode: publications live in remote
-	// shard server processes and Pubs is the scatter-gather coordinator.
+	// Coord serves the publications from the shard servers: in this
+	// process (shardnet.Local) or, with ShardAddrs, in covidkg-shard
+	// processes (shardnet.Dial).
 	Coord *shardnet.Coordinator
 
 	Vocab    *features.Vocabulary
@@ -151,25 +150,8 @@ type pendingPub struct {
 
 // NewSystem creates an empty system with the expert-seeded KG.
 func NewSystem(cfg Config) *System {
-	store := docstore.Open(docstore.WithShards(cfg.Shards))
-	s := &System{cfg: cfg, Store: store}
-	if len(cfg.ShardAddrs) > 0 {
-		ncfg := cfg.ShardNet
-		ncfg.Collection = PubsCollection
-		if ncfg.Metrics == nil {
-			ncfg.Metrics = cfg.Metrics
-		}
-		co, err := shardnet.Dial(ncfg, cfg.ShardAddrs)
-		if err != nil {
-			// Dial only validates configuration (an empty address list);
-			// with ShardAddrs non-empty it cannot fail.
-			panic(fmt.Sprintf("core: shardnet dial: %v", err))
-		}
-		s.Coord = co
-		s.Pubs = co
-	} else {
-		s.Pubs = store.Collection(PubsCollection)
-	}
+	s := &System{cfg: cfg}
+	s.startTier()
 	s.Search = search.NewEngine(s.Pubs)
 	s.Search.SetMetrics(cfg.Metrics)
 	s.Graph = kg.SeedCOVID(nil)
@@ -178,18 +160,32 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Remote reports whether publications are served by remote shard
-// processes through a coordinator.
-func (s *System) Remote() bool { return s.Coord != nil }
-
-// ShardConnHealth probes the remote shard tier: per-connection state
-// (connected / breaker-open / unreachable) — the payload behind GET
-// /readyz. An in-process system, whose shards cannot go dark, reports
-// none.
-func (s *System) ShardConnHealth(ctx context.Context) []shardnet.ConnHealth {
-	if s.Coord == nil {
-		return []shardnet.ConnHealth{}
+// startTier sets Coord and Pubs to a coordinator over the configured
+// shard servers: a fresh in-process tier, or the covidkg-shard processes
+// at ShardAddrs.
+func (s *System) startTier() {
+	ncfg := s.cfg.ShardNet
+	ncfg.Collection = PubsCollection
+	if ncfg.Metrics == nil {
+		ncfg.Metrics = s.cfg.Metrics
 	}
+	if s.Remote() {
+		// Dial only refuses an empty address list
+		s.Coord, _ = shardnet.Dial(ncfg, s.cfg.ShardAddrs)
+	} else {
+		s.Coord = shardnet.Local(ncfg, s.cfg.Shards)
+	}
+	s.Pubs = s.Coord
+}
+
+// Remote reports whether publications are served by covidkg-shard
+// processes rather than shard servers in this process.
+func (s *System) Remote() bool { return len(s.cfg.ShardAddrs) > 0 }
+
+// ShardConnHealth probes every shard server: per-connection state
+// (connected / breaker-open / unreachable) and document count — the
+// payload behind GET /readyz.
+func (s *System) ShardConnHealth(ctx context.Context) []shardnet.ConnHealth {
 	return s.Coord.Health(ctx)
 }
 
@@ -751,18 +747,21 @@ const (
 	EnsembleFile = "ensemble.model"
 )
 
-// Checkpoint atomically persists the whole system state — every store
-// collection, the search index, the knowledge graph, and the trained
-// ensemble when present — into one durable snapshot generation in dir.
-// The commit is all-or-nothing: a crash at any point leaves the
-// previous checkpoint fully loadable.
+// Checkpoint atomically persists the whole system state — the
+// publications of an in-process system, the search index, the knowledge
+// graph, and the trained ensemble when present — into one durable
+// snapshot generation in dir. The commit is all-or-nothing: a crash at
+// any point leaves the previous checkpoint fully loadable. In networked
+// mode the shard processes keep the publications (each in its WAL).
 func (s *System) Checkpoint(dir string) error {
 	tx, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Begin()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if err := s.Store.SaveTxn(tx); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
+	if !s.Remote() {
+		if err := docstore.SaveTxn(tx, s.Pubs); err != nil {
+			return fmt.Errorf("core: checkpoint: %w", err)
+		}
 	}
 	if err := s.Search.Index().WriteTxn(tx); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
@@ -789,29 +788,33 @@ func (s *System) Checkpoint(dir string) error {
 	return nil
 }
 
-// Restore loads the newest complete checkpoint from dir: collections
-// into the store, the search index (rebuilt if it does not read: see
-// IndexReadErr), the knowledge graph and the trained ensemble when the
-// checkpoint holds them. The returned report says which generation was
-// recovered, which files it held, and which torn or corrupt generations
-// were discarded. A missing or empty dir returns an error satisfying
-// errors.Is(err, durable.ErrNoSnapshot); a dir whose every generation
-// fails verification returns a different error. In networked mode a
-// checkpoint holding publications (written by an in-process system) is
-// refused before anything is loaded: the shard tier serves the
-// publications, not the local store.
+// Restore loads the newest complete checkpoint from dir: the
+// publications into a fresh in-process shard tier, the search index
+// (rebuilt if it does not read: see IndexReadErr), the knowledge graph
+// and the trained ensemble when the checkpoint holds them. The returned
+// report says which generation was recovered, which files it held, and
+// which torn or corrupt generations were discarded. A missing or empty
+// dir returns an error satisfying errors.Is(err, durable.ErrNoSnapshot);
+// a dir whose every generation fails verification returns a different
+// error. In networked mode a checkpoint holding publications (written by
+// an in-process system) is refused before anything is loaded: the shard
+// processes serve the publications they hold.
 func (s *System) Restore(dir string) (*durable.Report, error) {
 	sn, report, err := durable.NewSnapshotter(dir, durable.WithFS(s.cfg.FS)).Load()
 	if err != nil {
 		return report, fmt.Errorf("core: restore: %w", err)
 	}
-	if s.Coord != nil && sn.Has(pubsFile) {
-		// the publications would land in the idle local store while the
-		// shard tier serves, and the catch-up scan would unindex them all
-		return report, fmt.Errorf("core: restore %s: the checkpoint holds %s from an in-process store, but publications are served by %d shard servers", dir, pubsFile, s.Coord.NumShards())
-	}
-	if err := s.Store.LoadSnapshot(sn); err != nil {
-		return report, fmt.Errorf("core: restore: %w", err)
+	if sn.Has(pubsFile) {
+		if s.Remote() {
+			// the shard processes hold their own publications; loading
+			// the checkpoint's into them would mix two corpora
+			return report, fmt.Errorf("core: restore %s: the checkpoint holds %s from an in-process system, but publications are served by %d shard servers", dir, pubsFile, s.Coord.NumShards())
+		}
+		s.Coord.Close()
+		s.startTier()
+		if err := docstore.LoadSnapshot(sn, s.Pubs); err != nil {
+			return report, fmt.Errorf("core: restore: %w", err)
+		}
 	}
 	if sn.Has(GraphFile) {
 		blob, err := sn.ReadFile(GraphFile)
@@ -840,13 +843,8 @@ func (s *System) Restore(dir string) (*durable.Report, error) {
 		}
 		s.Ensemble = ens
 	}
-	// loading replaced the collection objects: rebind the publications
-	// handle and rebuild the search engine, which catches the index up on
-	// scan. In networked mode the publications live in the shard processes
-	// (each with its own WAL), so the coordinator handle stays authoritative.
-	if s.Coord == nil {
-		s.Pubs = s.Store.Collection(PubsCollection)
-	}
+	// rebuild the search engine over the tier serving the publications;
+	// it catches the index up on scan
 	ix, err := index.Read(sn)
 	s.Search, s.IndexReadErr = search.NewEngineFrom(s.Pubs, ix), err
 	s.Search.SetMetrics(s.cfg.Metrics)

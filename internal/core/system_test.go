@@ -43,9 +43,6 @@ func TestEndToEndArchitecture(t *testing.T) {
 	if s.Pubs.Count() != 60 {
 		t.Fatalf("stored pubs = %d", s.Pubs.Count())
 	}
-	if s.Store.Stats().Documents != 60 {
-		t.Fatalf("stats = %+v", s.Store.Stats())
-	}
 
 	// search engines operational (№9/10)
 	page, err := s.Search.SearchAllContext(context.Background(), "vaccine", 1)
@@ -573,10 +570,7 @@ func TestPersistRestoreGraph(t *testing.T) {
 	if got, err := s4.Graph.MarshalJSON(); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("re-persisted graph differs (err %v)", err)
 	}
-	if names := s4.Store.CollectionNames(); len(names) != 1 || names[0] != PubsCollection {
-		t.Fatalf("store collections after re-persist = %v, want only %s", names, PubsCollection)
-	}
-	if got := s4.Store.Stats().Documents; got != s.Pubs.Count() {
+	if got := s4.Pubs.Count(); got != s.Pubs.Count() {
 		t.Fatalf("store holds %d documents, want the %d publications", got, s.Pubs.Count())
 	}
 }

@@ -9,10 +9,9 @@ import (
 
 // Docs is the document-collection surface the upper layers (the search
 // engine, core.System, the API handlers) consume. It is implemented
-// both by the in-process *Collection — every shard inside this
-// process — and by shardnet.Coordinator, which serves the same
-// operations by scatter-gathering over remote shard server processes.
-// The contract is identical either way:
+// by shardnet.Coordinator, which scatter-gathers over shard servers, and
+// by *Collection, one shard's store. The contract is identical either
+// way:
 //
 //   - Writes are atomic per shard: an error means the write was not
 //     applied, unless it wraps shardnet.ErrIndeterminate (a reply lost
@@ -68,7 +67,6 @@ type Docs interface {
 	AllShardsServing() bool
 }
 
-// The in-process collection is the reference implementation.
 var _ Docs = (*Collection)(nil)
 
 // ScanBatchSize is how many ids Scan reads through one GetMany.

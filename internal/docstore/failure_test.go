@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"covidkg/internal/durable"
@@ -15,27 +14,27 @@ import (
 	"covidkg/internal/jsondoc"
 )
 
-// save commits every collection of s as one snapshot generation in
-// dir through fs — the store's half of core.System.Checkpoint.
-func save(s *Store, dir string, fs faultfs.FS) error {
+// save commits c as one snapshot generation in dir through fs — the
+// publications' half of core.System.Checkpoint.
+func save(c *Collection, dir string, fs faultfs.FS) error {
 	tx, err := durable.NewSnapshotter(dir, durable.WithFS(fs)).Begin()
 	if err != nil {
 		return err
 	}
-	if err := s.SaveTxn(tx); err != nil {
+	if err := SaveTxn(tx, c); err != nil {
 		return err
 	}
 	return tx.Commit()
 }
 
-// load fills s from the newest verifiable generation in dir — the
-// store's half of core.System.Restore.
-func load(s *Store, dir string) (*durable.Report, error) {
+// load fills c from the newest verifiable generation in dir — the
+// publications' half of core.System.Restore.
+func load(c *Collection, dir string) (*durable.Report, error) {
 	sn, report, err := durable.NewSnapshotter(dir).Load()
 	if err != nil {
 		return report, err
 	}
-	return report, s.LoadSnapshot(sn)
+	return report, LoadSnapshot(sn, c)
 }
 
 // writeSnapshot commits files verbatim as one generation in a fresh
@@ -63,7 +62,7 @@ func writeSnapshot(t *testing.T, files map[string]string) string {
 func TestLoadCorruptedLine(t *testing.T) {
 	content := `{"_id":"a","x":1}` + "\n" + `{"broken` + "\n" + `{"_id":"b","x":2}` + "\n"
 	dir := writeSnapshot(t, map[string]string{"pubs.jsonl": content})
-	_, err := load(Open(), dir)
+	_, err := load(Open().Collection("pubs"), dir)
 	if err == nil {
 		t.Fatal("corrupted file loaded silently")
 	}
@@ -76,7 +75,7 @@ func TestLoadCorruptedLine(t *testing.T) {
 func TestLoadDuplicateIDs(t *testing.T) {
 	content := `{"_id":"a","x":1}` + "\n" + `{"_id":"a","x":2}` + "\n"
 	dir := writeSnapshot(t, map[string]string{"pubs.jsonl": content})
-	if _, err := load(Open(), dir); err == nil {
+	if _, err := load(Open().Collection("pubs"), dir); err == nil {
 		t.Fatal("duplicate ids loaded silently")
 	}
 }
@@ -89,23 +88,20 @@ func TestLoadSkipsBlankLinesAndForeignFiles(t *testing.T) {
 		"pubs.jsonl":           "\n" + `{"_id":"a","x":1}` + "\n\n",
 		"knowledge_graph.json": `{"_id":"kg"}`,
 	})
-	s := Open()
-	if _, err := load(s, dir); err != nil {
+	c := Open().Collection("pubs")
+	if _, err := load(c, dir); err != nil {
 		t.Fatal(err)
 	}
-	if s.Collection("pubs").Count() != 1 {
-		t.Fatalf("count = %d", s.Collection("pubs").Count())
-	}
-	if got := s.CollectionNames(); len(got) != 1 {
-		t.Fatalf("foreign file loaded: collections %v", got)
+	if c.Count() != 1 {
+		t.Fatalf("count = %d", c.Count())
 	}
 }
 
 // TestSaveToUnwritableDir surfaces the error.
 func TestSaveToUnwritableDir(t *testing.T) {
-	s := Open()
-	s.Collection("pubs").Insert(jsondoc.Doc{"x": 1})
-	if err := save(s, "/proc/definitely/not/writable", faultfs.OS{}); err == nil {
+	c := Open().Collection("pubs")
+	c.Insert(jsondoc.Doc{"x": 1})
+	if err := save(c, "/proc/definitely/not/writable", faultfs.OS{}); err == nil {
 		t.Fatal("save into unwritable path succeeded")
 	}
 }
@@ -113,16 +109,15 @@ func TestSaveToUnwritableDir(t *testing.T) {
 // TestSaveDeterministic: two saves of the same store are byte-identical
 // (compared through the snapshot manifest, which also verifies CRCs).
 func TestSaveDeterministic(t *testing.T) {
-	s := Open(WithShards(3))
-	c := s.Collection("pubs")
+	c := Open(WithShards(3)).Collection("pubs")
 	for i := 0; i < 40; i++ {
 		c.Insert(jsondoc.Doc{"i": i})
 	}
 	d1, d2 := t.TempDir(), t.TempDir()
-	if err := save(s, d1, faultfs.OS{}); err != nil {
+	if err := save(c, d1, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := save(s, d2, faultfs.OS{}); err != nil {
+	if err := save(c, d2, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
 	read := func(dir string) []byte {
@@ -148,37 +143,28 @@ func TestSaveDeterministic(t *testing.T) {
 // ---------------------------------------------------------------------
 // fault-injected crash recovery
 
-// testStore builds a deterministic store whose every document carries
-// tag, so two generations are easy to tell apart.
-func testStore(docs int, tag string) *Store {
-	s := Open(WithShards(3))
-	c := s.Collection("pubs")
+// testStore builds a deterministic collection whose every document
+// carries tag, so two generations are easy to tell apart.
+func testStore(docs int, tag string) *Collection {
+	c := Open(WithShards(3)).Collection("pubs")
 	for i := 0; i < docs; i++ {
 		c.Insert(jsondoc.Doc{"_id": fmt.Sprintf("p%03d", i), "v": tag, "i": i})
 	}
-	s.Collection("topics").Insert(jsondoc.Doc{"_id": "t0", "v": tag})
-	return s
+	return c
 }
 
-// dump renders every collection's full contents in an order independent
-// of the shard count, so stores loaded with different shard layouts
+// dump renders the collection's full contents, sorted, so collections
 // compare equal when their documents do.
-func dump(s *Store) string {
-	var b strings.Builder
-	for _, name := range s.CollectionNames() {
-		b.WriteString("== " + name + "\n")
-		var lines []string
-		if err := s.Collection(name).ScanContext(context.Background(), func(d jsondoc.Doc) bool {
-			lines = append(lines, string(d.JSON()))
-			return true
-		}); err != nil {
-			b.WriteString("scan: " + err.Error() + "\n")
-		}
-		sort.Strings(lines)
-		b.WriteString(strings.Join(lines, "\n"))
-		b.WriteByte('\n')
+func dump(c *Collection) string {
+	var lines []string
+	if err := c.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
+		lines = append(lines, string(d.JSON()))
+		return true
+	}); err != nil {
+		lines = append(lines, "scan: "+err.Error())
 	}
-	return b.String()
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
 }
 
 // TestCrashMatrix is the acceptance check for the durability layer: for
@@ -214,7 +200,7 @@ func TestCrashMatrix(t *testing.T) {
 			policy := &faultfs.CrashPolicy{FailAt: failAt, Torn: torn}
 			saveErr := save(testStore(13, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy))
 
-			recovered := Open()
+			recovered := Open().Collection("pubs")
 			report, err := load(recovered, dir)
 			if err != nil {
 				t.Fatalf("%s: load after crash: %v", name, err)
@@ -248,14 +234,14 @@ func TestSaveFailOnRename(t *testing.T) {
 	if err := save(testStore(8, "old"), dir, faultfs.OS{}); err != nil {
 		t.Fatal(err)
 	}
-	for call := 1; call <= 4; call++ {
+	for call := 1; call <= 3; call++ { // the data file, the manifest, CURRENT
 		policy := &faultfs.OpFailPolicy{Op: faultfs.OpRename, OnCall: call}
 		if err := save(testStore(8, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy)); err == nil {
 			t.Fatalf("rename #%d: save swallowed the failure", call)
 		} else if !strings.Contains(err.Error(), "injected") {
 			t.Fatalf("rename #%d: unexpected error: %v", call, err)
 		}
-		recovered := Open()
+		recovered := Open().Collection("pubs")
 		report, err := load(recovered, dir)
 		if err != nil {
 			t.Fatalf("rename #%d: load: %v", call, err)
@@ -279,7 +265,7 @@ func TestSaveFailOnSync(t *testing.T) {
 	if err := save(testStore(8, "new"), dir, faultfs.NewFaulty(faultfs.OS{}, policy)); err == nil {
 		t.Fatal("sync failure swallowed")
 	}
-	recovered := Open()
+	recovered := Open().Collection("pubs")
 	report, err := load(recovered, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +296,7 @@ func TestTornDataFileFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recovered := Open()
+	recovered := Open().Collection("pubs")
 	report, err := load(recovered, dir)
 	if err != nil {
 		t.Fatalf("load with torn gen-2 file: %v", err)
@@ -323,39 +309,5 @@ func TestTornDataFileFallsBack(t *testing.T) {
 	}
 	if got, want := dump(recovered), dump(testStore(8, "old")); got != want {
 		t.Fatal("fallback generation differs from the original bytes")
-	}
-}
-
-// TestConcurrentUpdateAtomicity: concurrent read-modify-write increments
-// must not lose updates (the per-shard exclusive lock guarantees it).
-func TestConcurrentUpdateAtomicity(t *testing.T) {
-	s := Open(WithShards(2))
-	c := s.Collection("pubs")
-	id, err := c.Insert(jsondoc.Doc{"counter": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, perWorker = 8, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				err := c.Update(id, func(d jsondoc.Doc) error {
-					n, _ := d.GetNumber("counter")
-					return d.Set("counter", n+1)
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	d, _ := c.Get(id)
-	if n, _ := d.GetNumber("counter"); n != workers*perWorker {
-		t.Fatalf("lost updates: %v != %d", n, workers*perWorker)
 	}
 }

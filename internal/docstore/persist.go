@@ -5,86 +5,80 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"strings"
+	"sync"
+	"sync/atomic"
 
 	"covidkg/internal/durable"
 	"covidkg/internal/jsondoc"
 )
 
-// SaveTxn writes every collection as one JSON-lines file per collection
-// (<name>.jsonl) into an open snapshot transaction — the store's half
-// of core.System.Checkpoint, which commits it together with the graph
-// and models under one manifest. The on-disk order is the scan's id
-// order, so saves of equal stores are byte-identical, whatever their
-// shard counts.
-func (s *Store) SaveTxn(tx *durable.Txn) error {
-	for _, name := range s.CollectionNames() {
-		c := s.Collection(name)
-		w, err := tx.Create(name + ".jsonl")
-		if err != nil {
-			return fmt.Errorf("docstore: save %s: %w", name, err)
-		}
-		if err := c.writeTo(w); err != nil {
-			w.Close()
-			return fmt.Errorf("docstore: save %s: %w", name, err)
-		}
-		if err := w.Close(); err != nil {
-			return fmt.Errorf("docstore: save %s: %w", name, err)
-		}
+// SaveTxn writes every document of d as JSON lines into <name>.jsonl of
+// an open snapshot transaction — the publications' half of
+// core.System.Checkpoint, which commits it together with the graph and
+// models under one manifest. The on-disk order is the scan's id order,
+// so saves of equal collections are byte-identical, however they are
+// sharded.
+func SaveTxn(tx *durable.Txn, d Docs) error {
+	fname := d.Name() + ".jsonl"
+	w, err := tx.Create(fname)
+	if err != nil {
+		return fmt.Errorf("docstore: save %s: %w", d.Name(), err)
 	}
-	return nil
-}
-
-// writeTo streams the collection as JSON lines in deterministic order.
-func (c *Collection) writeTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var werr error
-	scanErr := c.ScanContext(context.Background(), func(d jsondoc.Doc) bool {
-		if _, err := bw.Write(d.JSON()); err != nil {
-			werr = err
-			return false
+	err = d.ScanContext(context.Background(), func(doc jsondoc.Doc) bool {
+		if _, werr = bw.Write(doc.JSON()); werr == nil {
+			werr = bw.WriteByte('\n')
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			werr = err
-			return false
-		}
-		return true
+		return werr == nil
 	})
-	if werr != nil {
-		return werr
+	if err == nil {
+		err = werr
 	}
-	if scanErr != nil {
-		return scanErr
+	if err == nil {
+		err = bw.Flush()
 	}
-	return bw.Flush()
-}
-
-// LoadSnapshot fills the store from a verified snapshot's *.jsonl
-// files, replacing same-named collections. Non-collection files (the
-// checkpointed graph and models) are ignored.
-func (s *Store) LoadSnapshot(sn *durable.Snapshot) error {
-	for _, fname := range sn.Names() {
-		if !strings.HasSuffix(fname, ".jsonl") {
-			continue
-		}
-		name := strings.TrimSuffix(fname, ".jsonl")
-		data, err := sn.ReadFile(fname)
-		if err != nil {
-			return fmt.Errorf("docstore: load %s: %w", name, err)
-		}
-		s.DropCollection(name)
-		if err := s.Collection(name).loadLines(data); err != nil {
-			return err
-		}
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("docstore: save %s: %w", d.Name(), err)
 	}
 	return nil
 }
 
-// loadLines inserts one JSON document per non-blank line. A line may be
-// as long as its writer made it: there is no line-length cap.
-func (c *Collection) loadLines(data []byte) error {
-	for line := 1; len(data) > 0; line++ {
+// loadConcurrency bounds the lines LoadSnapshot decodes and inserts at
+// once. Into a shard tier each insert is a round trip; in flight
+// together they pipeline over the coordinator's multiplexed connections.
+const loadConcurrency = 32
+
+// LoadSnapshot inserts the documents of a verified snapshot's
+// <name>.jsonl into d, one JSON document per non-blank line. A line may
+// be as long as its writer made it: there is no line-length cap. A line
+// that does not decode or insert stops the load, and the error names
+// the lowest such line.
+func LoadSnapshot(sn *durable.Snapshot, d Docs) error {
+	data, err := sn.ReadFile(d.Name() + ".jsonl")
+	if err != nil {
+		return fmt.Errorf("docstore: load %s: %w", d.Name(), err)
+	}
+	var (
+		mu       sync.Mutex
+		firstErr error
+		errLine  int
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
+	fail := func(line int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		failed.Store(true)
+		if firstErr == nil || line < errLine {
+			firstErr, errLine = fmt.Errorf("docstore: load %s line %d: %w", d.Name(), line, err), line
+		}
+	}
+	inFlight := make(chan struct{}, loadConcurrency)
+	for line := 1; len(data) > 0 && !failed.Load(); line++ {
 		raw := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
 			raw, data = data[:i], data[i+1:]
@@ -95,13 +89,19 @@ func (c *Collection) loadLines(data []byte) error {
 		if len(raw) == 0 {
 			continue
 		}
-		d, err := jsondoc.FromJSON(raw)
-		if err != nil {
-			return fmt.Errorf("docstore: load %s line %d: %w", c.name, line, err)
-		}
-		if _, err := c.Insert(d); err != nil {
-			return fmt.Errorf("docstore: load %s line %d: %w", c.name, line, err)
-		}
+		inFlight <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-inFlight; wg.Done() }()
+			doc, err := jsondoc.FromJSON(raw)
+			if err == nil {
+				_, err = d.Insert(doc)
+			}
+			if err != nil {
+				fail(line, err)
+			}
+		}()
 	}
-	return nil
+	wg.Wait()
+	return firstErr
 }

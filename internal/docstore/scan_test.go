@@ -2,11 +2,25 @@ package docstore
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
 	"covidkg/internal/jsondoc"
 )
+
+func seedDocs(t *testing.T, c *Collection, n int) []string {
+	t.Helper()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		id, err := c.Insert(jsondoc.Doc{"n": i, "body": fmt.Sprintf("doc number %d", i)})
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
+}
 
 // batchDocs is a collection whose GetMany runs hook on each batch
 // before reading it and reports the shards in missing as dark.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // ErrShardUnavailable reports an operation whose shard is dark: the
@@ -53,53 +51,23 @@ func UnavailableShard(err error) (int, bool) {
 	return ShardOfError(err)
 }
 
-// shard is one partition of a collection, each document kept as its
-// jsondoc.Encode bytes. A stored slice is never written (a write swaps in
-// a new one), so readers may copy or decode it after releasing the lock,
-// and a document decoded from it may alias its strings.
-type shard struct {
-	mu    sync.RWMutex
-	docs  map[string][]byte
-	bytes int // sum of the stored encodings' lengths
-}
+// A Collection is one shard: the shard-scoped reads below see all of it.
 
-// lockForWrite returns the shard holding id, write-locked.
-func (c *Collection) lockForWrite(id string) *shard {
-	sh := c.shards[shardOf(id, len(c.shards))]
-	sh.mu.Lock()
-	return sh
-}
+// NumShards returns 1.
+func (c *Collection) NumShards() int { return 1 }
 
-// ---------------------------------------------------------------- reads
+// ShardOfID returns 0, the one shard.
+func (c *Collection) ShardOfID(string) int { return 0 }
 
-// NumShards returns the collection's shard count.
-func (c *Collection) NumShards() int { return len(c.shards) }
-
-// ShardOfID returns the shard index a document id hashes to.
-func (c *Collection) ShardOfID(id string) int { return shardOf(id, len(c.shards)) }
-
-// sortedIDs lists the shard's ids, sorted. The caller holds sh.mu.
-func (sh *shard) sortedIDs() []string {
-	ids := make([]string, 0, len(sh.docs))
-	for id := range sh.docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// ShardIDsContext returns one shard's document ids (sorted), cloning
-// nothing — Scan lists a collection with it, as do callers that only
-// need ids (the search engine's id scan, candidate feeds).
-func (c *Collection) ShardIDsContext(ctx context.Context, si int) ([]string, error) {
+// ShardIDsContext returns the collection's document ids, sorted,
+// whatever si — Scan lists a collection with it, as do callers that
+// only need ids (the search engine's id scan, candidate feeds).
+func (c *Collection) ShardIDsContext(ctx context.Context, _ int) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sh := c.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sortedIDs(), nil
+	return c.IDs(), nil
 }
 
-// AllShardsServing reports true: an in-process shard is never dark.
+// AllShardsServing reports true: a collection is never dark.
 func (c *Collection) AllShardsServing() bool { return true }

@@ -80,32 +80,6 @@ func TestInsertDetachesCaller(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	s := Open()
-	c := s.Collection("pubs")
-	id, _ := c.Insert(jsondoc.Doc{"views": 1})
-	err := c.Update(id, func(d jsondoc.Doc) error {
-		n, _ := d.GetNumber("views")
-		return d.Set("views", n+1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.Get(id)
-	if n, _ := got.GetNumber("views"); n != 2 {
-		t.Fatalf("views = %v", n)
-	}
-	// error from fn aborts
-	sentinel := errors.New("abort")
-	if err := c.Update(id, func(jsondoc.Doc) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("Update error not propagated: %v", err)
-	}
-	got, _ = c.Get(id)
-	if n, _ := got.GetNumber("views"); n != 2 {
-		t.Fatal("aborted update mutated the document")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	s := Open()
 	c := s.Collection("pubs")
@@ -163,53 +137,6 @@ func TestScanDeterministicAndStoppable(t *testing.T) {
 	}
 }
 
-func TestShardDistribution(t *testing.T) {
-	s := Open(WithShards(8))
-	c := s.Collection("pubs")
-	const N = 2000
-	for i := 0; i < N; i++ {
-		if _, err := c.Insert(jsondoc.Doc{"i": i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Documents != N {
-		t.Fatalf("documents = %d", st.Documents)
-	}
-	for i, n := range st.PerShard {
-		// FNV over sequential ids should be roughly uniform; allow wide slack.
-		if n < N/8/4 || n > N/8*4 {
-			t.Errorf("shard %d badly skewed: %d docs", i, n)
-		}
-	}
-	if st.Bytes <= 0 {
-		t.Error("byte accounting missing")
-	}
-}
-
-func TestBytesAccounting(t *testing.T) {
-	s := Open()
-	c := s.Collection("x")
-	id, _ := c.Insert(jsondoc.Doc{"payload": "0123456789"})
-	before := s.Stats().Bytes
-	if before <= 0 {
-		t.Fatal("no bytes after insert")
-	}
-	if err := c.Update(id, func(d jsondoc.Doc) error { return d.Set("payload", "01234567890123456789") }); err != nil {
-		t.Fatal(err)
-	}
-	mid := s.Stats().Bytes
-	if mid <= before {
-		t.Fatalf("bytes did not grow on update: %d -> %d", before, mid)
-	}
-	if err := c.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Bytes; got != 0 {
-		t.Fatalf("bytes after delete = %d", got)
-	}
-}
-
 func TestConcurrentInsertAndRead(t *testing.T) {
 	s := Open(WithShards(4))
 	c := s.Collection("pubs")
@@ -248,49 +175,28 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 	}
 }
 
-func TestCollectionNamesAndDrop(t *testing.T) {
-	s := Open()
-	s.Collection("b")
-	s.Collection("a")
-	got := s.CollectionNames()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("names = %v", got)
-	}
-	s.DropCollection("a")
-	if got := s.CollectionNames(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("a should be dropped: names = %v", got)
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := Open(WithShards(3))
-	c := s.Collection("pubs")
+	c := Open(WithShards(3)).Collection("pubs")
 	for i := 0; i < 25; i++ {
 		c.Insert(jsondoc.Doc{"i": i, "s": fmt.Sprintf("doc %d", i)})
 	}
-	s.Collection("topics").Insert(jsondoc.Doc{"name": "vaccines"})
-	if err := save(s, dir, faultfs.OS{}); err != nil {
+	if err := save(c, dir, faultfs.OS{}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	s2 := Open(WithShards(5)) // different shard count must not matter
-	if _, err := load(s2, dir); err != nil {
+	c2 := Open(WithShards(5)).Collection("pubs")
+	if _, err := load(c2, dir); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got := s2.Collection("pubs").Count(); got != 25 {
+	if got := c2.Count(); got != 25 {
 		t.Fatalf("pubs count = %d", got)
 	}
-	if got := s2.Collection("topics").Count(); got != 1 {
-		t.Fatalf("topics count = %d", got)
-	}
-	// all docs identical (scan order differs across shard counts, so
-	// compare per id)
-	for _, id := range s.Collection("pubs").IDs() {
-		a, err := s.Collection("pubs").Get(id)
+	for _, id := range c.IDs() {
+		a, err := c.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s2.Collection("pubs").Get(id)
+		b, err := c2.Get(id)
 		if err != nil {
 			t.Fatalf("doc %s missing after load: %v", id, err)
 		}
@@ -301,19 +207,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingDir(t *testing.T) {
-	s := Open()
-	if _, err := load(s, "/nonexistent/dir"); !errors.Is(err, durable.ErrNoSnapshot) {
+	if _, err := load(Open().Collection("pubs"), "/nonexistent/dir"); !errors.Is(err, durable.ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	s := Open(WithShards(2))
-	st := s.Stats()
-	if st.Collections != 0 || st.Documents != 0 || st.Bytes != 0 {
-		t.Fatalf("empty stats = %+v", st)
-	}
-	if len(st.PerShard) != 2 {
-		t.Fatalf("PerShard = %v", st.PerShard)
 	}
 }

@@ -28,8 +28,7 @@ func E13(quick bool) *Report {
 	if quick {
 		nPubs = 300
 	}
-	store := docstore.Open(docstore.WithShards(4))
-	coll := store.Collection("pubs")
+	coll := docstore.Open().Collection("pubs")
 	g := cord19.NewGenerator(131)
 	pubs := g.Corpus(nPubs)
 

@@ -47,8 +47,7 @@ func E3(quick bool) *Report {
 		nDocs = 1500
 	}
 	ctx := context.Background()
-	store := docstore.Open(docstore.WithShards(4))
-	coll := store.Collection("pubs")
+	coll := docstore.Open().Collection("pubs")
 	g := cord19.NewGenerator(11)
 	for _, p := range g.Corpus(nDocs) {
 		if _, err := coll.Insert(p.Doc()); err != nil {

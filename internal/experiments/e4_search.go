@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"covidkg/internal/cord19"
-	"covidkg/internal/docstore"
 	"covidkg/internal/search"
+	"covidkg/internal/shardnet"
 )
 
 // E4 reproduces Figures 2 and 4 functionally: the three search engines
@@ -26,8 +26,8 @@ func E4(quick bool) *Report {
 	if quick {
 		nPubs = 400
 	}
-	store := docstore.Open(docstore.WithShards(4))
-	coll := store.Collection("pubs")
+	coll := shardnet.Local(shardnet.Config{Collection: "pubs"}, 4)
+	defer coll.Close()
 	g := cord19.NewGenerator(21)
 	pubs := g.Corpus(nPubs)
 	for i := 0; i < 3; i++ {
@@ -101,6 +101,6 @@ func E4(quick bool) *Report {
 		}
 	}
 	r.AddNote("corpus: %d publications, %d shards; all engines paginate at %d/page",
-		len(pubs), store.NumShards(), search.PerPage)
+		len(pubs), coll.NumShards(), search.PerPage)
 	return r
 }

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sync"
 	"testing"
@@ -12,15 +13,27 @@ import (
 	"covidkg/internal/metrics"
 )
 
-// darkDocs serves a collection some of whose shards are dark: a read
-// that needs a dark shard fails with a ShardError wrapping
-// ErrShardUnavailable, as the shardnet coordinator reports a shard
-// server it cannot reach, and GetMany lists the shard as missing.
+// darkDocs serves a collection over darkShards shards, some of which
+// may be dark: a read that needs a dark shard fails with a ShardError
+// wrapping ErrShardUnavailable, as the shardnet coordinator reports a
+// shard server it cannot reach, and GetMany lists the shard as missing.
 // Writes pass through.
 type darkDocs struct {
 	*docstore.Collection
 	mu   sync.Mutex
 	dark []int
+}
+
+// darkShards is darkDocs' shard count; an id's shard is its fnv32a
+// hash mod darkShards.
+const darkShards = 4
+
+func (d *darkDocs) NumShards() int { return darkShards }
+
+func (d *darkDocs) ShardOfID(id string) int {
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return int(h.Sum32() % darkShards)
 }
 
 func (d *darkDocs) darken(si int) {
@@ -76,7 +89,8 @@ func (d *darkDocs) ShardIDsContext(ctx context.Context, si int) ([]string, error
 	if err := d.check(si); err != nil {
 		return nil, err
 	}
-	return d.Collection.ShardIDsContext(ctx, si)
+	ids, err := d.Collection.ShardIDsContext(ctx, 0)
+	return slices.DeleteFunc(ids, func(id string) bool { return d.ShardOfID(id) != si }), err
 }
 
 func (d *darkDocs) ScanContext(ctx context.Context, fn func(jsondoc.Doc) bool) error {
@@ -103,10 +117,24 @@ func partialFixture(t *testing.T) (*Engine, *darkDocs, *metrics.Registry) {
 			t.Fatal(err)
 		}
 	}
+	if n := seededOn(c, c.ShardOfID("p00")); c.NumShards() != 4 || n == 0 || n == 40 {
+		t.Fatalf("%d shards, %d of the 40 seeded docs on p00's shard: want 4 shards and some but not all", c.NumShards(), n)
+	}
 	e := NewEngine(c)
 	reg := metrics.NewRegistry()
 	e.SetMetrics(reg)
 	return e, c, reg
+}
+
+// seededOn counts the seeded docs that live on shard si.
+func seededOn(c *darkDocs, si int) int {
+	n := 0
+	for i := 0; i < 40; i++ {
+		if c.ShardOfID(fmt.Sprintf("p%02d", i)) == si {
+			n++
+		}
+	}
+	return n
 }
 
 // darkenShard darkens p00's shard and returns its index
@@ -114,13 +142,7 @@ func partialFixture(t *testing.T) (*Engine, *darkDocs, *metrics.Registry) {
 func darkenShard(c *darkDocs) (int, int) {
 	si := c.ShardOfID("p00")
 	c.darken(si)
-	n := 0
-	for i := 0; i < 40; i++ {
-		if c.ShardOfID(fmt.Sprintf("p%02d", i)) == si {
-			n++
-		}
-	}
-	return si, n
+	return si, seededOn(c, si)
 }
 
 func TestSearchPartialOnDarkShardCandidatePath(t *testing.T) {

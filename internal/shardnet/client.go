@@ -38,6 +38,9 @@ type clientOpts struct {
 	muxConns    int           // multiplexed connections per shard
 	brk         breaker.Config
 	met         *metrics.Registry
+	// dial opens one connection to the shard server; nil dials addr
+	// over TCP within dialTimeout.
+	dial func(ctx context.Context) (net.Conn, error)
 }
 
 func (o *clientOpts) fillDefaults() {
@@ -92,6 +95,10 @@ type slotDial struct {
 
 func newShardClient(name, addr string, opts clientOpts) *shardClient {
 	opts.fillDefaults()
+	if opts.dial == nil {
+		dialer := net.Dialer{Timeout: opts.dialTimeout}
+		opts.dial = func(ctx context.Context) (net.Conn, error) { return dialer.DialContext(ctx, "tcp", addr) }
+	}
 	c := &shardClient{name: name, addr: addr, opts: opts, met: opts.met}
 	// every trip of the breaker counts breaker_open, beside the
 	// caller's own hook
@@ -142,8 +149,7 @@ func (c *shardClient) conn(ctx context.Context) (*muxConn, error) {
 	s.dial = d
 	c.mu.Unlock()
 
-	dialer := net.Dialer{Timeout: c.opts.dialTimeout}
-	conn, err := dialer.DialContext(ctx, "tcp", c.addr)
+	conn, err := c.opts.dial(ctx)
 
 	c.mu.Lock()
 	switch {
@@ -292,9 +298,6 @@ func (c *shardClient) hedgedCall(ctx context.Context, req *request) (*response, 
 	}
 	return nil, lastErr
 }
-
-// state reports the breaker state string for readiness reporting.
-func (c *shardClient) state() string { return c.brk.State().String() }
 
 func (c *shardClient) close() {
 	c.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,25 +72,25 @@ func transportFailure(err error) bool {
 }
 
 // Coordinator scatter-gathers the document-collection surface over N
-// remote shard server processes. It implements docstore.Docs, so the
-// search engine, core.System, and the API handlers run unmodified over
-// it; the in-process *Collection and the networked tier are
-// interchangeable behind that interface.
+// shard servers: covidkg-shard processes reached over TCP (Dial), or
+// servers in this process reached over in-memory connections (Local).
+// It implements docstore.Docs, so the search engine, core.System, and
+// the API handlers run unmodified over it.
 //
-// Placement is the consistent-hash ShardMap, fixed at Dial; per-shard
-// clients carry circuit breakers, hedged reads, deadline propagation,
-// and idempotent write retries. A dark shard degrades exactly like the
-// in-process tier: shard-scoped reads fail with a *docstore.ShardError
-// wrapping ErrShardUnavailable, which the search layer turns into a
-// Partial page naming the missing shard.
+// Placement is the consistent-hash ShardMap, fixed at construction;
+// per-shard clients carry circuit breakers, hedged reads, deadline
+// propagation, and idempotent write retries. A dark shard's reads fail
+// with a *docstore.ShardError wrapping ErrShardUnavailable, which the
+// search layer turns into a Partial page naming the missing shard.
 type Coordinator struct {
 	cfg Config
 	met *metrics.Registry
 
-	// smap and clients are set once in Dial and never change, so no
-	// read or write path takes a lock to route.
+	// smap, clients and local are set once at construction and never
+	// change, so no read or write path takes a lock to route.
 	smap    *ShardMap
 	clients []*shardClient
+	local   []*Server // the servers Local started; Close closes them
 
 	idemSeq    atomic.Uint64
 	idemPrefix string
@@ -103,6 +104,37 @@ func Dial(cfg Config, addrs []string) (*Coordinator, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("shardnet: at least one shard address required")
 	}
+	return newCoordinator(cfg, addrs, nil), nil
+}
+
+// Local starts n (at least 1) shard servers in this process, without
+// WALs, and returns a coordinator over them. Each connection is an
+// in-memory net.Pipe, so every frame still runs the codec, the mux, the
+// breakers, hedging and idempotency keys. Shard i is named shardi and
+// reports the address mem:shardi; Close also closes the servers.
+func Local(cfg Config, n int) *Coordinator {
+	servers := make([]*Server, max(n, 1))
+	addrs := make([]string, len(servers))
+	dials := make([]func(context.Context) (net.Conn, error), len(servers))
+	for i := range servers {
+		name := fmt.Sprintf("shard%d", i)
+		// without a WAL, NewServer cannot fail
+		srv, _ := NewServer(ServerConfig{Name: name, Collection: cfg.Collection})
+		servers[i], addrs[i] = srv, "mem:"+name
+		dials[i] = func(context.Context) (net.Conn, error) {
+			client, server := net.Pipe()
+			go srv.serveConn(server)
+			return client, nil
+		}
+	}
+	co := newCoordinator(cfg, addrs, dials)
+	co.local = servers
+	return co
+}
+
+// newCoordinator builds the coordinator over addrs; dials, when non-nil,
+// holds each shard client's dial function (nil dials TCP).
+func newCoordinator(cfg Config, addrs []string, dials []func(context.Context) (net.Conn, error)) *Coordinator {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{
 		cfg:        cfg,
@@ -112,16 +144,20 @@ func Dial(cfg Config, addrs []string) (*Coordinator, error) {
 	}
 	co.clients = make([]*shardClient, len(addrs))
 	for i, sa := range co.smap.Shards {
-		co.clients[i] = newShardClient(sa.Name, sa.Addr, clientOpts{
+		opts := clientOpts{
 			dialTimeout: cfg.DialTimeout,
 			callTimeout: cfg.CallTimeout,
 			hedgeDelay:  cfg.HedgeDelay,
 			muxConns:    cfg.MuxConns,
 			brk:         cfg.Breaker,
 			met:         cfg.Metrics,
-		})
+		}
+		if dials != nil {
+			opts.dial = dials[i]
+		}
+		co.clients[i] = newShardClient(sa.Name, sa.Addr, opts)
 	}
-	return co, nil
+	return co
 }
 
 // randomToken makes idempotency keys unique across coordinator
@@ -139,10 +175,14 @@ func (co *Coordinator) nextIdemKey() string {
 	return fmt.Sprintf("%s-%d", co.idemPrefix, co.idemSeq.Add(1))
 }
 
-// Close releases every pooled connection.
+// Close releases every pooled connection and closes the servers Local
+// started.
 func (co *Coordinator) Close() {
 	for _, c := range co.clients {
 		c.close()
+	}
+	for _, srv := range co.local {
+		srv.Close()
 	}
 }
 
@@ -313,9 +353,8 @@ func (co *Coordinator) GetMany(ctx context.Context, ids []string) ([]jsondoc.Doc
 }
 
 // Count sums live shard counts scattered concurrently; dark shards
-// contribute zero (Count is introspective, mirroring the in-process
-// tier where a fully dark shard's documents are likewise invisible
-// until it recovers).
+// contribute zero (Count is introspective: a dark shard's documents are
+// invisible until it recovers).
 func (co *Coordinator) Count() int {
 	counts := make([]int, co.NumShards())
 	var wg sync.WaitGroup

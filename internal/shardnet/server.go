@@ -93,7 +93,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		idem:  make(map[string]idemOutcome),
 		conns: make(map[net.Conn]struct{}),
 	}
-	s.coll = docstore.Open(docstore.WithShards(1)).Collection(cfg.Collection)
+	s.coll = docstore.Open().Collection(cfg.Collection)
 	if cfg.WALPath != "" {
 		replayed := 0
 		w, err := openWAL(cfg.WALPath, func(rec walRecord) {
@@ -132,8 +132,7 @@ func (s *Server) applyWALRecord(rec walRecord) {
 	}
 }
 
-// Serve accepts connections on ln until Close and runs handleConn on
-// each.
+// Serve accepts connections on ln until Close and serves each.
 func (s *Server) Serve(ln net.Listener) error {
 	s.connMu.Lock()
 	s.ln = ln
@@ -146,15 +145,24 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
+		go s.serveConn(conn)
 	}
+}
+
+// serveConn runs handleConn on one connection, which Close closes; a
+// connection that arrives after Close is closed at once.
+func (s *Server) serveConn(conn net.Conn) {
+	s.connMu.Lock()
+	if s.closed.Load() {
+		s.connMu.Unlock()
+		conn.Close()
+		return
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.connMu.Unlock()
+	defer s.wg.Done()
+	s.handleConn(conn)
 }
 
 // Start listens on addr (use "127.0.0.1:0" for an ephemeral port) and

@@ -35,19 +35,6 @@ func TestLargeCorpusEndToEnd(t *testing.T) {
 	if coll.Count() != nDocs {
 		t.Fatalf("count = %d", coll.Count())
 	}
-	st := store.Stats()
-	minS, maxS := st.PerShard[0], st.PerShard[0]
-	for _, n := range st.PerShard {
-		if n < minS {
-			minS = n
-		}
-		if n > maxS {
-			maxS = n
-		}
-	}
-	if float64(maxS-minS) > float64(nDocs)*0.02 {
-		t.Fatalf("shard skew at scale: %d..%d", minS, maxS)
-	}
 
 	eng := search.NewEngine(coll)
 	for _, q := range []string{"masks", "vaccine side effects", `"viral load"`} {
