@@ -10,6 +10,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"covidkg/internal/core"
@@ -108,21 +110,38 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// writeJSON encodes v, then writes it with writeBody. A value
-// encoding/json refuses (a NaN or an infinite number) is answered 500
-// internal with the request id instead: the status line never goes out
-// before the body is known.
+// writeJSON encodes v into a pooled buffer, then writes it with
+// writeBody. A value encoding/json refuses (a NaN or an infinite number)
+// is answered 500 internal with the request id instead: the status line
+// never goes out before the body is known, and the encoder writes
+// nothing of a value it refuses.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
+	bp := bodies.Get().(*[]byte)
+	buf := bytes.NewBuffer(*bp)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		env := map[string]string{"error": "encode response: " + err.Error(), "code": "internal"}
 		if id := w.Header().Get("X-Request-ID"); id != "" {
 			env["request_id"] = id
 		}
 		status = http.StatusInternalServerError
-		body, _ = json.Marshal(env) // a map of strings always encodes
+		_ = json.NewEncoder(buf).Encode(env) // a map of strings always encodes
 	}
-	writeBody(w, status, append(body, '\n'))
+	writePooled(w, status, bp, buf.Bytes())
+}
+
+// bodies recycles response buffers: writeBody's one Write copies a body
+// out, so its buffer can carry the next response. Each holds an empty
+// slice with room.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePooled writes body, built in the buffer bp came with, and hands
+// the buffer back unless it grew past 1 MiB, which it would keep pinned.
+func writePooled(w http.ResponseWriter, status int, bp *[]byte, body []byte) {
+	writeBody(w, status, body)
+	if cap(body) <= 1<<20 {
+		*bp = body[:0]
+		bodies.Put(bp)
+	}
 }
 
 // writeBody sends an encoded JSON body in one Write, with its

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -107,21 +108,88 @@ func (s *Server) handleKGNodes(w http.ResponseWriter, r *http.Request) {
 		writeKGErr(w, r, fmt.Errorf("%w: %s", kg.ErrNodeNotFound, id), http.StatusInternalServerError)
 		return
 	}
-	var path []*kg.Node // root first
+	path := make([]int32, 0, 16) // root first
 	for at := i; at >= 0; at = snap.Dense(at).Parent {
-		path = append(path, snap.At(at))
+		path = append(path, at)
 	}
 	slices.Reverse(path)
-	payload := map[string]any{"node": snap.At(i), "path": path}
+	// the bytes json.Marshal gives the map {"children": pageEnv,
+	// "node": *kg.Node, "path": []*kg.Node}: keys sorted, envelope
+	// fields in declaration order
+	bp := bodies.Get().(*[]byte)
+	b := append(*bp, '{')
 	if r.URL.Query().Get("expand") == "children" {
 		page, size := pageParams(r.URL.Query())
-		var kids []*kg.Node
-		for _, c := range snap.Dense(i).Children {
-			kids = append(kids, snap.At(c))
-		}
-		payload["children"] = paginateSlice(kids, page, size)
+		kids := paginateSlice(snap.Dense(i).Children, page, size)
+		b = appendNodes(append(b, `"children":{"Results":`...), snap, kids.Results)
+		b = strconv.AppendInt(append(b, `,"Total":`...), int64(kids.Total), 10)
+		b = strconv.AppendInt(append(b, `,"PageNum":`...), int64(kids.PageNum), 10)
+		b = strconv.AppendInt(append(b, `,"PerPage":`...), int64(kids.PerPage), 10)
+		b = strconv.AppendInt(append(b, `,"NumPages":`...), int64(kids.NumPages), 10)
+		b = append(b, "},"...)
 	}
-	writeJSON(w, http.StatusOK, payload)
+	b = append(append(b, `"node":`...), snap.NodeJSON(i)...)
+	b = appendNodes(append(b, `,"path":`...), snap, path)
+	writePooled(w, http.StatusOK, bp, append(b, "}\n"...))
+}
+
+// appendNodes appends the nodes at the given positions as json.Marshal
+// writes a non-nil []*kg.Node.
+func appendNodes(b []byte, snap *kg.Snapshot, at []int32) []byte {
+	b = append(b, '[')
+	for k, i := range at {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, snap.NodeJSON(i)...)
+	}
+	return append(b, ']')
+}
+
+// appendPaths appends paths as json.Marshal writes a []kgquery.Path,
+// nil as null, taking each node's encoding from snap: the paths must
+// come from an execution over snap, so every node id is in it.
+func appendPaths(b []byte, snap *kg.Snapshot, paths []kgquery.Path) []byte {
+	if paths == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for k, p := range paths {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"nodes":[`...)
+		for j, n := range p.Nodes {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			i, _ := snap.Index(n.ID)
+			b = append(b, snap.PathNodeJSON(i)...)
+		}
+		b = appendFloat(append(b, `],"confidence":`...), p.Confidence)
+		b = appendFloat(append(b, `,"evidence_coverage":`...), p.EvidenceCoverage)
+		b = strconv.AppendInt(append(b, `,"papers":`...), int64(p.Papers), 10)
+		b = appendFloat(append(b, `,"score":`...), p.Score)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// form that round-trips, in exponent notation below 1e-6 and from 1e21
+// up, with no leading zero in a negative exponent. f must be finite,
+// as encoding/json refuses the others; every float a KG body carries is
+// a product or a ratio of numbers in [0, 1].
+func appendFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-07 → e-7
+			b = b[:n-1]
+		}
+		return b
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
 }
 
 // decodeKGBody reads a request body of at most kgMaxBodyBytes into v.
@@ -213,20 +281,20 @@ func (s *Server) handleKGQuery(w http.ResponseWriter, r *http.Request) {
 	if paths == nil {
 		paths = []kgquery.Path{} // an empty page is [], not null
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"paths":      paths,
-		"total":      res.Total,
-		"page_num":   page,
-		"per_page":   size,
-		"num_pages":  max((res.Total+size-1)/size, 1),
-		"expansions": res.Expansions,
-		"truncated":  res.Truncated,
-		"plan": map[string]any{
-			"entry":            plan.Entry.String(),
-			"reversed":         plan.Reversed,
-			"entry_candidates": res.EntryCandidates,
-		},
-	})
+	// the bytes json.Marshal gives the payload map, keys sorted; the
+	// entry kind's name is a plain word, with nothing to escape
+	bp := bodies.Get().(*[]byte)
+	b := strconv.AppendInt(append(*bp, `{"expansions":`...), int64(res.Expansions), 10)
+	b = strconv.AppendInt(append(b, `,"num_pages":`...), int64(max((res.Total+size-1)/size, 1)), 10)
+	b = strconv.AppendInt(append(b, `,"page_num":`...), int64(page), 10)
+	b = appendPaths(append(b, `,"paths":`...), snap, paths)
+	b = strconv.AppendInt(append(b, `,"per_page":`...), int64(size), 10)
+	b = append(append(append(b, `,"plan":{"entry":"`...), plan.Entry.String()...), '"')
+	b = strconv.AppendInt(append(b, `,"entry_candidates":`...), int64(res.EntryCandidates), 10)
+	b = strconv.AppendBool(append(b, `,"reversed":`...), plan.Reversed)
+	b = strconv.AppendInt(append(b, `},"total":`...), int64(res.Total), 10)
+	b = strconv.AppendBool(append(b, `,"truncated":`...), res.Truncated)
+	writePooled(w, http.StatusOK, bp, append(b, "}\n"...))
 }
 
 // kgHypothesesRequest is the POST /api/v1/kg/hypotheses body.
@@ -269,13 +337,17 @@ func (s *Server) handleKGHypotheses(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Counter("kgquery.paths_matched").Add(int64(res.Total))
 	s.met.Counter("kgquery.paths_materialized").Add(int64(len(res.Paths)))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"from":       req.From,
-		"to":         req.To,
-		"max_hops":   req.MaxHops,
-		"paths":      res.Paths,
-		"total":      res.Total,
-		"expansions": res.Expansions,
-		"truncated":  res.Truncated,
-	})
+	// the bytes json.Marshal gives the payload map, keys sorted; the
+	// concepts are the caller's strings, so encoding/json escapes them
+	from, _ := json.Marshal(req.From) // a string always encodes
+	to, _ := json.Marshal(req.To)
+	bp := bodies.Get().(*[]byte)
+	b := strconv.AppendInt(append(*bp, `{"expansions":`...), int64(res.Expansions), 10)
+	b = append(append(b, `,"from":`...), from...)
+	b = strconv.AppendInt(append(b, `,"max_hops":`...), int64(req.MaxHops), 10)
+	b = appendPaths(append(b, `,"paths":`...), snap, res.Paths)
+	b = append(append(b, `,"to":`...), to...)
+	b = strconv.AppendInt(append(b, `,"total":`...), int64(res.Total), 10)
+	b = strconv.AppendBool(append(b, `,"truncated":`...), res.Truncated)
+	writePooled(w, http.StatusOK, bp, append(b, "}\n"...))
 }

@@ -39,6 +39,9 @@ func E4(quick bool) *Report {
 		}
 	}
 	eng := search.NewEngine(coll)
+	// no query cache: every run below ranks and materializes, so the
+	// latency column times the engines, not a cache hit
+	eng.SetCacheLimits(0, 0)
 	ctx := context.Background()
 
 	type probe struct {

@@ -106,6 +106,9 @@ type Fuser struct {
 
 	queue   []*ReviewItem
 	nextRev int
+	// pending indexes the queue's items awaiting review by id, so that
+	// Approve and Reject find theirs without walking the queue.
+	pending map[int]*ReviewItem
 
 	// learned maps normalized subtree-root labels to the node id an
 	// expert attached them to — fusion mistakes corrected once become
@@ -140,7 +143,7 @@ func cosine(a []float64, na float64, b labelVec) float64 {
 
 // NewFuser creates a fuser over g with the default confidence threshold.
 func NewFuser(g *Graph) *Fuser {
-	return &Fuser{g: g, Threshold: 0.85, learned: map[string]string{}}
+	return &Fuser{g: g, Threshold: 0.85, learned: map[string]string{}, pending: map[int]*ReviewItem{}}
 }
 
 // matchRoot resolves the subtree root label against the KG: learned
@@ -319,6 +322,7 @@ func (f *Fuser) enqueue(sub *Subtree, suggested, method string, conf float64) Fu
 		Method: method, Confidence: conf, Status: ReviewPending,
 	}
 	f.queue = append(f.queue, item)
+	f.pending[item.ID] = item
 	return FusionResult{
 		Action: ActionQueued, Method: method, TargetID: suggested,
 		Confidence: conf, ReviewID: item.ID,
@@ -345,7 +349,7 @@ func (f *Fuser) Pending() []ReviewItem {
 func (f *Fuser) Approve(reviewID int, targetID string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	item := f.findPending(reviewID)
+	item := f.pending[reviewID]
 	if item == nil {
 		return fmt.Errorf("kg: review %d not pending", reviewID)
 	}
@@ -356,6 +360,7 @@ func (f *Fuser) Approve(reviewID int, targetID string) error {
 		return err
 	}
 	item.Status = ReviewApproved
+	delete(f.pending, reviewID)
 	// learn the correction: next time this root label appears, fusion is
 	// unsupervised
 	f.learned[textproc.NormalizeTerm(item.Sub.Label)] = targetID
@@ -366,20 +371,12 @@ func (f *Fuser) Approve(reviewID int, targetID string) error {
 func (f *Fuser) Reject(reviewID int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	item := f.findPending(reviewID)
+	item := f.pending[reviewID]
 	if item == nil {
 		return fmt.Errorf("kg: review %d not pending", reviewID)
 	}
 	item.Status = ReviewRejected
-	return nil
-}
-
-func (f *Fuser) findPending(id int) *ReviewItem {
-	for _, it := range f.queue {
-		if it.ID == id && it.Status == ReviewPending {
-			return it
-		}
-	}
+	delete(f.pending, reviewID)
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package kg
 
 import (
+	"encoding/json"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,10 +26,14 @@ import (
 // Snapshots are generation-cached: Graph.Snapshot() returns the same
 // *Snapshot until a mutation bumps the graph's generation, so steady
 // read traffic pays the O(n) build once per write, not once per query.
+// The same holds for a node's JSON encodings (NodeJSON, PathNodeJSON):
+// the first reader of a node builds them, and they live and die with
+// the snapshot, so nothing ever invalidates them.
 type Snapshot struct {
-	nodes  []Node           // sorted by ID
-	dense  []Dense          // parallel to nodes
-	index  map[string]int32 // id → position in nodes
+	nodes  []Node                     // sorted by ID
+	dense  []Dense                    // parallel to nodes
+	frags  []atomic.Pointer[nodeJSON] // parallel to nodes, filled on first read
+	index  map[string]int32           // id → position in nodes
 	byNorm map[string][]string
 	ids    []string // sorted, for deterministic full scans
 	papers int      // distinct publication ids cited across the graph
@@ -46,6 +52,19 @@ type Dense struct {
 	Conf   float64 // how far the node's source is trusted
 	Lower  string  // the label, lower-cased
 }
+
+// PathNode is one node on a path-query result, trimmed for transport:
+// the provenance list collapses to its size.
+type PathNode struct {
+	ID     string `json:"id"`
+	Label  string `json:"label"`
+	Norm   string `json:"norm"`
+	Source string `json:"source"`
+	Papers int    `json:"papers"`
+}
+
+// nodeJSON is one node's two encodings.
+type nodeJSON struct{ node, path []byte }
 
 // Per-source confidence weights (see DESIGN.md): expert-seeded
 // structure is ground truth, expert-approved fusions are close behind,
@@ -116,6 +135,30 @@ func (s *Snapshot) Dense(i int32) *Dense { return &s.dense[i] }
 // NumPapers returns how many distinct publications the graph cites.
 func (s *Snapshot) NumPapers() int { return s.papers }
 
+// NodeJSON returns the node at position i exactly as json.Marshal(At(i))
+// encodes it. The bytes are shared by every caller for the snapshot's
+// life and MUST NOT be mutated.
+func (s *Snapshot) NodeJSON(i int32) []byte { return s.encoded(i).node }
+
+// PathNodeJSON returns the node at position i exactly as json.Marshal
+// encodes its PathNode, shared and read-only like NodeJSON's.
+func (s *Snapshot) PathNodeJSON(i int32) []byte { return s.encoded(i).path }
+
+// encoded returns the node's encodings, building them on first use.
+// Two first readers may both build them; they build the same bytes and
+// the first stored wins.
+func (s *Snapshot) encoded(i int32) *nodeJSON {
+	if e := s.frags[i].Load(); e != nil {
+		return e
+	}
+	n := &s.nodes[i]
+	// strings, string lists and an int always encode
+	node, _ := json.Marshal(n)
+	path, _ := json.Marshal(PathNode{ID: n.ID, Label: n.Label, Norm: n.Norm, Source: n.Source, Papers: len(n.Papers)})
+	s.frags[i].CompareAndSwap(nil, &nodeJSON{node, path})
+	return s.frags[i].Load()
+}
+
 // Snapshot returns the current immutable view, rebuilding it only when
 // the graph has changed since the last call.
 func (g *Graph) Snapshot() *Snapshot {
@@ -146,6 +189,7 @@ func (g *Graph) buildSnapshotLocked() *Snapshot {
 	s := &Snapshot{
 		nodes:  make([]Node, n),
 		dense:  make([]Dense, n),
+		frags:  make([]atomic.Pointer[nodeJSON], n),
 		index:  make(map[string]int32, n),
 		byNorm: make(map[string][]string, len(g.byNorm)),
 		ids:    make([]string, 0, n),

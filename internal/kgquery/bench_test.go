@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"covidkg/internal/kg"
@@ -97,26 +98,73 @@ func BenchmarkQueryPage(b *testing.B) {
 	}
 }
 
-// TestQueryPageAllocationCeiling holds a page's allocations to what
-// they measured when the executor stopped building unseen paths
-// (+15 %), and — the point of it — shows they do not follow the number
-// of paths matched: what a match costs is a record and an id run in two
-// arenas that double, so twenty times the matches may add a handful of
-// regrowths, never an allocation each.
+// citeMore makes every node of g cite factor times as many papers,
+// the new ones drawn from factor-1 times as many publications as the
+// graph cited, leaving its shape and so every match alone.
+func citeMore(g *kg.Graph, factor int) {
+	r := rand.New(rand.NewSource(2))
+	snap := g.Snapshot()
+	for _, id := range snap.IDs() {
+		n, _ := snap.Node(id)
+		extra := make([]string, (factor-1)*len(n.Papers))
+		for k := range extra {
+			extra[k] = fmt.Sprintf("more-%06d", r.Intn((factor-1)*snap.NumPapers()))
+		}
+		if err := g.AddPapers(id, extra...); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for heap bytes: what one call of
+// f allocates on average, after a collection and a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// raceEnabled is set in race builds (race_test.go), where only the
+// match counts below are checked.
+var raceEnabled bool
+
+// TestQueryPageAllocationCeiling holds a page's allocations and bytes
+// to what they measured once the executor took its scratch from a pool
+// (+15 %), and — the point of it — shows they follow neither the number
+// of paths matched nor the size of the corpus: what a match costs is a
+// record and an id run in two pooled arenas that double, so twenty
+// times the matches may add a handful of regrowths, never an allocation
+// each, and a graph citing twenty times the papers costs a page not one
+// byte more.
 func TestQueryPageAllocationCeiling(t *testing.T) {
-	snap := servedGraph().Snapshot()
-	// measured 36 / 40 / 46 / 44 / 27 / 39, parse and compile included
-	ceilings := map[string]float64{
-		"fwd1": 41, "fwd2": 46, "fwd3": 52, "reversed": 50, "label_scan": 31, "source_source": 44,
+	g := servedGraph()
+	snap := g.Snapshot()
+	// measured 29 / 29 / 33 / 35 / 21 / 25 allocations and
+	// 6008 / 6008 / 6248 / 2576 / 5864 / 7160 bytes, parse and compile
+	// included
+	ceilings := map[string]struct{ allocs, bytes float64 }{
+		"fwd1": {33, 6910}, "fwd2": {33, 6910}, "fwd3": {38, 7190},
+		"reversed": {40, 2970}, "label_scan": {24, 6750}, "source_source": {29, 8240},
 	}
 	allocs := map[string]float64{}
+	bytes := map[string]float64{}
 	matched := map[string]int{}
 	for _, pq := range pageQueries {
+		page := func() { pageSink = queryPage(t, snap, pq.text, pq.params) }
 		matched[pq.name] = queryPage(t, snap, pq.text, pq.params).Total
-		allocs[pq.name] = testing.AllocsPerRun(20, func() { pageSink = queryPage(t, snap, pq.text, pq.params) })
-		if allocs[pq.name] > ceilings[pq.name] {
-			t.Errorf("%s: %.0f allocs per page over %d matched paths, ceiling %.0f",
-				pq.name, allocs[pq.name], matched[pq.name], ceilings[pq.name])
+		allocs[pq.name] = testing.AllocsPerRun(20, page)
+		bytes[pq.name] = bytesPerRun(20, page)
+		t.Logf("%s: %.0f allocs, %.0f bytes per page", pq.name, allocs[pq.name], bytes[pq.name])
+		if c := ceilings[pq.name]; !raceEnabled && (allocs[pq.name] > c.allocs || bytes[pq.name] > c.bytes) {
+			t.Errorf("%s: %.0f allocs and %.0f bytes per page over %d matched paths, ceilings %.0f and %.0f",
+				pq.name, allocs[pq.name], bytes[pq.name], matched[pq.name], c.allocs, c.bytes)
 		}
 	}
 	few, many := "fwd1", "source_source"
@@ -124,8 +172,26 @@ func TestQueryPageAllocationCeiling(t *testing.T) {
 		t.Fatalf("graph drifted: %s matches %d paths, %s %d; want ≤ 60 and ≥ 600",
 			few, matched[few], many, matched[many])
 	}
-	if extra := allocs[many] - allocs[few]; extra > 16 {
+	if extra := allocs[many] - allocs[few]; !raceEnabled && extra > 16 {
 		t.Errorf("%d matches cost %.0f allocations more than %d matches; a match must not allocate",
 			matched[many], extra, matched[few])
+	}
+
+	citeMore(g, 20)
+	wide := g.Snapshot()
+	if wide.NumPapers() < 15*snap.NumPapers() {
+		t.Fatalf("the wider graph cites %d papers, the served one %d; want 15 times as many",
+			wide.NumPapers(), snap.NumPapers())
+	}
+	for _, pq := range pageQueries {
+		if got := queryPage(t, wide, pq.text, pq.params).Total; got != matched[pq.name] {
+			t.Fatalf("%s: citing more papers changed the match count from %d to %d", pq.name, matched[pq.name], got)
+		}
+		b := bytesPerRun(20, func() { pageSink = queryPage(t, wide, pq.text, pq.params) })
+		t.Logf("%s: %.0f bytes per page citing %d papers", pq.name, b, wide.NumPapers())
+		if !raceEnabled && b > bytes[pq.name] {
+			t.Errorf("%s: %.0f bytes per page over %d papers, %.0f over %d; a page must not grow with the corpus",
+				pq.name, b, wide.NumPapers(), bytes[pq.name], snap.NumPapers())
+		}
 	}
 }

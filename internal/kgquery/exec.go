@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync"
 
 	"covidkg/internal/kg"
 )
@@ -53,15 +54,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// PathNode is one node on a result path, trimmed for transport: the
-// provenance list collapses to its size.
-type PathNode struct {
-	ID     string `json:"id"`
-	Label  string `json:"label"`
-	Norm   string `json:"norm"`
-	Source string `json:"source"`
-	Papers int    `json:"papers"`
-}
+// PathNode is one node on a result path, defined beside the snapshot
+// that keeps its encoding (kg.Snapshot.PathNodeJSON).
+type PathNode = kg.PathNode
 
 // Path is one match: the full node sequence (pattern endpoints and
 // unconstrained intermediate hops alike) plus aggregates derived from
@@ -130,20 +125,17 @@ func (p *Plan) Execute(ctx context.Context, snap *kg.Snapshot, opts Options) (*R
 // and its id run in a shared arena; PathNodes and the distinct-paper
 // count exist for the window alone.
 func (p *Plan) ExecuteWindow(ctx context.Context, snap *kg.Snapshot, opts Options, from, count int) (*Result, error) {
-	ex := &executor{
-		plan:   p,
-		snap:   snap,
-		opts:   opts.withDefaults(),
-		ctx:    ctx,
-		onPath: make([]bool, snap.Len()),
-		// room for a typical page's worth of matches before the first regrowth
-		path: make([]int32, 0, 16),
-		recs: make([]pathRec, 0, 64),
-		runs: make([]int32, 0, 256),
-		// one variable-length edge walks each simple path once; two can
-		// reach the same node sequence through different hop splits
-		dedup: len(p.pat.Edges) >= 2,
-	}
+	ex := executors.Get().(*executor)
+	ex.reset(ctx, p, snap, opts.withDefaults())
+	res, err := ex.execute(from, count)
+	// not deferred: a walk that panics leaves marks set in onPath, and
+	// an executor in that state must not serve another query
+	ex.ctx, ex.plan, ex.snap = nil, nil, nil
+	executors.Put(ex)
+	return res, err
+}
+
+func (ex *executor) execute(from, count int) (*Result, error) {
 	candidates, err := ex.enterAll()
 	res := &Result{EntryCandidates: candidates, Expansions: ex.expansions}
 	switch {
@@ -167,6 +159,10 @@ type pathRec struct {
 	off, n int32
 }
 
+// executor is one execution's state. Executors are pooled with their
+// scratch slices, so a page allocates none of them, and none costs
+// O(corpus) per page: the walk leaves every onPath mark false, and a
+// paper stamp is a generation number, cleared only when it wraps.
 type executor struct {
 	plan *Plan
 	snap *kg.Snapshot
@@ -179,7 +175,28 @@ type executor struct {
 	recs       []pathRec
 	runs       []int32 // the records' id runs, back to back
 	dedup      bool
-	seen       []int32 // open-addressed set of record numbers + 1, keyed by run
+	seen       []int32  // open-addressed set of record numbers + 1, keyed by run
+	stamp      []uint32 // by paper ordinal: the generation that last counted it
+	gen        uint32
+}
+
+var executors = sync.Pool{New: func() any { return new(executor) }}
+
+// reset readies a pooled executor for one execution of p over snap.
+func (ex *executor) reset(ctx context.Context, p *Plan, snap *kg.Snapshot, opts Options) {
+	ex.ctx, ex.plan, ex.snap, ex.opts = ctx, p, snap, opts
+	ex.expansions = 0
+	// one variable-length edge walks each simple path once; two can
+	// reach the same node sequence through different hop splits
+	ex.dedup = len(p.pat.Edges) >= 2
+	ex.path, ex.recs, ex.runs = ex.path[:0], ex.recs[:0], ex.runs[:0]
+	clear(ex.seen)
+	if len(ex.onPath) < snap.Len() {
+		ex.onPath = make([]bool, snap.Len())
+	}
+	if len(ex.stamp) < snap.NumPapers() {
+		ex.stamp = make([]uint32, snap.NumPapers())
+	}
 }
 
 func (ex *executor) run(r pathRec) []int32 { return ex.runs[r.off : r.off+r.n] }
@@ -424,10 +441,10 @@ func (ex *executor) siftDown(h []pathRec, i int) {
 
 // materialize builds the transport form of the chosen records: nodes
 // from one backing slice, distinct papers counted by stamping interned
-// ordinals with the path's number. A window can be MaxLimit paths, so
-// it checks the context like the walk does, every YieldEvery paths
-// starting with the first: a caller gone since the walk's last check
-// gets no result.
+// ordinals with a generation of the path's own. A window can be
+// MaxLimit paths, so it checks the context like the walk does, every
+// YieldEvery paths starting with the first: a caller gone since the
+// walk's last check gets no result.
 func (ex *executor) materialize(win []pathRec) ([]Path, error) {
 	if len(win) == 0 {
 		return nil, nil
@@ -437,13 +454,16 @@ func (ex *executor) materialize(win []pathRec) ([]Path, error) {
 		total += int(r.n)
 	}
 	nodes := make([]PathNode, total)
-	stamp := make([]int32, ex.snap.NumPapers())
 	paths := make([]Path, len(win))
 	for k, r := range win {
 		if k%ex.opts.YieldEvery == 0 {
 			if err := ex.ctx.Err(); err != nil {
 				return nil, err
 			}
+		}
+		if ex.gen++; ex.gen == 0 {
+			clear(ex.stamp)
+			ex.gen = 1
 		}
 		run := ex.run(r)
 		p := Path{Nodes: nodes[:len(run):len(run)], Score: r.score}
@@ -452,8 +472,8 @@ func (ex *executor) materialize(win []pathRec) ([]Path, error) {
 			n, ords := ex.snap.At(i), ex.snap.Dense(i).Papers
 			p.Nodes[j] = PathNode{ID: n.ID, Label: n.Label, Norm: n.Norm, Source: n.Source, Papers: len(ords)}
 			for _, o := range ords {
-				if stamp[o] != int32(k)+1 {
-					stamp[o] = int32(k) + 1
+				if ex.stamp[o] != ex.gen {
+					ex.stamp[o] = ex.gen
 					p.Papers++
 				}
 			}
